@@ -4,7 +4,8 @@ Subcommands run the symbolic suites, the commutant solver, the spectrum
 classification table, and the numerical grid studies, and render one
 report as text or JSON.  Exit code 0 means every check passed (recorded
 rows do not fail a run), 1 means at least one check failed, 2 means the
-invocation itself was invalid.
+invocation itself was invalid, 3 means an internal invariant broke (an
+AssertionError in the laboratory itself, not a failed check).
 """
 
 from __future__ import annotations
@@ -240,6 +241,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     text = (
         json.dumps(report.as_dict(), indent=2)
         if args.json

@@ -977,10 +977,6 @@ def normalize(op: BlockOp) -> BlockOp:
     )
 
 
-def multiply(a: BlockOp, b: BlockOp) -> BlockOp:
-    return a * b
-
-
 def commutator(a: BlockOp, b: BlockOp) -> BlockOp:
     return a.commutator(b)
 

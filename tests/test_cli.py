@@ -170,3 +170,24 @@ def test_grid_passes_on_resolved_sequence(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert " 0 fail" in out
+
+
+@pytest.mark.parametrize("module,attr,argv,message", [
+    ("catalog", "build", ["verify", "--rep", "up"],
+     "up: discrete squares are not constant"),
+    ("commutant", "commutant_basis", ["commutant", "--rep", "up"],
+     "identity is not in the solved commutant"),
+])
+def test_broken_internal_invariant_exits_3(monkeypatch, capsys, module, attr,
+                                           argv, message):
+    import importlib
+
+    def broken(*args, **kwargs):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(importlib.import_module(f"poincarelab.{module}"),
+                        attr, broken)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"internal error: {message}" in captured.err
+    assert captured.out == ""

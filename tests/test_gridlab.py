@@ -3,15 +3,20 @@ an independent Gauss-Legendre quadrature, apply() against hand-rolled
 numpy, and convergence studies with frozen slope expectations.
 """
 
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from poincarelab import catalog
+from poincarelab import catalog, gridlab
 from poincarelab.gridlab import (
     EXACT_TOL,
     Grid,
+    GridState,
+    _meshes,
     apply,
     convergence_study,
     inner,
@@ -134,6 +139,87 @@ def test_apply_reflection_and_conjugation_match_numpy():
     assert np.array_equal(twice.values, st.values)
 
 
+def _reference_apply(op, state):
+    """apply() straight from Coefficient.eval, entry by entry, with
+    numpy's own gradient for the derivatives and spin-last arrays."""
+    g = state.grid
+    ax = g.axis()
+    p1, p2, p3 = np.meshgrid(ax, ax, ax, indexing="ij")
+    p0 = np.sqrt(g.mu**2 + p1**2 + p2**2 + p3**2)
+    out = np.zeros(state.values.shape, dtype=complex)
+    for br, row in enumerate(op.entries):
+        for bc, sop in enumerate(row):
+            for (alpha, u, k), mat in sop.terms.items():
+                cur = state.values[bc]
+                if k:
+                    cur = np.conj(cur)
+                if u:
+                    cur = cur[::-1, ::-1, ::-1, :]
+                for axis in range(3):
+                    for _ in range(alpha[axis]):
+                        cur = np.gradient(cur, g.spacing, axis=axis)
+                        edge = [slice(None)] * 4
+                        for plane in (0, -1):
+                            edge[axis] = plane
+                            cur[tuple(edge)] = 0
+                for m in range(sop.dim):
+                    for n in range(sop.dim):
+                        c = mat[m][n]
+                        if not c.is_zero():
+                            out[br, ..., m] += c.eval(g.mu, p1, p2, p3, p0) \
+                                * cur[..., n]
+    return out
+
+
+@pytest.mark.parametrize("label,two_s", [("up", 1), ("quad:+1", 0)])
+def test_apply_matches_coefficient_reference(label, two_s):
+    # every generator plus Theta and Pi; up's K entries carry the
+    # two-term coefficients (p1 +- i p2)/(mu+p0).  The products put a
+    # derivative in front of Y and C in one term.  The state is also
+    # given with the spin axis innermost in memory, as a caller might
+    rep = catalog.build(label, two_s)
+    st = standard_state(rep, Grid(L, 16))
+    spin_last = GridState(np.ascontiguousarray(st.values), st.grid, st.spin,
+                          st.blocks)
+    ops = dict(rep.generators(), Theta=rep.theta, Pi=rep.pi,
+               K1Theta=rep.k[0] * rep.theta, J2Pi=rep.j[1] * rep.pi)
+    for name, op in ops.items():
+        want = _reference_apply(op, st)
+        scale = np.abs(want).max()
+        assert scale > 0, name
+        for state in (st, spin_last):
+            got = apply(op, state).values
+            assert np.abs(got - want).max() <= 1e-14 * scale, name
+
+
+def test_field_cache_lives_and_dies_with_the_mesh():
+    g = Grid(L, 16)
+    rep = catalog.build("up", 1)
+    apply(rep.k[0], standard_state(rep, g))
+    mesh = weakref.ref(_meshes(g))
+    fields = mesh().fields
+    # K1's spin coupling p2/(mu+p0); its transport term's bare p0 is the
+    # mesh array itself, not a copy
+    assert ((0, 1, 0, 0), 0, 1) in fields
+    assert fields[((0, 0, 0, 1), 0, 0)] is mesh().coords[3]
+    assert _meshes.cache_info().maxsize == 8
+    _meshes.cache_clear()
+    gc.collect()
+    assert mesh() is None
+    assert _meshes(g).fields == {}
+
+
+def test_grid_state_validates_every_construction():
+    g = Grid(L, 16)
+    st = standard_state(catalog.build("up", 1), g)
+    with pytest.raises(ValueError, match="does not match"):
+        GridState(st.values[..., :1], g, st.spin, st.blocks)
+    bad = st.values.copy()
+    bad[0, 3, 4, 5, 1] = complex(0.0, math.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        GridState(bad, g, st.spin, st.blocks)
+
+
 @pytest.mark.parametrize("pair", [(24, 48), (48, 96)])
 def test_derivative_adjoint_defect_is_second_order(pair):
     # adjoint(d1) = -d1 + p1/p0^2 holds exactly in the algebra; on the
@@ -221,6 +307,26 @@ def test_derivative_relations_converge_at_stencil_order(rid):
     assert not r.exact
     assert r.ok
     assert 1.7 < r.slope < 2.3
+
+
+@pytest.mark.parametrize("table,zero_sizes", [
+    ({16: 0.0, 32: 3e-3, 64: 8e-4}, "16"),
+    ({16: 2e-2, 32: 4e-15, 64: 0.0}, "32, 64"),
+])
+def test_mixed_zero_residuals_fail_without_a_slope(monkeypatch, table,
+                                                   zero_sizes):
+    # a zero residual among nonzero ones has no log: no slope, not ok
+    monkeypatch.setattr(gridlab, "standard_state", lambda rep, g: g)
+    monkeypatch.setattr(gridlab, "residual",
+                        lambda rep, rid, g: table[g.points])
+    grids = [Grid(L, n) for n in (16, 32, 64)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = convergence_study(None, "[K1,P1] == i*P0", grids)
+    assert not r.exact and not r.ok and r.slope is None
+    assert r.detail().startswith(
+        f"no slope: zero residual at N = {zero_sizes},")
+    assert r.as_dict()["slope"] is None
 
 
 def test_report_as_dict_shape():
