@@ -9,9 +9,23 @@ inversion Pi, each either unitary or antiunitary.
 The single scalar block is built from multiplication by p and p0, the
 rotation generators -i(p x grad) + S and the boosts
 i p0 d_j - (S x p)_j / (mu + p0).  Multi-block entries glue sign-flipped
-copies of that block and choose Theta and Pi block patterns; the block
-patterns are kept on the spec object so the commutant solver can reuse
-them without reparsing operators.
+copies of that block and choose Theta and Pi block patterns; the catalog
+is one table (``CATALOG``) of labels, signs, Theta and Pi specs, spin
+restriction and CLI group.  The block patterns are kept on the spec
+object so the commutant solver can reuse them without reparsing
+operators.
+
+Every relation the laboratory checks is written once here, as data: a
+``Relation`` is a name, a family and components, each an operator
+polynomial that must vanish, i.e. a sum of (exact coefficient, word over
+named operators).  ``[K1,K2] == -i*J3`` is K1*K2 - K2*K1 + i*J3; an
+exchange relation has one component per generator of its family; the
+empty word is the identity.  The table holds the 45 Lie relations, the
+Theta/Pi exchange, square and omega rows, the two Casimirs (words over
+W0..W3 and the operator mu^2) and the position axioms (words over
+Q1..Q3).  ``operators`` maps names to operators, read from the spec's
+fields on every call; ``verify_relations`` is the one exact evaluator,
+``gridlab.residual`` the numeric one.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exactnum import I, ONE, Scalar, ZERO
 from .report import RelationReport
@@ -114,108 +129,97 @@ def boost_op(axis: int, two_s: int) -> ScalarOp:
     return deriv_part + ScalarOp.from_matrix(tuple(rows))
 
 
-@lru_cache(maxsize=None)
-def _tau_conj_reflect(two_s: int) -> ScalarOp:
-    """tau * Y * C on one scalar block (the antiunitary time reversal)."""
-    dim = two_s + 1
-    tau = tau_matrix(two_s).mat
-    return ScalarOp(dim, {((0, 0, 0), 1, 1): _const_cmat(tau)})
+# -- the relation table -----------------------------------------------------------
 
-
-# -- relation registry --------------------------------------------------------
+# A term is (exact coefficient, word); a word is a tuple of operator names
+# multiplied left to right, the empty word being the identity.
+Term = tuple[Scalar, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
-class LieRelation:
-    """[left, right] == sum of rhs, with rhs pairs (coefficient, generator)."""
+class Relation:
+    """Every component, a sum of terms, must vanish.
+
+    ``inadmissible`` names a demanded value that fails a side condition
+    (a square or phase outside {+1, -1}); such a row fails unevaluated.
+    """
 
     name: str
     family: str
-    left: str
-    right: str
-    rhs: tuple[tuple[Scalar, str], ...]
+    components: tuple[tuple[Term, ...], ...]
+    inadmissible: str = ""
 
 
-def _rhs_name(coeff: Scalar, key: str) -> str:
-    if coeff == I:
-        return f"i*{key}"
-    if coeff == -I:
-        return f"-i*{key}"
-    raise ValueError("unexpected structure constant")
+GENERATORS = ("P0", "P1", "P2", "P3", "J1", "J2", "J3", "K1", "K2", "K3")
+_FAMILIES = {"P0": ("P0",), "P": GENERATORS[1:4], "J": GENERATORS[4:7],
+             "K": GENERATORS[7:]}
+_PAIRS = ((1, 2), (1, 3), (2, 3))
+_ALL_PAIRS = tuple((a, b) for a in (1, 2, 3) for b in (1, 2, 3))
 
 
-def _build_lie_relations() -> tuple[LieRelation, ...]:
-    rels: list[LieRelation] = []
-    pairs = ((1, 2), (1, 3), (2, 3))
-    for a, b in pairs:
-        rels.append(LieRelation(f"[P{a},P{b}] == 0", "PP", f"P{a}", f"P{b}", ()))
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            if a == b:
-                rels.append(LieRelation(f"[J{a},P{b}] == 0", "JP", f"J{a}", f"P{b}", ()))
-            else:
-                l = 6 - a - b
-                c = I if epsilon(a, b, l) > 0 else -I
-                rels.append(
-                    LieRelation(
-                        f"[J{a},P{b}] == {_rhs_name(c, f'P{l}')}",
-                        "JP", f"J{a}", f"P{b}", ((c, f"P{l}"),),
-                    )
-                )
+def _bracket(family: str, a: str, b: str, coeff: Scalar = ZERO,
+             c: str = "") -> Relation:
+    """[a,b] == coeff*c, with coeff +-i and c "" for the identity."""
+    terms = ((ONE, (a, b)), (-ONE, (b, a)))
+    if not coeff:
+        return Relation(f"[{a},{b}] == 0", family, (terms,))
+    rhs = ("i" if coeff == I else "-i") + (f"*{c}" if c else "")
+    word = (c,) if c else ()
+    return Relation(f"[{a},{b}] == {rhs}", family, (terms + ((-coeff, word),),))
+
+
+def _vector_brackets(family: str, x: str, y: str, z: str, pairs,
+                     unit: Scalar = I) -> tuple[Relation, ...]:
+    """[x_a, y_b] == unit * epsilon(a,b,l) * z_l over the index pairs."""
+    out = []
     for a, b in pairs:
         l = 6 - a - b
-        c = I if epsilon(a, b, l) > 0 else -I
-        rels.append(
-            LieRelation(
-                f"[J{a},J{b}] == {_rhs_name(c, f'J{l}')}",
-                "JJ", f"J{a}", f"J{b}", ((c, f"J{l}"),),
-            )
-        )
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            if a == b:
-                rels.append(LieRelation(f"[J{a},K{b}] == 0", "JK", f"J{a}", f"K{b}", ()))
-            else:
-                l = 6 - a - b
-                c = I if epsilon(a, b, l) > 0 else -I
-                rels.append(
-                    LieRelation(
-                        f"[J{a},K{b}] == {_rhs_name(c, f'K{l}')}",
-                        "JK", f"J{a}", f"K{b}", ((c, f"K{l}"),),
-                    )
-                )
-    for a, b in pairs:
-        l = 6 - a - b
-        c = -I if epsilon(a, b, l) > 0 else I
-        rels.append(
-            LieRelation(
-                f"[K{a},K{b}] == {_rhs_name(c, f'J{l}')}",
-                "KK", f"K{a}", f"K{b}", ((c, f"J{l}"),),
-            )
-        )
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            if a == b:
-                rels.append(
-                    LieRelation(
-                        f"[K{a},P{a}] == i*P0", "KP", f"K{a}", f"P{a}", ((I, "P0"),)
-                    )
-                )
-            else:
-                rels.append(LieRelation(f"[K{a},P{b}] == 0", "KP", f"K{a}", f"P{b}", ()))
-    for a in (1, 2, 3):
-        rels.append(LieRelation(f"[P{a},P0] == 0", "P.P0", f"P{a}", "P0", ()))
-    for a in (1, 2, 3):
-        rels.append(LieRelation(f"[J{a},P0] == 0", "J.P0", f"J{a}", "P0", ()))
-    for a in (1, 2, 3):
-        rels.append(
-            LieRelation(f"[K{a},P0] == i*P{a}", "K.P0", f"K{a}", "P0", ((I, f"P{a}"),))
-        )
-    assert len(rels) == 45
-    return tuple(rels)
+        coeff = ZERO if a == b else (unit if epsilon(a, b, l) > 0 else -unit)
+        out.append(_bracket(family, f"{x}{a}", f"{y}{b}", coeff, f"{z}{l}"))
+    return tuple(out)
 
 
-LIE_RELATIONS: tuple[LieRelation, ...] = _build_lie_relations()
+def _exchange(op: str, fam: str, sign: int, names) -> Relation:
+    """op*g == sign*g*op for every g named, one component each."""
+    rhs = f"{fam}*{op}" if sign > 0 else f"-{fam}*{op}"
+    other = -ONE if sign > 0 else ONE
+    return Relation(
+        f"{op}*{fam} == {rhs}", f"{op}.{fam}",
+        tuple(((ONE, (op, g)), (other, (g, op))) for g in names),
+    )
+
+
+def _squares(names) -> tuple[Term, ...]:
+    """Minkowski square: the first name squared minus the others squared."""
+    return tuple((ONE if i == 0 else -ONE, (n, n)) for i, n in enumerate(names))
+
+
+LIE_RELATIONS: tuple[Relation, ...] = (
+    tuple(_bracket("PP", f"P{a}", f"P{b}") for a, b in _PAIRS)
+    + _vector_brackets("JP", "J", "P", "P", _ALL_PAIRS)
+    + _vector_brackets("JJ", "J", "J", "J", _PAIRS)
+    + _vector_brackets("JK", "J", "K", "K", _ALL_PAIRS)
+    + _vector_brackets("KK", "K", "K", "J", _PAIRS, unit=-I)
+    + tuple(_bracket("KP", f"K{a}", f"P{b}", I if a == b else ZERO, "P0")
+            for a, b in _ALL_PAIRS)
+    + tuple(_bracket("P.P0", f"P{a}", "P0") for a in (1, 2, 3))
+    + tuple(_bracket("J.P0", f"J{a}", "P0") for a in (1, 2, 3))
+    + tuple(_bracket("K.P0", f"K{a}", "P0", I, f"P{a}") for a in (1, 2, 3))
+)
+
+_Q = ("Q1", "Q2", "Q3")
+
+# Localization axioms of a position triple Q1..Q3 (see localization.py).
+POSITION_RELATIONS: tuple[Relation, ...] = (
+    tuple(_bracket("QQ", f"Q{a}", f"Q{b}") for a, b in _PAIRS)
+    + tuple(_bracket("QP", f"Q{a}", f"P{b}", I if a == b else ZERO)
+            for a, b in _ALL_PAIRS)
+    + _vector_brackets("JQ", "J", "Q", "Q", _ALL_PAIRS)
+    + tuple(Relation(f"adjoint({q}) == {q}", "Q*",
+                     (((ONE, (f"adjoint({q})",)), (-ONE, (q,))),))
+            for q in _Q)
+    + (_exchange("Theta", "Q", 1, _Q), _exchange("Pi", "Q", -1, _Q))
+)
 
 # Sign of A*G == sign * G*A demanded of a discrete operator A, by kind.
 DISCRETE_SIGNS = {
@@ -224,6 +228,61 @@ DISCRETE_SIGNS = {
     ("pi", UNITARY): {"P0": 1, "P": -1, "J": 1, "K": -1},
     ("pi", ANTIUNITARY): {"P0": -1, "P": 1, "J": -1, "K": 1},
 }
+
+
+def _fmt_unit(s: Scalar) -> str:
+    if s == ONE:
+        return "1"
+    if s == -ONE:
+        return "-1"
+    return repr(s)
+
+
+def discrete_relations(rep: RepSpec) -> tuple[Relation, ...]:
+    """Exchange, square and omega rows demanded by the rep's Theta/Pi kinds.
+
+    A square must be +1 or -1, and +1 for a unitary operator; omega must
+    be +1 or -1.
+    """
+    rels: list[Relation] = []
+    for op, kind, square in (("Theta", rep.theta_kind, rep.theta_square),
+                             ("Pi", rep.pi_kind, rep.pi_square)):
+        signs = DISCRETE_SIGNS[(op.lower(), kind)]
+        rels += [_exchange(op, fam, signs[fam], names)
+                 for fam, names in _FAMILIES.items()]
+        ok = square in (ONE, -ONE) and (kind == ANTIUNITARY or square == ONE)
+        rels.append(Relation(
+            f"{op}^2 == {_fmt_unit(square)}", f"{op}^2",
+            (((ONE, (op, op)), (-square, ())),),
+            "" if ok else f"got {square!r}",
+        ))
+    omega = rep.omega
+    name = "Pi*Theta == Theta*Pi" if omega == ONE else \
+        f"Pi*Theta == {_fmt_unit(omega)}*Theta*Pi"
+    rels.append(Relation(
+        name, "omega", (((ONE, ("Pi", "Theta")), (-omega, ("Theta", "Pi"))),),
+        "" if omega in (ONE, -ONE) else f"got {omega!r}",
+    ))
+    return tuple(rels)
+
+
+def casimir_relations(rep: RepSpec) -> tuple[Relation, Relation]:
+    """P0^2 - P.P == mu^2 and W.W == -s(s+1) mu^2, W from pauli_lubanski."""
+    mass = Relation(
+        "P0^2 - P.P == mu^2", "casimir",
+        (_squares(("P0", "P1", "P2", "P3")) + ((-ONE, ("mu^2",)),),),
+    )
+    value = -SpinWeight(rep.two_s).casimir
+    terms = _squares(("W0", "W1", "W2", "W3"))
+    if value:
+        terms += ((Scalar.from_rational(-value), ("mu^2",)),)
+    target = "0" if value == 0 else f"{value}*mu^2"
+    return mass, Relation(f"W.W == {target}", "casimir", (terms,))
+
+
+def relations(rep: RepSpec) -> tuple[Relation, ...]:
+    """Every relation demanded of the rep itself: Lie, discrete, Casimirs."""
+    return LIE_RELATIONS + discrete_relations(rep) + casimir_relations(rep)
 
 
 # -- the representation object -------------------------------------------------
@@ -255,30 +314,11 @@ class RepSpec:
     def dim(self) -> int:
         return self.two_s + 1
 
-    def generator(self, key: str) -> BlockOp:
-        if key == "P0":
-            return self.p0
-        family, idx = key[0], int(key[1])
-        if family == "P":
-            return self.p[idx - 1]
-        if family == "J":
-            return self.j[idx - 1]
-        if family == "K":
-            return self.k[idx - 1]
-        raise KeyError(key)
-
     def generators(self) -> dict[str, BlockOp]:
-        out = {"P0": self.p0}
-        for i in (1, 2, 3):
-            out[f"P{i}"] = self.p[i - 1]
-        for i in (1, 2, 3):
-            out[f"J{i}"] = self.j[i - 1]
-        for i in (1, 2, 3):
-            out[f"K{i}"] = self.k[i - 1]
-        return out
+        return dict(zip(GENERATORS, (self.p0, *self.p, *self.j, *self.k)))
 
 
-# -- builders -------------------------------------------------------------------
+# -- the catalog table ------------------------------------------------------------
 
 
 def _pattern(rows) -> tuple[tuple[Scalar, ...], ...]:
@@ -328,55 +368,6 @@ def _discrete_op(pattern, spin: str, upsilon: int, kappa: int, two_s: int) -> Bl
     return _pattern_block(pattern, inner)
 
 
-def _assemble(label, two_s, p0_signs, k_signs, theta_spec, pi_spec) -> RepSpec:
-    """Shared assembly: diagonal generators from signs, patterned discretes.
-
-    theta_spec / pi_spec: (pattern rows, spin, upsilon, kappa).
-    """
-    dim = two_s + 1
-    blocks = len(p0_signs)
-    p0 = _signed_diag(energy_op(dim), p0_signs)
-    p = tuple(
-        BlockOp.diag([momentum_op(a, dim)] * blocks) for a in (1, 2, 3)
-    )
-    j = tuple(
-        BlockOp.diag([rotation_op(a, two_s)] * blocks) for a in (1, 2, 3)
-    )
-    k = tuple(_signed_diag(boost_op(a, two_s), k_signs) for a in (1, 2, 3))
-    t_pat = _pattern(theta_spec[0])
-    p_pat = _pattern(pi_spec[0])
-    theta = _discrete_op(t_pat, theta_spec[1], theta_spec[2], theta_spec[3], two_s)
-    pi = _discrete_op(p_pat, pi_spec[1], pi_spec[2], pi_spec[3], two_s)
-    theta_kind = ANTIUNITARY if theta_spec[3] else UNITARY
-    pi_kind = ANTIUNITARY if pi_spec[3] else UNITARY
-    theta_square = (theta * theta).as_constant()
-    pi_square = (pi * pi).as_constant()
-    if theta_square is None or pi_square is None:
-        raise AssertionError(f"{label}: discrete squares are not constant")
-    omega = _solve_omega(theta, pi)
-    return RepSpec(
-        label=label,
-        two_s=two_s,
-        blocks=blocks,
-        p0=p0,
-        p=p,
-        j=j,
-        k=k,
-        theta=theta,
-        pi=pi,
-        theta_kind=theta_kind,
-        pi_kind=pi_kind,
-        spectrum=_spectrum_from_signs(p0_signs),
-        p0_signs=tuple(p0_signs),
-        k_signs=tuple(k_signs),
-        theta_pattern=t_pat,
-        pi_pattern=p_pat,
-        theta_square=theta_square,
-        pi_square=pi_square,
-        omega=omega,
-    )
-
-
 def _solve_omega(theta: BlockOp, pi: BlockOp) -> Scalar:
     """The constant omega with Pi*Theta == omega * Theta*Pi."""
     x = pi * theta
@@ -391,6 +382,19 @@ def _solve_omega(theta: BlockOp, pi: BlockOp) -> Scalar:
     return omega
 
 
+class Entry(NamedTuple):
+    """One catalog row; a Theta or Pi spec is (block pattern, spin factor
+    "tau" or "id", upsilon, kappa), the operator Y^upsilon C^kappa."""
+
+    label: str
+    signs: tuple[int, ...]  # energy and boost sign of each block
+    theta: tuple
+    pi: tuple
+    spin0_only: bool
+    group: str  # row of the `catalog` subcommand
+
+
+_ONE_BLOCK = ((1,),)
 _ID2 = ((1, 0), (0, 1))
 _SWAP2 = ((0, 1), (1, 0))
 _DIAG_PM = ((1, 0), (0, -1))
@@ -400,218 +404,214 @@ _I2_X = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 _X_X = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
 _SYMPL_X = ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0))
 
-_ONE_BLOCK = ((1,),)
+_TAU_YC = (_ONE_BLOCK, "tau", 1, 1)
+_Y = (_ONE_BLOCK, "id", 1, 0)
+_SWAP = (_SWAP2, "id", 0, 0)
+_PAIR_TAU_YC = (_ID2, "tau", 1, 1)
+_QUAD = (1, -1, 1, -1)
+
+CATALOG: tuple[Entry, ...] = (
+    Entry("up", (1,), _TAU_YC, _Y, False, "up"),
+    Entry("down", (-1,), _TAU_YC, _Y, False, "down"),
+    Entry("sym1", (1, -1), _SWAP, (_ID2, "id", 1, 0), False, "sym1"),
+    Entry("sym2", (1, -1), _SWAP, (_DIAG_PM, "id", 1, 0), False, "sym2"),
+    Entry("sym3", (1, -1), _SWAP, (_SWAP2, "tau", 0, 1), False, "sym3"),
+    Entry("sym4", (1, -1), _SWAP, (_SYMPL2, "tau", 0, 1), False, "sym4"),
+    Entry("sym5", (1, -1), _PAIR_TAU_YC, (_SWAP2, "tau", 0, 1), False, "sym5"),
+    Entry("sym6", (1, -1), _PAIR_TAU_YC, (_SYMPL2, "tau", 0, 1), False, "sym6"),
+    Entry("newup:identity", (1, 1), _PAIR_TAU_YC, (_SWAP2, "id", 1, 0),
+          False, "newup"),
+    Entry("newup:symplectic", (1, 1), (_SYMPL2, "tau", 1, 1),
+          (_SWAP2, "id", 1, 0), False, "newup"),
+    Entry("newdown:identity", (-1, -1), _PAIR_TAU_YC, (_SWAP2, "id", 1, 0),
+          False, "newdown"),
+    Entry("newdown:symplectic", (-1, -1), (_SYMPL2, "tau", 1, 1),
+          (_SWAP2, "id", 1, 0), False, "newdown"),
+    Entry("quad:+1", _QUAD, (_I2_X, "id", 0, 0), (_X_X, "id", 0, 1),
+          True, "quad:+1"),
+    Entry("quad:-1", _QUAD, (_I2_X, "id", 0, 0), (_SYMPL_X, "id", 0, 1),
+          True, "quad:-1"),
+)
+_ENTRIES = {e.label: e for e in CATALOG}
 
 
-def _build_up(two_s: int) -> RepSpec:
-    return _assemble(
-        "up", two_s, (1,), (1,),
-        (_ONE_BLOCK, "tau", 1, 1),
-        (_ONE_BLOCK, "id", 1, 0),
+def _assemble(entry: Entry, two_s: int) -> RepSpec:
+    """Diagonal generators from the entry's signs, patterned discretes."""
+    dim = two_s + 1
+    signs = entry.signs
+    p0 = _signed_diag(energy_op(dim), signs)
+    p = tuple(
+        BlockOp.diag([momentum_op(a, dim)] * len(signs)) for a in (1, 2, 3)
     )
-
-
-def _build_down(two_s: int) -> RepSpec:
-    return _assemble(
-        "down", two_s, (-1,), (-1,),
-        (_ONE_BLOCK, "tau", 1, 1),
-        (_ONE_BLOCK, "id", 1, 0),
+    j = tuple(
+        BlockOp.diag([rotation_op(a, two_s)] * len(signs)) for a in (1, 2, 3)
     )
-
-
-_SYM_SPECS = {
-    "sym1": ((_SWAP2, "id", 0, 0), (_ID2, "id", 1, 0)),
-    "sym2": ((_SWAP2, "id", 0, 0), (_DIAG_PM, "id", 1, 0)),
-    "sym3": ((_SWAP2, "id", 0, 0), (_SWAP2, "tau", 0, 1)),
-    "sym4": ((_SWAP2, "id", 0, 0), (_SYMPL2, "tau", 0, 1)),
-    "sym5": ((_ID2, "tau", 1, 1), (_SWAP2, "tau", 0, 1)),
-    "sym6": ((_ID2, "tau", 1, 1), (_SYMPL2, "tau", 0, 1)),
-}
-
-
-def _build_sym(name: str, two_s: int) -> RepSpec:
-    theta_spec, pi_spec = _SYM_SPECS[name]
-    return _assemble(name, two_s, (1, -1), (1, -1), theta_spec, pi_spec)
-
-
-def _build_new(direction: str, variant: str, two_s: int) -> RepSpec:
-    sign = 1 if direction == "newup" else -1
-    tpat = _ID2 if variant == "identity" else _SYMPL2
-    return _assemble(
-        f"{direction}:{variant}", two_s, (sign, sign), (sign, sign),
-        (tpat, "tau", 1, 1),
-        (_SWAP2, "id", 1, 0),
+    k = tuple(_signed_diag(boost_op(a, two_s), signs) for a in (1, 2, 3))
+    t_pat = _pattern(entry.theta[0])
+    p_pat = _pattern(entry.pi[0])
+    theta = _discrete_op(t_pat, *entry.theta[1:], two_s)
+    pi = _discrete_op(p_pat, *entry.pi[1:], two_s)
+    theta_square = (theta * theta).as_constant()
+    pi_square = (pi * pi).as_constant()
+    if theta_square is None or pi_square is None:
+        raise AssertionError(f"{entry.label}: discrete squares are not constant")
+    return RepSpec(
+        label=entry.label,
+        two_s=two_s,
+        blocks=len(signs),
+        p0=p0,
+        p=p,
+        j=j,
+        k=k,
+        theta=theta,
+        pi=pi,
+        theta_kind=ANTIUNITARY if entry.theta[3] else UNITARY,
+        pi_kind=ANTIUNITARY if entry.pi[3] else UNITARY,
+        spectrum=_spectrum_from_signs(signs),
+        p0_signs=signs,
+        k_signs=signs,
+        theta_pattern=t_pat,
+        pi_pattern=p_pat,
+        theta_square=theta_square,
+        pi_square=pi_square,
+        omega=_solve_omega(theta, pi),
     )
-
-
-def _build_quad(nu: int, two_s: int) -> RepSpec:
-    if two_s != 0:
-        raise ValueError("the four-block representations exist only for spin 0")
-    pipat = _X_X if nu > 0 else _SYMPL_X
-    return _assemble(
-        f"quad:{'+1' if nu > 0 else '-1'}", 0,
-        (1, -1, 1, -1), (1, -1, 1, -1),
-        (_I2_X, "id", 0, 0),
-        (pipat, "id", 0, 1),
-    )
-
-
-_BUILDERS = {
-    "up": _build_up,
-    "down": _build_down,
-    "sym1": lambda t: _build_sym("sym1", t),
-    "sym2": lambda t: _build_sym("sym2", t),
-    "sym3": lambda t: _build_sym("sym3", t),
-    "sym4": lambda t: _build_sym("sym4", t),
-    "sym5": lambda t: _build_sym("sym5", t),
-    "sym6": lambda t: _build_sym("sym6", t),
-    "newup:identity": lambda t: _build_new("newup", "identity", t),
-    "newup:symplectic": lambda t: _build_new("newup", "symplectic", t),
-    "newdown:identity": lambda t: _build_new("newdown", "identity", t),
-    "newdown:symplectic": lambda t: _build_new("newdown", "symplectic", t),
-    "quad:+1": lambda t: _build_quad(1, t),
-    "quad:-1": lambda t: _build_quad(-1, t),
-}
 
 
 def build(label: str, two_s: int = 0) -> RepSpec:
     """Construct a catalog representation by label."""
     key = label.strip().lower()
-    if key not in _BUILDERS:
+    if key not in _ENTRIES:
         raise ValueError(
-            f"unknown representation {label!r}; choose from {sorted(_BUILDERS)}"
+            f"unknown representation {label!r}; choose from {sorted(_ENTRIES)}"
         )
     if two_s < 0:
         raise ValueError("two_s must be a nonnegative integer")
     SpinWeight(two_s)
-    return _BUILDERS[key](two_s)
+    entry = _ENTRIES[key]
+    if entry.spin0_only and two_s != 0:
+        raise ValueError("the four-block representations exist only for spin 0")
+    return _assemble(entry, two_s)
 
 
 def catalog_labels(two_s: int = 0) -> list[str]:
-    labels = [
-        "up", "down",
-        "sym1", "sym2", "sym3", "sym4", "sym5", "sym6",
-        "newup:identity", "newup:symplectic",
-        "newdown:identity", "newdown:symplectic",
-    ]
-    if two_s == 0:
-        labels += ["quad:+1", "quad:-1"]
-    return labels
+    return [e.label for e in CATALOG if two_s == 0 or not e.spin0_only]
 
 
 def enumerate_catalog(two_s: int = 0) -> list[RepSpec]:
     return [build(label, two_s) for label in catalog_labels(two_s)]
 
 
-# -- verification ---------------------------------------------------------------
+# -- the exact evaluator ------------------------------------------------------------
+
+
+def pauli_lubanski(rep: RepSpec) -> tuple[BlockOp, BlockOp, BlockOp, BlockOp]:
+    """(W0, W1, W2, W3) with W0 = P.J and W_a = P0*J_a + (P x K)_a."""
+    w0 = BlockOp.zero(rep.blocks, rep.dim)
+    for pg, jg in zip(rep.p, rep.j):
+        w0 = w0 + pg * jg
+    ws = []
+    for a in (1, 2, 3):
+        b, c = _CYCLIC[a]
+        w = rep.p0 * rep.j[a - 1] + rep.p[b - 1] * rep.k[c - 1] \
+            - rep.p[c - 1] * rep.k[b - 1]
+        ws.append(w)
+    return (w0, ws[0], ws[1], ws[2])
+
+
+_MU_SQUARED = Coefficient(Poly({(2, 0, 0, 0, 0): ONE}))
+
+
+def operators(rep: RepSpec, names, q=None) -> dict[str, BlockOp]:
+    """The operator of each name: the generators, Theta and Pi, plus mu^2
+    and W0..W3 when ``names`` asks for them, plus Q1..Q3 and their
+    adjoints from a position triple ``q``.
+
+    Built from the fields on every call and never stored, so a spec
+    altered with dataclasses.replace is evaluated as altered.
+    """
+    ops = rep.generators()
+    ops.update(Theta=rep.theta, Pi=rep.pi)
+    if "mu^2" in names:
+        ops["mu^2"] = BlockOp.identity(rep.blocks, rep.dim).scale(_MU_SQUARED)
+    if "W0" in names:
+        ops.update(zip(("W0", "W1", "W2", "W3"), pauli_lubanski(rep)))
+    if q is not None:
+        for name, qa in zip(_Q, q.as_tuple()):
+            ops[name] = qa
+            ops[f"adjoint({name})"] = qa.adjoint()
+    return ops
+
+
+def word_names(rels) -> set[str]:
+    """Every operator name the words of ``rels`` use."""
+    return {n for rel in rels for comp in rel.components
+            for _c, word in comp for n in word}
 
 
 def _truncate(text: str, limit: int = 160) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def verify_lie_relations(rep: RepSpec) -> RelationReport:
-    """Check all 45 bracket relations exactly."""
+def _word_product(word, ops) -> BlockOp:
+    """The word multiplied left to right; the empty word is the identity."""
+    if not word:
+        g = ops["P0"]
+        return BlockOp.identity(g.blocks, g.dim)
+    out = ops[word[0]]
+    for name in word[1:]:
+        out = out * ops[name]
+    return out
+
+
+def _violation(rel: Relation, ops) -> str:
+    """Empty if rel holds exactly, else why not: its first nonzero component."""
+    if rel.inadmissible:
+        return rel.inadmissible
+    for idx, component in enumerate(rel.components, 1):
+        acc = None
+        for coeff, word in component:
+            term = _word_product(word, ops)
+            if coeff == -ONE:
+                acc = -term if acc is None else acc - term
+                continue
+            if coeff != ONE:
+                term = term.scale(coeff)
+            acc = term if acc is None else acc + term
+        if not acc.is_zero():
+            return f"component {idx}: residual {_truncate(repr(acc))}"
+    return ""
+
+
+def verify_relations(rep: RepSpec, rels, q=None,
+                     recorded=frozenset()) -> RelationReport:
+    """Evaluate rels exactly on the rep (and position triple q).
+
+    A relation whose name is in ``recorded`` is recorded as holding or
+    not instead of being asserted.
+    """
+    ops = operators(rep, word_names(rels), q)
     rpt = RelationReport(rep.label, rep.two_s)
-    for rel in LIE_RELATIONS:
-        lhs = rep.generator(rel.left).commutator(rep.generator(rel.right))
-        diff = lhs
-        for coeff, key in rel.rhs:
-            diff = diff - rep.generator(key).scale(coeff)
-        ok = diff.is_zero()
-        rpt.add(
-            rel.name, "symbolic", ok,
-            "" if ok else _truncate(f"residual {diff!r}"),
-        )
+    for rel in rels:
+        bad = _violation(rel, ops)
+        if rel.name in recorded:
+            rpt.record(rel.name, "symbolic", "does not hold" if bad else "holds")
+        else:
+            rpt.add(rel.name, "symbolic", not bad, bad)
     return rpt
 
 
-def _sign_name(op_name: str, gen_name: str, sign: int) -> str:
-    rhs = f"{gen_name}*{op_name}" if sign > 0 else f"-{gen_name}*{op_name}"
-    return f"{op_name}*{gen_name} == {rhs}"
+# -- verification ---------------------------------------------------------------
 
 
-def _fmt_unit(s: Scalar) -> str:
-    if s == ONE:
-        return "1"
-    if s == -ONE:
-        return "-1"
-    return repr(s)
-
-
-@dataclass(frozen=True)
-class DiscreteRelation:
-    """One exchange/square/omega requirement for a rep's Theta or Pi."""
-
-    name: str
-    op: str           # "theta" or "pi"
-    kind: str         # "exchange", "square", "omega"
-    family: str = ""  # exchange only: P0, P, J or K
-    sign: int = 0     # exchange only
-    value: Scalar | None = None  # square/omega only
-
-
-def discrete_relations(rep: RepSpec) -> tuple[DiscreteRelation, ...]:
-    """The discrete relation set demanded by the rep's Theta/Pi kinds."""
-    rels: list[DiscreteRelation] = []
-    for op_name, kind in (("theta", rep.theta_kind), ("pi", rep.pi_kind)):
-        disp = "Theta" if op_name == "theta" else "Pi"
-        signs = DISCRETE_SIGNS[(op_name, kind)]
-        for fam in ("P0", "P", "J", "K"):
-            rels.append(
-                DiscreteRelation(
-                    _sign_name(disp, fam, signs[fam]), op_name, "exchange",
-                    family=fam, sign=signs[fam],
-                )
-            )
-        declared = rep.theta_square if op_name == "theta" else rep.pi_square
-        rels.append(
-            DiscreteRelation(
-                f"{disp}^2 == {_fmt_unit(declared)}", op_name, "square",
-                value=declared,
-            )
-        )
-    omega_name = "Pi*Theta == Theta*Pi" if rep.omega == ONE else \
-        f"Pi*Theta == {_fmt_unit(rep.omega)}*Theta*Pi"
-    rels.append(DiscreteRelation(omega_name, "pi", "omega", value=rep.omega))
-    return tuple(rels)
-
-
-def _generator_family(rep: RepSpec, fam: str) -> list[BlockOp]:
-    return {
-        "P0": [rep.p0],
-        "P": list(rep.p),
-        "J": list(rep.j),
-        "K": list(rep.k),
-    }[fam]
+def verify_lie_relations(rep: RepSpec) -> RelationReport:
+    """Check all 45 bracket relations exactly."""
+    return verify_relations(rep, LIE_RELATIONS)
 
 
 def verify_discrete_relations(rep: RepSpec) -> RelationReport:
     """Exchange relations, squares, and the Pi-Theta commutation constant."""
-    rpt = RelationReport(rep.label, rep.two_s)
-    for rel in discrete_relations(rep):
-        op = rep.theta if rel.op == "theta" else rep.pi
-        kind = rep.theta_kind if rel.op == "theta" else rep.pi_kind
-        if rel.kind == "exchange":
-            ok = True
-            bad = ""
-            for idx, g in enumerate(_generator_family(rep, rel.family)):
-                diff = op * g - (g * op).scale(rel.sign)
-                if not diff.is_zero():
-                    ok = False
-                    bad = f"component {idx + 1}: residual {_truncate(repr(diff))}"
-                    break
-            rpt.add(rel.name, "symbolic", ok, bad)
-        elif rel.kind == "square":
-            val = (op * op).as_constant()
-            ok = val is not None and val == rel.value and val in (ONE, -ONE)
-            if kind == UNITARY:
-                ok = ok and val == ONE
-            rpt.add(rel.name, "symbolic", ok, "" if ok else f"got {val!r}")
-        else:
-            diff = rep.pi * rep.theta - (rep.theta * rep.pi).scale(rel.value)
-            ok = diff.is_zero() and rel.value in (ONE, -ONE)
-            rpt.add(rel.name, "symbolic", ok, "" if ok else _truncate(repr(diff)))
+    rpt = verify_relations(rep, discrete_relations(rep))
     if rep.label in ("sym5", "sym6"):
         variant = _discrete_op(_pattern(_SWAP2), "tau", 1, 1, rep.two_s)
         holds = (variant * rep.p0 - rep.p0 * variant).is_zero()
@@ -635,53 +635,9 @@ def verify_self_adjointness(rep: RepSpec) -> RelationReport:
     return rpt
 
 
-def mass_squared_operator(rep: RepSpec) -> BlockOp:
-    out = rep.p0 * rep.p0
-    for g in rep.p:
-        out = out - g * g
-    return out
-
-
-def pauli_lubanski(rep: RepSpec) -> tuple[BlockOp, BlockOp, BlockOp, BlockOp]:
-    """(W0, W1, W2, W3) with W0 = P.J and W_a = P0*J_a + (P x K)_a."""
-    w0 = BlockOp.zero(rep.blocks, rep.dim)
-    for pg, jg in zip(rep.p, rep.j):
-        w0 = w0 + pg * jg
-    ws = []
-    for a in (1, 2, 3):
-        b, c = _CYCLIC[a]
-        w = rep.p0 * rep.j[a - 1] + rep.p[b - 1] * rep.k[c - 1] \
-            - rep.p[c - 1] * rep.k[b - 1]
-        ws.append(w)
-    return (w0, ws[0], ws[1], ws[2])
-
-
-def spin_squared_operator(rep: RepSpec) -> BlockOp:
-    w0, w1, w2, w3 = pauli_lubanski(rep)
-    return w0 * w0 - w1 * w1 - w2 * w2 - w3 * w3
-
-
-def _mu_squared_times(c: Fraction, blocks: int, dim: int) -> BlockOp:
-    coeff = Coefficient(Poly({(2, 0, 0, 0, 0): Scalar.from_rational(c)}))
-    return BlockOp.identity(blocks, dim).scale(coeff)
-
-
 def verify_casimirs(rep: RepSpec) -> RelationReport:
     """Both invariant operators against their closed forms."""
-    rpt = RelationReport(rep.label, rep.two_s)
-    mass = mass_squared_operator(rep)
-    diff = mass - _mu_squared_times(Fraction(1), rep.blocks, rep.dim)
-    ok = diff.is_zero()
-    rpt.add("P0^2 - P.P == mu^2", "symbolic", ok,
-            "" if ok else _truncate(f"residual {diff!r}"))
-    spin_val = -SpinWeight(rep.two_s).casimir
-    spin = spin_squared_operator(rep)
-    diff = spin - _mu_squared_times(spin_val, rep.blocks, rep.dim)
-    ok = diff.is_zero()
-    target = "0" if spin_val == 0 else f"{spin_val}*mu^2"
-    rpt.add(f"W.W == {target}", "symbolic", ok,
-            "" if ok else _truncate(f"residual {diff!r}"))
-    return rpt
+    return verify_relations(rep, casimir_relations(rep))
 
 
 def allowed_spectra(theta_kind: str, pi_kind: str) -> set[str]:

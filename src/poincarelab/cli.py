@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from . import catalog, commutant, gridlab
@@ -109,32 +110,16 @@ def cmd_grid(args) -> RelationReport:
     return report
 
 
-_CATALOG_GROUPS = (
-    ("up", ("up",)),
-    ("down", ("down",)),
-    ("sym1", ("sym1",)),
-    ("sym2", ("sym2",)),
-    ("sym3", ("sym3",)),
-    ("sym4", ("sym4",)),
-    ("sym5", ("sym5",)),
-    ("sym6", ("sym6",)),
-    ("newup", ("newup:identity", "newup:symplectic")),
-    ("newdown", ("newdown:identity", "newdown:symplectic")),
-    ("quad:+1", ("quad:+1",)),
-    ("quad:-1", ("quad:-1",)),
-)
-
-
 def _sign_word(value) -> str:
     return "+1" if value.to_complex().real > 0 else "-1"
 
 
 def cmd_catalog(args) -> RelationReport:
     report = RelationReport("catalog", args.two_s)
-    for group, labels in _CATALOG_GROUPS:
-        if group.startswith("quad") and args.two_s != 0:
-            continue
-        reps = [catalog.build(lbl, args.two_s) for lbl in labels]
+    labels = catalog.catalog_labels(args.two_s)
+    entries = [e for e in catalog.CATALOG if e.label in labels]
+    for group, members in groupby(entries, key=lambda e: e.group):
+        reps = [catalog.build(e.label, args.two_s) for e in members]
         head = reps[0]
         ok = all(
             r.theta_kind == head.theta_kind

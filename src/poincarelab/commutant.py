@@ -246,26 +246,18 @@ def _independent_subset(vectors):
     return kept
 
 
-def _check_solution(prob: CommutantProblem, mat: Matrix) -> None:
+def check_solution(prob: CommutantProblem, mat: Matrix) -> bool:
+    """Substitution recheck of one candidate against every constraint."""
     for r in range(prob.blocks):
         for c in range(prob.blocks):
-            if (prob.p0_signs[r] != prob.p0_signs[c]
-                    or prob.k_signs[r] != prob.k_signs[c]):
-                if mat[r][c] != ZERO:
-                    raise AssertionError("solver returned a sign-violating entry")
-    for desc in (prob.theta, prob.pi):
-        rhs = mat_conj(mat) if desc.antilinear else mat
-        if not mat_eq(mat_mul(mat, desc.pattern), mat_mul(desc.pattern, rhs)):
-            raise AssertionError("solver output fails a discrete constraint")
-
-
-def check_solution(prob: CommutantProblem, mat: Matrix) -> bool:
-    """Substitution recheck of one candidate, as a predicate."""
-    try:
-        _check_solution(prob, mat)
-    except AssertionError:
-        return False
-    return True
+            if mat[r][c] != ZERO and (prob.p0_signs[r] != prob.p0_signs[c]
+                                      or prob.k_signs[r] != prob.k_signs[c]):
+                return False
+    return all(
+        mat_eq(mat_mul(mat, d.pattern),
+               mat_mul(d.pattern, mat_conj(mat) if d.antilinear else mat))
+        for d in (prob.theta, prob.pi)
+    )
 
 
 def commutant_basis(prob: CommutantProblem) -> CommutantBasis:
@@ -279,8 +271,8 @@ def commutant_basis(prob: CommutantProblem) -> CommutantBasis:
     if len(ordered) != len(solutions):
         raise AssertionError("identity is not in the solved commutant")
     mats = tuple(_vector_to_matrix(v, blocks, diag, off) for v in ordered)
-    for m in mats:
-        _check_solution(prob, m)
+    if not all(check_solution(prob, m) for m in mats):
+        raise AssertionError("solver output fails a constraint")
     return CommutantBasis(dimension=len(mats), basis=mats, problem=prob)
 
 

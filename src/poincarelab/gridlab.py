@@ -23,18 +23,25 @@ or Theta/Pi and 150 ms for a rotation or boost.
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
 derivative-bearing relations converge at the stencil order (slope 2 in
-log-residual vs log-spacing).
+log-residual vs log-spacing).  Relations are the rows of the catalog's
+relation table, found by name: ``residual`` applies each word of a row
+to a state, right to left, and the grid ids are the same names the
+exact reports use (Lie, discrete and both Casimirs).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .catalog import LIE_RELATIONS, RepSpec, discrete_relations
+from .catalog import (
+    RepSpec, discrete_relations, operators, relations, word_names,
+)
+from .exactnum import ONE
 from .spin_algebra import SpinWeight
 from .symop import BlockOp, Coefficient
 
@@ -303,60 +310,70 @@ def apply(op: BlockOp, state: GridState) -> GridState:
 
 
 def relation_ids(rep: RepSpec) -> list[str]:
-    return [r.name for r in LIE_RELATIONS] + [
-        d.name for d in discrete_relations(rep)
-    ]
+    """Every relation of the rep: Lie, discrete and both Casimirs."""
+    return [r.name for r in relations(rep)]
 
 
-def _family_ops(rep: RepSpec, fam: str) -> list[BlockOp]:
-    if fam == "P0":
-        return [rep.p0]
-    if fam == "P":
-        return list(rep.p)
-    if fam == "J":
-        return list(rep.j)
-    if fam == "K":
-        return list(rep.k)
-    raise KeyError(fam)
+def _take(word, live: dict, uses: Counter, ops) -> tuple[GridState, bool]:
+    """word applied to live[()], each suffix applied once and kept in live
+    until its last use; and whether this was that last use."""
+    if word not in live:
+        live[word] = apply(ops[word[0]], _take(word[1:], live, uses, ops)[0])
+    out = live[word]
+    uses[word] -= 1
+    if word and not uses[word]:
+        del live[word]
+        return out, True
+    return out, False
+
+
+def _add_term(acc, coeff, applied: GridState, owned: bool) -> np.ndarray:
+    """acc + coeff * applied.values, in place where the arrays allow.
+
+    Kept out of the caller's loop so no term outlives its addition.
+    """
+    values = applied.values
+    if acc is None:
+        acc = values if owned else values.copy()
+        if coeff != ONE:
+            acc *= coeff.to_complex()
+    elif coeff == ONE:
+        acc += values
+    elif coeff == -ONE:
+        acc -= values
+    elif owned:
+        values *= coeff.to_complex()
+        acc += values
+    else:
+        acc += values * coeff.to_complex()
+    return acc
 
 
 def residual(rep: RepSpec, relation_id: str, state: GridState) -> float:
-    """Relative dnu-norm residual of one relation applied to a state."""
+    """Relative dnu-norm residual of one relation applied to a state.
+
+    Each word acts right to left.  A suffix shared by several words of
+    the relation (Theta psi across the components of an exchange
+    relation) is applied once and freed after its last use.  Terms add
+    up in the order written, +-1 coefficients as + and -; the worst
+    component counts.
+    """
+    rel = next((r for r in relations(rep) if r.name == relation_id), None)
+    if rel is None:
+        raise ValueError(f"unknown relation id: {relation_id}")
+    ops = operators(rep, word_names((rel,)))
+    words = [word for comp in rel.components for _c, word in comp]
+    suffixes = {w[i:] for w in words for i in range(len(w))}
+    uses = Counter(words) + Counter(s[1:] for s in suffixes)
+    live = {(): state}
     base = norm(state)
-    for rel in LIE_RELATIONS:
-        if rel.name != relation_id:
-            continue
-        a = rep.generator(rel.left)
-        b = rep.generator(rel.right)
-        lhs = apply(a, apply(b, state)).values
-        lhs -= apply(b, apply(a, state)).values
-        for coeff, key in rel.rhs:
-            term = apply(rep.generator(key), state).values
-            term *= coeff.to_complex()
-            lhs -= term
-        return _values_norm(lhs, state.grid) / base
-    for rel in discrete_relations(rep):
-        if rel.name != relation_id:
-            continue
-        op = rep.theta if rel.op == "theta" else rep.pi
-        if rel.kind == "exchange":
-            op_state = apply(op, state)
-            worst = 0.0
-            for gen in _family_ops(rep, rel.family):
-                diff = apply(gen, op_state).values
-                diff *= -rel.sign
-                diff += apply(op, apply(gen, state)).values
-                worst = max(worst, _values_norm(diff, state.grid) / base)
-            return worst
-        if rel.kind == "square":
-            diff = apply(op, apply(op, state)).values \
-                - rel.value.to_complex() * state.values
-            return _values_norm(diff, state.grid) / base
-        diff = apply(rep.theta, apply(rep.pi, state)).values
-        diff *= -rel.value.to_complex()
-        diff += apply(rep.pi, apply(rep.theta, state)).values
-        return _values_norm(diff, state.grid) / base
-    raise ValueError(f"unknown relation id: {relation_id}")
+    worst = 0.0
+    for comp in rel.components:
+        acc = None
+        for coeff, word in comp:
+            acc = _add_term(acc, coeff, *_take(word, live, uses, ops))
+        worst = max(worst, _values_norm(acc, state.grid) / base)
+    return worst
 
 
 def standard_state(rep: RepSpec, grid: Grid) -> GridState:

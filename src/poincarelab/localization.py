@@ -7,6 +7,8 @@ The position components on one scalar block are
 The counterterm makes F_j formally self-adjoint for the 1/p0-weighted
 inner product; without it i*d_j alone is not symmetric.  Multi-block
 representations localize with the block-diagonal triple diag(F_j, ...).
+The axioms are the rows of ``catalog.POSITION_RELATIONS``, words over
+Q1..Q3 and the rep's operators, evaluated by ``catalog.verify_relations``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import RepSpec, _CYCLIC, epsilon
-from .exactnum import I, ONE, Scalar
+from .catalog import POSITION_RELATIONS, RepSpec, verify_relations
+from .exactnum import I, Scalar
 from .report import RelationReport
 from .spin_algebra import SpinWeight
 from .symop import BlockOp, Coefficient, Poly, ScalarOp
@@ -26,6 +28,9 @@ from .symop import BlockOp, Coefficient, Poly, ScalarOp
 # not known to single out this triple there.
 RESOLVED_LABELS = frozenset(
     ("up", "down", "sym3", "sym5", "newup:identity", "newup:symplectic")
+)
+_DISCRETE_ROWS = frozenset(
+    r.name for r in POSITION_RELATIONS if r.family in ("Theta.Q", "Pi.Q")
 )
 
 
@@ -68,53 +73,14 @@ def verify_position_axioms(rep: RepSpec, q: PositionTriple) -> RelationReport:
     """Localization axioms: commutativity, Euclidean covariance,
     self-adjointness, and Theta/Pi compatibility.
 
-    The Theta/Pi checks are asserted only for RESOLVED_LABELS; for any
-    other representation the computed outcome is recorded.
+    The rows are ``catalog.POSITION_RELATIONS``.  The Theta/Pi checks are
+    asserted only for RESOLVED_LABELS; for any other representation the
+    computed outcome is recorded.
     """
     if q.blocks != rep.blocks:
         raise ValueError("position triple does not match the block count")
-    rpt = RelationReport(rep.label, rep.two_s)
-    qs = q.as_tuple()
-    for a, b in ((1, 2), (1, 3), (2, 3)):
-        diff = qs[a - 1].commutator(qs[b - 1])
-        rpt.add(f"[Q{a},Q{b}] == 0", "symbolic", diff.is_zero())
-    ident = BlockOp.identity(rep.blocks, rep.dim)
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            diff = qs[a - 1].commutator(rep.p[b - 1])
-            if a == b:
-                diff = diff - ident.scale(I)
-                rpt.add(f"[Q{a},P{a}] == i", "symbolic", diff.is_zero())
-            else:
-                rpt.add(f"[Q{a},P{b}] == 0", "symbolic", diff.is_zero())
-    for k in (1, 2, 3):
-        for a in (1, 2, 3):
-            diff = rep.j[k - 1].commutator(qs[a - 1])
-            if k == a:
-                rpt.add(f"[J{k},Q{a}] == 0", "symbolic", diff.is_zero())
-            else:
-                l = 6 - k - a
-                sign = epsilon(k, a, l)
-                coeff = I if sign > 0 else -I
-                diff = diff - qs[l - 1].scale(coeff)
-                rpt.add(
-                    f"[J{k},Q{a}] == {'i' if sign > 0 else '-i'}*Q{l}",
-                    "symbolic", diff.is_zero(),
-                )
-    for a in (1, 2, 3):
-        diff = qs[a - 1].adjoint() - qs[a - 1]
-        rpt.add(f"adjoint(Q{a}) == Q{a}", "symbolic", diff.is_zero())
-    resolved = rep.label in RESOLVED_LABELS
-    for name, op, sign in (("Theta", rep.theta, 1), ("Pi", rep.pi, -1)):
-        ok = all(
-            (op * qa - (qa * op).scale(sign)).is_zero() for qa in qs
-        )
-        rel = f"{name}*Q == {'Q' if sign > 0 else '-Q'}*{name}"
-        if resolved:
-            rpt.add(rel, "symbolic", ok)
-        else:
-            rpt.record(rel, "symbolic", "holds" if ok else "does not hold")
-    return rpt
+    recorded = () if rep.label in RESOLVED_LABELS else _DISCRETE_ROWS
+    return verify_relations(rep, POSITION_RELATIONS, q, recorded)
 
 
 def localization_report(rep: RepSpec) -> RelationReport:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactnum import I, ONE, Scalar, ZERO
+from .exactnum import ONE, Scalar, ZERO
 
 # Monomial exponents, in the order (mu, p1, p2, p3, p0); p0 exponent <= 1.
 Mono = tuple[int, int, int, int, int]
@@ -970,20 +970,5 @@ class BlockOp:
 # -- public functional API --------------------------------------------------
 
 
-def normalize(op: BlockOp) -> BlockOp:
-    """Recanonicalize (a no-op for engine-built operators; idempotent)."""
-    return BlockOp(
-        [[ScalarOp(e.dim, dict(e.terms)) for e in row] for row in op.entries]
-    )
-
-
 def commutator(a: BlockOp, b: BlockOp) -> BlockOp:
     return a.commutator(b)
-
-
-def adjoint(op: BlockOp) -> BlockOp:
-    return op.adjoint()
-
-
-def is_zero(op: BlockOp) -> bool:
-    return op.is_zero()

@@ -6,6 +6,7 @@ verified entirely inside sympy (no engine arithmetic at all) to pin the
 sign conventions the whole suite relies on.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -37,6 +38,7 @@ from poincarelab.catalog import (
     verify_self_adjointness,
     verify_spectrum,
 )
+from poincarelab.exactnum import ONE
 from poincarelab.spin_algebra import spin_matrices
 
 _CYC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
@@ -207,9 +209,53 @@ def test_discrete_sign_table_drives_relations():
         "Pi^2 == 1",
         "Pi*Theta == Theta*Pi",
     ]
-    signs = {(d.op, d.family): d.sign for d in rels if d.kind == "exchange"}
-    assert signs[("theta", "P0")] == DISCRETE_SIGNS[("theta", "antiunitary")]["P0"]
-    assert signs[("pi", "K")] == DISCRETE_SIGNS[("pi", "unitary")]["K"]
+    # an exchange row op*g == sign*g*op is written op*g - sign*g*op
+    exchange = [d for d in rels if d.family.split(".")[-1] in ("P0", "P", "J", "K")]
+    assert len(exchange) == 8
+    signs = {d.family: -d.components[0][1][0] for d in exchange}
+    assert signs["Theta.P0"] == DISCRETE_SIGNS[("theta", "antiunitary")]["P0"]
+    assert signs["Pi.K"] == DISCRETE_SIGNS[("pi", "unitary")]["K"]
+
+
+def test_relation_table_covers_every_suite():
+    rep = build("sym3", 1)
+    rels = catalog.relations(rep)
+    assert [r.name for r in rels[:45]] == [r.name for r in LIE_RELATIONS]
+    assert [r.name for r in rels[-2:]] == ["P0^2 - P.P == mu^2",
+                                          "W.W == -3/4*mu^2"]
+    assert len(rels) == 45 + 11 + 2
+    assert len(catalog.POSITION_RELATIONS) == 26
+    # an exchange row has one component per generator of its family
+    theta_j = next(r for r in rels if r.family == "Theta.J")
+    assert [c[0][1] for c in theta_j.components] == [
+        ("Theta", "J1"), ("Theta", "J2"), ("Theta", "J3")]
+    kk = next(r for r in rels if r.name == "[K1,K2] == -i*J3")
+    assert [w for _c, w in kk.components[0]] == [("K1", "K2"), ("K2", "K1"),
+                                                 ("J3",)]
+
+
+def test_failing_exchange_row_names_its_component():
+    # Theta is antiunitary and anticommutes with P1, so K2 + P1 breaks
+    # only the second component of the Theta-K exchange relation
+    rep = build("up", 1)
+    broken = dataclasses.replace(rep, k=(rep.k[0], rep.k[1] + rep.p[0],
+                                         rep.k[2]))
+    rows = {c.name: c for c in verify_discrete_relations(broken).checks}
+    row = rows["Theta*K == K*Theta"]
+    assert row.status == "fail"
+    assert row.detail.startswith("component 2: residual ")
+    assert rows["Theta*P == -P*Theta"].status == "pass"
+
+
+def test_square_side_conditions_fail_unevaluated():
+    # a unitary square must be +1, and any square +1 or -1
+    rep = build("sym1", 0)
+    for value, detail in ((-ONE, "got -1"), (ONE + ONE, "got 2")):
+        broken = dataclasses.replace(rep, theta_square=value)
+        rows = {c.name: c for c in verify_discrete_relations(broken).checks}
+        bad = [c for c in rows.values() if c.name.startswith("Theta^2")]
+        assert len(bad) == 1 and bad[0].status == "fail"
+        assert bad[0].detail == detail
 
 
 @pytest.mark.parametrize("label", [r[0] for r in INVARIANTS_S0])

@@ -191,3 +191,14 @@ def test_broken_internal_invariant_exits_3(monkeypatch, capsys, module, attr,
     captured = capsys.readouterr()
     assert f"internal error: {message}" in captured.err
     assert captured.out == ""
+
+
+def test_failed_solution_recheck_exits_3(monkeypatch, capsys):
+    # commutant_basis rechecks every basis matrix with check_solution
+    from poincarelab import commutant
+
+    monkeypatch.setattr(commutant, "check_solution", lambda prob, mat: False)
+    assert main(["commutant", "--rep", "up"]) == 3
+    captured = capsys.readouterr()
+    assert "internal error: solver output fails a constraint" in captured.err
+    assert captured.out == ""

@@ -274,6 +274,44 @@ def test_relation_ids_cover_lie_and_discrete():
     assert len([i for i in ids if i.startswith("[")]) == 45
 
 
+def test_relation_ids_list_the_whole_table():
+    rep = catalog.build("up", 1)
+    ids = relation_ids(rep)
+    assert ids == [r.name for r in catalog.relations(rep)]
+    assert ids[-2:] == ["P0^2 - P.P == mu^2", "W.W == -3/4*mu^2"]
+
+
+@pytest.mark.parametrize("label,two_s", [("up", 1), ("quad:+1", 0)])
+def test_mass_casimir_is_exact_on_the_grid(label, two_s):
+    rep = catalog.build(label, two_s)
+    st = standard_state(rep, Grid(L, 16))
+    assert residual(rep, "P0^2 - P.P == mu^2", st) < EXACT_TOL
+
+
+def test_residual_applies_shared_suffixes_once(monkeypatch):
+    # Theta*K == K*Theta: Theta psi once, then K_a psi, Theta K_a psi and
+    # K_a Theta psi for each of the three components
+    rep = catalog.build("up", 1)
+    st = standard_state(rep, Grid(L, 16))
+    calls = []
+
+    def counted(op, state):
+        calls.append(op)
+        return apply(op, state)
+
+    monkeypatch.setattr(gridlab, "apply", counted)
+    got = residual(rep, "Theta*K == K*Theta", st)
+    assert len(calls) == 10
+    assert sum(op is rep.theta for op in calls) == 4
+    want = max(
+        norm(GridState(apply(rep.theta, apply(k, st)).values
+                       - apply(k, apply(rep.theta, st)).values,
+                       st.grid, st.spin, st.blocks))
+        for k in rep.k
+    ) / norm(st)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_convergence_study_input_validation():
     rep = catalog.build("up", 0)
     with pytest.raises(ValueError, match="at least three"):
@@ -346,6 +384,19 @@ def test_representative_relations_cover_every_family():
     heads = [r for r in reps if r.startswith("[")]
     assert len(heads) == 9
     assert "Pi*Theta == Theta*Pi" in reps
+
+
+def test_representative_relations_are_frozen():
+    # the grid subcommand's rows; Casimirs are not among them
+    assert representative_relations(catalog.build("up", 1)) == [
+        "[P1,P2] == 0", "[J1,P2] == i*P3", "[J1,J2] == i*J3",
+        "[J1,K2] == i*K3", "[K1,K2] == -i*J3", "[K1,P1] == i*P0",
+        "[P1,P0] == 0", "[J1,P0] == 0", "[K1,P0] == i*P1",
+        "Theta*P0 == P0*Theta", "Theta*P == -P*Theta", "Theta*J == -J*Theta",
+        "Theta*K == K*Theta", "Theta^2 == -1", "Pi*P0 == P0*Pi",
+        "Pi*P == -P*Pi", "Pi*J == J*Pi", "Pi*K == -K*Pi", "Pi^2 == 1",
+        "Pi*Theta == Theta*Pi",
+    ]
 
 
 def test_isometry_defect_is_tiny():
