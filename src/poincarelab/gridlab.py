@@ -12,13 +12,19 @@ num / (p0^a (mu+p0)^b) is expanded into its terms, each an exact scalar
 (times the powers of mu) times a real basis field p^m / (p0^a (mu+p0)^b);
 the basis fields live in a dict on the grid's cached mesh, so they are
 bounded with the meshes (the last 8 grids) and freed with them.  A bare
-p1, p2, p3 or p0 is the mesh array itself.  States store each spin
-component as one contiguous block (the array keeps its
+p1, p2, p3 or p0 is the mesh array itself.  Each grid's standard state
+is built once and kept read-only on the mesh in the same way.  States
+store each spin component as one contiguous block (the array keeps its
 (blocks, N, N, N, 2s+1) shape), so stencils, field products and norms
-run over contiguous memory.  At N = 128 a spin-1/2 state takes 64 MiB;
-on a 2-core Xeon VM a field times a component or a central difference
-takes 5-15 ms, and one apply about 40 ms for a multiplication generator
-or Theta/Pi and 150 ms for a rotation or boost.
+run over contiguous memory.  ``apply`` builds its output slab by slab,
+a few axis-0 rows at a time, running every term of the operator on
+those rows while they are in cache; each element sees the same
+operations in the same order as in one whole-array pass per term, so
+results are bit-identical to it.  At N = 128 a spin-1/2 state takes
+64 MiB; on a 2-core Xeon VM one apply takes about 30 ms for a
+multiplication generator or Theta/Pi and 90-110 ms for a rotation or
+boost, and ``grid --rep up --two-s 1`` at N = 32, 64, 128 about 10 s
+with a peak RSS of 434 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -46,6 +52,10 @@ from .spin_algebra import SpinWeight
 from .symop import BlockOp, Coefficient
 
 EXACT_TOL = 1e-12
+# Bytes of one component slab in apply: a few such slabs (source rows
+# with their halo, difference buffers, field, scratch and output) stay
+# within a core's L2 cache together.
+SLAB_BYTES = 256 * 1024
 SLOPE_BAND = (1.7, 2.3)
 _RATIO_BAND = (0.35, 0.65)
 
@@ -80,7 +90,8 @@ class _Mesh:
     p1, p2, p3 are broadcastable axes of shapes (N,1,1), (1,N,1), (1,1,N);
     p0 is a full (N,N,N) array.  ``fields`` maps a key (m, a, b), with m
     the exponents of (p1, p2, p3, p0), to the real field
-    p^m / (p0^a (mu+p0)^b), built on first use.
+    p^m / (p0^a (mu+p0)^b), built on first use; ``states`` maps
+    (two_s, blocks) to the grid's read-only standard state.
     """
 
     def __init__(self, grid: Grid):
@@ -90,6 +101,7 @@ class _Mesh:
         self.mu = grid.mu
         self.coords = (p1, p2, p3, p0)
         self.fields: dict[tuple, np.ndarray] = {}
+        self.states: dict[tuple[int, int], GridState] = {}
 
     @property
     def inv_p0(self) -> np.ndarray:
@@ -115,14 +127,16 @@ class _Mesh:
 
     def expand(self, c: Coefficient) -> list[tuple]:
         """c as a list of (basis field, or None for 1; exact scalar)."""
-        out = []
-        for m, s in c.num.terms.items():
-            scalar = complex(s.to_complex()) * self.mu ** m[0]
-            if any(m[1:]) or c.a or c.b:
-                out.append((self.field(m[1:], c.a, c.b), scalar))
-            else:
-                out.append((None, scalar))
-        return out
+        return [(None if key is None else self.field(*key),
+                 complex(s.to_complex()) * self.mu ** e)
+                for key, e, s in _field_terms(c)]
+
+
+def _field_terms(c: Coefficient):
+    """c's terms as (basis field key or None for 1, power of mu, scalar)."""
+    for m, s in c.num.terms.items():
+        key = (m[1:], c.a, c.b) if any(m[1:]) or c.a or c.b else None
+        yield key, m[0], s
 
 
 @lru_cache(maxsize=8)
@@ -152,6 +166,16 @@ class GridState:
             )
         if not np.isfinite(self.values).all():
             raise ValueError("state contains non-finite entries")
+
+    @classmethod
+    def _prechecked(cls, values, grid, spin, blocks) -> GridState:
+        """A state of the right shape whose values the caller has already
+        scanned for non-finite entries; skips the second scan."""
+        state = object.__new__(cls)
+        for name, value in zip(("values", "grid", "spin", "blocks"),
+                               (values, grid, spin, blocks)):
+            object.__setattr__(state, name, value)
+        return state
 
 
 def _components(values: np.ndarray):
@@ -260,53 +284,195 @@ def _term_into(buf: np.ndarray, x: np.ndarray, field, s: complex, conj: bool):
         buf *= s
 
 
-def apply(op: BlockOp, state: GridState) -> GridState:
-    """Apply an exact operator numerically.
+def _slab_rows(points: int) -> int:
+    """Axis-0 rows per slab: one component slab is about SLAB_BYTES."""
+    return max(1, SLAB_BYTES // (points * points * 16))
 
-    A term M d^alpha Y^u C^k acts column by column of M: the source spin
-    component n is differenced on the unreflected grid (the stencil
+
+def _plan(op: BlockOp, mesh: _Mesh, spacing: float) -> list[tuple]:
+    """The operator as a list of (src block, spin column, axes, u, terms).
+
+    A term M d^alpha Y^u C^k acts column by column of M: source component
+    n is differenced along ``axes`` on the unreflected grid (the stencil
     commutes with C, and with Y up to the sign (-1)^|alpha|), viewed
-    reflected, and each coefficient term s * F of M[m][n] adds
-    s * F * conj^k(x) to output component m.  The first contribution is
-    written straight into the output, later ones go through one scratch
-    buffer; differences alternate between two buffers.
+    reflected if u, and each coefficient term s * F of M[m][n] adds
+    s * F * conj^k(x) to output component m.  Each entry's terms are
+    (dst block, dst component, field, scalar, k, first), first marking
+    the contribution that writes its output instead of adding to it.
+    Contributions sharing a source join one entry unless that would move
+    them ahead of an earlier contribution to the same output, so every
+    output sums its contributions in the order of the operator's terms.
+    """
+    entries, by_source, last, written = [], {}, {}, set()
+    for br, row in enumerate(op.entries):
+        for bc, sop in enumerate(row):
+            for (alpha, u, k), mat in sop.terms.items():
+                axes = tuple(a for a in range(3) for _ in range(alpha[a]))
+                step = ((-1 if u else 1) / (2 * spacing)) ** len(axes)
+                for n in range(op.dim):
+                    source = (bc, n, axes, u)
+                    for m in range(op.dim):
+                        if mat[m][n].is_zero():
+                            continue
+                        dst = (br, m)
+                        i = by_source.get(source)
+                        if i is None or last.get(dst, -1) > i:
+                            i = by_source[source] = len(entries)
+                            entries.append((*source, []))
+                        for field, s in mesh.expand(mat[m][n]):
+                            entries[i][-1].append(
+                                (br, m, field, s * step, k, dst not in written))
+                            written.add(dst)
+                        last[dst] = i
+    return entries
+
+
+def _diff_rows(x: np.ndarray, axes: tuple, lo: int, hi: int,
+               bufs) -> np.ndarray:
+    """Rows lo:hi of the central-difference chain of component x.
+
+    ``axes`` is sorted, so the axis-0 differences come first.  Each reads
+    one row beyond its output on either side and zeroes the boundary
+    rows 0 and N-1, so the chain starts h rows out (h the number of
+    axis-0 differences) and narrows to lo:hi; axis-1 and axis-2
+    differences stay within rows.  Differences alternate between the
+    two buffers of ``bufs``.
+    """
+    n = len(x)
+    h = axes.count(0)
+    cur, r0 = (x, 0) if h else (x[lo:hi], lo)
+    for i, axis in enumerate(axes):
+        out = bufs[i % 2]
+        if axis:
+            cur = _central_diff(cur, axis, out[:len(cur)])
+            continue
+        h -= 1
+        w0, w1 = max(lo - h, 0), min(hi + h, n)
+        out = out[:w1 - w0]
+        i0, i1 = max(w0, 1), min(w1, n - 1)
+        np.subtract(cur[i0 + 1 - r0:i1 + 1 - r0], cur[i0 - 1 - r0:i1 - 1 - r0],
+                    out=out[i0 - w0:i1 - w0])
+        out[:i0 - w0] = 0
+        out[i1 - w0:] = 0
+        cur, r0 = out, w0
+    return cur[lo - r0:hi - r0]
+
+
+def apply(op: BlockOp, state: GridState) -> GridState:
+    """Apply an exact operator numerically, slab by slab.
+
+    The output is built a few axis-0 rows at a time (``_slab_rows``): for
+    each slab the whole plan runs while its rows are in cache, each
+    source slab differenced (``_diff_rows``), viewed reflected by
+    reading the mirrored rows, multiplied by the field slab, conjugated,
+    scaled and added to the output slab.  Every element sees the same
+    floating-point operations in the same order as a whole-array pass.
+    The first contribution to an output component is written straight
+    into it, later ones go through one scratch slab.  A finished slab is
+    checked finite while it is still in cache, so the result needs no
+    second scan.
     """
     if op.dim != state.spin.dim or op.blocks != state.blocks:
         raise ValueError("operator shape does not match the state")
     g = state.grid
-    mesh = _meshes(g)
-    out = _zero_values(op.blocks, g.points, op.dim)
-    shape = (g.points,) * 3
-    scratch, *deriv = (np.empty(shape, dtype=complex) for _ in range(3))
-    written = set()
-    for br, row in enumerate(op.entries):
-        for bc, sop in enumerate(row):
-            for (alpha, u, k), mat in sop.terms.items():
-                axes = [a for a in range(3) for _ in range(alpha[a])]
-                step = ((-1 if u else 1) / (2 * g.spacing)) ** len(axes)
-                for n in range(op.dim):
-                    column = [(m, mat[m][n]) for m in range(op.dim)
-                              if not mat[m][n].is_zero()]
-                    if not column:
-                        continue
-                    x = state.values[bc, ..., n]
-                    for i, axis in enumerate(axes):
-                        x = _central_diff(x, axis, deriv[i % 2])
-                    if u:
-                        x = x[::-1, ::-1, ::-1]
-                    for m, c in column:
-                        dst = out[br, ..., m]
-                        for field, s in mesh.expand(c):
-                            if (br, m) in written:
-                                _term_into(scratch, x, field, s * step, k)
-                                dst += scratch
-                            else:
-                                _term_into(dst, x, field, s * step, k)
-                                written.add((br, m))
-    return GridState(out, g, state.spin, state.blocks)
+    n = g.points
+    plan = _plan(op, _meshes(g), g.spacing)
+    rows = _slab_rows(n)
+    halo = max((entry[2].count(0) for entry in plan), default=0)
+    scratch = np.empty((rows, n, n), dtype=complex)
+    deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex) for _ in range(2)]
+    out = _zero_values(op.blocks, n, op.dim)
+    comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        for bc, col, axes, u, terms in plan:
+            lo, hi = (n - b, n - a) if u else (a, b)
+            x = _diff_rows(state.values[bc, ..., col], axes, lo, hi, deriv)
+            if u:
+                x = x[::-1, ::-1, ::-1]
+            for br, m, field, s, k, first in terms:
+                if field is not None and len(field) > 1:
+                    field = field[a:b]
+                dst = comps[br, m, a:b]
+                if first:
+                    _term_into(dst, x, field, s, k)
+                else:
+                    _term_into(scratch[:b - a], x, field, s, k)
+                    dst += scratch[:b - a]
+        if not np.isfinite(comps[:, :, a:b].view(float)).all():
+            raise ValueError("state contains non-finite entries")
+    return GridState._prechecked(out, g, state.spin, state.blocks)
 
 
 # -- relation residuals ---------------------------------------------------------
+
+
+# -- working-set guard ----------------------------------------------------------
+
+# Share of MemAvailable a grid study may plan to fill.
+MEMORY_SHARE = 0.5
+# Applied states alive at once inside residual besides the standard state:
+# for K_a Theta psi in Theta*K == K*Theta, the shared Theta psi, the
+# accumulated component and the output being built (likewise for a
+# commutator's second word).
+_LIVE_STATES = 3
+
+
+def working_set_bytes(rep: RepSpec, grids) -> int:
+    """Estimated bytes of arrays a grid study of ``rep`` over ``grids`` holds.
+
+    Every grid keeps its cached mesh (p0 and the full-size basis fields
+    the studied relations' operators use, 8 bytes a point; a field of p1,
+    p2, p3 alone broadcasts and is not counted) and its standard state;
+    the grid being studied adds the live applied states, apply's slab
+    buffers and the temporaries of building one field.  Against the peak
+    RSS of ``grid`` at N = 32, 64, 128 less the interpreter's own, it
+    reads 1-4% low for up, sym3 and quad:+1.
+    """
+    studied = set(representative_relations(rep))
+    names = word_names(r for r in relations(rep) if r.name in studied)
+    coeffs = (c for op in operators(rep, names).values()
+              for row in op.entries for sop in row
+              for mat in sop.terms.values() for mrow in mat for c in mrow)
+    keys = {((0, 0, 0, 1), 0, 0), ((0, 0, 0, 0), 1, 0)}  # p0 and 1/p0
+    for c in coeffs:
+        for key, _e, _s in _field_terms(c):
+            if key and (key[1] or key[2] or key[0][3]):  # has p0: full size
+                keys.add(key)
+    resident, transient = 0, 0
+    for g in grids:
+        n = g.points
+        state = rep.blocks * (rep.two_s + 1) * n**3 * 16
+        # scratch and two difference buffers with a 1-row halo each side
+        slabs = (3 * _slab_rows(n) + 4) * n * n * 16
+        resident += len(keys) * n**3 * 8 + state
+        transient = max(transient,
+                        _LIVE_STATES * state + slabs + 2 * n**3 * 8)
+    return resident + transient
+
+
+def memory_budget() -> int | None:
+    """MEMORY_SHARE of MemAvailable in bytes; None without /proc/meminfo."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(int(line.split()[1]) * 1024 * MEMORY_SHARE)
+    except OSError:
+        pass
+    return None
+
+
+def check_working_set(rep: RepSpec, grids, budget: int | None) -> None:
+    """Refuse, before allocating anything, a study that would not fit."""
+    need = working_set_bytes(rep, grids)
+    if budget is not None and need > budget:
+        sizes = ", ".join(str(g.points) for g in grids)
+        raise ValueError(
+            f"grid study at N = {sizes} needs about {need / 2**20:,.0f} MiB "
+            f"of arrays, over the {budget / 2**20:,.0f} MiB budget "
+            f"({MEMORY_SHARE:.0%} of MemAvailable)"
+        )
 
 
 def relation_ids(rep: RepSpec) -> list[str]:
@@ -377,21 +543,32 @@ def residual(rep: RepSpec, relation_id: str, state: GridState) -> float:
 
 
 def standard_state(rep: RepSpec, grid: Grid) -> GridState:
-    """Deterministic admissible Gaussian used by studies and the cli."""
-    ext = grid.extent
-    center = (ext / 12, -ext / 15, ext / 18)
-    width = ext / 9
-    dim = rep.two_s + 1
-    spinor = np.array(
-        [
+    """Deterministic admissible Gaussian used by studies and the cli.
+
+    Built once per (grid, two_s, blocks) and kept read-only on the grid's
+    cached mesh, so every relation of a study shares it and it is freed
+    with the mesh.
+    """
+    states = _meshes(grid).states
+    key = (rep.two_s, rep.blocks)
+    if key not in states:
+        ext = grid.extent
+        center = (ext / 12, -ext / 15, ext / 18)
+        width = ext / 9
+        dim = rep.two_s + 1
+        spinor = np.array(
             [
-                (1 + 0.3 * b + 0.1 * m) + (0.2 + 0.15 * m - 0.05 * b) * 1j
-                for m in range(dim)
+                [
+                    (1 + 0.3 * b + 0.1 * m) + (0.2 + 0.15 * m - 0.05 * b) * 1j
+                    for m in range(dim)
+                ]
+                for b in range(rep.blocks)
             ]
-            for b in range(rep.blocks)
-        ]
-    )
-    return sample_gaussian(grid, center, width, spinor)
+        )
+        state = sample_gaussian(grid, center, width, spinor)
+        state.values.flags.writeable = False
+        states[key] = state
+    return states[key]
 
 
 @dataclass(frozen=True)

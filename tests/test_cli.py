@@ -202,3 +202,41 @@ def test_failed_solution_recheck_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "internal error: solver output fails a constraint" in captured.err
     assert captured.out == ""
+
+
+def test_commutant_checks_each_basis_matrix_once(monkeypatch, capsys):
+    # the basis-satisfies-constraints row reports commutant_basis's own
+    # recheck instead of running a second one
+    from poincarelab import commutant
+
+    calls = []
+    real = commutant.check_solution
+
+    def counted(prob, mat):
+        calls.append(mat)
+        return real(prob, mat)
+
+    monkeypatch.setattr(commutant, "check_solution", counted)
+    assert main(["commutant", "--rep", "quad:+1", "--json"]) == 0
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    dim = int(rows["commutant-dimension"]["detail"].rsplit(" ", 1)[1])
+    assert len(calls) == dim
+    assert rows["basis-satisfies-constraints"]["status"] == "pass"
+    assert rows["basis-satisfies-constraints"]["detail"] == (
+        f"{dim} basis matrices recheck against every constraint")
+
+
+def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
+                                                           capsys):
+    from poincarelab import gridlab
+
+    def forbidden(*args):
+        raise AssertionError("allocated a state")
+
+    monkeypatch.setattr(gridlab, "memory_budget", lambda: 4 * 2**30)
+    monkeypatch.setattr(gridlab, "standard_state", forbidden)
+    assert main(["grid", "--rep", "up", "--two-s", "1",
+                 "--n", "32,64,1024"]) == 2
+    err = capsys.readouterr().err
+    assert "error: grid study at N = 32, 64, 1024 needs about" in err
+    assert "over the 4,096 MiB budget (50% of MemAvailable)" in err

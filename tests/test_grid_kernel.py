@@ -1,0 +1,149 @@
+"""The slab kernel of gridlab.apply against the whole-array kernel it
+replaced, kept here as the oracle: every element must come out bit-equal,
+since the two run the same floating-point operations in the same order.
+"""
+
+import numpy as np
+import pytest
+
+from poincarelab import catalog, gridlab
+from poincarelab.gridlab import (
+    Grid, GridState, _meshes, apply, sample_gaussian, standard_state,
+)
+from poincarelab.symop import BlockOp, ScalarOp
+
+L = 4.0
+
+
+def _central_diff(arr, axis, out):
+    arr = np.ascontiguousarray(arr)
+    stride = arr.strides[axis] // arr.itemsize
+    flat, dst = arr.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * stride:], flat[:-2 * stride], out=dst[stride:-stride])
+    edge = [slice(None)] * arr.ndim
+    for plane in (0, -1):
+        edge[axis] = plane
+        out[tuple(edge)] = 0
+    return out
+
+
+def _term_into(buf, x, field, s, conj):
+    if field is not None:
+        np.multiply(x, field, out=buf)
+        if conj:
+            np.conjugate(buf, out=buf)
+    elif conj:
+        np.conjugate(x, out=buf)
+    else:
+        np.copyto(buf, x)
+    if s != 1:
+        buf *= s
+
+
+def whole_array_apply(op, state):
+    """apply() as one pass over whole components per term: difference
+    chain into two full-size buffers, reflect, field product, scale and
+    add through a full-size scratch buffer."""
+    g = state.grid
+    mesh = _meshes(g)
+    raw = np.zeros((op.blocks, op.dim) + (g.points,) * 3, dtype=complex)
+    out = np.moveaxis(raw, 1, -1)
+    shape = (g.points,) * 3
+    scratch, *deriv = (np.empty(shape, dtype=complex) for _ in range(3))
+    written = set()
+    for br, row in enumerate(op.entries):
+        for bc, sop in enumerate(row):
+            for (alpha, u, k), mat in sop.terms.items():
+                axes = [a for a in range(3) for _ in range(alpha[a])]
+                step = ((-1 if u else 1) / (2 * g.spacing)) ** len(axes)
+                for n in range(op.dim):
+                    column = [(m, mat[m][n]) for m in range(op.dim)
+                              if not mat[m][n].is_zero()]
+                    if not column:
+                        continue
+                    x = state.values[bc, ..., n]
+                    for i, axis in enumerate(axes):
+                        x = _central_diff(x, axis, deriv[i % 2])
+                    if u:
+                        x = x[::-1, ::-1, ::-1]
+                    for m, c in column:
+                        dst = out[br, ..., m]
+                        for field, s in mesh.expand(c):
+                            if (br, m) in written:
+                                _term_into(scratch, x, field, s * step, k)
+                                dst += scratch
+                            else:
+                                _term_into(dst, x, field, s * step, k)
+                                written.add((br, m))
+    return out
+
+
+def _operators(rep):
+    ops = dict(rep.generators(), Theta=rep.theta, Pi=rep.pi,
+               K1Theta=rep.k[0] * rep.theta, J2Pi=rep.j[1] * rep.pi)
+    # |alpha| = 2: d1 d2 and d1^2 terms, the latter on axis 0 twice
+    ops["K1J3"] = rep.k[0] * rep.j[2]
+    ops["K1K1"] = rep.k[0] * rep.k[0]
+    return ops
+
+
+@pytest.mark.parametrize("label,two_s", [("up", 1), ("quad:+1", 0)])
+@pytest.mark.parametrize("points", [16, 17, 64])
+@pytest.mark.parametrize("slab_bytes", [gridlab.SLAB_BYTES, 3 * 17 * 17 * 16])
+def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
+                                                  slab_bytes, monkeypatch):
+    # the second slab size gives 3-row slabs at N = 17 (17 = 5*3 + 2)
+    # and 1-row slabs at N = 64, so slab ends and the axis-0 halo fall
+    # inside the grid; N = 64 at the default size has 4 rows per slab
+    monkeypatch.setattr(gridlab, "SLAB_BYTES", slab_bytes)
+    rep = catalog.build(label, two_s)
+    st = standard_state(rep, Grid(L, points))
+    spin_last = GridState(np.ascontiguousarray(st.values), st.grid, st.spin,
+                          st.blocks)
+    ops = _operators(rep)
+    assert any(sum(alpha) == 2 for op in ops.values() for row in op.entries
+               for sop in row for (alpha, _u, _k) in sop.terms)
+    for name, op in ops.items():
+        want = whole_array_apply(op, st)
+        assert np.abs(want).max() > 0, name
+        for state in (st, spin_last):
+            got = apply(op, state)
+            assert np.array_equal(got.values, want), (name, points)
+            assert got.values.strides == want.strides
+
+
+def test_slab_kernel_keeps_each_outputs_term_order():
+    # both block rows difference source block 0 along all three axes, in
+    # opposite orders, so the rows agree only up to rounding; sharing one
+    # differenced slab between the rows must not reorder either sum
+    d1, d2, d3 = (ScalarOp.deriv_op(j, 1) for j in (1, 2, 3))
+    zero = ScalarOp.zero(1)
+    op = BlockOp([[d1 + d2 + d3, zero], [d3 + d2 + d1, zero]])
+    g = Grid(L, 17)
+    st = sample_gaussian(g, (0.2, -0.3, 0.1), L / 9, [[1.0 + 0.5j], [0.5]])
+    want = whole_array_apply(op, st)
+    assert not np.array_equal(want[0], want[1])
+    assert np.array_equal(apply(op, st).values, want)
+
+
+def test_slab_rows_follow_the_byte_target():
+    assert gridlab._slab_rows(128) == 1
+    assert gridlab._slab_rows(64) == 4
+    assert gridlab._slab_rows(32) == 16
+    assert gridlab._slab_rows(4096) == 1
+
+
+def test_apply_rejects_a_non_finite_field(monkeypatch):
+    g = Grid(L, 16)
+    rep = catalog.build("up", 1)
+    st = standard_state(rep, g)
+    mesh = _meshes(g)
+    apply(rep.k[0], st)
+    key = ((0, 1, 0, 0), 0, 1)  # p2 / (mu + p0), K1's spin coupling
+    bad = mesh.fields[key].copy()
+    bad[9, 4, 7] = np.inf
+    monkeypatch.setitem(mesh.fields, key, bad)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        apply(rep.k[0], st)
+

@@ -18,6 +18,7 @@ from poincarelab.gridlab import (
     GridState,
     _meshes,
     apply,
+    check_working_set,
     convergence_study,
     inner,
     isometry_defect,
@@ -27,6 +28,7 @@ from poincarelab.gridlab import (
     residual,
     sample_gaussian,
     standard_state,
+    working_set_bytes,
 )
 from poincarelab.symop import BlockOp, ScalarOp
 
@@ -197,6 +199,7 @@ def test_field_cache_lives_and_dies_with_the_mesh():
     rep = catalog.build("up", 1)
     apply(rep.k[0], standard_state(rep, g))
     mesh = weakref.ref(_meshes(g))
+    state = weakref.ref(standard_state(rep, g))
     fields = mesh().fields
     # K1's spin coupling p2/(mu+p0); its transport term's bare p0 is the
     # mesh array itself, not a copy
@@ -205,8 +208,58 @@ def test_field_cache_lives_and_dies_with_the_mesh():
     assert _meshes.cache_info().maxsize == 8
     _meshes.cache_clear()
     gc.collect()
-    assert mesh() is None
-    assert _meshes(g).fields == {}
+    assert mesh() is None and state() is None
+    assert _meshes(g).fields == {} and _meshes(g).states == {}
+
+
+def test_standard_state_is_built_once_and_read_only():
+    g = Grid(L, 16)
+    rep = catalog.build("up", 1)
+    st = standard_state(rep, g)
+    assert standard_state(catalog.build("up", 1), g) is st
+    assert standard_state(catalog.build("up", 0), g) is not st
+    assert not st.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        st.values[0, 3, 4, 5, 1] = 0
+    before = st.values.tobytes()
+    for rid in relation_ids(rep):
+        residual(rep, rid, st)
+    assert st.values.tobytes() == before
+
+
+def test_convergence_studies_sample_each_grid_once(monkeypatch):
+    _meshes.cache_clear()
+    sampled = []
+
+    def counted(grid, *args):
+        sampled.append(grid.points)
+        return sample_gaussian(grid, *args)
+
+    monkeypatch.setattr(gridlab, "sample_gaussian", counted)
+    rep = catalog.build("up", 1)
+    grids = [Grid(L, n) for n in (16, 32, 64)]
+    convergence_study(rep, "[K1,P1] == i*P0", grids)
+    assert sampled == [16, 32, 64]
+    convergence_study(rep, "Theta*K == K*Theta", grids)
+    assert sampled == [16, 32, 64]
+
+
+def test_working_set_guard_refuses_oversized_grids():
+    rep = catalog.build("up", 1)
+    default = [Grid(L, n) for n in (32, 64, 128)]
+    big = [Grid(L, n) for n in (32, 64, 1024)]
+    need = working_set_bytes(rep, default)
+    # the standard state at N = 128 is 64 MiB; the study's arrays peak
+    # at about 400 MiB
+    assert 320 * 2**20 < need < 480 * 2**20
+    assert working_set_bytes(rep, big) > 100 * 2**30
+    assert gridlab.memory_budget() is None or gridlab.memory_budget() > 0
+    budget = 4 * 2**30
+    check_working_set(rep, default, budget)
+    check_working_set(rep, big, None)
+    with pytest.raises(ValueError, match=r"N = 32, 64, 1024 needs about "
+                       r"[\d,]+ MiB of arrays, over the 4,096 MiB budget"):
+        check_working_set(rep, big, budget)
 
 
 def test_grid_state_validates_every_construction():
