@@ -31,14 +31,13 @@ fields on every call; ``verify_relations`` is the one exact evaluator,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import I, ONE, Scalar, ZERO
+from .exactnum import I, ONE, Scalar, ZERO, identity_matrix, mat_map
 from .report import RelationReport
 from .spin_algebra import SpinWeight, spin_matrices, tau_matrix
-from .symop import BlockOp, Coefficient, CoeffMatrix, Poly, ScalarOp
+from .symop import BlockOp, Coefficient, Poly, ScalarOp
 
 UNITARY = "unitary"
 ANTIUNITARY = "antiunitary"
@@ -58,10 +57,6 @@ def epsilon(i: int, j: int, k: int) -> int:
 # -- scalar-block generators -------------------------------------------------
 
 
-def _const_cmat(mat) -> CoeffMatrix:
-    return tuple(tuple(Coefficient.const(x) for x in row) for row in mat)
-
-
 @lru_cache(maxsize=None)
 def energy_op(dim: int) -> ScalarOp:
     return ScalarOp.from_coefficient(Coefficient.sym("p0"), dim)
@@ -77,26 +72,14 @@ def rotation_op(axis: int, two_s: int) -> ScalarOp:
     """-i (p x grad)_axis + S_axis on one scalar block."""
     dim = two_s + 1
     a, b = _CYCLIC[axis]
-    spins = spin_matrices(two_s).as_tuple()
-    terms = {}
     alpha_b = tuple(1 if i == b - 1 else 0 for i in range(3))
     alpha_a = tuple(1 if i == a - 1 else 0 for i in range(3))
     minus_i_pa = Coefficient(Poly.sym(f"p{a}").scale(-I))
     plus_i_pb = Coefficient(Poly.sym(f"p{b}").scale(I))
-    ident = _const_cmat(
-        tuple(tuple(ONE if r == c else ZERO for c in range(dim)) for r in range(dim))
-    )
-    terms[(alpha_b, 0, 0)] = tuple(
-        tuple(minus_i_pa if r == c else Coefficient.zero() for c in range(dim))
-        for r in range(dim)
-    )
-    terms[(alpha_a, 0, 0)] = tuple(
-        tuple(plus_i_pb if r == c else Coefficient.zero() for c in range(dim))
-        for r in range(dim)
-    )
-    op = ScalarOp(dim, terms)
-    spin_mat = spins[axis - 1]
-    return op + ScalarOp.from_matrix(_const_cmat(spin_mat))
+    spin_mat = spin_matrices(two_s).as_tuple()[axis - 1]
+    return (ScalarOp.term(minus_i_pa, (alpha_b, 0, 0), dim)
+            + ScalarOp.term(plus_i_pb, (alpha_a, 0, 0), dim)
+            + ScalarOp.from_matrix(mat_map(Coefficient.const, spin_mat)))
 
 
 @lru_cache(maxsize=None)
@@ -108,15 +91,7 @@ def boost_op(axis: int, two_s: int) -> ScalarOp:
     s_a, s_b = spins[a - 1], spins[b - 1]
     alpha = tuple(1 if i == axis - 1 else 0 for i in range(3))
     i_p0 = Coefficient(Poly.sym("p0").scale(I))
-    deriv_part = ScalarOp(
-        dim,
-        {
-            (alpha, 0, 0): tuple(
-                tuple(i_p0 if r == c else Coefficient.zero() for c in range(dim))
-                for r in range(dim)
-            )
-        },
-    )
+    deriv_part = ScalarOp.term(i_p0, (alpha, 0, 0), dim)
     # -(S x p)_axis = S_b p_a - S_a p_b  (cyclic axis -> (a, b))
     pa, pb = Poly.sym(f"p{a}"), Poly.sym(f"p{b}")
     rows = []
@@ -322,26 +297,7 @@ class RepSpec:
 
 
 def _pattern(rows) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(
-        tuple(Scalar.from_rational(Fraction(x)) for x in row) for row in rows
-    )
-
-
-def _pattern_block(pattern, inner: ScalarOp) -> BlockOp:
-    n = len(pattern)
-    entries = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            s = pattern[r][c]
-            if s == ZERO or not s:
-                row.append(ScalarOp.zero(inner.dim))
-            elif s == ONE:
-                row.append(inner)
-            else:
-                row.append(inner.scale(s))
-        entries.append(row)
-    return BlockOp(entries)
+    return mat_map(Scalar.from_rational, rows)
 
 
 def _signed_diag(op: ScalarOp, signs) -> BlockOp:
@@ -357,15 +313,10 @@ def _spectrum_from_signs(p0_signs) -> str:
 
 
 def _discrete_op(pattern, spin: str, upsilon: int, kappa: int, two_s: int) -> BlockOp:
-    dim = two_s + 1
-    if spin == "tau":
-        mat = tau_matrix(two_s).mat
-    else:
-        mat = tuple(
-            tuple(ONE if r == c else ZERO for c in range(dim)) for r in range(dim)
-        )
-    inner = ScalarOp(dim, {((0, 0, 0), upsilon, kappa): _const_cmat(mat)})
-    return _pattern_block(pattern, inner)
+    mat = tau_matrix(two_s).mat if spin == "tau" else identity_matrix(two_s + 1)
+    inner = ScalarOp(two_s + 1,
+                     {((0, 0, 0), upsilon, kappa): mat_map(Coefficient.const, mat)})
+    return BlockOp(mat_map(inner.scale, pattern))
 
 
 def _solve_omega(theta: BlockOp, pi: BlockOp) -> Scalar:

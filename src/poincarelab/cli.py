@@ -67,11 +67,8 @@ def cmd_commutant(args) -> RelationReport:
 
 
 def cmd_classify(args) -> RelationReport:
-    pairs = (
-        [(args.theta, args.pi)]
-        if args.theta and args.pi
-        else [(t, p) for t in _KINDS for p in _KINDS]
-    )
+    pairs = [(t, p) for t in _KINDS for p in _KINDS
+             if args.theta in (None, t) and args.pi in (None, p)]
     report = RelationReport("classification-table", 0)
     for theta_kind, pi_kind in pairs:
         kinds = catalog.allowed_spectra(theta_kind, pi_kind)

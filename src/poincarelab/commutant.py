@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from .catalog import RepSpec
 from .exactnum import (
     I, Matrix, ONE, Scalar, ZERO,
-    identity_matrix, mat_conj, mat_dagger, mat_eq, mat_mul, nullspace,
+    identity_matrix, mat_conj, mat_dagger, mat_eq, mat_map, mat_mul,
+    mat_transpose, nullspace, row_reduce,
 )
 from .spin_algebra import spin_commutant_dimension
 from .symop import BlockOp, ScalarOp
@@ -227,23 +228,14 @@ def _matrix_to_vector(mat: Matrix, blocks: int, diag, off, nvars) -> list[Scalar
 
 
 def _independent_subset(vectors):
-    """Members of `vectors`, in order, that increase the span; exact."""
-    pivots: list[tuple[int, list[Scalar]]] = []
-    kept = []
-    for v in vectors:
-        work = list(v)
-        for col, pv in pivots:
-            if work[col]:
-                f = work[col]
-                work = [a - f * b for a, b in zip(work, pv)]
-        lead = next((i for i, x in enumerate(work) if x), None)
-        if lead is None:
-            continue
-        inv = work[lead].inverse()
-        work = [x * inv for x in work]
-        pivots.append((lead, work))
-        kept.append(v)
-    return kept
+    """Members of `vectors`, in order, that increase the span; exact.
+
+    They are the pivot columns of the matrix whose columns are `vectors`.
+    """
+    if not vectors:
+        return []
+    _, pivots = row_reduce(mat_transpose(vectors), len(vectors))
+    return [vectors[c] for _, c in pivots]
 
 
 def check_solution(prob: CommutantProblem, mat: Matrix) -> bool:
@@ -294,14 +286,7 @@ def irreducibility_verdict(rep: RepSpec) -> Verdict:
 
 def as_block_operator(mat: Matrix, two_s: int) -> BlockOp:
     """Lift a constant block matrix to an engine operator for recheck."""
-    dim = two_s + 1
-    ident = ScalarOp.identity(dim)
-    entries = []
-    for row in mat:
-        entries.append(
-            [ident.scale(x) if x else ScalarOp.zero(dim) for x in row]
-        )
-    return BlockOp(entries)
+    return BlockOp(mat_map(ScalarOp.identity(two_s + 1).scale, mat))
 
 
 def conjugate_problem(prob: CommutantProblem, u: Matrix) -> CommutantProblem:
@@ -321,7 +306,7 @@ def conjugate_problem(prob: CommutantProblem, u: Matrix) -> CommutantProblem:
                 raise ValueError("conjugation mixes blocks with different signs")
 
     def transform(desc: DiscreteDescriptor) -> DiscreteDescriptor:
-        right = tuple(zip(*u)) if desc.antilinear else mat_dagger(u)
+        right = mat_transpose(u) if desc.antilinear else mat_dagger(u)
         return DiscreteDescriptor(
             mat_mul(mat_mul(u, desc.pattern), right), desc.antilinear, desc.upsilon
         )

@@ -236,23 +236,41 @@ def rat(num, den=1) -> Scalar:
     return Scalar.from_rational(Fraction(num, den))
 
 
-# -- small dense matrices over Scalar ---------------------------------------
+# -- small dense matrices ------------------------------------------------
 #
-# Spin matrices and block structures are tiny (dimension <= 2s+1 <= 9 and
-# block count <= 4), so plain tuples of tuples are enough.
+# Every matrix in the laboratory is a small tuple of tuples over one of
+# three rings: exact Scalars (spin matrices, tau, Theta/Pi block
+# patterns, commutant candidates), symop Coefficients (the matrix of one
+# normal-form operator term) and symop ScalarOps (the entries of a block
+# operator).  The helpers below are written once for any entry with
+# + - *, is_zero() and conjugate(), the ring's involution: complex
+# conjugation of a Scalar or Coefficient, the formal adjoint of a
+# ScalarOp, so mat_dagger is also the adjoint of a block operator.  The
+# ring's zero and one default to the Scalar ones; callers over the other
+# rings pass theirs.
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 
 
-def identity_matrix(dim: int) -> Matrix:
+def diagonal(entries, zero=ZERO) -> Matrix:
+    n = len(entries)
     return tuple(
-        tuple(ONE if r == c else ZERO for c in range(dim)) for r in range(dim)
+        tuple(entries[r] if r == c else zero for c in range(n)) for r in range(n)
     )
 
 
-def zero_matrix(rows: int, cols: int | None = None) -> Matrix:
+def identity_matrix(dim: int, one=ONE, zero=ZERO) -> Matrix:
+    return diagonal((one,) * dim, zero)
+
+
+def zero_matrix(rows: int, cols: int | None = None, zero=ZERO) -> Matrix:
     cols = rows if cols is None else cols
-    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
+    return tuple(tuple(zero for _ in range(cols)) for _ in range(rows))
+
+
+def mat_map(f, a: Matrix) -> Matrix:
+    """f applied to every entry."""
+    return tuple(tuple(f(x) for x in row) for row in a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -267,20 +285,24 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_scale(c: Scalar, a: Matrix) -> Matrix:
+def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix, zero=ZERO) -> Matrix:
+    """The product; each entry is summed over k in ascending order and a
+    pair with a zero factor is skipped, which spares most entry products
+    of the sparse spin and block matrices."""
     rows, inner, cols = len(a), len(b), len(b[0])
     out = []
     for r in range(rows):
         row = []
         for c in range(cols):
-            acc = ZERO
+            acc = zero
             for k in range(inner):
-                if a[r][k] and b[k][c]:
-                    acc = acc + a[r][k] * b[k][c]
+                x, y = a[r][k], b[k][c]
+                if not (x.is_zero() or y.is_zero()):
+                    acc = acc + x * y
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -295,7 +317,9 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 
 def mat_dagger(a: Matrix) -> Matrix:
-    return mat_transpose(mat_conj(a))
+    return tuple(
+        tuple(a[r][c].conjugate() for r in range(len(a))) for c in range(len(a[0]))
+    )
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -306,11 +330,12 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return mat_is_zero(mat_sub(a, b))
 
 
-def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Basis of the solution space of rows * x = 0 over the scalar field.
+def row_reduce(rows, ncols: int):
+    """Exact Gauss-Jordan elimination of the first ncols columns.
 
-    Exact Gaussian elimination; every returned vector has its pivot-free
-    coordinates set to 0/1 so the basis is deterministic.
+    Returns the reduced rows and the pivots as (row, col) pairs in
+    column order.  The pivot columns are the columns that are not
+    combinations of the columns before them.
     """
     m = [list(r) for r in rows]
     pivots: list[tuple[int, int]] = []  # (row, col)
@@ -334,6 +359,16 @@ def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
         r += 1
         if r == len(m):
             break
+    return m, pivots
+
+
+def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
+    """Basis of the solution space of rows * x = 0 over the scalar field.
+
+    Exact Gaussian elimination; every returned vector has its pivot-free
+    coordinates set to 0/1 so the basis is deterministic.
+    """
+    m, pivots = row_reduce(rows, ncols)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(ncols):

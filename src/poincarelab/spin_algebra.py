@@ -19,10 +19,14 @@ from .exactnum import (
     ONE,
     Scalar,
     ZERO,
+    diagonal,
     identity_matrix,
+    mat_add,
+    mat_eq,
     mat_mul,
     mat_scale,
     mat_sub,
+    mat_transpose,
     nullspace,
     rat,
     zero_matrix,
@@ -83,23 +87,11 @@ def spin_matrices(two_s: int) -> SpinTriple:
         n = (k + 1) * (two_s - k)
         splus[k][k + 1] = Scalar.sqrt_int(n)
     splus = tuple(tuple(r) for r in splus)
-    sminus = tuple(
-        tuple(splus[c][r] for c in range(dim)) for r in range(dim)
-    )
-    half = rat(1, 2)
+    sminus = mat_transpose(splus)
     half_i = Scalar.from_rational(0, Fraction(-1, 2))  # 1/(2i) = -i/2
-    s1 = tuple(
-        tuple(half * (splus[r][c] + sminus[r][c]) for c in range(dim))
-        for r in range(dim)
-    )
-    s2 = tuple(
-        tuple(half_i * (splus[r][c] - sminus[r][c]) for c in range(dim))
-        for r in range(dim)
-    )
-    s3 = tuple(
-        tuple(Scalar.from_rational(ms[r]) if r == c else ZERO for c in range(dim))
-        for r in range(dim)
-    )
+    s1 = mat_scale(rat(1, 2), mat_add(splus, sminus))
+    s2 = mat_scale(half_i, mat_sub(splus, sminus))
+    s3 = diagonal([Scalar.from_rational(m) for m in ms])
     return SpinTriple(w, s1, s2, s3)
 
 
@@ -145,37 +137,19 @@ def spin_commutant_dimension(two_s: int) -> int:
 def spin_squared(two_s: int) -> Matrix:
     """S1^2 + S2^2 + S3^2, exactly s(s+1) times the identity."""
     t = spin_matrices(two_s)
-    dim = t.weight.dim
-    acc = zero_matrix(dim)
+    acc = zero_matrix(t.weight.dim)
     for s in t.as_tuple():
-        sq = mat_mul(s, s)
-        acc = tuple(
-            tuple(acc[r][c] + sq[r][c] for c in range(dim)) for r in range(dim)
-        )
+        acc = mat_add(acc, mat_mul(s, s))
     return acc
 
 
 def check_spin_invariants(two_s: int) -> None:
     """Raise if the exact spin identities fail (used as a self test)."""
     t = spin_matrices(two_s)
-    dim = t.weight.dim
     s1, s2, s3 = t.as_tuple()
-    pairs = [(s1, s2, s3), (s2, s3, s1), (s3, s1, s2)]
-    for a, b, c in pairs:
-        comm = mat_sub(mat_mul(a, b), mat_mul(b, a))
-        target = mat_scale(I, c)
-        if not all(
-            (comm[r][k] - target[r][k]).is_zero()
-            for r in range(dim)
-            for k in range(dim)
-        ):
+    for a, b, c in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2)):
+        if not mat_eq(mat_sub(mat_mul(a, b), mat_mul(b, a)), mat_scale(I, c)):
             raise AssertionError("spin commutation relation failed")
-    expected = mat_scale(Scalar.from_rational(SpinWeight(two_s).casimir),
-                         identity_matrix(dim))
-    sq = spin_squared(two_s)
-    if not all(
-        (sq[r][k] - expected[r][k]).is_zero()
-        for r in range(dim)
-        for k in range(dim)
-    ):
+    expected = identity_matrix(t.weight.dim, Scalar.from_rational(t.weight.casimir))
+    if not mat_eq(spin_squared(two_s), expected):
         raise AssertionError("spin Casimir failed")

@@ -29,8 +29,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import methodcaller, neg
 
-from .exactnum import ONE, Scalar, ZERO
+from .exactnum import (
+    ONE, Scalar, ZERO, diagonal, identity_matrix, mat_add, mat_conj, mat_dagger,
+    mat_is_zero, mat_map, mat_mul, mat_scale, mat_sub, zero_matrix,
+)
 
 # Monomial exponents, in the order (mu, p1, p2, p3, p0); p0 exponent <= 1.
 Mono = tuple[int, int, int, int, int]
@@ -455,67 +459,6 @@ _C_ONE = Coefficient.const(1)
 CoeffMatrix = tuple[tuple[Coefficient, ...], ...]
 
 
-def _cmat_identity(dim: int) -> CoeffMatrix:
-    return tuple(
-        tuple(_C_ONE if r == c else _C_ZERO for c in range(dim))
-        for r in range(dim)
-    )
-
-
-def _cmat_zero(dim: int) -> CoeffMatrix:
-    return tuple(tuple(_C_ZERO for _ in range(dim)) for _ in range(dim))
-
-
-def _cmat_add(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _cmat_neg(a: CoeffMatrix) -> CoeffMatrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def _cmat_mul(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
-    dim = len(a)
-    out = []
-    for r in range(dim):
-        row = []
-        for c in range(dim):
-            acc = _C_ZERO
-            for k in range(dim):
-                x, y = a[r][k], b[k][c]
-                if not (x.is_zero() or y.is_zero()):
-                    acc = acc + x * y
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-def _cmat_scale(c: Coefficient, a: CoeffMatrix) -> CoeffMatrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def _cmat_conj(a: CoeffMatrix) -> CoeffMatrix:
-    return tuple(tuple(x.conjugate() for x in row) for row in a)
-
-
-def _cmat_reflect(a: CoeffMatrix) -> CoeffMatrix:
-    return tuple(tuple(x.reflect() for x in row) for row in a)
-
-
-def _cmat_deriv(a: CoeffMatrix, j: int) -> CoeffMatrix:
-    return tuple(tuple(x.deriv(j) for x in row) for row in a)
-
-
-def _cmat_dagger(a: CoeffMatrix) -> CoeffMatrix:
-    dim = len(a)
-    return tuple(
-        tuple(a[c][r].conjugate() for c in range(dim)) for r in range(dim)
-    )
-
-
-def _cmat_is_zero(a: CoeffMatrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
 # -- scalar operators -----------------------------------------------------
 
 # term key: (alpha, upsilon, kappa) with alpha the derivative multi-index
@@ -539,7 +482,7 @@ class ScalarOp:
         t = {}
         if terms:
             for key, mat in terms.items():
-                if not _cmat_is_zero(mat):
+                if not mat_is_zero(mat):
                     t[key] = mat
         self.terms = t
         self._frozen = None
@@ -551,12 +494,17 @@ class ScalarOp:
         return cls(dim)
 
     @classmethod
+    def term(cls, c: Coefficient, key: OpKey, dim: int) -> "ScalarOp":
+        """The single term c * d^alpha Y^u C^k, c times the identity matrix."""
+        return cls(dim, {key: identity_matrix(dim, c, _C_ZERO)})
+
+    @classmethod
     def identity(cls, dim: int) -> "ScalarOp":
-        return cls(dim, {((0, 0, 0), 0, 0): _cmat_identity(dim)})
+        return cls.from_coefficient(_C_ONE, dim)
 
     @classmethod
     def from_coefficient(cls, c: Coefficient, dim: int) -> "ScalarOp":
-        return cls(dim, {((0, 0, 0), 0, 0): _cmat_scale(c, _cmat_identity(dim))})
+        return cls.term(c, ((0, 0, 0), 0, 0), dim)
 
     @classmethod
     def from_matrix(cls, mat: CoeffMatrix) -> "ScalarOp":
@@ -565,15 +513,15 @@ class ScalarOp:
     @classmethod
     def deriv_op(cls, j: int, dim: int) -> "ScalarOp":
         alpha = tuple(1 if k == j - 1 else 0 for k in range(3))
-        return cls(dim, {(alpha, 0, 0): _cmat_identity(dim)})
+        return cls.term(_C_ONE, (alpha, 0, 0), dim)
 
     @classmethod
     def reflection(cls, dim: int) -> "ScalarOp":
-        return cls(dim, {((0, 0, 0), 1, 0): _cmat_identity(dim)})
+        return cls.term(_C_ONE, ((0, 0, 0), 1, 0), dim)
 
     @classmethod
     def conjugation(cls, dim: int) -> "ScalarOp":
-        return cls(dim, {((0, 0, 0), 0, 1): _cmat_identity(dim)})
+        return cls.term(_C_ONE, ((0, 0, 0), 0, 1), dim)
 
     # -- predicates ------------------------------------------------------
 
@@ -619,13 +567,13 @@ class ScalarOp:
         out = dict(self.terms)
         for key, mat in other.terms.items():
             if key in out:
-                out[key] = _cmat_add(out[key], mat)
+                out[key] = mat_add(out[key], mat)
             else:
                 out[key] = mat
         return ScalarOp(self.dim, out)
 
     def __neg__(self) -> "ScalarOp":
-        return ScalarOp(self.dim, {k: _cmat_neg(m) for k, m in self.terms.items()})
+        return ScalarOp(self.dim, {k: mat_map(neg, m) for k, m in self.terms.items()})
 
     def __sub__(self, other: "ScalarOp") -> "ScalarOp":
         return self + (-other)
@@ -635,10 +583,9 @@ class ScalarOp:
             coeff = c
         else:
             coeff = Coefficient.const(Scalar._coerce(c))
-        out = {}
-        for key, mat in self.terms.items():
-            out[key] = _cmat_scale(coeff, mat)
-        return ScalarOp(self.dim, out)
+        return ScalarOp(
+            self.dim, {key: mat_scale(coeff, mat) for key, mat in self.terms.items()}
+        )
 
     # -- multiplication ----------------------------------------------------
 
@@ -654,14 +601,14 @@ class ScalarOp:
         acc: dict[OpKey, CoeffMatrix] = {}
         for (alpha, u, k), m1 in self.terms.items():
             for (beta, v, l), m2 in other.terms.items():
-                m2p = _cmat_conj(m2) if k else m2
+                m2p = mat_conj(m2) if k else m2
                 if u:
-                    m2p = _cmat_reflect(m2p)
+                    m2p = mat_map(Coefficient.reflect, m2p)
                 sign = -1 if (u and sum(beta) % 2) else 1
                 for gamma, binom, dmat in _leibniz_terms(alpha, m2p):
-                    mat = _cmat_mul(m1, dmat)
+                    mat = mat_mul(m1, dmat, _C_ZERO)
                     if binom != 1 or sign != 1:
-                        mat = _cmat_scale(
+                        mat = mat_scale(
                             Coefficient.const(Fraction(binom * sign)), mat
                         )
                     key = (
@@ -674,7 +621,7 @@ class ScalarOp:
                         k ^ l,
                     )
                     if key in acc:
-                        acc[key] = _cmat_add(acc[key], mat)
+                        acc[key] = mat_add(acc[key], mat)
                     else:
                         acc[key] = mat
         out = ScalarOp(self.dim, acc)
@@ -693,7 +640,7 @@ class ScalarOp:
         dim = self.dim
         total = ScalarOp.zero(dim)
         for (alpha, u, _k), mat in self.terms.items():
-            acc = ScalarOp.from_matrix(_cmat_dagger(mat))
+            acc = ScalarOp.from_matrix(mat_dagger(mat))
             for j in (1, 2, 3):
                 dadj = _deriv_adjoint(j, dim)
                 for _ in range(alpha[j - 1]):
@@ -702,6 +649,11 @@ class ScalarOp:
                 acc = ScalarOp.reflection(dim) * acc
             total = total + acc
         return total
+
+    def conjugate(self) -> "ScalarOp":
+        """The involution of the operator ring, i.e. the formal adjoint, so
+        that the exactnum matrix helpers serve block operators too."""
+        return self.adjoint()
 
     def __repr__(self):
         if not self.terms:
@@ -734,7 +686,7 @@ class ScalarOp:
 def _deriv_adjoint(j: int, dim: int) -> ScalarOp:
     # (d_j)* = -d_j + p_j / p0^2
     alpha = tuple(1 if k == j - 1 else 0 for k in range(3))
-    neg_d = ScalarOp(dim, {(alpha, 0, 0): _cmat_neg(_cmat_identity(dim))})
+    neg_d = ScalarOp.term(-_C_ONE, (alpha, 0, 0), dim)
     corr = ScalarOp.from_coefficient(
         Coefficient(Poly.sym(f"p{j}"), 2, 0), dim
     )
@@ -753,7 +705,7 @@ def _leibniz_terms(alpha: tuple[int, int, int], mat: CoeffMatrix):
                 lower = list(gamma)
                 lower[j - 1] -= 1
                 base = get(tuple(lower))
-                out = _cmat_deriv(base, j)
+                out = mat_map(methodcaller("deriv", j), base)
                 derivs[gamma] = out
                 return out
         raise AssertionError
@@ -796,25 +748,16 @@ class BlockOp:
 
     @classmethod
     def zero(cls, blocks: int, dim: int) -> "BlockOp":
-        z = ScalarOp.zero(dim)
-        return cls([[z] * blocks for _ in range(blocks)])
+        return cls(zero_matrix(blocks, zero=ScalarOp.zero(dim)))
 
     @classmethod
     def identity(cls, blocks: int, dim: int) -> "BlockOp":
-        z = ScalarOp.zero(dim)
-        e = ScalarOp.identity(dim)
-        return cls(
-            [[e if r == c else z for c in range(blocks)] for r in range(blocks)]
-        )
+        return cls(identity_matrix(blocks, ScalarOp.identity(dim), ScalarOp.zero(dim)))
 
     @classmethod
     def diag(cls, ops) -> "BlockOp":
-        ops = list(ops)
-        z = ScalarOp.zero(ops[0].dim)
-        n = len(ops)
-        return cls(
-            [[ops[r] if r == c else z for c in range(n)] for r in range(n)]
-        )
+        ops = tuple(ops)
+        return cls(diagonal(ops, ScalarOp.zero(ops[0].dim)))
 
     @classmethod
     def single(cls, op: ScalarOp) -> "BlockOp":
@@ -824,49 +767,26 @@ class BlockOp:
 
     def __add__(self, other: "BlockOp") -> "BlockOp":
         self._check_shape(other)
-        return BlockOp(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return BlockOp(mat_add(self.entries, other.entries))
 
     def __neg__(self) -> "BlockOp":
-        return BlockOp([[-op for op in row] for row in self.entries])
+        return BlockOp(mat_map(neg, self.entries))
 
     def __sub__(self, other: "BlockOp") -> "BlockOp":
-        return self + (-other)
+        self._check_shape(other)
+        return BlockOp(mat_sub(self.entries, other.entries))
 
     def scale(self, c) -> "BlockOp":
         return BlockOp([[op.scale(c) for op in row] for row in self.entries])
 
     def __mul__(self, other: "BlockOp") -> "BlockOp":
         self._check_shape(other)
-        n = self.blocks
-        z = ScalarOp.zero(self.dim)
-        out = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = z
-                for k in range(n):
-                    a, b = self.entries[r][k], other.entries[k][c]
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return BlockOp(out)
+        return BlockOp(mat_mul(self.entries, other.entries, ScalarOp.zero(self.dim)))
 
     def adjoint(self) -> "BlockOp":
         if self.kappa_parity() not in (None, 0):
             raise ValueError("formal adjoint is defined for linear operators")
-        n = self.blocks
-        return BlockOp(
-            [
-                [self.entries[c][r].adjoint() for c in range(n)]
-                for r in range(n)
-            ]
-        )
+        return BlockOp(mat_dagger(self.entries))
 
     def commutator(self, other: "BlockOp") -> "BlockOp":
         if self.kappa_parity() not in (None, 0) or other.kappa_parity() not in (None, 0):
@@ -880,7 +800,7 @@ class BlockOp:
             raise ValueError("block shape mismatch")
 
     def is_zero(self) -> bool:
-        return all(op.is_zero() for row in self.entries for op in row)
+        return mat_is_zero(self.entries)
 
     def kappa_parity(self) -> int | None:
         parities = set()
@@ -900,40 +820,11 @@ class BlockOp:
 
     def as_constant(self) -> Scalar | None:
         """The scalar c if the operator equals c times the identity."""
-        value: Scalar | None = None
-        for r in range(self.blocks):
-            for c in range(self.blocks):
-                op = self.entries[r][c]
-                if r != c:
-                    if not op.is_zero():
-                        return None
-                    continue
-                if op.is_zero():
-                    entry = ZERO
-                else:
-                    if set(op.terms) != {((0, 0, 0), 0, 0)}:
-                        return None
-                    mat = op.terms[((0, 0, 0), 0, 0)]
-                    entry = None
-                    for i in range(op.dim):
-                        for jj in range(op.dim):
-                            cval = mat[i][jj].as_constant()
-                            if cval is None:
-                                return None
-                            if i == jj:
-                                if entry is None:
-                                    entry = cval
-                                elif entry != cval:
-                                    return None
-                            elif not cval.is_zero():
-                                return None
-                    if entry is None:
-                        return None
-                if value is None:
-                    value = entry
-                elif value != entry:
-                    return None
-        return value
+        mat = self.entries[0][0].terms.get(((0, 0, 0), 0, 0))
+        c = ZERO if mat is None else mat[0][0].as_constant()
+        if c is None:
+            return None
+        return c if self == BlockOp.identity(self.blocks, self.dim).scale(c) else None
 
     def leading_constant(self) -> Scalar | None:
         """First nonzero constant coefficient in block then key order."""

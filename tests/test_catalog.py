@@ -7,7 +7,9 @@ sign conventions the whole suite relies on.
 """
 
 import dataclasses
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -338,3 +340,21 @@ def test_full_verification_smoke():
     assert methods == {"symbolic"}
     # lie + discrete + casimir + adjoint + spectrum
     assert len(report.checks) >= 45 + 11 + 2 + 10 + 1
+
+
+def test_readme_catalog_table_matches_the_catalog():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## The catalog\n", 1)[1].split("\n## ", 1)[0]
+    labels = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        names, blocks, theta, pi, _spectrum = (
+            cell.strip() for cell in line.strip("|").split("|")
+        )
+        for label in re.findall(r"`([^`]+)`", names):
+            rep = build(label, 0)
+            assert (rep.blocks, rep.theta_kind, rep.pi_kind) == (
+                int(blocks), theta, pi), label
+            labels.append(label)
+    assert labels == catalog_labels(0)

@@ -145,6 +145,15 @@ def test_classify_single_pair(capsys):
     assert "up or down spectrum only" in out
 
 
+@pytest.mark.parametrize("flag", ["theta", "pi"])
+@pytest.mark.parametrize("kind", ["antiunitary", "unitary"])
+def test_classify_single_flag_keeps_matching_rows(capsys, flag, kind):
+    assert main(["classify", f"--{flag}", kind, "--json"]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert len(names) == 2
+    assert all(f"{flag}={kind}" in name for name in names)
+
+
 def test_classify_rejects_unknown_kind():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--theta", "sideways"])

@@ -228,3 +228,18 @@ def test_multiplication_cache_is_transparent():
     clear_multiplication_cache()
     second = a * b
     assert (first - second).is_zero()
+
+
+def test_block_as_constant():
+    dim = 2
+    ident = BlockOp.identity(2, dim)
+    c = Scalar.sqrt_int(2) + I
+    assert ident.scale(c).as_constant() == c
+    assert BlockOp.zero(2, dim).as_constant() == Scalar()
+    one, zero = ScalarOp.identity(dim), ScalarOp.zero(dim)
+    assert BlockOp.diag([one, one.scale(rat(-1))]).as_constant() is None
+    assert BlockOp([[zero, one], [one, zero]]).as_constant() is None
+    assert BlockOp([[zero, zero], [zero, one]]).as_constant() is None
+    p1 = ScalarOp.from_coefficient(Coefficient.sym("p1"), dim)
+    assert BlockOp.diag([p1, p1]).as_constant() is None
+    assert BlockOp.diag([ScalarOp.reflection(dim)] * 2).as_constant() is None
