@@ -235,7 +235,7 @@ def _independent_subset(vectors):
     if not vectors:
         return []
     _, pivots = row_reduce(mat_transpose(vectors), len(vectors))
-    return [vectors[c] for _, c in pivots]
+    return [vectors[c] for c in pivots]
 
 
 def check_solution(prob: CommutantProblem, mat: Matrix) -> bool:

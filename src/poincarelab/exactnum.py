@@ -177,9 +177,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return set(self.terms) <= {1} and self.is_real()
 
-    def rational_part(self) -> tuple[Fraction, Fraction]:
-        return self.terms.get(1, (_ZERO_FRACTION, _ZERO_FRACTION))
-
     def real_imag(self) -> tuple["Scalar", "Scalar"]:
         """Split as re + i*im with re, im having real coefficients only."""
         re = Scalar({n: (r, _ZERO_FRACTION) for n, (r, _) in self.terms.items()})
@@ -331,52 +328,76 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def row_reduce(rows, ncols: int):
-    """Exact Gauss-Jordan elimination of the first ncols columns.
+    """Exact reduced row echelon form (RREF) of the first ncols columns.
 
-    Returns the reduced rows and the pivots as (row, col) pairs in
-    column order.  The pivot columns are the columns that are not
-    combinations of the columns before them.
+    Each row is held sparse, as a dict {col: Scalar} of its nonzero
+    entries; entries in columns >= ncols are ignored.  Columns are
+    visited in ascending order.  The pivot for column c is the remaining
+    row with the fewest nonzeros among those with a nonzero in c, the
+    lowest index on a tie (Markowitz's sparsest-row choice), which keeps
+    the fill-in of the sparse spin systems small.  The pivot row is
+    normalized and c is eliminated from every other row, pending and
+    already pivoted, so the result is the full RREF; rows that become
+    empty are dropped.
+
+    Returns the reduced rows, one dict per pivot, and the pivot columns
+    in ascending order: the columns that are not combinations of the
+    columns before them.  The RREF of a matrix is unique and Scalar
+    arithmetic is canonical, so both are the same for every pivot order.
     """
-    m = [list(r) for r in rows]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
+    pending: dict[int, dict[int, Scalar]] = {}
+    for i, row in enumerate(rows):
+        sparse = {c: x for c, x in enumerate(row[:ncols]) if not x.is_zero()}
+        if sparse:
+            pending[i] = sparse
+    reduced: list[dict[int, Scalar]] = []
+    pivots: list[int] = []
     for c in range(ncols):
-        pr = None
-        for rr in range(r, len(m)):
-            if not m[rr][c].is_zero():
-                pr = rr
-                break
-        if pr is None:
+        candidates = [i for i, row in pending.items() if c in row]
+        if not candidates:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [inv * x for x in m[r]]
-        for rr in range(len(m)):
-            if rr != r and not m[rr][c].is_zero():
-                f = m[rr][c]
-                m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+        p = min(candidates, key=lambda i: (len(pending[i]), i))
+        candidates.remove(p)
+        prow = pending.pop(p)
+        inv = prow[c].inverse()
+        prow = {k: inv * x for k, x in prow.items()}
+        for row in reduced + [pending[i] for i in candidates]:
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            for k, y in prow.items():
+                if k != c:
+                    x = row.get(k, ZERO) - f * y
+                    if x.is_zero():
+                        row.pop(k, None)
+                    else:
+                        row[k] = x
+        for i in candidates:
+            if not pending[i]:
+                del pending[i]
+        reduced.append(prow)
+        pivots.append(c)
+    return reduced, pivots
 
 
 def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
     """Basis of the solution space of rows * x = 0 over the scalar field.
 
-    Exact Gaussian elimination; every returned vector has its pivot-free
-    coordinates set to 0/1 so the basis is deterministic.
+    One vector per non-pivot column of the RREF from row_reduce: that
+    free coordinate is 1, the other free ones 0, and each pivot
+    coordinate is minus the reduced row's entry in the free column.  The
+    RREF is unique, so the basis does not depend on the pivot order.
     """
-    m, pivots = row_reduce(rows, ncols)
-    pivot_cols = {c for _, c in pivots}
+    reduced, pivots = row_reduce(rows, ncols)
+    pivot_cols = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
         v = [ZERO] * ncols
         v[free] = ONE
-        for pr, pc in pivots:
-            v[pc] = -m[pr][free]
+        for row, pc in zip(reduced, pivots):
+            if free in row:
+                v[pc] = -row[free]
         basis.append(v)
     return basis

@@ -128,8 +128,10 @@ def spin_commutant_dimension(two_s: int) -> int:
             for c in range(dim):
                 row = [ZERO] * (dim * dim)
                 for k in range(dim):
-                    row[r * dim + k] = row[r * dim + k] + s[k][c]
-                    row[k * dim + c] = row[k * dim + c] - s[r][k]
+                    if s[k][c]:
+                        row[r * dim + k] = row[r * dim + k] + s[k][c]
+                    if s[r][k]:
+                        row[k * dim + c] = row[k * dim + c] - s[r][k]
                 rows.append(row)
     return len(nullspace(rows, dim * dim))
 

@@ -815,9 +815,6 @@ class BlockOp:
             raise ValueError("block operator mixes linear and antilinear entries")
         return parities.pop()
 
-    def is_antilinear(self) -> bool:
-        return self.kappa_parity() == 1
-
     def as_constant(self) -> Scalar | None:
         """The scalar c if the operator equals c times the identity."""
         mat = self.entries[0][0].terms.get(((0, 0, 0), 0, 0))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from poincarelab.exactnum import (
     I,
@@ -75,6 +76,40 @@ def test_exact_inverse():
     for s in samples:
         assert s * s.inverse() == ONE
         assert (ONE / s) * s == ONE
+
+
+# squarefree radicands over the primes 2, 3, 5 and 7, with complex
+# rational coefficients: inverse() peels one prime per recursion level
+_coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+field_scalars = st.dictionaries(
+    st.sampled_from((1, 2, 3, 5, 6, 7, 10, 15, 21, 30, 35, 210)),
+    st.tuples(_coefficients, _coefficients),
+    max_size=4,
+).map(Scalar)
+FIELD_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                          max_examples=60)
+
+
+@FIELD_SETTINGS
+@given(field_scalars)
+def test_inverse_is_two_sided(x):
+    assume(not x.is_zero())
+    assert x * x.inverse() == ONE
+    assert x.inverse() * x == ONE
+
+
+@FIELD_SETTINGS
+@given(field_scalars, field_scalars)
+def test_inverse_of_product(a, b):
+    assume(not (a.is_zero() or b.is_zero()))
+    assert (a * b).inverse() == a.inverse() * b.inverse()
+
+
+@FIELD_SETTINGS
+@given(field_scalars, field_scalars, field_scalars)
+def test_distributivity(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
 
 
 def test_field_identities():
