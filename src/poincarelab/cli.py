@@ -94,9 +94,8 @@ def cmd_grid(args) -> RelationReport:
         f"running {len(relations)} convergence studies on N={sizes}",
         file=sys.stderr,
     )
-    for rid in relations:
-        study = gridlab.convergence_study(rep, rid, grids)
-        report.add(rid, "numeric", study.ok, study.detail())
+    for study in gridlab.study(rep, relations, grids):
+        report.add(study.relation, "numeric", study.ok, study.detail())
     state = gridlab.standard_state(rep, grids[-1])
     defects = gridlab.isometry_defect(rep, state)
     for op_name, defect in defects.items():

@@ -18,13 +18,29 @@ store each spin component as one contiguous block (the array keeps its
 (blocks, N, N, N, 2s+1) shape), so stencils, field products and norms
 run over contiguous memory.  ``apply`` builds its output slab by slab,
 a few axis-0 rows at a time, running every term of the operator on
-those rows while they are in cache; each element sees the same
+those rows while they are in cache; a field that feeds several terms is
+cast to complex once per slab, and each element sees the same
 operations in the same order as in one whole-array pass per term, so
-results are bit-identical to it.  At N = 128 a spin-1/2 state takes
-64 MiB; on a 2-core Xeon VM one apply takes about 30 ms for a
-multiplication generator or Theta/Pi and 90-110 ms for a rotation or
-boost, and ``grid --rep up --two-s 1`` at N = 32, 64, 128 about 10 s
-with a peak RSS of 434 MiB.
+results are bit-identical to it.  ``apply`` can write into a given
+array, zeroing the components no term reaches.
+
+``study`` runs every relation of a study on each grid from one plan
+(``_residuals``): the relations run in an order that keeps those
+sharing a suffix together, each word is applied once while its state
+can stay, and each applied state is dropped after the last term whose
+word ends with it.  The arrays held at once (kept states, those in use,
+component sums and dropped arrays kept to receive later outputs) stay
+within _LIVE_STATES states of the study's largest grid, the working-set
+guard's own figure: three states on the largest grid, 24 on one with
+half its points per axis, room for every state a representative study
+shares.  Residuals are bit-identical to evaluating each
+relation alone, since the same applies act on the same operands and sum
+in the same order.  At N = 128 a spin-1/2 state takes 64 MiB; on a
+2-core Xeon VM one apply takes about 30 ms for a multiplication
+generator or Theta/Pi and 70-100 ms for a rotation or boost, and
+``grid --rep up --two-s 1`` at N = 32, 64, 128 makes 256 applies (74,
+74 and 108 per grid, against 118 each when every relation ran alone) in
+about 7.2 s of wall time with a peak RSS of 424 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -38,7 +54,7 @@ exact reports use (Lie, discrete and both Casimirs).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,7 +107,8 @@ class _Mesh:
     p0 is a full (N,N,N) array.  ``fields`` maps a key (m, a, b), with m
     the exponents of (p1, p2, p3, p0), to the real field
     p^m / (p0^a (mu+p0)^b), built on first use; ``states`` maps
-    (two_s, blocks) to the grid's read-only standard state.
+    (two_s, blocks) to the grid's read-only standard state and ``norms``
+    to its norm.
     """
 
     def __init__(self, grid: Grid):
@@ -102,6 +119,7 @@ class _Mesh:
         self.coords = (p1, p2, p3, p0)
         self.fields: dict[tuple, np.ndarray] = {}
         self.states: dict[tuple[int, int], GridState] = {}
+        self.norms: dict[tuple[int, int], float] = {}
 
     @property
     def inv_p0(self) -> np.ndarray:
@@ -144,9 +162,9 @@ def _meshes(grid: Grid) -> _Mesh:
     return _Mesh(grid)
 
 
-def _zero_values(blocks: int, points: int, dim: int) -> np.ndarray:
-    """Zeroed (blocks, N, N, N, dim) complex array stored spin-major."""
-    raw = np.zeros((blocks, dim, points, points, points), dtype=complex)
+def _empty_values(blocks: int, points: int, dim: int) -> np.ndarray:
+    """Uninitialized (blocks, N, N, N, dim) complex array stored spin-major."""
+    raw = np.empty((blocks, dim, points, points, points), dtype=complex)
     return np.moveaxis(raw, 1, -1)
 
 
@@ -244,7 +262,7 @@ def sample_gaussian(grid: Grid, center, width: float, spinor) -> GridState:
     # |bump x spinor|^2 = |bump|^2 |spinor|^2, so normalize the spinor
     n2 = _weighted(bump, bump, _meshes(grid).inv_p0) * grid.spacing**3
     spinor = spinor / math.sqrt(n2 * float(np.vdot(spinor, spinor).real))
-    values = _zero_values(blocks, grid.points, dim)
+    values = _empty_values(blocks, grid.points, dim)
     for b in range(blocks):
         for m in range(dim):
             np.multiply(bump, spinor[b, m], out=values[b, ..., m])
@@ -289,21 +307,25 @@ def _slab_rows(points: int) -> int:
     return max(1, SLAB_BYTES // (points * points * 16))
 
 
-def _plan(op: BlockOp, mesh: _Mesh, spacing: float) -> list[tuple]:
-    """The operator as a list of (src block, spin column, axes, u, terms).
+def _plan(op: BlockOp, mesh: _Mesh,
+          spacing: float) -> tuple[list[tuple], list[np.ndarray]]:
+    """The operator as a list of (src block, spin column, axes, u, terms),
+    and the distinct fields its terms use.
 
     A term M d^alpha Y^u C^k acts column by column of M: source component
     n is differenced along ``axes`` on the unreflected grid (the stencil
     commutes with C, and with Y up to the sign (-1)^|alpha|), viewed
     reflected if u, and each coefficient term s * F of M[m][n] adds
     s * F * conj^k(x) to output component m.  Each entry's terms are
-    (dst block, dst component, field, scalar, k, first), first marking
-    the contribution that writes its output instead of adding to it.
-    Contributions sharing a source join one entry unless that would move
-    them ahead of an earlier contribution to the same output, so every
-    output sums its contributions in the order of the operator's terms.
+    (dst block, dst component, field index or None, scalar, k, first),
+    first marking the contribution that writes its output instead of
+    adding to it.  Contributions sharing a source join one entry unless
+    that would move them ahead of an earlier contribution to the same
+    output, so every output sums its contributions in the order of the
+    operator's terms.
     """
     entries, by_source, last, written = [], {}, {}, set()
+    fields, index = [], {}
     for br, row in enumerate(op.entries):
         for bc, sop in enumerate(row):
             for (alpha, u, k), mat in sop.terms.items():
@@ -320,11 +342,16 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float) -> list[tuple]:
                             i = by_source[source] = len(entries)
                             entries.append((*source, []))
                         for field, s in mesh.expand(mat[m][n]):
+                            f = None
+                            if field is not None:
+                                f = index.setdefault(id(field), len(fields))
+                                if f == len(fields):
+                                    fields.append(field)
                             entries[i][-1].append(
-                                (br, m, field, s * step, k, dst not in written))
+                                (br, m, f, s * step, k, dst not in written))
                             written.add(dst)
                         last[dst] = i
-    return entries
+    return entries, fields
 
 
 def _diff_rows(x: np.ndarray, axes: tuple, lo: int, hi: int,
@@ -358,7 +385,8 @@ def _diff_rows(x: np.ndarray, axes: tuple, lo: int, hi: int,
     return cur[lo - r0:hi - r0]
 
 
-def apply(op: BlockOp, state: GridState) -> GridState:
+def apply(op: BlockOp, state: GridState, out: np.ndarray | None = None
+          ) -> GridState:
     """Apply an exact operator numerically, slab by slab.
 
     The output is built a few axis-0 rows at a time (``_slab_rows``): for
@@ -371,29 +399,66 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     into it, later ones go through one scratch slab.  A finished slab is
     checked finite while it is still in cache, so the result needs no
     second scan.
+
+    ``out``, if given, is a complex array of the state's shape that does
+    not overlap it; the result is written there (components the operator
+    does not reach are zeroed), so a caller can reuse the array of a
+    state it no longer needs instead of mapping fresh memory.
     """
     if op.dim != state.spin.dim or op.blocks != state.blocks:
         raise ValueError("operator shape does not match the state")
     g = state.grid
     n = g.points
-    plan = _plan(op, _meshes(g), g.spacing)
+    if out is None:
+        out = _empty_values(op.blocks, n, op.dim)
+    elif (out.shape != state.values.shape or out.dtype != complex
+          or np.may_share_memory(out, state.values)):
+        raise ValueError("output must be a complex array of the state's "
+                         "shape, separate from the state")
+    plan, fields = _plan(op, _meshes(g), g.spacing)
     rows = _slab_rows(n)
     halo = max((entry[2].count(0) for entry in plan), default=0)
     scratch = np.empty((rows, n, n), dtype=complex)
     deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex) for _ in range(2)]
-    out = _zero_values(op.blocks, n, op.dim)
+    # A field feeding several terms is cast to complex once per slab, or
+    # once if it broadcasts along axis 0; the mixed multiply would cast it
+    # on every use, to the same values.
+    uses = Counter(t[2] for *_src, terms in plan for t in terms)
+    casts = [None] * len(fields)
+    for i, f in enumerate(fields):
+        if uses[i] > 1 and len(f) == 1:
+            fields[i] = f.astype(complex)
+        elif uses[i] > 1:
+            casts[i] = np.empty((rows, *f.shape[1:]), dtype=complex)
     comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
+    written = {(t[0], t[1]) for *_src, terms in plan for t in terms}
+    for br in range(op.blocks):
+        for m in range(op.dim):
+            if (br, m) not in written:
+                comps[br, m] = 0
+    # the plan with its components as views, taken once rather than per slab
+    sources = [(state.values[bc, ..., col], axes, u,
+                [(comps[br, m], f, s, k, first)
+                 for br, m, f, s, k, first in terms])
+               for bc, col, axes, u, terms in plan]
     for a in range(0, n, rows):
         b = min(a + rows, n)
-        for bc, col, axes, u, terms in plan:
+        slab = []
+        for f, cast in zip(fields, casts):
+            if len(f) > 1:
+                f = f[a:b]
+                if cast is not None:
+                    np.copyto(cast[:b - a], f)
+                    f = cast[:b - a]
+            slab.append(f)
+        for src, axes, u, terms in sources:
             lo, hi = (n - b, n - a) if u else (a, b)
-            x = _diff_rows(state.values[bc, ..., col], axes, lo, hi, deriv)
+            x = _diff_rows(src, axes, lo, hi, deriv) if axes else src[lo:hi]
             if u:
                 x = x[::-1, ::-1, ::-1]
-            for br, m, field, s, k, first in terms:
-                if field is not None and len(field) > 1:
-                    field = field[a:b]
-                dst = comps[br, m, a:b]
+            for comp, f, s, k, first in terms:
+                field = None if f is None else slab[f]
+                dst = comp[a:b]
                 if first:
                     _term_into(dst, x, field, s, k)
                 else:
@@ -404,18 +469,20 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     return GridState._prechecked(out, g, state.spin, state.blocks)
 
 
-# -- relation residuals ---------------------------------------------------------
-
-
 # -- working-set guard ----------------------------------------------------------
 
 # Share of MemAvailable a grid study may plan to fill.
 MEMORY_SHARE = 0.5
-# Applied states alive at once inside residual besides the standard state:
-# for K_a Theta psi in Theta*K == K*Theta, the shared Theta psi, the
-# accumulated component and the output being built (likewise for a
-# commutator's second word).
+# State-sized arrays a study may hold at once besides the standard state,
+# in states of its largest grid, on every grid: applied states kept, in
+# use or free for reuse, and component sums.  Three fit K_a Theta psi in
+# Theta*K == K*Theta: the shared Theta psi, the accumulated component and
+# the output being built (likewise a commutator's second word).
 _LIVE_STATES = 3
+
+
+def _state_bytes(rep: RepSpec, grid: Grid) -> int:
+    return rep.blocks * (rep.two_s + 1) * grid.points**3 * 16
 
 
 def working_set_bytes(rep: RepSpec, grids) -> int:
@@ -424,10 +491,11 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     Every grid keeps its cached mesh (p0 and the full-size basis fields
     the studied relations' operators use, 8 bytes a point; a field of p1,
     p2, p3 alone broadcasts and is not counted) and its standard state;
-    the grid being studied adds the live applied states, apply's slab
-    buffers and the temporaries of building one field.  Against the peak
-    RSS of ``grid`` at N = 32, 64, 128 less the interpreter's own, it
-    reads 1-4% low for up, sym3 and quad:+1.
+    the grid being studied adds the arrays of its plan (at most
+    _LIVE_STATES states of the largest grid, free arrays kept for reuse
+    included), apply's slab buffers and the temporaries of building one
+    field.  Against the peak RSS of ``grid`` at N = 32, 64, 128 less the
+    interpreter's own, it reads 1-4% low for up, sym3 and quad:+1.
     """
     studied = set(representative_relations(rep))
     names = word_names(r for r in relations(rep) if r.name in studied)
@@ -439,15 +507,16 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
         for key, _e, _s in _field_terms(c):
             if key and (key[1] or key[2] or key[0][3]):  # has p0: full size
                 keys.add(key)
+    live = _LIVE_STATES * max(_state_bytes(rep, g) for g in grids)
     resident, transient = 0, 0
     for g in grids:
         n = g.points
-        state = rep.blocks * (rep.two_s + 1) * n**3 * 16
-        # scratch and two difference buffers with a 1-row halo each side
-        slabs = (3 * _slab_rows(n) + 4) * n * n * 16
-        resident += len(keys) * n**3 * 8 + state
-        transient = max(transient,
-                        _LIVE_STATES * state + slabs + 2 * n**3 * 8)
+        rows = _slab_rows(n)
+        # scratch, two difference buffers with a 1-row halo each side and
+        # at most one complex cast of each full-size field
+        slabs = (3 * rows + 4 + len(keys) * rows) * n * n * 16
+        resident += len(keys) * n**3 * 8 + _state_bytes(rep, g)
+        transient = max(transient, live + slabs + 2 * n**3 * 8)
     return resident + transient
 
 
@@ -475,44 +544,177 @@ def check_working_set(rep: RepSpec, grids, budget: int | None) -> None:
         )
 
 
+# -- relation residuals ---------------------------------------------------------
+
+
 def relation_ids(rep: RepSpec) -> list[str]:
     """Every relation of the rep: Lie, discrete and both Casimirs."""
     return [r.name for r in relations(rep)]
 
 
-def _take(word, live: dict, uses: Counter, ops) -> tuple[GridState, bool]:
-    """word applied to live[()], each suffix applied once and kept in live
-    until its last use; and whether this was that last use."""
-    if word not in live:
-        live[word] = apply(ops[word[0]], _take(word[1:], live, uses, ops)[0])
-    out = live[word]
-    uses[word] -= 1
-    if word and not uses[word]:
-        del live[word]
-        return out, True
-    return out, False
+def _relation(rep: RepSpec, relation_id: str):
+    rel = next((r for r in relations(rep) if r.name == relation_id), None)
+    if rel is None:
+        raise ValueError(f"unknown relation id: {relation_id}")
+    return rel
 
 
-def _add_term(acc, coeff, applied: GridState, owned: bool) -> np.ndarray:
-    """acc + coeff * applied.values, in place where the arrays allow.
+def _shared_words(rel) -> set[str]:
+    """The operators every component of rel applies straight to the state."""
+    return set.intersection(*({word[-1] for _c, word in comp if word}
+                              for comp in rel.components))
 
-    Kept out of the caller's loop so no term outlives its addition.
+
+def _ordered(rels) -> list[int]:
+    """Indices of rels in run order.
+
+    From the first, each next relation is the one whose shared words
+    (``_shared_words``) overlap most with those of the relation before,
+    the lowest index on a tie: a state that serves every component of a
+    relation is the one that can stay across it when the cap is tight.
+    So the exchange relations of Theta, then Pi*Theta, then those of Pi
+    run together, and each commutator follows one it shares a generator
+    with where it can.
     """
-    values = applied.values
-    if acc is None:
-        acc = values if owned else values.copy()
-        if coeff != ONE:
-            acc *= coeff.to_complex()
-    elif coeff == ONE:
-        acc += values
-    elif coeff == -ONE:
-        acc -= values
-    elif owned:
-        values *= coeff.to_complex()
-        acc += values
-    else:
-        acc += values * coeff.to_complex()
-    return acc
+    left = list(range(1, len(rels)))
+    order = [0] if rels else []
+    while left:
+        prev = _shared_words(rels[order[-1]])
+        i = max(left, key=lambda j: len(_shared_words(rels[j]) & prev))
+        left.remove(i)
+        order.append(i)
+    return order
+
+
+class _Applied:
+    """The words of one plan applied to one state, within a cap of arrays.
+
+    ``words`` lists the word of every term in the order the plan adds
+    them.  An applied state is kept from its application until the last
+    term whose word ends with it, then dropped.  Arrays are counted in
+    ``held`` from allocation until dropped for good: kept states, states
+    and sums in use, and the dropped arrays kept in ``free`` for reuse as
+    outputs (when ``free`` is a list; with None they are let go).  A new
+    array while ``limit`` are held takes the one of the kept state needed
+    furthest ahead (Belady's rule), which is applied again when needed.
+    """
+
+    def __init__(self, ops, state: GridState, words, limit: int,
+                 free: list | None):
+        self.ops, self.state, self.limit, self.free = ops, state, limit, free
+        self.kept: dict[tuple, GridState] = {}
+        self.held = 0
+        self.pos = 0  # index of the term being added
+        self.needs: dict[tuple, deque] = {}
+        for pos, word in enumerate(words):
+            for i in range(len(word)):
+                self.needs.setdefault(word[i:], deque()).append(pos)
+
+    def _next_use(self, word) -> float:
+        """Index of the next term after this one whose word ends with word."""
+        needs = self.needs[word]
+        while needs and needs[0] <= self.pos:
+            needs.popleft()
+        return needs[0] if needs else math.inf
+
+    def _buffer(self, pinned: GridState) -> np.ndarray | None:
+        """A free array for a new state or sum, or None to allocate one."""
+        if self.free:
+            return self.free.pop()
+        if self.held >= self.limit:
+            victims = [w for w, st in self.kept.items() if st is not pinned]
+            if victims:
+                values = self.kept.pop(max(victims, key=self._next_use)).values
+                if self.free is not None:
+                    return values
+                self.held -= 1
+        self.held += 1
+        return None
+
+    def _array_like(self, st: GridState) -> np.ndarray:
+        buf = self._buffer(st)
+        return np.empty_like(st.values) if buf is None else buf
+
+    def release(self, values: np.ndarray) -> None:
+        """Drop an array this plan allocated."""
+        if self.free is None:
+            self.held -= 1
+        else:
+            self.free.append(values)
+
+    def take(self, word) -> tuple[GridState, bool]:
+        """word applied to the state, and whether this was its last use
+        (the caller then owns its array)."""
+        if not word:
+            return self.state, False
+        st = self.kept.pop(word, None)
+        if st is None:
+            arg, owned = self.take(word[1:])
+            op, buf = self.ops[word[0]], self._buffer(arg)
+            # allocating: the two-argument form, which wrappers of apply expect
+            st = apply(op, arg) if buf is None else apply(op, arg, out=buf)
+            if owned:
+                self.release(arg.values)
+        if self._next_use(word) < math.inf:
+            self.kept[word] = st
+            return st, False
+        return st, True
+
+    def add(self, acc, coeff, word) -> np.ndarray:
+        """acc + coeff * (word applied), in place where the arrays allow."""
+        st, owned = self.take(word)
+        self.pos += 1
+        values = st.values
+        if acc is None:
+            if owned:
+                acc = values
+            else:
+                acc = self._array_like(st)
+                np.copyto(acc, values)
+            if coeff != ONE:
+                acc *= coeff.to_complex()
+            return acc
+        if coeff == ONE:
+            acc += values
+        elif coeff == -ONE:
+            acc -= values
+        elif owned:
+            values *= coeff.to_complex()
+            acc += values
+        else:
+            scaled = self._array_like(st)
+            np.multiply(values, coeff.to_complex(), out=scaled)
+            acc += scaled
+            self.release(scaled)
+        if owned:
+            self.release(values)
+        return acc
+
+
+def _residuals(rep: RepSpec, relation_ids, state: GridState, largest: Grid,
+               free: list | None) -> list[float]:
+    """Residual of each relation on one state, from one plan.
+
+    The relations run in ``_ordered`` order over one ``_Applied``, so a
+    word shared by several relations is applied once while it can stay:
+    the arrays held at once stay within _LIVE_STATES states on the
+    ``largest`` grid of the study.
+    """
+    rels = [_relation(rep, rid) for rid in relation_ids]
+    order = _ordered(rels)
+    words = [w for i in order for comp in rels[i].components for _c, w in comp]
+    limit = _LIVE_STATES * _state_bytes(rep, largest) // state.values.nbytes
+    run = _Applied(operators(rep, word_names(rels)), state, words, limit, free)
+    base = _state_norm(rep, state)
+    out = [0.0] * len(rels)
+    for i in order:
+        for comp in rels[i].components:
+            acc = None
+            for coeff, word in comp:
+                acc = run.add(acc, coeff, word)
+            out[i] = max(out[i], _values_norm(acc, state.grid) / base)
+            run.release(acc)
+    return out
 
 
 def residual(rep: RepSpec, relation_id: str, state: GridState) -> float:
@@ -522,32 +724,18 @@ def residual(rep: RepSpec, relation_id: str, state: GridState) -> float:
     the relation (Theta psi across the components of an exchange
     relation) is applied once and freed after its last use.  Terms add
     up in the order written, +-1 coefficients as + and -; the worst
-    component counts.
+    component counts.  Every apply gets a fresh output array: recycling
+    arrays pays across the many relations of a ``study``, not within one.
     """
-    rel = next((r for r in relations(rep) if r.name == relation_id), None)
-    if rel is None:
-        raise ValueError(f"unknown relation id: {relation_id}")
-    ops = operators(rep, word_names((rel,)))
-    words = [word for comp in rel.components for _c, word in comp]
-    suffixes = {w[i:] for w in words for i in range(len(w))}
-    uses = Counter(words) + Counter(s[1:] for s in suffixes)
-    live = {(): state}
-    base = norm(state)
-    worst = 0.0
-    for comp in rel.components:
-        acc = None
-        for coeff, word in comp:
-            acc = _add_term(acc, coeff, *_take(word, live, uses, ops))
-        worst = max(worst, _values_norm(acc, state.grid) / base)
-    return worst
+    return _residuals(rep, [relation_id], state, state.grid, None)[0]
 
 
 def standard_state(rep: RepSpec, grid: Grid) -> GridState:
     """Deterministic admissible Gaussian used by studies and the cli.
 
     Built once per (grid, two_s, blocks) and kept read-only on the grid's
-    cached mesh, so every relation of a study shares it and it is freed
-    with the mesh.
+    cached mesh with its norm, so every relation of a study shares both
+    and they are freed with the mesh.
     """
     states = _meshes(grid).states
     key = (rep.two_s, rep.blocks)
@@ -568,7 +756,17 @@ def standard_state(rep: RepSpec, grid: Grid) -> GridState:
         state = sample_gaussian(grid, center, width, spinor)
         state.values.flags.writeable = False
         states[key] = state
+        _meshes(grid).norms[key] = norm(state)
     return states[key]
+
+
+def _state_norm(rep: RepSpec, state: GridState) -> float:
+    """norm(state), read from the mesh for the grid's standard state."""
+    mesh = _meshes(state.grid)
+    key = (rep.two_s, rep.blocks)
+    if mesh.states.get(key) is state:
+        return mesh.norms[key]
+    return norm(state)
 
 
 @dataclass(frozen=True)
@@ -604,14 +802,8 @@ class NumericReport:
         }
 
 
-def convergence_study(rep: RepSpec, relation_id: str, grids) -> NumericReport:
-    """Residuals across a refining grid sequence plus a slope fit.
-
-    Requires at least three grids with spacing roughly halving between
-    consecutive entries.  All-tiny residuals are flagged exact instead
-    of fitted; tiny residuals on some grids but not all have no slope
-    (the log of a zero residual) and fail the study.
-    """
+def _refining(grids) -> list[Grid]:
+    """grids coarse to fine, checked to be a nested refinement."""
     grids = sorted(grids, key=lambda g: -g.spacing)
     if len(grids) < 3:
         raise ValueError("non-nested grid sequence: need at least three grids")
@@ -622,10 +814,10 @@ def convergence_study(rep: RepSpec, relation_id: str, grids) -> NumericReport:
                 f"non-nested grid sequence: spacing ratio {ratio:.3f} "
                 f"outside {_RATIO_BAND}"
             )
-    residuals = []
-    for g in grids:
-        state = standard_state(rep, g)
-        residuals.append(residual(rep, relation_id, state))
+    return grids
+
+
+def _fit(relation_id: str, grids, residuals) -> NumericReport:
     exact = all(r < EXACT_TOL for r in residuals)
     if exact:
         slope = None
@@ -649,6 +841,31 @@ def convergence_study(rep: RepSpec, relation_id: str, grids) -> NumericReport:
     )
 
 
+def study(rep: RepSpec, relation_ids, grids) -> list[NumericReport]:
+    """A convergence study of each relation, grid by grid from one plan.
+
+    Each grid evaluates every relation on its standard state through one
+    ``_Applied`` plan (see ``_residuals``), which recycles the arrays of
+    dropped states as outputs; then each relation's residuals get a
+    slope fit.  Requires at least three grids with spacing roughly
+    halving between consecutive entries.  All-tiny residuals are flagged
+    exact instead of fitted; tiny residuals on some grids but not all
+    have no slope (the log of a zero residual) and fail the study.
+    """
+    grids = _refining(grids)
+    largest = max(grids, key=lambda g: g.points)
+    per_grid = [_residuals(rep, relation_ids, standard_state(rep, g), largest,
+                           []) for g in grids]
+    return [_fit(rid, grids, [res[i] for res in per_grid])
+            for i, rid in enumerate(relation_ids)]
+
+
+def convergence_study(rep: RepSpec, relation_id: str, grids) -> NumericReport:
+    """``study`` of one relation: residuals across a refining grid
+    sequence plus a slope fit."""
+    return study(rep, [relation_id], grids)[0]
+
+
 def representative_relations(rep: RepSpec) -> list[str]:
     """One bracket relation per family plus every discrete relation."""
     heads = [
@@ -667,7 +884,7 @@ def representative_relations(rep: RepSpec) -> list[str]:
 
 def isometry_defect(rep: RepSpec, state: GridState) -> dict[str, float]:
     """Relative norm change under Theta and Pi (0 for exact isometries)."""
-    base = norm(state)
+    base = _state_norm(rep, state)
     return {
         "Theta": abs(norm(apply(rep.theta, state)) - base) / base,
         "Pi": abs(norm(apply(rep.pi, state)) - base) / base,

@@ -208,8 +208,8 @@ def test_criterion_7_numerical_convergence(capsys):
     grids = [gridlab.Grid(4.0, n, 1.0) for n in (32, 64, 128)]
     for rep_label, two_s in (("up", 1), ("quad:+1", 0)):
         rep = catalog.build(rep_label, two_s)
-        for rid in gridlab.representative_relations(rep):
-            study = gridlab.convergence_study(rep, rid, grids)
+        rids = gridlab.representative_relations(rep)
+        for rid, study in zip(rids, gridlab.study(rep, rids, grids)):
             if study.exact:
                 if max(study.residuals) >= exact_tol:
                     failures.append((rep_label, rid, "exact residual too big"))

@@ -1,7 +1,11 @@
 """The slab kernel of gridlab.apply against the whole-array kernel it
 replaced, kept here as the oracle: every element must come out bit-equal,
 since the two run the same floating-point operations in the same order.
+That holds with the shared fields cast to complex once per slab, and
+when the output goes into a recycled array.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,6 +42,11 @@ def _term_into(buf, x, field, s, conj):
         np.copyto(buf, x)
     if s != 1:
         buf *= s
+
+
+def _bits(values):
+    """The raw bits of a complex array: signed zeros and NaN payloads count."""
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 def whole_array_apply(op, state):
@@ -103,13 +112,28 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
     ops = _operators(rep)
     assert any(sum(alpha) == 2 for op in ops.values() for row in op.entries
                for sop in row for (alpha, _u, _k) in sop.terms)
+    # some fields feed several terms, so apply casts them once per slab:
+    # full-size ones (the K's) and ones broadcast along axis 0 (the J's)
+    shared = {fields[i].shape[0] > 1
+              for op in ops.values()
+              for plan, fields in [gridlab._plan(op, _meshes(st.grid),
+                                                 st.grid.spacing)]
+              for i, n in Counter(t[2] for *_e, terms in plan
+                                  for t in terms if t[2] is not None).items()
+              if n > 1}
+    assert shared == {True, False}
     for name, op in ops.items():
         want = whole_array_apply(op, st)
         assert np.abs(want).max() > 0, name
         for state in (st, spin_last):
             got = apply(op, state)
-            assert np.array_equal(got.values, want), (name, points)
+            assert np.array_equal(_bits(got.values), _bits(want)), name
             assert got.values.strides == want.strides
+            # a recycled output array: every element written or zeroed
+            buf = np.full_like(want, np.nan)
+            got = apply(op, state, out=buf)
+            assert got.values is buf
+            assert np.array_equal(_bits(got.values), _bits(want)), name
 
 
 def test_slab_kernel_keeps_each_outputs_term_order():
@@ -124,6 +148,32 @@ def test_slab_kernel_keeps_each_outputs_term_order():
     want = whole_array_apply(op, st)
     assert not np.array_equal(want[0], want[1])
     assert np.array_equal(apply(op, st).values, want)
+
+
+def test_recycled_output_zeroes_components_no_term_reaches():
+    # block row 1 gets no contribution at all, so apply must zero it in a
+    # recycled array rather than leave what was there
+    d1 = ScalarOp.deriv_op(1, 1)
+    zero = ScalarOp.zero(1)
+    op = BlockOp([[d1, zero], [zero, zero]])
+    g = Grid(L, 17)
+    st = sample_gaussian(g, (0.2, -0.3, 0.1), L / 9, [[1.0 + 0.5j], [0.5]])
+    want = whole_array_apply(op, st)
+    assert not want[1].any() and want[0].any()
+    buf = np.full_like(want, np.nan)
+    assert np.array_equal(_bits(apply(op, st, out=buf).values), _bits(want))
+
+
+def test_apply_rejects_an_unfit_output():
+    rep = catalog.build("up", 1)
+    st = standard_state(rep, Grid(L, 16))
+    fresh = apply(rep.k[0], st)
+    for state, out in ((st, np.empty_like(st.values[..., :1])),
+                       (st, np.empty(st.values.shape)),  # real
+                       (st, st.values),
+                       (fresh, fresh.values[::-1])):  # overlaps its input
+        with pytest.raises(ValueError, match="output must be"):
+            apply(rep.k[0], state, out=out)
 
 
 def test_slab_rows_follow_the_byte_target():

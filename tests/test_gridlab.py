@@ -5,11 +5,14 @@ numpy, and convergence studies with frozen slope expectations.
 
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from poincarelab import catalog, gridlab
 from poincarelab.gridlab import (
@@ -28,8 +31,10 @@ from poincarelab.gridlab import (
     residual,
     sample_gaussian,
     standard_state,
+    study,
     working_set_bytes,
 )
+from poincarelab.spin_algebra import SpinWeight
 from poincarelab.symop import BlockOp, ScalarOp
 
 L = 4.0
@@ -192,6 +197,42 @@ def test_apply_matches_coefficient_reference(label, two_s):
         for state in (st, spin_last):
             got = apply(op, state).values
             assert np.abs(got - want).max() <= 1e-14 * scale, name
+
+
+_SCALARS = hst.complex_numbers(max_magnitude=4, allow_nan=False,
+                               allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(hst.sampled_from([("up", 1), ("sym3", 1), ("quad:+1", 0)]),
+       hst.sampled_from(["P0", "P2", "J1", "K3", "Theta", "Pi", "K1Theta",
+                         "J2Pi"]),
+       hst.integers(0, 2**32 - 1), _SCALARS, _SCALARS)
+def test_apply_is_linear_or_antilinear(entry, name, seed, a, b):
+    # apply(op, a x + b y) == a' op x + b' op y on random states, with
+    # a' = a, b' = b for an operator free of conjugation and a' = conj(a),
+    # b' = conj(b) for one whose every term conjugates (Theta or Pi when
+    # antiunitary, and products with them)
+    rep = catalog.build(*entry)
+    ops = dict(rep.generators(), Theta=rep.theta, Pi=rep.pi,
+               K1Theta=rep.k[0] * rep.theta, J2Pi=rep.j[1] * rep.pi)
+    op = ops[name]
+    conj = {k for row in op.entries for sop in row
+            for (_al, _u, k) in sop.terms}
+    assert conj in ({0}, {1})
+    g, spin = Grid(L, 9), SpinWeight(rep.two_s)
+    rng = np.random.default_rng(seed)
+    shape = (rep.blocks, 9, 9, 9, rep.dim)
+    x, y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2))
+    ax, ay = (apply(op, GridState(v, g, spin, rep.blocks)).values
+              for v in (x, y))
+    got = apply(op, GridState(a * x + b * y, g, spin, rep.blocks)).values
+    if conj == {1}:
+        a, b = np.conj(a), np.conj(b)
+    want = a * ax + b * ay
+    scale = max(np.abs(a * ax).max(), np.abs(b * ay).max(), 1.0)
+    assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 def test_field_cache_lives_and_dies_with_the_mesh():
@@ -365,6 +406,64 @@ def test_residual_applies_shared_suffixes_once(monkeypatch):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _mesh_bytes(grids) -> int:
+    """Bytes of the arrays cached on the grids' meshes."""
+    arrays = {}
+    for g in grids:
+        mesh = _meshes(g)
+        for a in (*mesh.coords, *mesh.fields.values(),
+                  *(st.values for st in mesh.states.values())):
+            arrays[id(a)] = a.nbytes
+    return sum(arrays.values())
+
+
+@pytest.mark.parametrize("label,two_s", [("up", 1), ("sym3", 1),
+                                         ("quad:+1", 0)])
+def test_study_plan_shares_words_within_the_live_cap(label, two_s,
+                                                     monkeypatch):
+    _meshes.cache_clear()
+    rep = catalog.build(label, two_s)
+    rids = representative_relations(rep)
+    grids = [Grid(L, n) for n in (16, 32, 64)]
+    state_bytes = 2 * rep.blocks * (rep.two_s + 1) * 64**3 * 8
+    calls, live = Counter(), []
+    real_apply = gridlab.apply
+
+    def counted(op, state, out=None):
+        calls[state.grid.points] += 1
+        result = real_apply(op, state, out=out)
+        live.append(tracemalloc.get_traced_memory()[0] - _mesh_bytes(grids))
+        return result
+
+    monkeypatch.setattr(gridlab, "apply", counted)
+    tracemalloc.start()
+    try:
+        default = study(rep, rids, grids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the guard's estimate bounds every array the study allocates, from
+    # cold caches; besides the cached meshes, an apply sees at most
+    # _LIVE_STATES states of the finest grid and the plan's Python
+    # objects, well under 1 MiB
+    assert peak <= working_set_bytes(rep, grids)
+    assert max(live) <= gridlab._LIVE_STATES * state_bytes + 2**20
+    # with room for every state, each distinct word is applied once per
+    # grid, to the same bits
+    words = {w[i:] for rel in catalog.relations(rep) if rel.name in rids
+             for comp in rel.components for _c, w in comp
+             for i in range(len(w))}
+    monkeypatch.setattr(gridlab, "_LIVE_STATES", 10**6)
+    calls.clear()
+    assert study(rep, rids, grids) == default
+    assert calls == {n: len(words) for n in (16, 32, 64)}
+    # recycled arrays give the same bits as each relation on fresh ones
+    for i, g in enumerate(grids[:2]):
+        st = standard_state(rep, g)
+        assert [residual(rep, rid, st) for rid in rids] == [
+            r.residuals[i] for r in default]
+
+
 def test_convergence_study_input_validation():
     rep = catalog.build("up", 0)
     with pytest.raises(ValueError, match="at least three"):
@@ -408,8 +507,8 @@ def test_mixed_zero_residuals_fail_without_a_slope(monkeypatch, table,
                                                    zero_sizes):
     # a zero residual among nonzero ones has no log: no slope, not ok
     monkeypatch.setattr(gridlab, "standard_state", lambda rep, g: g)
-    monkeypatch.setattr(gridlab, "residual",
-                        lambda rep, rid, g: table[g.points])
+    monkeypatch.setattr(gridlab, "_residuals",
+                        lambda rep, rids, g, *plan: [table[g.points]])
     grids = [Grid(L, n) for n in (16, 32, 64)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
