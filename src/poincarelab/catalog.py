@@ -11,9 +11,10 @@ rotation generators -i(p x grad) + S and the boosts
 i p0 d_j - (S x p)_j / (mu + p0).  Multi-block entries glue sign-flipped
 copies of that block and choose Theta and Pi block patterns; the catalog
 is one table (``CATALOG``) of labels, signs, Theta and Pi specs, spin
-restriction and CLI group.  The block patterns are kept on the spec
-object so the commutant solver can reuse them without reparsing
-operators.
+restriction and CLI group.  A spec stores the operators and what is
+computed from them; the Theta/Pi kinds and the spectrum are read back
+from the operators, and so are the block patterns the commutant solver
+uses (``BlockOp.factor``).
 
 Every relation the laboratory checks is written once here, as data: a
 ``Relation`` is a name, a family and components, each an operator
@@ -274,13 +275,6 @@ class RepSpec:
     k: tuple[BlockOp, BlockOp, BlockOp]
     theta: BlockOp
     pi: BlockOp
-    theta_kind: str
-    pi_kind: str
-    spectrum: str
-    p0_signs: tuple[int, ...]
-    k_signs: tuple[int, ...]
-    theta_pattern: tuple[tuple[Scalar, ...], ...]
-    pi_pattern: tuple[tuple[Scalar, ...], ...]
     theta_square: Scalar
     pi_square: Scalar
     omega: Scalar
@@ -288,6 +282,27 @@ class RepSpec:
     @property
     def dim(self) -> int:
         return self.two_s + 1
+
+    @property
+    def theta_kind(self) -> str:
+        return ANTIUNITARY if self.theta.kappa_parity() else UNITARY
+
+    @property
+    def pi_kind(self) -> str:
+        return ANTIUNITARY if self.pi.kappa_parity() else UNITARY
+
+    @property
+    def energy_signs(self) -> tuple[int, ...]:
+        """The signs s_r with P0 == diag(s_r * p0); empty if P0 has
+        another form."""
+        p0 = energy_op(self.dim)
+        signs = tuple(1 if self.p0.entries[r][r] == p0 else -1
+                      for r in range(self.blocks))
+        return signs if self.p0 == _signed_diag(p0, signs) else ()
+
+    @property
+    def spectrum(self) -> str:
+        return _spectrum_from_signs(self.energy_signs)
 
     def generators(self) -> dict[str, BlockOp]:
         return dict(zip(GENERATORS, (self.p0, *self.p, *self.j, *self.k)))
@@ -304,12 +319,12 @@ def _signed_diag(op: ScalarOp, signs) -> BlockOp:
     return BlockOp.diag([op if s > 0 else op.scale(-1) for s in signs])
 
 
-def _spectrum_from_signs(p0_signs) -> str:
-    if all(s > 0 for s in p0_signs):
-        return "up"
-    if all(s < 0 for s in p0_signs):
-        return "down"
-    return "symmetric"
+_SPECTRA = {frozenset({1}): "up", frozenset({-1}): "down",
+            frozenset({1, -1}): "symmetric"}
+
+
+def _spectrum_from_signs(signs) -> str:
+    return _SPECTRA.get(frozenset(signs), "undetermined")
 
 
 def _discrete_op(pattern, spin: str, upsilon: int, kappa: int, two_s: int) -> BlockOp:
@@ -321,14 +336,11 @@ def _discrete_op(pattern, spin: str, upsilon: int, kappa: int, two_s: int) -> Bl
 
 def _solve_omega(theta: BlockOp, pi: BlockOp) -> Scalar:
     """The constant omega with Pi*Theta == omega * Theta*Pi."""
-    x = pi * theta
-    y = theta * pi
-    lead_x = x.leading_constant()
-    lead_y = y.leading_constant()
-    if lead_x is None or lead_y is None:
-        raise AssertionError("Pi*Theta has a nonconstant leading coefficient")
-    omega = lead_x / lead_y
-    if not (x - y.scale(omega)).is_zero():
+    x, y = pi * theta, theta * pi
+    r, c = next((r, c) for r, row in enumerate(y.entries)
+                for c, op in enumerate(row) if op.terms)
+    omega = x.entries[r][c].ratio(y.entries[r][c])
+    if omega is None or x != y.scale(omega):
         raise AssertionError("Pi*Theta is not proportional to Theta*Pi")
     return omega
 
@@ -398,10 +410,8 @@ def _assemble(entry: Entry, two_s: int) -> RepSpec:
         BlockOp.diag([rotation_op(a, two_s)] * len(signs)) for a in (1, 2, 3)
     )
     k = tuple(_signed_diag(boost_op(a, two_s), signs) for a in (1, 2, 3))
-    t_pat = _pattern(entry.theta[0])
-    p_pat = _pattern(entry.pi[0])
-    theta = _discrete_op(t_pat, *entry.theta[1:], two_s)
-    pi = _discrete_op(p_pat, *entry.pi[1:], two_s)
+    theta = _discrete_op(_pattern(entry.theta[0]), *entry.theta[1:], two_s)
+    pi = _discrete_op(_pattern(entry.pi[0]), *entry.pi[1:], two_s)
     theta_square = (theta * theta).as_constant()
     pi_square = (pi * pi).as_constant()
     if theta_square is None or pi_square is None:
@@ -416,13 +426,6 @@ def _assemble(entry: Entry, two_s: int) -> RepSpec:
         k=k,
         theta=theta,
         pi=pi,
-        theta_kind=ANTIUNITARY if entry.theta[3] else UNITARY,
-        pi_kind=ANTIUNITARY if entry.pi[3] else UNITARY,
-        spectrum=_spectrum_from_signs(signs),
-        p0_signs=signs,
-        k_signs=signs,
-        theta_pattern=t_pat,
-        pi_pattern=p_pat,
         theta_square=theta_square,
         pi_square=pi_square,
         omega=_solve_omega(theta, pi),
@@ -607,14 +610,15 @@ def allowed_spectra(theta_kind: str, pi_kind: str) -> set[str]:
 
 
 def verify_spectrum(rep: RepSpec) -> RelationReport:
+    """The spectrum read from P0 against the one the Theta/Pi kinds allow."""
     rpt = RelationReport(rep.label, rep.two_s)
-    derived = _spectrum_from_signs(rep.p0_signs)
+    signs = rep.energy_signs
+    spectrum = _spectrum_from_signs(signs)
     allowed = allowed_spectra(rep.theta_kind, rep.pi_kind)
-    ok = rep.spectrum == derived and rep.spectrum in allowed
     rpt.add(
-        "spectrum-consistency", "symbolic", ok,
+        "spectrum-consistency", "symbolic", spectrum in allowed,
         f"theta {rep.theta_kind}, pi {rep.pi_kind} permit {sorted(allowed)}; "
-        f"energy signs {rep.p0_signs} give {derived}",
+        f"energy signs {signs} give {spectrum}",
     )
     return rpt
 

@@ -4,27 +4,32 @@ The solver works on the finite problem left after two reductions:
 
 (i)  An operator commuting with the momentum multiplications is a
      multiplication by a matrix function; commuting further with the
-     rotations and boosts forces each diagonal block entry to a constant
-     scalar multiple of the identity (the spin-level Schur step is
-     validated mechanically via spin_commutant_dimension).
-(ii) A cross-block entry intertwines two copies of the scalar block
-     that differ only in the signs of p0 and k; a scalar entry between
-     blocks with different signs must vanish (s*p0*z = -s*p0*z forces
-     z = 0), and same-sign blocks admit arbitrary scalars.
+     rotations and boosts forces each block entry to a constant scalar
+     multiple of the identity (the spin-level Schur step is validated
+     mechanically via spin_commutant_dimension; an entry between blocks
+     with opposite signs of p0 vanishes, which (ii) recovers).
+(ii) Every operator is P (x) g: a B x B matrix P of exact scalars
+     times one scalar-block operator g, found and checked exactly by
+     BlockOp.factor.  For Z = A (x) 1, Z*M = (A*P) (x) g and
+     M*Z = (P*conj^k(A)) (x) g with k = 1 when g is antilinear, because
+     g passes a constant scalar conjugated (C) or unchanged (Y, tau,
+     derivatives and multiplications).  An operator that does not
+     factor is an internal error.
 
-What remains is a B x B complex matrix A, self-adjoint, constrained by
-the discrete operators: A*M = M*A for unitary M, A*M = M*conj(A) for
-antiunitary M*C.  Both the tau factor and the reflection Y commute with
-constant scalar matrices, so only the block pattern of each discrete
-operator enters.  The constraints are real-linear, so the system is
-realified and solved exactly over the scalar field.
+What remains is a B x B complex matrix A, self-adjoint, with
+A*P == P*conj^k(A) for each of the twelve operators (the ten
+generators, Theta and Pi).  P0 and K give P = diag(+-1), so an entry
+between blocks of opposite energy signs vanishes; P and J give the
+identity and no condition; Theta and Pi couple the blocks.  The
+constraints are real-linear, so the system is realified and solved
+exactly over the scalar field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import RepSpec
+from .catalog import RepSpec, operators
 from .exactnum import (
     I, Matrix, ONE, Scalar, ZERO,
     identity_matrix, mat_conj, mat_dagger, mat_eq, mat_map, mat_mul,
@@ -35,22 +40,11 @@ from .symop import BlockOp, ScalarOp
 
 
 @dataclass(frozen=True)
-class DiscreteDescriptor:
-    """Block pattern and flags of a discrete operator."""
-
-    pattern: tuple[tuple[Scalar, ...], ...]
-    antilinear: bool
-    upsilon: bool
-
-
-@dataclass(frozen=True)
 class CommutantProblem:
+    """A*P == P*conj(A) if antilinear else P*A, for each (P, antilinear)."""
+
     blocks: int
-    two_s: int
-    p0_signs: tuple[int, ...]
-    k_signs: tuple[int, ...]
-    theta: DiscreteDescriptor
-    pi: DiscreteDescriptor
+    constraints: tuple[tuple[Matrix, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -72,40 +66,23 @@ class Verdict:
         return f"{kind}, dim {self.dimension}"
 
 
-def _block_flags(op: BlockOp) -> tuple[bool, bool]:
-    """(upsilon, antilinear) flags of a constant discrete operator."""
-    keys = set()
-    for row in op.entries:
-        for entry in row:
-            keys.update(entry.terms)
-    if not keys:
-        raise ValueError("zero operator has no flags")
-    ups = {u for (_alpha, u, _k) in keys}
-    kap = {k for (_alpha, _u, k) in keys}
-    if len(ups) != 1 or len(kap) != 1:
-        raise ValueError("discrete operator mixes reflection/conjugation kinds")
-    return bool(ups.pop()), bool(kap.pop())
-
-
 def reduce_to_constant_blocks(rep: RepSpec) -> CommutantProblem:
-    """Stage (i)+(ii): validate the Schur step, extract the block data."""
+    """Stage (i)+(ii): validate the Schur step, factor every operator."""
     if spin_commutant_dimension(rep.two_s) != 1:
         raise AssertionError(
             "spin-level commutant is not trivial; constant-block reduction invalid"
         )
-    t_ups, t_anti = _block_flags(rep.theta)
-    p_ups, p_anti = _block_flags(rep.pi)
-    if (t_anti != (rep.theta_kind == "antiunitary")
-            or p_anti != (rep.pi_kind == "antiunitary")):
-        raise AssertionError("declared kinds disagree with operator structure")
-    return CommutantProblem(
-        blocks=rep.blocks,
-        two_s=rep.two_s,
-        p0_signs=rep.p0_signs,
-        k_signs=rep.k_signs,
-        theta=DiscreteDescriptor(rep.theta_pattern, t_anti, t_ups),
-        pi=DiscreteDescriptor(rep.pi_pattern, p_anti, p_ups),
-    )
+    # an ordered set: equal constraints (P and J always, often P0 and K)
+    # give equal rows, so each is solved once
+    constraints = {}
+    for name, op in operators(rep, ()).items():
+        factored = op.factor()
+        if factored is None:
+            raise AssertionError(
+                f"{name} is not a scalar block matrix times one operator"
+            )
+        constraints[(factored[0], op.kappa_parity() == 1)] = None
+    return CommutantProblem(rep.blocks, tuple(constraints))
 
 
 # -- realified unknown layout --------------------------------------------------
@@ -161,17 +138,7 @@ def _constraint_rows(prob: CommutantProblem) -> list[list[Scalar]]:
         if nonzero_im:
             rows.append(im_row)
 
-    # (ii) sign compatibility
-    for (r, c), i_re in off.items():
-        if prob.p0_signs[r] != prob.p0_signs[c] or prob.k_signs[r] != prob.k_signs[c]:
-            for v in (i_re, i_re + 1):
-                row = [ZERO] * nvars
-                row[v] = ONE
-                rows.append(row)
-
-    # discrete operators: A*M = M*A (linear) or A*M = M*conj(A) (antilinear)
-    for desc in (prob.theta, prob.pi):
-        pat = desc.pattern
+    for pat, antilinear in prob.constraints:
         for r in range(blocks):
             for c in range(blocks):
                 expr: dict[int, Scalar] = {}
@@ -184,7 +151,7 @@ def _constraint_rows(prob: CommutantProblem) -> list[list[Scalar]]:
                     b = pat[r][k]
                     if b:
                         rhs = _entry_expr(k, c, diag, off)
-                        if desc.antilinear:
+                        if antilinear:
                             rhs = _conj_expr(rhs)
                         for v, s in rhs.items():
                             expr[v] = expr.get(v, ZERO) - s * b
@@ -240,15 +207,9 @@ def _independent_subset(vectors):
 
 def check_solution(prob: CommutantProblem, mat: Matrix) -> bool:
     """Substitution recheck of one candidate against every constraint."""
-    for r in range(prob.blocks):
-        for c in range(prob.blocks):
-            if mat[r][c] != ZERO and (prob.p0_signs[r] != prob.p0_signs[c]
-                                      or prob.k_signs[r] != prob.k_signs[c]):
-                return False
     return all(
-        mat_eq(mat_mul(mat, d.pattern),
-               mat_mul(d.pattern, mat_conj(mat) if d.antilinear else mat))
-        for d in (prob.theta, prob.pi)
+        mat_eq(mat_mul(mat, pat), mat_mul(pat, mat_conj(mat) if anti else mat))
+        for pat, anti in prob.constraints
     )
 
 
@@ -290,32 +251,16 @@ def as_block_operator(mat: Matrix, two_s: int) -> BlockOp:
 
 
 def conjugate_problem(prob: CommutantProblem, u: Matrix) -> CommutantProblem:
-    """Change of basis by a constant block unitary respecting the signs.
+    """Change of basis by a constant block unitary U.
 
-    Linear patterns map to U M U*, antilinear ones to U M U^T (the
-    conjugation flips the right factor).  Used to check that verdicts
-    are basis-independent.
+    Every pattern moves with it: a linear one to U P U*, an antilinear
+    one to U P U^T (the conjugation flips the right factor).  Used to
+    check that verdicts are basis-independent.
     """
-    blocks = prob.blocks
-    if not mat_eq(mat_mul(u, mat_dagger(u)), identity_matrix(blocks)):
+    if not mat_eq(mat_mul(u, mat_dagger(u)), identity_matrix(prob.blocks)):
         raise ValueError("conjugating matrix is not unitary")
-    for r in range(blocks):
-        for c in range(blocks):
-            if u[r][c] and (prob.p0_signs[r] != prob.p0_signs[c]
-                            or prob.k_signs[r] != prob.k_signs[c]):
-                raise ValueError("conjugation mixes blocks with different signs")
-
-    def transform(desc: DiscreteDescriptor) -> DiscreteDescriptor:
-        right = mat_transpose(u) if desc.antilinear else mat_dagger(u)
-        return DiscreteDescriptor(
-            mat_mul(mat_mul(u, desc.pattern), right), desc.antilinear, desc.upsilon
-        )
-
-    return CommutantProblem(
-        blocks=blocks,
-        two_s=prob.two_s,
-        p0_signs=prob.p0_signs,
-        k_signs=prob.k_signs,
-        theta=transform(prob.theta),
-        pi=transform(prob.pi),
-    )
+    return CommutantProblem(prob.blocks, tuple(
+        (mat_mul(mat_mul(u, pat), mat_transpose(u) if anti else mat_dagger(u)),
+         anti)
+        for pat, anti in prob.constraints
+    ))

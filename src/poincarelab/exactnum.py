@@ -174,9 +174,6 @@ class Scalar:
     def is_real(self) -> bool:
         return all(im == 0 for _, im in self.terms.values())
 
-    def is_rational(self) -> bool:
-        return set(self.terms) <= {1} and self.is_real()
-
     def real_imag(self) -> tuple["Scalar", "Scalar"]:
         """Split as re + i*im with re, im having real coefficients only."""
         re = Scalar({n: (r, _ZERO_FRACTION) for n, (r, _) in self.terms.items()})

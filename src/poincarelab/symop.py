@@ -32,8 +32,8 @@ from math import comb
 from operator import methodcaller, neg
 
 from .exactnum import (
-    ONE, Scalar, ZERO, diagonal, identity_matrix, mat_add, mat_conj, mat_dagger,
-    mat_is_zero, mat_map, mat_mul, mat_scale, mat_sub, zero_matrix,
+    Matrix, ONE, Scalar, ZERO, diagonal, identity_matrix, mat_add, mat_conj,
+    mat_dagger, mat_is_zero, mat_map, mat_mul, mat_scale, mat_sub, zero_matrix,
 )
 
 # Monomial exponents, in the order (mu, p1, p2, p3, p0); p0 exponent <= 1.
@@ -148,9 +148,6 @@ class Poly:
                 out, (m[0], m[1], m[2], m[3], m[4] + 1), c
             )
         return Poly(out)
-
-    def max_exp(self, axis: int) -> int:
-        return max((m[axis] for m in self.terms), default=0)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
@@ -537,6 +534,25 @@ class ScalarOp:
             raise ValueError("operator mixes linear and antilinear terms")
         return parities.pop()
 
+    def ratio(self, other: "ScalarOp") -> Scalar | None:
+        """The scalar s with self == other.scale(s), or None.
+
+        Divides at the first nonzero scalar of other's normal form, then
+        compares the whole operator exactly.
+        """
+        if not other.terms:
+            return None
+        if not self.terms:
+            return ZERO
+        key = min(other.terms)
+        r, c, lead = next((r, c, x) for r, row in enumerate(other.terms[key])
+                          for c, x in enumerate(row) if not x.is_zero())
+        mono, unit = next(iter(lead.num.terms.items()))
+        mine = self.terms.get(key)
+        num = mine[r][c].num.terms.get(mono, ZERO) if mine else ZERO
+        s = num / unit
+        return s if self == other.scale(s) else None
+
     def frozen(self):
         if self._frozen is None:
             self._frozen = (
@@ -823,17 +839,19 @@ class BlockOp:
             return None
         return c if self == BlockOp.identity(self.blocks, self.dim).scale(c) else None
 
-    def leading_constant(self) -> Scalar | None:
-        """First nonzero constant coefficient in block then key order."""
-        for row in self.entries:
-            for op in row:
-                for key in sorted(op.terms):
-                    mat = op.terms[key]
-                    for r in mat:
-                        for x in r:
-                            if not x.is_zero():
-                                return x.as_constant()
-        return None
+    def factor(self) -> tuple[Matrix, ScalarOp] | None:
+        """(P, g) with self == P (x) g, or None if no such pair exists.
+
+        g is the first nonzero entry and P the matrix of exact scalars
+        with entry (r, c) == P[r][c] * g, each found by ScalarOp.ratio.
+        """
+        g = next((op for row in self.entries for op in row if op.terms), None)
+        if g is None:
+            return None
+        pattern = mat_map(lambda op: op.ratio(g), self.entries)
+        if any(s is None for row in pattern for s in row):
+            return None
+        return pattern, g
 
     def __eq__(self, other):
         return (

@@ -71,29 +71,32 @@ def all_zero(exprs) -> bool:
 def dense_commutant_dimension(rep) -> int:
     """Numeric oracle: real dimension of the self-adjoint commutant.
 
-    Parametrizes a full complex block matrix (no self-adjoint
-    reduction), realifies every constraint, and counts the nullspace
-    with an SVD, so it shares nothing with the exact solver.
+    Reads the block patterns, kinds and energy signs from the rep's
+    ``catalog.CATALOG`` row, not from its operators, so it checks the
+    operators against the table.  Parametrizes a full complex block
+    matrix (no self-adjoint reduction), realifies every constraint, and
+    counts the nullspace with an SVD, so it shares nothing with the
+    exact solver.
     """
     import numpy as np
     from scipy.linalg import null_space
 
-    B = rep.blocks
+    from poincarelab import catalog
 
-    def np_pattern(pattern):
-        return np.array([[x.to_complex() for x in row] for row in pattern])
+    entry = next(e for e in catalog.CATALOG if e.label == rep.label)
+    B = len(entry.signs)
 
-    tp, pp = np_pattern(rep.theta_pattern), np_pattern(rep.pi_pattern)
-    t_anti = rep.theta_kind == "antiunitary"
-    p_anti = rep.pi_kind == "antiunitary"
+    def np_pattern(spec):
+        return np.array(spec[0], dtype=complex), bool(spec[3])
+
+    (tp, t_anti), (pp, p_anti) = np_pattern(entry.theta), np_pattern(entry.pi)
 
     def constraint_block(Z):
         out = [Z - Z.conj().T]
         zero = np.zeros_like(Z)
         for r in range(B):
             for c in range(B):
-                if (rep.p0_signs[r] != rep.p0_signs[c]
-                        or rep.k_signs[r] != rep.k_signs[c]):
+                if entry.signs[r] != entry.signs[c]:
                     e = zero.copy()
                     e[r, c] = Z[r, c]
                     out.append(e)

