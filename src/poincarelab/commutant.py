@@ -32,11 +32,10 @@ from dataclasses import dataclass
 from .catalog import RepSpec, operators
 from .exactnum import (
     I, Matrix, ONE, Scalar, ZERO,
-    identity_matrix, mat_conj, mat_dagger, mat_eq, mat_map, mat_mul,
-    mat_transpose, nullspace, row_reduce,
+    identity_matrix, mat_conj, mat_eq, mat_mul, mat_transpose, nullspace,
+    row_reduce,
 )
 from .spin_algebra import spin_commutant_dimension
-from .symop import BlockOp, ScalarOp
 
 
 @dataclass(frozen=True)
@@ -244,23 +243,3 @@ def irreducibility_verdict(rep: RepSpec) -> Verdict:
     res = commutant_basis(reduce_to_constant_blocks(rep))
     return Verdict(rep.label, rep.two_s, res.dimension == 1, res.dimension)
 
-
-def as_block_operator(mat: Matrix, two_s: int) -> BlockOp:
-    """Lift a constant block matrix to an engine operator for recheck."""
-    return BlockOp(mat_map(ScalarOp.identity(two_s + 1).scale, mat))
-
-
-def conjugate_problem(prob: CommutantProblem, u: Matrix) -> CommutantProblem:
-    """Change of basis by a constant block unitary U.
-
-    Every pattern moves with it: a linear one to U P U*, an antilinear
-    one to U P U^T (the conjugation flips the right factor).  Used to
-    check that verdicts are basis-independent.
-    """
-    if not mat_eq(mat_mul(u, mat_dagger(u)), identity_matrix(prob.blocks)):
-        raise ValueError("conjugating matrix is not unitary")
-    return CommutantProblem(prob.blocks, tuple(
-        (mat_mul(mat_mul(u, pat), mat_transpose(u) if anti else mat_dagger(u)),
-         anti)
-        for pat, anti in prob.constraints
-    ))

@@ -284,21 +284,21 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix, zero=ZERO) -> Matrix:
-    """The product; each entry is summed over k in ascending order and a
-    pair with a zero factor is skipped, which spares most entry products
-    of the sparse spin and block matrices."""
-    rows, inner, cols = len(a), len(b), len(b[0])
+    """The product.  Each row of b lists its nonzero entries once, and
+    only pairs of nonzero factors are multiplied, which spares most entry
+    products of the sparse spin and block matrices; each entry is still
+    summed over k in ascending order, starting from zero."""
+    cols = len(b[0])
+    b_rows = [[(c, y) for c, y in enumerate(row) if not y.is_zero()]
+              for row in b]
     out = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = zero
-            for k in range(inner):
-                x, y = a[r][k], b[k][c]
-                if not (x.is_zero() or y.is_zero()):
-                    acc = acc + x * y
-            row.append(acc)
-        out.append(tuple(row))
+    for row_a in a:
+        acc = [zero] * cols
+        for x, row_b in zip(row_a, b_rows):
+            if row_b and not x.is_zero():
+                for c, y in row_b:
+                    acc[c] = acc[c] + x * y
+        out.append(tuple(acc))
     return tuple(out)
 
 

@@ -14,15 +14,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import (
-    I,
     Matrix,
     ONE,
     Scalar,
     ZERO,
     diagonal,
-    identity_matrix,
     mat_add,
-    mat_eq,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -144,14 +141,3 @@ def spin_squared(two_s: int) -> Matrix:
         acc = mat_add(acc, mat_mul(s, s))
     return acc
 
-
-def check_spin_invariants(two_s: int) -> None:
-    """Raise if the exact spin identities fail (used as a self test)."""
-    t = spin_matrices(two_s)
-    s1, s2, s3 = t.as_tuple()
-    for a, b, c in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2)):
-        if not mat_eq(mat_sub(mat_mul(a, b), mat_mul(b, a)), mat_scale(I, c)):
-            raise AssertionError("spin commutation relation failed")
-    expected = identity_matrix(t.weight.dim, Scalar.from_rational(t.weight.casimir))
-    if not mat_eq(spin_squared(two_s), expected):
-        raise AssertionError("spin Casimir failed")

@@ -22,6 +22,17 @@ cancelled by exact polynomial division.  Both are prime in the shell
 ring (the quotients by them are domains because rank >= 3 quadratic
 forms are irreducible), so the minimal representation is unique and
 dictionary equality is sound.
+
+Three memos reuse work: Coefficient._product, Coefficient._deriv (keyed
+by the coefficient and the axis) and ScalarOp._product, each a
+functools.lru_cache bounded at _MEMO_SIZE entries and reached only for
+nonzero operands.  They are keyed by value, through the structural
+__eq__ and __hash__, so equal operands held in different objects share
+one result.  That is sound because each operation is a deterministic
+function of its operands' structure and no Poly, Coefficient or
+ScalarOp is changed after it is built, so a memoized result can be
+handed out again.  clear_multiplication_cache empties all three and
+cache_info reports their hits, misses and sizes.
 """
 
 from __future__ import annotations
@@ -40,6 +51,11 @@ from .exactnum import (
 Mono = tuple[int, int, int, int, int]
 
 _SYMS = {"mu": 0, "p1": 1, "p2": 2, "p3": 3, "p0": 4}
+
+# Entry bound of each product and derivative memo.  Running every
+# symbolic workload in one process peaks near 6k entries in the largest,
+# so none evicts in practice; the bound keeps a long session's memory flat.
+_MEMO_SIZE = 2**14
 
 
 class Poly:
@@ -322,6 +338,10 @@ class Coefficient:
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         if self.is_zero() or other.is_zero():
             return _C_ZERO
+        return self._product(other)
+
+    @lru_cache(maxsize=_MEMO_SIZE)
+    def _product(self, other: "Coefficient") -> "Coefficient":
         return Coefficient(self.num * other.num, self.a + other.a,
                            self.b + other.b)
 
@@ -357,6 +377,10 @@ class Coefficient:
         """Mass-shell derivative d/dp_j with d_j p0 = p_j / p0."""
         if self.is_zero():
             return _C_ZERO
+        return self._deriv(j)
+
+    @lru_cache(maxsize=_MEMO_SIZE)
+    def _deriv(self, j: int) -> "Coefficient":
         # d(num) = A + B/p0: A is the formal p_j derivative, B collects
         # the chain-rule terms from monomials carrying one power of p0.
         a_terms: dict[Mono, Scalar] = {}
@@ -460,8 +484,6 @@ CoeffMatrix = tuple[tuple[Coefficient, ...], ...]
 
 # term key: (alpha, upsilon, kappa) with alpha the derivative multi-index
 OpKey = tuple[tuple[int, int, int], int, int]
-
-_MUL_MEMO: dict[tuple, "ScalarOp"] = {}
 
 
 class ScalarOp:
@@ -610,10 +632,10 @@ class ScalarOp:
             raise ValueError("dimension mismatch")
         if not self.terms or not other.terms:
             return ScalarOp.zero(self.dim)
-        memo_key = (self.frozen(), other.frozen())
-        hit = _MUL_MEMO.get(memo_key)
-        if hit is not None:
-            return hit
+        return self._product(other)
+
+    @lru_cache(maxsize=_MEMO_SIZE)
+    def _product(self, other: "ScalarOp") -> "ScalarOp":
         acc: dict[OpKey, CoeffMatrix] = {}
         for (alpha, u, k), m1 in self.terms.items():
             for (beta, v, l), m2 in other.terms.items():
@@ -640,9 +662,7 @@ class ScalarOp:
                         acc[key] = mat_add(acc[key], mat)
                     else:
                         acc[key] = mat
-        out = ScalarOp(self.dim, acc)
-        _MUL_MEMO[memo_key] = out
-        return out
+        return ScalarOp(self.dim, acc)
 
     def adjoint(self) -> "ScalarOp":
         """Formal adjoint for the inner product with weight 1/p0.
@@ -698,7 +718,7 @@ class ScalarOp:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _deriv_adjoint(j: int, dim: int) -> ScalarOp:
     # (d_j)* = -d_j + p_j / p0^2
     alpha = tuple(1 if k == j - 1 else 0 for k in range(3))
@@ -736,8 +756,23 @@ def _leibniz_terms(alpha: tuple[int, int, int], mat: CoeffMatrix):
                 yield gamma, binom, get(gamma)
 
 
+_MEMOS = {
+    "coefficient_product": Coefficient._product,
+    "coefficient_deriv": Coefficient._deriv,
+    "operator_product": ScalarOp._product,
+}
+
+
 def clear_multiplication_cache() -> None:
-    _MUL_MEMO.clear()
+    """Empty the coefficient product, derivative and operator product memos."""
+    for memo in _MEMOS.values():
+        memo.cache_clear()
+
+
+def cache_info() -> dict:
+    """Hits, misses, maxsize and currsize of each memo, by name; a memo's
+    hit rate is hits / (hits + misses)."""
+    return {name: memo.cache_info() for name, memo in _MEMOS.items()}
 
 
 # -- block operators -------------------------------------------------------

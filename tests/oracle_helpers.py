@@ -1,14 +1,22 @@
-"""Shared sympy bridge for oracle tests.
+"""Shared sympy bridge and exact self-checks for oracle tests.
 
 Exact conversion of engine scalars, polynomials, and coefficients into
 sympy expressions with the energy written out as sqrt(mu^2 + |q|^2), so
 expected values are produced by sympy rather than by the engine itself.
+The spin identities, the lift of a commutant matrix to an operator and
+the change of basis of a commutant problem are checks of the engine
+that only the tests call, so they live here too.
 """
 
 import sympy as sp
 
-from poincarelab.exactnum import Scalar
-from poincarelab.symop import Coefficient, Poly, ScalarOp
+from poincarelab.commutant import CommutantProblem
+from poincarelab.exactnum import (
+    I, Matrix, Scalar, identity_matrix, mat_dagger, mat_eq, mat_map, mat_mul,
+    mat_scale, mat_sub, mat_transpose,
+)
+from poincarelab.spin_algebra import spin_matrices, spin_squared
+from poincarelab.symop import BlockOp, Coefficient, Poly, ScalarOp
 
 MU = sp.Symbol("mu", positive=True)
 Q1, Q2, Q3 = sp.symbols("q1 q2 q3", real=True)
@@ -114,3 +122,36 @@ def dense_commutant_dimension(rep) -> int:
                 cols.append(constraint_block(Z))
     mat = np.array(cols).T
     return null_space(mat, rcond=1e-10).shape[1]
+
+
+def check_spin_invariants(two_s: int) -> None:
+    """Raise if the exact spin identities fail (used as a self test)."""
+    t = spin_matrices(two_s)
+    s1, s2, s3 = t.as_tuple()
+    for a, b, c in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2)):
+        if not mat_eq(mat_sub(mat_mul(a, b), mat_mul(b, a)), mat_scale(I, c)):
+            raise AssertionError("spin commutation relation failed")
+    expected = identity_matrix(t.weight.dim, Scalar.from_rational(t.weight.casimir))
+    if not mat_eq(spin_squared(two_s), expected):
+        raise AssertionError("spin Casimir failed")
+
+
+def as_block_operator(mat: Matrix, two_s: int) -> BlockOp:
+    """Lift a constant block matrix to an engine operator for recheck."""
+    return BlockOp(mat_map(ScalarOp.identity(two_s + 1).scale, mat))
+
+
+def conjugate_problem(prob: CommutantProblem, u: Matrix) -> CommutantProblem:
+    """Change of basis by a constant block unitary U.
+
+    Every pattern moves with it: a linear one to U P U*, an antilinear
+    one to U P U^T (the conjugation flips the right factor).  Used to
+    check that verdicts are basis-independent.
+    """
+    if not mat_eq(mat_mul(u, mat_dagger(u)), identity_matrix(prob.blocks)):
+        raise ValueError("conjugating matrix is not unitary")
+    return CommutantProblem(prob.blocks, tuple(
+        (mat_mul(mat_mul(u, pat), mat_transpose(u) if anti else mat_dagger(u)),
+         anti)
+        for pat, anti in prob.constraints
+    ))

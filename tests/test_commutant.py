@@ -10,14 +10,16 @@ solver.
 from dataclasses import replace
 
 import pytest
-from oracle_helpers import dense_commutant_dimension
+from oracle_helpers import (
+    as_block_operator,
+    conjugate_problem,
+    dense_commutant_dimension,
+)
 
 from poincarelab import catalog
 from poincarelab.commutant import (
-    as_block_operator,
     check_solution,
     commutant_basis,
-    conjugate_problem,
     contains,
     irreducibility_verdict,
     reduce_to_constant_blocks,

@@ -1,15 +1,19 @@
-"""Property tests of the one small-matrix helper and the one row reduction.
+"""Property tests of the exact rings, the one small-matrix helper and the
+one row reduction.
 
 The matrix helpers in ``exactnum`` serve Scalar entries (spin matrices,
 block patterns) and Coefficient entries (normal-form operator terms)
-alike; each ring axiom below is checked over both.  ``derandomize`` makes
-every run draw the same examples, so the suite keeps to seeded
-randomness.
+alike; each ring axiom below is checked over both.  The sparse
+``mat_mul`` is checked against the dense triple loop it replaced, kept
+here as the oracle.  The Coefficient normal form and the ScalarOp
+product and adjoint are checked on their own ring laws, compared
+structurally.  ``derandomize`` makes every run draw the same examples,
+so the suite keeps to seeded randomness.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from poincarelab.commutant import _independent_subset
 from poincarelab.exactnum import (
@@ -24,7 +28,7 @@ from poincarelab.exactnum import (
     mat_sub,
     nullspace,
 )
-from poincarelab.symop import Coefficient, Poly
+from poincarelab.symop import Coefficient, Poly, ScalarOp
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=40)
@@ -68,6 +72,51 @@ def matrices(draw, count):
 
 def _same(a, b) -> bool:
     return mat_is_zero(mat_sub(a, b))
+
+
+def dense_mat_mul(a, b, zero):
+    """The triple loop mat_mul used before it went row-sparse: every entry
+    summed over k in ascending order from zero, zero factors skipped."""
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = []
+    for r in range(rows):
+        row = []
+        for c in range(cols):
+            acc = zero
+            for k in range(inner):
+                x, y = a[r][k], b[k][c]
+                if not (x.is_zero() or y.is_zero()):
+                    acc = acc + x * y
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@st.composite
+def zero_heavy_pairs(draw):
+    """Two conformable matrices over one ring, any shapes up to 4, most
+    entries zero and some whole rows and columns zero."""
+    entries, zero, _one = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    cell = st.one_of(st.just(zero), st.just(zero), entries)
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        dead_rows = draw(st.sets(st.integers(0, rows - 1)))
+        dead_cols = draw(st.sets(st.integers(0, cols - 1)))
+        return tuple(
+            tuple(zero if r in dead_rows or c in dead_cols else draw(cell)
+                  for c in range(cols))
+            for r in range(rows)
+        )
+
+    return matrix(n, k), matrix(k, m), zero
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(zero_heavy_pairs())
+def test_sparse_product_matches_dense(case):
+    a, b, zero = case
+    assert mat_mul(a, b, zero) == dense_mat_mul(a, b, zero)
 
 
 @SETTINGS
@@ -121,3 +170,72 @@ def test_rank_plus_nullity_is_the_column_count(nrows, ncols, data):
     kept = _independent_subset(vectors)
     assert len(kept) + len(nullspace(rows, len(vectors))) == len(vectors)
     assert _independent_subset(kept) == kept
+
+
+# -- Coefficient normal form ------------------------------------------------
+# The normal form is unique, so equal rational functions must compare
+# equal structurally whatever order of operations built them.
+
+
+@SETTINGS
+@given(coefficients, coefficients, coefficients)
+def test_coefficient_product_is_associative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+@SETTINGS
+@given(coefficients, coefficients)
+def test_coefficient_difference_undoes_sum(a, b):
+    assert (a + b) - b == a
+
+
+@SETTINGS
+@given(coefficients, coefficients, st.integers(1, 3))
+def test_coefficient_leibniz_rule(a, b, j):
+    assert (a * b).deriv(j) == a.deriv(j) * b + a * b.deriv(j)
+
+
+# -- ScalarOp products and adjoints ------------------------------------------
+
+
+@st.composite
+def linear_ops(draw, dim, max_terms=2):
+    """A linear ScalarOp of up to max_terms terms, each with at most one
+    derivative."""
+    op = ScalarOp.zero(dim)
+    for _ in range(draw(st.integers(1, max_terms))):
+        alpha = [0, 0, 0]
+        axis = draw(st.integers(-1, 2))
+        if axis >= 0:
+            alpha[axis] = 1
+        mat = tuple(tuple(draw(coefficients) for _ in range(dim))
+                    for _ in range(dim))
+        op = op + ScalarOp(dim, {(tuple(alpha), 0, 0): mat})
+    return op
+
+
+def _bracket(x, y):
+    return x * y - y * x
+
+
+# Each example costs several exact operator products, so a failing one
+# is reported as drawn: shrinking it would take many minutes.
+UNSHRUNK = settings(derandomize=True, database=None, deadline=None,
+                    phases=(Phase.explicit, Phase.generate))
+
+
+@settings(UNSHRUNK, max_examples=15)
+@given(st.integers(1, 2).flatmap(
+    lambda dim: st.tuples(*[linear_ops(dim, max_terms=1)] * 3)))
+def test_operator_jacobi_identity(ops):
+    a, b, c = ops
+    jacobi = (_bracket(a, _bracket(b, c)) + _bracket(b, _bracket(c, a))
+              + _bracket(c, _bracket(a, b)))
+    assert jacobi.is_zero()
+
+
+@settings(UNSHRUNK, max_examples=25)
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(*[linear_ops(dim)] * 2)))
+def test_operator_adjoint_reverses_products(ops):
+    a, b = ops
+    assert (a * b).adjoint() == b.adjoint() * a.adjoint()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracle_helpers import check_spin_invariants
 
 from poincarelab.exactnum import (
     I,
@@ -19,7 +20,6 @@ from poincarelab.exactnum import (
 )
 from poincarelab.spin_algebra import (
     SpinWeight,
-    check_spin_invariants,
     spin_commutant_dimension,
     spin_matrices,
     spin_squared,

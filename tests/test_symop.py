@@ -11,12 +11,15 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from poincarelab.cli import main
 from poincarelab.exactnum import I, ONE, Scalar, rat
 from poincarelab.symop import (
+    _MEMO_SIZE,
     BlockOp,
     Coefficient,
     Poly,
     ScalarOp,
+    cache_info,
     clear_multiplication_cache,
     commutator,
 )
@@ -220,13 +223,50 @@ def test_block_structure():
     assert (op.adjoint().adjoint() - op).is_zero()
 
 
-def test_multiplication_cache_is_transparent():
+def _structure(c: Coefficient):
+    """Every field of a coefficient as nested tuples, to spot mutation."""
+    return (c.a, c.b, tuple(sorted(
+        (m, tuple(sorted(s.terms.items()))) for m, s in c.num.terms.items()
+    )))
+
+
+def test_multiplication_cache_is_transparent(capsys):
     a = _rand_scalar_op(2, flips=True)
     b = _rand_scalar_op(2, flips=True)
+    x, y = _rand_coeff(), _rand_coeff()
     first = a * b
+    warm = [x * y, y * x, x.deriv(1), y.deriv(3), (x * y).deriv(2)]
+    before = [_structure(c) for c in warm]
     clear_multiplication_cache()
     second = a * b
     assert (first - second).is_zero()
+    assert [x * y, y * x, x.deriv(1), y.deriv(3), (x * y).deriv(2)] == warm
+
+    # keyed by value: an equal operand in another object hits the memo
+    x_copy = Coefficient(x.num + Poly(), x.a, x.b)
+    assert x_copy is not x
+    assert x_copy * y is x * y
+    assert x_copy.deriv(1) is x.deriv(1)
+
+    # arithmetic on memoized results leaves them, and the memo, unchanged
+    p, dp = x * y, x.deriv(1)
+    derived = []
+    for c in (p, dp):
+        derived += [c + c, c - x, c * c, -c, c.scale(rat(3)), c.conjugate(),
+                    c.reflect(), c.deriv(2).deriv(2) * c]
+    op = ScalarOp.from_coefficient(p, 2) + ScalarOp.deriv_op(1, 2).scale(dp)
+    derived += [op * a * op, op.adjoint() * op]
+    assert [_structure(c) for c in warm] == before
+    assert _structure(x * y) == before[0]
+    assert _structure(x.deriv(1)) == before[2]
+
+    # every memo is bounded, and stays within its bound on a real run
+    clear_multiplication_cache()
+    assert main(["verify", "--rep", "up", "--two-s", "8", "--json"]) == 0
+    capsys.readouterr()
+    for name, info in cache_info().items():
+        assert info.maxsize == _MEMO_SIZE, name
+        assert 0 < info.currsize <= info.maxsize, name
 
 
 def test_block_as_constant():
