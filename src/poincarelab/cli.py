@@ -30,13 +30,41 @@ def _phrase(kinds: set[str]) -> str:
     return _SPECTRUM_PHRASE[frozenset(kinds)]
 
 
+# Peak RSS of a whole verify or commutant run at spin dimension dim, fitted
+# to measured peaks at two_s 16, 32, 48 and 64 for up and sym6 (the largest
+# of the two-block entries) on CPython 3.11, within 3 MiB at every point.
+# commutant holds the 3*dim^2 x dim^2 spin Schur system as dense rows of
+# 8-byte references before eliminating it, so it grows as dim^4:
+# 175 MiB at two_s 48, 463 MiB at 64, about 7 GiB at 128.  verify
+# grows slowly (131 MiB at 64); its cost is time.
+def spin_peak_bytes(command: str, two_s: int) -> int:
+    """Estimated peak bytes of `verify` or of `commutant` at this spin."""
+    dim = two_s + 1
+    if command == "verify":
+        return int((24.5 + 1.36 * dim) * 2**20 + 4.5 * 2**10 * dim**2)
+    return int(33.5 * 2**20 + 25.3 * dim**4)
+
+
+def check_spin_cost(command: str, two_s: int, budget: int | None) -> None:
+    """Refuse, before building anything, a spin that would not fit."""
+    need = spin_peak_bytes(command, two_s)
+    if budget is not None and need > budget:
+        raise ValueError(
+            f"{command} at two_s = {two_s} needs about {need / 2**20:,.0f} MiB, "
+            f"over the {budget / 2**20:,.0f} MiB budget "
+            f"({gridlab.MEMORY_SHARE:.0%} of MemAvailable)"
+        )
+
+
 def cmd_verify(args) -> RelationReport:
+    check_spin_cost("verify", args.two_s, gridlab.memory_budget())
     rep = catalog.build(args.rep, args.two_s)
     print(f"verifying {rep.label} at two_s={rep.two_s}", file=sys.stderr)
     return catalog.full_verification(rep)
 
 
 def cmd_commutant(args) -> RelationReport:
+    check_spin_cost("commutant", args.two_s, gridlab.memory_budget())
     rep = catalog.build(args.rep, args.two_s)
     report = RelationReport(rep.label, rep.two_s)
     problem = commutant.reduce_to_constant_blocks(rep)
@@ -113,6 +141,7 @@ def _sign_word(value) -> str:
 
 
 def cmd_catalog(args) -> RelationReport:
+    check_spin_cost("commutant", args.two_s, gridlab.memory_budget())
     report = RelationReport("catalog", args.two_s)
     labels = catalog.catalog_labels(args.two_s)
     entries = [e for e in catalog.CATALOG if e.label in labels]

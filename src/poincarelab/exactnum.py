@@ -4,14 +4,25 @@ Spin ladder matrices have entries of the form q*sqrt(n) with q rational
 and n a small positive integer, and the operator algebra needs i and
 exact rational coefficients.  Everything downstream therefore computes
 over the field Q(i, sqrt(2), sqrt(3), ...).  An element is stored as a
-finite sum over squarefree n of (a_n + b_n*i)*sqrt(n) with Fraction
+finite sum over squarefree n of (a_n + b_n*i)*sqrt(n) with exact rational
 coefficients, which makes zero tests, equality and inversion exact.
+
+Each rational coefficient is held in one canonical form: a Python int
+when it is integral, else a Fraction whose denominator is greater than
+1.  Most coefficients of the spin and operator algebra are integers, and
+int arithmetic and hashing run in C where Fraction's run in Python.
+_canon applies the rule to every rational the arithmetic produces.
+Structural equality and hashing stay sound whatever the form: an int
+and the Fraction of the same value compare equal, hash alike and print
+alike, so a Scalar built directly from Fraction components equals, and
+hashes like, the canonical one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 
 @lru_cache(maxsize=None)
@@ -47,15 +58,22 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_ZERO_FRACTION = Fraction(0)
+def _canon(q):
+    """The canonical form of the rational q (an int or a Fraction): q as an
+    int when it is integral, else q, a Fraction with denominator > 1."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class Scalar:
-    """A finite sum  sum_n (a_n + b_n*i) * sqrt(n)  over squarefree n >= 1."""
+    """A finite sum  sum_n (a_n + b_n*i) * sqrt(n)  over squarefree n >= 1.
+
+    terms maps n to (a_n, b_n), each an int when integral and otherwise a
+    Fraction (see the module docstring); zero terms are dropped.
+    """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[int, tuple[Fraction, Fraction]] | None = None):
+    def __init__(self, terms: dict[int, tuple] | None = None):
         t = {}
         if terms:
             for n, (re, im) in terms.items():
@@ -68,7 +86,7 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, re, im=0) -> "Scalar":
-        return cls({1: (Fraction(re), Fraction(im))})
+        return cls({1: (_canon(Fraction(re)), _canon(Fraction(im)))})
 
     @classmethod
     def sqrt_int(cls, n: int) -> "Scalar":
@@ -78,28 +96,33 @@ class Scalar:
         if n == 0:
             return cls()
         g, m = squarefree_split(n)
-        return cls({m: (Fraction(g), _ZERO_FRACTION)})
+        return cls({m: (g, 0)})
 
     @staticmethod
     def _coerce(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return Scalar({1: (Fraction(x), _ZERO_FRACTION)})
+            return Scalar({1: (_canon(x), 0)})
         raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self + other or self - other, as op is operator.add or sub, term
+        by term; a term of other alone enters as it is or negated."""
         other = self._coerce(other)
         out = dict(self.terms)
         for n, (re, im) in other.terms.items():
             if n in out:
                 a, b = out[n]
-                out[n] = (a + re, b + im)
+                out[n] = (_canon(op(a, re)), _canon(op(b, im)))
             else:
-                out[n] = (re, im)
+                out[n] = (re, im) if op is add else (-re, -im)
         return Scalar(out)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -107,14 +130,14 @@ class Scalar:
         return Scalar({n: (-re, -im) for n, (re, im) in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out: dict[int, tuple[Fraction, Fraction]] = {}
+        out: dict[int, tuple] = {}
         for n1, (a1, b1) in self.terms.items():
             for n2, (a2, b2) in other.terms.items():
                 if n1 == n2:
@@ -128,7 +151,7 @@ class Scalar:
                     out[m] = (c + re, d + im)
                 else:
                     out[m] = (re, im)
-        return Scalar(out)
+        return Scalar({m: (_canon(re), _canon(im)) for m, (re, im) in out.items()})
 
     __rmul__ = __mul__
 
@@ -142,7 +165,9 @@ class Scalar:
         if not primes:
             re, im = self.terms[1]
             d = re * re + im * im
-            return Scalar({1: (re / d, -im / d)})
+            # Fraction(re) / d, not re / d: int / int is a float
+            return Scalar({1: (_canon(Fraction(re) / d),
+                               _canon(Fraction(-im) / d))})
         p = max(primes)
         # write self = A + B*sqrt(p) with A, B free of sqrt(p)
         a_terms, b_terms = {}, {}
@@ -176,8 +201,8 @@ class Scalar:
 
     def real_imag(self) -> tuple["Scalar", "Scalar"]:
         """Split as re + i*im with re, im having real coefficients only."""
-        re = Scalar({n: (r, _ZERO_FRACTION) for n, (r, _) in self.terms.items()})
-        im = Scalar({n: (i, _ZERO_FRACTION) for n, (_, i) in self.terms.items()})
+        re = Scalar({n: (r, 0) for n, (r, _) in self.terms.items()})
+        im = Scalar({n: (i, 0) for n, (_, i) in self.terms.items()})
         return re, im
 
     def to_complex(self) -> complex:

@@ -37,10 +37,9 @@ cache_info reports their hits, misses and sizes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import methodcaller, neg
+from operator import add, methodcaller, neg, sub
 
 from .exactnum import (
     Matrix, ONE, Scalar, ZERO, diagonal, identity_matrix, mat_add, mat_conj,
@@ -86,20 +85,25 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", op) -> "Poly":
+        """self + other or self - other, as op is operator.add or sub, term
+        by term; a term of other alone enters as it is or negated."""
         out = dict(self.terms)
         for m, c in other.terms.items():
             if m in out:
-                out[m] = out[m] + c
+                out[m] = op(out[m], c)
             else:
-                out[m] = c
+                out[m] = c if op is add else -c
         return Poly(out)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, add)
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def scale(self, c) -> "Poly":
         c = Scalar._coerce(c)
@@ -313,16 +317,24 @@ class Coefficient:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        if self.is_zero():
-            return other
+    def _combine(self, other: "Coefficient", op) -> "Coefficient":
+        """self + other or self - other, as op is operator.add or sub, over
+        the common denominator."""
         if other.is_zero():
             return self
+        if self.is_zero():
+            return other if op is add else -other
         a = max(self.a, other.a)
         b = max(self.b, other.b)
         n1 = _scale_denominators(self.num, a - self.a, b - self.b)
         n2 = _scale_denominators(other.num, a - other.a, b - other.b)
-        return Coefficient(n1 + n2, a, b)
+        return Coefficient(op(n1, n2), a, b)
+
+    def __add__(self, other: "Coefficient") -> "Coefficient":
+        return self._combine(other, add)
+
+    def __sub__(self, other: "Coefficient") -> "Coefficient":
+        return self._combine(other, sub)
 
     def __neg__(self) -> "Coefficient":
         out = Coefficient.__new__(Coefficient)
@@ -331,9 +343,6 @@ class Coefficient:
         out.b = self.b
         out._hash = None
         return out
-
-    def __sub__(self, other: "Coefficient") -> "Coefficient":
-        return self + (-other)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         if self.is_zero() or other.is_zero():
@@ -595,26 +604,32 @@ class ScalarOp:
 
     # -- linear structure -------------------------------------------------
 
-    def __add__(self, other: "ScalarOp") -> "ScalarOp":
+    def _combine(self, other: "ScalarOp", op) -> "ScalarOp":
+        """self + other or self - other, as op is operator.add or sub, entry
+        by entry; a term of other alone enters as it is or negated."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if not self.terms:
-            return other
         if not other.terms:
             return self
+        if not self.terms:
+            return other if op is add else -other
+        mat_op = mat_add if op is add else mat_sub
         out = dict(self.terms)
         for key, mat in other.terms.items():
             if key in out:
-                out[key] = mat_add(out[key], mat)
+                out[key] = mat_op(out[key], mat)
             else:
-                out[key] = mat
+                out[key] = mat if op is add else mat_map(neg, mat)
         return ScalarOp(self.dim, out)
+
+    def __add__(self, other: "ScalarOp") -> "ScalarOp":
+        return self._combine(other, add)
 
     def __neg__(self) -> "ScalarOp":
         return ScalarOp(self.dim, {k: mat_map(neg, m) for k, m in self.terms.items()})
 
     def __sub__(self, other: "ScalarOp") -> "ScalarOp":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def scale(self, c) -> "ScalarOp":
         if isinstance(c, Coefficient):
@@ -647,7 +662,7 @@ class ScalarOp:
                     mat = mat_mul(m1, dmat, _C_ZERO)
                     if binom != 1 or sign != 1:
                         mat = mat_scale(
-                            Coefficient.const(Fraction(binom * sign)), mat
+                            Coefficient.const(binom * sign), mat
                         )
                     key = (
                         (

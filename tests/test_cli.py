@@ -249,3 +249,37 @@ def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
     err = capsys.readouterr().err
     assert "error: grid study at N = 32, 64, 1024 needs about" in err
     assert "over the 4,096 MiB budget (50% of MemAvailable)" in err
+
+
+@pytest.mark.parametrize("argv,command,two_s", [
+    (["commutant", "--rep", "up", "--two-s", "128"], "commutant", 128),
+    (["catalog", "--two-s", "128"], "commutant", 128),
+    (["verify", "--rep", "sym6", "--two-s", "4000"], "verify", 4000),
+])
+def test_high_spin_is_refused_before_building(monkeypatch, capsys, argv,
+                                              command, two_s):
+    from poincarelab import catalog, cli, gridlab
+
+    def forbidden(*args):
+        raise AssertionError("built a representation")
+
+    monkeypatch.setattr(gridlab, "memory_budget", lambda: 4 * 2**30)
+    monkeypatch.setattr(catalog, "build", forbidden)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    need = cli.spin_peak_bytes(command, two_s) / 2**20
+    assert f"error: {command} at two_s = {two_s} needs about {need:,.0f} MiB" in err
+    assert "over the 4,096 MiB budget (50% of MemAvailable)" in err
+
+
+def test_spin_guard_admits_the_measured_spins():
+    from poincarelab.cli import check_spin_cost, spin_peak_bytes
+
+    # the fit reproduces the peaks it was fitted to within a few MiB
+    assert abs(spin_peak_bytes("commutant", 64) / 2**20 - 463) < 5
+    assert abs(spin_peak_bytes("verify", 64) / 2**20 - 131) < 5
+    for command in ("verify", "commutant"):
+        check_spin_cost(command, 64, 4 * 2**30)
+        check_spin_cost(command, 10**6, None)  # no MemAvailable, no guard
+    with pytest.raises(ValueError, match="commutant at two_s = 100"):
+        check_spin_cost("commutant", 100, 2**30)

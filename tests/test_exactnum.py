@@ -11,6 +11,7 @@ from poincarelab.exactnum import (
     ONE,
     ZERO,
     Scalar,
+    _prime_factors,
     identity_matrix,
     mat_dagger,
     mat_eq,
@@ -193,3 +194,128 @@ def test_random_nullspace_consistency():
         rows = [[_rand_scalar(True) for _ in range(ncols)] for _ in range(nrows)]
         for vec in nullspace(rows, ncols):
             assert all(x.is_zero() for x in _apply_rows(rows, vec))
+
+
+# -- canonical rationals ------------------------------------------------------
+# Each rational component of a Scalar is an int when it is integral and
+# otherwise a Fraction with denominator > 1.  FractionScalar is the Scalar
+# arithmetic from before that rule, every component a Fraction and a
+# difference the sum with a negated copy, kept here as the oracle of the
+# values.
+
+
+class FractionScalar:
+    """sum_n (a_n + b_n*i) * sqrt(n) with Fraction a_n, b_n."""
+
+    def __init__(self, terms):
+        self.terms = {n: (Fraction(re), Fraction(im))
+                      for n, (re, im) in terms.items() if re or im}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for n, (re, im) in other.terms.items():
+            if n in out:
+                a, b = out[n]
+                out[n] = (a + re, b + im)
+            else:
+                out[n] = (re, im)
+        return FractionScalar(out)
+
+    def __neg__(self):
+        return FractionScalar({n: (-re, -im) for n, (re, im) in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for n1, (a1, b1) in self.terms.items():
+            for n2, (a2, b2) in other.terms.items():
+                g, m = (n1, 1) if n1 == n2 else squarefree_split(n1 * n2)
+                re = (a1 * a2 - b1 * b2) * g
+                im = (a1 * b2 + b1 * a2) * g
+                c, d = out.get(m, (Fraction(0), Fraction(0)))
+                out[m] = (c + re, d + im)
+        return FractionScalar(out)
+
+    def inverse(self):
+        primes = {p for n in self.terms for p in _prime_factors(n)}
+        if not primes:
+            re, im = self.terms[1]
+            d = re * re + im * im
+            return FractionScalar({1: (re / d, -im / d)})
+        p = max(primes)
+        a = FractionScalar({n: c for n, c in self.terms.items() if n % p})
+        b = FractionScalar({n // p: c for n, c in self.terms.items()
+                            if n % p == 0})
+        denom = a * a - b * b * FractionScalar({1: (p, 0)})
+        b_sqrtp = FractionScalar({n * p: c for n, c in b.terms.items()})
+        return (a - b_sqrtp) * denom.inverse()
+
+    def conjugate(self):
+        return FractionScalar({n: (re, -im) for n, (re, im) in self.terms.items()})
+
+    def real_imag(self):
+        return (FractionScalar({n: (r, 0) for n, (r, _) in self.terms.items()}),
+                FractionScalar({n: (i, 0) for n, (_, i) in self.terms.items()}))
+
+
+def _is_canonical(x: Scalar) -> bool:
+    return all(
+        type(q) is int or (type(q) is Fraction and q.denominator > 1)
+        for re_im in x.terms.values() for q in re_im
+    )
+
+
+# integral components, drawn as ints and as Fractions with denominator 1,
+# and fractional ones, on radicands over the primes 2, 3 and 5
+_parts = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+surd_terms = st.dictionaries(
+    st.sampled_from((1, 2, 3, 5, 6, 10, 15, 30)),
+    st.tuples(_parts, _parts),
+    max_size=3,
+)
+
+
+def _surd(terms) -> tuple[Scalar, FractionScalar]:
+    """The scalar with these terms, built by the public constructors and
+    arithmetic, and its oracle."""
+    x = ZERO
+    for n, (re, im) in terms.items():
+        x = x + Scalar.from_rational(re, im) * Scalar.sqrt_int(n)
+    return x, FractionScalar(terms)
+
+
+@FIELD_SETTINGS
+@given(surd_terms, surd_terms)
+def test_arithmetic_is_canonical_and_matches_fraction_oracle(ta, tb):
+    (a, fa), (b, fb) = _surd(ta), _surd(tb)
+    results = [(a, fa), (b, fb), (a + b, fa + fb), (a - b, fa - fb),
+               (a * b, fa * fb), (-a, -fa), (a.conjugate(), fa.conjugate())]
+    results += zip(a.real_imag(), fa.real_imag())
+    if not b.is_zero():
+        results += [(a / b, fa * fb.inverse()), (b.inverse(), fb.inverse())]
+    for x, oracle in results:
+        assert _is_canonical(x), x.terms
+        assert x.terms == oracle.terms
+
+
+def test_inverse_of_an_integer_is_an_exact_fraction():
+    half = Scalar.from_rational(2).inverse()
+    assert half.terms == {1: (Fraction(1, 2), 0)}
+    re, im = half.terms[1]
+    assert type(re) is Fraction and type(im) is int
+
+
+def test_integral_rationals_are_ints_with_equal_hashes():
+    two = Scalar.from_rational(2)
+    assert rat(4, 2) == two and hash(rat(4, 2)) == hash(two)
+    assert type(rat(4, 2).terms[1][0]) is int
+    # a Scalar built directly from Fraction components is structurally the
+    # same value, hash and text
+    direct = Scalar({1: (Fraction(2), Fraction(0))})
+    assert direct == two and hash(direct) == hash(two)
+    assert repr(direct) == repr(two) == "2"

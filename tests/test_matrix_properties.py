@@ -7,13 +7,15 @@ alike; each ring axiom below is checked over both.  The sparse
 ``mat_mul`` is checked against the dense triple loop it replaced, kept
 here as the oracle.  The Coefficient normal form and the ScalarOp
 product and adjoint are checked on their own ring laws, compared
-structurally.  ``derandomize`` makes every run draw the same examples,
-so the suite keeps to seeded randomness.
+structurally, and the term-by-term difference of every ring against the
+sum with a negated copy it replaced.  ``derandomize`` makes every run
+draw the same examples, so the suite keeps to seeded randomness.
 """
 
+import copy
 from fractions import Fraction
 
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from poincarelab.commutant import _independent_subset
 from poincarelab.exactnum import (
@@ -28,7 +30,7 @@ from poincarelab.exactnum import (
     mat_sub,
     nullspace,
 )
-from poincarelab.symop import Coefficient, Poly, ScalarOp
+from poincarelab.symop import BlockOp, Coefficient, Poly, ScalarOp
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=40)
@@ -239,3 +241,89 @@ def test_operator_jacobi_identity(ops):
 def test_operator_adjoint_reverses_products(ops):
     a, b = ops
     assert (a * b).adjoint() == b.adjoint() * a.adjoint()
+
+
+# -- differences ----------------------------------------------------------------
+# Each ring subtracts term by term, negating only the terms of the right
+# operand that the left lacks.  The result must be structurally the sum
+# with a negated copy, the form it replaced, and leave both operands as
+# they were.
+
+polys = st.dictionaries(_monos, scalars, max_size=3).map(Poly)
+
+# denominators up to p0^2 (mu+p0)^2, so that operands with different
+# denominators are scaled to a common one
+coefficients_2 = st.builds(
+    lambda terms, a, b: Coefficient(Poly(terms), a, b),
+    st.dictionaries(_monos, scalars, max_size=2),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+
+# term keys (alpha, u, k) over a few derivatives, Y and C
+_op_keys = st.tuples(
+    st.sampled_from(((0, 0, 0), (1, 0, 0), (0, 0, 1))),
+    st.integers(0, 1),
+    st.integers(0, 1),
+)
+
+
+def scalar_ops(dim):
+    return st.dictionaries(
+        _op_keys,
+        st.tuples(*[st.tuples(*[coefficients] * dim)] * dim),
+        max_size=3,
+    ).map(lambda terms: ScalarOp(dim, terms))
+
+
+def block_ops(blocks, dim):
+    return st.tuples(*[st.tuples(*[scalar_ops(dim)] * blocks)] * blocks).map(BlockOp)
+
+
+def _check_difference(a, b):
+    a_before, b_before = copy.deepcopy(a), copy.deepcopy(b)
+    assert a - b == a + (-b)
+    assert b - a == b + (-a)
+    assert (a - a).is_zero() and (b - b).is_zero()
+    assert a == a_before and b == b_before
+
+
+@SETTINGS
+@given(scalars, scalars)
+def test_scalar_difference_is_sum_with_negation(a, b):
+    _check_difference(a, b)
+
+
+@SETTINGS
+@given(polys, polys)
+def test_poly_difference_is_sum_with_negation(a, b):
+    _check_difference(a, b)
+
+
+# a point on the mass shell, (mu, p1, p2, p3, p0), where the value of a
+# difference is checked against the difference of values
+_MU, _P = 1.3, (0.4, -0.7, 1.1)
+_SHELL_POINT = (_MU, *_P, (_MU**2 + sum(x * x for x in _P)) ** 0.5)
+
+
+@SETTINGS
+@given(coefficients_2, coefficients_2)
+def test_coefficient_difference_is_sum_with_negation(a, b):
+    assume((a.a, a.b) != (b.a, b.b))
+    _check_difference(a, b)
+    value = (a - b).eval(*_SHELL_POINT)
+    assert abs(value - (a.eval(*_SHELL_POINT) - b.eval(*_SHELL_POINT))) < 1e-9
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(*[scalar_ops(dim)] * 2)))
+def test_operator_difference_is_sum_with_negation(ops):
+    a, b = ops
+    assume(set(b.terms) - set(a.terms))
+    _check_difference(a, b)
+
+
+@settings(SETTINGS, max_examples=15)
+@given(st.tuples(*[block_ops(2, 1)] * 2))
+def test_block_difference_is_sum_with_negation(ops):
+    _check_difference(*ops)
