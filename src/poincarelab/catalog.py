@@ -23,9 +23,11 @@ named operators).  ``[K1,K2] == -i*J3`` is K1*K2 - K2*K1 + i*J3; an
 exchange relation has one component per generator of its family; the
 empty word is the identity.  The table holds the 45 Lie relations, the
 Theta/Pi exchange, square and omega rows, the two Casimirs (words over
-W0..W3 and the operator mu^2) and the position axioms (words over
-Q1..Q3).  ``operators`` maps names to operators, read from the spec's
-fields on every call; ``verify_relations`` is the one exact evaluator,
+W0..W3 and the operator mu^2), the ten self-adjointness rows (words
+over "adjoint(G)", the formal adjoint of G) and the position axioms
+(words over Q1..Q3).  ``operators`` maps names to operators, read from
+the spec's fields on every call; ``verify_relations`` is the one exact
+evaluator, summing each component once in a ``symop.RelationSum``, and
 ``gridlab.residual`` the numeric one.
 """
 
@@ -38,7 +40,7 @@ from typing import NamedTuple
 from .exactnum import I, ONE, Scalar, ZERO, identity_matrix, mat_map
 from .report import RelationReport
 from .spin_algebra import SpinWeight, spin_matrices, tau_matrix
-from .symop import BlockOp, Coefficient, Poly, ScalarOp
+from .symop import BlockOp, Coefficient, Poly, RelationSum, ScalarOp
 
 UNITARY = "unitary"
 ANTIUNITARY = "antiunitary"
@@ -183,6 +185,17 @@ LIE_RELATIONS: tuple[Relation, ...] = (
     + tuple(_bracket("K.P0", f"K{a}", "P0", I, f"P{a}") for a in (1, 2, 3))
 )
 
+
+def _self_adjoint(family: str, names) -> tuple[Relation, ...]:
+    """adjoint(g) == g for every g named; "adjoint(g)" is an operator name."""
+    return tuple(Relation(f"adjoint({g}) == {g}", family,
+                          (((ONE, (f"adjoint({g})",)), (-ONE, (g,))),))
+                 for g in names)
+
+
+# Each generator equals its formal adjoint for the 1/p0 weight.
+SELF_ADJOINT_RELATIONS = _self_adjoint("G*", GENERATORS)
+
 _Q = ("Q1", "Q2", "Q3")
 
 # Localization axioms of a position triple Q1..Q3 (see localization.py).
@@ -191,9 +204,7 @@ POSITION_RELATIONS: tuple[Relation, ...] = (
     + tuple(_bracket("QP", f"Q{a}", f"P{b}", I if a == b else ZERO)
             for a, b in _ALL_PAIRS)
     + _vector_brackets("JQ", "J", "Q", "Q", _ALL_PAIRS)
-    + tuple(Relation(f"adjoint({q}) == {q}", "Q*",
-                     (((ONE, (f"adjoint({q})",)), (-ONE, (q,))),))
-            for q in _Q)
+    + _self_adjoint("Q*", _Q)
     + (_exchange("Theta", "Q", 1, _Q), _exchange("Pi", "Q", -1, _Q))
 )
 
@@ -477,23 +488,25 @@ _MU_SQUARED = Coefficient(Poly({(2, 0, 0, 0, 0): ONE}))
 
 
 def operators(rep: RepSpec, names, q=None) -> dict[str, BlockOp]:
-    """The operator of each name: the generators, Theta and Pi, plus mu^2
-    and W0..W3 when ``names`` asks for them, plus Q1..Q3 and their
-    adjoints from a position triple ``q``.
+    """The operator of each name: the generators, Theta and Pi, plus
+    Q1..Q3 from a position triple ``q``, plus mu^2, W0..W3 and the formal
+    adjoint "adjoint(X)" of any other operator X when ``names`` asks for
+    them.
 
     Built from the fields on every call and never stored, so a spec
     altered with dataclasses.replace is evaluated as altered.
     """
     ops = rep.generators()
     ops.update(Theta=rep.theta, Pi=rep.pi)
+    if q is not None:
+        ops.update(zip(_Q, q.as_tuple()))
     if "mu^2" in names:
         ops["mu^2"] = BlockOp.identity(rep.blocks, rep.dim).scale(_MU_SQUARED)
     if "W0" in names:
         ops.update(zip(("W0", "W1", "W2", "W3"), pauli_lubanski(rep)))
-    if q is not None:
-        for name, qa in zip(_Q, q.as_tuple()):
-            ops[name] = qa
-            ops[f"adjoint({name})"] = qa.adjoint()
+    for name in names:
+        if name.startswith("adjoint("):
+            ops[name] = ops[name[len("adjoint("):-1]].adjoint()
     return ops
 
 
@@ -507,33 +520,22 @@ def _truncate(text: str, limit: int = 160) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _word_product(word, ops) -> BlockOp:
-    """The word multiplied left to right; the empty word is the identity."""
-    if not word:
-        g = ops["P0"]
-        return BlockOp.identity(g.blocks, g.dim)
-    out = ops[word[0]]
-    for name in word[1:]:
-        out = out * ops[name]
-    return out
-
-
 def _violation(rel: Relation, ops) -> str:
-    """Empty if rel holds exactly, else why not: its first nonzero component."""
+    """Empty if rel holds exactly, else why not: its first nonzero component.
+
+    Each component is summed once, in a symop.RelationSum: every word
+    enters as its block paths, over the common denominator of each entry,
+    and only a nonzero sum is put in normal form, for the residual's text.
+    """
     if rel.inadmissible:
         return rel.inadmissible
+    shape = ops["P0"]
     for idx, component in enumerate(rel.components, 1):
-        acc = None
+        acc = RelationSum(shape.blocks, shape.dim)
         for coeff, word in component:
-            term = _word_product(word, ops)
-            if coeff == -ONE:
-                acc = -term if acc is None else acc - term
-                continue
-            if coeff != ONE:
-                term = term.scale(coeff)
-            acc = term if acc is None else acc + term
+            acc.add(coeff, [ops[name] for name in word])
         if not acc.is_zero():
-            return f"component {idx}: residual {_truncate(repr(acc))}"
+            return f"component {idx}: residual {_truncate(repr(acc.block_op()))}"
     return ""
 
 
@@ -568,7 +570,8 @@ def verify_discrete_relations(rep: RepSpec) -> RelationReport:
     rpt = verify_relations(rep, discrete_relations(rep))
     if rep.label in ("sym5", "sym6"):
         variant = _discrete_op(_pattern(_SWAP2), "tau", 1, 1, rep.two_s)
-        holds = (variant * rep.p0 - rep.p0 * variant).is_zero()
+        holds = not _violation(_exchange("Theta'", "P0", 1, ("P0",)),
+                               {"Theta'": variant, "P0": rep.p0})
         rpt.record(
             "theta-offdiagonal-variant", "symbolic",
             "the block-offdiagonal tau*C*Y form "
@@ -580,13 +583,7 @@ def verify_discrete_relations(rep: RepSpec) -> RelationReport:
 
 def verify_self_adjointness(rep: RepSpec) -> RelationReport:
     """All ten generators equal their formal adjoints for the 1/p0 weight."""
-    rpt = RelationReport(rep.label, rep.two_s)
-    for name, g in rep.generators().items():
-        diff = g.adjoint() - g
-        ok = diff.is_zero()
-        rpt.add(f"adjoint({name}) == {name}", "symbolic", ok,
-                "" if ok else _truncate(f"residual {diff!r}"))
-    return rpt
+    return verify_relations(rep, SELF_ADJOINT_RELATIONS)
 
 
 def verify_casimirs(rep: RepSpec) -> RelationReport:

@@ -23,16 +23,35 @@ ring (the quotients by them are domains because rank >= 3 quadratic
 forms are irreducible), so the minimal representation is unique and
 dictionary equality is sound.
 
-Three memos reuse work: Coefficient._product, Coefficient._deriv (keyed
-by the coefficient and the axis) and ScalarOp._product, each a
-functools.lru_cache bounded at _MEMO_SIZE entries and reached only for
-nonzero operands.  They are keyed by value, through the structural
-__eq__ and __hash__, so equal operands held in different objects share
-one result.  That is sound because each operation is a deterministic
-function of its operands' structure and no Poly, Coefficient or
-ScalarOp is changed after it is built, so a memoized result can be
-handed out again.  clear_multiplication_cache empties all three and
-cache_info reports their hits, misses and sizes.
+Four memos reuse work: Coefficient._product, Coefficient._deriv (keyed
+by the coefficient and the axis), ScalarOp._product and _lift (a
+numerator moved onto a larger denominator), each a functools.lru_cache
+bounded at _MEMO_SIZE entries and reached only for nonzero operands.
+They are keyed by value, through the structural __eq__ and __hash__, so
+equal operands held in different objects share one result.  That is
+sound because each operation is a deterministic function of its
+operands' structure and no Poly, Coefficient or ScalarOp is changed
+after it is built, so a memoized result can be handed out again.
+clear_multiplication_cache empties all four and cache_info reports
+their hits, misses and sizes.
+
+RelationSum sums weighted words of block operators, one relation
+component, without building a normal form for any partial sum.  Each
+word is fed in as its block paths: the nonzero entries of a single
+operator, or every nonzero product A[r][k]*B[k][c] of the last two
+factors at block (r, c).  Each entry (block r, c; term key; spin entry
+i, j) collects its coefficients, the weights of equal ones summed, and
+when the sum is read the numerator of every coefficient of nonzero
+weight is lifted onto the entry's common denominator p0^a (mu+p0)^b, a
+and b the largest over those coefficients, and added into one flat map
+keyed by (entry, monomial, radicand) with Gaussian rational values.  The
+sum is exact: a reduced numerator A + B*p0 (A, B free of p0) vanishes on
+the shell iff A = B = 0, since p0 is not a rational function of mu and
+p, and the square roots of distinct squarefree integers are linearly
+independent over Q(i); so the sum is zero iff every value of the map is.
+A nonzero sum is turned back into a BlockOp, one Coefficient(numerator,
+a, b) per entry; normal form is unique, so that is the operator any
+other order of summing gives.
 """
 
 from __future__ import annotations
@@ -42,8 +61,9 @@ from math import comb
 from operator import add, methodcaller, neg, sub
 
 from .exactnum import (
-    Matrix, ONE, Scalar, ZERO, diagonal, identity_matrix, mat_add, mat_conj,
-    mat_dagger, mat_is_zero, mat_map, mat_mul, mat_scale, mat_sub, zero_matrix,
+    Matrix, ONE, Scalar, ZERO, _canon, diagonal, identity_matrix, mat_add,
+    mat_conj, mat_dagger, mat_is_zero, mat_map, mat_mul, mat_scale, mat_sub,
+    zero_matrix,
 )
 
 # Monomial exponents, in the order (mu, p1, p2, p3, p0); p0 exponent <= 1.
@@ -51,7 +71,7 @@ Mono = tuple[int, int, int, int, int]
 
 _SYMS = {"mu": 0, "p1": 1, "p2": 2, "p3": 3, "p0": 4}
 
-# Entry bound of each product and derivative memo.  Running every
+# Entry bound of each product, derivative and lift memo.  Running every
 # symbolic workload in one process peaks near 6k entries in the largest,
 # so none evicts in practice; the bound keeps a long session's memory flat.
 _MEMO_SIZE = 2**14
@@ -263,6 +283,7 @@ def _div_spatial_sq(poly: Poly) -> Poly | None:
 
 
 _P_MONO = [None, (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)]
+_MU_P0 = Poly.sym("mu") + Poly.sym("p0")
 
 
 class Coefficient:
@@ -326,9 +347,7 @@ class Coefficient:
             return other if op is add else -other
         a = max(self.a, other.a)
         b = max(self.b, other.b)
-        n1 = _scale_denominators(self.num, a - self.a, b - self.b)
-        n2 = _scale_denominators(other.num, a - other.a, b - other.b)
-        return Coefficient(op(n1, n2), a, b)
+        return Coefficient(op(self.lifted(a, b), other.lifted(a, b)), a, b)
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
         return self._combine(other, add)
@@ -426,6 +445,12 @@ class Coefficient:
 
     # -- structure -------------------------------------------------------
 
+    def lifted(self, a: int, b: int) -> Poly:
+        """The numerator over the larger denominator p0^a (mu+p0)^b."""
+        if a == self.a and b == self.b:
+            return self.num
+        return _lift(self.num, a - self.a, b - self.b)
+
     def as_constant(self) -> Scalar | None:
         """The scalar value if this coefficient is constant, else None."""
         if self.is_zero():
@@ -470,13 +495,13 @@ class Coefficient:
                             else "(" + "*".join(dens) + ")")
 
 
-def _scale_denominators(num: Poly, da: int, db: int) -> Poly:
+@lru_cache(maxsize=_MEMO_SIZE)
+def _lift(num: Poly, da: int, db: int) -> Poly:
+    """num * p0^da * (mu+p0)^db, reduced."""
     for _ in range(da):
         num = num.mul_p0()
-    if db:
-        mu_p0 = Poly.sym("mu") + Poly.sym("p0")
-        for _ in range(db):
-            num = num * mu_p0
+    for _ in range(db):
+        num = num * _MU_P0
     return num
 
 
@@ -775,11 +800,13 @@ _MEMOS = {
     "coefficient_product": Coefficient._product,
     "coefficient_deriv": Coefficient._deriv,
     "operator_product": ScalarOp._product,
+    "denominator_lift": _lift,
 }
 
 
 def clear_multiplication_cache() -> None:
-    """Empty the coefficient product, derivative and operator product memos."""
+    """Empty the coefficient product, derivative, operator product and
+    denominator lift memos."""
     for memo in _MEMOS.values():
         memo.cache_clear()
 
@@ -921,6 +948,125 @@ class BlockOp:
         for row in self.entries:
             rows.append("[" + " | ".join(repr(op) for op in row) + "]")
         return "[" + "  ".join(rows) + "]"
+
+
+# -- exact relation sums ----------------------------------------------------
+
+
+class RelationSum:
+    """An exact sum of weighted words of BlockOps (see the module docstring).
+
+    Each block entry (r, c, term key, spin entry i, j) maps every
+    coefficient fed into it, by value, to its total weight (re, im), the
+    Gaussian rational re + i*im; the flat map is built when the sum is
+    read.
+    """
+
+    __slots__ = ("blocks", "dim", "_entries")
+
+    def __init__(self, blocks: int, dim: int):
+        self.blocks = blocks
+        self.dim = dim
+        self._entries: dict[tuple, dict[Coefficient, tuple]] = {}
+
+    def add(self, weight: Scalar, factors) -> None:
+        """Add weight times the product of the BlockOps in factors, left to
+        right; no factors is the identity.  weight is a Gaussian rational."""
+        if set(weight.terms) - {1}:
+            raise ValueError(f"weight must be a Gaussian rational, got {weight!r}")
+        re, im = weight.terms.get(1, (0, 0))
+        if any(f.blocks != self.blocks or f.dim != self.dim for f in factors):
+            raise ValueError("block shape mismatch")
+        entries = self._entries
+        for r, c, op in self._paths(factors):
+            for key, mat in op.terms.items():
+                for i, row in enumerate(mat):
+                    for j, x in enumerate(row):
+                        if x.num.terms:
+                            pos = (r, c, key, i, j)
+                            fed = entries.get(pos)
+                            if fed is None:
+                                entries[pos] = {x: (re, im)}
+                            else:
+                                w = fed.get(x)
+                                fed[x] = (re, im) if w is None else \
+                                    (w[0] + re, w[1] + im)
+
+    def _paths(self, factors):
+        """(r, c, op) over the block paths of the product: op the entry
+        of a single factor, else each nonzero A[r][k]*B[k][c] of the last
+        two factors, A the product of all but the last."""
+        if not factors:
+            one = ScalarOp.identity(self.dim)
+            for r in range(self.blocks):
+                yield r, r, one
+            return
+        left = factors[0]
+        if len(factors) == 1:
+            for r, row in enumerate(left.entries):
+                for c, op in enumerate(row):
+                    yield r, c, op
+            return
+        for f in factors[1:-1]:
+            left = left * f
+        right = factors[-1].entries
+        for r, row in enumerate(left.entries):
+            for k, x in enumerate(row):
+                if x.terms:
+                    for c, y in enumerate(right[k]):
+                        if y.terms:
+                            yield r, c, x * y
+
+    def _flat(self) -> tuple[dict, dict]:
+        """The denominator (a, b) of each entry and the flat map
+        (entry, monomial, radicand) -> (re, im) of the numerators."""
+        dens, values = {}, {}
+        for pos, fed in self._entries.items():
+            live = [(x, re, im) for x, (re, im) in fed.items() if re or im]
+            if not live:
+                continue
+            a = max(x.a for x, _re, _im in live)
+            b = max(x.b for x, _re, _im in live)
+            dens[pos] = (a, b)
+            for x, re, im in live:
+                for mono, s in x.lifted(a, b).terms.items():
+                    for n, (sr, si) in s.terms.items():
+                        key = (pos, mono, n)
+                        # most weights are real or imaginary units; the
+                        # products they skip are in Python for Fractions
+                        if not im:
+                            vr, vi = (sr, si) if re == 1 else (re * sr, re * si)
+                        elif not re:
+                            vr, vi = -im * si, im * sr
+                        else:
+                            vr, vi = re * sr - im * si, re * si + im * sr
+                        prev = values.get(key)
+                        values[key] = (vr, vi) if prev is None else \
+                            (prev[0] + vr, prev[1] + vi)
+        return dens, values
+
+    def is_zero(self) -> bool:
+        return not any(re or im for re, im in self._flat()[1].values())
+
+    def block_op(self) -> BlockOp:
+        """The sum in normal form."""
+        dens, values = self._flat()
+        nums: dict[tuple, dict[Mono, dict]] = {}
+        for (pos, mono, n), (re, im) in values.items():
+            if re or im:
+                nums.setdefault(pos, {}).setdefault(mono, {})[n] = (
+                    _canon(re), _canon(im))
+        dim = self.dim
+        terms = [[{} for _c in range(self.blocks)] for _r in range(self.blocks)]
+        for pos, num in nums.items():
+            r, c, key, i, j = pos
+            mat = terms[r][c].setdefault(key, [[_C_ZERO] * dim for _ in range(dim)])
+            mat[i][j] = Coefficient(
+                Poly({m: Scalar(t) for m, t in num.items()}), *dens[pos])
+        return BlockOp([
+            [ScalarOp(dim, {key: tuple(map(tuple, mat)) for key, mat in t.items()})
+             for t in row]
+            for row in terms])
 
 
 # -- public functional API --------------------------------------------------

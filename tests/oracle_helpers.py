@@ -5,14 +5,17 @@ sympy expressions with the energy written out as sqrt(mu^2 + |q|^2), so
 expected values are produced by sympy rather than by the engine itself.
 The spin identities, the lift of a commutant matrix to an operator and
 the change of basis of a commutant problem are checks of the engine
-that only the tests call, so they live here too.
+that only the tests call, so they live here too, and so does the
+pairwise BlockOp sum of a relation component, the oracle of
+symop.RelationSum.
 """
 
 import sympy as sp
 
+from poincarelab.catalog import _truncate
 from poincarelab.commutant import CommutantProblem
 from poincarelab.exactnum import (
-    I, Matrix, Scalar, identity_matrix, mat_dagger, mat_eq, mat_map, mat_mul,
+    I, ONE, Matrix, Scalar, identity_matrix, mat_dagger, mat_eq, mat_map, mat_mul,
     mat_scale, mat_sub, mat_transpose,
 )
 from poincarelab.spin_algebra import spin_matrices, spin_squared
@@ -155,3 +158,42 @@ def conjugate_problem(prob: CommutantProblem, u: Matrix) -> CommutantProblem:
          anti)
         for pat, anti in prob.constraints
     ))
+
+
+def word_product(word, ops) -> BlockOp:
+    """The word multiplied left to right as BlockOps; the empty word is
+    the identity."""
+    if not word:
+        g = ops["P0"]
+        return BlockOp.identity(g.blocks, g.dim)
+    out = ops[word[0]]
+    for name in word[1:]:
+        out = out * ops[name]
+    return out
+
+
+def pairwise_sum(component, ops) -> BlockOp:
+    """The component summed term by term, every partial sum a normal-form
+    BlockOp; the sum of no terms is the zero operator."""
+    g = ops["P0"]
+    acc = BlockOp.zero(g.blocks, g.dim)
+    for coeff, word in component:
+        term = word_product(word, ops)
+        if coeff == -ONE:
+            acc = acc - term
+            continue
+        if coeff != ONE:
+            term = term.scale(coeff)
+        acc = acc + term
+    return acc
+
+
+def pairwise_violation(rel, ops) -> str:
+    """catalog._violation's text, from pairwise sums."""
+    if rel.inadmissible:
+        return rel.inadmissible
+    for idx, component in enumerate(rel.components, 1):
+        acc = pairwise_sum(component, ops)
+        if not acc.is_zero():
+            return f"component {idx}: residual {_truncate(repr(acc))}"
+    return ""
