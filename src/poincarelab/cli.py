@@ -122,10 +122,9 @@ def cmd_grid(args) -> RelationReport:
         f"running {len(relations)} convergence studies on N={sizes}",
         file=sys.stderr,
     )
-    for study in gridlab.study(rep, relations, grids):
+    defects = {}
+    for study in gridlab.study(rep, relations, grids, defects=defects):
         report.add(study.relation, "numeric", study.ok, study.detail())
-    state = gridlab.standard_state(rep, grids[-1])
-    defects = gridlab.isometry_defect(rep, state)
     for op_name, defect in defects.items():
         report.add(
             f"{op_name} norm preservation",

@@ -18,11 +18,18 @@ store each spin component as one contiguous block (the array keeps its
 (blocks, N, N, N, 2s+1) shape), so stencils, field products and norms
 run over contiguous memory.  ``apply`` builds its output slab by slab,
 a few axis-0 rows at a time, running every term of the operator on
-those rows while they are in cache; a field that feeds several terms is
-cast to complex once per slab, and each element sees the same
-operations in the same order as in one whole-array pass per term, so
-results are bit-identical to it.  ``apply`` can write into a given
-array, zeroing the components no term reaches.
+those rows while they are in cache.  Each term is one product
+conj^k(x) * (F * s): the term's exact scalar s, which carries the
+stencil step and the reflection sign, is folded into its real field F,
+once per apply for a field that broadcasts along an axis and once per
+slab for a full-size one, for each distinct (field, s).  Each element
+sees the same operations in the same order as in one whole-array pass
+per term with that formula, so results are bit-identical to it; the
+formula it replaced, conj^k(x * F) * s, rounds differently, by at most
+7.2e-16 of the largest modulus on the operators tested.  ``apply`` can
+write into a given array, zeroing the components no term reaches, or
+add c times its result onto a sum slab by slab (``add_to``), with the
+same elementwise operations as adding the whole applied state.
 
 ``study`` runs every relation of a study on each grid from one plan
 (``_residuals``): the relations run in an order that keeps those
@@ -33,14 +40,19 @@ component sums and dropped arrays kept to receive later outputs) stay
 within _LIVE_STATES states of the study's largest grid, the working-set
 guard's own figure: three states on the largest grid, 24 on one with
 half its points per axis, room for every state a representative study
-shares.  Residuals are bit-identical to evaluating each
-relation alone, since the same applies act on the same operands and sum
-in the same order.  At N = 128 a spin-1/2 state takes 64 MiB; on a
-2-core Xeon VM one apply takes about 30 ms for a multiplication
-generator or Theta/Pi and 70-100 ms for a rotation or boost, and
-``grid --rep up --two-s 1`` at N = 32, 64, 128 makes 256 applies (74,
-74 and 108 per grid, against 118 each when every relation ran alone) in
-about 7.2 s of wall time with a peak RSS of 424 MiB.
+shares.  A term after the first of a component whose word is not
+kept and has no later use adds its last apply straight onto the
+component's sum, so it needs no array of its own.  Residuals are
+bit-identical to evaluating each relation alone, since the same applies
+act on the same operands and sum with the same elementwise operations
+in the same order.  On the finest grid the plan also takes the norms
+of its own Theta psi and Pi psi for the isometry rows.  At N = 128 a
+spin-1/2 state takes 64 MiB; on a 2-core Xeon VM one apply takes about
+15-20 ms for a multiplication generator or Theta/Pi, 45 ms for a
+rotation and 60-75 ms for a boost, and ``grid --rep up --two-s 1`` at
+N = 32, 64, 128 makes 251 applies (74, 74 and 103 per grid, 30 of them
+added onto a sum, against 118 each when every relation ran alone) in
+about 6.2 s of wall time with a peak RSS of 424 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -54,7 +66,7 @@ exact reports use (Lie, discrete and both Casimirs).
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -224,11 +236,18 @@ def norm(state: GridState) -> float:
 
 
 def _values_norm(values: np.ndarray, grid: Grid) -> float:
+    """The weighted norm, summed slab by slab (``_slab_rows``) so each
+    component is read from memory once for its real and imaginary parts."""
     w = _meshes(grid).inv_p0
-    total = sum(
-        _weighted(x.real, x.real, w) + _weighted(x.imag, x.imag, w)
-        for x in _components(values)
-    )
+    comps = list(_components(values))
+    rows = _slab_rows(grid.points)
+    total = 0.0
+    for a in range(0, grid.points, rows):
+        wa = w[a:a + rows]
+        for x in comps:
+            xa = x[a:a + rows]
+            total += (_weighted(xa.real, xa.real, wa)
+                      + _weighted(xa.imag, xa.imag, wa))
     return math.sqrt(total * grid.spacing**3)
 
 
@@ -288,44 +307,31 @@ def _central_diff(arr: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _term_into(buf: np.ndarray, x: np.ndarray, field, s: complex, conj: bool):
-    """buf = s * field * conj^k(x), where a field of None stands for 1."""
-    if field is not None:
-        np.multiply(x, field, out=buf)
-        if conj:
-            np.conjugate(buf, out=buf)
-    elif conj:
-        np.conjugate(x, out=buf)
-    else:
-        np.copyto(buf, x)
-    if s != 1:
-        buf *= s
-
-
 def _slab_rows(points: int) -> int:
     """Axis-0 rows per slab: one component slab is about SLAB_BYTES."""
     return max(1, SLAB_BYTES // (points * points * 16))
 
 
 def _plan(op: BlockOp, mesh: _Mesh,
-          spacing: float) -> tuple[list[tuple], list[np.ndarray]]:
+          spacing: float) -> tuple[list[tuple], list[tuple]]:
     """The operator as a list of (src block, spin column, axes, u, terms),
-    and the distinct fields its terms use.
+    and the distinct (field, scalar) pairs its terms use.
 
     A term M d^alpha Y^u C^k acts column by column of M: source component
     n is differenced along ``axes`` on the unreflected grid (the stencil
     commutes with C, and with Y up to the sign (-1)^|alpha|), viewed
     reflected if u, and each coefficient term s * F of M[m][n] adds
-    s * F * conj^k(x) to output component m.  Each entry's terms are
-    (dst block, dst component, field index or None, scalar, k, first),
-    first marking the contribution that writes its output instead of
-    adding to it.  Contributions sharing a source join one entry unless
-    that would move them ahead of an earlier contribution to the same
-    output, so every output sums its contributions in the order of the
-    operator's terms.
+    conj^k(x) * (F * s) to output component m, where s carries the step
+    1/(2h)^|alpha| and the reflection sign.  Each entry's terms are
+    (dst block, dst component, pair index or None for a term with no
+    field, scalar, k, first), first marking the contribution that writes
+    its output instead of adding to it.  Contributions sharing a source
+    join one entry unless that would move them ahead of an earlier
+    contribution to the same output, so every output sums its
+    contributions in the order of the operator's terms.
     """
     entries, by_source, last, written = [], {}, {}, set()
-    fields, index = [], {}
+    pairs, index = [], {}
     for br, row in enumerate(op.entries):
         for bc, sop in enumerate(row):
             for (alpha, u, k), mat in sop.terms.items():
@@ -342,16 +348,18 @@ def _plan(op: BlockOp, mesh: _Mesh,
                             i = by_source[source] = len(entries)
                             entries.append((*source, []))
                         for field, s in mesh.expand(mat[m][n]):
-                            f = None
+                            s *= step
+                            p = None
                             if field is not None:
-                                f = index.setdefault(id(field), len(fields))
-                                if f == len(fields):
-                                    fields.append(field)
+                                p = index.setdefault((id(field), s),
+                                                     len(pairs))
+                                if p == len(pairs):
+                                    pairs.append((field, s))
                             entries[i][-1].append(
-                                (br, m, f, s * step, k, dst not in written))
+                                (br, m, p, s, k, dst not in written))
                             written.add(dst)
                         last[dst] = i
-    return entries, fields
+    return entries, pairs
 
 
 def _diff_rows(x: np.ndarray, axes: tuple, lo: int, hi: int,
@@ -385,87 +393,104 @@ def _diff_rows(x: np.ndarray, axes: tuple, lo: int, hi: int,
     return cur[lo - r0:hi - r0]
 
 
-def apply(op: BlockOp, state: GridState, out: np.ndarray | None = None
-          ) -> GridState:
+def apply(op: BlockOp, state: GridState, out: np.ndarray | None = None, *,
+          add_to: tuple[np.ndarray, complex] | None = None) -> GridState:
     """Apply an exact operator numerically, slab by slab.
 
     The output is built a few axis-0 rows at a time (``_slab_rows``): for
     each slab the whole plan runs while its rows are in cache, each
     source slab differenced (``_diff_rows``), viewed reflected by
-    reading the mirrored rows, multiplied by the field slab, conjugated,
-    scaled and added to the output slab.  Every element sees the same
-    floating-point operations in the same order as a whole-array pass.
-    The first contribution to an output component is written straight
-    into it, later ones go through one scratch slab.  A finished slab is
-    checked finite while it is still in cache, so the result needs no
-    second scan.
+    reading the mirrored rows, and for each term conjugated if antilinear
+    and multiplied by the term's scaled field F * s (``_plan``).  F * s is
+    computed once per apply for a field that broadcasts along an axis and
+    once per slab for a full-size one, for each distinct (field, s).  A
+    term without a field is multiplied by its scalar, or copied when that
+    is 1.  The first contribution to an output component is written
+    straight into it, later ones go through one scratch slab.  A finished
+    slab is checked finite while it is still in cache, so the result
+    needs no second scan.
 
     ``out``, if given, is a complex array of the state's shape that does
     not overlap it; the result is written there (components the operator
     does not reach are zeroed), so a caller can reuse the array of a
     state it no longer needs instead of mapping fresh memory.
+
+    ``add_to=(acc, c)`` instead adds c * op(state) onto ``acc``, an array
+    of the same kind, and returns the state over ``acc``: each finished
+    slab goes into one slab-sized buffer and is added with ``+=`` for
+    c == 1, ``-=`` for c == -1, else multiplied by c and then added, the
+    same elementwise operations as adding a whole applied state.
     """
     if op.dim != state.spin.dim or op.blocks != state.blocks:
         raise ValueError("operator shape does not match the state")
     g = state.grid
     n = g.points
+    if add_to is not None:
+        if out is not None:
+            raise ValueError("give out or add_to, not both")
+        out, c = add_to
     if out is None:
         out = _empty_values(op.blocks, n, op.dim)
     elif (out.shape != state.values.shape or out.dtype != complex
           or np.may_share_memory(out, state.values)):
         raise ValueError("output must be a complex array of the state's "
                          "shape, separate from the state")
-    plan, fields = _plan(op, _meshes(g), g.spacing)
+    plan, pairs = _plan(op, _meshes(g), g.spacing)
     rows = _slab_rows(n)
     halo = max((entry[2].count(0) for entry in plan), default=0)
     scratch = np.empty((rows, n, n), dtype=complex)
     deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex) for _ in range(2)]
-    # A field feeding several terms is cast to complex once per slab, or
-    # once if it broadcasts along axis 0; the mixed multiply would cast it
-    # on every use, to the same values.
-    uses = Counter(t[2] for *_src, terms in plan for t in terms)
-    casts = [None] * len(fields)
-    for i, f in enumerate(fields):
-        if uses[i] > 1 and len(f) == 1:
-            fields[i] = f.astype(complex)
-        elif uses[i] > 1:
-            casts[i] = np.empty((rows, *f.shape[1:]), dtype=complex)
+    # F * s: whole if F broadcasts, else a slab buffer filled per slab
+    whole = [None if f.shape == (n, n, n) else np.multiply(f, s)
+             for f, s in pairs]
+    bufs = [np.empty((rows, n, n), dtype=complex) if w is None else None
+            for w in whole]
     comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
+    # where finished slabs go: the output, or one buffer added onto acc
+    target = comps if add_to is None else np.empty(
+        (op.blocks, op.dim, rows, n, n), dtype=complex)
     written = {(t[0], t[1]) for *_src, terms in plan for t in terms}
     for br in range(op.blocks):
         for m in range(op.dim):
             if (br, m) not in written:
-                comps[br, m] = 0
-    # the plan with its components as views, taken once rather than per slab
-    sources = [(state.values[bc, ..., col], axes, u,
-                [(comps[br, m], f, s, k, first)
-                 for br, m, f, s, k, first in terms])
+                target[br, m] = 0
+    # the plan with its source components as views, taken once
+    sources = [(state.values[bc, ..., col], axes, u, terms)
                for bc, col, axes, u, terms in plan]
     for a in range(0, n, rows):
         b = min(a + rows, n)
-        slab = []
-        for f, cast in zip(fields, casts):
-            if len(f) > 1:
-                f = f[a:b]
-                if cast is not None:
-                    np.copyto(cast[:b - a], f)
-                    f = cast[:b - a]
-            slab.append(f)
+        r0 = a if target is comps else 0
+        slab = target[:, :, r0:r0 + b - a]
+        gs = [np.multiply(f[a:b], s, out=buf[:b - a]) if w is None
+              else w if len(w) == 1 else w[a:b]
+              for (f, s), w, buf in zip(pairs, whole, bufs)]
         for src, axes, u, terms in sources:
             lo, hi = (n - b, n - a) if u else (a, b)
             x = _diff_rows(src, axes, lo, hi, deriv) if axes else src[lo:hi]
             if u:
                 x = x[::-1, ::-1, ::-1]
-            for comp, f, s, k, first in terms:
-                field = None if f is None else slab[f]
-                dst = comp[a:b]
-                if first:
-                    _term_into(dst, x, field, s, k)
-                else:
-                    _term_into(scratch[:b - a], x, field, s, k)
-                    dst += scratch[:b - a]
-        if not np.isfinite(comps[:, :, a:b].view(float)).all():
+            for br, m, p, s, k, first in terms:
+                dst = slab[br, m]
+                into = dst if first else scratch[:b - a]
+                term = np.conjugate(x, out=into) if k else x
+                if p is not None or s != 1:
+                    term = np.multiply(term, s if p is None else gs[p],
+                                       out=into)
+                if not first:
+                    dst += term
+                elif term is not dst:
+                    np.copyto(dst, term)
+        if not np.isfinite(slab.view(float)).all():
             raise ValueError("state contains non-finite entries")
+        if target is not comps:
+            acc = comps[:, :, a:b]
+            if c == 1:
+                acc += slab
+            elif c == -1:
+                acc -= slab
+            else:
+                slab *= c
+                acc += slab
     return GridState._prechecked(out, g, state.spin, state.blocks)
 
 
@@ -485,36 +510,57 @@ def _state_bytes(rep: RepSpec, grid: Grid) -> int:
     return rep.blocks * (rep.two_s + 1) * grid.points**3 * 16
 
 
+def _scaled_pairs(op: BlockOp) -> set[tuple]:
+    """The (field, s) pairs of ``apply``'s plan of op, counted from the
+    exact terms as (full size, field key, power of mu, scalar, |alpha|,
+    reflection sign): an upper bound on the distinct numeric pairs."""
+    pairs = set()
+    for row in op.entries:
+        for sop in row:
+            for (alpha, u, _k), mat in sop.terms.items():
+                order = sum(alpha)
+                for mrow in mat:
+                    for c in mrow:
+                        for key, e, s in _field_terms(c):
+                            if key is not None:
+                                mono, a, b = key
+                                full = bool(a or b or mono[3] or all(mono[:3]))
+                                pairs.add((full, key, e, s, order,
+                                           u and order % 2))
+    return pairs
+
+
 def working_set_bytes(rep: RepSpec, grids) -> int:
     """Estimated bytes of arrays a grid study of ``rep`` over ``grids`` holds.
 
     Every grid keeps its cached mesh (p0 and the full-size basis fields
-    the studied relations' operators use, 8 bytes a point; a field of p1,
-    p2, p3 alone broadcasts and is not counted) and its standard state;
-    the grid being studied adds the arrays of its plan (at most
-    _LIVE_STATES states of the largest grid, free arrays kept for reuse
-    included), apply's slab buffers and the temporaries of building one
-    field.  Against the peak RSS of ``grid`` at N = 32, 64, 128 less the
-    interpreter's own, it reads 1-4% low for up, sym3 and quad:+1.
+    the studied relations' operators use, 8 bytes a point; a field of at
+    most two of p1, p2, p3 broadcasts and is not counted) and its
+    standard state; the grid being studied adds the arrays of its plan
+    (at most _LIVE_STATES states of the largest grid, free arrays kept
+    for reuse included), apply's buffers and the temporaries of building
+    one field.  apply's buffers are its slabs (scratch, two difference
+    buffers with a 1-row halo each side, one scaled-field slab per
+    distinct full-size (field, s) pair and the slab that add_to adds from)
+    and one scaled copy of each broadcast field, at most N^2 points.
+    Against the peak RSS of ``grid`` at N = 32, 64, 128 less that of a
+    process that only imports numpy and poincarelab (29 MiB), it reads
+    0.2-0.5% low for up, sym3 and quad:+1.
     """
     studied = set(representative_relations(rep))
     names = word_names(r for r in relations(rep) if r.name in studied)
-    coeffs = (c for op in operators(rep, names).values()
-              for row in op.entries for sop in row
-              for mat in sop.terms.values() for mrow in mat for c in mrow)
+    per_op = [_scaled_pairs(op) for op in operators(rep, names).values()]
     keys = {((0, 0, 0, 1), 0, 0), ((0, 0, 0, 0), 1, 0)}  # p0 and 1/p0
-    for c in coeffs:
-        for key, _e, _s in _field_terms(c):
-            if key and (key[1] or key[2] or key[0][3]):  # has p0: full size
-                keys.add(key)
+    keys.update(p[1] for pairs in per_op for p in pairs if p[0])
+    full = max(sum(p[0] for p in pairs) for pairs in per_op)
+    broadcast = max(sum(not p[0] for p in pairs) for pairs in per_op)
+    comps = rep.blocks * (rep.two_s + 1)
     live = _LIVE_STATES * max(_state_bytes(rep, g) for g in grids)
     resident, transient = 0, 0
     for g in grids:
         n = g.points
         rows = _slab_rows(n)
-        # scratch, two difference buffers with a 1-row halo each side and
-        # at most one complex cast of each full-size field
-        slabs = (3 * rows + 4 + len(keys) * rows) * n * n * 16
+        slabs = ((3 + full + comps) * rows + 4 + broadcast) * n * n * 16
         resident += len(keys) * n**3 * 8 + _state_bytes(rep, g)
         transient = max(transient, live + slabs + 2 * n**3 * 8)
     return resident + transient
@@ -597,11 +643,14 @@ class _Applied:
     outputs (when ``free`` is a list; with None they are let go).  A new
     array while ``limit`` are held takes the one of the kept state needed
     furthest ahead (Belady's rule), which is applied again when needed.
+    ``normed`` maps words whose applied state's norm is wanted to that
+    norm, None until the word is first applied.
     """
 
     def __init__(self, ops, state: GridState, words, limit: int,
-                 free: list | None):
+                 free: list | None, normed: dict):
         self.ops, self.state, self.limit, self.free = ops, state, limit, free
+        self.normed = normed
         self.kept: dict[tuple, GridState] = {}
         self.held = 0
         self.pos = 0  # index of the term being added
@@ -655,13 +704,28 @@ class _Applied:
             st = apply(op, arg) if buf is None else apply(op, arg, out=buf)
             if owned:
                 self.release(arg.values)
+            if word in self.normed and self.normed[word] is None:
+                self.normed[word] = _values_norm(st.values, st.grid)
         if self._next_use(word) < math.inf:
             self.kept[word] = st
             return st, False
         return st, True
 
     def add(self, acc, coeff, word) -> np.ndarray:
-        """acc + coeff * (word applied), in place where the arrays allow."""
+        """acc + coeff * (word applied), in place where the arrays allow.
+
+        A term after the first whose word is not kept and has no later
+        use has its last operator's output added straight onto acc
+        (``apply``'s add_to), so it needs no array of its own.
+        """
+        if (acc is not None and word and word not in self.kept
+                and self._next_use(word) == math.inf):
+            arg, owned = self.take(word[1:])
+            self.pos += 1
+            apply(self.ops[word[0]], arg, add_to=(acc, coeff.to_complex()))
+            if owned:
+                self.release(arg.values)
+            return acc
         st, owned = self.take(word)
         self.pos += 1
         values = st.values
@@ -692,19 +756,21 @@ class _Applied:
 
 
 def _residuals(rep: RepSpec, relation_ids, state: GridState, largest: Grid,
-               free: list | None) -> list[float]:
+               free: list | None, normed: dict | None = None) -> list[float]:
     """Residual of each relation on one state, from one plan.
 
     The relations run in ``_ordered`` order over one ``_Applied``, so a
     word shared by several relations is applied once while it can stay:
     the arrays held at once stay within _LIVE_STATES states on the
-    ``largest`` grid of the study.
+    ``largest`` grid of the study.  ``normed`` (see ``_Applied``) gets
+    the norms of the wanted words the plan applies.
     """
     rels = [_relation(rep, rid) for rid in relation_ids]
     order = _ordered(rels)
     words = [w for i in order for comp in rels[i].components for _c, w in comp]
     limit = _LIVE_STATES * _state_bytes(rep, largest) // state.values.nbytes
-    run = _Applied(operators(rep, word_names(rels)), state, words, limit, free)
+    run = _Applied(operators(rep, word_names(rels)), state, words, limit, free,
+                   {} if normed is None else normed)
     base = _state_norm(rep, state)
     out = [0.0] * len(rels)
     for i in order:
@@ -841,7 +907,8 @@ def _fit(relation_id: str, grids, residuals) -> NumericReport:
     )
 
 
-def study(rep: RepSpec, relation_ids, grids) -> list[NumericReport]:
+def study(rep: RepSpec, relation_ids, grids, *,
+          defects: dict | None = None) -> list[NumericReport]:
     """A convergence study of each relation, grid by grid from one plan.
 
     Each grid evaluates every relation on its standard state through one
@@ -851,11 +918,19 @@ def study(rep: RepSpec, relation_ids, grids) -> list[NumericReport]:
     halving between consecutive entries.  All-tiny residuals are flagged
     exact instead of fitted; tiny residuals on some grids but not all
     have no slope (the log of a zero residual) and fail the study.
+
+    ``defects``, if a dict, receives ``isometry_defect`` of the finest
+    grid's standard state, with the norms of Theta psi and Pi psi taken
+    from the plan's own states where it applies them.
     """
     grids = _refining(grids)
     largest = max(grids, key=lambda g: g.points)
+    normed = {} if defects is None else dict.fromkeys([("Theta",), ("Pi",)])
     per_grid = [_residuals(rep, relation_ids, standard_state(rep, g), largest,
-                           []) for g in grids]
+                           [], normed if g is grids[-1] else None)
+                for g in grids]
+    if defects is not None:
+        defects.update(_isometry(rep, standard_state(rep, grids[-1]), normed))
     return [_fit(rid, grids, [res[i] for res in per_grid])
             for i, rid in enumerate(relation_ids)]
 
@@ -884,8 +959,18 @@ def representative_relations(rep: RepSpec) -> list[str]:
 
 def isometry_defect(rep: RepSpec, state: GridState) -> dict[str, float]:
     """Relative norm change under Theta and Pi (0 for exact isometries)."""
+    return _isometry(rep, state, {})
+
+
+def _isometry(rep: RepSpec, state: GridState,
+              normed: dict) -> dict[str, float]:
+    """``isometry_defect``, reading the norm of Theta psi and Pi psi from
+    ``normed`` (keyed by word) where a plan measured it on this state."""
     base = _state_norm(rep, state)
-    return {
-        "Theta": abs(norm(apply(rep.theta, state)) - base) / base,
-        "Pi": abs(norm(apply(rep.pi, state)) - base) / base,
-    }
+    out = {}
+    for name, op in (("Theta", rep.theta), ("Pi", rep.pi)):
+        applied = normed.get((name,))
+        if applied is None:
+            applied = norm(apply(op, state))
+        out[name] = abs(applied - base) / base
+    return out

@@ -1,8 +1,12 @@
-"""The slab kernel of gridlab.apply against the whole-array kernel it
-replaced, kept here as the oracle: every element must come out bit-equal,
-since the two run the same floating-point operations in the same order.
-That holds with the shared fields cast to complex once per slab, and
-when the output goes into a recycled array.
+"""The slab kernel of gridlab.apply against a whole-array kernel kept
+here as the oracle.  The oracle runs each term as one pass over whole
+components with the kernel's formula, conj^k(x) * (F * s), so every
+element must come out bit-equal: the two run the same floating-point
+operations in the same order.  That holds with the scaled fields filled
+per slab, when the output goes into a recycled array, and when the
+result is added onto a sum.  The formula the kernel used before,
+conj^k(x * F) * s, is kept as a second reference; it rounds differently,
+so it must agree only to a measured tolerance.
 """
 
 from collections import Counter
@@ -17,6 +21,11 @@ from poincarelab.gridlab import (
 from poincarelab.symop import BlockOp, ScalarOp
 
 L = 4.0
+# Bound on max |scaled - unscaled| / max |unscaled| between the two term
+# formulas.  Measured over the operators of _operators for up 2s=1,
+# sym3 2s=1 and quad:+1 at N = 16, 17, 64, 128: at most 7.2e-16 (K1 J3
+# on up at N = 128), 5.2e-16 on this file's grids.
+FORMULA_TOL = 2e-15
 
 
 def _central_diff(arr, axis, out):
@@ -31,7 +40,18 @@ def _central_diff(arr, axis, out):
     return out
 
 
-def _term_into(buf, x, field, s, conj):
+def _scaled_term(buf, x, field, s, conj):
+    """buf = conj^k(x) * (field * s), or conj^k(x) * s without a field."""
+    if conj:
+        x = np.conjugate(x)
+    if field is None and s == 1:
+        np.copyto(buf, x)
+    else:
+        np.multiply(x, s if field is None else np.multiply(field, s), out=buf)
+
+
+def _unscaled_term(buf, x, field, s, conj):
+    """buf = conj^k(x * field) * s: the formula before scaled fields."""
     if field is not None:
         np.multiply(x, field, out=buf)
         if conj:
@@ -49,10 +69,10 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
-def whole_array_apply(op, state):
+def whole_array_apply(op, state, term_into=_scaled_term):
     """apply() as one pass over whole components per term: difference
-    chain into two full-size buffers, reflect, field product, scale and
-    add through a full-size scratch buffer."""
+    chain into two full-size buffers, reflect, the term's product by
+    ``term_into`` and add through a full-size scratch buffer."""
     g = state.grid
     mesh = _meshes(g)
     raw = np.zeros((op.blocks, op.dim) + (g.points,) * 3, dtype=complex)
@@ -79,10 +99,10 @@ def whole_array_apply(op, state):
                         dst = out[br, ..., m]
                         for field, s in mesh.expand(c):
                             if (br, m) in written:
-                                _term_into(scratch, x, field, s * step, k)
+                                term_into(scratch, x, field, s * step, k)
                                 dst += scratch
                             else:
-                                _term_into(dst, x, field, s * step, k)
+                                term_into(dst, x, field, s * step, k)
                                 written.add((br, m))
     return out
 
@@ -112,13 +132,14 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
     ops = _operators(rep)
     assert any(sum(alpha) == 2 for op in ops.values() for row in op.entries
                for sop in row for (alpha, _u, _k) in sop.terms)
-    # some fields feed several terms, so apply casts them once per slab:
-    # full-size ones (the K's) and ones broadcast along axis 0 (the J's)
-    shared = {fields[i].shape[0] > 1
+    # both kinds of scaled field occur and feed several terms: full-size
+    # ones filled per slab (the K's) and broadcast ones scaled once per
+    # apply (the J's)
+    shared = {pairs[p][0].shape == (points,) * 3
               for op in ops.values()
-              for plan, fields in [gridlab._plan(op, _meshes(st.grid),
-                                                 st.grid.spacing)]
-              for i, n in Counter(t[2] for *_e, terms in plan
+              for plan, pairs in [gridlab._plan(op, _meshes(st.grid),
+                                                st.grid.spacing)]
+              for p, n in Counter(t[2] for *_e, terms in plan
                                   for t in terms if t[2] is not None).items()
               if n > 1}
     assert shared == {True, False}
@@ -134,6 +155,8 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
             got = apply(op, state, out=buf)
             assert got.values is buf
             assert np.array_equal(_bits(got.values), _bits(want)), name
+        old = whole_array_apply(op, st, _unscaled_term)
+        assert np.abs(want - old).max() <= FORMULA_TOL * np.abs(old).max()
 
 
 def test_slab_kernel_keeps_each_outputs_term_order():
@@ -150,18 +173,49 @@ def test_slab_kernel_keeps_each_outputs_term_order():
     assert np.array_equal(apply(op, st).values, want)
 
 
+def _partial_op():
+    """d1 on block 0, nothing reaching block row 1."""
+    zero = ScalarOp.zero(1)
+    return BlockOp([[ScalarOp.deriv_op(1, 1), zero], [zero, zero]])
+
+
 def test_recycled_output_zeroes_components_no_term_reaches():
     # block row 1 gets no contribution at all, so apply must zero it in a
     # recycled array rather than leave what was there
-    d1 = ScalarOp.deriv_op(1, 1)
-    zero = ScalarOp.zero(1)
-    op = BlockOp([[d1, zero], [zero, zero]])
+    op = _partial_op()
     g = Grid(L, 17)
     st = sample_gaussian(g, (0.2, -0.3, 0.1), L / 9, [[1.0 + 0.5j], [0.5]])
     want = whole_array_apply(op, st)
     assert not want[1].any() and want[0].any()
     buf = np.full_like(want, np.nan)
     assert np.array_equal(_bits(apply(op, st, out=buf).values), _bits(want))
+
+
+@pytest.mark.parametrize("slab_bytes", [gridlab.SLAB_BYTES, 3 * 17 * 17 * 16])
+@pytest.mark.parametrize("c", [1, -1, 1j, 1.5 - 2j])
+def test_add_into_equals_adding_the_applied_state(c, slab_bytes,
+                                                   monkeypatch):
+    # the sum gets exactly the elementwise operation of adding a whole
+    # applied state: += for 1, -= for -1, else multiply, then +=
+    monkeypatch.setattr(gridlab, "SLAB_BYTES", slab_bytes)
+    g = Grid(L, 17)
+    rep = catalog.build("up", 1)
+    st = standard_state(rep, g)
+    two = sample_gaussian(g, (0.2, -0.3, 0.1), L / 9, [[1.0 + 0.5j], [0.5]])
+    for op, state in ((rep.k[0], st), (rep.theta, st), (rep.j[1], st),
+                      (_partial_op(), two)):
+        acc = np.conj(state.values) * (0.5 + 0.25j)
+        acc[..., 0, 0, :] = -0.0  # signed zeros must come out as added
+        values = apply(op, state).values
+        if c == 1:
+            want = acc + values
+        elif c == -1:
+            want = acc - values
+        else:
+            want = acc + values * c
+        got = apply(op, state, add_to=(acc, c))
+        assert got.values is acc
+        assert np.array_equal(_bits(acc), _bits(want))
 
 
 def test_apply_rejects_an_unfit_output():
@@ -174,6 +228,11 @@ def test_apply_rejects_an_unfit_output():
                        (fresh, fresh.values[::-1])):  # overlaps its input
         with pytest.raises(ValueError, match="output must be"):
             apply(rep.k[0], state, out=out)
+        with pytest.raises(ValueError, match="output must be"):
+            apply(rep.k[0], state, add_to=(out, 1))
+    acc = np.zeros_like(st.values)
+    with pytest.raises(ValueError, match="not both"):
+        apply(rep.k[0], st, out=np.empty_like(acc), add_to=(acc, 1))
 
 
 def test_slab_rows_follow_the_byte_target():
@@ -193,7 +252,8 @@ def test_apply_rejects_a_non_finite_field(monkeypatch):
     bad = mesh.fields[key].copy()
     bad[9, 4, 7] = np.inf
     monkeypatch.setitem(mesh.fields, key, bad)
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(ValueError, match="non-finite"):
-        apply(rep.k[0], st)
-
+    # also when the result is added onto a sum
+    for kwargs in ({}, {"add_to": (np.zeros_like(st.values), 1)}):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            apply(rep.k[0], st, **kwargs)

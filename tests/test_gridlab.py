@@ -389,9 +389,9 @@ def test_residual_applies_shared_suffixes_once(monkeypatch):
     st = standard_state(rep, Grid(L, 16))
     calls = []
 
-    def counted(op, state):
+    def counted(op, state, **kwargs):
         calls.append(op)
-        return apply(op, state)
+        return apply(op, state, **kwargs)
 
     monkeypatch.setattr(gridlab, "apply", counted)
     got = residual(rep, "Theta*K == K*Theta", st)
@@ -429,9 +429,9 @@ def test_study_plan_shares_words_within_the_live_cap(label, two_s,
     calls, live = Counter(), []
     real_apply = gridlab.apply
 
-    def counted(op, state, out=None):
+    def counted(op, state, **kwargs):
         calls[state.grid.points] += 1
-        result = real_apply(op, state, out=out)
+        result = real_apply(op, state, **kwargs)
         live.append(tracemalloc.get_traced_memory()[0] - _mesh_bytes(grids))
         return result
 
@@ -557,3 +557,36 @@ def test_isometry_defect_is_tiny():
     d = isometry_defect(rep, st)
     assert set(d) == {"Theta", "Pi"}
     assert all(v < 1e-14 for v in d.values())
+
+
+def test_isometry_rows_come_from_the_plan(monkeypatch):
+    # study's defects take the norms of the plan's own Theta psi and
+    # Pi psi on the finest grid: bit for bit isometry_defect on the same
+    # state, without an apply of their own; a study whose relations
+    # never apply Theta or Pi applies each once more for them
+    rep = catalog.build("up", 1)
+    grids = [Grid(L, n) for n in (16, 32, 64)]
+    want = isometry_defect(rep, standard_state(rep, grids[-1]))
+    calls = Counter()
+    real_apply = gridlab.apply
+
+    def counted(op, state, **kwargs):
+        calls[op is rep.theta or op is rep.pi, state.grid.points] += 1
+        return real_apply(op, state, **kwargs)
+
+    monkeypatch.setattr(gridlab, "apply", counted)
+    rids = representative_relations(rep)
+    plain = study(rep, rids, grids)
+    plain_calls = dict(calls)
+    calls.clear()
+    defects = {}
+    assert study(rep, rids, grids, defects=defects) == plain
+    assert calls == plain_calls
+    assert {k: v.hex() for k, v in defects.items()} == {
+        k: v.hex() for k, v in want.items()}
+    calls.clear()
+    defects = {}
+    study(rep, ["[P1,P2] == 0"], grids, defects=defects)
+    assert {k: v.hex() for k, v in defects.items()} == {
+        k: v.hex() for k, v in want.items()}
+    assert calls[True, 64] == 2 and calls[True, 32] == 0
