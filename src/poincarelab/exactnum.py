@@ -349,27 +349,33 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return mat_is_zero(mat_sub(a, b))
 
 
+# -- exact linear systems ------------------------------------------------
+#
+# A row of a linear system is a dict {col: Scalar} of its nonzero
+# entries, and so is a solution vector.
+
+
 def row_reduce(rows, ncols: int):
     """Exact reduced row echelon form (RREF) of the first ncols columns.
 
-    Each row is held sparse, as a dict {col: Scalar} of its nonzero
-    entries; entries in columns >= ncols are ignored.  Columns are
-    visited in ascending order.  The pivot for column c is the remaining
-    row with the fewest nonzeros among those with a nonzero in c, the
-    lowest index on a tie (Markowitz's sparsest-row choice), which keeps
-    the fill-in of the sparse spin systems small.  The pivot row is
-    normalized and c is eliminated from every other row, pending and
-    already pivoted, so the result is the full RREF; rows that become
-    empty are dropped.
+    Each row is a dict {col: Scalar} of its nonzero entries; entries in
+    columns >= ncols are ignored, and the rows given are not changed.
+    Columns are visited in ascending order.  The pivot for
+    column c is the remaining row with the fewest nonzeros among those
+    with a nonzero in c, the lowest index on a tie (Markowitz's
+    sparsest-row choice), which keeps the fill-in of the sparse spin
+    systems small.  The pivot row is normalized and c is eliminated from
+    every other row, pending and already pivoted, so the result is the
+    full RREF; rows that become empty are dropped.
 
-    Returns the reduced rows, one dict per pivot, and the pivot columns
-    in ascending order: the columns that are not combinations of the
+    Returns the reduced rows, one per pivot, and the pivot columns in
+    ascending order: the columns that are not combinations of the
     columns before them.  The RREF of a matrix is unique and Scalar
     arithmetic is canonical, so both are the same for every pivot order.
     """
     pending: dict[int, dict[int, Scalar]] = {}
     for i, row in enumerate(rows):
-        sparse = {c: x for c, x in enumerate(row[:ncols]) if not x.is_zero()}
+        sparse = {c: x for c, x in row.items() if c < ncols}
         if sparse:
             pending[i] = sparse
     reduced: list[dict[int, Scalar]] = []
@@ -402,7 +408,7 @@ def row_reduce(rows, ncols: int):
     return reduced, pivots
 
 
-def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
+def nullspace(rows, ncols: int) -> list[dict[int, Scalar]]:
     """Basis of the solution space of rows * x = 0 over the scalar field.
 
     One vector per non-pivot column of the RREF from row_reduce: that
@@ -416,10 +422,97 @@ def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        v = [ZERO] * ncols
-        v[free] = ONE
+        v = {free: ONE}
         for row, pc in zip(reduced, pivots):
             if free in row:
                 v[pc] = -row[free]
         basis.append(v)
     return basis
+
+
+# -- the commutant system --------------------------------------------------
+#
+# A commutant solve asks for the self-adjoint n x n matrices A with
+# A*P == P*conj^k(A) for each constraint (P, antilinear), k = 1 when
+# antilinear.  A is held as n*n real unknowns: x[r*n + r] = A[r][r] and,
+# for r < c, x[r*n + c] = Re A[r][c] and x[c*n + r] = Im A[r][c].  So each
+# entry of A is a sum of unknowns times units i**q, and as A is
+# self-adjoint, conj(A) is its transpose.  The constraints are
+# real-linear in x: each entry of A*P - P*conj^k(A) gives a row for its
+# real part and one for its imaginary part.
+
+_UNITS = (ONE, I, -ONE, -I)  # i**q for q = 0..3
+
+
+def hermitian_entry(n: int, r: int, c: int) -> dict[int, int]:
+    """A[r][c] as {unknown: q}, the unknown's coefficient being i**q."""
+    if r == c:
+        return {r * n + r: 0}
+    if r < c:
+        return {r * n + c: 0, c * n + r: 1}
+    return {c * n + r: 0, r * n + c: 3}
+
+
+def hermitian_matrix(vec: dict[int, Scalar], n: int) -> Matrix:
+    """The self-adjoint matrix whose unknowns are vec."""
+    return tuple(
+        tuple(sum((_UNITS[q] * vec[v]
+                   for v, q in hermitian_entry(n, r, c).items() if v in vec),
+                  ZERO)
+              for c in range(n))
+        for r in range(n)
+    )
+
+
+def hermitian_vector(mat: Matrix) -> dict[int, Scalar]:
+    """The unknowns of a self-adjoint matrix; ValueError for any other."""
+    if not mat_eq(mat_dagger(mat), mat):
+        raise ValueError("matrix is not self-adjoint")
+    n = len(mat)
+    vec = {}
+    for r in range(n):
+        for c in range(r, n):
+            re, im = mat[r][c].real_imag()
+            vec[r * n + c] = re
+            if r != c:
+                vec[c * n + r] = im
+    return {v: x for v, x in vec.items() if x}
+
+
+def commutant_rows(constraints, n: int) -> list[dict[int, Scalar]]:
+    """The rows of A*P - P*conj^k(A) == 0 for every constraint (P,
+    antilinear), in the n*n real unknowns of a self-adjoint A.
+
+    i**q times an entry a + i*b of P is a quarter turn of (a, b), and
+    minus it is q + 2 quarter turns, so the rows take no products.
+    """
+    entry = [[hermitian_entry(n, r, c) for c in range(n)] for r in range(n)]
+    rows = []
+    for pat, antilinear in constraints:
+        turns = {}
+        for k, row in enumerate(pat):
+            for c, x in enumerate(row):
+                if x:
+                    a, b = x.real_imag()
+                    turns[k, c] = ((a, b), (-b, a), (-a, -b), (b, -a))
+        in_col = [[(k, turns[k, c]) for k in range(n) if (k, c) in turns]
+                  for c in range(n)]
+        in_row = [[(k, turns[r, k]) for k in range(n) if (r, k) in turns]
+                  for r in range(n)]
+        for r in range(n):
+            for c in range(n):
+                terms = [(entry[r][k], t, 0) for k, t in in_col[c]] + [
+                    (entry[c][k] if antilinear else entry[k][c], t, 2)
+                    for k, t in in_row[r]]
+                re_row: dict[int, Scalar] = {}
+                im_row: dict[int, Scalar] = {}
+                for form, t, shift in terms:
+                    for v, q in form.items():
+                        re, im = t[(q + shift) % 4]
+                        re_row[v] = re_row[v] + re if v in re_row else re
+                        im_row[v] = im_row[v] + im if v in im_row else im
+                for row in (re_row, im_row):
+                    row = {v: x for v, x in row.items() if x}
+                    if row:
+                        rows.append(row)
+    return rows

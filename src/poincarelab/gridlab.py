@@ -73,7 +73,8 @@ from functools import lru_cache
 import numpy as np
 
 from .catalog import (
-    RepSpec, discrete_relations, operators, relations, word_names,
+    LIE_RELATIONS, RepSpec, discrete_relations, operators, relations,
+    word_names,
 )
 from .exactnum import ONE
 from .spin_algebra import SpinWeight
@@ -638,9 +639,8 @@ class _Applied:
     ``words`` lists the word of every term in the order the plan adds
     them.  An applied state is kept from its application until the last
     term whose word ends with it, then dropped.  Arrays are counted in
-    ``held`` from allocation until dropped for good: kept states, states
-    and sums in use, and the dropped arrays kept in ``free`` for reuse as
-    outputs (when ``free`` is a list; with None they are let go).  A new
+    ``held`` from allocation on: kept states, states and sums in use, and
+    the dropped arrays kept in ``free`` for reuse as outputs.  A new
     array while ``limit`` are held takes the one of the kept state needed
     furthest ahead (Belady's rule), which is applied again when needed.
     ``normed`` maps words whose applied state's norm is wanted to that
@@ -648,9 +648,10 @@ class _Applied:
     """
 
     def __init__(self, ops, state: GridState, words, limit: int,
-                 free: list | None, normed: dict):
-        self.ops, self.state, self.limit, self.free = ops, state, limit, free
+                 normed: dict):
+        self.ops, self.state, self.limit = ops, state, limit
         self.normed = normed
+        self.free: list[np.ndarray] = []
         self.kept: dict[tuple, GridState] = {}
         self.held = 0
         self.pos = 0  # index of the term being added
@@ -673,10 +674,7 @@ class _Applied:
         if self.held >= self.limit:
             victims = [w for w, st in self.kept.items() if st is not pinned]
             if victims:
-                values = self.kept.pop(max(victims, key=self._next_use)).values
-                if self.free is not None:
-                    return values
-                self.held -= 1
+                return self.kept.pop(max(victims, key=self._next_use)).values
         self.held += 1
         return None
 
@@ -686,10 +684,7 @@ class _Applied:
 
     def release(self, values: np.ndarray) -> None:
         """Drop an array this plan allocated."""
-        if self.free is None:
-            self.held -= 1
-        else:
-            self.free.append(values)
+        self.free.append(values)
 
     def take(self, word) -> tuple[GridState, bool]:
         """word applied to the state, and whether this was its last use
@@ -699,9 +694,7 @@ class _Applied:
         st = self.kept.pop(word, None)
         if st is None:
             arg, owned = self.take(word[1:])
-            op, buf = self.ops[word[0]], self._buffer(arg)
-            # allocating: the two-argument form, which wrappers of apply expect
-            st = apply(op, arg) if buf is None else apply(op, arg, out=buf)
+            st = apply(self.ops[word[0]], arg, out=self._buffer(arg))
             if owned:
                 self.release(arg.values)
             if word in self.normed and self.normed[word] is None:
@@ -756,7 +749,7 @@ class _Applied:
 
 
 def _residuals(rep: RepSpec, relation_ids, state: GridState, largest: Grid,
-               free: list | None, normed: dict | None = None) -> list[float]:
+               normed: dict | None = None) -> list[float]:
     """Residual of each relation on one state, from one plan.
 
     The relations run in ``_ordered`` order over one ``_Applied``, so a
@@ -769,7 +762,7 @@ def _residuals(rep: RepSpec, relation_ids, state: GridState, largest: Grid,
     order = _ordered(rels)
     words = [w for i in order for comp in rels[i].components for _c, w in comp]
     limit = _LIVE_STATES * _state_bytes(rep, largest) // state.values.nbytes
-    run = _Applied(operators(rep, word_names(rels)), state, words, limit, free,
+    run = _Applied(operators(rep, word_names(rels)), state, words, limit,
                    {} if normed is None else normed)
     base = _state_norm(rep, state)
     out = [0.0] * len(rels)
@@ -790,10 +783,10 @@ def residual(rep: RepSpec, relation_id: str, state: GridState) -> float:
     the relation (Theta psi across the components of an exchange
     relation) is applied once and freed after its last use.  Terms add
     up in the order written, +-1 coefficients as + and -; the worst
-    component counts.  Every apply gets a fresh output array: recycling
-    arrays pays across the many relations of a ``study``, not within one.
+    component counts.  Its plan recycles dropped arrays as later
+    outputs, as each grid's plan in ``study`` does.
     """
-    return _residuals(rep, [relation_id], state, state.grid, None)[0]
+    return _residuals(rep, [relation_id], state, state.grid)[0]
 
 
 def standard_state(rep: RepSpec, grid: Grid) -> GridState:
@@ -927,7 +920,7 @@ def study(rep: RepSpec, relation_ids, grids, *,
     largest = max(grids, key=lambda g: g.points)
     normed = {} if defects is None else dict.fromkeys([("Theta",), ("Pi",)])
     per_grid = [_residuals(rep, relation_ids, standard_state(rep, g), largest,
-                           [], normed if g is grids[-1] else None)
+                           normed if g is grids[-1] else None)
                 for g in grids]
     if defects is not None:
         defects.update(_isometry(rep, standard_state(rep, grids[-1]), normed))
@@ -942,18 +935,13 @@ def convergence_study(rep: RepSpec, relation_id: str, grids) -> NumericReport:
 
 
 def representative_relations(rep: RepSpec) -> list[str]:
-    """One bracket relation per family plus every discrete relation."""
-    heads = [
-        "[P1,P2] == 0",
-        "[J1,P2] == i*P3",
-        "[J1,J2] == i*J3",
-        "[J1,K2] == i*K3",
-        "[K1,K2] == -i*J3",
-        "[K1,P1] == i*P0",
-        "[P1,P0] == 0",
-        "[J1,P0] == 0",
-        "[K1,P0] == i*P1",
-    ]
+    """One bracket relation per family, the first with the most terms,
+    plus every discrete relation."""
+    families: dict[str, list] = {}
+    for rel in LIE_RELATIONS:
+        families.setdefault(rel.family, []).append(rel)
+    heads = [max(rels, key=lambda r: sum(map(len, r.components))).name
+             for rels in families.values()]
     return heads + [d.name for d in discrete_relations(rep)]
 
 

@@ -18,6 +18,7 @@ from .exactnum import (
     ONE,
     Scalar,
     ZERO,
+    commutant_rows,
     diagonal,
     mat_add,
     mat_mul,
@@ -112,25 +113,18 @@ def tau_matrix(two_s: int) -> TauMatrix:
 def spin_commutant_dimension(two_s: int) -> int:
     """Dimension of {B : [B, Sj] = 0 for j = 1, 2, 3}.
 
-    Solved exactly as a linear system in the dim^2 matrix entries; the
-    result is 1 for every spin, which is what the block reduction of the
-    commutant solver relies on.
+    Solved exactly as the commutant system of exactnum on the constraints
+    ((S1, linear), (S2, linear), (S3, linear)), which counts the
+    self-adjoint solutions over the reals.  That count is the complex
+    dimension: the Sj are Hermitian, so B commutes with them iff B^dagger
+    does, and every solution is H1 + i*H2 with H1 = (B + B^dagger)/2 and
+    H2 = (B - B^dagger)/2i self-adjoint solutions.  The result is 1 for
+    every spin, which is what the block reduction of the commutant
+    solver relies on.
     """
-    triple = spin_matrices(two_s)
-    dim = triple.weight.dim
-    rows = []
-    for s in triple.as_tuple():
-        # [B, S] = 0, entry (r, c):  sum_k B[r][k] S[k][c] - S[r][k] B[k][c]
-        for r in range(dim):
-            for c in range(dim):
-                row = [ZERO] * (dim * dim)
-                for k in range(dim):
-                    if s[k][c]:
-                        row[r * dim + k] = row[r * dim + k] + s[k][c]
-                    if s[r][k]:
-                        row[k * dim + c] = row[k * dim + c] - s[r][k]
-                rows.append(row)
-    return len(nullspace(rows, dim * dim))
+    dim = two_s + 1
+    constraints = tuple((s, False) for s in spin_matrices(two_s).as_tuple())
+    return len(nullspace(commutant_rows(constraints, dim), dim * dim))
 
 
 def spin_squared(two_s: int) -> Matrix:

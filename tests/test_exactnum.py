@@ -152,21 +152,24 @@ def test_matrix_algebra():
 
 
 def _apply_rows(rows, vec):
+    """Each sparse row times the sparse vector."""
     out = []
     for row in rows:
         acc = ZERO
-        for r, v in zip(row, vec):
-            acc = acc + r * v
+        for c, x in row.items():
+            if c in vec:
+                acc = acc + x * vec[c]
         out.append(acc)
     return out
 
 
+def _sparse(dense_rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in dense_rows]
+
+
 def test_nullspace_known_system():
     # x1 + x2 = 0, x3 - x4 = 0 in 4 unknowns: nullity 2
-    rows = [
-        [ONE, ONE, ZERO, ZERO],
-        [ZERO, ZERO, ONE, -ONE],
-    ]
+    rows = [{0: ONE, 1: ONE}, {2: ONE, 3: -ONE}]
     basis = nullspace(rows, 4)
     assert len(basis) == 2
     for vec in basis:
@@ -174,24 +177,29 @@ def test_nullspace_known_system():
 
 
 def test_nullspace_full_rank_and_degenerate():
-    rows = [[ONE, ZERO], [ZERO, ONE]]
+    rows = [{0: ONE}, {1: ONE}]
     assert nullspace(rows, 2) == []
-    assert len(nullspace([], 3)) == 3
+    assert nullspace([], 3) == [{0: ONE}, {1: ONE}, {2: ONE}]
+    # entries beyond ncols are ignored, and the rows are left as given
+    wide = [{0: ONE, 2: ONE}]
+    assert nullspace(wide, 2) == [{1: ONE}]
+    assert wide == [{0: ONE, 2: ONE}]
 
 
 def test_nullspace_with_radicals():
-    rows = [[ONE, Scalar.sqrt_int(2)]]
+    rows = [{0: ONE, 1: Scalar.sqrt_int(2)}]
     basis = nullspace(rows, 2)
     assert len(basis) == 1
     vec = basis[0]
-    assert (vec[0] + Scalar.sqrt_int(2) * vec[1]).is_zero()
-    assert any(not x.is_zero() for x in vec)
+    assert (vec.get(0, ZERO) + Scalar.sqrt_int(2) * vec.get(1, ZERO)).is_zero()
+    assert any(not x.is_zero() for x in vec.values())
 
 
 def test_random_nullspace_consistency():
     for _ in range(10):
         nrows, ncols = RNG.randint(1, 4), RNG.randint(2, 5)
-        rows = [[_rand_scalar(True) for _ in range(ncols)] for _ in range(nrows)]
+        rows = _sparse(
+            [_rand_scalar(True) for _ in range(ncols)] for _ in range(nrows))
         for vec in nullspace(rows, ncols):
             assert all(x.is_zero() for x in _apply_rows(rows, vec))
 

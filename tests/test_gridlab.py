@@ -457,7 +457,7 @@ def test_study_plan_shares_words_within_the_live_cap(label, two_s,
     calls.clear()
     assert study(rep, rids, grids) == default
     assert calls == {n: len(words) for n in (16, 32, 64)}
-    # recycled arrays give the same bits as each relation on fresh ones
+    # the shared plan gives the same bits as each relation in its own plan
     for i, g in enumerate(grids[:2]):
         st = standard_state(rep, g)
         assert [residual(rep, rid, st) for rid in rids] == [

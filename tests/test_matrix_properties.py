@@ -168,8 +168,10 @@ def test_rank_plus_nullity_is_the_column_count(nrows, ncols, data):
     ]
     if data.draw(st.booleans()):  # a repeated column is always dependent
         vectors.append(list(vectors[0]))
-    rows = [[v[r] for v in vectors] for r in range(nrows)]
-    kept = _independent_subset(vectors)
+    rows = [{j: v[r] for j, v in enumerate(vectors) if v[r]}
+            for r in range(nrows)]
+    sparse = [{r: x for r, x in enumerate(v) if x} for v in vectors]
+    kept = _independent_subset(sparse)
     assert len(kept) + len(nullspace(rows, len(vectors))) == len(vectors)
     assert _independent_subset(kept) == kept
 

@@ -1,5 +1,7 @@
 """The sparse exact elimination of exactnum.row_reduce against the dense
-Gauss-Jordan elimination it replaced, kept here as the oracle.
+Gauss-Jordan elimination it replaced, kept here as the oracle.  The
+systems are drawn dense, wider than ncols, and fed to row_reduce and
+nullspace as sparse rows {col: Scalar} of their nonzero entries.
 
 The reduced row echelon form of a matrix is unique and Scalar arithmetic
 is canonical, so the two must agree exactly on the reduced rows, the
@@ -89,17 +91,22 @@ def systems(draw):
     return rows, ncols
 
 
+def _sparse(row):
+    return {c: x for c, x in enumerate(row) if not x.is_zero()}
+
+
 @SETTINGS
 @given(systems())
 def test_sparse_matches_dense(case):
     rows, ncols = case
-    reduced, pivots = row_reduce(rows, ncols)
+    sparse = [_sparse(row) for row in rows]
+    given_rows = [dict(row) for row in sparse]
+    reduced, pivots = row_reduce(sparse, ncols)
+    assert sparse == given_rows  # the rows given are left as they were
     m, dense_pivots = dense_row_reduce(rows, ncols)
     assert pivots == [c for _, c in dense_pivots]
-    dense_rows = [
-        {c: x for c, x in enumerate(row[:ncols]) if not x.is_zero()} for row in m
-    ]
+    dense_rows = [_sparse(row[:ncols]) for row in m]
     assert reduced == dense_rows[:len(pivots)]
     assert not any(dense_rows[len(pivots):])
-    assert nullspace(rows, ncols) == dense_nullspace(rows, ncols)
-
+    assert nullspace(sparse, ncols) == [
+        _sparse(v) for v in dense_nullspace(rows, ncols)]

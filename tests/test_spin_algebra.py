@@ -9,6 +9,10 @@ from oracle_helpers import check_spin_invariants
 
 from poincarelab.exactnum import (
     I,
+    ONE,
+    ZERO,
+    commutant_rows,
+    hermitian_matrix,
     identity_matrix,
     mat_conj,
     mat_dagger,
@@ -16,6 +20,7 @@ from poincarelab.exactnum import (
     mat_mul,
     mat_scale,
     mat_sub,
+    nullspace,
     rat,
 )
 from poincarelab.spin_algebra import (
@@ -90,12 +95,34 @@ def test_spin_commutant_is_trivial(two_s):
 
 
 def test_spin_commutant_solve_is_fast_at_high_spin():
-    # the 507 x 169 system at two_s = 12 took 10.7 s with dense
-    # elimination and takes about 0.06 s with the sparse one
+    # the 962 x 169 sparse system at two_s = 12 takes about 0.02 s
     spin_commutant_dimension.cache_clear()
     start = time.perf_counter()
     assert spin_commutant_dimension(12) == 1
     assert time.perf_counter() - start < 0.5
+
+
+def _commutant_dimension(mats, dim):
+    rows = commutant_rows(tuple((m, False) for m in mats), dim)
+    return len(nullspace(rows, dim * dim))
+
+
+@pytest.mark.parametrize("two_s", range(7))
+def test_shared_commutant_builder_on_spin_matrices(two_s):
+    # the block solver's rows, run on the spin matrices: the triple and
+    # S1 with S3 leave the multiples of the identity, while S3 alone
+    # leaves every diagonal matrix
+    s1, s2, s3 = spin_matrices(two_s).as_tuple()
+    dim = two_s + 1
+    assert _commutant_dimension((s1, s2, s3), dim) == 1
+    assert _commutant_dimension((s3,), dim) == dim
+    assert _commutant_dimension((s1, s3), dim) == 1
+    diagonal = nullspace(commutant_rows(((s3, False),), dim), dim * dim)
+    assert [hermitian_matrix(v, dim) for v in diagonal] == [
+        tuple(tuple(ONE if r == c == k else ZERO for c in range(dim))
+              for r in range(dim))
+        for k in range(dim)
+    ]
 
 
 def test_ladder_entries_match_formula():
