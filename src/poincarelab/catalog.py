@@ -11,10 +11,9 @@ rotation generators -i(p x grad) + S and the boosts
 i p0 d_j - (S x p)_j / (mu + p0).  Multi-block entries glue sign-flipped
 copies of that block and choose Theta and Pi block patterns; the catalog
 is one table (``CATALOG``) of labels, signs, Theta and Pi specs, spin
-restriction and CLI group.  A spec stores the operators and what is
-computed from them; the Theta/Pi kinds and the spectrum are read back
-from the operators, and so are the block patterns the commutant solver
-uses (``BlockOp.factor``).
+restriction and CLI group.  A spec is its operators; kinds, signs,
+squares, omega, spin and block count are read from them, and so are the
+block patterns the commutant solver uses (``BlockOp.factor``).
 
 Every relation the laboratory checks is written once here, as data: a
 ``Relation`` is a name, a family and components, each an operator
@@ -34,7 +33,7 @@ evaluator, summing each component once in a ``symop.RelationSum``, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .exactnum import I, ONE, Scalar, ZERO, identity_matrix, mat_map
@@ -118,8 +117,9 @@ Term = tuple[Scalar, tuple[str, ...]]
 class Relation:
     """Every component, a sum of terms, must vanish.
 
-    ``inadmissible`` names a demanded value that fails a side condition
-    (a square or phase outside {+1, -1}); such a row fails unevaluated.
+    ``inadmissible`` says why a demanded value fails a side condition (a
+    square or phase outside {+1, -1}, or no constant at all, when the row
+    has no components); such a row fails unevaluated.
     """
 
     name: str
@@ -217,12 +217,21 @@ DISCRETE_SIGNS = {
 }
 
 
-def _fmt_unit(s: Scalar) -> str:
-    if s == ONE:
-        return "1"
-    if s == -ONE:
-        return "-1"
-    return repr(s)
+def _phase(lhs: str, family: str, word, rhs_word, value: Scalar | None,
+           ok: bool) -> Relation:
+    """word == value*rhs_word, the row named lhs == ...; a value that is
+    None (no constant fits) or not ok fails the row unevaluated."""
+    unit = "c" if value is None else repr(value)
+    rhs = "*".join(rhs_word)
+    if not rhs:
+        rhs = unit
+    elif unit != "1":
+        rhs = f"{unit}*{rhs}"
+    name = f"{lhs} == {rhs}"
+    if value is None:
+        return Relation(name, family, (), f"no constant c has {name}")
+    return Relation(name, family, (((ONE, word), (-value, rhs_word)),),
+                    "" if ok else f"got {value!r}")
 
 
 def discrete_relations(rep: RepSpec) -> tuple[Relation, ...]:
@@ -237,19 +246,12 @@ def discrete_relations(rep: RepSpec) -> tuple[Relation, ...]:
         signs = DISCRETE_SIGNS[(op.lower(), kind)]
         rels += [_exchange(op, fam, signs[fam], names)
                  for fam, names in _FAMILIES.items()]
-        ok = square in (ONE, -ONE) and (kind == ANTIUNITARY or square == ONE)
-        rels.append(Relation(
-            f"{op}^2 == {_fmt_unit(square)}", f"{op}^2",
-            (((ONE, (op, op)), (-square, ())),),
-            "" if ok else f"got {square!r}",
-        ))
+        rels.append(_phase(
+            f"{op}^2", f"{op}^2", (op, op), (), square,
+            square in (ONE, -ONE) and (kind == ANTIUNITARY or square == ONE)))
     omega = rep.omega
-    name = "Pi*Theta == Theta*Pi" if omega == ONE else \
-        f"Pi*Theta == {_fmt_unit(omega)}*Theta*Pi"
-    rels.append(Relation(
-        name, "omega", (((ONE, ("Pi", "Theta")), (-omega, ("Theta", "Pi"))),),
-        "" if omega in (ONE, -ONE) else f"got {omega!r}",
-    ))
+    rels.append(_phase("Pi*Theta", "omega", ("Pi", "Theta"), ("Theta", "Pi"),
+                       omega, omega in (ONE, -ONE)))
     return tuple(rels)
 
 
@@ -277,22 +279,42 @@ def relations(rep: RepSpec) -> tuple[Relation, ...]:
 
 @dataclass(frozen=True)
 class RepSpec:
+    """A representation is its operators; all else is read from them.  The
+    squares and omega are the c with Theta*Theta == c, Pi*Pi == c and
+    Pi*Theta == c*Theta*Pi (None if no constant fits), cached on first
+    use on the instance, which dataclasses.replace does not copy."""
+
     label: str
-    two_s: int
-    blocks: int
     p0: BlockOp
     p: tuple[BlockOp, BlockOp, BlockOp]
     j: tuple[BlockOp, BlockOp, BlockOp]
     k: tuple[BlockOp, BlockOp, BlockOp]
     theta: BlockOp
     pi: BlockOp
-    theta_square: Scalar
-    pi_square: Scalar
-    omega: Scalar
+
+    @property
+    def blocks(self) -> int:
+        return self.p0.blocks
 
     @property
     def dim(self) -> int:
-        return self.two_s + 1
+        return self.p0.dim
+
+    @property
+    def two_s(self) -> int:
+        return self.p0.dim - 1
+
+    @cached_property
+    def theta_square(self) -> Scalar | None:
+        return _square(self.theta)
+
+    @cached_property
+    def pi_square(self) -> Scalar | None:
+        return _square(self.pi)
+
+    @cached_property
+    def omega(self) -> Scalar | None:
+        return (self.pi * self.theta).ratio(self.theta * self.pi)
 
     @property
     def theta_kind(self) -> str:
@@ -313,7 +335,7 @@ class RepSpec:
 
     @property
     def spectrum(self) -> str:
-        return _spectrum_from_signs(self.energy_signs)
+        return _SPECTRA.get(frozenset(self.energy_signs), "undetermined")
 
     def generators(self) -> dict[str, BlockOp]:
         return dict(zip(GENERATORS, (self.p0, *self.p, *self.j, *self.k)))
@@ -326,6 +348,10 @@ def _pattern(rows) -> tuple[tuple[Scalar, ...], ...]:
     return mat_map(Scalar.from_rational, rows)
 
 
+def _square(op: BlockOp) -> Scalar | None:
+    return (op * op).ratio(BlockOp.identity(op.blocks, op.dim))
+
+
 def _signed_diag(op: ScalarOp, signs) -> BlockOp:
     return BlockOp.diag([op if s > 0 else op.scale(-1) for s in signs])
 
@@ -334,26 +360,11 @@ _SPECTRA = {frozenset({1}): "up", frozenset({-1}): "down",
             frozenset({1, -1}): "symmetric"}
 
 
-def _spectrum_from_signs(signs) -> str:
-    return _SPECTRA.get(frozenset(signs), "undetermined")
-
-
 def _discrete_op(pattern, spin: str, upsilon: int, kappa: int, two_s: int) -> BlockOp:
     mat = tau_matrix(two_s).mat if spin == "tau" else identity_matrix(two_s + 1)
     inner = ScalarOp(two_s + 1,
                      {((0, 0, 0), upsilon, kappa): mat_map(Coefficient.const, mat)})
     return BlockOp(mat_map(inner.scale, pattern))
-
-
-def _solve_omega(theta: BlockOp, pi: BlockOp) -> Scalar:
-    """The constant omega with Pi*Theta == omega * Theta*Pi."""
-    x, y = pi * theta, theta * pi
-    r, c = next((r, c) for r, row in enumerate(y.entries)
-                for c, op in enumerate(row) if op.terms)
-    omega = x.entries[r][c].ratio(y.entries[r][c])
-    if omega is None or x != y.scale(omega):
-        raise AssertionError("Pi*Theta is not proportional to Theta*Pi")
-    return omega
 
 
 class Entry(NamedTuple):
@@ -413,33 +424,16 @@ def _assemble(entry: Entry, two_s: int) -> RepSpec:
     """Diagonal generators from the entry's signs, patterned discretes."""
     dim = two_s + 1
     signs = entry.signs
-    p0 = _signed_diag(energy_op(dim), signs)
-    p = tuple(
-        BlockOp.diag([momentum_op(a, dim)] * len(signs)) for a in (1, 2, 3)
-    )
-    j = tuple(
-        BlockOp.diag([rotation_op(a, two_s)] * len(signs)) for a in (1, 2, 3)
-    )
-    k = tuple(_signed_diag(boost_op(a, two_s), signs) for a in (1, 2, 3))
-    theta = _discrete_op(_pattern(entry.theta[0]), *entry.theta[1:], two_s)
-    pi = _discrete_op(_pattern(entry.pi[0]), *entry.pi[1:], two_s)
-    theta_square = (theta * theta).as_constant()
-    pi_square = (pi * pi).as_constant()
-    if theta_square is None or pi_square is None:
-        raise AssertionError(f"{entry.label}: discrete squares are not constant")
     return RepSpec(
         label=entry.label,
-        two_s=two_s,
-        blocks=len(signs),
-        p0=p0,
-        p=p,
-        j=j,
-        k=k,
-        theta=theta,
-        pi=pi,
-        theta_square=theta_square,
-        pi_square=pi_square,
-        omega=_solve_omega(theta, pi),
+        p0=_signed_diag(energy_op(dim), signs),
+        p=tuple(BlockOp.diag([momentum_op(a, dim)] * len(signs))
+                for a in (1, 2, 3)),
+        j=tuple(BlockOp.diag([rotation_op(a, two_s)] * len(signs))
+                for a in (1, 2, 3)),
+        k=tuple(_signed_diag(boost_op(a, two_s), signs) for a in (1, 2, 3)),
+        theta=_discrete_op(_pattern(entry.theta[0]), *entry.theta[1:], two_s),
+        pi=_discrete_op(_pattern(entry.pi[0]), *entry.pi[1:], two_s),
     )
 
 
@@ -609,13 +603,12 @@ def allowed_spectra(theta_kind: str, pi_kind: str) -> set[str]:
 def verify_spectrum(rep: RepSpec) -> RelationReport:
     """The spectrum read from P0 against the one the Theta/Pi kinds allow."""
     rpt = RelationReport(rep.label, rep.two_s)
-    signs = rep.energy_signs
-    spectrum = _spectrum_from_signs(signs)
+    spectrum = rep.spectrum
     allowed = allowed_spectra(rep.theta_kind, rep.pi_kind)
     rpt.add(
         "spectrum-consistency", "symbolic", spectrum in allowed,
         f"theta {rep.theta_kind}, pi {rep.pi_kind} permit {sorted(allowed)}; "
-        f"energy signs {signs} give {spectrum}",
+        f"energy signs {rep.energy_signs} give {spectrum}",
     )
     return rpt
 

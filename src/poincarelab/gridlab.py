@@ -599,13 +599,6 @@ def relation_ids(rep: RepSpec) -> list[str]:
     return [r.name for r in relations(rep)]
 
 
-def _relation(rep: RepSpec, relation_id: str):
-    rel = next((r for r in relations(rep) if r.name == relation_id), None)
-    if rel is None:
-        raise ValueError(f"unknown relation id: {relation_id}")
-    return rel
-
-
 def _shared_words(rel) -> set[str]:
     """The operators every component of rel applies straight to the state."""
     return set.intersection(*({word[-1] for _c, word in comp if word}
@@ -758,7 +751,16 @@ def _residuals(rep: RepSpec, relation_ids, state: GridState, largest: Grid,
     ``largest`` grid of the study.  ``normed`` (see ``_Applied``) gets
     the norms of the wanted words the plan applies.
     """
-    rels = [_relation(rep, rid) for rid in relation_ids]
+    table = {r.name: r for r in relations(rep)}
+    rels = []
+    for rid in relation_ids:
+        rel = table.get(rid)
+        if rel is None:
+            raise ValueError(f"unknown relation id: {rid}")
+        if not rel.components:
+            raise ValueError(f"relation {rid} has nothing to evaluate: "
+                             f"{rel.inadmissible}")
+        rels.append(rel)
     order = _ordered(rels)
     words = [w for i in order for comp in rels[i].components for _c, w in comp]
     limit = _LIVE_STATES * _state_bytes(rep, largest) // state.values.nbytes

@@ -23,17 +23,17 @@ ring (the quotients by them are domains because rank >= 3 quadratic
 forms are irreducible), so the minimal representation is unique and
 dictionary equality is sound.
 
-Four memos reuse work: Coefficient._product, Coefficient._deriv (keyed
-by the coefficient and the axis), ScalarOp._product and _lift (a
-numerator moved onto a larger denominator), each a functools.lru_cache
-bounded at _MEMO_SIZE entries and reached only for nonzero operands.
-They are keyed by value, through the structural __eq__ and __hash__, so
-equal operands held in different objects share one result.  That is
-sound because each operation is a deterministic function of its
-operands' structure and no Poly, Coefficient or ScalarOp is changed
-after it is built, so a memoized result can be handed out again.
-clear_multiplication_cache empties all four and cache_info reports
-their hits, misses and sizes.
+Five memos reuse work: Coefficient._product, Coefficient._deriv (keyed
+by the coefficient and the axis), ScalarOp._product, ScalarOp._adjoint
+and _lift (a numerator moved onto a larger denominator), each a
+functools.lru_cache bounded at _MEMO_SIZE entries and reached only for
+nonzero operands.  They are keyed by value, through the structural
+__eq__ and __hash__, so equal operands held in different objects share
+one result.  That is sound because each operation is a deterministic
+function of its operands' structure and no Poly, Coefficient or
+ScalarOp is changed after it is built, so a memoized result can be
+handed out again.  clear_multiplication_cache empties all five and
+cache_info reports their hits, misses and sizes.
 
 RelationSum sums weighted words of block operators, one relation
 component, without building a normal form for any partial sum.  Each
@@ -57,6 +57,7 @@ other order of summing gives.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from operator import add, methodcaller, neg, sub
 
@@ -451,16 +452,6 @@ class Coefficient:
             return self.num
         return _lift(self.num, a - self.a, b - self.b)
 
-    def as_constant(self) -> Scalar | None:
-        """The scalar value if this coefficient is constant, else None."""
-        if self.is_zero():
-            return ZERO
-        if self.a or self.b:
-            return None
-        if set(self.num.terms) == {(0, 0, 0, 0, 0)}:
-            return self.num.terms[(0, 0, 0, 0, 0)]
-        return None
-
     def __eq__(self, other):
         return (
             isinstance(other, Coefficient)
@@ -709,9 +700,16 @@ class ScalarOp:
 
         Valid for linear operators only.  Uses Y* = Y and
         (d_j)* = -d_j + p_j/p0^2, with matrix factors conjugate
-        transposed and the factor order reversed.
+        transposed and the factor order reversed.  Memoized by value, as
+        products are.
         """
-        if self.kappa_parity() not in (None, 0):
+        if not self.terms:
+            return self
+        return self._adjoint()
+
+    @lru_cache(maxsize=_MEMO_SIZE)
+    def _adjoint(self) -> "ScalarOp":
+        if self.kappa_parity() != 0:
             raise ValueError("formal adjoint is defined for linear operators")
         dim = self.dim
         total = ScalarOp.zero(dim)
@@ -800,13 +798,14 @@ _MEMOS = {
     "coefficient_product": Coefficient._product,
     "coefficient_deriv": Coefficient._deriv,
     "operator_product": ScalarOp._product,
+    "operator_adjoint": ScalarOp._adjoint,
     "denominator_lift": _lift,
 }
 
 
 def clear_multiplication_cache() -> None:
-    """Empty the coefficient product, derivative, operator product and
-    denominator lift memos."""
+    """Empty the coefficient product, derivative, operator product,
+    operator adjoint and denominator lift memos."""
     for memo in _MEMOS.values():
         memo.cache_clear()
 
@@ -908,13 +907,15 @@ class BlockOp:
             raise ValueError("block operator mixes linear and antilinear entries")
         return parities.pop()
 
-    def as_constant(self) -> Scalar | None:
-        """The scalar c if the operator equals c times the identity."""
-        mat = self.entries[0][0].terms.get(((0, 0, 0), 0, 0))
-        c = ZERO if mat is None else mat[0][0].as_constant()
-        if c is None:
-            return None
-        return c if self == BlockOp.identity(self.blocks, self.dim).scale(c) else None
+    def ratio(self, other: "BlockOp") -> Scalar | None:
+        """The scalar s with self == other.scale(s), or None: ScalarOp.ratio
+        at other's first nonzero entry, checked on the whole operator."""
+        self._check_shape(other)
+        for mine, op in zip(chain(*self.entries), chain(*other.entries)):
+            if op.terms:
+                s = mine.ratio(op)
+                return s if s is not None and self == other.scale(s) else None
+        return None
 
     def factor(self) -> tuple[Matrix, ScalarOp] | None:
         """(P, g) with self == P (x) g, or None if no such pair exists.

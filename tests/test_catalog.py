@@ -34,14 +34,16 @@ from poincarelab.catalog import (
     discrete_relations,
     enumerate_catalog,
     full_verification,
+    momentum_op,
     verify_casimirs,
     verify_discrete_relations,
     verify_lie_relations,
     verify_self_adjointness,
     verify_spectrum,
 )
-from poincarelab.exactnum import ONE
+from poincarelab.exactnum import I, ONE, Scalar
 from poincarelab.spin_algebra import spin_matrices
+from poincarelab.symop import BlockOp, ScalarOp
 
 _CYC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 _Q = {1: Q1, 2: Q2, 3: Q3}
@@ -250,14 +252,53 @@ def test_failing_exchange_row_names_its_component():
 
 
 def test_square_side_conditions_fail_unevaluated():
-    # a unitary square must be +1, and any square +1 or -1
+    # a unitary square must be +1, and any square +1 or -1: sym1's unitary
+    # Theta squares to 1, so i*Theta squares to -1 and sqrt(2)*Theta to 2
     rep = build("sym1", 0)
-    for value, detail in ((-ONE, "got -1"), (ONE + ONE, "got 2")):
-        broken = dataclasses.replace(rep, theta_square=value)
+    for factor, detail in ((I, "got -1"), (Scalar.sqrt_int(2), "got 2")):
+        broken = dataclasses.replace(rep, theta=rep.theta.scale(factor))
         rows = {c.name: c for c in verify_discrete_relations(broken).checks}
         bad = [c for c in rows.values() if c.name.startswith("Theta^2")]
         assert len(bad) == 1 and bad[0].status == "fail"
         assert bad[0].detail == detail
+
+
+def test_squares_and_omega_are_read_from_the_operators():
+    # newup:symplectic with newup:identity's Theta: Theta^2 and omega are
+    # +1 there, not the -1 of the symplectic catalog row
+    rep = dataclasses.replace(build("newup:symplectic", 0),
+                              theta=build("newup:identity", 0).theta)
+    assert (rep.theta_square, rep.pi_square, rep.omega) == (ONE, ONE, ONE)
+    report = verify_discrete_relations(rep)
+    assert report.all_passed()
+    names = [c.name for c in report.checks]
+    assert "Theta^2 == 1" in names and "Pi*Theta == Theta*Pi" in names
+
+
+def test_non_constant_square_fails_unevaluated():
+    # diag(p1, 1) squares to diag(p1^2, 1): no constant, so the square and
+    # omega rows fail unevaluated instead of raising
+    rep = build("sym1", 0)
+    theta = BlockOp.diag([momentum_op(1, 1), ScalarOp.identity(1)])
+    broken = dataclasses.replace(rep, theta=theta)
+    assert broken.theta_square is None and broken.omega is None
+    rows = {c.name: c for c in verify_discrete_relations(broken).checks}
+    square = rows["Theta^2 == c"]
+    assert square.status == "fail"
+    assert square.detail == "no constant c has Theta^2 == c"
+    assert rows["Pi*Theta == c*Theta*Pi"].status == "fail"
+    assert rows["Pi^2 == 1"].status == "pass"
+
+
+def test_spec_fields_are_its_operators():
+    rep = build("sym3", 1)
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "label", "p0", "p", "j", "k", "theta", "pi"]
+    assert (rep.two_s, rep.blocks, rep.dim) == (1, 2, 2)
+    for field, value in (("two_s", 2), ("blocks", 1), ("theta_square", ONE),
+                         ("omega", ONE)):
+        with pytest.raises(TypeError):
+            dataclasses.replace(rep, **{field: value})
 
 
 @pytest.mark.parametrize("label", [r[0] for r in INVARIANTS_S0])

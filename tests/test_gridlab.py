@@ -3,6 +3,7 @@ an independent Gauss-Legendre quadrature, apply() against hand-rolled
 numpy, and convergence studies with frozen slope expectations.
 """
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -353,11 +354,24 @@ def test_rotation_expectation_defect_is_second_order():
     assert 3.2 < ratio < 5.0
 
 
-def test_residual_rejects_unknown_relation():
+def test_residual_rejects_unknown_relation(monkeypatch):
     rep = catalog.build("up", 0)
     st = standard_state(rep, Grid(L, 16))
     with pytest.raises(ValueError, match="unknown relation id"):
         residual(rep, "[A,B] == nonsense", st)
+
+    # refused before any apply, also after a known id
+    def refused(*args, **kwargs):
+        raise AssertionError("apply ran before the ids were checked")
+    monkeypatch.setattr(gridlab, "apply", refused)
+    with pytest.raises(ValueError, match="unknown relation id: nonsense"):
+        gridlab._residuals(rep, ["[P1,P2] == 0", "nonsense"], st, st.grid)
+    # a square that is no constant has no components to apply
+    sym1 = catalog.build("sym1", 0)
+    theta = BlockOp.diag([catalog.momentum_op(1, 1), ScalarOp.identity(1)])
+    broken = dataclasses.replace(sym1, theta=theta)
+    with pytest.raises(ValueError, match="nothing to evaluate"):
+        residual(broken, "Theta^2 == c", standard_state(broken, Grid(L, 16)))
 
 
 def test_relation_ids_cover_lie_and_discrete():

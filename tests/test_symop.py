@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from poincarelab import catalog
 from poincarelab.cli import main
 from poincarelab.exactnum import I, ONE, Scalar, rat
 from poincarelab.symop import (
@@ -269,19 +270,45 @@ def test_multiplication_cache_is_transparent(capsys):
         assert 0 < info.currsize <= info.maxsize, name
 
 
-def test_block_as_constant():
+def test_adjoint_is_memoized_by_value():
+    clear_multiplication_cache()
+    op = ScalarOp.deriv_op(1, 2).scale(Coefficient.sym("p2")) \
+        + ScalarOp.from_coefficient(Coefficient(Poly.sym("p1"), 1, 0), 2)
+    copy = ScalarOp(op.dim, dict(op.terms))
+    assert copy is not op
+    assert copy.adjoint() is op.adjoint()
+    assert cache_info()["operator_adjoint"].hits == 1
+    # a zero operator is its own adjoint and never reaches the memo
+    zero = ScalarOp.zero(2)
+    assert zero.adjoint() is zero
+    assert cache_info()["operator_adjoint"].currsize == 1
+    # an antilinear operator is refused on every call, never memoized
+    for _ in range(2):
+        with pytest.raises(ValueError, match="linear operators"):
+            ScalarOp.conjugation(2).adjoint()
+
+
+def test_block_ratio():
     dim = 2
     ident = BlockOp.identity(2, dim)
     c = Scalar.sqrt_int(2) + I
-    assert ident.scale(c).as_constant() == c
-    assert BlockOp.zero(2, dim).as_constant() == Scalar()
+    assert ident.scale(c).ratio(ident) == c
+    assert BlockOp.zero(2, dim).ratio(ident) == Scalar()
     one, zero = ScalarOp.identity(dim), ScalarOp.zero(dim)
-    assert BlockOp.diag([one, one.scale(rat(-1))]).as_constant() is None
-    assert BlockOp([[zero, one], [one, zero]]).as_constant() is None
-    assert BlockOp([[zero, zero], [zero, one]]).as_constant() is None
+    assert BlockOp.diag([one, one.scale(rat(-1))]).ratio(ident) is None
+    assert BlockOp([[zero, one], [one, zero]]).ratio(ident) is None
+    assert BlockOp([[zero, zero], [zero, one]]).ratio(ident) is None
     p1 = ScalarOp.from_coefficient(Coefficient.sym("p1"), dim)
-    assert BlockOp.diag([p1, p1]).as_constant() is None
-    assert BlockOp.diag([ScalarOp.reflection(dim)] * 2).as_constant() is None
+    assert BlockOp.diag([p1, p1]).ratio(ident) is None
+    assert BlockOp.diag([ScalarOp.reflection(dim)] * 2).ratio(ident) is None
+    # a non-identity pair: newup:symplectic's Pi*Theta == -Theta*Pi
+    rep = catalog.build("newup:symplectic", 0)
+    assert (rep.pi * rep.theta).ratio(rep.theta * rep.pi) == rat(-1)
+    # nothing is a multiple of zero; agreeing on the first nonzero entry
+    # of other alone is not proportional
+    assert ident.ratio(BlockOp.zero(2, dim)) is None
+    y = ScalarOp.reflection(dim)
+    assert BlockOp.diag([p1, p1]).ratio(BlockOp.diag([p1, y])) is None
 
 
 def test_block_factor():
