@@ -34,16 +34,16 @@ def _phrase(kinds: set[str]) -> str:
 # to measured peaks at two_s 16, 32, 48 and 64 for up and sym6 (the largest
 # of the two-block entries) on CPython 3.11, within 3 MiB at every point.
 # commutant's largest system is the spin Schur check, 3 * dim^2 complex
-# constraints on dim^2 real unknowns held as sparse rows, so it grows as
-# dim^2: 30.6-30.8 MiB at two_s 16, 34.8-35.1 at 32, 41.1-41.6 at 48 and
-# 49.8-50.3 at 64 (73.8 MiB at 96, where it runs 24 s: past 64 its cost
-# is time).  verify grows slowly too (131 MiB at 64).
+# constraints on dim^2 real unknowns held as sparse rows with a column
+# index, so it grows as dim^2: 30.9-31.1 MiB at two_s 16, 36.1-36.4 at
+# 32, 44.2-44.7 at 48 and 55.3-56.1 at 64 (86.6-87.8 MiB at 96, where it
+# runs in 1.9 s).  verify grows slowly too (131 MiB at 64).
 def spin_peak_bytes(command: str, two_s: int) -> int:
     """Estimated peak bytes of `verify` or of `commutant` at this spin."""
     dim = two_s + 1
     if command == "verify":
         return int((24.5 + 1.36 * dim) * 2**20 + 4.5 * 2**10 * dim**2)
-    return int(29.5 * 2**20 + 5 * 2**10 * dim**2)
+    return int(29.5 * 2**20 + 6.4 * 2**10 * dim**2)
 
 
 def check_spin_cost(command: str, two_s: int, budget: int | None) -> None:

@@ -366,7 +366,11 @@ def row_reduce(rows, ncols: int):
     sparsest-row choice), which keeps the fill-in of the sparse spin
     systems small.  The pivot row is normalized and c is eliminated from
     every other row, pending and already pivoted, so the result is the
-    full RREF; rows that become empty are dropped.
+    full RREF; rows that become empty are dropped.  A column index
+    (column -> keys of the rows holding it, a pending row keyed by its
+    index i and the j-th reduced row by -1 - j) gives the rows holding c
+    directly, so the work follows the nonzeros and their fill-in rather
+    than columns times rows.
 
     Returns the reduced rows, one per pivot, and the pivot columns in
     ascending order: the columns that are not combinations of the
@@ -374,35 +378,47 @@ def row_reduce(rows, ncols: int):
     arithmetic is canonical, so both are the same for every pivot order.
     """
     pending: dict[int, dict[int, Scalar]] = {}
+    where: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         sparse = {c: x for c, x in row.items() if c < ncols}
         if sparse:
             pending[i] = sparse
+            for c in sparse:
+                where.setdefault(c, set()).add(i)
     reduced: list[dict[int, Scalar]] = []
     pivots: list[int] = []
     for c in range(ncols):
-        candidates = [i for i, row in pending.items() if c in row]
+        holders = where.get(c, ())
+        candidates = [i for i in holders if i >= 0]
         if not candidates:
             continue
         p = min(candidates, key=lambda i: (len(pending[i]), i))
-        candidates.remove(p)
+        del where[c]
         prow = pending.pop(p)
         inv = prow[c].inverse()
         prow = {k: inv * x for k, x in prow.items()}
-        for row in reduced + [pending[i] for i in candidates]:
-            f = row.pop(c, None)
-            if f is None:
+        others = [(k, y) for k, y in prow.items() if k != c]
+        for k, _y in others:
+            where[k].discard(p)
+        for i in holders:
+            if i == p:
                 continue
-            for k, y in prow.items():
-                if k != c:
-                    x = row.get(k, ZERO) - f * y
-                    if x.is_zero():
-                        row.pop(k, None)
-                    else:
-                        row[k] = x
-        for i in candidates:
-            if not pending[i]:
+            row = pending[i] if i >= 0 else reduced[-1 - i]
+            f = row.pop(c)
+            for k, y in others:
+                x = row.get(k, ZERO) - f * y
+                if x.is_zero():
+                    row.pop(k, None)
+                    where[k].discard(i)
+                else:
+                    if k not in row:
+                        where.setdefault(k, set()).add(i)
+                    row[k] = x
+            if not row:
                 del pending[i]
+        key = -1 - len(reduced)
+        for k, _y in others:
+            where.setdefault(k, set()).add(key)
         reduced.append(prow)
         pivots.append(c)
     return reduced, pivots

@@ -16,43 +16,37 @@ p1, p2, p3 or p0 is the mesh array itself.  Each grid's standard state
 is built once and kept read-only on the mesh in the same way.  States
 store each spin component as one contiguous block (the array keeps its
 (blocks, N, N, N, 2s+1) shape), so stencils, field products and norms
-run over contiguous memory.  ``apply`` builds its output slab by slab,
-a few axis-0 rows at a time, running every term of the operator on
-those rows while they are in cache.  Each term is one product
-conj^k(x) * (F * s): the term's exact scalar s, which carries the
-stencil step and the reflection sign, is folded into its real field F,
-once per apply for a field that broadcasts along an axis and once per
-slab for a full-size one, for each distinct (field, s).  Each element
-sees the same operations in the same order as in one whole-array pass
-per term with that formula, so results are bit-identical to it; the
-formula it replaced, conj^k(x * F) * s, rounds differently, by at most
-7.2e-16 of the largest modulus on the operators tested.  ``apply`` can
-write into a given array, zeroing the components no term reaches, or
-add c times its result onto a sum slab by slab (``add_to``), with the
-same elementwise operations as adding the whole applied state.
+run over contiguous memory.  The row kernel (``_apply_rows``) computes a
+few axis-0 rows of an applied operator at a time, running every term of
+the operator on those rows while they are in cache.  Each term is one
+product conj^k(x) * (F * s): the term's exact scalar s, which carries
+the stencil step and the reflection sign, is folded into its real field
+F, once per operator and grid for a field that broadcasts along an axis
+and once per range of rows for a full-size one, for each distinct
+(field, s).  Each element sees the same operations in the same order as
+in one whole-array pass per term with that formula, so results are
+bit-identical to it; the formula it replaced, conj^k(x * F) * s, rounds
+differently, by at most 7.2e-16 of the largest modulus on the operators
+tested.  ``apply`` runs the row kernel over all rows, slab by slab.
 
-``study`` runs every relation of a study on each grid from one plan
-(``_residuals``): the relations run in an order that keeps those
-sharing a suffix together, each word is applied once while its state
-can stay, and each applied state is dropped after the last term whose
-word ends with it.  The arrays held at once (kept states, those in use,
-component sums and dropped arrays kept to receive later outputs) stay
-within _LIVE_STATES states of the study's largest grid, the working-set
-guard's own figure: three states on the largest grid, 24 on one with
-half its points per axis, room for every state a representative study
-shares.  A term after the first of a component whose word is not
-kept and has no later use adds its last apply straight onto the
-component's sum, so it needs no array of its own.  Residuals are
-bit-identical to evaluating each relation alone, since the same applies
-act on the same operands and sum with the same elementwise operations
-in the same order.  On the finest grid the plan also takes the norms
-of its own Theta psi and Pi psi for the isometry rows.  At N = 128 a
-spin-1/2 state takes 64 MiB; on a 2-core Xeon VM one apply takes about
-15-20 ms for a multiplication generator or Theta/Pi, 45 ms for a
-rotation and 60-75 ms for a boost, and ``grid --rep up --two-s 1`` at
-N = 32, 64, 128 makes 251 applies (74, 74 and 103 per grid, 30 of them
-added onto a sum, against 118 each when every relation ran alone) in
-about 6.2 s of wall time with a peak RSS of 424 MiB.
+``study`` runs every relation of a study on each grid from one streamed
+plan (``_stream``): the grid's rows are walked from both faces in, a
+slab together with its mirror, and each distinct word of the studied
+relations is computed once per grid, on rows only, from the rows of its
+suffix.  A word read again keeps a window of its rows as deep as its
+readers' axis-0 stencils reach, summed along each chain of readers; a
+word used once, as a term, is written or added straight into its
+component's rows.  No array of a state's size is made besides the
+state itself.  Each finished slab of a component takes its norm
+partials, summed at the end in the slab-then-component order of a
+whole-state norm, so residuals are bit-identical to evaluating each
+relation alone with whole applied states.  On the finest grid the plan
+also takes the norms of its own Theta psi and Pi psi for the isometry
+rows.  At N = 128 a spin-1/2 state takes 64 MiB; ``grid --rep up
+--two-s 1`` at N = 32, 64, 128 computes its 74 distinct words once on
+each grid (222 words, against 251 applies when at most three states
+could stay and 356 when every relation ran alone) in about 3.5 s of
+wall time on a 2-core Xeon VM, with a peak RSS of 234 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -66,7 +60,6 @@ exact reports use (Lie, discrete and both Casimirs).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -363,20 +356,57 @@ def _plan(op: BlockOp, mesh: _Mesh,
     return entries, pairs
 
 
-def _diff_rows(x: np.ndarray, axes: tuple, lo: int, hi: int,
-               bufs) -> np.ndarray:
-    """Rows lo:hi of the central-difference chain of component x.
+class _Rows:
+    """Axis-0 rows of one state: ``chunks`` of (lo, hi, values), values of
+    shape (blocks, 2s+1, hi - lo, N, N) holding rows lo:hi.  ``word`` is
+    the word whose state they are, () for the state itself."""
+
+    __slots__ = ("word", "chunks")
+
+    def __init__(self, word, chunks=()):
+        self.word, self.chunks = word, list(chunks)
+
+    @classmethod
+    def whole(cls, values: np.ndarray) -> _Rows:
+        """Every row of a (blocks, N, N, N, 2s+1) array, as one chunk."""
+        return cls((), [(0, len(values[0]), np.moveaxis(values, -1, 1))])
+
+    def find(self, i: int) -> tuple:
+        for chunk in self.chunks:
+            if chunk[0] <= i < chunk[1]:
+                return chunk
+        raise AssertionError(f"row {i} of {self.word} is not computed")
+
+    def take(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of every component: a view inside one chunk, else a
+        copy."""
+        c0, c1, values = self.find(lo)
+        if hi <= c1:
+            return values[:, :, lo - c0:hi - c0]
+        parts = []
+        while lo < hi:
+            c0, c1, values = self.find(lo)
+            parts.append(values[:, :, lo - c0:min(hi, c1) - c0])
+            lo = min(hi, c1)
+        return np.concatenate(parts, axis=2)
+
+
+def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
+               bufs, n: int) -> np.ndarray:
+    """Rows lo:hi of the central-difference chain of component ``comp``
+    (block, spin column) of src.
 
     ``axes`` is sorted, so the axis-0 differences come first.  Each reads
     one row beyond its output on either side and zeroes the boundary
     rows 0 and N-1, so the chain starts h rows out (h the number of
-    axis-0 differences) and narrows to lo:hi; axis-1 and axis-2
-    differences stay within rows.  Differences alternate between the
-    two buffers of ``bufs``.
+    axis-0 differences) and narrows to lo:hi; the first reads src chunk
+    by chunk (``_diff_chunks``).  Axis-1 and axis-2 differences stay
+    within rows.  Differences alternate between the two buffers of
+    ``bufs``.
     """
-    n = len(x)
     h = axes.count(0)
-    cur, r0 = (x, 0) if h else (x[lo:hi], lo)
+    if not h:
+        cur, r0 = src.take(lo, hi)[comp], lo
     for i, axis in enumerate(axes):
         out = bufs[i % 2]
         if axis:
@@ -386,112 +416,165 @@ def _diff_rows(x: np.ndarray, axes: tuple, lo: int, hi: int,
         w0, w1 = max(lo - h, 0), min(hi + h, n)
         out = out[:w1 - w0]
         i0, i1 = max(w0, 1), min(w1, n - 1)
-        np.subtract(cur[i0 + 1 - r0:i1 + 1 - r0], cur[i0 - 1 - r0:i1 - 1 - r0],
-                    out=out[i0 - w0:i1 - w0])
+        if i == 0:
+            _diff_chunks(src, comp, i0, i1, out[i0 - w0:i1 - w0])
+        else:
+            np.subtract(cur[i0 + 1 - r0:i1 + 1 - r0],
+                        cur[i0 - 1 - r0:i1 - 1 - r0],
+                        out=out[i0 - w0:i1 - w0])
         out[:i0 - w0] = 0
         out[i1 - w0:] = 0
         cur, r0 = out, w0
     return cur[lo - r0:hi - r0]
 
 
-def apply(op: BlockOp, state: GridState, out: np.ndarray | None = None, *,
-          add_to: tuple[np.ndarray, complex] | None = None) -> GridState:
+def _diff_chunks(src: _Rows, comp: tuple, i0: int, i1: int,
+                 out: np.ndarray) -> None:
+    """out[i - i0] = x[i+1] - x[i-1] for rows i0:i1 of component x =
+    ``comp`` of src, one subtraction per stretch of rows whose two
+    operands each lie in one chunk."""
+    while i0 < i1:
+        a0, a1, above = src.find(i0 + 1)
+        b0, b1, below = src.find(i0 - 1)
+        j = min(i1, a1 - 1, b1 + 1)
+        np.subtract(above[comp][i0 + 1 - a0:j + 1 - a0],
+                    below[comp][i0 - 1 - b0:j - 1 - b0], out=out[:j - i0])
+        out, i0 = out[j - i0:], j
+
+
+def _halo(op: BlockOp) -> int:
+    """The most axis-0 derivatives of any term of op."""
+    return max((alpha[0] for row in op.entries for sop in row
+                for (alpha, _u, _k) in sop.terms), default=0)
+
+
+class _Kernel:
+    """The row kernel of one operator on one grid.
+
+    ``sources`` is ``_plan``'s list with each source as its (block, spin
+    column) pair; ``fields`` gives each distinct (field, scalar) pair of
+    the plan as (F * s, None, None) for a field that broadcasts along an
+    axis, scaled once, and as (F, s, j) for a full-size one, scaled per
+    range into slab buffer j.  ``halo`` is the most axis-0 differences of
+    any term, ``unreached`` the output components no term writes.
+    """
+
+    def __init__(self, op: BlockOp, mesh: _Mesh, spacing: float, n: int,
+                 name: str | None = None):
+        plan, pairs = _plan(op, mesh, spacing)
+        self.name, self.n = name, n
+        self.sources = [((bc, col), axes, u, terms)
+                        for bc, col, axes, u, terms in plan]
+        self.halo = _halo(op)
+        written = {(t[0], t[1]) for *_src, terms in plan for t in terms}
+        self.unreached = [(br, m) for br in range(op.blocks)
+                          for m in range(op.dim) if (br, m) not in written]
+        self.fields, self.full = [], 0
+        for f, s in pairs:
+            if f.shape == (n, n, n):
+                self.fields.append((f, s, self.full))
+                self.full += 1
+            else:
+                self.fields.append((np.multiply(f, s), None, None))
+
+
+class _Buffers:
+    """Slab buffers that row kernels run one after another share, for
+    ranges of at most ``rows`` rows: scratch, two difference buffers with
+    a ``halo`` of rows on either side, ``fields`` scaled-field slabs and,
+    given the (blocks, 2s+1) ``shape`` of a state, the slab a term is
+    built in before it is added onto a sum."""
+
+    def __init__(self, n: int, rows: int, halo: int, fields: int,
+                 shape: tuple[int, int] | None = None):
+        self.scratch = np.empty((rows, n, n), dtype=complex)
+        self.deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex)
+                      for _ in range(2)]
+        self.fields = [np.empty((rows, n, n), dtype=complex)
+                       for _ in range(fields)]
+        self.target = None if shape is None else np.empty(
+            (*shape, rows, n, n), dtype=complex)
+
+
+def _apply_rows(kernel: _Kernel, bufs: _Buffers, src: _Rows, lo: int,
+                hi: int, out: np.ndarray, c: complex | None = None) -> None:
+    """Rows lo:hi of kernel's operator applied to src, into ``out`` of
+    shape (blocks, 2s+1, hi - lo, N, N); with ``c``, c times them added
+    onto out instead.
+
+    Every term of the plan runs on these rows while they are in cache:
+    each source component differenced (``_diff_rows``), viewed reflected
+    by reading the mirrored rows, and for each term conjugated if
+    antilinear and multiplied by the term's scaled field F * s.  A term
+    without a field is multiplied by its scalar, or copied when that is
+    1.  The first contribution to an output component is written straight
+    into it, later ones go through one scratch slab; components no term
+    reaches are zeroed.  The finished rows are checked finite while they
+    are still in cache.  An added term is built in ``bufs.target`` and
+    added with ``+=`` for c == 1, ``-=`` for c == -1, else multiplied by
+    c and then added: the same elementwise operations as adding a whole
+    applied state.
+    """
+    n, rows = kernel.n, hi - lo
+    slab = out if c is None else bufs.target[:, :, :rows]
+    for br, m in kernel.unreached:
+        slab[br, m] = 0
+    gs = [f if s is None and len(f) == 1 else f[lo:hi] if s is None
+          else np.multiply(f[lo:hi], s, out=bufs.fields[j][:rows])
+          for f, s, j in kernel.fields]
+    for comp, axes, u, terms in kernel.sources:
+        a, b = (n - hi, n - lo) if u else (lo, hi)
+        x = (_diff_rows(src, comp, axes, a, b, bufs.deriv, n) if axes
+             else src.take(a, b)[comp])
+        if u:
+            x = x[::-1, ::-1, ::-1]
+        for br, m, p, s, k, first in terms:
+            dst = slab[br, m]
+            into = dst if first else bufs.scratch[:rows]
+            term = np.conjugate(x, out=into) if k else x
+            if p is not None or s != 1:
+                term = np.multiply(term, s if p is None else gs[p], out=into)
+            if not first:
+                dst += term
+            elif term is not dst:
+                np.copyto(dst, term)
+    if not np.isfinite(slab.view(float)).all():
+        raise ValueError("state contains non-finite entries")
+    if c is None:
+        return
+    if c == 1:
+        out += slab
+    elif c == -1:
+        out -= slab
+    else:
+        slab *= c
+        out += slab
+
+
+def apply(op: BlockOp, state: GridState) -> GridState:
     """Apply an exact operator numerically, slab by slab.
 
-    The output is built a few axis-0 rows at a time (``_slab_rows``): for
-    each slab the whole plan runs while its rows are in cache, each
-    source slab differenced (``_diff_rows``), viewed reflected by
-    reading the mirrored rows, and for each term conjugated if antilinear
-    and multiplied by the term's scaled field F * s (``_plan``).  F * s is
-    computed once per apply for a field that broadcasts along an axis and
-    once per slab for a full-size one, for each distinct (field, s).  A
-    term without a field is multiplied by its scalar, or copied when that
-    is 1.  The first contribution to an output component is written
-    straight into it, later ones go through one scratch slab.  A finished
-    slab is checked finite while it is still in cache, so the result
-    needs no second scan.
-
-    ``out``, if given, is a complex array of the state's shape that does
-    not overlap it; the result is written there (components the operator
-    does not reach are zeroed), so a caller can reuse the array of a
-    state it no longer needs instead of mapping fresh memory.
-
-    ``add_to=(acc, c)`` instead adds c * op(state) onto ``acc``, an array
-    of the same kind, and returns the state over ``acc``: each finished
-    slab goes into one slab-sized buffer and is added with ``+=`` for
-    c == 1, ``-=`` for c == -1, else multiplied by c and then added, the
-    same elementwise operations as adding a whole applied state.
+    The output is built a few axis-0 rows at a time (``_slab_rows``) by
+    the row kernel (``_apply_rows``), which runs the operator's whole
+    plan (``_plan``) on those rows while they are in cache.  F * s is
+    computed once per apply for a field that broadcasts along an axis
+    and once per slab for a full-size one, for each distinct (field, s).
+    A finished slab is checked finite while it is still in cache, so the
+    result needs no second scan.
     """
     if op.dim != state.spin.dim or op.blocks != state.blocks:
         raise ValueError("operator shape does not match the state")
     g = state.grid
     n = g.points
-    if add_to is not None:
-        if out is not None:
-            raise ValueError("give out or add_to, not both")
-        out, c = add_to
-    if out is None:
-        out = _empty_values(op.blocks, n, op.dim)
-    elif (out.shape != state.values.shape or out.dtype != complex
-          or np.may_share_memory(out, state.values)):
-        raise ValueError("output must be a complex array of the state's "
-                         "shape, separate from the state")
-    plan, pairs = _plan(op, _meshes(g), g.spacing)
-    rows = _slab_rows(n)
-    halo = max((entry[2].count(0) for entry in plan), default=0)
-    scratch = np.empty((rows, n, n), dtype=complex)
-    deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex) for _ in range(2)]
-    # F * s: whole if F broadcasts, else a slab buffer filled per slab
-    whole = [None if f.shape == (n, n, n) else np.multiply(f, s)
-             for f, s in pairs]
-    bufs = [np.empty((rows, n, n), dtype=complex) if w is None else None
-            for w in whole]
+    kernel = _Kernel(op, _meshes(g), g.spacing, n)
+    rows = min(_slab_rows(n), n)
+    bufs = _Buffers(n, rows, kernel.halo, kernel.full)
+    out = _empty_values(op.blocks, n, op.dim)
     comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
-    # where finished slabs go: the output, or one buffer added onto acc
-    target = comps if add_to is None else np.empty(
-        (op.blocks, op.dim, rows, n, n), dtype=complex)
-    written = {(t[0], t[1]) for *_src, terms in plan for t in terms}
-    for br in range(op.blocks):
-        for m in range(op.dim):
-            if (br, m) not in written:
-                target[br, m] = 0
-    # the plan with its source components as views, taken once
-    sources = [(state.values[bc, ..., col], axes, u, terms)
-               for bc, col, axes, u, terms in plan]
+    src = _Rows.whole(state.values)
     for a in range(0, n, rows):
-        b = min(a + rows, n)
-        r0 = a if target is comps else 0
-        slab = target[:, :, r0:r0 + b - a]
-        gs = [np.multiply(f[a:b], s, out=buf[:b - a]) if w is None
-              else w if len(w) == 1 else w[a:b]
-              for (f, s), w, buf in zip(pairs, whole, bufs)]
-        for src, axes, u, terms in sources:
-            lo, hi = (n - b, n - a) if u else (a, b)
-            x = _diff_rows(src, axes, lo, hi, deriv) if axes else src[lo:hi]
-            if u:
-                x = x[::-1, ::-1, ::-1]
-            for br, m, p, s, k, first in terms:
-                dst = slab[br, m]
-                into = dst if first else scratch[:b - a]
-                term = np.conjugate(x, out=into) if k else x
-                if p is not None or s != 1:
-                    term = np.multiply(term, s if p is None else gs[p],
-                                       out=into)
-                if not first:
-                    dst += term
-                elif term is not dst:
-                    np.copyto(dst, term)
-        if not np.isfinite(slab.view(float)).all():
-            raise ValueError("state contains non-finite entries")
-        if target is not comps:
-            acc = comps[:, :, a:b]
-            if c == 1:
-                acc += slab
-            elif c == -1:
-                acc -= slab
-            else:
-                slab *= c
-                acc += slab
+        _apply_rows(kernel, bufs, src, a, min(a + rows, n),
+                    comps[:, :, a:a + rows])
     return GridState._prechecked(out, g, state.spin, state.blocks)
 
 
@@ -499,12 +582,6 @@ def apply(op: BlockOp, state: GridState, out: np.ndarray | None = None, *,
 
 # Share of MemAvailable a grid study may plan to fill.
 MEMORY_SHARE = 0.5
-# State-sized arrays a study may hold at once besides the standard state,
-# in states of its largest grid, on every grid: applied states kept, in
-# use or free for reuse, and component sums.  Three fit K_a Theta psi in
-# Theta*K == K*Theta: the shared Theta psi, the accumulated component and
-# the output being built (likewise a commutator's second word).
-_LIVE_STATES = 3
 
 
 def _state_bytes(rep: RepSpec, grid: Grid) -> int:
@@ -512,8 +589,8 @@ def _state_bytes(rep: RepSpec, grid: Grid) -> int:
 
 
 def _scaled_pairs(op: BlockOp) -> set[tuple]:
-    """The (field, s) pairs of ``apply``'s plan of op, counted from the
-    exact terms as (full size, field key, power of mu, scalar, |alpha|,
+    """The (field, s) pairs of ``_plan`` of op, counted from the exact
+    terms as (full size, field key, power of mu, scalar, |alpha|,
     reflection sign): an upper bound on the distinct numeric pairs."""
     pairs = set()
     for row in op.entries:
@@ -537,33 +614,49 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     Every grid keeps its cached mesh (p0 and the full-size basis fields
     the studied relations' operators use, 8 bytes a point; a field of at
     most two of p1, p2, p3 broadcasts and is not counted) and its
-    standard state; the grid being studied adds the arrays of its plan
-    (at most _LIVE_STATES states of the largest grid, free arrays kept
-    for reuse included), apply's buffers and the temporaries of building
-    one field.  apply's buffers are its slabs (scratch, two difference
-    buffers with a 1-row halo each side, one scaled-field slab per
-    distinct full-size (field, s) pair and the slab that add_to adds from)
-    and one scaled copy of each broadcast field, at most N^2 points.
+    standard state.  The grid being studied adds the arrays of its
+    streamed plan (``_stream``), none of them state-sized:
+    - each stored word's window, lead + keep + 1 levels of its rows, a
+      level being a slab and its mirror (at most N rows in all);
+    - the rows of one component sum, and when the norm slabs do not
+      tile the levels, one more level of every component's rows;
+    - the kernels' shared slabs (scratch, two difference buffers with
+      the stencil's halo, one per full-size (field, s) pair of an
+      operator, the slab a term is added from and one gathered slab);
+    - one scaled copy of each broadcast field of every operator, at
+      most N^2 points, and the temporaries of building one field.
     Against the peak RSS of ``grid`` at N = 32, 64, 128 less that of a
-    process that only imports numpy and poincarelab (29 MiB), it reads
-    0.2-0.5% low for up, sym3 and quad:+1.
+    process that only imports numpy and poincarelab (32 MiB), 203, 299
+    and 242 MiB for up 2s=1, sym3 2s=1 and quad:+1 on a 2-core Xeon VM,
+    it reads 14%, 11% and 13% high.
     """
     studied = set(representative_relations(rep))
-    names = word_names(r for r in relations(rep) if r.name in studied)
-    per_op = [_scaled_pairs(op) for op in operators(rep, names).values()]
+    rels = [r for r in relations(rep) if r.name in studied]
+    comps = [comp for rel in rels for comp in rel.components]
+    ops = operators(rep, word_names(rels))
+    used = {name: ops[name] for comp in comps for _c, word in comp
+            for name in word}
+    halos = {name: _halo(op) for name, op in used.items()}
+    per_op = [_scaled_pairs(op) for op in used.values()]
     keys = {((0, 0, 0, 1), 0, 0), ((0, 0, 0, 0), 1, 0)}  # p0 and 1/p0
     keys.update(p[1] for pairs in per_op for p in pairs if p[0])
     full = max(sum(p[0] for p in pairs) for pairs in per_op)
-    broadcast = max(sum(not p[0] for p in pairs) for pairs in per_op)
-    comps = rep.blocks * (rep.two_s + 1)
-    live = _LIVE_STATES * max(_state_bytes(rep, g) for g in grids)
+    broadcast = sum(not p[0] for pairs in per_op for p in pairs)
+    halo = max(halos.values())
+    spins = rep.blocks * (rep.two_s + 1)
     resident, transient = 0, 0
     for g in grids:
         n = g.points
         rows = _slab_rows(n)
-        slabs = ((3 + full + comps) * rows + 4 + broadcast) * n * n * 16
+        span = min(2 * rows, n)
+        order, direct = _word_graph(comps, halos, rows, {("Theta",), ("Pi",)})
+        window = sum(min((w.lead + max(w.keep, 0) + 1) * 2 * rows, n)
+                     for w in order if w.word not in direct)
+        sums = span * (1 + len(comps) * bool(n % rows))
+        planes = (spins * (window + sums + 2 * span)
+                  + (3 + full) * span + 4 * halo + broadcast)
         resident += len(keys) * n**3 * 8 + _state_bytes(rep, g)
-        transient = max(transient, live + slabs + 2 * n**3 * 8)
+        transient = max(transient, planes * n * n * 16 + 2 * n**3 * 8)
     return resident + transient
 
 
@@ -599,158 +692,217 @@ def relation_ids(rep: RepSpec) -> list[str]:
     return [r.name for r in relations(rep)]
 
 
-def _shared_words(rel) -> set[str]:
-    """The operators every component of rel applies straight to the state."""
-    return set.intersection(*({word[-1] for _c, word in comp if word}
-                              for comp in rel.components))
+def _level_ranges(n: int, rows: int) -> list[list[tuple[int, int]]]:
+    """The axis-0 row ranges of each level of a streamed study, outside in.
 
-
-def _ordered(rels) -> list[int]:
-    """Indices of rels in run order.
-
-    From the first, each next relation is the one whose shared words
-    (``_shared_words``) overlap most with those of the relation before,
-    the lowest index on a tie: a state that serves every component of a
-    relation is the one that can stay across it when the cap is tight.
-    So the exchange relations of Theta, then Pi*Theta, then those of Pi
-    run together, and each commutator follows one it shares a generator
-    with where it can.
+    Level c holds the rows c*rows to (c+1)*rows - 1 away from the nearer
+    face: slab [a, b) with its mirror [n-b, n-a), or, where the two meet,
+    the one range [a, n-a), so the middle row of an odd N is its own
+    mirror.  A level is closed under the reflection, and a stencil of h
+    rows reads only levels at most ceil(h / rows) away.
     """
-    left = list(range(1, len(rels)))
-    order = [0] if rels else []
-    while left:
-        prev = _shared_words(rels[order[-1]])
-        i = max(left, key=lambda j: len(_shared_words(rels[j]) & prev))
-        left.remove(i)
-        order.append(i)
-    return order
+    half = (n + 1) // 2
+    return [[(a, n - a)] if a + rows >= half
+            else [(a, a + rows), (n - a - rows, n - a)]
+            for a in range(0, half, rows)]
 
 
-class _Applied:
-    """The words of one plan applied to one state, within a cap of arrays.
+class _Norm:
+    """A weighted norm taken as ``_values_norm`` takes it, slab by slab
+    (``_slab_rows``), from chunks of rows that arrive in level order.
 
-    ``words`` lists the word of every term in the order the plan adds
-    them.  An applied state is kept from its application until the last
-    term whose word ends with it, then dropped.  Arrays are counted in
-    ``held`` from allocation on: kept states, states and sums in use, and
-    the dropped arrays kept in ``free`` for reuse as outputs.  A new
-    array while ``limit`` are held takes the one of the kept state needed
-    furthest ahead (Belady's rule), which is applied again when needed.
-    ``normed`` maps words whose applied state's norm is wanted to that
-    norm, None until the word is first applied.
+    The slabs not yet summed are a run, slabs ``first`` to ``last`` - 1,
+    shrinking from both ends as the levels close in.  Each slab's
+    per-component partials are computed once all its rows are in, and
+    summed at the end in slab-then-component order, so the norm is
+    bit-identical to ``_values_norm`` of the whole state.  Chunks are let
+    go once every slab they touch is summed.
     """
 
-    def __init__(self, ops, state: GridState, words, limit: int,
-                 normed: dict):
-        self.ops, self.state, self.limit = ops, state, limit
-        self.normed = normed
-        self.free: list[np.ndarray] = []
-        self.kept: dict[tuple, GridState] = {}
-        self.held = 0
-        self.pos = 0  # index of the term being added
-        self.needs: dict[tuple, deque] = {}
-        for pos, word in enumerate(words):
+    def __init__(self, n: int, w: np.ndarray):
+        self.n, self.w = n, w
+        self.slab = _slab_rows(n)
+        self.rows = _Rows(())
+        self.first, self.last = 0, -(-n // self.slab)
+        self.parts: list[list[float]] = [[] for _ in range(self.last)]
+
+    def flush(self, depth: int) -> None:
+        """Sum the slabs whose rows all lie within ``depth`` of a face."""
+        n, r = self.n, self.slab
+
+        def done(a: int, b: int) -> bool:
+            return b <= depth or a >= n - depth or 2 * depth >= n
+
+        while self.first < self.last and done(self.first * r,
+                                              (self.first + 1) * r):
+            self._sum(self.first)
+            self.first += 1
+        while self.first < self.last and done((self.last - 1) * r, n):
+            self.last -= 1
+            self._sum(self.last)
+        self.rows.chunks = [
+            chunk for chunk in self.rows.chunks
+            if not done(chunk[0] // r * r, min(-(-chunk[1] // r) * r, n))]
+
+    def _sum(self, j: int) -> None:
+        a, b = j * self.slab, min((j + 1) * self.slab, self.n)
+        slab, wa = self.rows.take(a, b), self.w[a:b]
+        self.parts[j] = [_weighted(x.real, x.real, wa)
+                         + _weighted(x.imag, x.imag, wa)
+                         for block in slab for x in block]
+
+    def value(self, spacing: float) -> float:
+        total = 0.0
+        for parts in self.parts:
+            for part in parts:
+                total += part
+        return math.sqrt(total * spacing**3)
+
+
+class _Word:
+    """One distinct word of a streamed study and what reads it."""
+
+    def __init__(self, word: tuple):
+        self.word = word
+        self.users: list[_Word] = []  # words one operator longer
+        self.terms = 0  # uses as a term of a component
+        self.lead = self.keep = 0
+        self.rows = _Rows(word)
+        self.norm: _Norm | None = None
+
+
+def _word_graph(components, halos: dict, rows: int,
+                normed) -> tuple[list[_Word], set]:
+    """The distinct words of ``components`` shortest first, with their
+    readers, ``lead`` and ``keep`` in levels of ``rows`` rows (see
+    ``_stream``), and the words read once, as a term, which go straight
+    into their component.  ``halos`` maps each operator name to its
+    axis-0 stencil reach in rows; ``normed`` holds the words whose norm
+    is wanted."""
+    words: dict[tuple, _Word] = {}
+    for comp in components:
+        for _c, word in comp:
             for i in range(len(word)):
-                self.needs.setdefault(word[i:], deque()).append(pos)
-
-    def _next_use(self, word) -> float:
-        """Index of the next term after this one whose word ends with word."""
-        needs = self.needs[word]
-        while needs and needs[0] <= self.pos:
-            needs.popleft()
-        return needs[0] if needs else math.inf
-
-    def _buffer(self, pinned: GridState) -> np.ndarray | None:
-        """A free array for a new state or sum, or None to allocate one."""
-        if self.free:
-            return self.free.pop()
-        if self.held >= self.limit:
-            victims = [w for w, st in self.kept.items() if st is not pinned]
-            if victims:
-                return self.kept.pop(max(victims, key=self._next_use)).values
-        self.held += 1
-        return None
-
-    def _array_like(self, st: GridState) -> np.ndarray:
-        buf = self._buffer(st)
-        return np.empty_like(st.values) if buf is None else buf
-
-    def release(self, values: np.ndarray) -> None:
-        """Drop an array this plan allocated."""
-        self.free.append(values)
-
-    def take(self, word) -> tuple[GridState, bool]:
-        """word applied to the state, and whether this was its last use
-        (the caller then owns its array)."""
-        if not word:
-            return self.state, False
-        st = self.kept.pop(word, None)
-        if st is None:
-            arg, owned = self.take(word[1:])
-            st = apply(self.ops[word[0]], arg, out=self._buffer(arg))
-            if owned:
-                self.release(arg.values)
-            if word in self.normed and self.normed[word] is None:
-                self.normed[word] = _values_norm(st.values, st.grid)
-        if self._next_use(word) < math.inf:
-            self.kept[word] = st
-            return st, False
-        return st, True
-
-    def add(self, acc, coeff, word) -> np.ndarray:
-        """acc + coeff * (word applied), in place where the arrays allow.
-
-        A term after the first whose word is not kept and has no later
-        use has its last operator's output added straight onto acc
-        (``apply``'s add_to), so it needs no array of its own.
-        """
-        if (acc is not None and word and word not in self.kept
-                and self._next_use(word) == math.inf):
-            arg, owned = self.take(word[1:])
-            self.pos += 1
-            apply(self.ops[word[0]], arg, add_to=(acc, coeff.to_complex()))
-            if owned:
-                self.release(arg.values)
-            return acc
-        st, owned = self.take(word)
-        self.pos += 1
-        values = st.values
-        if acc is None:
-            if owned:
-                acc = values
-            else:
-                acc = self._array_like(st)
-                np.copyto(acc, values)
-            if coeff != ONE:
-                acc *= coeff.to_complex()
-            return acc
-        if coeff == ONE:
-            acc += values
-        elif coeff == -ONE:
-            acc -= values
-        elif owned:
-            values *= coeff.to_complex()
-            acc += values
-        else:
-            scaled = self._array_like(st)
-            np.multiply(values, coeff.to_complex(), out=scaled)
-            acc += scaled
-            self.release(scaled)
-        if owned:
-            self.release(values)
-        return acc
+                if word[i:] not in words:
+                    words[word[i:]] = _Word(word[i:])
+            if word:
+                words[word].terms += 1
+    order = sorted(words.values(), key=lambda w: len(w.word))
+    for w in reversed(order):  # readers before what they read
+        if len(w.word) > 1:
+            words[w.word[1:]].users.append(w)
+        need = [-(-halos[u.word[0]] // rows) for u in w.users]
+        w.lead = max([0] * bool(w.terms)
+                     + [u.lead + d for u, d in zip(w.users, need)])
+        w.keep = max([0] * bool(w.terms) + [1] * (w.word in normed)
+                     + [d - u.lead for u, d in zip(w.users, need)])
+    direct = {w.word for w in order
+              if w.terms == 1 and not w.users and w.word not in normed}
+    return order, direct
 
 
-def _residuals(rep: RepSpec, relation_ids, state: GridState, largest: Grid,
-               normed: dict | None = None) -> list[float]:
-    """Residual of each relation on one state, from one plan.
+def _stream(ops: dict, state: GridState, components,
+            normed: dict) -> list[float]:
+    """The norm of each component (a sum of terms) on one state, every
+    word computed once, row by row.
 
-    The relations run in ``_ordered`` order over one ``_Applied``, so a
-    word shared by several relations is applied once while it can stay:
-    the arrays held at once stay within _LIVE_STATES states on the
-    ``largest`` grid of the study.  ``normed`` (see ``_Applied``) gets
-    the norms of the wanted words the plan applies.
+    The grid's levels (``_level_ranges``) are walked from the faces in:
+    a slab of rows together with its mirror, so a reflected read lands on
+    rows that the same step computes.  A word with one use, as a term,
+    has its rows written or added straight into its component's rows;
+    every other word keeps a window of its rows.  A word read by an
+    operator whose stencil reaches d levels is computed d levels ahead of
+    its reader (its ``lead``, summed along each chain of readers) and
+    kept for d levels after (``keep``), so a level of a word is dropped
+    once its last reader has run over it.  Each step computes the words
+    shortest first, each from the rows of its suffix, then the
+    components' rows in their terms' order with the same elementwise
+    operations as summing whole applied states.  The norms are summed
+    by ``_Norm`` as ``_values_norm`` sums them, so they are bit-identical
+    to it.  ``normed`` maps words to None; those computed get the norm of
+    their applied state.
     """
+    g = state.grid
+    n, mesh = g.points, _meshes(g)
+    rows = _slab_rows(n)
+    levels = _level_ranges(n, rows)
+    used = {name: ops[name] for comp in components for _c, word in comp
+            for name in word}
+    kernels = {name: _Kernel(op, mesh, g.spacing, n, name)
+               for name, op in used.items()}
+    order, direct = _word_graph(
+        components, {name: k.halo for name, k in kernels.items()}, rows,
+        normed)
+    stored = [w for w in order if w.word not in direct]
+    source = {(): _Rows.whole(state.values),
+              **{w.word: w.rows for w in stored}}
+    shape = (state.blocks, state.spin.dim)
+    bufs = _Buffers(n, min(2 * rows, n),
+                    max((k.halo for k in kernels.values()), default=0),
+                    max((k.full for k in kernels.values()), default=0), shape)
+    for word in stored:
+        if word.word in normed:
+            word.norm = _Norm(n, mesh.inv_p0)
+    norms = [_Norm(n, mesh.inv_p0) for _ in components]
+    sums = [[(i, coeff, coeff.to_complex(), word)
+             for i, (coeff, word) in enumerate(comp)] for comp in components]
+    last = len(levels) - 1
+    for t, ranges in enumerate(levels):
+        for word in stored:
+            todo = (range(min(word.lead, last) + 1) if t == 0
+                    else [t + word.lead] if t + word.lead <= last else [])
+            kernel, src = kernels[word.word[0]], source[word.word[1:]]
+            for c in todo:
+                for lo, hi in levels[c]:
+                    out = np.empty((*shape, hi - lo, n, n), dtype=complex)
+                    _apply_rows(kernel, bufs, src, lo, hi, out)
+                    word.rows.chunks.append((lo, hi, out))
+                    if word.norm is not None:
+                        word.norm.rows.chunks.append((lo, hi, out))
+        depth = min(ranges[0][0] + rows, (n + 1) // 2)
+        for terms, norm_ in zip(sums, norms):
+            for lo, hi in ranges:
+                acc = np.empty((*shape, hi - lo, n, n), dtype=complex)
+                for i, coeff, c, word in terms:
+                    if word in direct:
+                        _apply_rows(kernels[word[0]], bufs, source[word[1:]],
+                                    lo, hi, acc, None if i == 0 else c)
+                        if i == 0 and coeff != ONE:
+                            acc *= c
+                        continue
+                    values = source[word].take(lo, hi)
+                    if i == 0:
+                        np.copyto(acc, values)
+                        if coeff != ONE:
+                            acc *= c
+                    elif coeff == ONE:
+                        acc += values
+                    elif coeff == -ONE:
+                        acc -= values
+                    else:
+                        scaled = bufs.target[:, :, :hi - lo]
+                        np.multiply(values, c, out=scaled)
+                        acc += scaled
+                norm_.rows.chunks.append((lo, hi, acc))
+            norm_.flush(depth)
+        for word in stored:
+            if word.norm is not None:
+                word.norm.flush(depth)
+            word.rows.chunks = [
+                chunk for chunk in word.rows.chunks
+                if min(chunk[0], n - chunk[1]) // rows + word.keep > t]
+    for word in stored:
+        if word.norm is not None:
+            normed[word.word] = word.norm.value(g.spacing)
+    return [norm_.value(g.spacing) for norm_ in norms]
+
+
+def _residuals(rep: RepSpec, relation_ids, state: GridState,
+               normed: dict | None = None) -> list[float]:
+    """Residual of each relation on one state, from one streamed plan
+    (``_stream``): a word shared by several relations is computed once.
+    ``normed`` (see ``_stream``) gets the norms of the wanted words the
+    plan computes."""
     table = {r.name: r for r in relations(rep)}
     rels = []
     for rid in relation_ids:
@@ -761,20 +913,16 @@ def _residuals(rep: RepSpec, relation_ids, state: GridState, largest: Grid,
             raise ValueError(f"relation {rid} has nothing to evaluate: "
                              f"{rel.inadmissible}")
         rels.append(rel)
-    order = _ordered(rels)
-    words = [w for i in order for comp in rels[i].components for _c, w in comp]
-    limit = _LIVE_STATES * _state_bytes(rep, largest) // state.values.nbytes
-    run = _Applied(operators(rep, word_names(rels)), state, words, limit,
-                   {} if normed is None else normed)
+    comps = [comp for rel in rels for comp in rel.components]
+    norms = iter(_stream(operators(rep, word_names(rels)), state, comps,
+                         {} if normed is None else normed))
     base = _state_norm(rep, state)
-    out = [0.0] * len(rels)
-    for i in order:
-        for comp in rels[i].components:
-            acc = None
-            for coeff, word in comp:
-                acc = run.add(acc, coeff, word)
-            out[i] = max(out[i], _values_norm(acc, state.grid) / base)
-            run.release(acc)
+    out = []
+    for rel in rels:
+        worst = 0.0
+        for _comp in rel.components:
+            worst = max(worst, next(norms) / base)
+        out.append(worst)
     return out
 
 
@@ -783,12 +931,11 @@ def residual(rep: RepSpec, relation_id: str, state: GridState) -> float:
 
     Each word acts right to left.  A suffix shared by several words of
     the relation (Theta psi across the components of an exchange
-    relation) is applied once and freed after its last use.  Terms add
-    up in the order written, +-1 coefficients as + and -; the worst
-    component counts.  Its plan recycles dropped arrays as later
-    outputs, as each grid's plan in ``study`` does.
+    relation) is computed once, row by row, and each row is dropped
+    after its last use.  Terms add up in the order written, +-1
+    coefficients as + and -; the worst component counts.
     """
-    return _residuals(rep, [relation_id], state, state.grid)[0]
+    return _residuals(rep, [relation_id], state)[0]
 
 
 def standard_state(rep: RepSpec, grid: Grid) -> GridState:
@@ -907,21 +1054,20 @@ def study(rep: RepSpec, relation_ids, grids, *,
     """A convergence study of each relation, grid by grid from one plan.
 
     Each grid evaluates every relation on its standard state through one
-    ``_Applied`` plan (see ``_residuals``), which recycles the arrays of
-    dropped states as outputs; then each relation's residuals get a
-    slope fit.  Requires at least three grids with spacing roughly
-    halving between consecutive entries.  All-tiny residuals are flagged
-    exact instead of fitted; tiny residuals on some grids but not all
-    have no slope (the log of a zero residual) and fail the study.
+    streamed plan (``_stream``), every word computed once on each grid;
+    then each relation's residuals get a slope fit.  Requires at least
+    three grids with spacing roughly halving between consecutive
+    entries.  All-tiny residuals are flagged exact instead of fitted;
+    tiny residuals on some grids but not all have no slope (the log of a
+    zero residual) and fail the study.
 
     ``defects``, if a dict, receives ``isometry_defect`` of the finest
     grid's standard state, with the norms of Theta psi and Pi psi taken
     from the plan's own states where it applies them.
     """
     grids = _refining(grids)
-    largest = max(grids, key=lambda g: g.points)
     normed = {} if defects is None else dict.fromkeys([("Theta",), ("Pi",)])
-    per_grid = [_residuals(rep, relation_ids, standard_state(rep, g), largest,
+    per_grid = [_residuals(rep, relation_ids, standard_state(rep, g),
                            normed if g is grids[-1] else None)
                 for g in grids]
     if defects is not None:

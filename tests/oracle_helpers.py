@@ -7,7 +7,8 @@ The spin identities, the lift of a commutant matrix to an operator and
 the change of basis of a commutant problem are checks of the engine
 that only the tests call, so they live here too, and so does the
 pairwise BlockOp sum of a relation component, the oracle of
-symop.RelationSum.
+symop.RelationSum, and the whole-state evaluation of grid residuals,
+the oracle of gridlab's streamed study.
 """
 
 import sympy as sp
@@ -197,3 +198,63 @@ def pairwise_violation(rel, ops) -> str:
         if not acc.is_zero():
             return f"component {idx}: residual {_truncate(repr(acc))}"
     return ""
+
+
+def whole_state_norms(ops, state, components, normed=None):
+    """The norm of each component (a sum of terms) on a grid state, with
+    every word applied to whole states by gridlab.apply: each distinct
+    word of a component once, right to left, the terms summed as whole
+    arrays in the order written (+-1 coefficients as + and -) and the sum
+    normed by gridlab.norm.  ``normed`` maps words to None; those applied
+    get the norm of their state."""
+    from poincarelab import gridlab
+
+    out = []
+    for comp in components:
+        applied = {(): state}
+
+        def value(word):
+            if word not in applied:
+                applied[word] = gridlab.apply(ops[word[0]], value(word[1:]))
+            return applied[word]
+
+        acc = None
+        for coeff, word in comp:
+            values = value(word).values
+            if acc is None:
+                acc = values.copy(order="K")
+                if coeff != ONE:
+                    acc *= coeff.to_complex()
+            elif coeff == ONE:
+                acc += values
+            elif coeff == -ONE:
+                acc -= values
+            else:
+                acc += values * coeff.to_complex()
+        out.append(gridlab.norm(gridlab.GridState(
+            acc, state.grid, state.spin, state.blocks)))
+        for word in normed or ():
+            if word in applied:
+                normed[word] = gridlab.norm(applied[word])
+    return out
+
+
+def whole_state_residuals(rep, relation_ids, state, normed=None):
+    """gridlab residuals from ``whole_state_norms``: the worst component
+    norm of each relation over the norm of the state."""
+    from poincarelab import gridlab
+    from poincarelab.catalog import operators, relations, word_names
+
+    table = {r.name: r for r in relations(rep)}
+    rels = [table[rid] for rid in relation_ids]
+    ops = operators(rep, word_names(rels))
+    norms = iter(whole_state_norms(
+        ops, state, [c for rel in rels for c in rel.components], normed))
+    base = gridlab.norm(state)
+    out = []
+    for rel in rels:
+        worst = 0.0
+        for _comp in rel.components:
+            worst = max(worst, next(norms) / base)
+        out.append(worst)
+    return out

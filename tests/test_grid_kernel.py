@@ -1,12 +1,14 @@
-"""The slab kernel of gridlab.apply against a whole-array kernel kept
-here as the oracle.  The oracle runs each term as one pass over whole
-components with the kernel's formula, conj^k(x) * (F * s), so every
-element must come out bit-equal: the two run the same floating-point
-operations in the same order.  That holds with the scaled fields filled
-per slab, when the output goes into a recycled array, and when the
-result is added onto a sum.  The formula the kernel used before,
-conj^k(x * F) * s, is kept as a second reference; it rounds differently,
-so it must agree only to a measured tolerance.
+"""The row kernel of gridlab (apply and the streamed study) against a
+whole-array kernel kept here as the oracle.  The oracle runs each term
+as one pass over whole components with the kernel's formula,
+conj^k(x) * (F * s), so every element must come out bit-equal: the two
+run the same floating-point operations in the same order.  That holds
+with the scaled fields filled per slab, for rows computed in mirrored
+pairs from a source held in chunks, when the output goes into a
+recycled array, and when the result is added onto a sum.  The formula
+the kernel used before, conj^k(x * F) * s, is kept as a second
+reference; it rounds differently, so it must agree only to a measured
+tolerance.
 """
 
 from collections import Counter
@@ -107,6 +109,38 @@ def whole_array_apply(op, state, term_into=_scaled_term):
     return out
 
 
+def _chunked(values, rows):
+    """Every row of a state as chunks of ``rows`` rows, copied out."""
+    comps = np.moveaxis(values, -1, 1)
+    n = comps.shape[2]
+    return gridlab._Rows((), [(a, min(a + rows, n),
+                               comps[:, :, a:a + rows].copy())
+                              for a in range(0, n, rows)])
+
+
+def row_kernel(op, state, src=None, c=None, out=None):
+    """op applied to state by gridlab's row kernel, range by range over
+    the levels of a streamed study (slab and mirror, outside in), read
+    from ``src`` (default: the whole state).  Written into a NaN-filled
+    array, or with c given, c times the rows added onto ``out``."""
+    g = state.grid
+    n = g.points
+    kernel = gridlab._Kernel(op, _meshes(g), g.spacing, n)
+    ranges = [r for level in gridlab._level_ranges(n, gridlab._slab_rows(n))
+              for r in level]
+    bufs = gridlab._Buffers(n, max(hi - lo for lo, hi in ranges),
+                            kernel.halo, kernel.full, (op.blocks, op.dim))
+    if src is None:
+        src = gridlab._Rows.whole(state.values)
+    if out is None:  # stored spin-major, as apply's outputs are
+        out = np.moveaxis(np.full((op.blocks, op.dim, n, n, n), np.nan,
+                                  dtype=complex), 1, -1)
+    comps = np.moveaxis(out, -1, 1)
+    for lo, hi in ranges:
+        gridlab._apply_rows(kernel, bufs, src, lo, hi, comps[:, :, lo:hi], c)
+    return out
+
+
 def _operators(rep):
     ops = dict(rep.generators(), Theta=rep.theta, Pi=rep.pi,
                K1Theta=rep.k[0] * rep.theta, J2Pi=rep.j[1] * rep.pi)
@@ -150,11 +184,13 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
             got = apply(op, state)
             assert np.array_equal(_bits(got.values), _bits(want)), name
             assert got.values.strides == want.strides
-            # a recycled output array: every element written or zeroed
-            buf = np.full_like(want, np.nan)
-            got = apply(op, state, out=buf)
-            assert got.values is buf
-            assert np.array_equal(_bits(got.values), _bits(want)), name
+            # rows in mirrored pairs into a recycled (NaN-filled) array:
+            # every element written or zeroed
+            got = row_kernel(op, state)
+            assert np.array_equal(_bits(got), _bits(want)), name
+        # the source held in 3-row chunks: a stencil reads across them
+        got = row_kernel(op, st, _chunked(st.values, 3))
+        assert np.array_equal(_bits(got), _bits(want)), name
         old = whole_array_apply(op, st, _unscaled_term)
         assert np.abs(want - old).max() <= FORMULA_TOL * np.abs(old).max()
 
@@ -180,15 +216,14 @@ def _partial_op():
 
 
 def test_recycled_output_zeroes_components_no_term_reaches():
-    # block row 1 gets no contribution at all, so apply must zero it in a
-    # recycled array rather than leave what was there
+    # block row 1 gets no contribution at all, so the row kernel must
+    # zero it in a recycled array rather than leave what was there
     op = _partial_op()
     g = Grid(L, 17)
     st = sample_gaussian(g, (0.2, -0.3, 0.1), L / 9, [[1.0 + 0.5j], [0.5]])
     want = whole_array_apply(op, st)
     assert not want[1].any() and want[0].any()
-    buf = np.full_like(want, np.nan)
-    assert np.array_equal(_bits(apply(op, st, out=buf).values), _bits(want))
+    assert np.array_equal(_bits(row_kernel(op, st)), _bits(want))
 
 
 @pytest.mark.parametrize("slab_bytes", [gridlab.SLAB_BYTES, 3 * 17 * 17 * 16])
@@ -213,26 +248,17 @@ def test_add_into_equals_adding_the_applied_state(c, slab_bytes,
             want = acc - values
         else:
             want = acc + values * c
-        got = apply(op, state, add_to=(acc, c))
-        assert got.values is acc
+        got = row_kernel(op, state, c=c, out=acc)
+        assert got is acc
         assert np.array_equal(_bits(acc), _bits(want))
 
 
-def test_apply_rejects_an_unfit_output():
+def test_apply_rejects_a_mismatched_operator():
     rep = catalog.build("up", 1)
     st = standard_state(rep, Grid(L, 16))
-    fresh = apply(rep.k[0], st)
-    for state, out in ((st, np.empty_like(st.values[..., :1])),
-                       (st, np.empty(st.values.shape)),  # real
-                       (st, st.values),
-                       (fresh, fresh.values[::-1])):  # overlaps its input
-        with pytest.raises(ValueError, match="output must be"):
-            apply(rep.k[0], state, out=out)
-        with pytest.raises(ValueError, match="output must be"):
-            apply(rep.k[0], state, add_to=(out, 1))
-    acc = np.zeros_like(st.values)
-    with pytest.raises(ValueError, match="not both"):
-        apply(rep.k[0], st, out=np.empty_like(acc), add_to=(acc, 1))
+    for op in (catalog.build("up", 0).k[0], catalog.build("quad:+1", 0).k[0]):
+        with pytest.raises(ValueError, match="does not match the state"):
+            apply(op, st)
 
 
 def test_slab_rows_follow_the_byte_target():
@@ -252,8 +278,10 @@ def test_apply_rejects_a_non_finite_field(monkeypatch):
     bad = mesh.fields[key].copy()
     bad[9, 4, 7] = np.inf
     monkeypatch.setitem(mesh.fields, key, bad)
-    # also when the result is added onto a sum
-    for kwargs in ({}, {"add_to": (np.zeros_like(st.values), 1)}):
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match="non-finite"):
-            apply(rep.k[0], st, **kwargs)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        apply(rep.k[0], st)
+    # also when the rows are added onto a sum
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        row_kernel(rep.k[0], st, c=1, out=np.zeros_like(st.values))

@@ -9,13 +9,15 @@ import math
 import tracemalloc
 import warnings
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
+from oracle_helpers import whole_state_norms, whole_state_residuals
 
 from poincarelab import catalog, gridlab
+from poincarelab.exactnum import ONE
 from poincarelab.gridlab import (
     EXACT_TOL,
     Grid,
@@ -291,10 +293,10 @@ def test_working_set_guard_refuses_oversized_grids():
     default = [Grid(L, n) for n in (32, 64, 128)]
     big = [Grid(L, n) for n in (32, 64, 1024)]
     need = working_set_bytes(rep, default)
-    # the standard state at N = 128 is 64 MiB; the study's arrays peak
-    # at about 400 MiB
-    assert 320 * 2**20 < need < 480 * 2**20
-    assert working_set_bytes(rep, big) > 100 * 2**30
+    # the standard state at N = 128 is 64 MiB; the streamed study's
+    # arrays peak at about 203 MiB, the cached fields most of them
+    assert 200 * 2**20 < need < 260 * 2**20
+    assert working_set_bytes(rep, big) > 64 * 2**30
     assert gridlab.memory_budget() is None or gridlab.memory_budget() > 0
     budget = 4 * 2**30
     check_working_set(rep, default, budget)
@@ -360,12 +362,13 @@ def test_residual_rejects_unknown_relation(monkeypatch):
     with pytest.raises(ValueError, match="unknown relation id"):
         residual(rep, "[A,B] == nonsense", st)
 
-    # refused before any apply, also after a known id
+    # refused before any row is computed, also after a known id
     def refused(*args, **kwargs):
-        raise AssertionError("apply ran before the ids were checked")
+        raise AssertionError("rows computed before the ids were checked")
     monkeypatch.setattr(gridlab, "apply", refused)
+    monkeypatch.setattr(gridlab, "_apply_rows", refused)
     with pytest.raises(ValueError, match="unknown relation id: nonsense"):
-        gridlab._residuals(rep, ["[P1,P2] == 0", "nonsense"], st, st.grid)
+        gridlab._residuals(rep, ["[P1,P2] == 0", "nonsense"], st)
     # a square that is no constant has no components to apply
     sym1 = catalog.build("sym1", 0)
     theta = BlockOp.diag([catalog.momentum_op(1, 1), ScalarOp.identity(1)])
@@ -396,86 +399,130 @@ def test_mass_casimir_is_exact_on_the_grid(label, two_s):
     assert residual(rep, "P0^2 - P.P == mu^2", st) < EXACT_TOL
 
 
+def _record_words(monkeypatch):
+    """Record the rows of each word the row kernel computes, by grid
+    size and word; an apply outside a plan records its word as (None,)."""
+    seen = defaultdict(list)
+    real = gridlab._apply_rows
+
+    def counted(kernel, bufs, src, lo, hi, out, c=None):
+        seen[kernel.n, (kernel.name,) + src.word].append((lo, hi))
+        return real(kernel, bufs, src, lo, hi, out, c)
+
+    monkeypatch.setattr(gridlab, "_apply_rows", counted)
+    return seen
+
+
+def _every_row_once(ranges, n) -> bool:
+    return sorted(i for lo, hi in ranges for i in range(lo, hi)) == list(
+        range(n))
+
+
+def _words(rep, rids):
+    """Every distinct nonempty suffix of the words of the relations."""
+    return {w[i:] for rel in catalog.relations(rep) if rel.name in rids
+            for comp in rel.components for _c, w in comp
+            for i in range(len(w))}
+
+
 def test_residual_applies_shared_suffixes_once(monkeypatch):
     # Theta*K == K*Theta: Theta psi once, then K_a psi, Theta K_a psi and
-    # K_a Theta psi for each of the three components
+    # K_a Theta psi for each of the three components, each on every row
+    # once; bit for bit the whole-state evaluation
     rep = catalog.build("up", 1)
     st = standard_state(rep, Grid(L, 16))
-    calls = []
-
-    def counted(op, state, **kwargs):
-        calls.append(op)
-        return apply(op, state, **kwargs)
-
-    monkeypatch.setattr(gridlab, "apply", counted)
-    got = residual(rep, "Theta*K == K*Theta", st)
-    assert len(calls) == 10
-    assert sum(op is rep.theta for op in calls) == 4
-    want = max(
-        norm(GridState(apply(rep.theta, apply(k, st)).values
-                       - apply(k, apply(rep.theta, st)).values,
-                       st.grid, st.spin, st.blocks))
-        for k in rep.k
-    ) / norm(st)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def _mesh_bytes(grids) -> int:
-    """Bytes of the arrays cached on the grids' meshes."""
-    arrays = {}
-    for g in grids:
-        mesh = _meshes(g)
-        for a in (*mesh.coords, *mesh.fields.values(),
-                  *(st.values for st in mesh.states.values())):
-            arrays[id(a)] = a.nbytes
-    return sum(arrays.values())
+    rid = "Theta*K == K*Theta"
+    want = whole_state_residuals(rep, [rid], st)[0]
+    seen = _record_words(monkeypatch)
+    got = residual(rep, rid, st)
+    assert set(w for _n, w in seen) == _words(rep, [rid])
+    assert len(seen) == 10
+    assert sum(w[0] == "Theta" for _n, w in seen) == 4
+    assert all(_every_row_once(r, 16) for r in seen.values())
+    assert got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("label,two_s", [("up", 1), ("sym3", 1),
                                          ("quad:+1", 0)])
-def test_study_plan_shares_words_within_the_live_cap(label, two_s,
-                                                     monkeypatch):
+def test_streamed_plan_computes_each_word_once(label, two_s, monkeypatch):
+    # odd N: each middle row is its own mirror; at N = 65 a slab is 3
+    # rows, so the norm slabs of the far half straddle two levels
     _meshes.cache_clear()
     rep = catalog.build(label, two_s)
     rids = representative_relations(rep)
-    grids = [Grid(L, n) for n in (16, 32, 64)]
-    state_bytes = 2 * rep.blocks * (rep.two_s + 1) * 64**3 * 8
-    calls, live = Counter(), []
-    real_apply = gridlab.apply
-
-    def counted(op, state, **kwargs):
-        calls[state.grid.points] += 1
-        result = real_apply(op, state, **kwargs)
-        live.append(tracemalloc.get_traced_memory()[0] - _mesh_bytes(grids))
-        return result
-
-    monkeypatch.setattr(gridlab, "apply", counted)
+    grids = [Grid(L, n) for n in (17, 33, 65)]
+    assert [gridlab._slab_rows(g.points) for g in grids] == [56, 15, 3]
+    seen = _record_words(monkeypatch)
     tracemalloc.start()
     try:
-        default = study(rep, rids, grids)
+        got = study(rep, rids, grids, defects={})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the guard's estimate bounds every array the study allocates, from
-    # cold caches; besides the cached meshes, an apply sees at most
-    # _LIVE_STATES states of the finest grid and the plan's Python
-    # objects, well under 1 MiB
+    # cold caches
     assert peak <= working_set_bytes(rep, grids)
-    assert max(live) <= gridlab._LIVE_STATES * state_bytes + 2**20
-    # with room for every state, each distinct word is applied once per
-    # grid, to the same bits
-    words = {w[i:] for rel in catalog.relations(rep) if rel.name in rids
-             for comp in rel.components for _c, w in comp
-             for i in range(len(w))}
-    monkeypatch.setattr(gridlab, "_LIVE_STATES", 10**6)
-    calls.clear()
-    assert study(rep, rids, grids) == default
-    assert calls == {n: len(words) for n in (16, 32, 64)}
-    # the shared plan gives the same bits as each relation in its own plan
+    # every distinct word computed once per grid, on every row once; the
+    # isometry rows read Theta psi and Pi psi from the plan
+    words = _words(rep, rids)
+    for g in grids:
+        assert {w for n, w in seen if n == g.points} == words
+        assert all(_every_row_once(seen[g.points, w], g.points)
+                   for w in words)
+    assert len(seen) == 3 * len(words)
+    # bit for bit: each relation alone and the whole-state oracle
     for i, g in enumerate(grids[:2]):
         st = standard_state(rep, g)
-        assert [residual(rep, rid, st) for rid in rids] == [
-            r.residuals[i] for r in default]
+        want = [r.residuals[i] for r in got]
+        assert [residual(rep, rid, st) for rid in rids] == want
+        assert whole_state_residuals(rep, rids, st) == want
+
+
+@pytest.mark.parametrize("points", [17, 33])
+def test_streamed_plan_on_a_non_standard_state(points):
+    # any state through residual, also with the spin axis innermost in
+    # memory, gives the whole-state evaluation bit for bit
+    rep = catalog.build("up", 1)
+    g = Grid(L, points)
+    st = sample_gaussian(g, (0.3, -0.2, 0.25), L / 10,
+                         [[0.5 - 1.0j, 0.25 + 0.1j]])
+    spin_last = GridState(np.ascontiguousarray(st.values), g, st.spin,
+                          st.blocks)
+    rids = representative_relations(rep) + ["W.W == -3/4*mu^2"]
+    want = whole_state_residuals(rep, rids, st)
+    for state in (st, spin_last):
+        assert [residual(rep, rid, state) for rid in rids] == want
+
+
+def test_streamed_plan_reads_ahead_along_chained_halos(monkeypatch):
+    # K1 J2 P1 psi chains two stencils one row deep along axis 0, so
+    # J2 P1 psi runs one level ahead of its reader and P1 psi two; Theta
+    # reads a word mirrored, K1 reads Theta P1 psi through its stencil.
+    # The W_a are multiplications on the grid (their orbital parts
+    # cancel), so W.W reads no halo.  At N = 65 (3-row slabs, 11 levels)
+    # the plan matches the whole-state evaluation bit for bit
+    rep = catalog.build("up", 1)
+    st = standard_state(rep, Grid(L, 65))
+    rid = "W.W == -3/4*mu^2"
+    assert residual(rep, rid, st) == whole_state_residuals(rep, [rid], st)[0]
+    comps = [((ONE, ("K1", "J2", "P1")), (-ONE, ("J2", "K1", "P1"))),
+             ((ONE, ("Theta", "K1", "J2", "P1")), (ONE, ("K1", "Theta", "P1")),
+              (-ONE, ("W2", "W2")))]
+    ops = catalog.operators(rep, {"W0"})
+    halos = {name: gridlab._halo(op) for name, op in ops.items()}
+    order, direct = gridlab._word_graph(comps, halos, gridlab._slab_rows(65),
+                                        {})
+    lead = {w.word: w.lead for w in order}
+    assert lead[("P1",)] == 2 and lead[("W2",)] == 0
+    assert lead[("J2", "P1")] == lead[("K1", "P1")] == 1
+    assert lead[("Theta", "P1")] == 1
+    assert direct == {("J2", "K1", "P1"), ("Theta", "K1", "J2", "P1"),
+                      ("K1", "Theta", "P1"), ("W2", "W2")}
+    seen = _record_words(monkeypatch)
+    got = gridlab._stream(ops, st, comps, {})
+    assert len(seen) == len(order) == 10
+    assert all(_every_row_once(r, 65) for r in seen.values())
+    assert got == whole_state_norms(ops, st, comps)
 
 
 def test_convergence_study_input_validation():
