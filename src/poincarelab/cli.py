@@ -69,6 +69,11 @@ def cmd_commutant(args) -> RelationReport:
     rep = catalog.build(args.rep, args.two_s)
     report = RelationReport(rep.label, rep.two_s)
     problem = commutant.reduce_to_constant_blocks(rep)
+    if problem.premise:
+        detail = f"{commutant.UNDETERMINED}: {problem.premise}"
+        report.add("commutant-dimension", "linear-solve", False, detail)
+        print(f"{rep.label}: {detail}", file=sys.stderr)
+        return report
     result = commutant.commutant_basis(problem)
     report.add(
         "identity-in-commutant",
@@ -165,9 +170,9 @@ def cmd_catalog(args) -> RelationReport:
         verdicts = []
         for r in reps:
             v = commutant.irreducibility_verdict(r)
-            word = "irreducible" if v.irreducible else "reducible"
+            ok = ok and not v.premise
             tag = f" [{r.label.split(':', 1)[1]}]" if len(reps) > 1 else ""
-            verdicts.append(f"{word}, dim {v.dimension}{tag}")
+            verdicts.append(f"{v}{tag}")
         cols.append("; ".join(verdicts))
         report.add(group, "linear-solve", ok, "; ".join(cols))
     return report

@@ -8,7 +8,12 @@ The solver works on the finite problem left after two reductions:
      multiple of the identity (the spin-level Schur step is checked by
      spin_commutant_dimension, the same exact solve as (ii) run on the
      spin triple; an entry between blocks with opposite signs of p0
-     vanishes, which (ii) recovers).
+     vanishes, which (ii) recovers).  This is a theorem about the
+     standard generators, so its premise is checked on the operators:
+     P1..P3 and J1..J3 must be the identity (x) their standard
+     scalar-block generator, and P0 and K1..K3 one shared diag(+-1)
+     (x) theirs.  Where that fails, the problem carries the reason and
+     the verdict is undetermined.
 (ii) Every operator is P (x) g: a B x B matrix P of exact scalars
      times one scalar-block operator g, found and checked exactly by
      BlockOp.factor.  For Z = A (x) 1, Z*M = (A*P) (x) g and
@@ -31,20 +36,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import RepSpec, operators
+from .catalog import (
+    RepSpec, boost_op, energy_op, momentum_op, operators, rotation_op,
+)
 from .exactnum import (
-    Matrix, Scalar, commutant_rows, hermitian_matrix, hermitian_vector,
-    identity_matrix, mat_conj, mat_eq, mat_mul, nullspace, row_reduce,
+    ONE, Matrix, Scalar, commutant_rows, diagonal, hermitian_matrix,
+    hermitian_vector, identity_matrix, mat_conj, mat_eq, mat_mul, nullspace,
+    row_reduce,
 )
 from .spin_algebra import spin_commutant_dimension
+
+UNDETERMINED = "undetermined: stage (i) premise fails"
 
 
 @dataclass(frozen=True)
 class CommutantProblem:
-    """A*P == P*conj(A) if antilinear else P*A, for each (P, antilinear)."""
+    """A*P == P*conj(A) if antilinear else P*A, for each (P, antilinear).
+
+    premise is empty when stage (i)'s premise holds, else why it fails,
+    and then there are no constraints: nothing is solved.
+    """
 
     blocks: int
     constraints: tuple[tuple[Matrix, bool], ...]
+    premise: str = ""
 
 
 @dataclass(frozen=True)
@@ -56,32 +71,75 @@ class CommutantBasis:
 
 @dataclass(frozen=True)
 class Verdict:
+    """dimension is 0 and premise the reason when stage (i)'s premise
+    fails, and the verdict is then undetermined."""
+
     label: str
     two_s: int
     irreducible: bool
     dimension: int
+    premise: str = ""
 
     def __str__(self) -> str:
+        if self.premise:
+            return UNDETERMINED
         kind = "irreducible" if self.irreducible else "reducible"
         return f"{kind}, dim {self.dimension}"
 
 
+def _standard_generators(two_s: int) -> dict:
+    """The scalar-block generator each of P0..K3 must carry for stage (i)."""
+    dim = two_s + 1
+    ops = {"P0": energy_op(dim)}
+    for family, make, arg in (("P", momentum_op, dim), ("J", rotation_op, two_s),
+                              ("K", boost_op, two_s)):
+        ops.update((f"{family}{a}", make(a, arg)) for a in (1, 2, 3))
+    return ops
+
+
+def _premise(patterns: dict, blocks: int) -> str:
+    """Why the generators' patterns break stage (i)'s premise, or ""."""
+    for name, pat in patterns.items():
+        if pat is None:
+            return f"{name} is not a scalar block matrix times the standard {name}"
+    signs = patterns["P0"]
+    diag = [signs[r][r] for r in range(blocks)]
+    if any(x not in (ONE, -ONE) for x in diag) or signs != diagonal(diag):
+        return "P0 is not diag(+-1) times the standard P0"
+    ident = identity_matrix(blocks)
+    for name, pat in patterns.items():
+        want, what = (signs, "P0's") if name[0] == "K" else (ident, "the identity")
+        if name != "P0" and pat != want:
+            return f"{name}'s block pattern is not {what}"
+    return ""
+
+
 def reduce_to_constant_blocks(rep: RepSpec) -> CommutantProblem:
-    """Stage (i)+(ii): validate the Schur step, factor every operator."""
+    """Stage (i)+(ii): validate the Schur step and stage (i)'s premise,
+    factor every operator."""
     if spin_commutant_dimension(rep.two_s) != 1:
         raise AssertionError(
             "spin-level commutant is not trivial; constant-block reduction invalid"
         )
-    # an ordered set: equal constraints (P and J always, often P0 and K)
-    # give equal rows, so each is solved once
-    constraints = {}
-    for name, op in operators(rep, ()).items():
-        factored = op.factor()
+    standard = _standard_generators(rep.two_s)
+    ops = operators(rep, ())
+    patterns = {}
+    for name, g in standard.items():
+        factored = ops[name].factor(g)
+        patterns[name] = None if factored is None else factored[0]
+    premise = _premise(patterns, rep.blocks)
+    if premise:
+        return CommutantProblem(rep.blocks, (), premise)
+    # an ordered set: equal constraints give equal rows, so each is
+    # solved once; the generators, linear, give the identity and P0's signs
+    constraints = dict.fromkeys((pat, False) for pat in patterns.values())
+    for name in ("Theta", "Pi"):
+        factored = ops[name].factor()
         if factored is None:
             raise AssertionError(
                 f"{name} is not a scalar block matrix times one operator"
             )
-        constraints[(factored[0], op.kappa_parity() == 1)] = None
+        constraints[(factored[0], ops[name].kappa_parity() == 1)] = None
     return CommutantProblem(rep.blocks, tuple(constraints))
 
 
@@ -107,7 +165,10 @@ def check_solution(prob: CommutantProblem, mat: Matrix) -> bool:
 
 
 def commutant_basis(prob: CommutantProblem) -> CommutantBasis:
-    """Exact basis of the self-adjoint commutant; identity always first."""
+    """Exact basis of the self-adjoint commutant; identity always first.
+    ValueError for a problem whose stage (i) premise fails."""
+    if prob.premise:
+        raise ValueError(f"{UNDETERMINED}: {prob.premise}")
     n = prob.blocks
     solutions = nullspace(commutant_rows(prob.constraints, n), n * n)
     ordered = _independent_subset(
@@ -127,6 +188,9 @@ def contains(result: CommutantBasis, mat: Matrix) -> bool:
 
 
 def irreducibility_verdict(rep: RepSpec) -> Verdict:
-    res = commutant_basis(reduce_to_constant_blocks(rep))
+    prob = reduce_to_constant_blocks(rep)
+    if prob.premise:
+        return Verdict(rep.label, rep.two_s, False, 0, prob.premise)
+    res = commutant_basis(prob)
     return Verdict(rep.label, rep.two_s, res.dimension == 1, res.dimension)
 

@@ -100,8 +100,12 @@ class Scalar:
 
     @staticmethod
     def _coerce(x) -> "Scalar":
-        if isinstance(x, Scalar):
+        # concrete type tests first: isinstance against Fraction goes
+        # through the numbers ABCs' __instancecheck__
+        if type(x) is Scalar:
             return x
+        if type(x) is int:
+            return Scalar({1: (x, 0)})
         if isinstance(x, (int, Fraction)):
             return Scalar({1: (_canon(x), 0)})
         raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
@@ -215,6 +219,8 @@ class Scalar:
         return bool(self.terms)
 
     def __eq__(self, other):
+        if type(other) is Scalar:
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         if not isinstance(other, Scalar):

@@ -23,24 +23,39 @@ ring (the quotients by them are domains because rank >= 3 quadratic
 forms are irreducible), so the minimal representation is unique and
 dictionary equality is sound.
 
+Coefficients are hash-consed.  Every constructor (Coefficient(...),
+negation, scale, conjugate, reflect) ends in _interned, which looks the
+normal form (num, a, b) up in a weak-value table and hands back the one
+live object of that value, so equal coefficients are one object however
+they were built (A*B and B*A give the same entries).  Normal form being
+unique, that makes equality identity and the hash the object's own:
+Coefficient defines neither, and every dict, tuple and memo lookup on
+coefficients resolves in C.  Copies and pickles rebuild through the
+constructor, so they come back as the same object.  The table is weak, so a value nothing holds any more
+leaves it; cache_info reports its size.  Poly and Scalar stay compared
+structurally: they are built far more often than they are compared.
+
 Five memos reuse work: Coefficient._product, Coefficient._deriv (keyed
 by the coefficient and the axis), ScalarOp._product, ScalarOp._adjoint
-and _lift (a numerator moved onto a larger denominator), each a
-functools.lru_cache bounded at _MEMO_SIZE entries and reached only for
-nonzero operands.  They are keyed by value, through the structural
-__eq__ and __hash__, so equal operands held in different objects share
-one result.  That is sound because each operation is a deterministic
-function of its operands' structure and no Poly, Coefficient or
-ScalarOp is changed after it is built, so a memoized result can be
-handed out again.  clear_multiplication_cache empties all five and
-cache_info reports their hits, misses and sizes.
+and _lift (a coefficient's numerator moved onto a larger denominator),
+each a functools.lru_cache bounded at _MEMO_SIZE entries and reached
+only for nonzero operands.  The coefficient memos are keyed by identity,
+which is value for hash-consed coefficients; the operator memos by
+value, through ScalarOp's __eq__ and __hash__ over its coefficient
+matrices, so equal operands held in different objects share one result.
+That is sound because each operation is a deterministic function of its
+operands' values and no Poly, Coefficient or ScalarOp is changed after
+it is built, so a memoized result can be handed out again.
+clear_multiplication_cache empties all five and cache_info reports their
+hits, misses and sizes.
 
 RelationSum sums weighted words of block operators, one relation
 component, without building a normal form for any partial sum.  Each
 word is fed in as its block paths: the nonzero entries of a single
 operator, or every nonzero product A[r][k]*B[k][c] of the last two
 factors at block (r, c).  Each entry (block r, c; term key; spin entry
-i, j) collects its coefficients, the weights of equal ones summed, and
+i, j) collects its coefficients, the weights of equal ones (one object,
+matched by identity) summed, and
 when the sum is read the numerator of every coefficient of nonzero
 weight is lifted onto the entry's common denominator p0^a (mu+p0)^b, a
 and b the largest over those coefficients, and added into one flat map
@@ -56,6 +71,7 @@ other order of summing gives.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from itertools import chain
 from math import comb
@@ -191,7 +207,7 @@ class Poly:
         return Poly(out)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
+        return type(other) is Poly and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
@@ -288,11 +304,16 @@ _MU_P0 = Poly.sym("mu") + Poly.sym("p0")
 
 
 class Coefficient:
-    """num / (p0^a * (mu+p0)^b) with num reduced and the fraction minimal."""
+    """num / (p0^a * (mu+p0)^b) with num reduced and the fraction minimal.
 
-    __slots__ = ("num", "a", "b", "_hash")
+    Hash-consed: every constructor returns the one live object of its
+    value (see _interned), so equality is identity and the hash is the
+    object's own.
+    """
 
-    def __init__(self, num: Poly, a: int = 0, b: int = 0):
+    __slots__ = ("num", "a", "b", "__weakref__")
+
+    def __new__(cls, num: Poly, a: int = 0, b: int = 0):
         if a < 0 or b < 0:
             raise ValueError("denominator exponents must be nonnegative")
         if num.is_zero():
@@ -315,10 +336,12 @@ class Coefficient:
                 c = pb - d * Poly.sym("mu")
                 num = c + d.mul_p0()
                 b -= 1
-        self.num = num
-        self.a = a
-        self.b = b
-        self._hash = None
+        return _interned(num, a, b)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle all rebuild through the constructor,
+        # which hands back the interned object
+        return Coefficient, (self.num, self.a, self.b)
 
     # -- constructors --------------------------------------------------
 
@@ -357,12 +380,7 @@ class Coefficient:
         return self._combine(other, sub)
 
     def __neg__(self) -> "Coefficient":
-        out = Coefficient.__new__(Coefficient)
-        out.num = -self.num
-        out.a = self.a
-        out.b = self.b
-        out._hash = None
-        return out
+        return _interned(-self.num, self.a, self.b)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         if self.is_zero() or other.is_zero():
@@ -378,29 +396,14 @@ class Coefficient:
         c = Scalar._coerce(c)
         if not c:
             return _C_ZERO
-        out = Coefficient.__new__(Coefficient)
-        out.num = self.num.scale(c)
-        out.a = self.a
-        out.b = self.b
-        out._hash = None
-        return out
+        return _interned(self.num.scale(c), self.a, self.b)
 
     def conjugate(self) -> "Coefficient":
-        out = Coefficient.__new__(Coefficient)
-        out.num = self.num.conjugate()
-        out.a = self.a
-        out.b = self.b
-        out._hash = None
-        return out
+        return _interned(self.num.conjugate(), self.a, self.b)
 
     def reflect(self) -> "Coefficient":
         """p -> -p; both denominator factors are reflection invariant."""
-        out = Coefficient.__new__(Coefficient)
-        out.num = self.num.reflect()
-        out.a = self.a
-        out.b = self.b
-        out._hash = None
-        return out
+        return _interned(self.num.reflect(), self.a, self.b)
 
     def deriv(self, j: int) -> "Coefficient":
         """Mass-shell derivative d/dp_j with d_j p0 = p_j / p0."""
@@ -450,20 +453,7 @@ class Coefficient:
         """The numerator over the larger denominator p0^a (mu+p0)^b."""
         if a == self.a and b == self.b:
             return self.num
-        return _lift(self.num, a - self.a, b - self.b)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Coefficient)
-            and self.a == other.a
-            and self.b == other.b
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((hash(self.num), self.a, self.b))
-        return self._hash
+        return _lift(self, a - self.a, b - self.b)
 
     def __repr__(self):
         if self.is_zero():
@@ -486,9 +476,28 @@ class Coefficient:
                             else "(" + "*".join(dens) + ")")
 
 
+# The hash-consing table: structure (num, a, b) -> the one live
+# Coefficient of that value.  Weak, so a value no memo, operator or sum
+# still holds is dropped with its entry.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _interned(num: Poly, a: int, b: int) -> Coefficient:
+    """The Coefficient num / (p0^a (mu+p0)^b), num already in normal form:
+    the live one of that value if there is one, else a new one, entered."""
+    key = (num, a, b)
+    c = _INTERNED.get(key)
+    if c is None:
+        c = object.__new__(Coefficient)
+        c.num, c.a, c.b = num, a, b
+        _INTERNED[key] = c
+    return c
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def _lift(num: Poly, da: int, db: int) -> Poly:
-    """num * p0^da * (mu+p0)^db, reduced."""
+def _lift(c: Coefficient, da: int, db: int) -> Poly:
+    """c's numerator times p0^da * (mu+p0)^db, reduced."""
+    num = c.num
     for _ in range(da):
         num = num.mul_p0()
     for _ in range(db):
@@ -610,7 +619,7 @@ class ScalarOp:
 
     def __eq__(self, other):
         return (
-            isinstance(other, ScalarOp)
+            type(other) is ScalarOp
             and self.dim == other.dim
             and self.terms == other.terms
         )
@@ -811,9 +820,12 @@ def clear_multiplication_cache() -> None:
 
 
 def cache_info() -> dict:
-    """Hits, misses, maxsize and currsize of each memo, by name; a memo's
-    hit rate is hits / (hits + misses)."""
-    return {name: memo.cache_info() for name, memo in _MEMOS.items()}
+    """Hits, misses, maxsize and currsize of each memo, by name (a memo's
+    hit rate is hits / (hits + misses)), and under interned_coefficients
+    the number of live Coefficients in the hash-consing table."""
+    info = {name: memo.cache_info() for name, memo in _MEMOS.items()}
+    info["interned_coefficients"] = len(_INTERNED)
+    return info
 
 
 # -- block operators -------------------------------------------------------
@@ -917,13 +929,15 @@ class BlockOp:
                 return s if s is not None and self == other.scale(s) else None
         return None
 
-    def factor(self) -> tuple[Matrix, ScalarOp] | None:
+    def factor(self, g: ScalarOp | None = None) -> tuple[Matrix, ScalarOp] | None:
         """(P, g) with self == P (x) g, or None if no such pair exists.
 
-        g is the first nonzero entry and P the matrix of exact scalars
-        with entry (r, c) == P[r][c] * g, each found by ScalarOp.ratio.
+        g is the given operator, else the first nonzero entry, and P the
+        matrix of exact scalars with entry (r, c) == P[r][c] * g, each
+        found by ScalarOp.ratio.
         """
-        g = next((op for row in self.entries for op in row if op.terms), None)
+        if g is None:
+            g = next((op for row in self.entries for op in row if op.terms), None)
         if g is None:
             return None
         pattern = mat_map(lambda op: op.ratio(g), self.entries)
@@ -958,7 +972,8 @@ class RelationSum:
     """An exact sum of weighted words of BlockOps (see the module docstring).
 
     Each block entry (r, c, term key, spin entry i, j) maps every
-    coefficient fed into it, by value, to its total weight (re, im), the
+    coefficient fed into it, by identity (which is value, coefficients
+    being hash-consed), to its total weight (re, im), the
     Gaussian rational re + i*im; the flat map is built when the sum is
     read.
     """

@@ -7,8 +7,10 @@ The spin identities, the lift of a commutant matrix to an operator and
 the change of basis of a commutant problem are checks of the engine
 that only the tests call, so they live here too, and so does the
 pairwise BlockOp sum of a relation component, the oracle of
-symop.RelationSum, and the whole-state evaluation of grid residuals,
-the oracle of gridlab's streamed study.
+symop.RelationSum, the whole-state evaluation of grid residuals, the
+oracle of gridlab's streamed study, and the structural equality of
+coefficients, the oracle of their hash-consing, with the structural
+snapshot that shows an operand written into.
 """
 
 import sympy as sp
@@ -49,6 +51,28 @@ def poly_to_sympy(poly: Poly):
 
 def coeff_to_sympy(c: Coefficient):
     return poly_to_sympy(c.num) / (Q0**c.a * (MU + Q0) ** c.b)
+
+
+def coefficients_equal(x: Coefficient, y: Coefficient) -> bool:
+    """Structural equality, the Coefficient.__eq__ of before hash-consing:
+    the same denominator exponents and equal numerators, compared term by
+    term down to the rationals."""
+    return x.a == y.a and x.b == y.b and x.num == y.num
+
+
+def structure(x):
+    """Every field of a coefficient, operator or block operator as nested
+    tuples, rebuilt from scratch, so a write into any part shows."""
+    if isinstance(x, Coefficient):
+        return (x.a, x.b, tuple(sorted(
+            (m, tuple(sorted(s.terms.items()))) for m, s in x.num.terms.items()
+        )))
+    if isinstance(x, ScalarOp):
+        return (x.dim, tuple(sorted(
+            (key, tuple(tuple(structure(c) for c in row) for row in mat))
+            for key, mat in x.terms.items()
+        )))
+    return tuple(tuple(structure(op) for op in row) for row in x.entries)
 
 
 def generic_functions(dim: int, tag: str = "f"):

@@ -16,7 +16,7 @@ from oracle_helpers import (
     dense_commutant_dimension,
 )
 
-from poincarelab import catalog
+from poincarelab import catalog, cli
 from poincarelab.commutant import (
     check_solution,
     commutant_basis,
@@ -215,3 +215,50 @@ def test_unfactorable_theta_is_an_internal_error():
     theta = BlockOp.diag([ScalarOp.reflection(1), ScalarOp.identity(1)])
     with pytest.raises(AssertionError, match="Theta"):
         reduce_to_constant_blocks(replace(rep, theta=theta))
+
+
+def test_boosts_replaced_by_momenta_fail_the_stage_i_premise():
+    # K = P keeps every pattern a scalar block matrix, but the factor g
+    # of K1 is no boost, so the constant-block reduction does not apply:
+    # the verdict is undetermined, not "irreducible, dim 1"
+    rep = catalog.build("up", 1)
+    rep = replace(rep, k=rep.p)
+    assert not catalog.verify_lie_relations(rep).all_passed()
+    prob = reduce_to_constant_blocks(rep)
+    assert prob.constraints == () and "K1" in prob.premise
+    v = irreducibility_verdict(rep)
+    assert (v.irreducible, v.dimension) == (False, 0)
+    assert str(v) == "undetermined: stage (i) premise fails"
+    with pytest.raises(ValueError, match="stage \\(i\\) premise fails"):
+        commutant_basis(prob)
+
+
+@pytest.mark.parametrize("change,premise", [
+    # P0 with a momentum's factor, and with a sign pattern K does not share
+    (lambda rep: {"p0": rep.p[0]},
+     "P0 is not a scalar block matrix times the standard P0"),
+    (lambda rep: {"p0": BlockOp.diag([catalog.energy_op(1)] * 2)},
+     "K1's block pattern is not P0's"),
+    # J1 carrying a sign between the blocks
+    (lambda rep: {"j": (BlockOp.diag([catalog.rotation_op(1, 0),
+                                      catalog.rotation_op(1, 0).scale(-1)]),
+                        *rep.j[1:])},
+     "J1's block pattern is not the identity"),
+])
+def test_nonstandard_generators_fail_the_stage_i_premise(change, premise):
+    rep = catalog.build("sym1", 0)  # energy signs (+, -)
+    v = irreducibility_verdict(replace(rep, **change(rep)))
+    assert str(v) == "undetermined: stage (i) premise fails"
+    assert v.premise == premise
+    assert irreducibility_verdict(rep).premise == ""
+
+
+def test_failed_premise_is_a_failed_check_not_an_internal_error(
+        monkeypatch, capsys):
+    rep = catalog.build("up", 1)
+    monkeypatch.setattr(cli.catalog, "build",
+                        lambda label, two_s: replace(rep, k=rep.p))
+    assert cli.main(["commutant", "--rep", "up", "--two-s", "1", "--json"]) == 1
+    out = capsys.readouterr().out
+    assert '"status": "fail"' in out
+    assert "undetermined: stage (i) premise fails: K1 is not" in out

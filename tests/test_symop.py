@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from poincarelab import catalog
+from poincarelab import catalog, symop
 from poincarelab.cli import main
 from poincarelab.exactnum import I, ONE, Scalar, rat
 from poincarelab.symop import (
@@ -25,7 +25,7 @@ from poincarelab.symop import (
     commutator,
 )
 
-from oracle_helpers import MU, Q1, Q2, Q3, coeff_to_sympy
+from oracle_helpers import MU, Q1, Q2, Q3, coeff_to_sympy, structure
 
 RNG = random.Random(41117)
 
@@ -224,28 +224,22 @@ def test_block_structure():
     assert (op.adjoint().adjoint() - op).is_zero()
 
 
-def _structure(c: Coefficient):
-    """Every field of a coefficient as nested tuples, to spot mutation."""
-    return (c.a, c.b, tuple(sorted(
-        (m, tuple(sorted(s.terms.items()))) for m, s in c.num.terms.items()
-    )))
-
-
 def test_multiplication_cache_is_transparent(capsys):
     a = _rand_scalar_op(2, flips=True)
     b = _rand_scalar_op(2, flips=True)
     x, y = _rand_coeff(), _rand_coeff()
     first = a * b
     warm = [x * y, y * x, x.deriv(1), y.deriv(3), (x * y).deriv(2)]
-    before = [_structure(c) for c in warm]
+    before = [structure(c) for c in warm]
     clear_multiplication_cache()
     second = a * b
     assert (first - second).is_zero()
     assert [x * y, y * x, x.deriv(1), y.deriv(3), (x * y).deriv(2)] == warm
 
-    # keyed by value: an equal operand in another object hits the memo
+    # hash-consed: an equal coefficient built again is the same object,
+    # so it hits the memo by identity
     x_copy = Coefficient(x.num + Poly(), x.a, x.b)
-    assert x_copy is not x
+    assert x_copy is x
     assert x_copy * y is x * y
     assert x_copy.deriv(1) is x.deriv(1)
 
@@ -257,17 +251,24 @@ def test_multiplication_cache_is_transparent(capsys):
                     c.reflect(), c.deriv(2).deriv(2) * c]
     op = ScalarOp.from_coefficient(p, 2) + ScalarOp.deriv_op(1, 2).scale(dp)
     derived += [op * a * op, op.adjoint() * op]
-    assert [_structure(c) for c in warm] == before
-    assert _structure(x * y) == before[0]
-    assert _structure(x.deriv(1)) == before[2]
+    assert [structure(c) for c in warm] == before
+    assert structure(x * y) == before[0]
+    assert structure(x.deriv(1)) == before[2]
 
     # every memo is bounded, and stays within its bound on a real run
     clear_multiplication_cache()
     assert main(["verify", "--rep", "up", "--two-s", "8", "--json"]) == 0
     capsys.readouterr()
-    for name, info in cache_info().items():
-        assert info.maxsize == _MEMO_SIZE, name
-        assert 0 < info.currsize <= info.maxsize, name
+    info = cache_info()
+    interned = info.pop("interned_coefficients")
+    assert set(info) == {"coefficient_product", "coefficient_deriv",
+                         "operator_product", "operator_adjoint",
+                         "denominator_lift"}
+    for name, memo in info.items():
+        assert memo.maxsize == _MEMO_SIZE, name
+        assert 0 < memo.currsize <= memo.maxsize, name
+    # the live hash-consed coefficients, counted (tests/test_intern.py)
+    assert interned == len(symop._INTERNED) > 0
 
 
 def test_adjoint_is_memoized_by_value():
