@@ -27,7 +27,11 @@ over "adjoint(G)", the formal adjoint of G) and the position axioms
 (words over Q1..Q3).  ``operators`` maps names to operators, read from
 the spec's fields on every call; ``verify_relations`` is the one exact
 evaluator, summing each component once in a ``symop.RelationSum``, and
-``gridlab.residual`` the numeric one.
+``gridlab.residual`` the numeric one.  A component's verdict is memoized
+by value (``symop.relation_residual``), keyed by the block shape and the
+operators its words name, so entries with equal generators share their
+rows, while a spec altered with dataclasses.replace, its operators of
+other values, gets rows of its own.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import NamedTuple
 from .exactnum import I, ONE, Scalar, ZERO, identity_matrix, mat_map
 from .report import RelationReport
 from .spin_algebra import SpinWeight, spin_matrices, tau_matrix
-from .symop import BlockOp, Coefficient, Poly, RelationSum, ScalarOp
+from .symop import BlockOp, Coefficient, Poly, ScalarOp, relation_residual
 
 UNITARY = "unitary"
 ANTIUNITARY = "antiunitary"
@@ -488,7 +492,8 @@ def operators(rep: RepSpec, names, q=None) -> dict[str, BlockOp]:
     them.
 
     Built from the fields on every call and never stored, so a spec
-    altered with dataclasses.replace is evaluated as altered.
+    altered with dataclasses.replace is evaluated as altered: the verdict
+    and factor memos key on these operators' values, never on the spec.
     """
     ops = rep.generators()
     ops.update(Theta=rep.theta, Pi=rep.pi)
@@ -517,19 +522,25 @@ def _truncate(text: str, limit: int = 160) -> str:
 def _violation(rel: Relation, ops) -> str:
     """Empty if rel holds exactly, else why not: its first nonzero component.
 
-    Each component is summed once, in a symop.RelationSum: every word
-    enters as its block paths, over the common denominator of each entry,
-    and only a nonzero sum is put in normal form, for the residual's text.
+    Each component is summed once, by symop.relation_residual in a
+    RelationSum: every word enters as its block paths, over the common
+    denominator of each entry, and only a nonzero sum is put in normal
+    form, for the residual's text.  That sum is memoized by value, keyed
+    by the shape and the weighted words with the operators they name, so
+    a component over the same operators in another entry (P and J are
+    equal in every entry of a block count, P0 and K in every entry of a
+    sign vector) is evaluated once per process.
     """
     if rel.inadmissible:
         return rel.inadmissible
     shape = ops["P0"]
     for idx, component in enumerate(rel.components, 1):
-        acc = RelationSum(shape.blocks, shape.dim)
-        for coeff, word in component:
-            acc.add(coeff, [ops[name] for name in word])
-        if not acc.is_zero():
-            return f"component {idx}: residual {_truncate(repr(acc.block_op()))}"
+        residual = relation_residual(
+            shape.blocks, shape.dim,
+            tuple((coeff, tuple(ops[name] for name in word))
+                  for coeff, word in component))
+        if residual is not None:
+            return f"component {idx}: residual {_truncate(repr(residual))}"
     return ""
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
 
@@ -203,7 +204,11 @@ def _sizes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad grid size list: {text!r}")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first call.  Parsing leaves
+    it unchanged: every parse gets a fresh namespace, and the one mutable
+    default (--n) is a string, converted anew on each parse."""
     parser = argparse.ArgumentParser(
         prog="poincarelab",
         description="verification laboratory for mass-shell representations",
@@ -235,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="numerical convergence studies")
     common(p)
     p.add_argument("--mu", type=float, default=1.0, help="mass (default 1.0)")
-    p.add_argument("--n", type=_sizes, default=[32, 64, 128],
+    p.add_argument("--n", type=_sizes, default="32,64,128",
                    help="comma-separated grid sizes (default 32,64,128)")
     p.add_argument("--extent", type=float, default=4.0,
                    help="half-width of the momentum cube (default 4.0)")
@@ -251,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
     except ValueError as exc:

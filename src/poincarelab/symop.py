@@ -35,19 +35,34 @@ constructor, so they come back as the same object.  The table is weak, so a valu
 leaves it; cache_info reports its size.  Poly and Scalar stay compared
 structurally: they are built far more often than they are compared.
 
-Five memos reuse work: Coefficient._product, Coefficient._deriv (keyed
-by the coefficient and the axis), ScalarOp._product, ScalarOp._adjoint
-and _lift (a coefficient's numerator moved onto a larger denominator),
-each a functools.lru_cache bounded at _MEMO_SIZE entries and reached
-only for nonzero operands.  The coefficient memos are keyed by identity,
-which is value for hash-consed coefficients; the operator memos by
-value, through ScalarOp's __eq__ and __hash__ over its coefficient
-matrices, so equal operands held in different objects share one result.
-That is sound because each operation is a deterministic function of its
-operands' values and no Poly, Coefficient or ScalarOp is changed after
-it is built, so a memoized result can be handed out again.
-clear_multiplication_cache empties all five and cache_info reports their
-hits, misses and sizes.
+Seven memos reuse work, each a functools.lru_cache bounded at
+_MEMO_SIZE entries:
+
+- Coefficient._product, keyed by the two coefficients;
+- Coefficient._deriv, by the coefficient and the axis;
+- _lift (a coefficient's numerator moved onto a larger denominator), by
+  the coefficient and the two exponent steps;
+- ScalarOp._product and ScalarOp._adjoint, by the operands;
+- relation_residual (the relation verdict memo), by the block shape and
+  one relation component as (weight, word) pairs, each word the tuple of
+  BlockOps it names;
+- BlockOp.factor, by the operator and the given g, if any.
+
+The first five are reached only for nonzero operands.  The coefficient
+memos are keyed by identity, which is value for hash-consed
+coefficients; the operator memos by value, through the __eq__ and
+__hash__ of ScalarOp and BlockOp over their coefficient matrices (a
+BlockOp computes its hash once), so equal operands held in different
+objects share one result: the generators of two catalog entries with
+equal signs are distinct objects of equal value, and their relation
+rows and factorizations are computed once.  That is sound
+because each operation, a relation component's sum and a factorization
+too, is a deterministic function of its operands' values, and no Poly,
+Coefficient, ScalarOp or BlockOp is changed after it is built, so a
+memoized result can be handed out again.  A spec altered with
+dataclasses.replace has operators of other values, so its rows are
+keys of their own.  clear_multiplication_cache empties all seven and
+cache_info reports their hits, misses and sizes.
 
 RelationSum sums weighted words of block operators, one relation
 component, without building a normal form for any partial sum.  Each
@@ -88,7 +103,7 @@ Mono = tuple[int, int, int, int, int]
 
 _SYMS = {"mu": 0, "p1": 1, "p2": 2, "p3": 3, "p0": 4}
 
-# Entry bound of each product, derivative and lift memo.  Running every
+# Entry bound of each memo (see the module docstring).  Running every
 # symbolic workload in one process peaks near 6k entries in the largest,
 # so none evicts in practice; the bound keeps a long session's memory flat.
 _MEMO_SIZE = 2**14
@@ -803,38 +818,13 @@ def _leibniz_terms(alpha: tuple[int, int, int], mat: CoeffMatrix):
                 yield gamma, binom, get(gamma)
 
 
-_MEMOS = {
-    "coefficient_product": Coefficient._product,
-    "coefficient_deriv": Coefficient._deriv,
-    "operator_product": ScalarOp._product,
-    "operator_adjoint": ScalarOp._adjoint,
-    "denominator_lift": _lift,
-}
-
-
-def clear_multiplication_cache() -> None:
-    """Empty the coefficient product, derivative, operator product,
-    operator adjoint and denominator lift memos."""
-    for memo in _MEMOS.values():
-        memo.cache_clear()
-
-
-def cache_info() -> dict:
-    """Hits, misses, maxsize and currsize of each memo, by name (a memo's
-    hit rate is hits / (hits + misses)), and under interned_coefficients
-    the number of live Coefficients in the hash-consing table."""
-    info = {name: memo.cache_info() for name, memo in _MEMOS.items()}
-    info["interned_coefficients"] = len(_INTERNED)
-    return info
-
-
 # -- block operators -------------------------------------------------------
 
 
 class BlockOp:
     """A blocks x blocks matrix of ScalarOp entries sharing one spin dim."""
 
-    __slots__ = ("blocks", "dim", "entries")
+    __slots__ = ("blocks", "dim", "entries", "_hash")
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -847,6 +837,7 @@ class BlockOp:
         self.blocks = blocks
         self.dim = dims.pop()
         self.entries = entries
+        self._hash = None
 
     # -- constructors ----------------------------------------------------
 
@@ -929,12 +920,13 @@ class BlockOp:
                 return s if s is not None and self == other.scale(s) else None
         return None
 
+    @lru_cache(maxsize=_MEMO_SIZE)
     def factor(self, g: ScalarOp | None = None) -> tuple[Matrix, ScalarOp] | None:
         """(P, g) with self == P (x) g, or None if no such pair exists.
 
         g is the given operator, else the first nonzero entry, and P the
         matrix of exact scalars with entry (r, c) == P[r][c] * g, each
-        found by ScalarOp.ratio.
+        found by ScalarOp.ratio.  Memoized by value, keyed by (self, g).
         """
         if g is None:
             g = next((op for row in self.entries for op in row if op.terms), None)
@@ -954,7 +946,9 @@ class BlockOp:
         )
 
     def __hash__(self):
-        return hash(tuple(tuple(op.frozen() for op in row) for row in self.entries))
+        if self._hash is None:
+            self._hash = hash(self.entries)
+        return self._hash
 
     def __repr__(self):
         if self.blocks == 1:
@@ -1083,6 +1077,48 @@ class RelationSum:
             [ScalarOp(dim, {key: tuple(map(tuple, mat)) for key, mat in t.items()})
              for t in row]
             for row in terms])
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def relation_residual(blocks: int, dim: int, terms) -> BlockOp | None:
+    """None if the sum of weight * word over terms vanishes, else the sum
+    in normal form: terms are (Gaussian rational, tuple of BlockOps)
+    pairs, summed once in a RelationSum.  Memoized by value."""
+    acc = RelationSum(blocks, dim)
+    for weight, word in terms:
+        acc.add(weight, word)
+    return None if acc.is_zero() else acc.block_op()
+
+
+# -- memos -----------------------------------------------------------------
+
+
+_MEMOS = {
+    "coefficient_product": Coefficient._product,
+    "coefficient_deriv": Coefficient._deriv,
+    "operator_product": ScalarOp._product,
+    "operator_adjoint": ScalarOp._adjoint,
+    "denominator_lift": _lift,
+    "relation_verdict": relation_residual,
+    "block_factor": BlockOp.factor,
+}
+
+
+def clear_multiplication_cache() -> None:
+    """Empty every memo: the coefficient product and derivative, operator
+    product and adjoint, denominator lift, relation verdict and block
+    factor memos."""
+    for memo in _MEMOS.values():
+        memo.cache_clear()
+
+
+def cache_info() -> dict:
+    """Hits, misses, maxsize and currsize of each memo, by name (a memo's
+    hit rate is hits / (hits + misses)), and under interned_coefficients
+    the number of live Coefficients in the hash-consing table."""
+    info = {name: memo.cache_info() for name, memo in _MEMOS.items()}
+    info["interned_coefficients"] = len(_INTERNED)
+    return info
 
 
 # -- public functional API --------------------------------------------------

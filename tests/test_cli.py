@@ -3,9 +3,14 @@ and the frozen details of the commutant, classify, and catalog views.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from poincarelab import cli
 from poincarelab.cli import main
 
 METHODS = {"symbolic", "numeric", "linear-solve"}
@@ -283,3 +288,29 @@ def test_spin_guard_admits_the_measured_spins():
         check_spin_cost(command, 10**6, None)  # no MemAvailable, no guard
     with pytest.raises(ValueError, match="commutant at two_s = 500"):
         check_spin_cost("commutant", 500, 2**30)
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; after a usage error, calls in
+    # the same process print what fresh processes print
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def fresh(argv):
+        done = subprocess.run([sys.executable, "-m", "poincarelab.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        return done.returncode, done.stdout, done.stderr
+
+    bad = ["verify", "--two-s", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == fresh(bad)
+    for argv in (["verify", "--rep", "up", "--two-s", "1", "--json"],
+                 ["grid", "--rep", "up", "--n", "8,16,32", "--json"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh(argv)
+    assert cli.build_parser() is cli.build_parser()
+    first = cli.build_parser().parse_args(["grid", "--rep", "up"])
+    second = cli.build_parser().parse_args(["grid", "--rep", "up"])
+    assert first.n == second.n == [32, 64, 128] and first.n is not second.n
