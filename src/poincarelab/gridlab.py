@@ -7,13 +7,13 @@ with the boundary planes zeroed (test states must vanish at the boundary
 to 1e-12 of peak, so those rows never matter).  Multiplication operators
 evaluate their exact coefficients at a numeric mu carried by the grid.
 
-Coefficient fields are evaluated once per grid.  A coefficient
-num / (p0^a (mu+p0)^b) is expanded into its terms, each an exact scalar
-(times the powers of mu) times a real basis field p^m / (p0^a (mu+p0)^b);
-the basis fields live in a dict on the grid's cached mesh, so they are
-bounded with the meshes (the last 8 grids) and freed with them.  A bare
-p1, p2, p3 or p0 is the mesh array itself.  Each grid's standard state
-is built once and kept read-only on the mesh in the same way.  States
+A coefficient num / (p0^a (mu+p0)^b) is expanded into its terms, each an
+exact scalar (times the powers of mu) times a real basis field
+p^m / (p0^a (mu+p0)^b).  A grid's cached mesh (the last 8 grids are
+kept) holds only the axes p1, p2, p3 and the factors of its standard
+state, N points each: a field of the grid's size, p0 and the 1/p0
+weight among them, is evaluated on a range of axis-0 rows when a kernel
+or a norm reads it, bit-equal to those rows of the whole field.  States
 store each spin component as one contiguous block (the array keeps its
 (blocks, N, N, N, 2s+1) shape), so stencils, field products and norms
 run over contiguous memory.  The row kernel (``_apply_rows``) computes a
@@ -21,13 +21,15 @@ few axis-0 rows of an applied operator at a time, running every term of
 the operator on those rows while they are in cache.  Each term is one
 product conj^k(x) * (F * s): the term's exact scalar s, which carries
 the stencil step and the reflection sign, is folded into its real field
-F, once per operator and grid for a field that broadcasts along an axis
-and once per range of rows for a full-size one, for each distinct
-(field, s).  Each element sees the same operations in the same order as
-in one whole-array pass per term with that formula, so results are
-bit-identical to it; the formula it replaced, conj^k(x * F) * s, rounds
-differently, by at most 7.2e-16 of the largest modulus on the operators
-tested.  ``apply`` runs the row kernel over all rows, slab by slab.
+F, once per grid for a field that broadcasts along an axis (a
+contiguous (1, N, N) plane when it is constant along axis 0) and once
+per range of rows for a full-size one, for each distinct (field, s),
+shared by every kernel that reads it.  Each element sees the same
+operations in the same order as in one whole-array pass per term with
+that formula, so results are bit-identical to it; the formula it
+replaced, conj^k(x * F) * s, rounds differently, by at most 7.2e-16 of
+the largest modulus on the operators tested.  ``apply`` runs the row
+kernel over all rows, slab by slab.
 
 ``study`` runs every relation of a study on each grid from one streamed
 plan (``_stream``): the grid's rows are walked from both faces in, a
@@ -36,17 +38,20 @@ relations is computed once per grid, on rows only, from the rows of its
 suffix.  A word read again keeps a window of its rows as deep as its
 readers' axis-0 stencils reach, summed along each chain of readers; a
 word used once, as a term, is written or added straight into its
-component's rows.  No array of a state's size is made besides the
-state itself.  Each finished slab of a component takes its norm
-partials, summed at the end in the slab-then-component order of a
-whole-state norm, so residuals are bit-identical to evaluating each
-relation alone with whole applied states.  On the finest grid the plan
-also takes the norms of its own Theta psi and Pi psi for the isometry
-rows.  At N = 128 a spin-1/2 state takes 64 MiB; ``grid --rep up
---two-s 1`` at N = 32, 64, 128 computes its 74 distinct words once on
-each grid (222 words, against 251 applies when at most three states
-could stay and 356 when every relation ran alone) in about 3.5 s of
-wall time on a 2-core Xeon VM, with a peak RSS of 234 MiB.
+component's rows.  The standard state is the plan's word (): its rows
+are evaluated from its Gaussian factors as the plan goes and kept in a
+window like any other word's.  So no array of the grid's size is made
+but the bump and 1/p0 weight that normalize the state once per grid,
+freed before the plan starts.  Each finished slab of a component takes
+its norm partials, summed at the end in the slab-then-component order
+of a whole-state norm, so residuals are bit-identical to evaluating
+each relation alone with whole applied states.  The plan takes the
+state's own norm too, and on the finest grid the norms of its
+Theta psi and Pi psi for the isometry rows.  ``grid --rep up --two-s 1``
+at N = 32, 64, 128 computes its 74 distinct words once on each grid
+(222 words, against 251 applies when at most three states could stay
+and 356 when every relation ran alone) in about 3.4 s of wall time on
+a 2-core Xeon VM, with a peak RSS of 81 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -59,9 +64,11 @@ exact reports use (Lie, discrete and both Casimirs).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,54 +113,87 @@ class Grid:
         return np.linspace(-self.extent, self.extent, self.points)
 
 
-class _Mesh:
-    """Coordinates of one grid and its cache of coefficient basis fields.
+# The key of the 1/p0 weight of the inner product among the basis fields.
+_INV_P0 = ((0, 0, 0, 0), 1, 0)
 
-    p1, p2, p3 are broadcastable axes of shapes (N,1,1), (1,N,1), (1,1,N);
-    p0 is a full (N,N,N) array.  ``fields`` maps a key (m, a, b), with m
-    the exponents of (p1, p2, p3, p0), to the real field
-    p^m / (p0^a (mu+p0)^b), built on first use; ``states`` maps
-    (two_s, blocks) to the grid's read-only standard state and ``norms``
-    to its norm.
+
+class _Field(NamedTuple):
+    """A basis field of a plan: its key and the shape it broadcasts to."""
+
+    key: tuple
+    shape: tuple[int, ...]
+
+
+class _Mesh:
+    """Coordinates of one grid, and the factors of its standard states.
+
+    p1, p2, p3 are broadcastable axes of shapes (N,1,1), (1,N,1),
+    (1,1,N); no array of the grid's size is kept.  ``field`` evaluates
+    the real basis field p^m / (p0^a (mu+p0)^b) of a key (m, a, b), with
+    m the exponents of (p1, p2, p3, p0), on a range of axis-0 rows when
+    asked, p0 and the 1/p0 weight included.  ``gaussians`` maps
+    (two_s, blocks) to the factors of the grid's standard state
+    (``_standard``); ``states`` holds the state itself once
+    ``standard_state`` has sampled it for a caller.
     """
 
     def __init__(self, grid: Grid):
         ax = grid.axis()
-        p1, p2, p3 = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
-        p0 = np.sqrt(grid.mu**2 + p1**2 + p2**2 + p3**2)
-        self.mu = grid.mu
-        self.coords = (p1, p2, p3, p0)
-        self.fields: dict[tuple, np.ndarray] = {}
+        self.mu, self.n = grid.mu, grid.points
+        self.axes = tuple(np.meshgrid(ax, ax, ax, indexing="ij", sparse=True))
+        self.gaussians: dict[tuple[int, int], _Gaussian] = {}
         self.states: dict[tuple[int, int], GridState] = {}
-        self.norms: dict[tuple[int, int], float] = {}
 
-    @property
-    def inv_p0(self) -> np.ndarray:
-        """The 1/p0 weight of the inner product."""
-        return self.field((0, 0, 0, 0), 1, 0)
+    def shape(self, key: tuple) -> tuple[int, ...]:
+        """The shape of the field of key on every row: full size when it
+        has p0 in it or all of p1, p2, p3, else broadcast along an axis."""
+        mono, a, b = key
+        n = self.n
+        if a or b or mono[3] or all(mono[:3]):
+            return (n, n, n)
+        return tuple(n if e else 1 for e in mono[:3])
 
-    def field(self, mono: tuple[int, ...], a: int, b: int) -> np.ndarray:
-        key = (mono, a, b)
-        f = self.fields.get(key)
-        if f is None:
-            for base, e in zip(self.coords, mono):
-                if e:
-                    term = base if e == 1 else base**e
-                    f = term if f is None else f * term
-            p0 = self.coords[3]
-            if a:
-                f = 1 / p0**a if f is None else f / p0**a
-            if b:
-                mu_p0 = self.mu + p0
-                f = 1 / mu_p0**b if f is None else f / mu_p0**b
-            self.fields[key] = f
+    def field(self, key: tuple, lo: int = 0, hi: int | None = None):
+        """The field of key on axis-0 rows lo:hi, every row by default.
+
+        Each element sees the same operations whatever the rows, so a
+        slab is bit-equal to those rows of the whole field; a field
+        constant along axis 0 comes back with one row.  After the first
+        array of the slab's size every step runs in place.
+        """
+        mono, a, b = key
+        p1, p2, p3 = self.axes
+        p1 = p1[lo:hi]
+        p0 = None
+        if a or b or mono[3]:
+            p0 = self.mu**2 + p1**2 + p2**2 + p3**2
+            np.sqrt(p0, out=p0)
+        f = None
+        for base, e in zip((p1, p2, p3, p0), mono):
+            if e:
+                term = base if e == 1 else base**e
+                f = term if f is None else f * term
+        if a:
+            den = p0 if a == 1 else p0**a
+            f = np.divide(1 if f is None else f, den,
+                          out=None if den is p0 and b else den)
+        if b:
+            mu_p0 = np.add(self.mu, p0, out=None if f is p0 else p0)
+            if b > 1:
+                mu_p0 = mu_p0**b
+            f = np.divide(1 if f is None else f, mu_p0, out=mu_p0)
         return f
 
-    def expand(self, c: Coefficient) -> list[tuple]:
-        """c as a list of (basis field, or None for 1; exact scalar)."""
-        return [(None if key is None else self.field(*key),
-                 complex(s.to_complex()) * self.mu ** e)
+    def terms(self, c: Coefficient) -> list[tuple]:
+        """c as a list of (basis field key, or None for 1; scalar)."""
+        return [(key, complex(s.to_complex()) * self.mu ** e)
                 for key, e, s in _field_terms(c)]
+
+    def expand(self, c: Coefficient) -> list[tuple]:
+        """c as a list of (basis field on every row, or None for 1;
+        scalar): the whole-array form of ``terms``."""
+        return [(None if key is None else self.field(key), s)
+                for key, s in self.terms(c)]
 
 
 def _field_terms(c: Coefficient):
@@ -217,7 +257,7 @@ def inner(a: GridState, b: GridState) -> complex:
     """Inner product with the 1/p0 weight."""
     if a.grid != b.grid or a.values.shape != b.values.shape:
         raise ValueError("mismatched states")
-    w = _meshes(a.grid).inv_p0
+    w = _meshes(a.grid).field(_INV_P0)
     total = sum(
         np.einsum("xyz,xyz,xyz->", np.conj(x), y, w)
         for x, y in zip(_components(a.values), _components(b.values))
@@ -226,30 +266,50 @@ def inner(a: GridState, b: GridState) -> complex:
 
 
 def norm(state: GridState) -> float:
-    return _values_norm(state.values, state.grid)
+    """The weighted norm, summed slab by slab (``_Norm``)."""
+    g = state.grid
+    total = _Norm(g.points, partial(_meshes(g).field, _INV_P0))
+    total.rows = _Rows.whole(state.values)
+    total.flush(g.points)
+    return total.value(g.spacing)
 
 
-def _values_norm(values: np.ndarray, grid: Grid) -> float:
-    """The weighted norm, summed slab by slab (``_slab_rows``) so each
-    component is read from memory once for its real and imaginary parts."""
-    w = _meshes(grid).inv_p0
-    comps = list(_components(values))
-    rows = _slab_rows(grid.points)
-    total = 0.0
-    for a in range(0, grid.points, rows):
-        wa = w[a:a + rows]
-        for x in comps:
-            xa = x[a:a + rows]
-            total += (_weighted(xa.real, xa.real, wa)
-                      + _weighted(xa.imag, xa.imag, wa))
-    return math.sqrt(total * grid.spacing**3)
+@dataclass(frozen=True, eq=False)
+class _Gaussian:
+    """A Gaussian bump times a constant per-block spinor, as its factors:
+    the value at (i, j, k) in spin column m of block b is
+    (g1[i] g2[j]) g3[k] spinor[b, m], ``factors`` being (g1, g2, g3)."""
+
+    grid: Grid
+    spin: SpinWeight
+    blocks: int
+    factors: tuple
+    spinor: np.ndarray  # (blocks, 2s+1) complex
+
+    def bump(self, lo: int, hi: int) -> np.ndarray:
+        g1, g2, g3 = self.factors
+        return g1[lo:hi, None, None] * g2[None, :, None] * g3[None, None, :]
+
+    def rows(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Rows lo:hi into ``out`` of shape (blocks, 2s+1, hi - lo, N, N):
+        bit-equal to those rows of ``sample``."""
+        bump = self.bump(lo, hi)
+        for b in range(self.blocks):
+            for m in range(self.spin.dim):
+                np.multiply(bump, self.spinor[b, m], out=out[b, m])
+
+    def sample(self) -> GridState:
+        """The state on every row."""
+        values = _empty_values(self.blocks, self.grid.points, self.spin.dim)
+        self.rows(0, self.grid.points, np.moveaxis(values, -1, 1))
+        return GridState(values, self.grid, self.spin, self.blocks)
 
 
-def sample_gaussian(grid: Grid, center, width: float, spinor) -> GridState:
-    """Normalized Gaussian bump times a constant per-block spinor.
+def _gaussian(grid: Grid, center, width: float, spinor) -> _Gaussian:
+    """``sample_gaussian``'s state as its factors, the spinor normalized.
 
-    The tail at the nearest boundary face must be below 1e-12 of the
-    peak so central differences never touch meaningful boundary data.
+    The norm of the bump is one whole-array weighted sum, of the bump
+    and the 1/p0 weight on every row; both are freed on return.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -270,16 +330,25 @@ def sample_gaussian(grid: Grid, center, width: float, spinor) -> GridState:
         )
     blocks, dim = spinor.shape
     ax = grid.axis()
-    g1, g2, g3 = (np.exp(-((ax - c) ** 2) / (2 * width**2)) for c in center)
-    bump = g1[:, None, None] * g2[None, :, None] * g3[None, None, :]
+    factors = tuple(np.exp(-((ax - c) ** 2) / (2 * width**2)) for c in center)
+    gauss = _Gaussian(grid, SpinWeight(dim - 1), blocks, factors, spinor)
+    bump = gauss.bump(0, grid.points)
     # |bump x spinor|^2 = |bump|^2 |spinor|^2, so normalize the spinor
-    n2 = _weighted(bump, bump, _meshes(grid).inv_p0) * grid.spacing**3
+    n2 = _weighted(bump, bump, _meshes(grid).field(_INV_P0)) * grid.spacing**3
+    del bump
     spinor = spinor / math.sqrt(n2 * float(np.vdot(spinor, spinor).real))
-    values = _empty_values(blocks, grid.points, dim)
-    for b in range(blocks):
-        for m in range(dim):
-            np.multiply(bump, spinor[b, m], out=values[b, ..., m])
-    return GridState(values, grid, SpinWeight(dim - 1), blocks)
+    if not np.isfinite(spinor).all():
+        raise ValueError("state contains non-finite entries")
+    return dataclasses.replace(gauss, spinor=spinor)
+
+
+def sample_gaussian(grid: Grid, center, width: float, spinor) -> GridState:
+    """Normalized Gaussian bump times a constant per-block spinor.
+
+    The tail at the nearest boundary face must be below 1e-12 of the
+    peak so central differences never touch meaningful boundary data.
+    """
+    return _gaussian(grid, center, width, spinor).sample()
 
 
 def _central_diff(arr: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
@@ -309,7 +378,7 @@ def _slab_rows(points: int) -> int:
 def _plan(op: BlockOp, mesh: _Mesh,
           spacing: float) -> tuple[list[tuple], list[tuple]]:
     """The operator as a list of (src block, spin column, axes, u, terms),
-    and the distinct (field, scalar) pairs its terms use.
+    and the distinct (``_Field``, scalar) pairs its terms use.
 
     A term M d^alpha Y^u C^k acts column by column of M: source component
     n is differenced along ``axes`` on the unreflected grid (the stencil
@@ -341,14 +410,14 @@ def _plan(op: BlockOp, mesh: _Mesh,
                         if i is None or last.get(dst, -1) > i:
                             i = by_source[source] = len(entries)
                             entries.append((*source, []))
-                        for field, s in mesh.expand(mat[m][n]):
+                        for key, s in mesh.terms(mat[m][n]):
                             s *= step
                             p = None
-                            if field is not None:
-                                p = index.setdefault((id(field), s),
-                                                     len(pairs))
+                            if key is not None:
+                                p = index.setdefault((key, s), len(pairs))
                                 if p == len(pairs):
-                                    pairs.append((field, s))
+                                    pairs.append(
+                                        (_Field(key, mesh.shape(key)), s))
                             entries[i][-1].append(
                                 (br, m, p, s, k, dst not in written))
                             written.add(dst)
@@ -448,52 +517,117 @@ def _halo(op: BlockOp) -> int:
                 for (alpha, _u, _k) in sop.terms), default=0)
 
 
+class _Scaled:
+    """The scaled fields F * s of the kernels of one grid, each distinct
+    (field, s) once: a field that broadcasts along an axis as F * s made
+    once, a contiguous (1, N, N) plane when it is constant along axis 0;
+    a full-size one as the index of its slab in ``_Buffers.slab``, ``full``
+    being the number of indices given out."""
+
+    def __init__(self, mesh: _Mesh):
+        self.mesh, self.pairs, self.full = mesh, {}, 0
+
+    def get(self, field: _Field, s: complex):
+        got = self.pairs.get((field.key, s))
+        if got is None:
+            n = self.mesh.n
+            if field.shape == (n, n, n):
+                got, self.full = self.full, self.full + 1
+            else:
+                got = np.multiply(self.mesh.field(field.key), s)
+                if len(got) == 1:
+                    got = np.ascontiguousarray(
+                        np.broadcast_to(got, (1, n, n)))
+            self.pairs[field.key, s] = got
+        return got
+
+
 class _Kernel:
     """The row kernel of one operator on one grid.
 
     ``sources`` is ``_plan``'s list with each source as its (block, spin
     column) pair; ``fields`` gives each distinct (field, scalar) pair of
     the plan as (F * s, None, None) for a field that broadcasts along an
-    axis, scaled once, and as (F, s, j) for a full-size one, scaled per
-    range into slab buffer j.  ``halo`` is the most axis-0 differences of
-    any term, ``unreached`` the output components no term writes.
+    axis, scaled once per grid, and as (key, s, j) for a full-size one,
+    evaluated and scaled per range into slab j (``_Buffers.slab``);
+    ``scaled`` (``_Scaled``) shares both among the kernels of a plan, and
+    ``full`` is one more than the highest j.  ``halo`` is the most axis-0
+    differences of any term, ``unreached`` the output components no term
+    writes.
     """
 
     def __init__(self, op: BlockOp, mesh: _Mesh, spacing: float, n: int,
-                 name: str | None = None):
+                 name: str | None = None, scaled: _Scaled | None = None):
         plan, pairs = _plan(op, mesh, spacing)
-        self.name, self.n = name, n
+        self.name, self.n, self.mesh = name, n, mesh
         self.sources = [((bc, col), axes, u, terms)
                         for bc, col, axes, u, terms in plan]
         self.halo = _halo(op)
         written = {(t[0], t[1]) for *_src, terms in plan for t in terms}
         self.unreached = [(br, m) for br in range(op.blocks)
                           for m in range(op.dim) if (br, m) not in written]
+        scaled = _Scaled(mesh) if scaled is None else scaled
         self.fields, self.full = [], 0
-        for f, s in pairs:
-            if f.shape == (n, n, n):
-                self.fields.append((f, s, self.full))
-                self.full += 1
+        for field, s in pairs:
+            got = scaled.get(field, s)
+            if isinstance(got, int):
+                self.fields.append((field.key, s, got))
+                self.full = max(self.full, got + 1)
             else:
-                self.fields.append((np.multiply(f, s), None, None))
+                self.fields.append((got, None, None))
+
+
+class _Bank:
+    """The full-size field slabs of one range of rows: the basis fields
+    by key and the scaled ones by index, each made on first use."""
+
+    __slots__ = ("span", "bases", "scaled")
+
+    def __init__(self, span: tuple[int, int] | None, fields: int):
+        self.span, self.bases, self.scaled = span, {}, [None] * fields
 
 
 class _Buffers:
     """Slab buffers that row kernels run one after another share, for
     ranges of at most ``rows`` rows: scratch, two difference buffers with
-    a ``halo`` of rows on either side, ``fields`` scaled-field slabs and,
-    given the (blocks, 2s+1) ``shape`` of a state, the slab a term is
-    built in before it is added onto a sum."""
+    a ``halo`` of rows on either side, the field slabs of the last
+    ``ranges`` ranges run (each up to ``fields`` scaled slabs, ``_Bank``)
+    and, given the (blocks, 2s+1) ``shape`` of a state, the slab a term
+    is built in before it is added onto a sum."""
 
     def __init__(self, n: int, rows: int, halo: int, fields: int,
-                 shape: tuple[int, int] | None = None):
+                 shape: tuple[int, int] | None = None, ranges: int = 2):
         self.scratch = np.empty((rows, n, n), dtype=complex)
         self.deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex)
                       for _ in range(2)]
-        self.fields = [np.empty((rows, n, n), dtype=complex)
-                       for _ in range(fields)]
+        self.fields = fields
+        self.banks = [_Bank(None, fields) for _ in range(ranges)]
         self.target = None if shape is None else np.empty(
             (*shape, rows, n, n), dtype=complex)
+
+    def _bank(self, lo: int, hi: int) -> _Bank:
+        """The slabs of rows lo:hi, in place of the oldest range's."""
+        for bank in self.banks:
+            if bank.span == (lo, hi):
+                return bank
+        self.banks.pop(0)
+        self.banks.append(_Bank((lo, hi), self.fields))
+        return self.banks[-1]
+
+    def base(self, mesh: _Mesh, key: tuple, lo: int, hi: int) -> np.ndarray:
+        """The basis field of key on rows lo:hi."""
+        bases = self._bank(lo, hi).bases
+        if key not in bases:
+            bases[key] = mesh.field(key, lo, hi)
+        return bases[key]
+
+    def slab(self, mesh: _Mesh, key: tuple, s: complex, j: int, lo: int,
+             hi: int) -> np.ndarray:
+        """Slab j, the field of key times s, on rows lo:hi."""
+        scaled = self._bank(lo, hi).scaled
+        if scaled[j] is None:
+            scaled[j] = np.multiply(self.base(mesh, key, lo, hi), s)
+        return scaled[j]
 
 
 def _apply_rows(kernel: _Kernel, bufs: _Buffers, src: _Rows, lo: int,
@@ -520,7 +654,7 @@ def _apply_rows(kernel: _Kernel, bufs: _Buffers, src: _Rows, lo: int,
     for br, m in kernel.unreached:
         slab[br, m] = 0
     gs = [f if s is None and len(f) == 1 else f[lo:hi] if s is None
-          else np.multiply(f[lo:hi], s, out=bufs.fields[j][:rows])
+          else bufs.slab(kernel.mesh, f, s, j, lo, hi)
           for f, s, j in kernel.fields]
     for comp, axes, u, terms in kernel.sources:
         a, b = (n - hi, n - lo) if u else (lo, hi)
@@ -558,7 +692,8 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     the row kernel (``_apply_rows``), which runs the operator's whole
     plan (``_plan``) on those rows while they are in cache.  F * s is
     computed once per apply for a field that broadcasts along an axis
-    and once per slab for a full-size one, for each distinct (field, s).
+    and once per slab for a full-size one, for each distinct (field, s),
+    the full-size field itself evaluated on the slab's rows.
     A finished slab is checked finite while it is still in cache, so the
     result needs no second scan.
     """
@@ -584,10 +719,6 @@ def apply(op: BlockOp, state: GridState) -> GridState:
 MEMORY_SHARE = 0.5
 
 
-def _state_bytes(rep: RepSpec, grid: Grid) -> int:
-    return rep.blocks * (rep.two_s + 1) * grid.points**3 * 16
-
-
 def _scaled_pairs(op: BlockOp) -> set[tuple]:
     """The (field, s) pairs of ``_plan`` of op, counted from the exact
     terms as (full size, field key, power of mu, scalar, |alpha|,
@@ -611,24 +742,31 @@ def _scaled_pairs(op: BlockOp) -> set[tuple]:
 def working_set_bytes(rep: RepSpec, grids) -> int:
     """Estimated bytes of arrays a grid study of ``rep`` over ``grids`` holds.
 
-    Every grid keeps its cached mesh (p0 and the full-size basis fields
-    the studied relations' operators use, 8 bytes a point; a field of at
-    most two of p1, p2, p3 broadcasts and is not counted) and its
-    standard state.  The grid being studied adds the arrays of its
-    streamed plan (``_stream``), none of them state-sized:
-    - each stored word's window, lead + keep + 1 levels of its rows, a
-      level being a slab and its mirror (at most N rows in all);
+    A cached mesh keeps only coordinates and the standard state's
+    factors, N points each, so only the grid being studied counts.  It
+    first normalizes its standard state (``_gaussian``): the bump and the
+    1/p0 weight on every row, 8 bytes a point, freed before its streamed
+    plan (``_stream``) starts.  The plan's arrays are none of them
+    state-sized:
+    - each stored word's window, the state's own included, lead + keep
+      + 1 levels of its rows, a level being a slab and its mirror (at
+      most N rows in all);
     - the rows of one component sum, and when the norm slabs do not
       tile the levels, one more level of every component's rows;
     - the kernels' shared slabs (scratch, two difference buffers with
-      the stencil's halo, one per full-size (field, s) pair of an
-      operator, the slab a term is added from and one gathered slab);
-    - one scaled copy of each broadcast field of every operator, at
-      most N^2 points, and the temporaries of building one field.
+      the stencil's halo, the slab a term is added from and one gathered
+      slab), and the temporaries of evaluating a field or the state on
+      a slab;
+    - the field slabs of 2 (lead + 1) ranges: each distinct full-size
+      (field, s) pair scaled, and each full-size basis field and the
+      1/p0 weight, real;
+    - each distinct broadcast (field, s) pair scaled once, at most N^2
+      points.
     Against the peak RSS of ``grid`` at N = 32, 64, 128 less that of a
-    process that only imports numpy and poincarelab (32 MiB), 203, 299
-    and 242 MiB for up 2s=1, sym3 2s=1 and quad:+1 on a 2-core Xeon VM,
-    it reads 14%, 11% and 13% high.
+    process that only imports numpy and poincarelab (32 MiB), 48, 82
+    and 67 MiB for up 2s=1, sym3 2s=1 and quad:+1 on a 2-core Xeon VM,
+    it reads 31%, 20% and 14% high.  From N = 626 the normalization
+    sets it: ``--n 32,64,N`` needs more than half of 7.3 GiB there.
     """
     studied = set(representative_relations(rep))
     rels = [r for r in relations(rep) if r.name in studied]
@@ -637,27 +775,30 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     used = {name: ops[name] for comp in comps for _c, word in comp
             for name in word}
     halos = {name: _halo(op) for name, op in used.items()}
-    per_op = [_scaled_pairs(op) for op in used.values()]
-    keys = {((0, 0, 0, 1), 0, 0), ((0, 0, 0, 0), 1, 0)}  # p0 and 1/p0
-    keys.update(p[1] for pairs in per_op for p in pairs if p[0])
-    full = max(sum(p[0] for p in pairs) for pairs in per_op)
-    broadcast = sum(not p[0] for pairs in per_op for p in pairs)
+    pairs = set().union(*(_scaled_pairs(op) for op in used.values()))
+    full = sum(p[0] for p in pairs)
+    bases = 1 + len({p[1] for p in pairs if p[0]})  # and the 1/p0 weight
+    broadcast = len(pairs) - full
     halo = max(halos.values())
     spins = rep.blocks * (rep.two_s + 1)
-    resident, transient = 0, 0
+    peak = 0
     for g in grids:
         n = g.points
         rows = _slab_rows(n)
         span = min(2 * rows, n)
-        order, direct = _word_graph(comps, halos, rows, {("Theta",), ("Pi",)})
+        root = _Word(())
+        order, direct = _word_graph(comps, halos, rows,
+                                    {(), ("Theta",), ("Pi",)}, root)
+        stored = [w for w in order if w.word not in direct]
+        lead = max((w.lead for w in stored), default=0)
         window = sum(min((w.lead + max(w.keep, 0) + 1) * 2 * rows, n)
-                     for w in order if w.word not in direct)
+                     for w in (root, *stored))
         sums = span * (1 + len(comps) * bool(n % rows))
-        planes = (spins * (window + sums + 2 * span)
-                  + (3 + full) * span + 4 * halo + broadcast)
-        resident += len(keys) * n**3 * 8 + _state_bytes(rep, g)
-        transient = max(transient, planes * n * n * 16 + 2 * n**3 * 8)
-    return resident + transient
+        banks = 2 * (lead + 1) * span * (2 * full + bases)
+        planes = (spins * (window + sums + 2 * span) + 5 * span + 4 * halo
+                  + banks // 2 + broadcast)
+        peak = max(peak, planes * n * n * 16, 2 * n**3 * 8)
+    return peak
 
 
 def memory_budget() -> int | None:
@@ -708,19 +849,21 @@ def _level_ranges(n: int, rows: int) -> list[list[tuple[int, int]]]:
 
 
 class _Norm:
-    """A weighted norm taken as ``_values_norm`` takes it, slab by slab
-    (``_slab_rows``), from chunks of rows that arrive in level order.
+    """A weighted norm taken slab by slab (``_slab_rows``), from chunks of
+    rows that arrive in level order; ``weight(a, b)`` gives the 1/p0
+    weight on rows a:b.
 
     The slabs not yet summed are a run, slabs ``first`` to ``last`` - 1,
     shrinking from both ends as the levels close in.  Each slab's
     per-component partials are computed once all its rows are in, and
     summed at the end in slab-then-component order, so the norm is
-    bit-identical to ``_values_norm`` of the whole state.  Chunks are let
-    go once every slab they touch is summed.
+    bit-identical to ``norm`` of the whole state, which is one
+    ``_Norm`` flushed at once.  Chunks are let go once every slab they
+    touch is summed.
     """
 
-    def __init__(self, n: int, w: np.ndarray):
-        self.n, self.w = n, w
+    def __init__(self, n: int, weight):
+        self.n, self.weight = n, weight
         self.slab = _slab_rows(n)
         self.rows = _Rows(())
         self.first, self.last = 0, -(-n // self.slab)
@@ -746,7 +889,7 @@ class _Norm:
 
     def _sum(self, j: int) -> None:
         a, b = j * self.slab, min((j + 1) * self.slab, self.n)
-        slab, wa = self.rows.take(a, b), self.w[a:b]
+        slab, wa = self.rows.take(a, b), self.weight(a, b)
         self.parts[j] = [_weighted(x.real, x.real, wa)
                          + _weighted(x.imag, x.imag, wa)
                          for block in slab for x in block]
@@ -771,56 +914,61 @@ class _Word:
         self.norm: _Norm | None = None
 
 
-def _word_graph(components, halos: dict, rows: int,
-                normed) -> tuple[list[_Word], set]:
-    """The distinct words of ``components`` shortest first, with their
-    readers, ``lead`` and ``keep`` in levels of ``rows`` rows (see
+def _word_graph(components, halos: dict, rows: int, normed,
+                root: _Word | None = None) -> tuple[list[_Word], set]:
+    """The distinct nonempty words of ``components`` shortest first, with
+    their readers, ``lead`` and ``keep`` in levels of ``rows`` rows (see
     ``_stream``), and the words read once, as a term, which go straight
     into their component.  ``halos`` maps each operator name to its
     axis-0 stencil reach in rows; ``normed`` holds the words whose norm
-    is wanted."""
-    words: dict[tuple, _Word] = {}
+    is wanted.  ``root``, if given, is the node of the empty word, the
+    state itself: it gets its readers, lead and keep in the same way."""
+    words: dict[tuple, _Word] = {} if root is None else {(): root}
     for comp in components:
         for _c, word in comp:
             for i in range(len(word)):
                 if word[i:] not in words:
                     words[word[i:]] = _Word(word[i:])
-            if word:
+            if word in words:
                 words[word].terms += 1
     order = sorted(words.values(), key=lambda w: len(w.word))
     for w in reversed(order):  # readers before what they read
-        if len(w.word) > 1:
+        if w.word and w.word[1:] in words:
             words[w.word[1:]].users.append(w)
         need = [-(-halos[u.word[0]] // rows) for u in w.users]
         w.lead = max([0] * bool(w.terms)
                      + [u.lead + d for u, d in zip(w.users, need)])
         w.keep = max([0] * bool(w.terms) + [1] * (w.word in normed)
                      + [d - u.lead for u, d in zip(w.users, need)])
-    direct = {w.word for w in order
-              if w.terms == 1 and not w.users and w.word not in normed}
-    return order, direct
+    direct = {w.word for w in order if w.word and w.terms == 1
+              and not w.users and w.word not in normed}
+    return [w for w in order if w.word], direct
 
 
-def _stream(ops: dict, state: GridState, components,
-            normed: dict) -> list[float]:
+def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     """The norm of each component (a sum of terms) on one state, every
     word computed once, row by row.
 
-    The grid's levels (``_level_ranges``) are walked from the faces in:
-    a slab of rows together with its mirror, so a reflected read lands on
-    rows that the same step computes.  A word with one use, as a term,
-    has its rows written or added straight into its component's rows;
-    every other word keeps a window of its rows.  A word read by an
-    operator whose stencil reaches d levels is computed d levels ahead of
-    its reader (its ``lead``, summed along each chain of readers) and
-    kept for d levels after (``keep``), so a level of a word is dropped
-    once its last reader has run over it.  Each step computes the words
-    shortest first, each from the rows of its suffix, then the
-    components' rows in their terms' order with the same elementwise
-    operations as summing whole applied states.  The norms are summed
-    by ``_Norm`` as ``_values_norm`` sums them, so they are bit-identical
-    to it.  ``normed`` maps words to None; those computed get the norm of
-    their applied state.
+    ``state`` is a ``GridState``, or a ``_Gaussian`` whose rows are
+    evaluated as the plan goes: then the state is the word () and keeps
+    a window of its rows like any stored word.  The grid's levels
+    (``_level_ranges``) are walked from the faces in: a slab of rows
+    together with its mirror, so a reflected read lands on rows that the
+    same step computes.  A word with one use, as a term, has its rows
+    written or added straight into its component's rows; every other
+    word keeps a window of its rows.  A word read by an operator whose
+    stencil reaches d levels is computed d levels ahead of its reader
+    (its ``lead``, summed along each chain of readers) and kept for d
+    levels after (``keep``), so a level of a word is dropped once its
+    last reader has run over it.  Each step computes the words shortest
+    first, each from the rows of its suffix, then the components' rows
+    in their terms' order with the same elementwise operations as
+    summing whole applied states.  The kernels share one ``_Buffers``,
+    whose field slabs span the levels of a step, so each range's fields
+    and scaled fields are made once for every kernel that reads them.
+    The norms are summed by ``_Norm`` as ``norm`` sums them, so they are
+    bit-identical to it.  ``normed`` maps words to None; those computed,
+    () for the state itself, get the norm of their applied state.
     """
     g = state.grid
     n, mesh = g.points, _meshes(g)
@@ -828,22 +976,32 @@ def _stream(ops: dict, state: GridState, components,
     levels = _level_ranges(n, rows)
     used = {name: ops[name] for comp in components for _c, word in comp
             for name in word}
-    kernels = {name: _Kernel(op, mesh, g.spacing, n, name)
+    scaled = _Scaled(mesh)
+    kernels = {name: _Kernel(op, mesh, g.spacing, n, name, scaled)
                for name, op in used.items()}
+    root = _Word(())
     order, direct = _word_graph(
         components, {name: k.halo for name, k in kernels.items()}, rows,
-        normed)
+        normed, root)
     stored = [w for w in order if w.word not in direct]
-    source = {(): _Rows.whole(state.values),
-              **{w.word: w.rows for w in stored}}
+    lead = max((w.lead for w in stored), default=0)
+    if isinstance(state, GridState):
+        root.rows = _Rows.whole(state.values)
+    else:
+        stored.insert(0, root)
+    source = {w.word: w.rows for w in (root, *stored)}
     shape = (state.blocks, state.spin.dim)
     bufs = _Buffers(n, min(2 * rows, n),
                     max((k.halo for k in kernels.values()), default=0),
-                    max((k.full for k in kernels.values()), default=0), shape)
-    for word in stored:
-        if word.word in normed:
-            word.norm = _Norm(n, mesh.inv_p0)
-    norms = [_Norm(n, mesh.inv_p0) for _ in components]
+                    scaled.full, shape, 2 * (lead + 1))
+    weight = partial(bufs.base, mesh, _INV_P0)
+    measured = [w for w in dict.fromkeys((root, *stored))
+                if w.word in normed]
+    for word in measured:
+        word.norm = _Norm(n, weight)
+    if root.norm is not None and root not in stored:
+        root.norm.rows.chunks = list(root.rows.chunks)
+    norms = [_Norm(n, weight) for _ in components]
     sums = [[(i, coeff, coeff.to_complex(), word)
              for i, (coeff, word) in enumerate(comp)] for comp in components]
     last = len(levels) - 1
@@ -851,11 +1009,14 @@ def _stream(ops: dict, state: GridState, components,
         for word in stored:
             todo = (range(min(word.lead, last) + 1) if t == 0
                     else [t + word.lead] if t + word.lead <= last else [])
-            kernel, src = kernels[word.word[0]], source[word.word[1:]]
             for c in todo:
                 for lo, hi in levels[c]:
                     out = np.empty((*shape, hi - lo, n, n), dtype=complex)
-                    _apply_rows(kernel, bufs, src, lo, hi, out)
+                    if word is root:
+                        state.rows(lo, hi, out)
+                    else:
+                        _apply_rows(kernels[word.word[0]], bufs,
+                                    source[word.word[1:]], lo, hi, out)
                     word.rows.chunks.append((lo, hi, out))
                     if word.norm is not None:
                         word.norm.rows.chunks.append((lo, hi, out))
@@ -880,29 +1041,30 @@ def _stream(ops: dict, state: GridState, components,
                     elif coeff == -ONE:
                         acc -= values
                     else:
-                        scaled = bufs.target[:, :, :hi - lo]
-                        np.multiply(values, c, out=scaled)
-                        acc += scaled
+                        scaled_values = bufs.target[:, :, :hi - lo]
+                        np.multiply(values, c, out=scaled_values)
+                        acc += scaled_values
                 norm_.rows.chunks.append((lo, hi, acc))
             norm_.flush(depth)
+        for word in measured:
+            word.norm.flush(depth)
         for word in stored:
-            if word.norm is not None:
-                word.norm.flush(depth)
             word.rows.chunks = [
                 chunk for chunk in word.rows.chunks
                 if min(chunk[0], n - chunk[1]) // rows + word.keep > t]
-    for word in stored:
-        if word.norm is not None:
-            normed[word.word] = word.norm.value(g.spacing)
+    for word in measured:
+        normed[word.word] = word.norm.value(g.spacing)
     return [norm_.value(g.spacing) for norm_ in norms]
 
 
-def _residuals(rep: RepSpec, relation_ids, state: GridState,
+def _residuals(rep: RepSpec, relation_ids, state,
                normed: dict | None = None) -> list[float]:
     """Residual of each relation on one state, from one streamed plan
     (``_stream``): a word shared by several relations is computed once.
-    ``normed`` (see ``_stream``) gets the norms of the wanted words the
-    plan computes."""
+    ``state`` is a ``GridState``, or a ``Grid`` for its standard state,
+    which the plan evaluates row by row (``_standard``).  The plan also
+    takes the state's own norm.  ``normed`` (see ``_stream``) gets the
+    norms of the wanted words the plan computes, and of ()."""
     table = {r.name: r for r in relations(rep)}
     rels = []
     for rid in relation_ids:
@@ -914,9 +1076,13 @@ def _residuals(rep: RepSpec, relation_ids, state: GridState,
                              f"{rel.inadmissible}")
         rels.append(rel)
     comps = [comp for rel in rels for comp in rel.components]
+    if isinstance(state, Grid):
+        state = _standard(rep, state)
+    normed = {} if normed is None else normed
+    normed[()] = None
     norms = iter(_stream(operators(rep, word_names(rels)), state, comps,
-                         {} if normed is None else normed))
-    base = _state_norm(rep, state)
+                         normed))
+    base = normed[()]
     out = []
     for rel in rels:
         worst = 0.0
@@ -938,16 +1104,13 @@ def residual(rep: RepSpec, relation_id: str, state: GridState) -> float:
     return _residuals(rep, [relation_id], state)[0]
 
 
-def standard_state(rep: RepSpec, grid: Grid) -> GridState:
-    """Deterministic admissible Gaussian used by studies and the cli.
-
-    Built once per (grid, two_s, blocks) and kept read-only on the grid's
-    cached mesh with its norm, so every relation of a study shares both
-    and they are freed with the mesh.
-    """
-    states = _meshes(grid).states
+def _standard(rep: RepSpec, grid: Grid) -> _Gaussian:
+    """The factors of the grid's standard state, a deterministic
+    admissible Gaussian: sampled once per (grid, two_s, blocks) and kept
+    on the grid's cached mesh, so they are freed with it."""
+    gaussians = _meshes(grid).gaussians
     key = (rep.two_s, rep.blocks)
-    if key not in states:
+    if key not in gaussians:
         ext = grid.extent
         center = (ext / 12, -ext / 15, ext / 18)
         width = ext / 9
@@ -961,20 +1124,25 @@ def standard_state(rep: RepSpec, grid: Grid) -> GridState:
                 for b in range(rep.blocks)
             ]
         )
-        state = sample_gaussian(grid, center, width, spinor)
+        gaussians[key] = _gaussian(grid, center, width, spinor)
+    return gaussians[key]
+
+
+def standard_state(rep: RepSpec, grid: Grid) -> GridState:
+    """The grid's standard state (``_standard``) on every row.
+
+    Sampled once per (grid, two_s, blocks) and kept read-only on the
+    grid's cached mesh, so it is freed with the mesh.  ``study`` never
+    samples it whole: its plan evaluates the same rows, bit for bit, as
+    it goes.
+    """
+    states = _meshes(grid).states
+    key = (rep.two_s, rep.blocks)
+    if key not in states:
+        state = _standard(rep, grid).sample()
         state.values.flags.writeable = False
         states[key] = state
-        _meshes(grid).norms[key] = norm(state)
     return states[key]
-
-
-def _state_norm(rep: RepSpec, state: GridState) -> float:
-    """norm(state), read from the mesh for the grid's standard state."""
-    mesh = _meshes(state.grid)
-    key = (rep.two_s, rep.blocks)
-    if mesh.states.get(key) is state:
-        return mesh.norms[key]
-    return norm(state)
 
 
 @dataclass(frozen=True)
@@ -1054,24 +1222,25 @@ def study(rep: RepSpec, relation_ids, grids, *,
     """A convergence study of each relation, grid by grid from one plan.
 
     Each grid evaluates every relation on its standard state through one
-    streamed plan (``_stream``), every word computed once on each grid;
-    then each relation's residuals get a slope fit.  Requires at least
-    three grids with spacing roughly halving between consecutive
-    entries.  All-tiny residuals are flagged exact instead of fitted;
-    tiny residuals on some grids but not all have no slope (the log of a
-    zero residual) and fail the study.
+    streamed plan (``_stream``), every word computed once on each grid
+    and the state's rows evaluated as the plan goes, so no array of the
+    grid's size is made; then each relation's residuals get a slope fit.
+    Requires at least three grids with spacing roughly halving between
+    consecutive entries.  All-tiny residuals are flagged exact instead of
+    fitted; tiny residuals on some grids but not all have no slope (the
+    log of a zero residual) and fail the study.
 
     ``defects``, if a dict, receives ``isometry_defect`` of the finest
-    grid's standard state, with the norms of Theta psi and Pi psi taken
-    from the plan's own states where it applies them.
+    grid's standard state, with the norms of the state, Theta psi and
+    Pi psi taken from the plan where it computes them.
     """
     grids = _refining(grids)
     normed = {} if defects is None else dict.fromkeys([("Theta",), ("Pi",)])
-    per_grid = [_residuals(rep, relation_ids, standard_state(rep, g),
+    per_grid = [_residuals(rep, relation_ids, g,
                            normed if g is grids[-1] else None)
                 for g in grids]
     if defects is not None:
-        defects.update(_isometry(rep, standard_state(rep, grids[-1]), normed))
+        defects.update(_isometry(rep, grids[-1], normed))
     return [_fit(rid, grids, [res[i] for res in per_grid])
             for i, rid in enumerate(relation_ids)]
 
@@ -1098,15 +1267,21 @@ def isometry_defect(rep: RepSpec, state: GridState) -> dict[str, float]:
     return _isometry(rep, state, {})
 
 
-def _isometry(rep: RepSpec, state: GridState,
-              normed: dict) -> dict[str, float]:
-    """``isometry_defect``, reading the norm of Theta psi and Pi psi from
-    ``normed`` (keyed by word) where a plan measured it on this state."""
-    base = _state_norm(rep, state)
+def _isometry(rep: RepSpec, state, normed: dict) -> dict[str, float]:
+    """``isometry_defect``, reading the norms of the state (key ()),
+    Theta psi and Pi psi from ``normed`` where a plan measured them on
+    this state.  ``state`` may be a ``Grid`` for its standard state, then
+    sampled whole only to apply an operator the plan did not."""
+    base = normed.get(())
+    if base is None:
+        base = norm(state)
     out = {}
     for name, op in (("Theta", rep.theta), ("Pi", rep.pi)):
         applied = normed.get((name,))
         if applied is None:
+            if isinstance(state, Grid):
+                state = _standard(rep, state).sample()
             applied = norm(apply(op, state))
         out[name] = abs(applied - base) / base
     return out
+

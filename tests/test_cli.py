@@ -249,6 +249,8 @@ def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
 
     monkeypatch.setattr(gridlab, "memory_budget", lambda: 4 * 2**30)
     monkeypatch.setattr(gridlab, "standard_state", forbidden)
+    # a study samples its state's factors first, with a whole-grid bump
+    monkeypatch.setattr(gridlab, "_gaussian", forbidden)
     assert main(["grid", "--rep", "up", "--two-s", "1",
                  "--n", "32,64,1024"]) == 2
     err = capsys.readouterr().err

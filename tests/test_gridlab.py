@@ -5,6 +5,7 @@ numpy, and convergence studies with frozen slope expectations.
 
 import dataclasses
 import gc
+import json
 import math
 import tracemalloc
 import warnings
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as hst
 from oracle_helpers import whole_state_norms, whole_state_residuals
 
 from poincarelab import catalog, gridlab
+from poincarelab.cli import main
 from poincarelab.exactnum import ONE
 from poincarelab.gridlab import (
     EXACT_TOL,
@@ -238,22 +240,52 @@ def test_apply_is_linear_or_antilinear(entry, name, seed, a, b):
     assert np.abs(got - want).max() <= 1e-12 * scale
 
 
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
 def test_field_cache_lives_and_dies_with_the_mesh():
-    g = Grid(L, 16)
+    # the mesh caches no field: each is evaluated on the rows asked for,
+    # bit-equal to those rows of the whole field, which is bit-equal to
+    # the formula on broadcast coordinates.  What the mesh does cache, a
+    # standard state's factors and a state sampled for a caller, is freed
+    # with it
+    g = Grid(L, 17)
     rep = catalog.build("up", 1)
-    apply(rep.k[0], standard_state(rep, g))
-    mesh = weakref.ref(_meshes(g))
-    state = weakref.ref(standard_state(rep, g))
-    fields = mesh().fields
-    # K1's spin coupling p2/(mu+p0); its transport term's bare p0 is the
-    # mesh array itself, not a copy
-    assert ((0, 1, 0, 0), 0, 1) in fields
-    assert fields[((0, 0, 0, 1), 0, 0)] is mesh().coords[3]
+    mesh = _meshes(g)
+    p1, p2, p3 = np.meshgrid(g.axis(), g.axis(), g.axis(), indexing="ij",
+                             sparse=True)
+    p0 = np.sqrt(g.mu**2 + p1**2 + p2**2 + p3**2)
+    formulas = {
+        ((0, 0, 0, 1), 0, 0): p0,
+        gridlab._INV_P0: 1 / p0**1,
+        ((0, 1, 0, 0), 0, 1): p2 / (g.mu + p0)**1,  # K1's spin coupling
+        ((1, 0, 0, 0), 0, 1): p1 / (g.mu + p0)**1,
+        ((1, 1, 0, 0), 2, 0): p1 * p2 / p0**2,
+        ((0, 0, 0, 1), 0, 2): p0 / (g.mu + p0)**2,
+        ((1, 0, 0, 0), 0, 0): p1,
+        ((0, 0, 1, 0), 0, 0): p3,
+    }
+    for key, want in formulas.items():
+        whole = mesh.field(key)
+        assert whole.shape == want.shape == mesh.shape(key), key
+        assert np.array_equal(_bits(whole), _bits(want)), key
+        for lo, hi in [(0, 1), (5, 9), (8, 9), (16, 17)]:
+            rows = want[lo:hi] if len(want) > 1 else want
+            assert np.array_equal(_bits(mesh.field(key, lo, hi)),
+                                  _bits(rows)), (key, lo, hi)
+    residual(rep, "[K1,P1] == i*P0", standard_state(rep, g))
+    gridlab._residuals(rep, ["[K1,P1] == i*P0"], g)
+    cached = weakref.ref(mesh)
+    factors = weakref.ref(mesh.gaussians[rep.two_s, rep.blocks])
+    state = weakref.ref(mesh.states[rep.two_s, rep.blocks])
+    assert set(vars(mesh)) == {"mu", "n", "axes", "gaussians", "states"}
     assert _meshes.cache_info().maxsize == 8
+    del mesh
     _meshes.cache_clear()
     gc.collect()
-    assert mesh() is None and state() is None
-    assert _meshes(g).fields == {} and _meshes(g).states == {}
+    assert cached() is None and factors() is None and state() is None
+    assert _meshes(g).gaussians == {} and _meshes(g).states == {}
 
 
 def test_standard_state_is_built_once_and_read_only():
@@ -272,20 +304,78 @@ def test_standard_state_is_built_once_and_read_only():
 
 
 def test_convergence_studies_sample_each_grid_once(monkeypatch):
+    # each grid's Gaussian factors are sampled once and shared by every
+    # later study on that grid; no study samples a whole state
     _meshes.cache_clear()
     sampled = []
+    real = gridlab._gaussian
 
     def counted(grid, *args):
         sampled.append(grid.points)
-        return sample_gaussian(grid, *args)
+        return real(grid, *args)
 
-    monkeypatch.setattr(gridlab, "sample_gaussian", counted)
+    def whole(*args):
+        raise AssertionError("a study sampled a whole state")
+
+    monkeypatch.setattr(gridlab, "_gaussian", counted)
+    monkeypatch.setattr(gridlab._Gaussian, "sample", whole)
     rep = catalog.build("up", 1)
     grids = [Grid(L, n) for n in (16, 32, 64)]
     convergence_study(rep, "[K1,P1] == i*P0", grids)
     assert sampled == [16, 32, 64]
     convergence_study(rep, "Theta*K == K*Theta", grids)
+    study(rep, representative_relations(rep), grids, defects={})
     assert sampled == [16, 32, 64]
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from obj through attributes and
+    containers."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if id(obj) in seen or isinstance(obj, (str, bytes, int, float, complex)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = list(obj)
+    else:
+        items = list(getattr(obj, "__dict__", {}).values())
+    for item in items:
+        yield from _arrays(item, seen)
+
+
+def _live_meshes() -> list[int]:
+    """The sizes of the live meshes, each checked to hold the standard
+    state's factors and no array of N^3 elements or more."""
+    gc.collect()
+    sizes = []
+    for mesh in [o for o in gc.get_objects() if isinstance(o, gridlab._Mesh)]:
+        assert mesh.gaussians and not mesh.states
+        assert max(a.size for a in _arrays(mesh, set())) < mesh.n**3
+        sizes.append(mesh.n)
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("label,two_s", [("up", 1), ("sym3", 1)])
+def test_cached_meshes_hold_no_grid_sized_array(label, two_s, capsys):
+    # a study and the grid subcommand evaluate fields, the 1/p0 weight
+    # and the standard state row by row: no mesh they leave cached holds
+    # an array of N^3 elements or more
+    rep = catalog.build(label, two_s)
+    _meshes.cache_clear()
+    assert _live_meshes() == []
+    study(rep, representative_relations(rep),
+          [Grid(L, n) for n in (17, 33, 65)], defects={})
+    assert _live_meshes() == [17, 33, 65]
+    _meshes.cache_clear()
+    # exit 1 is a failed row: N = 16 is too coarse for some slope bands
+    assert main(["grid", "--rep", label, "--two-s", str(two_s),
+                 "--n", "16,32,64", "--json"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["checks"]
+    assert _live_meshes() == [16, 32, 64]
 
 
 def test_working_set_guard_refuses_oversized_grids():
@@ -293,10 +383,11 @@ def test_working_set_guard_refuses_oversized_grids():
     default = [Grid(L, n) for n in (32, 64, 128)]
     big = [Grid(L, n) for n in (32, 64, 1024)]
     need = working_set_bytes(rep, default)
-    # the standard state at N = 128 is 64 MiB; the streamed study's
-    # arrays peak at about 203 MiB, the cached fields most of them
-    assert 200 * 2**20 < need < 260 * 2**20
-    assert working_set_bytes(rep, big) > 64 * 2**30
+    # no grid keeps a state or a field; the streamed study's arrays peak
+    # at about 48 MiB at N = 128, its windows most of them.  At N = 1024
+    # the bump and 1/p0 weight of the normalization, 8 GiB each, set it
+    assert 50 * 2**20 < need < 75 * 2**20
+    assert working_set_bytes(rep, big) == 16 * 2**30
     assert gridlab.memory_budget() is None or gridlab.memory_budget() > 0
     budget = 4 * 2**30
     check_working_set(rep, default, budget)
