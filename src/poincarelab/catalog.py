@@ -357,7 +357,7 @@ def _square(op: BlockOp) -> Scalar | None:
 
 
 def _signed_diag(op: ScalarOp, signs) -> BlockOp:
-    return BlockOp.diag([op if s > 0 else op.scale(-1) for s in signs])
+    return BlockOp.diag([op if s > 0 else -op for s in signs])
 
 
 _SPECTRA = {frozenset({1}): "up", frozenset({-1}): "down",
@@ -424,8 +424,13 @@ CATALOG: tuple[Entry, ...] = (
 _ENTRIES = {e.label: e for e in CATALOG}
 
 
+@lru_cache(maxsize=None)
 def _assemble(entry: Entry, two_s: int) -> RepSpec:
-    """Diagonal generators from the entry's signs, patterned discretes."""
+    """Diagonal generators from the entry's signs, patterned discretes.
+
+    One spec per (entry, two_s) in a process, so its squares and omega
+    are computed once; its operators are never changed after it is built
+    (dataclasses.replace makes a new spec)."""
     dim = two_s + 1
     signs = entry.signs
     return RepSpec(

@@ -68,6 +68,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -921,14 +922,17 @@ def _word_graph(components, halos: dict, rows: int, normed,
     ``_stream``), and the words read once, as a term, which go straight
     into their component.  ``halos`` maps each operator name to its
     axis-0 stencil reach in rows; ``normed`` holds the words whose norm
-    is wanted.  ``root``, if given, is the node of the empty word, the
-    state itself: it gets its readers, lead and keep in the same way."""
+    is wanted, and computed even if no component uses it.  ``root``, if
+    given, is the node of the empty word, the state itself: it gets its
+    readers, lead and keep in the same way."""
     words: dict[tuple, _Word] = {} if root is None else {(): root}
+    for word in chain((word for comp in components for _c, word in comp),
+                      normed):
+        for i in range(len(word)):
+            if word[i:] not in words:
+                words[word[i:]] = _Word(word[i:])
     for comp in components:
         for _c, word in comp:
-            for i in range(len(word)):
-                if word[i:] not in words:
-                    words[word[i:]] = _Word(word[i:])
             if word in words:
                 words[word].terms += 1
     order = sorted(words.values(), key=lambda w: len(w.word))
@@ -936,7 +940,7 @@ def _word_graph(components, halos: dict, rows: int, normed,
         if w.word and w.word[1:] in words:
             words[w.word[1:]].users.append(w)
         need = [-(-halos[u.word[0]] // rows) for u in w.users]
-        w.lead = max([0] * bool(w.terms)
+        w.lead = max([0] * (bool(w.terms) or w.word in normed)
                      + [u.lead + d for u, d in zip(w.users, need)])
         w.keep = max([0] * bool(w.terms) + [1] * (w.word in normed)
                      + [d - u.lead for u, d in zip(w.users, need)])
@@ -967,8 +971,9 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     whose field slabs span the levels of a step, so each range's fields
     and scaled fields are made once for every kernel that reads them.
     The norms are summed by ``_Norm`` as ``norm`` sums them, so they are
-    bit-identical to it.  ``normed`` maps words to None; those computed,
-    () for the state itself, get the norm of their applied state.
+    bit-identical to it.  ``normed`` maps words to None; each is computed,
+    whether or not a component uses it, and gets the norm of its applied
+    state, () that of the state itself.
     """
     g = state.grid
     n, mesh = g.points, _meshes(g)
@@ -976,6 +981,7 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     levels = _level_ranges(n, rows)
     used = {name: ops[name] for comp in components for _c, word in comp
             for name in word}
+    used.update((name, ops[name]) for word in normed for name in word)
     scaled = _Scaled(mesh)
     kernels = {name: _Kernel(op, mesh, g.spacing, n, name, scaled)
                for name, op in used.items()}
@@ -1232,7 +1238,8 @@ def study(rep: RepSpec, relation_ids, grids, *,
 
     ``defects``, if a dict, receives ``isometry_defect`` of the finest
     grid's standard state, with the norms of the state, Theta psi and
-    Pi psi taken from the plan where it computes them.
+    Pi psi taken from that grid's plan, which computes Theta psi and
+    Pi psi whether or not a relation applies them.
     """
     grids = _refining(grids)
     normed = {} if defects is None else dict.fromkeys([("Theta",), ("Pi",)])
@@ -1270,8 +1277,8 @@ def isometry_defect(rep: RepSpec, state: GridState) -> dict[str, float]:
 def _isometry(rep: RepSpec, state, normed: dict) -> dict[str, float]:
     """``isometry_defect``, reading the norms of the state (key ()),
     Theta psi and Pi psi from ``normed`` where a plan measured them on
-    this state.  ``state`` may be a ``Grid`` for its standard state, then
-    sampled whole only to apply an operator the plan did not."""
+    this state, which holds all three when ``state`` is a ``Grid`` (see
+    ``study``)."""
     base = normed.get(())
     if base is None:
         base = norm(state)
@@ -1279,8 +1286,6 @@ def _isometry(rep: RepSpec, state, normed: dict) -> dict[str, float]:
     for name, op in (("Theta", rep.theta), ("Pi", rep.pi)):
         applied = normed.get((name,))
         if applied is None:
-            if isinstance(state, Grid):
-                state = _standard(rep, state).sample()
             applied = norm(apply(op, state))
         out[name] = abs(applied - base) / base
     return out

@@ -42,7 +42,8 @@ _MEMO_SIZE entries:
 - Coefficient._deriv, by the coefficient and the axis;
 - _lift (a coefficient's numerator moved onto a larger denominator), by
   the coefficient and the two exponent steps;
-- ScalarOp._product and ScalarOp._adjoint, by the operands;
+- ScalarOp._product, by the operands' sign representatives (below), and
+  ScalarOp._adjoint, by the operand;
 - relation_residual (the relation verdict memo), by the block shape and
   one relation component as (weight, word) pairs, each word the tuple of
   BlockOps it names;
@@ -63,6 +64,24 @@ memoized result can be handed out again.  A spec altered with
 dataclasses.replace has operators of other values, so its rows are
 keys of their own.  clear_multiplication_cache empties all seven and
 cache_info reports their hits, misses and sizes.
+
+The operator product memo is sign-canonical.  ScalarOp.__mul__ writes
+each nonzero operand A as sigma * rep, sigma = +-1 and rep the one of
+{A, -A} whose leading rational is positive: the real part, or the
+imaginary part if that is 0, at the smallest radicand of the smallest
+monomial of the first nonzero entry (row-major) of the matrix at the
+smallest term key.  That is read from the value alone, so A and -A, in
+whatever objects, have one rep.  It multiplies the two reps through the
+memo and negates the product when the signs differ.  This is exact: +-1
+is real, so it commutes with d_j, Y and C, and (sigma A)(tau B) =
+sigma tau AB for antilinear and reflected terms too.  The negative-energy
+blocks of the catalog (P0 and K are minus those of a positive-energy
+block) thus reuse every product of the positive-energy ones.  Negation
+is cheap: a Coefficient and its negation, and a ScalarOp and its
+negation, each remember the other once either is negated, so a memoized
+product is negated, and an operator's rep built, once.  A pair that
+nothing else holds is a cycle the garbage collector frees, and leaves
+the hash-consing table with it.
 
 RelationSum sums weighted words of block operators, one relation
 component, without building a normal form for any partial sum.  Each
@@ -323,10 +342,10 @@ class Coefficient:
 
     Hash-consed: every constructor returns the one live object of its
     value (see _interned), so equality is identity and the hash is the
-    object's own.
+    object's own.  _neg is the negation, once it has been asked for.
     """
 
-    __slots__ = ("num", "a", "b", "__weakref__")
+    __slots__ = ("num", "a", "b", "_neg", "__weakref__")
 
     def __new__(cls, num: Poly, a: int = 0, b: int = 0):
         if a < 0 or b < 0:
@@ -395,7 +414,12 @@ class Coefficient:
         return self._combine(other, sub)
 
     def __neg__(self) -> "Coefficient":
-        return _interned(-self.num, self.a, self.b)
+        # the pair remember each other, so -(-c) is a slot read too
+        n = self._neg
+        if n is None:
+            n = _interned(-self.num, self.a, self.b)
+            self._neg, n._neg = n, self
+        return n
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         if self.is_zero() or other.is_zero():
@@ -504,7 +528,7 @@ def _interned(num: Poly, a: int, b: int) -> Coefficient:
     c = _INTERNED.get(key)
     if c is None:
         c = object.__new__(Coefficient)
-        c.num, c.a, c.b = num, a, b
+        c.num, c.a, c.b, c._neg = num, a, b, None
         _INTERNED[key] = c
     return c
 
@@ -529,6 +553,11 @@ _C_ONE = Coefficient.const(1)
 CoeffMatrix = tuple[tuple[Coefficient, ...], ...]
 
 
+def _negated(mat: CoeffMatrix) -> CoeffMatrix:
+    """-mat, reading each entry's negation from its partner once known."""
+    return tuple([tuple([x._neg or -x for x in row]) for row in mat])
+
+
 # -- scalar operators -----------------------------------------------------
 
 # term key: (alpha, upsilon, kappa) with alpha the derivative multi-index
@@ -543,7 +572,7 @@ class ScalarOp:
     M(p) d^alpha Y^u C^k in that factor order.
     """
 
-    __slots__ = ("dim", "terms", "_frozen")
+    __slots__ = ("dim", "terms", "_frozen", "_sign", "_neg")
 
     def __init__(self, dim: int, terms: dict[OpKey, CoeffMatrix] | None = None):
         self.dim = dim
@@ -554,6 +583,8 @@ class ScalarOp:
                     t[key] = mat
         self.terms = t
         self._frozen = None
+        self._sign = 0  # 0 until _signed reads it
+        self._neg = None
 
     # -- constructors ----------------------------------------------------
 
@@ -659,14 +690,22 @@ class ScalarOp:
             if key in out:
                 out[key] = mat_op(out[key], mat)
             else:
-                out[key] = mat if op is add else mat_map(neg, mat)
+                out[key] = mat if op is add else _negated(mat)
         return ScalarOp(self.dim, out)
 
     def __add__(self, other: "ScalarOp") -> "ScalarOp":
         return self._combine(other, add)
 
     def __neg__(self) -> "ScalarOp":
-        return ScalarOp(self.dim, {k: mat_map(neg, m) for k, m in self.terms.items()})
+        # built once: the pair remember each other, as coefficients do;
+        # the negation of a normal form is one, with no entry to drop
+        n = self._neg
+        if n is None:
+            n = ScalarOp(self.dim)
+            n.terms = {k: _negated(m) for k, m in self.terms.items()}
+            n._sign = -self._sign
+            self._neg, n._neg = n, self
+        return n
 
     def __sub__(self, other: "ScalarOp") -> "ScalarOp":
         return self._combine(other, sub)
@@ -687,7 +726,22 @@ class ScalarOp:
             raise ValueError("dimension mismatch")
         if not self.terms or not other.terms:
             return ScalarOp.zero(self.dim)
-        return self._product(other)
+        sa, a = self._signed()
+        sb, b = other._signed()
+        product = a._product(b)
+        return product if sa == sb else -product
+
+    def _signed(self) -> tuple[int, "ScalarOp"]:
+        """(sigma, rep) with self == sigma * rep and rep the one of
+        {self, -self} whose leading rational is positive (see the module
+        docstring).  Nonzero operators only; sigma is cached."""
+        if not self._sign:
+            mat = self.terms[min(self.terms)]
+            lead = next(x for row in mat for x in row if x.num.terms).num.terms
+            radicands = lead[min(lead)].terms
+            re, im = radicands[min(radicands)]
+            self._sign = 1 if (re or im) > 0 else -1
+        return (1, self) if self._sign > 0 else (-1, -self)
 
     @lru_cache(maxsize=_MEMO_SIZE)
     def _product(self, other: "ScalarOp") -> "ScalarOp":

@@ -126,28 +126,28 @@ def test_reflect_and_conjugate():
     assert Poly.sym("p0").reflect() == Poly.sym("p0")
 
 
-def _simple_coeff():
+def _simple_coeff(rng=RNG):
     # shapes that occur in the generators: low degree, small denominators
-    name = RNG.choice(["mu", "p1", "p2", "p3", "p0"])
-    num = Poly.sym(name).scale(Scalar.from_rational(RNG.randint(-2, 2) or 1,
-                                                    RNG.randint(-1, 1)))
-    if RNG.random() < 0.4:
-        num = num + Poly.const(rat(RNG.randint(-2, 2)))
-    c = Coefficient(num, RNG.randint(0, 1), RNG.randint(0, 1))
+    name = rng.choice(["mu", "p1", "p2", "p3", "p0"])
+    num = Poly.sym(name).scale(Scalar.from_rational(rng.randint(-2, 2) or 1,
+                                                    rng.randint(-1, 1)))
+    if rng.random() < 0.4:
+        num = num + Poly.const(rat(rng.randint(-2, 2)))
+    c = Coefficient(num, rng.randint(0, 1), rng.randint(0, 1))
     return c if not c.is_zero() else Coefficient.const(1)
 
 
-def _rand_scalar_op(dim, derivs=True, flips=False):
+def _rand_scalar_op(dim, derivs=True, flips=False, rng=RNG):
     op = ScalarOp.zero(dim)
-    for _ in range(RNG.randint(1, 2)):
+    for _ in range(rng.randint(1, 2)):
         alpha = [0, 0, 0]
-        if derivs and RNG.random() < 0.7:
-            alpha[RNG.randint(0, 2)] = 1
-        u = RNG.randint(0, 1) if flips else 0
-        k = RNG.randint(0, 1) if flips else 0
+        if derivs and rng.random() < 0.7:
+            alpha[rng.randint(0, 2)] = 1
+        u = rng.randint(0, 1) if flips else 0
+        k = rng.randint(0, 1) if flips else 0
         mat = tuple(
             tuple(
-                _simple_coeff() if RNG.random() < 0.7 else Coefficient.zero()
+                _simple_coeff(rng) if rng.random() < 0.7 else Coefficient.zero()
                 for _ in range(dim)
             )
             for _ in range(dim)
