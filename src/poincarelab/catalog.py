@@ -31,7 +31,10 @@ evaluator, summing each component once in a ``symop.RelationSum``, and
 by value (``symop.relation_residual``), keyed by the block shape and the
 operators its words name, so entries with equal generators share their
 rows, while a spec altered with dataclasses.replace, its operators of
-other values, gets rows of its own.
+other values, gets rows of its own.  The Pauli-Lubanski vector W0..W3 is
+formed the same way: each W is one flat sum of weighted words over the
+generators (``pauli_lubanski``), put in normal form once and memoized by
+the same memo, so entries with equal generators share their W too.
 """
 
 from __future__ import annotations
@@ -474,17 +477,21 @@ def enumerate_catalog(two_s: int = 0) -> list[RepSpec]:
 
 
 def pauli_lubanski(rep: RepSpec) -> tuple[BlockOp, BlockOp, BlockOp, BlockOp]:
-    """(W0, W1, W2, W3) with W0 = P.J and W_a = P0*J_a + (P x K)_a."""
-    w0 = BlockOp.zero(rep.blocks, rep.dim)
-    for pg, jg in zip(rep.p, rep.j):
-        w0 = w0 + pg * jg
-    ws = []
+    """(W0, W1, W2, W3) with W0 = P.J and W_a = P0*J_a + (P x K)_a.
+
+    Each W is one flat sum of weighted words, formed by
+    symop.relation_residual and so memoized by the operators' values:
+    entries with equal generators share their W.  A vanishing sum (W0 at
+    spin 0) is the zero BlockOp."""
+    words = [tuple((ONE, (p, j)) for p, j in zip(rep.p, rep.j))]
     for a in (1, 2, 3):
         b, c = _CYCLIC[a]
-        w = rep.p0 * rep.j[a - 1] + rep.p[b - 1] * rep.k[c - 1] \
-            - rep.p[c - 1] * rep.k[b - 1]
-        ws.append(w)
-    return (w0, ws[0], ws[1], ws[2])
+        words.append(((ONE, (rep.p0, rep.j[a - 1])),
+                      (ONE, (rep.p[b - 1], rep.k[c - 1])),
+                      (-ONE, (rep.p[c - 1], rep.k[b - 1]))))
+    ws = [relation_residual(rep.blocks, rep.dim, terms) for terms in words]
+    zero = BlockOp.zero(rep.blocks, rep.dim)
+    return tuple(zero if w is None else w for w in ws)
 
 
 _MU_SQUARED = Coefficient(Poly({(2, 0, 0, 0, 0): ONE}))
@@ -499,6 +506,9 @@ def operators(rep: RepSpec, names, q=None) -> dict[str, BlockOp]:
     Built from the fields on every call and never stored, so a spec
     altered with dataclasses.replace is evaluated as altered: the verdict
     and factor memos key on these operators' values, never on the spec.
+    W0..W3 are sums over the generators formed by the verdict memo
+    (``pauli_lubanski``), so they too are looked up by the values of the
+    fields, and an entry with equal generators gets the same objects.
     """
     ops = rep.generators()
     ops.update(Theta=rep.theta, Pi=rep.pi)

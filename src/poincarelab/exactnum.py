@@ -131,7 +131,11 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({n: (-re, -im) for n, (re, im) in self.terms.items()})
+        # a negation drops no term, so the terms go in untested
+        s = object.__new__(Scalar)
+        s.terms = {n: (-re, -im) for n, (re, im) in self.terms.items()}
+        s._hash = None
+        return s
 
     def __sub__(self, other):
         return self._combine(other, sub)

@@ -30,7 +30,8 @@ live object of that value, so equal coefficients are one object however
 they were built (A*B and B*A give the same entries).  Normal form being
 unique, that makes equality identity and the hash the object's own:
 Coefficient defines neither, and every dict, tuple and memo lookup on
-coefficients resolves in C.  Copies and pickles rebuild through the
+coefficients resolves in C.  The zero is one object too, _C_ZERO, so
+Coefficient.is_zero is an identity test.  Copies and pickles rebuild through the
 constructor, so they come back as the same object.  The table is weak, so a value nothing holds any more
 leaves it; cache_info reports its size.  Poly and Scalar stay compared
 structurally: they are built far more often than they are compared.
@@ -45,8 +46,9 @@ _MEMO_SIZE entries:
 - ScalarOp._product, by the operands' sign representatives (below), and
   ScalarOp._adjoint, by the operand;
 - relation_residual (the relation verdict memo), by the block shape and
-  one relation component as (weight, word) pairs, each word the tuple of
-  BlockOps it names;
+  one relation component, or one operator defined as a sum of words
+  (the Pauli-Lubanski vector), as (weight, word) pairs, each word the
+  tuple of BlockOps it names;
 - BlockOp.factor, by the operator and the given g, if any.
 
 The first five are reached only for nonzero operands.  The coefficient
@@ -92,15 +94,15 @@ i, j) collects its coefficients, the weights of equal ones (one object,
 matched by identity) summed, and
 when the sum is read the numerator of every coefficient of nonzero
 weight is lifted onto the entry's common denominator p0^a (mu+p0)^b, a
-and b the largest over those coefficients, and added into one flat map
-keyed by (entry, monomial, radicand) with Gaussian rational values.  The
-sum is exact: a reduced numerator A + B*p0 (A, B free of p0) vanishes on
-the shell iff A = B = 0, since p0 is not a rational function of mu and
-p, and the square roots of distinct squarefree integers are linearly
-independent over Q(i); so the sum is zero iff every value of the map is.
-A nonzero sum is turned back into a BlockOp, one Coefficient(numerator,
-a, b) per entry; normal form is unique, so that is the operator any
-other order of summing gives.
+and b the largest over those coefficients, and added, one entry at a
+time, into a flat map keyed by (monomial, radicand) with Gaussian
+rational values.  The sum is exact: a reduced numerator A + B*p0 (A, B
+free of p0) vanishes on the shell iff A = B = 0, since p0 is not a
+rational function of mu and p, and the square roots of distinct
+squarefree integers are linearly independent over Q(i); so an entry is
+zero iff every value of its map is.  A nonzero sum is turned back into a
+BlockOp, one Coefficient(numerator, a, b) per nonzero entry; normal form
+is unique, so that is the operator any other order of summing gives.
 """
 
 from __future__ import annotations
@@ -171,7 +173,11 @@ class Poly:
         return self._combine(other, add)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        # a negation drops no term, so the terms go in untested
+        p = object.__new__(Poly)
+        p.terms = {m: -c for m, c in self.terms.items()}
+        p._hash = None
+        return p
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self._combine(other, sub)
@@ -394,7 +400,8 @@ class Coefficient:
     # -- arithmetic ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        # hash-consed: every zero coefficient is the one _C_ZERO
+        return self is _C_ZERO
 
     def _combine(self, other: "Coefficient", op) -> "Coefficient":
         """self + other or self - other, as op is operator.add or sub, over
@@ -737,7 +744,7 @@ class ScalarOp:
         docstring).  Nonzero operators only; sigma is cached."""
         if not self._sign:
             mat = self.terms[min(self.terms)]
-            lead = next(x for row in mat for x in row if x.num.terms).num.terms
+            lead = next(x for row in mat for x in row if x is not _C_ZERO).num.terms
             radicands = lead[min(lead)].terms
             re, im = radicands[min(radicands)]
             self._sign = 1 if (re or im) > 0 else -1
@@ -1022,8 +1029,8 @@ class RelationSum:
     Each block entry (r, c, term key, spin entry i, j) maps every
     coefficient fed into it, by identity (which is value, coefficients
     being hash-consed), to its total weight (re, im), the
-    Gaussian rational re + i*im; the flat map is built when the sum is
-    read.
+    Gaussian rational re + i*im; each entry's flat map is built when the
+    sum is read.
     """
 
     __slots__ = ("blocks", "dim", "_entries")
@@ -1046,7 +1053,7 @@ class RelationSum:
             for key, mat in op.terms.items():
                 for i, row in enumerate(mat):
                     for j, x in enumerate(row):
-                        if x.num.terms:
+                        if x is not _C_ZERO:
                             pos = (r, c, key, i, j)
                             fed = entries.get(pos)
                             if fed is None:
@@ -1081,21 +1088,22 @@ class RelationSum:
                         if y.terms:
                             yield r, c, x * y
 
-    def _flat(self) -> tuple[dict, dict]:
-        """The denominator (a, b) of each entry and the flat map
-        (entry, monomial, radicand) -> (re, im) of the numerators."""
-        dens, values = {}, {}
+    def _numerators(self):
+        """(entry, (a, b), numerator) for each entry whose sum is nonzero,
+        the numerator {monomial: {radicand: (re, im)}} over the entry's
+        common denominator p0^a (mu+p0)^b, built from the entry's own flat
+        map (monomial, radicand) -> (re, im)."""
         for pos, fed in self._entries.items():
             live = [(x, re, im) for x, (re, im) in fed.items() if re or im]
             if not live:
                 continue
             a = max(x.a for x, _re, _im in live)
             b = max(x.b for x, _re, _im in live)
-            dens[pos] = (a, b)
+            values = {}
             for x, re, im in live:
                 for mono, s in x.lifted(a, b).terms.items():
                     for n, (sr, si) in s.terms.items():
-                        key = (pos, mono, n)
+                        key = (mono, n)
                         # most weights are real or imaginary units; the
                         # products they skip are in Python for Fractions
                         if not im:
@@ -1107,26 +1115,26 @@ class RelationSum:
                         prev = values.get(key)
                         values[key] = (vr, vi) if prev is None else \
                             (prev[0] + vr, prev[1] + vi)
-        return dens, values
+            num: dict[Mono, dict] = {}
+            for (mono, n), (re, im) in values.items():
+                if re or im:
+                    num.setdefault(mono, {})[n] = (_canon(re), _canon(im))
+            if num:
+                yield pos, (a, b), num
 
     def is_zero(self) -> bool:
-        return not any(re or im for re, im in self._flat()[1].values())
+        return next(self._numerators(), None) is None
 
     def block_op(self) -> BlockOp:
         """The sum in normal form."""
-        dens, values = self._flat()
-        nums: dict[tuple, dict[Mono, dict]] = {}
-        for (pos, mono, n), (re, im) in values.items():
-            if re or im:
-                nums.setdefault(pos, {}).setdefault(mono, {})[n] = (
-                    _canon(re), _canon(im))
         dim = self.dim
         terms = [[{} for _c in range(self.blocks)] for _r in range(self.blocks)]
-        for pos, num in nums.items():
-            r, c, key, i, j = pos
+        for (r, c, key, i, j), den, num in self._numerators():
             mat = terms[r][c].setdefault(key, [[_C_ZERO] * dim for _ in range(dim)])
             mat[i][j] = Coefficient(
-                Poly({m: Scalar(t) for m, t in num.items()}), *dens[pos])
+                Poly({m: Scalar(t) for m, t in num.items()}), *den)
+        if not any(t for row in terms for t in row):
+            return BlockOp.zero(self.blocks, dim)
         return BlockOp([
             [ScalarOp(dim, {key: tuple(map(tuple, mat)) for key, mat in t.items()})
              for t in row]
@@ -1137,11 +1145,18 @@ class RelationSum:
 def relation_residual(blocks: int, dim: int, terms) -> BlockOp | None:
     """None if the sum of weight * word over terms vanishes, else the sum
     in normal form: terms are (Gaussian rational, tuple of BlockOps)
-    pairs, summed once in a RelationSum.  Memoized by value."""
+    pairs, summed once in a RelationSum.  Memoized by value.
+
+    The sum is an operator in its own right, so besides a relation's
+    residual this forms operators defined as sums of words, each lifted
+    to one common denominator per entry and normalized once: the
+    catalog's Pauli-Lubanski vector W0..W3 (catalog.pauli_lubanski),
+    whose vanishing W0 at spin 0 comes back as None."""
     acc = RelationSum(blocks, dim)
     for weight, word in terms:
         acc.add(weight, word)
-    return None if acc.is_zero() else acc.block_op()
+    total = acc.block_op()  # each entry's flat map is built once
+    return None if total.is_zero() else total
 
 
 # -- memos -----------------------------------------------------------------

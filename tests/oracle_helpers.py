@@ -7,7 +7,8 @@ The spin identities, the lift of a commutant matrix to an operator and
 the change of basis of a commutant problem are checks of the engine
 that only the tests call, so they live here too, and so does the
 pairwise BlockOp sum of a relation component, the oracle of
-symop.RelationSum, the whole-state evaluation of grid residuals, the
+symop.RelationSum, the chained-sum Pauli-Lubanski vector, the oracle of
+catalog.pauli_lubanski, the whole-state evaluation of grid residuals, the
 oracle of gridlab's streamed study, and the structural equality of
 coefficients, the oracle of their hash-consing, with the structural
 snapshot that shows an operand written into.
@@ -222,6 +223,19 @@ def pairwise_violation(rel, ops) -> str:
         if not acc.is_zero():
             return f"component {idx}: residual {_truncate(repr(acc))}"
     return ""
+
+
+def chained_pauli_lubanski(rep):
+    """(W0, W1, W2, W3) as chained BlockOp sums, every partial sum in
+    normal form: the oracle of catalog.pauli_lubanski."""
+    w0 = BlockOp.zero(rep.blocks, rep.dim)
+    for pg, jg in zip(rep.p, rep.j):
+        w0 = w0 + pg * jg
+    ws = [w0]
+    for a, (b, c) in ((1, (2, 3)), (2, (3, 1)), (3, (1, 2))):
+        ws.append(rep.p0 * rep.j[a - 1] + rep.p[b - 1] * rep.k[c - 1]
+                  - rep.p[c - 1] * rep.k[b - 1])
+    return tuple(ws)
 
 
 def whole_state_norms(ops, state, components, normed=None):

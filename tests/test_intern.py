@@ -118,3 +118,37 @@ def test_the_table_is_weak():
     symop.clear_multiplication_cache()
     gc.collect()
     assert cache_info()["interned_coefficients"] == before
+
+
+_polys = st.dictionaries(_monos, _scalars, max_size=3).map(Poly)
+
+
+@SETTINGS
+@given(_scalars, _polys, coefficients)
+def test_negation_is_scaling_by_minus_one(s, p, x):
+    # Scalar and Poly negations skip the zero-term test, which no negated
+    # term can fail
+    for v, negated, scaled in ((s, -s, s * -1), (p, -p, p.scale(-1)),
+                               (x, -x, x.scale(-1))):
+        assert negated == scaled and -negated == v
+    assert all(re or im for re, im in (-s).terms.values())
+    assert all((-p).terms.values())
+    assert all((-x).num.terms.values())
+    assert -x is x.scale(-1) and -(-x) is x
+
+
+def test_every_route_to_zero_is_the_one_zero():
+    # Coefficient.is_zero reads identity with symop._C_ZERO, so each zero
+    # must be that object, whatever built it
+    zero = symop._C_ZERO
+    y = X.reflect().scale(I)
+    routes = [Coefficient(Poly()), Coefficient(Poly(), 2, 1), Coefficient.zero(),
+              Coefficient.const(0), X - X, X + -X, y - y, -X + X, X * zero,
+              zero * X, X.scale(0), X.scale(rat(0)), -zero, zero.scale(rat(5)),
+              zero.conjugate(), zero.reflect(), Coefficient.const(rat(7, 3)).deriv(2),
+              Coefficient.sym("mu").deriv(1), Coefficient.sym("p2").deriv(1),
+              zero.deriv(3)]
+    for z in routes:
+        assert z is zero and z.is_zero()
+    nonzero = [X, -X, X.scale(I), X.conjugate(), X.reflect(), X.deriv(1), X * X]
+    assert not any(c.is_zero() for c in nonzero)

@@ -2,13 +2,19 @@
 BlockOp.factor) are keyed by value: a warm memo gives every verdict a
 cold one gives, entries with equal operators share their rows and
 factorizations, and equal operators held in distinct objects get the
-identical result.
+identical result.  The Pauli-Lubanski vector is formed by the same memo:
+W must equal the chained BlockOp sums of oracle_helpers, W0 must be the
+zero operator at spin 0, an altered spec must get a W of its own, and an
+entry with equal generators must form no new sum.
 """
 
 import dataclasses
 
+import pytest
+
+from oracle_helpers import chained_pauli_lubanski
 from poincarelab import catalog, commutant, localization
-from poincarelab.catalog import boost_op, build, momentum_op
+from poincarelab.catalog import boost_op, build, momentum_op, pauli_lubanski
 from poincarelab.exactnum import I, ONE, Scalar, ZERO
 from poincarelab.symop import (
     BlockOp, Coefficient, Poly, ScalarOp, cache_info, clear_multiplication_cache,
@@ -122,3 +128,39 @@ def test_equal_values_share_one_result():
     assert residual is relation_residual(2, 2, ((ONE, (b,)), (ONE, (b,))))
     assert residual == a.scale(2)
     assert relation_residual(2, 2, ((ONE, (a,)), (-ONE, (b,)))) is None
+
+
+@pytest.mark.parametrize("two_s", [0, 1, 2])
+def test_pauli_lubanski_matches_the_chained_sums(two_s):
+    clear_multiplication_cache()
+    for rep in catalog.enumerate_catalog(two_s):
+        w = pauli_lubanski(rep)
+        assert w == chained_pauli_lubanski(rep), rep.label
+        if two_s == 0:
+            # P.J = P.(-i p x grad) vanishes without spin
+            assert w[0] == BlockOp.zero(rep.blocks, rep.dim)
+        else:
+            assert not any(wa.is_zero() for wa in w)
+
+
+def test_pauli_lubanski_of_an_altered_spec_is_its_own():
+    rep = build("sym1", 1)
+    bad = dataclasses.replace(rep, k=(rep.k[0], rep.k[1] + rep.p[0], rep.k[2]))
+    w, w_bad = pauli_lubanski(rep), pauli_lubanski(bad)
+    assert w_bad == chained_pauli_lubanski(bad)
+    # W0 = P.J reads no K and W2 reads K1 and K3; W1 and W3 read K2
+    assert [a == b for a, b in zip(w, w_bad)] == [True, False, True, False]
+    assert not catalog.verify_casimirs(bad).all_passed()
+    assert pauli_lubanski(rep) == w
+
+
+def test_equal_generators_share_their_pauli_lubanski_sums():
+    # sym1 and sym2 have equal P0, P, J and K
+    clear_multiplication_cache()
+    w = pauli_lubanski(build("sym1", 2))
+    before = cache_info()["relation_verdict"]
+    assert before.misses == 4
+    w_other = pauli_lubanski(build("sym2", 2))
+    after = cache_info()["relation_verdict"]
+    assert (after.hits - before.hits, after.misses) == (4, before.misses)
+    assert all(a is b for a, b in zip(w, w_other))
