@@ -27,14 +27,15 @@ over "adjoint(G)", the formal adjoint of G) and the position axioms
 (words over Q1..Q3).  ``operators`` maps names to operators, read from
 the spec's fields on every call; ``verify_relations`` is the one exact
 evaluator, summing each component once in a ``symop.RelationSum``, and
-``gridlab.residual`` the numeric one.  A component's verdict is memoized
-by value (``symop.relation_residual``), keyed by the block shape and the
-operators its words name, so entries with equal generators share their
-rows, while a spec altered with dataclasses.replace, its operators of
-other values, gets rows of its own.  The Pauli-Lubanski vector W0..W3 is
-formed the same way: each W is one flat sum of weighted words over the
-generators (``pauli_lubanski``), put in normal form once and memoized by
-the same memo, so entries with equal generators share their W too.
+``gridlab.study``'s streamed plan the numeric one.  A component's
+verdict is memoized by value (``symop.relation_residual``), keyed by the
+block shape and the operators its words name, so entries with equal
+generators share their rows, while a spec altered with
+dataclasses.replace, its operators of other values, gets rows of its
+own.  The Pauli-Lubanski vector W0..W3 is formed the same way: each W is
+one flat sum of weighted words over the generators (``pauli_lubanski``),
+put in normal form once and memoized by the same memo, so entries with
+equal generators share their W too.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Subcommands run the symbolic suites, the commutant solver, the spectrum
 classification table, and the numerical grid studies, and render one
 report as text or JSON.  Exit code 0 means every check passed (recorded
 rows do not fail a run), 1 means at least one check failed, 2 means the
-invocation itself was invalid, 3 means an internal invariant broke (an
-AssertionError in the laboratory itself, not a failed check).
+invocation itself was invalid (an ``--out`` file that cannot be written
+included), 3 means an internal invariant broke (an AssertionError in the
+laboratory itself, not a failed check).
 """
 
 from __future__ import annotations
@@ -272,7 +273,12 @@ def main(argv=None) -> int:
     )
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     return 0 if report.all_passed() else 1
 
 

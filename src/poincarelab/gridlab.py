@@ -38,28 +38,30 @@ relations is computed once per grid, on rows only, from the rows of its
 suffix.  A word read again keeps a window of its rows as deep as its
 readers' axis-0 stencils reach, summed along each chain of readers; a
 word used once, as a term, is written or added straight into its
-component's rows.  The standard state is the plan's word (): its rows
-are evaluated from its Gaussian factors as the plan goes and kept in a
-window like any other word's.  So no array of the grid's size is made
-but the bump and 1/p0 weight that normalize the state once per grid,
-freed before the plan starts.  Each finished slab of a component takes
-its norm partials, summed at the end in the slab-then-component order
-of a whole-state norm, so residuals are bit-identical to evaluating
-each relation alone with whole applied states.  The plan takes the
-state's own norm too, and on the finest grid the norms of its
-Theta psi and Pi psi for the isometry rows.  ``grid --rep up --two-s 1``
-at N = 32, 64, 128 computes its 74 distinct words once on each grid
-(222 words, against 251 applies when at most three states could stay
-and 356 when every relation ran alone) in about 3.4 s of wall time on
-a 2-core Xeon VM, with a peak RSS of 81 MiB.
+component's rows.  The state is the plan's word (), a row source whose
+rows are kept in a window like any other word's: the standard state's
+Gaussian factors, evaluated as the plan goes, or a caller's
+``GridState``, its rows copied out.  So a study makes no array of the
+grid's size but the bump and 1/p0 weight that normalize the state once
+per grid, freed before the plan starts.  Each finished slab of a
+component takes its norm partials, summed at the end in the
+slab-then-component order of a whole-state norm, so residuals are
+bit-identical to evaluating each relation alone with whole applied
+states.  The plan takes the state's own norm too, and for the isometry
+rows (``isometry_defect``, and a study's finest grid) the norms of Theta
+psi and Pi psi.  ``grid --rep up --two-s 1`` at N = 32, 64, 128 computes
+its 74 distinct words once on each grid (222 words, against 251 applies
+when at most three states could stay and 356 when every relation ran
+alone) in about 3.4 s of wall time on a 2-core Xeon VM, with a peak RSS
+of 81 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
 derivative-bearing relations converge at the stencil order (slope 2 in
 log-residual vs log-spacing).  Relations are the rows of the catalog's
-relation table, found by name: ``residual`` applies each word of a row
-to a state, right to left, and the grid ids are the same names the
-exact reports use (Lie, discrete and both Casimirs).
+relation table, found by name: the plan applies each word of a row to
+a state, right to left, and the grid ids are the same names the exact
+reports use (Lie, discrete and both Casimirs).
 """
 
 from __future__ import annotations
@@ -190,12 +192,6 @@ class _Mesh:
         return [(key, complex(s.to_complex()) * self.mu ** e)
                 for key, e, s in _field_terms(c)]
 
-    def expand(self, c: Coefficient) -> list[tuple]:
-        """c as a list of (basis field on every row, or None for 1;
-        scalar): the whole-array form of ``terms``."""
-        return [(None if key is None else self.field(key), s)
-                for key, s in self.terms(c)]
-
 
 def _field_terms(c: Coefficient):
     """c's terms as (basis field key or None for 1, power of mu, scalar)."""
@@ -242,6 +238,10 @@ class GridState:
             object.__setattr__(state, name, value)
         return state
 
+    def rows(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Rows lo:hi into ``out``, as ``_Gaussian.rows`` gives them."""
+        np.copyto(out, np.moveaxis(self.values, -1, 1)[:, :, lo:hi])
+
 
 def _components(values: np.ndarray):
     """The (N, N, N) spin components of every block."""
@@ -264,15 +264,6 @@ def inner(a: GridState, b: GridState) -> complex:
         for x, y in zip(_components(a.values), _components(b.values))
     )
     return complex(total) * a.grid.spacing**3
-
-
-def norm(state: GridState) -> float:
-    """The weighted norm, summed slab by slab (``_Norm``)."""
-    g = state.grid
-    total = _Norm(g.points, partial(_meshes(g).field, _INV_P0))
-    total.rows = _Rows.whole(state.values)
-    total.flush(g.points)
-    return total.value(g.spacing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -858,9 +849,8 @@ class _Norm:
     shrinking from both ends as the levels close in.  Each slab's
     per-component partials are computed once all its rows are in, and
     summed at the end in slab-then-component order, so the norm is
-    bit-identical to ``norm`` of the whole state, which is one
-    ``_Norm`` flushed at once.  Chunks are let go once every slab they
-    touch is summed.
+    bit-identical to one ``_Norm`` of the whole state flushed at once.
+    Chunks are let go once every slab they touch is summed.
     """
 
     def __init__(self, n: int, weight):
@@ -953,27 +943,29 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     """The norm of each component (a sum of terms) on one state, every
     word computed once, row by row.
 
-    ``state`` is a ``GridState``, or a ``_Gaussian`` whose rows are
-    evaluated as the plan goes: then the state is the word () and keeps
-    a window of its rows like any stored word.  The grid's levels
-    (``_level_ranges``) are walked from the faces in: a slab of rows
-    together with its mirror, so a reflected read lands on rows that the
-    same step computes.  A word with one use, as a term, has its rows
-    written or added straight into its component's rows; every other
-    word keeps a window of its rows.  A word read by an operator whose
-    stencil reaches d levels is computed d levels ahead of its reader
-    (its ``lead``, summed along each chain of readers) and kept for d
-    levels after (``keep``), so a level of a word is dropped once its
-    last reader has run over it.  Each step computes the words shortest
-    first, each from the rows of its suffix, then the components' rows
-    in their terms' order with the same elementwise operations as
-    summing whole applied states.  The kernels share one ``_Buffers``,
-    whose field slabs span the levels of a step, so each range's fields
-    and scaled fields are made once for every kernel that reads them.
-    The norms are summed by ``_Norm`` as ``norm`` sums them, so they are
-    bit-identical to it.  ``normed`` maps words to None; each is computed,
-    whether or not a component uses it, and gets the norm of its applied
-    state, () that of the state itself.
+    ``state`` is a row source: ``grid``, ``blocks``, ``spin`` and
+    ``rows(lo, hi, out)``, which writes its rows lo:hi into ``out`` (a
+    ``_Gaussian`` or a ``GridState``).  It is the word (), whose rows
+    are taken as the plan goes and kept in a window like any stored
+    word's.  The grid's levels (``_level_ranges``) are walked from the
+    faces in: a slab of rows together with its mirror, so a reflected
+    read lands on rows that the same step computes.  A word with one
+    use, as a term, has its rows written or added straight into its
+    component's rows; every other word keeps a window of its rows.  A
+    word read by an operator whose stencil reaches d levels is computed
+    d levels ahead of its reader (its ``lead``, summed along each chain
+    of readers) and kept for d levels after (``keep``), so a level of a
+    word is dropped once its last reader has run over it.  Each step
+    computes the words shortest first, each from the rows of its suffix,
+    then the components' rows in their terms' order with the same
+    elementwise operations as summing whole applied states.  The kernels
+    share one ``_Buffers``, whose field slabs span the levels of a step,
+    so each range's fields and scaled fields are made once for every
+    kernel that reads them.  The norms are summed slab by slab
+    (``_Norm``), so they are bit-identical to whole-state norms.
+    ``normed`` maps words to None; each is computed, whether or not a
+    component uses it, and gets the norm of its applied state, () that
+    of the state itself.
     """
     g = state.grid
     n, mesh = g.points, _meshes(g)
@@ -982,6 +974,9 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     used = {name: ops[name] for comp in components for _c, word in comp
             for name in word}
     used.update((name, ops[name]) for word in normed for name in word)
+    if any((op.blocks, op.dim) != (state.blocks, state.spin.dim)
+           for op in used.values()):
+        raise ValueError("operator shape does not match the state")
     scaled = _Scaled(mesh)
     kernels = {name: _Kernel(op, mesh, g.spacing, n, name, scaled)
                for name, op in used.items()}
@@ -991,22 +986,16 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
         normed, root)
     stored = [w for w in order if w.word not in direct]
     lead = max((w.lead for w in stored), default=0)
-    if isinstance(state, GridState):
-        root.rows = _Rows.whole(state.values)
-    else:
-        stored.insert(0, root)
-    source = {w.word: w.rows for w in (root, *stored)}
+    stored.insert(0, root)
+    source = {w.word: w.rows for w in stored}
     shape = (state.blocks, state.spin.dim)
     bufs = _Buffers(n, min(2 * rows, n),
                     max((k.halo for k in kernels.values()), default=0),
                     scaled.full, shape, 2 * (lead + 1))
     weight = partial(bufs.base, mesh, _INV_P0)
-    measured = [w for w in dict.fromkeys((root, *stored))
-                if w.word in normed]
+    measured = [w for w in stored if w.word in normed]
     for word in measured:
         word.norm = _Norm(n, weight)
-    if root.norm is not None and root not in stored:
-        root.norm.rows.chunks = list(root.rows.chunks)
     norms = [_Norm(n, weight) for _ in components]
     sums = [[(i, coeff, coeff.to_complex(), word)
              for i, (coeff, word) in enumerate(comp)] for comp in components]
@@ -1067,10 +1056,9 @@ def _residuals(rep: RepSpec, relation_ids, state,
                normed: dict | None = None) -> list[float]:
     """Residual of each relation on one state, from one streamed plan
     (``_stream``): a word shared by several relations is computed once.
-    ``state`` is a ``GridState``, or a ``Grid`` for its standard state,
-    which the plan evaluates row by row (``_standard``).  The plan also
-    takes the state's own norm.  ``normed`` (see ``_stream``) gets the
-    norms of the wanted words the plan computes, and of ()."""
+    ``state`` is a row source (see ``_stream``), read row by row.  The
+    plan also takes the state's own norm.  ``normed`` (see ``_stream``)
+    gets the norms of the wanted words the plan computes, and of ()."""
     table = {r.name: r for r in relations(rep)}
     rels = []
     for rid in relation_ids:
@@ -1082,30 +1070,24 @@ def _residuals(rep: RepSpec, relation_ids, state,
                              f"{rel.inadmissible}")
         rels.append(rel)
     comps = [comp for rel in rels for comp in rel.components]
-    if isinstance(state, Grid):
-        state = _standard(rep, state)
     normed = {} if normed is None else normed
     normed[()] = None
     norms = iter(_stream(operators(rep, word_names(rels)), state, comps,
                          normed))
     base = normed[()]
-    out = []
-    for rel in rels:
-        worst = 0.0
-        for _comp in rel.components:
-            worst = max(worst, next(norms) / base)
-        out.append(worst)
-    return out
+    return [max(next(norms) / base for _comp in rel.components)
+            for rel in rels]
 
 
 def residual(rep: RepSpec, relation_id: str, state: GridState) -> float:
     """Relative dnu-norm residual of one relation applied to a state.
 
-    Each word acts right to left.  A suffix shared by several words of
-    the relation (Theta psi across the components of an exchange
-    relation) is computed once, row by row, and each row is dropped
-    after its last use.  Terms add up in the order written, +-1
-    coefficients as + and -; the worst component counts.
+    The streamed plan (``_residuals``) reads the state's rows; each word
+    acts right to left.  A suffix shared by several words of the
+    relation (Theta psi across the components of an exchange relation)
+    is computed once, row by row, and each row is dropped after its last
+    use.  Terms add up in the order written, +-1 coefficients as + and
+    -; the worst component counts.
     """
     return _residuals(rep, [relation_id], state)[0]
 
@@ -1237,17 +1219,16 @@ def study(rep: RepSpec, relation_ids, grids, *,
     log of a zero residual) and fail the study.
 
     ``defects``, if a dict, receives ``isometry_defect`` of the finest
-    grid's standard state, with the norms of the state, Theta psi and
-    Pi psi taken from that grid's plan, which computes Theta psi and
-    Pi psi whether or not a relation applies them.
+    grid's standard state, from the norms that grid's plan takes: it
+    computes Theta psi and Pi psi whether or not a relation applies them.
     """
     grids = _refining(grids)
     normed = {} if defects is None else dict.fromkeys([("Theta",), ("Pi",)])
-    per_grid = [_residuals(rep, relation_ids, g,
+    per_grid = [_residuals(rep, relation_ids, _standard(rep, g),
                            normed if g is grids[-1] else None)
                 for g in grids]
     if defects is not None:
-        defects.update(_isometry(rep, grids[-1], normed))
+        defects.update(_isometry(normed))
     return [_fit(rid, grids, [res[i] for res in per_grid])
             for i, rid in enumerate(relation_ids)]
 
@@ -1270,23 +1251,17 @@ def representative_relations(rep: RepSpec) -> list[str]:
 
 
 def isometry_defect(rep: RepSpec, state: GridState) -> dict[str, float]:
-    """Relative norm change under Theta and Pi (0 for exact isometries)."""
-    return _isometry(rep, state, {})
+    """Relative norm change under Theta and Pi (0 for exact isometries),
+    from the norms one streamed plan (``_stream``) of no components takes."""
+    normed = dict.fromkeys([(), ("Theta",), ("Pi",)])
+    _stream({"Theta": rep.theta, "Pi": rep.pi}, state, [], normed)
+    return _isometry(normed)
 
 
-def _isometry(rep: RepSpec, state, normed: dict) -> dict[str, float]:
-    """``isometry_defect``, reading the norms of the state (key ()),
-    Theta psi and Pi psi from ``normed`` where a plan measured them on
-    this state, which holds all three when ``state`` is a ``Grid`` (see
-    ``study``)."""
-    base = normed.get(())
-    if base is None:
-        base = norm(state)
-    out = {}
-    for name, op in (("Theta", rep.theta), ("Pi", rep.pi)):
-        applied = normed.get((name,))
-        if applied is None:
-            applied = norm(apply(op, state))
-        out[name] = abs(applied - base) / base
-    return out
+def _isometry(normed: dict) -> dict[str, float]:
+    """The isometry defects from the norms a plan measured: of the state
+    (key ()), of Theta psi and of Pi psi."""
+    base = normed[()]
+    return {name: abs(normed[(name,)] - base) / base
+            for name in ("Theta", "Pi")}
 

@@ -8,11 +8,14 @@ the change of basis of a commutant problem are checks of the engine
 that only the tests call, so they live here too, and so does the
 pairwise BlockOp sum of a relation component, the oracle of
 symop.RelationSum, the chained-sum Pauli-Lubanski vector, the oracle of
-catalog.pauli_lubanski, the whole-state evaluation of grid residuals, the
+catalog.pauli_lubanski, the whole-state evaluation of grid residuals
+with the whole-state norm and coefficient field expansion it uses, the
 oracle of gridlab's streamed study, and the structural equality of
 coefficients, the oracle of their hash-consing, with the structural
 snapshot that shows an operand written into.
 """
+
+from functools import partial
 
 import sympy as sp
 
@@ -238,12 +241,34 @@ def chained_pauli_lubanski(rep):
     return tuple(ws)
 
 
+def norm(state):
+    """gridlab's weighted norm of a whole state: one ``gridlab._Norm``
+    over every row, summed slab by slab and flushed at once, the sum
+    the streamed plan's norms must equal bit for bit."""
+    from poincarelab import gridlab
+
+    g = state.grid
+    total = gridlab._Norm(
+        g.points, partial(gridlab._meshes(g).field, gridlab._INV_P0))
+    total.rows = gridlab._Rows.whole(state.values)
+    total.flush(g.points)
+    return total.value(g.spacing)
+
+
+def expand(mesh, c):
+    """Coefficient c on a grid's mesh as a list of (basis field on every
+    row, or None for 1; scalar): the whole-array form of
+    ``gridlab._Mesh.terms``."""
+    return [(None if key is None else mesh.field(key), s)
+            for key, s in mesh.terms(c)]
+
+
 def whole_state_norms(ops, state, components, normed=None):
     """The norm of each component (a sum of terms) on a grid state, with
     every word applied to whole states by gridlab.apply: each distinct
     word of a component once, right to left, the terms summed as whole
     arrays in the order written (+-1 coefficients as + and -) and the sum
-    normed by gridlab.norm.  ``normed`` maps words to None; those applied
+    normed by ``norm``.  ``normed`` maps words to None; those applied
     get the norm of their state."""
     from poincarelab import gridlab
 
@@ -269,18 +294,28 @@ def whole_state_norms(ops, state, components, normed=None):
                 acc -= values
             else:
                 acc += values * coeff.to_complex()
-        out.append(gridlab.norm(gridlab.GridState(
+        out.append(norm(gridlab.GridState(
             acc, state.grid, state.spin, state.blocks)))
         for word in normed or ():
             if word in applied:
-                normed[word] = gridlab.norm(applied[word])
+                normed[word] = norm(applied[word])
     return out
+
+
+def whole_state_isometry(rep, state):
+    """gridlab.isometry_defect from whole states: |norm(Theta psi) -
+    norm(psi)| / norm(psi), and the same for Pi, each applied state made
+    by gridlab.apply and normed by ``norm``."""
+    from poincarelab import gridlab
+
+    base = norm(state)
+    return {name: abs(norm(gridlab.apply(op, state)) - base) / base
+            for name, op in (("Theta", rep.theta), ("Pi", rep.pi))}
 
 
 def whole_state_residuals(rep, relation_ids, state, normed=None):
     """gridlab residuals from ``whole_state_norms``: the worst component
     norm of each relation over the norm of the state."""
-    from poincarelab import gridlab
     from poincarelab.catalog import operators, relations, word_names
 
     table = {r.name: r for r in relations(rep)}
@@ -288,7 +323,7 @@ def whole_state_residuals(rep, relation_ids, state, normed=None):
     ops = operators(rep, word_names(rels))
     norms = iter(whole_state_norms(
         ops, state, [c for rel in rels for c in rel.components], normed))
-    base = gridlab.norm(state)
+    base = norm(state)
     out = []
     for rel in rels:
         worst = 0.0

@@ -100,6 +100,21 @@ def test_out_file_json(tmp_path, capsys):
     assert doc["schema"] == 1
 
 
+def test_unwritable_out_is_an_invalid_invocation(tmp_path):
+    # exit 1 means a check failed; a report that cannot be written is an
+    # invalid invocation (2), told in one line without a traceback
+    target = tmp_path / "missing" / "x.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "poincarelab.cli", "classify", "--out",
+         str(target)], capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: cannot write --out {target}: ")
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert not target.exists()
+
+
 def test_catalog_row_counts(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracle_helpers import expand
 
 from poincarelab import catalog, gridlab
 from poincarelab.gridlab import (
@@ -99,7 +100,7 @@ def whole_array_apply(op, state, term_into=_scaled_term):
                         x = x[::-1, ::-1, ::-1]
                     for m, c in column:
                         dst = out[br, ..., m]
-                        for field, s in mesh.expand(c):
+                        for field, s in expand(mesh, c):
                             if (br, m) in written:
                                 term_into(scratch, x, field, s * step, k)
                                 dst += scratch

@@ -15,7 +15,9 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
-from oracle_helpers import whole_state_norms, whole_state_residuals
+from oracle_helpers import (
+    norm, whole_state_isometry, whole_state_norms, whole_state_residuals,
+)
 
 from poincarelab import catalog, gridlab
 from poincarelab.cli import main
@@ -30,7 +32,6 @@ from poincarelab.gridlab import (
     convergence_study,
     inner,
     isometry_defect,
-    norm,
     relation_ids,
     representative_relations,
     residual,
@@ -275,7 +276,7 @@ def test_field_cache_lives_and_dies_with_the_mesh():
             assert np.array_equal(_bits(mesh.field(key, lo, hi)),
                                   _bits(rows)), (key, lo, hi)
     residual(rep, "[K1,P1] == i*P0", standard_state(rep, g))
-    gridlab._residuals(rep, ["[K1,P1] == i*P0"], g)
+    gridlab._residuals(rep, ["[K1,P1] == i*P0"], gridlab._standard(rep, g))
     cached = weakref.ref(mesh)
     factors = weakref.ref(mesh.gaussians[rep.two_s, rep.blocks])
     state = weakref.ref(mesh.states[rep.two_s, rep.blocks])
@@ -447,6 +448,22 @@ def test_rotation_expectation_defect_is_second_order():
     assert 3.2 < ratio < 5.0
 
 
+@pytest.mark.parametrize("rep_of,state_of", [
+    (("up", 1), ("up", 0)),  # 2s+1 = 2 against 1
+    (("up", 0), ("quad:+1", 0)),  # 1 block against 4
+])
+def test_plan_rejects_a_state_of_another_shape(rep_of, state_of):
+    # a state whose blocks or spin columns differ from the operators'
+    # is refused, not read short (an IndexError) or in part (a residual
+    # that leaves out the extra blocks)
+    rep = catalog.build(*rep_of)
+    st = standard_state(catalog.build(*state_of), Grid(L, 16))
+    with pytest.raises(ValueError, match="does not match the state"):
+        residual(rep, "[K1,P1] == i*P0", st)
+    with pytest.raises(ValueError, match="does not match the state"):
+        isometry_defect(rep, st)
+
+
 def test_residual_rejects_unknown_relation(monkeypatch):
     rep = catalog.build("up", 0)
     st = standard_state(rep, Grid(L, 16))
@@ -571,18 +588,25 @@ def test_streamed_plan_computes_each_word_once(label, two_s, monkeypatch):
 
 @pytest.mark.parametrize("points", [17, 33])
 def test_streamed_plan_on_a_non_standard_state(points):
-    # any state through residual, also with the spin axis innermost in
-    # memory, gives the whole-state evaluation bit for bit
+    # any state through residual and isometry_defect, also with the spin
+    # axis innermost in memory, gives the whole-state evaluation bit for
+    # bit, and the plan reads the caller's values without writing them
     rep = catalog.build("up", 1)
     g = Grid(L, points)
     st = sample_gaussian(g, (0.3, -0.2, 0.25), L / 10,
                          [[0.5 - 1.0j, 0.25 + 0.1j]])
     spin_last = GridState(np.ascontiguousarray(st.values), g, st.spin,
                           st.blocks)
+    assert spin_last.values.strides[-1] == 16
     rids = representative_relations(rep) + ["W.W == -3/4*mu^2"]
     want = whole_state_residuals(rep, rids, st)
+    defects = {k: v.hex() for k, v in whole_state_isometry(rep, st).items()}
     for state in (st, spin_last):
+        before = state.values.tobytes()
         assert [residual(rep, rid, state) for rid in rids] == want
+        assert {k: v.hex() for k, v in
+                isometry_defect(rep, state).items()} == defects
+        assert state.values.tobytes() == before
 
 
 def test_streamed_plan_reads_ahead_along_chained_halos(monkeypatch):
@@ -658,7 +682,7 @@ def test_derivative_relations_converge_at_stencil_order(rid):
 def test_mixed_zero_residuals_fail_without_a_slope(monkeypatch, table,
                                                    zero_sizes):
     # a zero residual among nonzero ones has no log: no slope, not ok
-    monkeypatch.setattr(gridlab, "standard_state", lambda rep, g: g)
+    monkeypatch.setattr(gridlab, "_standard", lambda rep, g: g)
     monkeypatch.setattr(gridlab, "_residuals",
                         lambda rep, rids, g, *plan: [table[g.points]])
     grids = [Grid(L, n) for n in (16, 32, 64)]
@@ -718,7 +742,14 @@ def test_isometry_rows_come_from_the_plan(monkeypatch):
     # relations never apply Theta or Pi: the plan computes them then
     rep = catalog.build("up", 1)
     grids = [Grid(L, n) for n in (16, 32, 64)]
-    want = isometry_defect(rep, standard_state(rep, grids[-1]))
+    st = standard_state(rep, grids[-1])
+    before = st.values.tobytes()
+    want = isometry_defect(rep, st)
+    assert st.values.tobytes() == before
+    # the plan against the whole-state oracle, which shares no code path
+    # with it but the row kernel and the slab norm
+    assert {k: v.hex() for k, v in want.items()} == {
+        k: v.hex() for k, v in whole_state_isometry(rep, st).items()}
     calls = Counter()
     real_apply = gridlab.apply
 
