@@ -49,11 +49,16 @@ slab-then-component order of a whole-state norm, so residuals are
 bit-identical to evaluating each relation alone with whole applied
 states.  The plan takes the state's own norm too, and for the isometry
 rows (``isometry_defect``, and a study's finest grid) the norms of Theta
-psi and Pi psi.  ``grid --rep up --two-s 1`` at N = 32, 64, 128 computes
-its 74 distinct words once on each grid (222 words, against 251 applies
-when at most three states could stay and 356 when every relation ran
-alone) in about 3.4 s of wall time on a 2-core Xeon VM, with a peak RSS
-of 81 MiB.
+psi and Pi psi.  Rows are scanned for non-finite entries once: a word
+that keeps its rows, the state included, as the plan computes them; a
+word read once, as a term, only through its component's norm, which
+scans a slab whose partials are not finite (``_Norm``).  ``apply``
+scans each slab it computes.  ``grid --rep up --two-s 1`` at N = 32,
+64, 128 computes its 74 distinct words once on each grid (222 words,
+against 251 applies when at most three states could stay and 356 when
+every relation ran alone) in a median 3.36 s of ``perfbench`` ``run_s``
+on a 2-core Xeon VM (3.65 s when the row kernel scanned every word it
+computed), with a peak RSS of 81 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -622,6 +627,12 @@ class _Buffers:
         return scaled[j]
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Refuse rows with a non-finite entry."""
+    if not np.isfinite(values.view(float)).all():
+        raise ValueError("state contains non-finite entries")
+
+
 def _apply_rows(kernel: _Kernel, bufs: _Buffers, src: _Rows, lo: int,
                 hi: int, out: np.ndarray, c: complex | None = None) -> None:
     """Rows lo:hi of kernel's operator applied to src, into ``out`` of
@@ -635,11 +646,12 @@ def _apply_rows(kernel: _Kernel, bufs: _Buffers, src: _Rows, lo: int,
     without a field is multiplied by its scalar, or copied when that is
     1.  The first contribution to an output component is written straight
     into it, later ones go through one scratch slab; components no term
-    reaches are zeroed.  The finished rows are checked finite while they
-    are still in cache.  An added term is built in ``bufs.target`` and
+    reaches are zeroed.  An added term is built in ``bufs.target`` and
     added with ``+=`` for c == 1, ``-=`` for c == -1, else multiplied by
     c and then added: the same elementwise operations as adding a whole
-    applied state.
+    applied state.  The rows are not checked finite here: a caller that
+    keeps them scans them (``_check_finite``), and rows written or added
+    into a component are checked through its norm (``_Norm``).
     """
     n, rows = kernel.n, hi - lo
     slab = out if c is None else bufs.target[:, :, :rows]
@@ -664,8 +676,6 @@ def _apply_rows(kernel: _Kernel, bufs: _Buffers, src: _Rows, lo: int,
                 dst += term
             elif term is not dst:
                 np.copyto(dst, term)
-    if not np.isfinite(slab.view(float)).all():
-        raise ValueError("state contains non-finite entries")
     if c is None:
         return
     if c == 1:
@@ -702,6 +712,7 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     for a in range(0, n, rows):
         _apply_rows(kernel, bufs, src, a, min(a + rows, n),
                     comps[:, :, a:a + rows])
+        _check_finite(comps[:, :, a:a + rows])
     return GridState._prechecked(out, g, state.spin, state.blocks)
 
 
@@ -851,6 +862,16 @@ class _Norm:
     summed at the end in slab-then-component order, so the norm is
     bit-identical to one ``_Norm`` of the whole state flushed at once.
     Chunks are let go once every slab they touch is summed.
+
+    A slab whose partials are not finite is scanned (``_check_finite``).
+    This is the only check of a word written or added straight into a
+    component: it feeds that one sum, and +, -, conjugation, a nonzero
+    scale and a field product never make inf or nan finite, so a
+    non-finite entry leaves the slab's partial inf or nan (its weight
+    1/p0 is positive).  A finite slab whose squares overflow passes, its
+    partial inf; so does a slab of a stored word, already scanned.  A
+    component whose finite terms overflow as they are summed is refused
+    in the same way.
     """
 
     def __init__(self, n: int, weight):
@@ -884,6 +905,8 @@ class _Norm:
         self.parts[j] = [_weighted(x.real, x.real, wa)
                          + _weighted(x.imag, x.imag, wa)
                          for block in slab for x in block]
+        if not all(map(math.isfinite, self.parts[j])):
+            _check_finite(slab)
 
     def value(self, spacing: float) -> float:
         total = 0.0
@@ -961,8 +984,11 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     elementwise operations as summing whole applied states.  The kernels
     share one ``_Buffers``, whose field slabs span the levels of a step,
     so each range's fields and scaled fields are made once for every
-    kernel that reads them.  The norms are summed slab by slab
-    (``_Norm``), so they are bit-identical to whole-state norms.
+    kernel that reads them.  A stored word's rows, the state's included,
+    are scanned for non-finite entries as they are made; a word that
+    goes straight into its component is checked through that
+    component's norm.  The norms are summed slab by slab (``_Norm``), so
+    they are bit-identical to whole-state norms.
     ``normed`` maps words to None; each is computed, whether or not a
     component uses it, and gets the norm of its applied state, () that
     of the state itself.
@@ -1012,6 +1038,7 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
                     else:
                         _apply_rows(kernels[word.word[0]], bufs,
                                     source[word.word[1:]], lo, hi, out)
+                    _check_finite(out)
                     word.rows.chunks.append((lo, hi, out))
                     if word.norm is not None:
                         word.norm.rows.chunks.append((lo, hi, out))

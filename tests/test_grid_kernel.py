@@ -18,6 +18,7 @@ import pytest
 from oracle_helpers import expand
 
 from poincarelab import catalog, gridlab
+from poincarelab.exactnum import ONE
 from poincarelab.gridlab import (
     Grid, GridState, _meshes, apply, sample_gaussian, standard_state,
 )
@@ -290,7 +291,14 @@ def test_apply_rejects_a_non_finite_field(monkeypatch):
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="non-finite"):
         apply(rep.k[0], st)
-    # also when the rows are added onto a sum
+    # also when the rows are added onto a sum: the row kernel leaves the
+    # scan to its caller, and a study checks a word it adds onto a
+    # component (K1 psi after P1 psi) through that component's norm
+    with np.errstate(invalid="ignore"):
+        acc = row_kernel(rep.k[0], st, c=1, out=np.zeros_like(st.values))
+    assert not np.isfinite(acc).all()
+    comps = [((ONE, ("P1",)), (ONE, ("K1",)))]
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="non-finite"):
-        row_kernel(rep.k[0], st, c=1, out=np.zeros_like(st.values))
+        gridlab._stream(catalog.operators(rep, {"K1", "P1"}), st, comps,
+                        {(): None})

@@ -773,3 +773,130 @@ def test_isometry_rows_come_from_the_plan(monkeypatch):
     assert {k: v.hex() for k, v in defects.items()} == {
         k: v.hex() for k, v in want.items()}
     assert calls[True, 64] == 0 and calls[True, 32] == 0
+
+
+def test_isometry_rows_tell_theta_from_pi(monkeypatch, capsys):
+    # on the catalog's specs Theta and Pi are index reversals or
+    # conjugations on the grid, so their two defects are bit-equal; with
+    # Theta doubled only the Theta row moves, to |2 Theta psi| / |psi| - 1
+    # = 1, through isometry_defect, a study's defects and grid --json
+    rep = catalog.build("up", 1)
+    doubled = dataclasses.replace(rep, theta=rep.theta.scale(2))
+    grids = [Grid(L, n) for n in (16, 32, 64)]
+    got = isometry_defect(doubled, standard_state(rep, grids[-1]))
+    assert got["Theta"] == pytest.approx(1, abs=1e-14)
+    assert got["Pi"] < 1e-14
+    defects = {}
+    study(doubled, ["[P1,P2] == 0"], grids, defects=defects)
+    assert defects == got
+    monkeypatch.setattr(catalog, "build", lambda label, two_s: doubled)
+    assert main(["grid", "--rep", "up", "--two-s", "1", "--n", "16,32,64",
+                 "--json"]) == 1
+    rows = {c["name"]: c for c in
+            json.loads(capsys.readouterr().out)["checks"]}
+    assert rows["Theta norm preservation"]["status"] == "fail"
+    assert rows["Theta norm preservation"]["detail"] == (
+        f"relative defect {got['Theta']:.3e}")
+    assert rows["Pi norm preservation"]["status"] == "pass"
+    assert rows["Pi norm preservation"]["detail"] == (
+        f"relative defect {got['Pi']:.3e}")
+
+
+def _scaled(state, peak):
+    """state times the real factor that makes its largest modulus peak."""
+    factor = peak / np.abs(state.values).max()
+    return GridState(state.values * factor, state.grid, state.spin,
+                     state.blocks)
+
+
+def test_finite_scan_of_words_near_overflow(monkeypatch):
+    # words whose rows overflow raise the state's non-finite error, from
+    # residual and from study, whether a word is kept (scanned as it is
+    # computed) or read once, as a term (checked through its component's
+    # norm); a finite state whose norms overflow gives nan, no error
+    rep = catalog.build("up", 1)
+    g = Grid(L, 24)
+    st = standard_state(rep, g)
+    rids = ["[K1,P1] == i*P0", "Theta*K == K*Theta"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = _scaled(st, 1.5e308)
+        for rid in rids:
+            with pytest.raises(ValueError, match="non-finite entries"):
+                residual(rep, rid, big)
+        # K1 psi read once, as a term, is a direct word, and the state
+        # (peak 1.5e308) is finite: only the component's norm sees it
+        comps = [((ONE, ("K1",)),)]
+        _order, direct = gridlab._word_graph(
+            comps, {"K1": 1}, gridlab._slab_rows(24), {()})
+        assert direct == {("K1",)}
+        with pytest.raises(ValueError, match="non-finite entries"):
+            gridlab._stream({"K1": rep.k[0]}, big, comps, {(): None})
+        with pytest.raises(ValueError, match="non-finite entries"):
+            apply(rep.k[0], big)
+        huge = _scaled(st, 1e300)
+        assert all(math.isnan(residual(rep, rid, huge)) for rid in rids)
+        real = gridlab._standard
+
+        def scaled(rep, grid):
+            gauss = real(rep, grid)
+            peak = np.abs(gauss.sample().values).max()
+            return dataclasses.replace(gauss,
+                                       spinor=gauss.spinor * (1.5e308 / peak))
+
+        monkeypatch.setattr(gridlab, "_standard", scaled)
+        for rid in rids:
+            with pytest.raises(ValueError, match="non-finite entries"):
+                study(rep, [rid], [Grid(L, n) for n in (12, 24, 48)])
+
+
+def test_finite_scan_once_per_stored_row(monkeypatch):
+    # the row kernel scans nothing: each stored word's rows, the state's
+    # included, are scanned once as they are computed, and a direct word
+    # (read once, as a term) only through its component's norm, which
+    # scans no slab whose partials are finite
+    rep = catalog.build("up", 1)
+    rids = representative_relations(rep)
+    grids = [Grid(L, n) for n in (17, 33, 65)]
+    scanned, calls = [], []
+    real_check, real_rows = gridlab._check_finite, gridlab._apply_rows
+
+    def check(values):
+        scanned.append(values)
+        real_check(values)
+
+    def counted(kernel, bufs, src, lo, hi, out, c=None):
+        calls.append((kernel.n, (kernel.name,) + src.word, lo, hi, out))
+        before = len(scanned)
+        real_rows(kernel, bufs, src, lo, hi, out, c)
+        assert len(scanned) == before
+
+    monkeypatch.setattr(gridlab, "_check_finite", check)
+    monkeypatch.setattr(gridlab, "_apply_rows", counted)
+    study(rep, rids, grids, defects={})
+    ids = Counter(map(id, scanned))
+    assert set(ids.values()) == {1}
+    stored, direct = defaultdict(list), set()
+    for n, word, lo, hi, out in calls:
+        if id(out) in ids:
+            stored[n, word].append((lo, hi))
+        else:
+            direct.add((n, word))
+    assert not direct & set(stored)
+    assert all(_every_row_once(r, n) for (n, _w), r in stored.items())
+    # what no kernel wrote is the state's rows: N of them per grid
+    outs = {id(call[-1]) for call in calls}
+    root = defaultdict(list)
+    for values in scanned:
+        if id(values) not in outs:
+            root[values.shape[-1]].append(values.shape[2])
+    assert {n: sum(r) for n, r in root.items()} == {
+        g.points: g.points for g in grids}
+    rels = [r for r in catalog.relations(rep) if r.name in rids]
+    comps = [comp for rel in rels for comp in rel.components]
+    halos = {name: gridlab._halo(op) for name, op in
+             catalog.operators(rep, catalog.word_names(rels)).items()}
+    for g in grids:
+        normed = {(), ("Theta",), ("Pi",)} if g is grids[-1] else {()}
+        _order, want = gridlab._word_graph(
+            comps, halos, gridlab._slab_rows(g.points), normed)
+        assert want and {w for n, w in direct if n == g.points} == want
