@@ -114,6 +114,18 @@ def boost_op(axis: int, two_s: int) -> ScalarOp:
     return deriv_part + ScalarOp.from_matrix(tuple(rows))
 
 
+def standard_generators(two_s: int) -> dict[str, ScalarOp]:
+    """The scalar-block generators P0..K3 on one block of spin two_s/2,
+    by name: energy, momenta, rotations and boosts."""
+    dim = two_s + 1
+    return dict(zip(GENERATORS, (
+        energy_op(dim),
+        *(momentum_op(a, dim) for a in (1, 2, 3)),
+        *(rotation_op(a, two_s) for a in (1, 2, 3)),
+        *(boost_op(a, two_s) for a in (1, 2, 3)),
+    )))
+
+
 # -- the relation table -----------------------------------------------------------
 
 # A term is (exact coefficient, word); a word is a tuple of operator names
@@ -435,16 +447,14 @@ def _assemble(entry: Entry, two_s: int) -> RepSpec:
     One spec per (entry, two_s) in a process, so its squares and omega
     are computed once; its operators are never changed after it is built
     (dataclasses.replace makes a new spec)."""
-    dim = two_s + 1
+    gen = standard_generators(two_s)
     signs = entry.signs
     return RepSpec(
         label=entry.label,
-        p0=_signed_diag(energy_op(dim), signs),
-        p=tuple(BlockOp.diag([momentum_op(a, dim)] * len(signs))
-                for a in (1, 2, 3)),
-        j=tuple(BlockOp.diag([rotation_op(a, two_s)] * len(signs))
-                for a in (1, 2, 3)),
-        k=tuple(_signed_diag(boost_op(a, two_s), signs) for a in (1, 2, 3)),
+        p0=_signed_diag(gen["P0"], signs),
+        p=tuple(BlockOp.diag([gen[f"P{a}"]] * len(signs)) for a in (1, 2, 3)),
+        j=tuple(BlockOp.diag([gen[f"J{a}"]] * len(signs)) for a in (1, 2, 3)),
+        k=tuple(_signed_diag(gen[f"K{a}"], signs) for a in (1, 2, 3)),
         theta=_discrete_op(_pattern(entry.theta[0]), *entry.theta[1:], two_s),
         pi=_discrete_op(_pattern(entry.pi[0]), *entry.pi[1:], two_s),
     )

@@ -36,9 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import (
-    RepSpec, boost_op, energy_op, momentum_op, operators, rotation_op,
-)
+from .catalog import RepSpec, operators, standard_generators
 from .exactnum import (
     ONE, Matrix, Scalar, commutant_rows, diagonal, hermitian_matrix,
     hermitian_vector, identity_matrix, mat_conj, mat_eq, mat_mul, nullspace,
@@ -87,16 +85,6 @@ class Verdict:
         return f"{kind}, dim {self.dimension}"
 
 
-def _standard_generators(two_s: int) -> dict:
-    """The scalar-block generator each of P0..K3 must carry for stage (i)."""
-    dim = two_s + 1
-    ops = {"P0": energy_op(dim)}
-    for family, make, arg in (("P", momentum_op, dim), ("J", rotation_op, two_s),
-                              ("K", boost_op, two_s)):
-        ops.update((f"{family}{a}", make(a, arg)) for a in (1, 2, 3))
-    return ops
-
-
 def _premise(patterns: dict, blocks: int) -> str:
     """Why the generators' patterns break stage (i)'s premise, or ""."""
     for name, pat in patterns.items():
@@ -121,10 +109,10 @@ def reduce_to_constant_blocks(rep: RepSpec) -> CommutantProblem:
         raise AssertionError(
             "spin-level commutant is not trivial; constant-block reduction invalid"
         )
-    standard = _standard_generators(rep.two_s)
     ops = operators(rep, ())
     patterns = {}
-    for name, g in standard.items():
+    # the scalar-block generator each of P0..K3 must carry for stage (i)
+    for name, g in standard_generators(rep.two_s).items():
         factored = ops[name].factor(g)
         patterns[name] = None if factored is None else factored[0]
     premise = _premise(patterns, rep.blocks)

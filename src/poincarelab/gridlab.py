@@ -43,22 +43,26 @@ rows are kept in a window like any other word's: the standard state's
 Gaussian factors, evaluated as the plan goes, or a caller's
 ``GridState``, its rows copied out.  So a study makes no array of the
 grid's size but the bump and 1/p0 weight that normalize the state once
-per grid, freed before the plan starts.  Each finished slab of a
+per grid, freed before the plan starts.  The working-set guard
+(``working_set_bytes``) reads the plan's own layout (``_Layout``) on
+each grid and only turns it into bytes.  Each finished slab of a
 component takes its norm partials, summed at the end in the
 slab-then-component order of a whole-state norm, so residuals are
 bit-identical to evaluating each relation alone with whole applied
 states.  The plan takes the state's own norm too, and for the isometry
 rows (``isometry_defect``, and a study's finest grid) the norms of Theta
-psi and Pi psi.  Rows are scanned for non-finite entries once: a word
-that keeps its rows, the state included, as the plan computes them; a
-word read once, as a term, only through its component's norm, which
-scans a slab whose partials are not finite (``_Norm``).  ``apply``
-scans each slab it computes.  ``grid --rep up --two-s 1`` at N = 32,
-64, 128 computes its 74 distinct words once on each grid (222 words,
-against 251 applies when at most three states could stay and 356 when
-every relation ran alone) in a median 3.36 s of ``perfbench`` ``run_s``
-on a 2-core Xeon VM (3.65 s when the row kernel scanned every word it
-computed), with a peak RSS of 81 MiB.
+psi and Pi psi; a state whose own norm is not finite (entries above
+about 1e154, whose squares overflow) is refused.  Rows are scanned for
+non-finite entries once: a word that keeps its rows, the state included,
+as the plan computes them; a word read once, as a term, only through its
+component's norm, which scans a slab whose partials are not finite
+(``_Norm``).  ``apply`` scans each slab it computes.
+``grid --rep up --two-s 1`` at N = 32, 64, 128 computes its 74 distinct
+words once on each grid (222 words, against 251 applies when at most
+three states could stay and 356 when every relation ran alone) in a
+median 3.36 s of ``perfbench`` ``run_s`` on a 2-core Xeon VM (3.65 s
+when the row kernel scanned every word it computed), with a peak RSS of
+81 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -193,16 +197,11 @@ class _Mesh:
         return f
 
     def terms(self, c: Coefficient) -> list[tuple]:
-        """c as a list of (basis field key, or None for 1; scalar)."""
-        return [(key, complex(s.to_complex()) * self.mu ** e)
-                for key, e, s in _field_terms(c)]
-
-
-def _field_terms(c: Coefficient):
-    """c's terms as (basis field key or None for 1, power of mu, scalar)."""
-    for m, s in c.num.terms.items():
-        key = (m[1:], c.a, c.b) if any(m[1:]) or c.a or c.b else None
-        yield key, m[0], s
+        """c as a list of (basis field key, or None for 1; scalar), m[0]
+        of a monomial m being its power of mu."""
+        return [((m[1:], c.a, c.b) if any(m[1:]) or c.a or c.b else None,
+                 complex(s.to_complex()) * self.mu ** m[0])
+                for m, s in c.num.terms.items()]
 
 
 @lru_cache(maxsize=8)
@@ -514,64 +513,57 @@ def _halo(op: BlockOp) -> int:
                 for (alpha, _u, _k) in sop.terms), default=0)
 
 
-class _Scaled:
-    """The scaled fields F * s of the kernels of one grid, each distinct
-    (field, s) once: a field that broadcasts along an axis as F * s made
-    once, a contiguous (1, N, N) plane when it is constant along axis 0;
-    a full-size one as the index of its slab in ``_Buffers.slab``, ``full``
-    being the number of indices given out."""
+def _pair_table(plans, n: int) -> dict[tuple, tuple[int, bool]]:
+    """The distinct (field key, s) pairs of ``plans`` (``_plan``'s
+    results) on a grid of n points, in order of first use, each mapped
+    to its index and whether its field is full size."""
+    table: dict[tuple, tuple[int, bool]] = {}
+    for _entries, pairs in plans:
+        for field, s in pairs:
+            table.setdefault((field.key, s),
+                             (len(table), field.shape == (n, n, n)))
+    return table
 
-    def __init__(self, mesh: _Mesh):
-        self.mesh, self.pairs, self.full = mesh, {}, 0
 
-    def get(self, field: _Field, s: complex):
-        got = self.pairs.get((field.key, s))
-        if got is None:
-            n = self.mesh.n
-            if field.shape == (n, n, n):
-                got, self.full = self.full, self.full + 1
-            else:
-                got = np.multiply(self.mesh.field(field.key), s)
-                if len(got) == 1:
-                    got = np.ascontiguousarray(
-                        np.broadcast_to(got, (1, n, n)))
-            self.pairs[field.key, s] = got
-        return got
+def _planes(table: dict, mesh: _Mesh) -> dict[int, np.ndarray]:
+    """F * s of each pair of ``table`` whose field broadcasts along an
+    axis, by index, made once for every kernel that reads it: a
+    contiguous (1, N, N) plane when it is constant along axis 0."""
+    n, planes = mesh.n, {}
+    for (key, s), (j, full) in table.items():
+        if not full:
+            f = np.multiply(mesh.field(key), s)
+            planes[j] = (np.ascontiguousarray(np.broadcast_to(f, (1, n, n)))
+                         if len(f) == 1 else f)
+    return planes
 
 
 class _Kernel:
     """The row kernel of one operator on one grid.
 
-    ``sources`` is ``_plan``'s list with each source as its (block, spin
-    column) pair; ``fields`` gives each distinct (field, scalar) pair of
-    the plan as (F * s, None, None) for a field that broadcasts along an
-    axis, scaled once per grid, and as (key, s, j) for a full-size one,
-    evaluated and scaled per range into slab j (``_Buffers.slab``);
-    ``scaled`` (``_Scaled``) shares both among the kernels of a plan, and
-    ``full`` is one more than the highest j.  ``halo`` is the most axis-0
-    differences of any term, ``unreached`` the output components no term
-    writes.
+    ``sources`` is the operator's ``_plan`` list with each source as its
+    (block, spin column) pair; ``fields`` gives each (field, scalar) pair
+    of the plan, j its index in the plan's table (``_pair_table``), as
+    (F * s, None, None) for a field that broadcasts along an axis, from
+    ``planes`` (``_planes``), and as (key, s, j) for a full-size one,
+    evaluated and scaled per range (``_Buffers.slab``).  ``unreached``
+    lists the output components no term writes.
     """
 
-    def __init__(self, op: BlockOp, mesh: _Mesh, spacing: float, n: int,
-                 name: str | None = None, scaled: _Scaled | None = None):
-        plan, pairs = _plan(op, mesh, spacing)
-        self.name, self.n, self.mesh = name, n, mesh
+    def __init__(self, op: BlockOp, plan: tuple, table: dict, planes: dict,
+                 n: int, name: str | None = None):
+        entries, pairs = plan
+        self.name, self.n = name, n
         self.sources = [((bc, col), axes, u, terms)
-                        for bc, col, axes, u, terms in plan]
-        self.halo = _halo(op)
-        written = {(t[0], t[1]) for *_src, terms in plan for t in terms}
+                        for bc, col, axes, u, terms in entries]
+        written = {(t[0], t[1]) for *_src, terms in entries for t in terms}
         self.unreached = [(br, m) for br in range(op.blocks)
                           for m in range(op.dim) if (br, m) not in written]
-        scaled = _Scaled(mesh) if scaled is None else scaled
-        self.fields, self.full = [], 0
+        self.fields = []
         for field, s in pairs:
-            got = scaled.get(field, s)
-            if isinstance(got, int):
-                self.fields.append((field.key, s, got))
-                self.full = max(self.full, got + 1)
-            else:
-                self.fields.append((got, None, None))
+            j, full = table[field.key, s]
+            self.fields.append((field.key, s, j) if full
+                               else (planes[j], None, None))
 
 
 class _Bank:
@@ -586,14 +578,17 @@ class _Bank:
 
 class _Buffers:
     """Slab buffers that row kernels run one after another share, for
-    ranges of at most ``rows`` rows: scratch, two difference buffers with
-    a ``halo`` of rows on either side, the field slabs of the last
-    ``ranges`` ranges run (each up to ``fields`` scaled slabs, ``_Bank``)
-    and, given the (blocks, 2s+1) ``shape`` of a state, the slab a term
-    is built in before it is added onto a sum."""
+    ranges of at most ``rows`` rows of ``mesh``'s grid: scratch, two
+    difference buffers with a ``halo`` of rows on either side, the field
+    slabs of the last ``ranges`` ranges run (``_Bank``: each full-size
+    pair of a table of ``fields`` pairs scaled, by its index) and, given
+    the (blocks, 2s+1) ``shape`` of a state, the slab a term is built in
+    before it is added onto a sum."""
 
-    def __init__(self, n: int, rows: int, halo: int, fields: int,
+    def __init__(self, mesh: _Mesh, rows: int, halo: int, fields: int,
                  shape: tuple[int, int] | None = None, ranges: int = 2):
+        n = mesh.n
+        self.mesh = mesh
         self.scratch = np.empty((rows, n, n), dtype=complex)
         self.deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex)
                       for _ in range(2)]
@@ -611,19 +606,19 @@ class _Buffers:
         self.banks.append(_Bank((lo, hi), self.fields))
         return self.banks[-1]
 
-    def base(self, mesh: _Mesh, key: tuple, lo: int, hi: int) -> np.ndarray:
+    def base(self, key: tuple, lo: int, hi: int) -> np.ndarray:
         """The basis field of key on rows lo:hi."""
         bases = self._bank(lo, hi).bases
         if key not in bases:
-            bases[key] = mesh.field(key, lo, hi)
+            bases[key] = self.mesh.field(key, lo, hi)
         return bases[key]
 
-    def slab(self, mesh: _Mesh, key: tuple, s: complex, j: int, lo: int,
+    def slab(self, key: tuple, s: complex, j: int, lo: int,
              hi: int) -> np.ndarray:
-        """Slab j, the field of key times s, on rows lo:hi."""
+        """Pair j, the field of key times s, on rows lo:hi."""
         scaled = self._bank(lo, hi).scaled
         if scaled[j] is None:
-            scaled[j] = np.multiply(self.base(mesh, key, lo, hi), s)
+            scaled[j] = np.multiply(self.base(key, lo, hi), s)
         return scaled[j]
 
 
@@ -631,6 +626,19 @@ def _check_finite(values: np.ndarray) -> None:
     """Refuse rows with a non-finite entry."""
     if not np.isfinite(values.view(float)).all():
         raise ValueError("state contains non-finite entries")
+
+
+def _add_rows(acc: np.ndarray, rows: np.ndarray, c: complex,
+              scratch: np.ndarray) -> None:
+    """acc += c * rows, in place: ``+=`` for c == 1, ``-=`` for c == -1,
+    else c * rows made in ``scratch`` (which may be rows itself) and
+    added; the same elementwise operations as adding a whole state."""
+    if c == 1:
+        acc += rows
+    elif c == -1:
+        acc -= rows
+    else:
+        acc += np.multiply(rows, c, out=scratch)
 
 
 def _apply_rows(kernel: _Kernel, bufs: _Buffers, src: _Rows, lo: int,
@@ -646,19 +654,18 @@ def _apply_rows(kernel: _Kernel, bufs: _Buffers, src: _Rows, lo: int,
     without a field is multiplied by its scalar, or copied when that is
     1.  The first contribution to an output component is written straight
     into it, later ones go through one scratch slab; components no term
-    reaches are zeroed.  An added term is built in ``bufs.target`` and
-    added with ``+=`` for c == 1, ``-=`` for c == -1, else multiplied by
-    c and then added: the same elementwise operations as adding a whole
-    applied state.  The rows are not checked finite here: a caller that
-    keeps them scans them (``_check_finite``), and rows written or added
-    into a component are checked through its norm (``_Norm``).
+    reaches are zeroed.  Rows added onto out are built in
+    ``bufs.target`` and added (``_add_rows``).  The rows are not checked
+    finite here: a caller that keeps them scans them (``_check_finite``),
+    and rows written or added into a component are checked through its
+    norm (``_Norm``).
     """
     n, rows = kernel.n, hi - lo
     slab = out if c is None else bufs.target[:, :, :rows]
     for br, m in kernel.unreached:
         slab[br, m] = 0
     gs = [f if s is None and len(f) == 1 else f[lo:hi] if s is None
-          else bufs.slab(kernel.mesh, f, s, j, lo, hi)
+          else bufs.slab(f, s, j, lo, hi)
           for f, s, j in kernel.fields]
     for comp, axes, u, terms in kernel.sources:
         a, b = (n - hi, n - lo) if u else (lo, hi)
@@ -676,15 +683,8 @@ def _apply_rows(kernel: _Kernel, bufs: _Buffers, src: _Rows, lo: int,
                 dst += term
             elif term is not dst:
                 np.copyto(dst, term)
-    if c is None:
-        return
-    if c == 1:
-        out += slab
-    elif c == -1:
-        out -= slab
-    else:
-        slab *= c
-        out += slab
+    if c is not None:
+        _add_rows(out, slab, c, slab)
 
 
 def apply(op: BlockOp, state: GridState) -> GridState:
@@ -702,10 +702,12 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     if op.dim != state.spin.dim or op.blocks != state.blocks:
         raise ValueError("operator shape does not match the state")
     g = state.grid
-    n = g.points
-    kernel = _Kernel(op, _meshes(g), g.spacing, n)
+    n, mesh = g.points, _meshes(g)
+    plan = _plan(op, mesh, g.spacing)
+    table = _pair_table([plan], n)
+    kernel = _Kernel(op, plan, table, _planes(table, mesh), n)
     rows = min(_slab_rows(n), n)
-    bufs = _Buffers(n, rows, kernel.halo, kernel.full)
+    bufs = _Buffers(mesh, rows, _halo(op), len(table))
     out = _empty_values(op.blocks, n, op.dim)
     comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
     src = _Rows.whole(state.values)
@@ -722,26 +724,6 @@ def apply(op: BlockOp, state: GridState) -> GridState:
 MEMORY_SHARE = 0.5
 
 
-def _scaled_pairs(op: BlockOp) -> set[tuple]:
-    """The (field, s) pairs of ``_plan`` of op, counted from the exact
-    terms as (full size, field key, power of mu, scalar, |alpha|,
-    reflection sign): an upper bound on the distinct numeric pairs."""
-    pairs = set()
-    for row in op.entries:
-        for sop in row:
-            for (alpha, u, _k), mat in sop.terms.items():
-                order = sum(alpha)
-                for mrow in mat:
-                    for c in mrow:
-                        for key, e, s in _field_terms(c):
-                            if key is not None:
-                                mono, a, b = key
-                                full = bool(a or b or mono[3] or all(mono[:3]))
-                                pairs.add((full, key, e, s, order,
-                                           u and order % 2))
-    return pairs
-
-
 def working_set_bytes(rep: RepSpec, grids) -> int:
     """Estimated bytes of arrays a grid study of ``rep`` over ``grids`` holds.
 
@@ -749,8 +731,9 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     factors, N points each, so only the grid being studied counts.  It
     first normalizes its standard state (``_gaussian``): the bump and the
     1/p0 weight on every row, 8 bytes a point, freed before its streamed
-    plan (``_stream``) starts.  The plan's arrays are none of them
-    state-sized:
+    plan (``_stream``) starts.  The plan's arrays are read from its own
+    layout (``_Layout``) on each grid, of the representative relations
+    and the isometry words, and none of them is state-sized:
     - each stored word's window, the state's own included, lead + keep
       + 1 levels of its rows, a level being a slab and its mirror (at
       most N rows in all);
@@ -760,46 +743,33 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
       the stencil's halo, the slab a term is added from and one gathered
       slab), and the temporaries of evaluating a field or the state on
       a slab;
-    - the field slabs of 2 (lead + 1) ranges: each distinct full-size
-      (field, s) pair scaled, and each full-size basis field and the
-      1/p0 weight, real;
-    - each distinct broadcast (field, s) pair scaled once, at most N^2
-      points.
+    - the field slabs of 2 (lead + 1) ranges: each full-size pair of the
+      table scaled, and each full-size basis field and the 1/p0 weight,
+      real;
+    - each broadcast pair of the table scaled once, at most N^2 points.
     Against the peak RSS of ``grid`` at N = 32, 64, 128 less that of a
     process that only imports numpy and poincarelab (32 MiB), 48, 82
     and 67 MiB for up 2s=1, sym3 2s=1 and quad:+1 on a 2-core Xeon VM,
     it reads 31%, 20% and 14% high.  From N = 626 the normalization
     sets it: ``--n 32,64,N`` needs more than half of 7.3 GiB there.
     """
-    studied = set(representative_relations(rep))
-    rels = [r for r in relations(rep) if r.name in studied]
-    comps = [comp for rel in rels for comp in rel.components]
-    ops = operators(rep, word_names(rels))
-    used = {name: ops[name] for comp in comps for _c, word in comp
-            for name in word}
-    halos = {name: _halo(op) for name, op in used.items()}
-    pairs = set().union(*(_scaled_pairs(op) for op in used.values()))
-    full = sum(p[0] for p in pairs)
-    bases = 1 + len({p[1] for p in pairs if p[0]})  # and the 1/p0 weight
-    broadcast = len(pairs) - full
-    halo = max(halos.values())
+    _rels, comps, ops = _relations(rep, representative_relations(rep))
     spins = rep.blocks * (rep.two_s + 1)
     peak = 0
     for g in grids:
         n = g.points
-        rows = _slab_rows(n)
+        lay = _Layout(ops, comps, dict.fromkeys(_ISOMETRY), g, _Mesh(g))
+        rows = lay.rows
         span = min(2 * rows, n)
-        root = _Word(())
-        order, direct = _word_graph(comps, halos, rows,
-                                    {(), ("Theta",), ("Pi",)}, root)
-        stored = [w for w in order if w.word not in direct]
-        lead = max((w.lead for w in stored), default=0)
+        full = {key for key, (_j, is_full) in lay.pairs.items() if is_full}
+        bases = 1 + len({key for key, _s in full})  # and the 1/p0 weight
         window = sum(min((w.lead + max(w.keep, 0) + 1) * 2 * rows, n)
-                     for w in (root, *stored))
+                     for w in lay.stored)
         sums = span * (1 + len(comps) * bool(n % rows))
-        banks = 2 * (lead + 1) * span * (2 * full + bases)
-        planes = (spins * (window + sums + 2 * span) + 5 * span + 4 * halo
-                  + banks // 2 + broadcast)
+        banks = 2 * (lay.lead + 1) * span * (2 * len(full) + bases)
+        planes = (spins * (window + sums + 2 * span) + 5 * span
+                  + 4 * max(lay.halos.values()) + banks // 2
+                  + len(lay.pairs) - len(full))
         peak = max(peak, planes * n * n * 16, 2 * n**3 * 8)
     return peak
 
@@ -928,38 +898,58 @@ class _Word:
         self.norm: _Norm | None = None
 
 
-def _word_graph(components, halos: dict, rows: int, normed,
-                root: _Word | None = None) -> tuple[list[_Word], set]:
-    """The distinct nonempty words of ``components`` shortest first, with
-    their readers, ``lead`` and ``keep`` in levels of ``rows`` rows (see
-    ``_stream``), and the words read once, as a term, which go straight
-    into their component.  ``halos`` maps each operator name to its
-    axis-0 stencil reach in rows; ``normed`` holds the words whose norm
-    is wanted, and computed even if no component uses it.  ``root``, if
-    given, is the node of the empty word, the state itself: it gets its
-    readers, lead and keep in the same way."""
-    words: dict[tuple, _Word] = {} if root is None else {(): root}
-    for word in chain((word for comp in components for _c, word in comp),
-                      normed):
-        for i in range(len(word)):
-            if word[i:] not in words:
-                words[word[i:]] = _Word(word[i:])
-    for comp in components:
-        for _c, word in comp:
-            if word in words:
-                words[word].terms += 1
-    order = sorted(words.values(), key=lambda w: len(w.word))
-    for w in reversed(order):  # readers before what they read
-        if w.word and w.word[1:] in words:
-            words[w.word[1:]].users.append(w)
-        need = [-(-halos[u.word[0]] // rows) for u in w.users]
-        w.lead = max([0] * (bool(w.terms) or w.word in normed)
-                     + [u.lead + d for u, d in zip(w.users, need)])
-        w.keep = max([0] * bool(w.terms) + [1] * (w.word in normed)
-                     + [d - u.lead for u, d in zip(w.users, need)])
-    direct = {w.word for w in order if w.word and w.terms == 1
-              and not w.users and w.word not in normed}
-    return [w for w in order if w.word], direct
+class _Layout:
+    """What a streamed plan (``_stream``) of ``components`` and the
+    ``normed`` words runs on one grid, decided before any row is made;
+    ``working_set_bytes`` turns the same layout into bytes.
+
+    ``ops`` are the operators the words name, with their ``_plan`` on
+    the grid (``plans``) and axis-0 stencil reach (``halos``); ``pairs``
+    is one table of the distinct (field, s) pairs of those plans
+    (``_pair_table``), and ``rows`` the rows of a slab.  The word graph:
+    ``order`` holds the distinct nonempty words shortest first, with
+    their readers and their ``lead`` and ``keep`` in levels (see
+    ``_stream``); ``direct`` the words read once, as a term, which go
+    straight into their component; ``stored`` the others after ``root``,
+    the state's word (), whose readers, lead and keep come the same way;
+    and ``lead`` the most levels a stored word runs ahead.  A word of
+    ``normed``, whose norm is wanted, is stored even if no component
+    uses it.
+    """
+
+    def __init__(self, ops: dict, components, normed, grid: Grid,
+                 mesh: _Mesh):
+        terms = [word for comp in components for _c, word in comp]
+        self.ops = {name: ops[name] for name in dict.fromkeys(
+            chain.from_iterable(chain(terms, normed)))}
+        self.plans = {name: _plan(op, mesh, grid.spacing)
+                      for name, op in self.ops.items()}
+        self.halos = {name: _halo(op) for name, op in self.ops.items()}
+        self.pairs = _pair_table(self.plans.values(), grid.points)
+        self.rows = rows = _slab_rows(grid.points)
+        self.root = _Word(())
+        words = {(): self.root}
+        for word in chain(terms, normed):
+            for i in range(len(word)):
+                if word[i:] not in words:
+                    words[word[i:]] = _Word(word[i:])
+        for word in terms:
+            words[word].terms += 1
+        order = sorted(words.values(), key=lambda w: len(w.word))
+        for w in reversed(order):  # readers before what they read
+            if w.word:
+                words[w.word[1:]].users.append(w)
+            need = [-(-self.halos[u.word[0]] // rows) for u in w.users]
+            w.lead = max([0] * (bool(w.terms) or w.word in normed)
+                         + [u.lead + d for u, d in zip(w.users, need)])
+            w.keep = max([0] * bool(w.terms) + [1] * (w.word in normed)
+                         + [d - u.lead for u, d in zip(w.users, need)])
+        self.order = order[1:]
+        self.direct = {w.word for w in self.order if w.terms == 1
+                       and not w.users and w.word not in normed}
+        stored = [w for w in self.order if w.word not in self.direct]
+        self.lead = max((w.lead for w in stored), default=0)
+        self.stored = [self.root, *stored]
 
 
 def _stream(ops: dict, state, components, normed: dict) -> list[float]:
@@ -970,7 +960,8 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     ``rows(lo, hi, out)``, which writes its rows lo:hi into ``out`` (a
     ``_Gaussian`` or a ``GridState``).  It is the word (), whose rows
     are taken as the plan goes and kept in a window like any stored
-    word's.  The grid's levels (``_level_ranges``) are walked from the
+    word's.  The plan's operators, field pairs and words are its
+    ``_Layout``.  The grid's levels (``_level_ranges``) are walked from the
     faces in: a slab of rows together with its mirror, so a reflected
     read lands on rows that the same step computes.  A word with one
     use, as a term, has its rows written or added straight into its
@@ -995,30 +986,20 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     """
     g = state.grid
     n, mesh = g.points, _meshes(g)
-    rows = _slab_rows(n)
-    levels = _level_ranges(n, rows)
-    used = {name: ops[name] for comp in components for _c, word in comp
-            for name in word}
-    used.update((name, ops[name]) for word in normed for name in word)
-    if any((op.blocks, op.dim) != (state.blocks, state.spin.dim)
-           for op in used.values()):
-        raise ValueError("operator shape does not match the state")
-    scaled = _Scaled(mesh)
-    kernels = {name: _Kernel(op, mesh, g.spacing, n, name, scaled)
-               for name, op in used.items()}
-    root = _Word(())
-    order, direct = _word_graph(
-        components, {name: k.halo for name, k in kernels.items()}, rows,
-        normed, root)
-    stored = [w for w in order if w.word not in direct]
-    lead = max((w.lead for w in stored), default=0)
-    stored.insert(0, root)
-    source = {w.word: w.rows for w in stored}
     shape = (state.blocks, state.spin.dim)
-    bufs = _Buffers(n, min(2 * rows, n),
-                    max((k.halo for k in kernels.values()), default=0),
-                    scaled.full, shape, 2 * (lead + 1))
-    weight = partial(bufs.base, mesh, _INV_P0)
+    lay = _Layout(ops, components, normed, g, mesh)
+    if any((op.blocks, op.dim) != shape for op in lay.ops.values()):
+        raise ValueError("operator shape does not match the state")
+    rows, direct, stored = lay.rows, lay.direct, lay.stored
+    levels = _level_ranges(n, rows)
+    planes = _planes(lay.pairs, mesh)
+    kernels = {name: _Kernel(op, lay.plans[name], lay.pairs, planes, n, name)
+               for name, op in lay.ops.items()}
+    bufs = _Buffers(mesh, min(2 * rows, n),
+                    max(lay.halos.values(), default=0), len(lay.pairs),
+                    shape, 2 * (lay.lead + 1))
+    source = {w.word: w.rows for w in stored}
+    weight = partial(bufs.base, _INV_P0)
     measured = [w for w in stored if w.word in normed]
     for word in measured:
         word.norm = _Norm(n, weight)
@@ -1033,7 +1014,7 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
             for c in todo:
                 for lo, hi in levels[c]:
                     out = np.empty((*shape, hi - lo, n, n), dtype=complex)
-                    if word is root:
+                    if word is lay.root:
                         state.rows(lo, hi, out)
                     else:
                         _apply_rows(kernels[word.word[0]], bufs,
@@ -1050,22 +1031,13 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
                     if word in direct:
                         _apply_rows(kernels[word[0]], bufs, source[word[1:]],
                                     lo, hi, acc, None if i == 0 else c)
-                        if i == 0 and coeff != ONE:
-                            acc *= c
-                        continue
-                    values = source[word].take(lo, hi)
-                    if i == 0:
-                        np.copyto(acc, values)
-                        if coeff != ONE:
-                            acc *= c
-                    elif coeff == ONE:
-                        acc += values
-                    elif coeff == -ONE:
-                        acc -= values
+                    elif i == 0:
+                        np.copyto(acc, source[word].take(lo, hi))
                     else:
-                        scaled_values = bufs.target[:, :, :hi - lo]
-                        np.multiply(values, c, out=scaled_values)
-                        acc += scaled_values
+                        _add_rows(acc, source[word].take(lo, hi), c,
+                                  bufs.target[:, :, :hi - lo])
+                    if i == 0 and coeff != ONE:
+                        acc *= c
                 norm_.rows.chunks.append((lo, hi, acc))
             norm_.flush(depth)
         for word in measured:
@@ -1079,13 +1051,15 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     return [norm_.value(g.spacing) for norm_ in norms]
 
 
-def _residuals(rep: RepSpec, relation_ids, state,
-               normed: dict | None = None) -> list[float]:
-    """Residual of each relation on one state, from one streamed plan
-    (``_stream``): a word shared by several relations is computed once.
-    ``state`` is a row source (see ``_stream``), read row by row.  The
-    plan also takes the state's own norm.  ``normed`` (see ``_stream``)
-    gets the norms of the wanted words the plan computes, and of ()."""
+# The words whose norms give the isometry rows: the state, Theta psi
+# and Pi psi.
+_ISOMETRY = ((), ("Theta",), ("Pi",))
+
+
+def _relations(rep: RepSpec, relation_ids) -> tuple[list, list, dict]:
+    """The relations of ``relation_ids`` in that order, each refused
+    when unknown or with nothing to evaluate; their components, in
+    order; and the operators their words name."""
     table = {r.name: r for r in relations(rep)}
     rels = []
     for rid in relation_ids:
@@ -1097,11 +1071,33 @@ def _residuals(rep: RepSpec, relation_ids, state,
                              f"{rel.inadmissible}")
         rels.append(rel)
     comps = [comp for rel in rels for comp in rel.components]
+    return rels, comps, operators(rep, word_names(rels))
+
+
+def _state_norm(normed: dict) -> float:
+    """The state's own norm a plan measured (key ()), refused when it is
+    not finite: a finite state whose squares overflow would otherwise
+    give every finite component norm a residual of 0."""
+    base = normed[()]
+    if not math.isfinite(base):
+        raise ValueError(f"state norm is {base}: its entries are too large "
+                         "to square")
+    return base
+
+
+def _residuals(rep: RepSpec, relation_ids, state,
+               normed: dict | None = None) -> list[float]:
+    """Residual of each relation on one state, from one streamed plan
+    (``_stream``): a word shared by several relations is computed once.
+    ``state`` is a row source (see ``_stream``), read row by row.  The
+    plan also takes the state's own norm (``_state_norm``).  ``normed``
+    (see ``_stream``) gets the norms of the wanted words the plan
+    computes, and of ()."""
+    rels, comps, ops = _relations(rep, relation_ids)
     normed = {} if normed is None else normed
     normed[()] = None
-    norms = iter(_stream(operators(rep, word_names(rels)), state, comps,
-                         normed))
-    base = normed[()]
+    norms = iter(_stream(ops, state, comps, normed))
+    base = _state_norm(normed)
     return [max(next(norms) / base for _comp in rel.components)
             for rel in rels]
 
@@ -1250,7 +1246,7 @@ def study(rep: RepSpec, relation_ids, grids, *,
     computes Theta psi and Pi psi whether or not a relation applies them.
     """
     grids = _refining(grids)
-    normed = {} if defects is None else dict.fromkeys([("Theta",), ("Pi",)])
+    normed = {} if defects is None else dict.fromkeys(_ISOMETRY)
     per_grid = [_residuals(rep, relation_ids, _standard(rep, g),
                            normed if g is grids[-1] else None)
                 for g in grids]
@@ -1280,15 +1276,15 @@ def representative_relations(rep: RepSpec) -> list[str]:
 def isometry_defect(rep: RepSpec, state: GridState) -> dict[str, float]:
     """Relative norm change under Theta and Pi (0 for exact isometries),
     from the norms one streamed plan (``_stream``) of no components takes."""
-    normed = dict.fromkeys([(), ("Theta",), ("Pi",)])
+    normed = dict.fromkeys(_ISOMETRY)
     _stream({"Theta": rep.theta, "Pi": rep.pi}, state, [], normed)
     return _isometry(normed)
 
 
 def _isometry(normed: dict) -> dict[str, float]:
     """The isometry defects from the norms a plan measured: of the state
-    (key ()), of Theta psi and of Pi psi."""
-    base = normed[()]
+    (key (), ``_state_norm``), of Theta psi and of Pi psi."""
+    base = _state_norm(normed)
     return {name: abs(normed[(name,)] - base) / base
             for name in ("Theta", "Pi")}
 

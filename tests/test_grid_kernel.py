@@ -126,12 +126,15 @@ def row_kernel(op, state, src=None, c=None, out=None):
     from ``src`` (default: the whole state).  Written into a NaN-filled
     array, or with c given, c times the rows added onto ``out``."""
     g = state.grid
-    n = g.points
-    kernel = gridlab._Kernel(op, _meshes(g), g.spacing, n)
+    n, mesh = g.points, _meshes(g)
+    plan = gridlab._plan(op, mesh, g.spacing)
+    table = gridlab._pair_table([plan], n)
+    kernel = gridlab._Kernel(op, plan, table, gridlab._planes(table, mesh), n)
     ranges = [r for level in gridlab._level_ranges(n, gridlab._slab_rows(n))
               for r in level]
-    bufs = gridlab._Buffers(n, max(hi - lo for lo, hi in ranges),
-                            kernel.halo, kernel.full, (op.blocks, op.dim))
+    bufs = gridlab._Buffers(mesh, max(hi - lo for lo, hi in ranges),
+                            gridlab._halo(op), len(table),
+                            (op.blocks, op.dim))
     if src is None:
         src = gridlab._Rows.whole(state.values)
     if out is None:  # stored spin-major, as apply's outputs are

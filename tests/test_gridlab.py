@@ -624,9 +624,8 @@ def test_streamed_plan_reads_ahead_along_chained_halos(monkeypatch):
              ((ONE, ("Theta", "K1", "J2", "P1")), (ONE, ("K1", "Theta", "P1")),
               (-ONE, ("W2", "W2")))]
     ops = catalog.operators(rep, {"W0"})
-    halos = {name: gridlab._halo(op) for name, op in ops.items()}
-    order, direct = gridlab._word_graph(comps, halos, gridlab._slab_rows(65),
-                                        {})
+    layout = gridlab._Layout(ops, comps, {}, st.grid, _meshes(st.grid))
+    order, direct = layout.order, layout.direct
     lead = {w.word: w.lead for w in order}
     assert lead[("P1",)] == 2 and lead[("W2",)] == 0
     assert lead[("J2", "P1")] == lead[("K1", "P1")] == 1
@@ -813,7 +812,8 @@ def test_finite_scan_of_words_near_overflow(monkeypatch):
     # words whose rows overflow raise the state's non-finite error, from
     # residual and from study, whether a word is kept (scanned as it is
     # computed) or read once, as a term (checked through its component's
-    # norm); a finite state whose norms overflow gives nan, no error
+    # norm); a finite state whose own norm overflows is refused
+    # (test_state_norm_overflow_is_refused)
     rep = catalog.build("up", 1)
     g = Grid(L, 24)
     st = standard_state(rep, g)
@@ -826,15 +826,16 @@ def test_finite_scan_of_words_near_overflow(monkeypatch):
         # K1 psi read once, as a term, is a direct word, and the state
         # (peak 1.5e308) is finite: only the component's norm sees it
         comps = [((ONE, ("K1",)),)]
-        _order, direct = gridlab._word_graph(
-            comps, {"K1": 1}, gridlab._slab_rows(24), {()})
-        assert direct == {("K1",)}
+        assert gridlab._Layout({"K1": rep.k[0]}, comps, {()}, g,
+                               _meshes(g)).direct == {("K1",)}
         with pytest.raises(ValueError, match="non-finite entries"):
             gridlab._stream({"K1": rep.k[0]}, big, comps, {(): None})
         with pytest.raises(ValueError, match="non-finite entries"):
             apply(rep.k[0], big)
         huge = _scaled(st, 1e300)
-        assert all(math.isnan(residual(rep, rid, huge)) for rid in rids)
+        for rid in rids:
+            with pytest.raises(ValueError, match="state norm is inf"):
+                residual(rep, rid, huge)
         real = gridlab._standard
 
         def scaled(rep, grid):
@@ -844,9 +845,90 @@ def test_finite_scan_of_words_near_overflow(monkeypatch):
                                        spinor=gauss.spinor * (1.5e308 / peak))
 
         monkeypatch.setattr(gridlab, "_standard", scaled)
+        # at N = 12 no word of these relations overflows, and the state's
+        # own norm (inf) refuses the study before its words can
         for rid in rids:
             with pytest.raises(ValueError, match="non-finite entries"):
+                study(rep, [rid], [Grid(L, n) for n in (24, 48, 96)])
+            with pytest.raises(ValueError, match="state norm is inf"):
                 study(rep, [rid], [Grid(L, n) for n in (12, 24, 48)])
+
+
+def test_state_norm_overflow_is_refused():
+    # at a peak of 1e155 the state is finite but its squares overflow, so
+    # its norm is inf: a finite component norm over it would read 0 (a
+    # false exact pass, [P1,P2] == 0 and the Theta exchange) and the
+    # others nan.  residual, a study's _residuals and isometry_defect
+    # refuse it; at 1e153 they agree with the unscaled state to rounding
+    rep = catalog.build("up", 1)
+    g = Grid(L, 24)
+    st = standard_state(rep, g)
+    rids = ["[P1,P2] == 0", "Theta*P0 == P0*Theta", "[J1,J2] == i*J3"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = _scaled(st, 1e155)
+        for rid in rids:
+            with pytest.raises(ValueError, match="state norm is inf"):
+                residual(rep, rid, big)
+        with pytest.raises(ValueError, match="state norm is inf"):
+            gridlab._residuals(rep, representative_relations(rep), big)
+        with pytest.raises(ValueError, match="state norm is inf"):
+            isometry_defect(rep, big)
+    fine = _scaled(st, 1e153)
+    want = gridlab._residuals(rep, rids, st)
+    got = gridlab._residuals(rep, rids, fine)
+    assert [residual(rep, rid, fine) for rid in rids] == got
+    assert want[0] < 1e-15 and want[2] > 1e-3
+    for w, x in zip(want, got):
+        assert x == pytest.approx(w, rel=1e-12, abs=1e-15)
+    defects = isometry_defect(rep, fine)
+    assert all(v < 1e-14 for v in defects.values())
+    assert defects.keys() == isometry_defect(rep, st).keys()
+
+
+@pytest.mark.parametrize("grids", [(17, 33, 65), (32, 64, 128)])
+def test_working_set_reads_the_plans_layout(grids, monkeypatch):
+    # the guard's layout of each grid (the representative relations and
+    # the isometry words) is the one the study's plan runs on that grid
+    # with the isometry rows: equal stored words, lead and pair counts,
+    # for every catalog entry at two_s <= 1
+    grids = [Grid(L, n) for n in grids]
+    made = []
+
+    class Recorded(gridlab._Layout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    class Planned(Exception):
+        pass
+
+    def summary(layout):
+        full = sum(is_full for _j, is_full in layout.pairs.values())
+        return ([w.word for w in layout.stored], layout.lead, full,
+                len(layout.pairs) - full)
+
+    def stop(*args):  # the plan is laid out: make no rows
+        raise Planned
+
+    monkeypatch.setattr(gridlab, "_Layout", Recorded)
+    monkeypatch.setattr(gridlab, "_Buffers", stop)  # the guard makes none
+    for two_s in (0, 1):
+        for label in catalog.catalog_labels(two_s):
+            rep = catalog.build(label, two_s)
+            made.clear()
+            working_set_bytes(rep, grids)
+            guard = [summary(layout) for layout in made]
+            made.clear()
+            for g in grids:
+                with pytest.raises(Planned):
+                    gridlab._residuals(rep, representative_relations(rep),
+                                       gridlab._standard(rep, g),
+                                       dict.fromkeys(gridlab._ISOMETRY))
+            assert [summary(layout) for layout in made] == guard, label
+    # up at two_s = 1 has 11 full-size and 9 broadcast pairs on each grid
+    made.clear()
+    working_set_bytes(catalog.build("up", 1), grids)
+    assert {summary(layout)[2:] for layout in made} == {(11, 9)}
 
 
 def test_finite_scan_once_per_stored_row(monkeypatch):
@@ -891,12 +973,8 @@ def test_finite_scan_once_per_stored_row(monkeypatch):
             root[values.shape[-1]].append(values.shape[2])
     assert {n: sum(r) for n, r in root.items()} == {
         g.points: g.points for g in grids}
-    rels = [r for r in catalog.relations(rep) if r.name in rids]
-    comps = [comp for rel in rels for comp in rel.components]
-    halos = {name: gridlab._halo(op) for name, op in
-             catalog.operators(rep, catalog.word_names(rels)).items()}
+    _rels, comps, ops = gridlab._relations(rep, rids)
     for g in grids:
         normed = {(), ("Theta",), ("Pi",)} if g is grids[-1] else {()}
-        _order, want = gridlab._word_graph(
-            comps, halos, gridlab._slab_rows(g.points), normed)
+        want = gridlab._Layout(ops, comps, normed, g, _meshes(g)).direct
         assert want and {w for n, w in direct if n == g.points} == want
