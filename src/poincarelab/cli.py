@@ -39,12 +39,21 @@ def _phrase(kinds: set[str]) -> str:
 # constraints on dim^2 real unknowns held as sparse rows with a column
 # index, so it grows as dim^2: 30.9-31.1 MiB at two_s 16, 36.1-36.4 at
 # 32, 44.2-44.7 at 48 and 55.3-56.1 at 64 (86.6-87.8 MiB at 96, where it
-# runs in 1.9 s).  verify grows slowly too (131 MiB at 64).
+# runs in 1.9 s).  verify grows slowly too (131 MiB at 64).  grid's line
+# is the peak of building its spec (catalog.build), before the study the
+# working-set guard estimates: fitted to the peaks of a child process that
+# imports poincarelab and builds up or sym6 at two_s 16, 64, 128, 192, 256
+# and 320, within 4 MiB at every point (28.7-28.8 MiB at 16, 84.0-91.3 at
+# 320, where the build takes 3.8-4.0 s), and within 8 MiB of 136.9-151.0
+# at 448.
 def spin_peak_bytes(command: str, two_s: int) -> int:
-    """Estimated peak bytes of `verify` or of `commutant` at this spin."""
+    """Estimated peak bytes of `verify` or of `commutant` at this spin, or
+    of building the spec `grid` studies."""
     dim = two_s + 1
     if command == "verify":
         return int((24.5 + 1.36 * dim) * 2**20 + 4.5 * 2**10 * dim**2)
+    if command == "grid":
+        return int(28.5 * 2**20 + 0.59 * 2**10 * dim**2)
     return int(29.5 * 2**20 + 6.4 * 2**10 * dim**2)
 
 
@@ -118,12 +127,14 @@ def cmd_classify(args) -> RelationReport:
 
 
 def cmd_grid(args) -> RelationReport:
+    budget = gridlab.memory_budget()
+    check_spin_cost("grid", args.two_s, budget)
     rep = catalog.build(args.rep, args.two_s)
     sizes = args.n
     grids = [gridlab.Grid(args.extent, n, args.mu) for n in sizes]
     if len(grids) < 3:
         raise ValueError("non-nested grid sequence: need at least three grids")
-    gridlab.check_working_set(rep, grids, gridlab.memory_budget())
+    gridlab.check_working_set(rep, grids, budget)
     report = RelationReport(rep.label, rep.two_s)
     relations = gridlab.representative_relations(rep)
     print(

@@ -29,7 +29,9 @@ operations in the same order as in one whole-array pass per term with
 that formula, so results are bit-identical to it; the formula it
 replaced, conj^k(x * F) * s, rounds differently, by at most 7.2e-16 of
 the largest modulus on the operators tested.  ``apply`` runs the row
-kernel over all rows, slab by slab.
+kernel over all rows, slab by slab, from the plan and buffers a streamed
+plan makes for one operator; its result is scanned for non-finite
+entries once, as every ``GridState`` is.
 
 ``study`` runs every relation of a study on each grid from one streamed
 plan (``_stream``): the grid's rows are walked from both faces in, a
@@ -45,18 +47,18 @@ Gaussian factors, evaluated as the plan goes, or a caller's
 grid's size but the bump and 1/p0 weight that normalize the state once
 per grid, freed before the plan starts.  The working-set guard
 (``working_set_bytes``) reads the plan's own layout (``_Layout``) on
-each grid and only turns it into bytes.  Each finished slab of a
-component takes its norm partials, summed at the end in the
-slab-then-component order of a whole-state norm, so residuals are
-bit-identical to evaluating each relation alone with whole applied
-states.  The plan takes the state's own norm too, and for the isometry
-rows (``isometry_defect``, and a study's finest grid) the norms of Theta
-psi and Pi psi; a state whose own norm is not finite (entries above
-about 1e154, whose squares overflow) is refused.  Rows are scanned for
-non-finite entries once: a word that keeps its rows, the state included,
-as the plan computes them; a word read once, as a term, only through its
-component's norm, which scans a slab whose partials are not finite
-(``_Norm``).  ``apply`` scans each slab it computes.
+each grid, on a mesh that makes no axis, and only turns it into bytes.
+Each finished slab of a component takes its norm partials, summed at
+the end in the slab-then-component order of a whole-state norm, so
+residuals are bit-identical to evaluating each relation alone with
+whole applied states.  The plan takes the state's own norm too, and for
+the isometry rows (``isometry_defect``, and a study's finest grid) the
+norms of Theta psi and Pi psi; a state whose own norm is not finite
+(entries above about 1e154, whose squares overflow) is refused.  Rows
+are scanned for non-finite entries once: a word that keeps its rows,
+the state included, as the plan computes them; a word read once, as a
+term, only through its component's norm, which scans a slab whose
+partials are not finite (``_Norm``).
 ``grid --rep up --two-s 1`` at N = 32, 64, 128 computes its 74 distinct
 words once on each grid (222 words, against 251 applies when at most
 three states could stay and 356 when every relation ran alone) in a
@@ -78,7 +80,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -129,32 +131,30 @@ class Grid:
 _INV_P0 = ((0, 0, 0, 0), 1, 0)
 
 
-class _Field(NamedTuple):
-    """A basis field of a plan: its key and the shape it broadcasts to."""
-
-    key: tuple
-    shape: tuple[int, ...]
-
-
 class _Mesh:
     """Coordinates of one grid, and the factors of its standard states.
 
     p1, p2, p3 are broadcastable axes of shapes (N,1,1), (1,N,1),
-    (1,1,N); no array of the grid's size is kept.  ``field`` evaluates
-    the real basis field p^m / (p0^a (mu+p0)^b) of a key (m, a, b), with
-    m the exponents of (p1, p2, p3, p0), on a range of axis-0 rows when
-    asked, p0 and the 1/p0 weight included.  ``gaussians`` maps
+    (1,1,N), made on first use, so a mesh that only lays out a plan (the
+    working-set guard's) holds no array; no array of the grid's size is
+    kept.  ``field`` evaluates the real basis field p^m / (p0^a
+    (mu+p0)^b) of a key (m, a, b), with m the exponents of (p1, p2, p3,
+    p0), on a range of axis-0 rows when asked, p0 and the 1/p0 weight
+    included.  ``gaussians`` maps
     (two_s, blocks) to the factors of the grid's standard state
     (``_standard``); ``states`` holds the state itself once
     ``standard_state`` has sampled it for a caller.
     """
 
     def __init__(self, grid: Grid):
-        ax = grid.axis()
-        self.mu, self.n = grid.mu, grid.points
-        self.axes = tuple(np.meshgrid(ax, ax, ax, indexing="ij", sparse=True))
+        self.grid, self.mu, self.n = grid, grid.mu, grid.points
         self.gaussians: dict[tuple[int, int], _Gaussian] = {}
         self.states: dict[tuple[int, int], GridState] = {}
+
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        ax = self.grid.axis()
+        return tuple(np.meshgrid(ax, ax, ax, indexing="ij", sparse=True))
 
     def shape(self, key: tuple) -> tuple[int, ...]:
         """The shape of the field of key on every row: full size when it
@@ -231,16 +231,6 @@ class GridState:
             )
         if not np.isfinite(self.values).all():
             raise ValueError("state contains non-finite entries")
-
-    @classmethod
-    def _prechecked(cls, values, grid, spin, blocks) -> GridState:
-        """A state of the right shape whose values the caller has already
-        scanned for non-finite entries; skips the second scan."""
-        state = object.__new__(cls)
-        for name, value in zip(("values", "grid", "spin", "blocks"),
-                               (values, grid, spin, blocks)):
-            object.__setattr__(state, name, value)
-        return state
 
     def rows(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Rows lo:hi into ``out``, as ``_Gaussian.rows`` gives them."""
@@ -371,54 +361,69 @@ def _slab_rows(points: int) -> int:
     return max(1, SLAB_BYTES // (points * points * 16))
 
 
-def _plan(op: BlockOp, mesh: _Mesh,
-          spacing: float) -> tuple[list[tuple], list[tuple]]:
-    """The operator as a list of (src block, spin column, axes, u, terms),
-    and the distinct (``_Field``, scalar) pairs its terms use.
+class _Plan(NamedTuple):
+    """The row kernel of one operator on one grid (``_plan``)."""
+
+    sources: list  # ((src block, spin column), axes, u, terms)
+    unreached: list  # (block, spin column) of each output no term writes
+    used: list  # the table index of each pair the terms read
+    halo: int  # the most axis-0 derivatives of any term
+
+
+def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict) -> _Plan:
+    """The operator's row kernel, its (field key, s) pairs entered into
+    ``pairs``, the table every plan of a layout shares: (key, s) ->
+    (index, whether the field is full size), in order of first use.
 
     A term M d^alpha Y^u C^k acts column by column of M: source component
     n is differenced along ``axes`` on the unreflected grid (the stencil
     commutes with C, and with Y up to the sign (-1)^|alpha|), viewed
     reflected if u, and each coefficient term s * F of M[m][n] adds
     conj^k(x) * (F * s) to output component m, where s carries the step
-    1/(2h)^|alpha| and the reflection sign.  Each entry's terms are
-    (dst block, dst component, pair index or None for a term with no
-    field, scalar, k, first), first marking the contribution that writes
-    its output instead of adding to it.  Contributions sharing a source
-    join one entry unless that would move them ahead of an earlier
-    contribution to the same output, so every output sums its
+    1/(2h)^|alpha| and the reflection sign.  Each source's terms are
+    (dst block, dst component, p, scalar, k, first): p indexes ``used``
+    (None for a term with no field), and first marks the contribution
+    that writes its output instead of adding to it.  Contributions
+    sharing a source join one entry unless that would move them ahead of
+    an earlier contribution to the same output, so every output sums its
     contributions in the order of the operator's terms.
     """
-    entries, by_source, last, written = [], {}, {}, set()
-    pairs, index = [], {}
+    sources, by_source, last, written = [], {}, {}, set()
+    used, local, halo = [], {}, 0
+    full = (mesh.n,) * 3
     for br, row in enumerate(op.entries):
         for bc, sop in enumerate(row):
             for (alpha, u, k), mat in sop.terms.items():
                 axes = tuple(a for a in range(3) for _ in range(alpha[a]))
                 step = ((-1 if u else 1) / (2 * spacing)) ** len(axes)
+                halo = max(halo, alpha[0])
                 for n in range(op.dim):
-                    source = (bc, n, axes, u)
+                    source = ((bc, n), axes, u)
                     for m in range(op.dim):
                         if mat[m][n].is_zero():
                             continue
                         dst = (br, m)
                         i = by_source.get(source)
                         if i is None or last.get(dst, -1) > i:
-                            i = by_source[source] = len(entries)
-                            entries.append((*source, []))
+                            i = by_source[source] = len(sources)
+                            sources.append((*source, []))
                         for key, s in mesh.terms(mat[m][n]):
                             s *= step
                             p = None
                             if key is not None:
-                                p = index.setdefault((key, s), len(pairs))
-                                if p == len(pairs):
-                                    pairs.append(
-                                        (_Field(key, mesh.shape(key)), s))
-                            entries[i][-1].append(
+                                j, _full = pairs.setdefault(
+                                    (key, s),
+                                    (len(pairs), mesh.shape(key) == full))
+                                p = local.setdefault(j, len(used))
+                                if p == len(used):
+                                    used.append(j)
+                            sources[i][-1].append(
                                 (br, m, p, s, k, dst not in written))
                             written.add(dst)
                         last[dst] = i
-    return entries, pairs
+    unreached = [(br, m) for br in range(op.blocks) for m in range(op.dim)
+                 if (br, m) not in written]
+    return _Plan(sources, unreached, used, halo)
 
 
 class _Rows:
@@ -507,95 +512,51 @@ def _diff_chunks(src: _Rows, comp: tuple, i0: int, i1: int,
         out, i0 = out[j - i0:], j
 
 
-def _halo(op: BlockOp) -> int:
-    """The most axis-0 derivatives of any term of op."""
-    return max((alpha[0] for row in op.entries for sop in row
-                for (alpha, _u, _k) in sop.terms), default=0)
-
-
-def _pair_table(plans, n: int) -> dict[tuple, tuple[int, bool]]:
-    """The distinct (field key, s) pairs of ``plans`` (``_plan``'s
-    results) on a grid of n points, in order of first use, each mapped
-    to its index and whether its field is full size."""
-    table: dict[tuple, tuple[int, bool]] = {}
-    for _entries, pairs in plans:
-        for field, s in pairs:
-            table.setdefault((field.key, s),
-                             (len(table), field.shape == (n, n, n)))
-    return table
-
-
-def _planes(table: dict, mesh: _Mesh) -> dict[int, np.ndarray]:
-    """F * s of each pair of ``table`` whose field broadcasts along an
-    axis, by index, made once for every kernel that reads it: a
-    contiguous (1, N, N) plane when it is constant along axis 0."""
-    n, planes = mesh.n, {}
-    for (key, s), (j, full) in table.items():
-        if not full:
-            f = np.multiply(mesh.field(key), s)
-            planes[j] = (np.ascontiguousarray(np.broadcast_to(f, (1, n, n)))
-                         if len(f) == 1 else f)
-    return planes
-
-
-class _Kernel:
-    """The row kernel of one operator on one grid.
-
-    ``sources`` is the operator's ``_plan`` list with each source as its
-    (block, spin column) pair; ``fields`` gives each (field, scalar) pair
-    of the plan, j its index in the plan's table (``_pair_table``), as
-    (F * s, None, None) for a field that broadcasts along an axis, from
-    ``planes`` (``_planes``), and as (key, s, j) for a full-size one,
-    evaluated and scaled per range (``_Buffers.slab``).  ``unreached``
-    lists the output components no term writes.
-    """
-
-    def __init__(self, op: BlockOp, plan: tuple, table: dict, planes: dict,
-                 n: int, name: str | None = None):
-        entries, pairs = plan
-        self.name, self.n = name, n
-        self.sources = [((bc, col), axes, u, terms)
-                        for bc, col, axes, u, terms in entries]
-        written = {(t[0], t[1]) for *_src, terms in entries for t in terms}
-        self.unreached = [(br, m) for br in range(op.blocks)
-                          for m in range(op.dim) if (br, m) not in written]
-        self.fields = []
-        for field, s in pairs:
-            j, full = table[field.key, s]
-            self.fields.append((field.key, s, j) if full
-                               else (planes[j], None, None))
-
-
 class _Bank:
     """The full-size field slabs of one range of rows: the basis fields
-    by key and the scaled ones by index, each made on first use."""
+    by key and the scaled pairs by table index, each made on first use."""
 
     __slots__ = ("span", "bases", "scaled")
 
-    def __init__(self, span: tuple[int, int] | None, fields: int):
-        self.span, self.bases, self.scaled = span, {}, [None] * fields
+    def __init__(self, span: tuple[int, int] | None, pairs: int):
+        self.span, self.bases, self.scaled = span, {}, [None] * pairs
+
+    def base(self, mesh: _Mesh, key: tuple) -> np.ndarray:
+        """The basis field of key on the range's rows."""
+        if key not in self.bases:
+            self.bases[key] = mesh.field(key, *self.span)
+        return self.bases[key]
 
 
 class _Buffers:
     """Slab buffers that row kernels run one after another share, for
-    ranges of at most ``rows`` rows of ``mesh``'s grid: scratch, two
-    difference buffers with a ``halo`` of rows on either side, the field
-    slabs of the last ``ranges`` ranges run (``_Bank``: each full-size
-    pair of a table of ``fields`` pairs scaled, by its index) and, given
-    the (blocks, 2s+1) ``shape`` of a state, the slab a term is built in
-    before it is added onto a sum."""
+    ranges of at most ``rows`` rows of ``mesh``'s grid.
 
-    def __init__(self, mesh: _Mesh, rows: int, halo: int, fields: int,
-                 shape: tuple[int, int] | None = None, ranges: int = 2):
+    ``pairs`` is the table of (field key, s) pairs the kernels' plans
+    share (``_plan``).  Each pair whose field broadcasts along an axis is
+    scaled first, once for every kernel (a contiguous (1, N, N) plane
+    when it is constant along axis 0); then come scratch, two difference
+    buffers with a ``halo`` of rows on either side, the slab a term of a
+    state of (blocks, 2s+1) ``shape`` is built in before it is added onto
+    a sum, and the field slabs of the last ``ranges`` ranges run
+    (``_Bank``).
+    """
+
+    def __init__(self, mesh: _Mesh, rows: int, halo: int, pairs: dict,
+                 shape: tuple[int, int], ranges: int):
         n = mesh.n
-        self.mesh = mesh
+        self.mesh, self.pairs, self.planes = mesh, list(pairs), {}
+        for (key, s), (j, full) in pairs.items():
+            if not full:
+                f = np.multiply(mesh.field(key), s)
+                self.planes[j] = (
+                    np.ascontiguousarray(np.broadcast_to(f, (1, n, n)))
+                    if len(f) == 1 else f)
         self.scratch = np.empty((rows, n, n), dtype=complex)
         self.deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex)
                       for _ in range(2)]
-        self.fields = fields
-        self.banks = [_Bank(None, fields) for _ in range(ranges)]
-        self.target = None if shape is None else np.empty(
-            (*shape, rows, n, n), dtype=complex)
+        self.banks = [_Bank(None, len(pairs)) for _ in range(ranges)]
+        self.target = np.empty((*shape, rows, n, n), dtype=complex)
 
     def _bank(self, lo: int, hi: int) -> _Bank:
         """The slabs of rows lo:hi, in place of the oldest range's."""
@@ -603,23 +564,31 @@ class _Buffers:
             if bank.span == (lo, hi):
                 return bank
         self.banks.pop(0)
-        self.banks.append(_Bank((lo, hi), self.fields))
+        self.banks.append(_Bank((lo, hi), len(self.pairs)))
         return self.banks[-1]
 
     def base(self, key: tuple, lo: int, hi: int) -> np.ndarray:
         """The basis field of key on rows lo:hi."""
-        bases = self._bank(lo, hi).bases
-        if key not in bases:
-            bases[key] = self.mesh.field(key, lo, hi)
-        return bases[key]
+        return self._bank(lo, hi).base(self.mesh, key)
 
-    def slab(self, key: tuple, s: complex, j: int, lo: int,
-             hi: int) -> np.ndarray:
-        """Pair j, the field of key times s, on rows lo:hi."""
-        scaled = self._bank(lo, hi).scaled
-        if scaled[j] is None:
-            scaled[j] = np.multiply(self.base(key, lo, hi), s)
-        return scaled[j]
+    def fields(self, used: list, lo: int, hi: int) -> list[np.ndarray]:
+        """F * s on rows lo:hi of each pair of ``used`` (table indices): a
+        broadcast pair's plane, or a full-size pair's slab, made on first
+        use in the range's bank."""
+        bank = self._bank(lo, hi)
+        out = []
+        for j in used:
+            f = self.planes.get(j)
+            if f is None:
+                f = bank.scaled[j]
+                if f is None:
+                    key, s = self.pairs[j]
+                    f = np.multiply(bank.base(self.mesh, key), s)
+                    bank.scaled[j] = f
+            elif len(f) > 1:
+                f = f[lo:hi]
+            out.append(f)
+        return out
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -641,33 +610,32 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray, c: complex,
         acc += np.multiply(rows, c, out=scratch)
 
 
-def _apply_rows(kernel: _Kernel, bufs: _Buffers, src: _Rows, lo: int,
+def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
                 hi: int, out: np.ndarray, c: complex | None = None) -> None:
-    """Rows lo:hi of kernel's operator applied to src, into ``out`` of
+    """Rows lo:hi of plan's operator applied to src, into ``out`` of
     shape (blocks, 2s+1, hi - lo, N, N); with ``c``, c times them added
     onto out instead.
 
     Every term of the plan runs on these rows while they are in cache:
     each source component differenced (``_diff_rows``), viewed reflected
     by reading the mirrored rows, and for each term conjugated if
-    antilinear and multiplied by the term's scaled field F * s.  A term
-    without a field is multiplied by its scalar, or copied when that is
-    1.  The first contribution to an output component is written straight
-    into it, later ones go through one scratch slab; components no term
-    reaches are zeroed.  Rows added onto out are built in
-    ``bufs.target`` and added (``_add_rows``).  The rows are not checked
-    finite here: a caller that keeps them scans them (``_check_finite``),
-    and rows written or added into a component are checked through its
-    norm (``_Norm``).
+    antilinear and multiplied by the term's scaled field F * s
+    (``_Buffers.fields``).  A term without a field is multiplied by its
+    scalar, or copied when that is 1.  The first contribution to an
+    output component is written straight into it, later ones go through
+    one scratch slab; components no term reaches are zeroed.  Rows added
+    onto out are built in ``bufs.target`` and added (``_add_rows``).  The
+    rows are not checked finite here: a caller that keeps them scans
+    them (``_check_finite``, or ``GridState`` for ``apply``), and rows
+    written or added into a component are checked through its norm
+    (``_Norm``).
     """
-    n, rows = kernel.n, hi - lo
+    n, rows = bufs.mesh.n, hi - lo
     slab = out if c is None else bufs.target[:, :, :rows]
-    for br, m in kernel.unreached:
+    for br, m in plan.unreached:
         slab[br, m] = 0
-    gs = [f if s is None and len(f) == 1 else f[lo:hi] if s is None
-          else bufs.slab(f, s, j, lo, hi)
-          for f, s, j in kernel.fields]
-    for comp, axes, u, terms in kernel.sources:
+    gs = bufs.fields(plan.used, lo, hi)
+    for comp, axes, u, terms in plan.sources:
         a, b = (n - hi, n - lo) if u else (lo, hi)
         x = (_diff_rows(src, comp, axes, a, b, bufs.deriv, n) if axes
              else src.take(a, b)[comp])
@@ -692,30 +660,29 @@ def apply(op: BlockOp, state: GridState) -> GridState:
 
     The output is built a few axis-0 rows at a time (``_slab_rows``) by
     the row kernel (``_apply_rows``), which runs the operator's whole
-    plan (``_plan``) on those rows while they are in cache.  F * s is
-    computed once per apply for a field that broadcasts along an axis
-    and once per slab for a full-size one, for each distinct (field, s),
-    the full-size field itself evaluated on the slab's rows.
-    A finished slab is checked finite while it is still in cache, so the
-    result needs no second scan.
+    plan (``_plan``) on those rows while they are in cache; the plan and
+    its buffers are made as a streamed plan makes them (``_stream``).
+    F * s is computed once per apply for a field that broadcasts along
+    an axis and once per slab for a full-size one, for each distinct
+    (field, s), the full-size field itself evaluated on the slab's rows.
+    The result is scanned for non-finite entries once, as every
+    ``GridState`` is.
     """
     if op.dim != state.spin.dim or op.blocks != state.blocks:
         raise ValueError("operator shape does not match the state")
     g = state.grid
     n, mesh = g.points, _meshes(g)
-    plan = _plan(op, mesh, g.spacing)
-    table = _pair_table([plan], n)
-    kernel = _Kernel(op, plan, table, _planes(table, mesh), n)
+    pairs: dict = {}
+    plan = _plan(op, mesh, g.spacing, pairs)
     rows = min(_slab_rows(n), n)
-    bufs = _Buffers(mesh, rows, _halo(op), len(table))
+    bufs = _Buffers(mesh, rows, plan.halo, pairs, (op.blocks, op.dim), 2)
     out = _empty_values(op.blocks, n, op.dim)
     comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
     src = _Rows.whole(state.values)
     for a in range(0, n, rows):
-        _apply_rows(kernel, bufs, src, a, min(a + rows, n),
+        _apply_rows(plan, bufs, src, a, min(a + rows, n),
                     comps[:, :, a:a + rows])
-        _check_finite(comps[:, :, a:a + rows])
-    return GridState._prechecked(out, g, state.spin, state.blocks)
+    return GridState(out, g, state.spin, state.blocks)
 
 
 # -- working-set guard ----------------------------------------------------------
@@ -733,7 +700,9 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     1/p0 weight on every row, 8 bytes a point, freed before its streamed
     plan (``_stream``) starts.  The plan's arrays are read from its own
     layout (``_Layout``) on each grid, of the representative relations
-    and the isometry words, and none of them is state-sized:
+    and the isometry words, laid out on an uncached mesh that makes no
+    axis, so the guard itself allocates nothing of the grid's size; none
+    of the plan's arrays is state-sized:
     - each stored word's window, the state's own included, lead + keep
       + 1 levels of its rows, a level being a slab and its mirror (at
       most N rows in all);
@@ -768,7 +737,7 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
         sums = span * (1 + len(comps) * bool(n % rows))
         banks = 2 * (lay.lead + 1) * span * (2 * len(full) + bases)
         planes = (spins * (window + sums + 2 * span) + 5 * span
-                  + 4 * max(lay.halos.values()) + banks // 2
+                  + 4 * lay.halo + banks // 2
                   + len(lay.pairs) - len(full))
         peak = max(peak, planes * n * n * 16, 2 * n**3 * 8)
     return peak
@@ -903,10 +872,11 @@ class _Layout:
     ``normed`` words runs on one grid, decided before any row is made;
     ``working_set_bytes`` turns the same layout into bytes.
 
-    ``ops`` are the operators the words name, with their ``_plan`` on
-    the grid (``plans``) and axis-0 stencil reach (``halos``); ``pairs``
-    is one table of the distinct (field, s) pairs of those plans
-    (``_pair_table``), and ``rows`` the rows of a slab.  The word graph:
+    ``ops`` are the operators the words name, with their row kernels
+    (``_plan``) on the grid by name (``plans``), ``pairs`` the table of
+    distinct (field key, s) pairs those plans share, ``halo`` the
+    deepest axis-0 stencil of any of them and ``rows`` the rows of a
+    slab.  The word graph:
     ``order`` holds the distinct nonempty words shortest first, with
     their readers and their ``lead`` and ``keep`` in levels (see
     ``_stream``); ``direct`` the words read once, as a term, which go
@@ -922,10 +892,10 @@ class _Layout:
         terms = [word for comp in components for _c, word in comp]
         self.ops = {name: ops[name] for name in dict.fromkeys(
             chain.from_iterable(chain(terms, normed)))}
-        self.plans = {name: _plan(op, mesh, grid.spacing)
+        self.pairs: dict[tuple, tuple[int, bool]] = {}
+        self.plans = {name: _plan(op, mesh, grid.spacing, self.pairs)
                       for name, op in self.ops.items()}
-        self.halos = {name: _halo(op) for name, op in self.ops.items()}
-        self.pairs = _pair_table(self.plans.values(), grid.points)
+        self.halo = max((p.halo for p in self.plans.values()), default=0)
         self.rows = rows = _slab_rows(grid.points)
         self.root = _Word(())
         words = {(): self.root}
@@ -939,7 +909,8 @@ class _Layout:
         for w in reversed(order):  # readers before what they read
             if w.word:
                 words[w.word[1:]].users.append(w)
-            need = [-(-self.halos[u.word[0]] // rows) for u in w.users]
+            need = [-(-self.plans[u.word[0]].halo // rows)
+                    for u in w.users]
             w.lead = max([0] * (bool(w.terms) or w.word in normed)
                          + [u.lead + d for u, d in zip(w.users, need)])
             w.keep = max([0] * bool(w.terms) + [1] * (w.word in normed)
@@ -990,14 +961,10 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     lay = _Layout(ops, components, normed, g, mesh)
     if any((op.blocks, op.dim) != shape for op in lay.ops.values()):
         raise ValueError("operator shape does not match the state")
-    rows, direct, stored = lay.rows, lay.direct, lay.stored
+    rows, direct, stored, plans = lay.rows, lay.direct, lay.stored, lay.plans
     levels = _level_ranges(n, rows)
-    planes = _planes(lay.pairs, mesh)
-    kernels = {name: _Kernel(op, lay.plans[name], lay.pairs, planes, n, name)
-               for name, op in lay.ops.items()}
-    bufs = _Buffers(mesh, min(2 * rows, n),
-                    max(lay.halos.values(), default=0), len(lay.pairs),
-                    shape, 2 * (lay.lead + 1))
+    bufs = _Buffers(mesh, min(2 * rows, n), lay.halo, lay.pairs, shape,
+                    2 * (lay.lead + 1))
     source = {w.word: w.rows for w in stored}
     weight = partial(bufs.base, _INV_P0)
     measured = [w for w in stored if w.word in normed]
@@ -1017,7 +984,7 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
                     if word is lay.root:
                         state.rows(lo, hi, out)
                     else:
-                        _apply_rows(kernels[word.word[0]], bufs,
+                        _apply_rows(plans[word.word[0]], bufs,
                                     source[word.word[1:]], lo, hi, out)
                     _check_finite(out)
                     word.rows.chunks.append((lo, hi, out))
@@ -1029,7 +996,7 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
                 acc = np.empty((*shape, hi - lo, n, n), dtype=complex)
                 for i, coeff, c, word in terms:
                     if word in direct:
-                        _apply_rows(kernels[word[0]], bufs, source[word[1:]],
+                        _apply_rows(plans[word[0]], bufs, source[word[1:]],
                                     lo, hi, acc, None if i == 0 else c)
                     elif i == 0:
                         np.copyto(acc, source[word].take(lo, hi))

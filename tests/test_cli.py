@@ -277,6 +277,7 @@ def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
     (["commutant", "--rep", "up", "--two-s", "1000"], "commutant", 1000),
     (["catalog", "--two-s", "1000"], "commutant", 1000),
     (["verify", "--rep", "sym6", "--two-s", "4000"], "verify", 4000),
+    (["grid", "--rep", "up", "--two-s", "4000"], "grid", 4000),
 ])
 def test_high_spin_is_refused_before_building(monkeypatch, capsys, argv,
                                               command, two_s):
@@ -300,7 +301,9 @@ def test_spin_guard_admits_the_measured_spins():
     # the fit reproduces the peaks it was fitted to within a few MiB
     assert abs(spin_peak_bytes("commutant", 64) / 2**20 - 56) < 5
     assert abs(spin_peak_bytes("verify", 64) / 2**20 - 131) < 5
-    for command in ("verify", "commutant"):
+    # building the spec grid studies: 84.0-91.3 MiB at 320
+    assert abs(spin_peak_bytes("grid", 320) / 2**20 - 88) < 5
+    for command in ("verify", "commutant", "grid"):
         check_spin_cost(command, 64, 4 * 2**30)
         check_spin_cost(command, 10**6, None)  # no MemAvailable, no guard
     with pytest.raises(ValueError, match="commutant at two_s = 500"):

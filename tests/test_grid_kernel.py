@@ -127,14 +127,12 @@ def row_kernel(op, state, src=None, c=None, out=None):
     array, or with c given, c times the rows added onto ``out``."""
     g = state.grid
     n, mesh = g.points, _meshes(g)
-    plan = gridlab._plan(op, mesh, g.spacing)
-    table = gridlab._pair_table([plan], n)
-    kernel = gridlab._Kernel(op, plan, table, gridlab._planes(table, mesh), n)
+    pairs = {}
+    plan = gridlab._plan(op, mesh, g.spacing, pairs)
     ranges = [r for level in gridlab._level_ranges(n, gridlab._slab_rows(n))
               for r in level]
     bufs = gridlab._Buffers(mesh, max(hi - lo for lo, hi in ranges),
-                            gridlab._halo(op), len(table),
-                            (op.blocks, op.dim))
+                            plan.halo, pairs, (op.blocks, op.dim), 2)
     if src is None:
         src = gridlab._Rows.whole(state.values)
     if out is None:  # stored spin-major, as apply's outputs are
@@ -142,7 +140,7 @@ def row_kernel(op, state, src=None, c=None, out=None):
                                   dtype=complex), 1, -1)
     comps = np.moveaxis(out, -1, 1)
     for lo, hi in ranges:
-        gridlab._apply_rows(kernel, bufs, src, lo, hi, comps[:, :, lo:hi], c)
+        gridlab._apply_rows(plan, bufs, src, lo, hi, comps[:, :, lo:hi], c)
     return out
 
 
@@ -174,13 +172,14 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
     # both kinds of scaled field occur and feed several terms: full-size
     # ones filled per slab (the K's) and broadcast ones scaled once per
     # apply (the J's)
-    shared = {pairs[p][0].shape == (points,) * 3
-              for op in ops.values()
-              for plan, pairs in [gridlab._plan(op, _meshes(st.grid),
-                                                st.grid.spacing)]
-              for p, n in Counter(t[2] for *_e, terms in plan
-                                  for t in terms if t[2] is not None).items()
-              if n > 1}
+    shared = set()
+    for op in ops.values():
+        pairs = {}
+        plan = gridlab._plan(op, _meshes(st.grid), st.grid.spacing, pairs)
+        full = dict(pairs.values())  # table index -> full size
+        uses = Counter(t[2] for *_src, terms in plan.sources for t in terms
+                       if t[2] is not None)
+        shared |= {full[plan.used[p]] for p, n in uses.items() if n > 1}
     assert shared == {True, False}
     for name, op in ops.items():
         want = whole_array_apply(op, st)

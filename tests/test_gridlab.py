@@ -280,7 +280,8 @@ def test_field_cache_lives_and_dies_with_the_mesh():
     cached = weakref.ref(mesh)
     factors = weakref.ref(mesh.gaussians[rep.two_s, rep.blocks])
     state = weakref.ref(mesh.states[rep.two_s, rep.blocks])
-    assert set(vars(mesh)) == {"mu", "n", "axes", "gaussians", "states"}
+    assert set(vars(mesh)) == {"grid", "mu", "n", "axes", "gaussians",
+                               "states"}
     assert _meshes.cache_info().maxsize == 8
     del mesh
     _meshes.cache_clear()
@@ -398,6 +399,23 @@ def test_working_set_guard_refuses_oversized_grids():
         check_working_set(rep, big, budget)
 
 
+def test_working_set_guard_allocates_nothing_of_the_grids_size():
+    # the guard lays the plan out on a mesh that makes no axis, so it
+    # refuses N = 10^6 (an axis of 8 MB, an N^3 grid of 10^18 points)
+    # having traced about 0.1 MiB of allocations; four arrays of N points
+    # (30.6 MiB) when the mesh made its axes up front
+    rep = catalog.build("up", 1)
+    grids = [Grid(L, n) for n in (32, 64, 10**6)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="N = 32, 64, 1000000 needs"):
+            check_working_set(rep, grids, 4 * 2**30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_grid_state_validates_every_construction():
     g = Grid(L, 16)
     st = standard_state(catalog.build("up", 1), g)
@@ -507,15 +525,31 @@ def test_mass_casimir_is_exact_on_the_grid(label, two_s):
     assert residual(rep, "P0^2 - P.P == mu^2", st) < EXACT_TOL
 
 
+def _plan_names(monkeypatch) -> dict:
+    """Map the id of each plan a layout makes to the operator name the
+    layout gives it (``_Layout.plans``); the plans are kept alive, so no
+    id is reused."""
+    names, kept = {}, []
+
+    class Named(gridlab._Layout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self.plans)
+            names.update((id(plan), name) for name, plan in self.plans.items())
+
+    monkeypatch.setattr(gridlab, "_Layout", Named)
+    return names
+
+
 def _record_words(monkeypatch):
     """Record the rows of each word the row kernel computes, by grid
     size and word; an apply outside a plan records its word as (None,)."""
     seen = defaultdict(list)
-    real = gridlab._apply_rows
+    real, names = gridlab._apply_rows, _plan_names(monkeypatch)
 
-    def counted(kernel, bufs, src, lo, hi, out, c=None):
-        seen[kernel.n, (kernel.name,) + src.word].append((lo, hi))
-        return real(kernel, bufs, src, lo, hi, out, c)
+    def counted(plan, bufs, src, lo, hi, out, c=None):
+        seen[bufs.mesh.n, (names.get(id(plan)),) + src.word].append((lo, hi))
+        return real(plan, bufs, src, lo, hi, out, c)
 
     monkeypatch.setattr(gridlab, "_apply_rows", counted)
     return seen
@@ -941,15 +975,17 @@ def test_finite_scan_once_per_stored_row(monkeypatch):
     grids = [Grid(L, n) for n in (17, 33, 65)]
     scanned, calls = [], []
     real_check, real_rows = gridlab._check_finite, gridlab._apply_rows
+    names = _plan_names(monkeypatch)
 
     def check(values):
         scanned.append(values)
         real_check(values)
 
-    def counted(kernel, bufs, src, lo, hi, out, c=None):
-        calls.append((kernel.n, (kernel.name,) + src.word, lo, hi, out))
+    def counted(plan, bufs, src, lo, hi, out, c=None):
+        calls.append((bufs.mesh.n, (names[id(plan)],) + src.word, lo, hi,
+                      out))
         before = len(scanned)
-        real_rows(kernel, bufs, src, lo, hi, out, c)
+        real_rows(plan, bufs, src, lo, hi, out, c)
         assert len(scanned) == before
 
     monkeypatch.setattr(gridlab, "_check_finite", check)
