@@ -132,8 +132,7 @@ def cmd_grid(args) -> RelationReport:
     rep = catalog.build(args.rep, args.two_s)
     sizes = args.n
     grids = [gridlab.Grid(args.extent, n, args.mu) for n in sizes]
-    if len(grids) < 3:
-        raise ValueError("non-nested grid sequence: need at least three grids")
+    gridlab.refining(grids)
     gridlab.check_working_set(rep, grids, budget)
     report = RelationReport(rep.label, rep.two_s)
     relations = gridlab.representative_relations(rep)

@@ -31,7 +31,7 @@ replaced, conj^k(x * F) * s, rounds differently, by at most 7.2e-16 of
 the largest modulus on the operators tested.  ``apply`` runs the row
 kernel over all rows, slab by slab, from the plan and buffers a streamed
 plan makes for one operator; its result is scanned for non-finite
-entries once, as every ``GridState`` is.
+entries once, as every ``GridState`` is, a slab of rows at a time.
 
 ``study`` runs every relation of a study on each grid from one streamed
 plan (``_stream``): the grid's rows are walked from both faces in, a
@@ -48,16 +48,17 @@ grid's size but the bump and 1/p0 weight that normalize the state once
 per grid, freed before the plan starts.  The working-set guard
 (``working_set_bytes``) reads the plan's own layout (``_Layout``) on
 each grid, on a mesh that makes no axis, and only turns it into bytes.
-Each finished slab of a component takes its norm partials, summed at
-the end in the slab-then-component order of a whole-state norm, so
-residuals are bit-identical to evaluating each relation alone with
-whole applied states.  The plan takes the state's own norm too, and for
+Each range of a component's rows takes its norm partials as soon as it
+is made, cut at slab boundaries and summed at the end in
+piece-then-component order, so residuals are bit-identical to
+evaluating each relation alone with whole applied states normed over
+the same ranges.  The plan takes the state's own norm too, and for
 the isometry rows (``isometry_defect``, and a study's finest grid) the
 norms of Theta psi and Pi psi; a state whose own norm is not finite
 (entries above about 1e154, whose squares overflow) is refused.  Rows
 are scanned for non-finite entries once: a word that keeps its rows,
 the state included, as the plan computes them; a word read once, as a
-term, only through its component's norm, which scans a slab whose
+term, only through its component's norm, which scans a piece whose
 partials are not finite (``_Norm``).
 ``grid --rep up --two-s 1`` at N = 32, 64, 128 computes its 74 distinct
 words once on each grid (222 words, against 251 applies when at most
@@ -114,10 +115,12 @@ class Grid:
     def __post_init__(self):
         if self.points < 8:
             raise ValueError("grid needs at least 8 points per axis")
-        if not (self.extent > 0 and math.isfinite(self.extent)):
-            raise ValueError("grid extent must be positive and finite")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ValueError("mu must be positive and finite")
+        # a field squares mu and the extent, a norm cubes the spacing
+        cube = self.extent * self.extent * self.extent
+        if not (self.extent > 0 and math.isfinite(cube)):
+            raise ValueError("grid extent must be positive, its cube finite")
+        if not (self.mu > 0 and math.isfinite(self.mu * self.mu)):
+            raise ValueError("mu must be positive, its square finite")
 
     @property
     def spacing(self) -> float:
@@ -229,8 +232,10 @@ class GridState:
             raise ValueError(
                 f"state shape {self.values.shape} does not match {expected}"
             )
-        if not np.isfinite(self.values).all():
-            raise ValueError("state contains non-finite entries")
+        rows = _slab_rows(n)  # a slab at a time: no mask of the state's size
+        for lo in range(0, n, rows):
+            if not np.isfinite(self.values[:, lo:lo + rows]).all():
+                raise ValueError("state contains non-finite entries")
 
     def rows(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Rows lo:hi into ``out``, as ``_Gaussian.rows`` gives them."""
@@ -297,8 +302,8 @@ def _gaussian(grid: Grid, center, width: float, spinor) -> _Gaussian:
     The norm of the bump is one whole-array weighted sum, of the bump
     and the 1/p0 weight on every row; both are freed on return.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if not (width > 0 and width * width > 0):
+        raise ValueError("width must be positive, its square nonzero")
     center = np.asarray(center, dtype=float)
     if center.shape != (3,):
         raise ValueError("center must be a 3-vector")
@@ -666,7 +671,7 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     an axis and once per slab for a full-size one, for each distinct
     (field, s), the full-size field itself evaluated on the slab's rows.
     The result is scanned for non-finite entries once, as every
-    ``GridState`` is.
+    ``GridState`` is, a slab of rows at a time.
     """
     if op.dim != state.spin.dim or op.blocks != state.blocks:
         raise ValueError("operator shape does not match the state")
@@ -706,8 +711,7 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     - each stored word's window, the state's own included, lead + keep
       + 1 levels of its rows, a level being a slab and its mirror (at
       most N rows in all);
-    - the rows of one component sum, and when the norm slabs do not
-      tile the levels, one more level of every component's rows;
+    - the rows of one component sum;
     - the kernels' shared slabs (scratch, two difference buffers with
       the stencil's halo, the slab a term is added from and one gathered
       slab), and the temporaries of evaluating a field or the state on
@@ -734,9 +738,8 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
         bases = 1 + len({key for key, _s in full})  # and the 1/p0 weight
         window = sum(min((w.lead + max(w.keep, 0) + 1) * 2 * rows, n)
                      for w in lay.stored)
-        sums = span * (1 + len(comps) * bool(n % rows))
         banks = 2 * (lay.lead + 1) * span * (2 * len(full) + bases)
-        planes = (spins * (window + sums + 2 * span) + 5 * span
+        planes = (spins * (window + 3 * span) + 5 * span
                   + 4 * lay.halo + banks // 2
                   + len(lay.pairs) - len(full))
         peak = max(peak, planes * n * n * 16, 2 * n**3 * 8)
@@ -791,66 +794,49 @@ def _level_ranges(n: int, rows: int) -> list[list[tuple[int, int]]]:
 
 
 class _Norm:
-    """A weighted norm taken slab by slab (``_slab_rows``), from chunks of
-    rows that arrive in level order; ``weight(a, b)`` gives the 1/p0
-    weight on rows a:b.
+    """A weighted norm taken range by range as the rows are made;
+    ``weight(a, b)`` gives the 1/p0 weight on rows a:b.
 
-    The slabs not yet summed are a run, slabs ``first`` to ``last`` - 1,
-    shrinking from both ends as the levels close in.  Each slab's
-    per-component partials are computed once all its rows are in, and
-    summed at the end in slab-then-component order, so the norm is
-    bit-identical to one ``_Norm`` of the whole state flushed at once.
-    Chunks are let go once every slab they touch is summed.
+    ``add`` cuts a range at the multiples of ``_slab_rows`` and takes each
+    piece's per-component partials at once; ``value`` sums them in
+    piece-then-component order, so where the slabs tile the levels every
+    piece is a slab and the norm is the whole state's slab-by-slab sum,
+    bit for bit.  No rows are kept.
 
-    A slab whose partials are not finite is scanned (``_check_finite``).
+    A piece whose partials are not finite is scanned (``_check_finite``).
     This is the only check of a word written or added straight into a
     component: it feeds that one sum, and +, -, conjugation, a nonzero
     scale and a field product never make inf or nan finite, so a
-    non-finite entry leaves the slab's partial inf or nan (its weight
-    1/p0 is positive).  A finite slab whose squares overflow passes, its
-    partial inf; so does a slab of a stored word, already scanned.  A
+    non-finite entry leaves the piece's partial inf or nan (its weight
+    1/p0 is positive).  A finite piece whose squares overflow passes, its
+    partial inf; so does a piece of a stored word, already scanned.  A
     component whose finite terms overflow as they are summed is refused
     in the same way.
     """
 
     def __init__(self, n: int, weight):
-        self.n, self.weight = n, weight
-        self.slab = _slab_rows(n)
-        self.rows = _Rows(())
-        self.first, self.last = 0, -(-n // self.slab)
-        self.parts: list[list[float]] = [[] for _ in range(self.last)]
+        self.slab, self.weight = _slab_rows(n), weight
+        self.parts: dict[int, list[float]] = {}  # piece start -> partials
 
-    def flush(self, depth: int) -> None:
-        """Sum the slabs whose rows all lie within ``depth`` of a face."""
-        n, r = self.n, self.slab
-
-        def done(a: int, b: int) -> bool:
-            return b <= depth or a >= n - depth or 2 * depth >= n
-
-        while self.first < self.last and done(self.first * r,
-                                              (self.first + 1) * r):
-            self._sum(self.first)
-            self.first += 1
-        while self.first < self.last and done((self.last - 1) * r, n):
-            self.last -= 1
-            self._sum(self.last)
-        self.rows.chunks = [
-            chunk for chunk in self.rows.chunks
-            if not done(chunk[0] // r * r, min(-(-chunk[1] // r) * r, n))]
-
-    def _sum(self, j: int) -> None:
-        a, b = j * self.slab, min((j + 1) * self.slab, self.n)
-        slab, wa = self.rows.take(a, b), self.weight(a, b)
-        self.parts[j] = [_weighted(x.real, x.real, wa)
-                         + _weighted(x.imag, x.imag, wa)
-                         for block in slab for x in block]
-        if not all(map(math.isfinite, self.parts[j])):
-            _check_finite(slab)
+    def add(self, lo: int, hi: int, values: np.ndarray) -> None:
+        """The partials of rows lo:hi, ``values`` of shape (blocks, 2s+1,
+        hi - lo, N, N)."""
+        w = self.weight(lo, hi)
+        a = lo
+        while a < hi:
+            b = min((a // self.slab + 1) * self.slab, hi)
+            piece, wa = values[:, :, a - lo:b - lo], w[a - lo:b - lo]
+            parts = self.parts[a] = [_weighted(x.real, x.real, wa)
+                                     + _weighted(x.imag, x.imag, wa)
+                                     for block in piece for x in block]
+            if not all(map(math.isfinite, parts)):
+                _check_finite(piece)
+            a = b
 
     def value(self, spacing: float) -> float:
         total = 0.0
-        for parts in self.parts:
-            for part in parts:
+        for a in sorted(self.parts):
+            for part in self.parts[a]:
                 total += part
         return math.sqrt(total * spacing**3)
 
@@ -949,8 +935,13 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     kernel that reads them.  A stored word's rows, the state's included,
     are scanned for non-finite entries as they are made; a word that
     goes straight into its component is checked through that
-    component's norm.  The norms are summed slab by slab (``_Norm``), so
-    they are bit-identical to whole-state norms.
+    component's norm.  Each range of a component gives its norm
+    partials as soon as it is made (``_Norm``), and a word whose norm is
+    wanted gives them at its level's step, from its window: the same
+    bits as when its rows are made, at a lower and steadier peak RSS of
+    ``grid`` (81 MiB against 81-86 MiB at N = 128 for up 2s=1).  So no
+    norm keeps rows, and each norm is bit-identical to that of the whole
+    applied state taken over the same ranges.
     ``normed`` maps words to None; each is computed, whether or not a
     component uses it, and gets the norm of its applied state, () that
     of the state itself.
@@ -988,9 +979,6 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
                                     source[word.word[1:]], lo, hi, out)
                     _check_finite(out)
                     word.rows.chunks.append((lo, hi, out))
-                    if word.norm is not None:
-                        word.norm.rows.chunks.append((lo, hi, out))
-        depth = min(ranges[0][0] + rows, (n + 1) // 2)
         for terms, norm_ in zip(sums, norms):
             for lo, hi in ranges:
                 acc = np.empty((*shape, hi - lo, n, n), dtype=complex)
@@ -1005,10 +993,10 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
                                   bufs.target[:, :, :hi - lo])
                     if i == 0 and coeff != ONE:
                         acc *= c
-                norm_.rows.chunks.append((lo, hi, acc))
-            norm_.flush(depth)
+                norm_.add(lo, hi, acc)
         for word in measured:
-            word.norm.flush(depth)
+            for lo, hi in ranges:
+                word.norm.add(lo, hi, word.rows.take(lo, hi))
         for word in stored:
             word.rows.chunks = [
                 chunk for chunk in word.rows.chunks
@@ -1156,7 +1144,7 @@ class NumericReport:
         }
 
 
-def _refining(grids) -> list[Grid]:
+def refining(grids) -> list[Grid]:
     """grids coarse to fine, checked to be a nested refinement."""
     grids = sorted(grids, key=lambda g: -g.spacing)
     if len(grids) < 3:
@@ -1212,7 +1200,7 @@ def study(rep: RepSpec, relation_ids, grids, *,
     grid's standard state, from the norms that grid's plan takes: it
     computes Theta psi and Pi psi whether or not a relation applies them.
     """
-    grids = _refining(grids)
+    grids = refining(grids)
     normed = {} if defects is None else dict.fromkeys(_ISOMETRY)
     per_grid = [_residuals(rep, relation_ids, _standard(rep, g),
                            normed if g is grids[-1] else None)

@@ -17,6 +17,7 @@ snapshot that shows an operand written into.
 
 from functools import partial
 
+import numpy as np
 import sympy as sp
 
 from poincarelab.catalog import _truncate
@@ -242,16 +243,21 @@ def chained_pauli_lubanski(rep):
 
 
 def norm(state):
-    """gridlab's weighted norm of a whole state: one ``gridlab._Norm``
-    over every row, summed slab by slab and flushed at once, the sum
-    the streamed plan's norms must equal bit for bit."""
+    """gridlab's weighted norm of a whole state: one ``gridlab._Norm`` fed
+    every row, range by range over the levels of a streamed plan
+    (``gridlab._level_ranges``), the sum the plan's norms must equal bit
+    for bit.  Where the slabs tile the levels this is the slab-by-slab
+    sum of the whole state."""
     from poincarelab import gridlab
 
     g = state.grid
+    n = g.points
     total = gridlab._Norm(
-        g.points, partial(gridlab._meshes(g).field, gridlab._INV_P0))
-    total.rows = gridlab._Rows.whole(state.values)
-    total.flush(g.points)
+        n, partial(gridlab._meshes(g).field, gridlab._INV_P0))
+    values = np.moveaxis(state.values, -1, 1)
+    for ranges in gridlab._level_ranges(n, gridlab._slab_rows(n)):
+        for lo, hi in ranges:
+            total.add(lo, hi, values[:, :, lo:hi])
     return total.value(g.spacing)
 
 

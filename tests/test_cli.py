@@ -39,6 +39,37 @@ def test_grid_needs_three_sizes(capsys):
     assert "at least three" in capsys.readouterr().err
 
 
+def test_grid_checks_the_refinement_before_the_guard(monkeypatch, capsys):
+    # a sequence that is not a nested refinement is refused before the
+    # working-set guard runs or a study is announced
+    from poincarelab import gridlab
+
+    def forbidden(*args):
+        raise AssertionError("ran the working-set guard")
+
+    monkeypatch.setattr(gridlab, "check_working_set", forbidden)
+    for sizes in ("32,64,128,128", "32,64"):
+        assert main(["grid", "--rep", "up", "--two-s", "1",
+                     "--n", sizes]) == 2
+        err = capsys.readouterr().err
+        assert "error: non-nested grid sequence" in err
+        assert "running" not in err
+
+
+@pytest.mark.parametrize("flag,value,what", [
+    ("--extent", "1e-300", "width"),  # its square underflows to 0
+    ("--extent", "1e200", "extent"),  # its square and cube overflow
+    ("--mu", "1e160", "mu"),  # its square overflows
+])
+def test_grid_refuses_an_extreme_extent_or_mu(capsys, flag, value, what):
+    # an invalid invocation (exit 2, one error line), not a traceback
+    assert main(["grid", "--rep", "up", "--n", "8,16,32", flag, value]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and what in errors[0], err
+    assert "Traceback" not in err
+
+
 def test_grid_rejects_malformed_size_list():
     with pytest.raises(SystemExit) as exc:
         main(["grid", "--rep", "up", "--n", "8,foo"])
@@ -267,9 +298,9 @@ def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
     # a study samples its state's factors first, with a whole-grid bump
     monkeypatch.setattr(gridlab, "_gaussian", forbidden)
     assert main(["grid", "--rep", "up", "--two-s", "1",
-                 "--n", "32,64,1024"]) == 2
+                 "--n", "256,512,1024"]) == 2
     err = capsys.readouterr().err
-    assert "error: grid study at N = 32, 64, 1024 needs about" in err
+    assert "error: grid study at N = 256, 512, 1024 needs about" in err
     assert "over the 4,096 MiB budget (50% of MemAvailable)" in err
 
 

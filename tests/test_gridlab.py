@@ -427,6 +427,25 @@ def test_grid_state_validates_every_construction():
         GridState(bad, g, st.spin, st.blocks)
 
 
+def test_finite_scan_of_a_grid_state_makes_no_state_sized_mask():
+    # GridState scans a slab of rows at a time: at N = 128 a state of
+    # two components (64 MiB) is checked having traced well under 1 MiB,
+    # where a mask of the whole state took 4 MiB; a non-finite entry in
+    # the last slab is still found
+    n = 128
+    values = np.moveaxis(np.zeros((1, 2, n, n, n), dtype=complex), 1, -1)
+    tracemalloc.start()
+    try:
+        GridState(values, Grid(L, n), SpinWeight(1), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    values[0, n - 1, 5, 6, 1] = complex(math.inf, 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        GridState(values, Grid(L, n), SpinWeight(1), 1)
+
+
 @pytest.mark.parametrize("pair", [(24, 48), (48, 96)])
 def test_derivative_adjoint_defect_is_second_order(pair):
     # adjoint(d1) = -d1 + p1/p0^2 holds exactly in the algebra; on the
@@ -588,7 +607,8 @@ def test_residual_applies_shared_suffixes_once(monkeypatch):
                                          ("quad:+1", 0)])
 def test_streamed_plan_computes_each_word_once(label, two_s, monkeypatch):
     # odd N: each middle row is its own mirror; at N = 65 a slab is 3
-    # rows, so the norm slabs of the far half straddle two levels
+    # rows, so each far-half range of a level is cut in two at a slab
+    # boundary before its norm partials are taken
     _meshes.cache_clear()
     rep = catalog.build(label, two_s)
     rids = representative_relations(rep)
@@ -618,6 +638,25 @@ def test_streamed_plan_computes_each_word_once(label, two_s, monkeypatch):
         want = [r.residuals[i] for r in got]
         assert [residual(rep, rid, st) for rid in rids] == want
         assert whole_state_residuals(rep, rids, st) == want
+
+
+def test_streamed_plan_norms_keep_no_rows():
+    # a norm takes its partials as each range of rows is made and keeps
+    # none of them: at N = 48 the 7-row slabs do not tile the levels, and
+    # a cold study peaked at 55.0 MiB (tracemalloc) when every
+    # component's norm held a level of its rows until its slabs were whole
+    _meshes.cache_clear()
+    rep = catalog.build("up", 1)
+    rids = representative_relations(rep)
+    grids = [Grid(L, n) for n in (24, 48, 96)]
+    assert 48 % gridlab._slab_rows(48)
+    tracemalloc.start()
+    try:
+        study(rep, rids, grids, defects={})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 @pytest.mark.parametrize("points", [17, 33])
