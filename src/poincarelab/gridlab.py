@@ -541,14 +541,12 @@ class _Buffers:
     share (``_plan``).  Each pair whose field broadcasts along an axis is
     scaled first, once for every kernel (a contiguous (1, N, N) plane
     when it is constant along axis 0); then come scratch, two difference
-    buffers with a ``halo`` of rows on either side, the slab a term of a
-    state of (blocks, 2s+1) ``shape`` is built in before it is added onto
-    a sum, and the field slabs of the last ``ranges`` ranges run
-    (``_Bank``).
+    buffers with a ``halo`` of rows on either side, and the field slabs
+    of the last ``ranges`` ranges run (``_Bank``).
     """
 
     def __init__(self, mesh: _Mesh, rows: int, halo: int, pairs: dict,
-                 shape: tuple[int, int], ranges: int):
+                 ranges: int):
         n = mesh.n
         self.mesh, self.pairs, self.planes = mesh, list(pairs), {}
         for (key, s), (j, full) in pairs.items():
@@ -561,7 +559,6 @@ class _Buffers:
         self.deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex)
                       for _ in range(2)]
         self.banks = [_Bank(None, len(pairs)) for _ in range(ranges)]
-        self.target = np.empty((*shape, rows, n, n), dtype=complex)
 
     def _bank(self, lo: int, hi: int) -> _Bank:
         """The slabs of rows lo:hi, in place of the oldest range's."""
@@ -616,10 +613,9 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray, c: complex,
 
 
 def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
-                hi: int, out: np.ndarray, c: complex | None = None) -> None:
+                hi: int, out: np.ndarray) -> None:
     """Rows lo:hi of plan's operator applied to src, into ``out`` of
-    shape (blocks, 2s+1, hi - lo, N, N); with ``c``, c times them added
-    onto out instead.
+    shape (blocks, 2s+1, hi - lo, N, N).
 
     Every term of the plan runs on these rows while they are in cache:
     each source component differenced (``_diff_rows``), viewed reflected
@@ -628,17 +624,15 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
     (``_Buffers.fields``).  A term without a field is multiplied by its
     scalar, or copied when that is 1.  The first contribution to an
     output component is written straight into it, later ones go through
-    one scratch slab; components no term reaches are zeroed.  Rows added
-    onto out are built in ``bufs.target`` and added (``_add_rows``).  The
+    one scratch slab; components no term reaches are zeroed.  The
     rows are not checked finite here: a caller that keeps them scans
     them (``_check_finite``, or ``GridState`` for ``apply``), and rows
     written or added into a component are checked through its norm
     (``_Norm``).
     """
     n, rows = bufs.mesh.n, hi - lo
-    slab = out if c is None else bufs.target[:, :, :rows]
     for br, m in plan.unreached:
-        slab[br, m] = 0
+        out[br, m] = 0
     gs = bufs.fields(plan.used, lo, hi)
     for comp, axes, u, terms in plan.sources:
         a, b = (n - hi, n - lo) if u else (lo, hi)
@@ -647,7 +641,7 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
         if u:
             x = x[::-1, ::-1, ::-1]
         for br, m, p, s, k, first in terms:
-            dst = slab[br, m]
+            dst = out[br, m]
             into = dst if first else bufs.scratch[:rows]
             term = np.conjugate(x, out=into) if k else x
             if p is not None or s != 1:
@@ -656,8 +650,6 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
                 dst += term
             elif term is not dst:
                 np.copyto(dst, term)
-    if c is not None:
-        _add_rows(out, slab, c, slab)
 
 
 def apply(op: BlockOp, state: GridState) -> GridState:
@@ -680,7 +672,7 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     pairs: dict = {}
     plan = _plan(op, mesh, g.spacing, pairs)
     rows = min(_slab_rows(n), n)
-    bufs = _Buffers(mesh, rows, plan.halo, pairs, (op.blocks, op.dim), 2)
+    bufs = _Buffers(mesh, rows, plan.halo, pairs, 2)
     out = _empty_values(op.blocks, n, op.dim)
     comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
     src = _Rows.whole(state.values)
@@ -954,8 +946,9 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
         raise ValueError("operator shape does not match the state")
     rows, direct, stored, plans = lay.rows, lay.direct, lay.stored, lay.plans
     levels = _level_ranges(n, rows)
-    bufs = _Buffers(mesh, min(2 * rows, n), lay.halo, lay.pairs, shape,
-                    2 * (lay.lead + 1))
+    span = min(2 * rows, n)
+    bufs = _Buffers(mesh, span, lay.halo, lay.pairs, 2 * (lay.lead + 1))
+    slab = np.empty((*shape, span, n, n), dtype=complex)  # a term to add
     source = {w.word: w.rows for w in stored}
     weight = partial(bufs.base, _INV_P0)
     measured = [w for w in stored if w.word in normed]
@@ -982,15 +975,17 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
         for terms, norm_ in zip(sums, norms):
             for lo, hi in ranges:
                 acc = np.empty((*shape, hi - lo, n, n), dtype=complex)
+                add = slab[:, :, :hi - lo]
                 for i, coeff, c, word in terms:
                     if word in direct:
                         _apply_rows(plans[word[0]], bufs, source[word[1:]],
-                                    lo, hi, acc, None if i == 0 else c)
+                                    lo, hi, add if i else acc)
+                        if i:
+                            _add_rows(acc, add, c, add)
                     elif i == 0:
                         np.copyto(acc, source[word].take(lo, hi))
                     else:
-                        _add_rows(acc, source[word].take(lo, hi), c,
-                                  bufs.target[:, :, :hi - lo])
+                        _add_rows(acc, source[word].take(lo, hi), c, add)
                     if i == 0 and coeff != ONE:
                         acc *= c
                 norm_.add(lo, hi, acc)

@@ -131,16 +131,24 @@ def row_kernel(op, state, src=None, c=None, out=None):
     plan = gridlab._plan(op, mesh, g.spacing, pairs)
     ranges = [r for level in gridlab._level_ranges(n, gridlab._slab_rows(n))
               for r in level]
-    bufs = gridlab._Buffers(mesh, max(hi - lo for lo, hi in ranges),
-                            plan.halo, pairs, (op.blocks, op.dim), 2)
+    rows = max(hi - lo for lo, hi in ranges)
+    bufs = gridlab._Buffers(mesh, rows, plan.halo, pairs, 2)
     if src is None:
         src = gridlab._Rows.whole(state.values)
     if out is None:  # stored spin-major, as apply's outputs are
         out = np.moveaxis(np.full((op.blocks, op.dim, n, n, n), np.nan,
                                   dtype=complex), 1, -1)
     comps = np.moveaxis(out, -1, 1)
+    # added as a streamed study adds a term: applied into one slab, then
+    # c times it added onto the rows
+    slab = np.empty((op.blocks, op.dim, rows, n, n), dtype=complex)
     for lo, hi in ranges:
-        gridlab._apply_rows(plan, bufs, src, lo, hi, comps[:, :, lo:hi], c)
+        if c is None:
+            gridlab._apply_rows(plan, bufs, src, lo, hi, comps[:, :, lo:hi])
+            continue
+        add = slab[:, :, :hi - lo]
+        gridlab._apply_rows(plan, bufs, src, lo, hi, add)
+        gridlab._add_rows(comps[:, :, lo:hi], add, c, add)
     return out
 
 

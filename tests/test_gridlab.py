@@ -566,9 +566,9 @@ def _record_words(monkeypatch):
     seen = defaultdict(list)
     real, names = gridlab._apply_rows, _plan_names(monkeypatch)
 
-    def counted(plan, bufs, src, lo, hi, out, c=None):
+    def counted(plan, bufs, src, lo, hi, out):
         seen[bufs.mesh.n, (names.get(id(plan)),) + src.word].append((lo, hi))
-        return real(plan, bufs, src, lo, hi, out, c)
+        return real(plan, bufs, src, lo, hi, out)
 
     monkeypatch.setattr(gridlab, "_apply_rows", counted)
     return seen
@@ -1020,11 +1020,11 @@ def test_finite_scan_once_per_stored_row(monkeypatch):
         scanned.append(values)
         real_check(values)
 
-    def counted(plan, bufs, src, lo, hi, out, c=None):
+    def counted(plan, bufs, src, lo, hi, out):
         calls.append((bufs.mesh.n, (names[id(plan)],) + src.word, lo, hi,
                       out))
         before = len(scanned)
-        real_rows(plan, bufs, src, lo, hi, out, c)
+        real_rows(plan, bufs, src, lo, hi, out)
         assert len(scanned) == before
 
     monkeypatch.setattr(gridlab, "_check_finite", check)
