@@ -10,15 +10,15 @@ evaluate their exact coefficients at a numeric mu carried by the grid.
 A coefficient num / (p0^a (mu+p0)^b) is expanded into its terms, each an
 exact scalar (times the powers of mu) times a real basis field
 p^m / (p0^a (mu+p0)^b).  A grid's cached mesh (the last 8 grids are
-kept) holds only the axes p1, p2, p3 and the factors of its standard
-state, N points each: a field of the grid's size, p0 and the 1/p0
-weight among them, is evaluated on a range of axis-0 rows when a kernel
-or a norm reads it, bit-equal to those rows of the whole field.  States
-store each spin component as one contiguous block (the array keeps its
-(blocks, N, N, N, 2s+1) shape), so stencils, field products and norms
-run over contiguous memory.  The row kernel (``_apply_rows``) computes a
-few axis-0 rows of an applied operator at a time, running every term of
-the operator on those rows while they are in cache.  Each term is one
+kept) holds only the axes p1, p2, p3, N points each: a field of the
+grid's size, p0 and the 1/p0 weight among them, is evaluated on a range
+of axis-0 rows when a kernel or a norm reads it, bit-equal to those rows
+of the whole field.  States store each spin component as one contiguous
+block (the array keeps its (blocks, N, N, N, 2s+1) shape), so stencils,
+field products and norms run over contiguous memory.  The row kernel
+(``_apply_rows``) computes a few axis-0 rows of an applied operator at
+a time, running every term of the operator on those rows while they are
+in cache.  Each term is one
 product conj^k(x) * (F * s): the term's exact scalar s, which carries
 the stencil step and the reflection sign, is folded into its real field
 F, once per grid for a field that broadcasts along an axis (a
@@ -43,11 +43,12 @@ word used once, as a term, is written or added straight into its
 component's rows.  The state is the plan's word (), a row source whose
 rows are kept in a window like any other word's: the standard state's
 Gaussian factors, evaluated as the plan goes, or a caller's
-``GridState``, its rows copied out.  So a study makes no array of the
-grid's size but the bump and 1/p0 weight that normalize the state once
-per grid, freed before the plan starts.  The working-set guard
-(``working_set_bytes``) reads the plan's own layout (``_Layout``) on
-each grid, on a mesh that makes no axis, and only turns it into bytes.
+``GridState``, its rows copied out.  The standard state is not
+normalized: every residual is relative to the state's own norm, which
+the plan takes.  So a study makes no array of the grid's size.  The
+working-set guard (``working_set_bytes``) reads the plan's own layout
+(``_Layout``) on each grid, on a mesh that makes no axis, and only
+turns it into bytes.
 Each range of a component's rows takes its norm partials as soon as it
 is made, cut at slab boundaries and summed at the end in
 piece-then-component order, so residuals are bit-identical to
@@ -55,7 +56,8 @@ evaluating each relation alone with whole applied states normed over
 the same ranges.  The plan takes the state's own norm too, and for
 the isometry rows (``isometry_defect``, and a study's finest grid) the
 norms of Theta psi and Pi psi; a state whose own norm is not finite
-(entries above about 1e154, whose squares overflow) is refused.  Rows
+(entries above about 1e154, whose squares overflow) or 0 (the spacing
+cubed or the squares underflow) is refused.  Rows
 are scanned for non-finite entries once: a word that keeps its rows,
 the state included, as the plan computes them; a word read once, as a
 term, only through its component's norm, which scans a piece whose
@@ -78,7 +80,6 @@ reports use (Lie, discrete and both Casimirs).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -135,23 +136,20 @@ _INV_P0 = ((0, 0, 0, 0), 1, 0)
 
 
 class _Mesh:
-    """Coordinates of one grid, and the factors of its standard states.
+    """Coordinates of one grid.
 
     p1, p2, p3 are broadcastable axes of shapes (N,1,1), (1,N,1),
     (1,1,N), made on first use, so a mesh that only lays out a plan (the
-    working-set guard's) holds no array; no array of the grid's size is
-    kept.  ``field`` evaluates the real basis field p^m / (p0^a
-    (mu+p0)^b) of a key (m, a, b), with m the exponents of (p1, p2, p3,
-    p0), on a range of axis-0 rows when asked, p0 and the 1/p0 weight
-    included.  ``gaussians`` maps
-    (two_s, blocks) to the factors of the grid's standard state
-    (``_standard``); ``states`` holds the state itself once
-    ``standard_state`` has sampled it for a caller.
+    working-set guard's) holds no array.  ``field`` evaluates the real
+    basis field p^m / (p0^a (mu+p0)^b) of a key (m, a, b), with m the
+    exponents of (p1, p2, p3, p0), on a range of axis-0 rows when asked,
+    p0 and the 1/p0 weight included.  ``states`` maps (two_s, blocks) to
+    the grid's standard state once ``standard_state`` has sampled it for
+    a caller, the only array of the grid's size a mesh keeps.
     """
 
     def __init__(self, grid: Grid):
         self.grid, self.mu, self.n = grid, grid.mu, grid.points
-        self.gaussians: dict[tuple[int, int], _Gaussian] = {}
         self.states: dict[tuple[int, int], GridState] = {}
 
     @cached_property
@@ -277,14 +275,11 @@ class _Gaussian:
     factors: tuple
     spinor: np.ndarray  # (blocks, 2s+1) complex
 
-    def bump(self, lo: int, hi: int) -> np.ndarray:
-        g1, g2, g3 = self.factors
-        return g1[lo:hi, None, None] * g2[None, :, None] * g3[None, None, :]
-
     def rows(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Rows lo:hi into ``out`` of shape (blocks, 2s+1, hi - lo, N, N):
         bit-equal to those rows of ``sample``."""
-        bump = self.bump(lo, hi)
+        g1, g2, g3 = self.factors
+        bump = g1[lo:hi, None, None] * g2[None, :, None] * g3[None, None, :]
         for b in range(self.blocks):
             for m in range(self.spin.dim):
                 np.multiply(bump, self.spinor[b, m], out=out[b, m])
@@ -297,11 +292,8 @@ class _Gaussian:
 
 
 def _gaussian(grid: Grid, center, width: float, spinor) -> _Gaussian:
-    """``sample_gaussian``'s state as its factors, the spinor normalized.
-
-    The norm of the bump is one whole-array weighted sum, of the bump
-    and the 1/p0 weight on every row; both are freed on return.
-    """
+    """A Gaussian bump times ``spinor``, as its factors, not normalized:
+    three exponentials of N points and the spinor as given."""
     if not (width > 0 and width * width > 0):
         raise ValueError("width must be positive, its square nonzero")
     center = np.asarray(center, dtype=float)
@@ -322,15 +314,7 @@ def _gaussian(grid: Grid, center, width: float, spinor) -> _Gaussian:
     blocks, dim = spinor.shape
     ax = grid.axis()
     factors = tuple(np.exp(-((ax - c) ** 2) / (2 * width**2)) for c in center)
-    gauss = _Gaussian(grid, SpinWeight(dim - 1), blocks, factors, spinor)
-    bump = gauss.bump(0, grid.points)
-    # |bump x spinor|^2 = |bump|^2 |spinor|^2, so normalize the spinor
-    n2 = _weighted(bump, bump, _meshes(grid).field(_INV_P0)) * grid.spacing**3
-    del bump
-    spinor = spinor / math.sqrt(n2 * float(np.vdot(spinor, spinor).real))
-    if not np.isfinite(spinor).all():
-        raise ValueError("state contains non-finite entries")
-    return dataclasses.replace(gauss, spinor=spinor)
+    return _Gaussian(grid, SpinWeight(dim - 1), blocks, factors, spinor)
 
 
 def sample_gaussian(grid: Grid, center, width: float, spinor) -> GridState:
@@ -338,8 +322,14 @@ def sample_gaussian(grid: Grid, center, width: float, spinor) -> GridState:
 
     The tail at the nearest boundary face must be below 1e-12 of the
     peak so central differences never touch meaningful boundary data.
+    The sampled state is divided, in place, by the norm a plan of no
+    components takes (``_stream``, ``_state_norm``), then scanned again.
     """
-    return _gaussian(grid, center, width, spinor).sample()
+    state = _gaussian(grid, center, width, spinor).sample()
+    normed = {(): None}
+    _stream({}, state, [], normed)
+    np.divide(state.values, _state_norm(normed), out=state.values)
+    return GridState(state.values, grid, state.spin, state.blocks)
 
 
 def _central_diff(arr: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
@@ -691,15 +681,14 @@ MEMORY_SHARE = 0.5
 def working_set_bytes(rep: RepSpec, grids) -> int:
     """Estimated bytes of arrays a grid study of ``rep`` over ``grids`` holds.
 
-    A cached mesh keeps only coordinates and the standard state's
-    factors, N points each, so only the grid being studied counts.  It
-    first normalizes its standard state (``_gaussian``): the bump and the
-    1/p0 weight on every row, 8 bytes a point, freed before its streamed
-    plan (``_stream``) starts.  The plan's arrays are read from its own
-    layout (``_Layout``) on each grid, of the representative relations
-    and the isometry words, laid out on an uncached mesh that makes no
-    axis, so the guard itself allocates nothing of the grid's size; none
-    of the plan's arrays is state-sized:
+    A cached mesh keeps only coordinates, N points each, so only the
+    grid being studied counts, and of it only its streamed plan
+    (``_stream``): the standard state is its Gaussian factors, N points
+    each.  The plan's arrays are read from its own layout (``_Layout``)
+    on each grid, of the representative relations and the isometry
+    words, laid out on an uncached mesh that makes no axis, so the guard
+    itself allocates nothing of the grid's size; none of the plan's
+    arrays is state-sized:
     - each stored word's window, the state's own included, lead + keep
       + 1 levels of its rows, a level being a slab and its mirror (at
       most N rows in all);
@@ -715,8 +704,7 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     Against the peak RSS of ``grid`` at N = 32, 64, 128 less that of a
     process that only imports numpy and poincarelab (32 MiB), 48, 82
     and 67 MiB for up 2s=1, sym3 2s=1 and quad:+1 on a 2-core Xeon VM,
-    it reads 31%, 20% and 14% high.  From N = 626 the normalization
-    sets it: ``--n 32,64,N`` needs more than half of 7.3 GiB there.
+    it reads 31%, 20% and 14% high.
     """
     _rels, comps, ops = _relations(rep, representative_relations(rep))
     spins = rep.blocks * (rep.two_s + 1)
@@ -734,7 +722,7 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
         planes = (spins * (window + 3 * span) + 5 * span
                   + 4 * lay.halo + banks // 2
                   + len(lay.pairs) - len(full))
-        peak = max(peak, planes * n * n * 16, 2 * n**3 * 8)
+        peak = max(peak, planes * n * n * 16)
     return peak
 
 
@@ -913,8 +901,9 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     ``_Layout``.  The grid's levels (``_level_ranges``) are walked from the
     faces in: a slab of rows together with its mirror, so a reflected
     read lands on rows that the same step computes.  A word with one
-    use, as a term, has its rows written or added straight into its
-    component's rows; every other word keeps a window of its rows.  A
+    use, as a term, has its rows written straight into its component's
+    rows, or, after the first term, into one add slab that is then added
+    onto them; every other word keeps a window of its rows.  A
     word read by an operator whose stencil reaches d levels is computed
     d levels ahead of its reader (its ``lead``, summed along each chain
     of readers) and kept for d levels after (``keep``), so a level of a
@@ -1026,12 +1015,16 @@ def _relations(rep: RepSpec, relation_ids) -> tuple[list, list, dict]:
 
 def _state_norm(normed: dict) -> float:
     """The state's own norm a plan measured (key ()), refused when it is
-    not finite: a finite state whose squares overflow would otherwise
-    give every finite component norm a residual of 0."""
+    not finite or 0: a finite state whose squares overflow would
+    otherwise give every finite component norm a residual of 0, and a
+    norm of 0 every component a residual of inf or nan."""
     base = normed[()]
     if not math.isfinite(base):
         raise ValueError(f"state norm is {base}: its entries are too large "
                          "to square")
+    if base == 0:
+        raise ValueError("state norm is 0: the spacing cubed or the state's "
+                         "squares underflow")
     return base
 
 
@@ -1067,30 +1060,27 @@ def residual(rep: RepSpec, relation_id: str, state: GridState) -> float:
 
 def _standard(rep: RepSpec, grid: Grid) -> _Gaussian:
     """The factors of the grid's standard state, a deterministic
-    admissible Gaussian: sampled once per (grid, two_s, blocks) and kept
-    on the grid's cached mesh, so they are freed with it."""
-    gaussians = _meshes(grid).gaussians
-    key = (rep.two_s, rep.blocks)
-    if key not in gaussians:
-        ext = grid.extent
-        center = (ext / 12, -ext / 15, ext / 18)
-        width = ext / 9
-        dim = rep.two_s + 1
-        spinor = np.array(
+    admissible Gaussian, not normalized: three exponentials of N points
+    and the spinor, built on each call."""
+    ext = grid.extent
+    center = (ext / 12, -ext / 15, ext / 18)
+    width = ext / 9
+    dim = rep.two_s + 1
+    spinor = np.array(
+        [
             [
-                [
-                    (1 + 0.3 * b + 0.1 * m) + (0.2 + 0.15 * m - 0.05 * b) * 1j
-                    for m in range(dim)
-                ]
-                for b in range(rep.blocks)
+                (1 + 0.3 * b + 0.1 * m) + (0.2 + 0.15 * m - 0.05 * b) * 1j
+                for m in range(dim)
             ]
-        )
-        gaussians[key] = _gaussian(grid, center, width, spinor)
-    return gaussians[key]
+            for b in range(rep.blocks)
+        ]
+    )
+    return _gaussian(grid, center, width, spinor)
 
 
 def standard_state(rep: RepSpec, grid: Grid) -> GridState:
-    """The grid's standard state (``_standard``) on every row.
+    """The grid's standard state (``_standard``) on every row, not
+    normalized: residuals and isometry defects are relative to its norm.
 
     Sampled once per (grid, two_s, blocks) and kept read-only on the
     grid's cached mesh, so it is freed with the mesh.  ``study`` never

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -60,14 +61,21 @@ def test_grid_checks_the_refinement_before_the_guard(monkeypatch, capsys):
     ("--extent", "1e-300", "width"),  # its square underflows to 0
     ("--extent", "1e200", "extent"),  # its square and cube overflow
     ("--mu", "1e160", "mu"),  # its square overflows
+    # its spacing cubed underflows, so the state's norm is 0
+    ("--extent", "1e-150", "state norm is 0: the spacing cubed"),
 ])
 def test_grid_refuses_an_extreme_extent_or_mu(capsys, flag, value, what):
-    # an invalid invocation (exit 2, one error line), not a traceback
-    assert main(["grid", "--rep", "up", "--n", "8,16,32", flag, value]) == 2
+    # an invalid invocation (exit 2, one error line), not a traceback,
+    # and no floating-point warning on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["grid", "--rep", "up", "--n", "8,16,32", flag,
+                     value]) == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and what in errors[0], err
     assert "Traceback" not in err
+    assert "Warning" not in err and not caught, [str(w) for w in caught]
 
 
 def test_grid_rejects_malformed_size_list():
@@ -293,15 +301,16 @@ def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
     def forbidden(*args):
         raise AssertionError("allocated a state")
 
-    monkeypatch.setattr(gridlab, "memory_budget", lambda: 4 * 2**30)
+    # the plan at N = 1024 needs about 3.9 GiB, so a budget under that
+    monkeypatch.setattr(gridlab, "memory_budget", lambda: 2 * 2**30)
     monkeypatch.setattr(gridlab, "standard_state", forbidden)
-    # a study samples its state's factors first, with a whole-grid bump
+    # nor does it build its state's factors
     monkeypatch.setattr(gridlab, "_gaussian", forbidden)
     assert main(["grid", "--rep", "up", "--two-s", "1",
                  "--n", "256,512,1024"]) == 2
     err = capsys.readouterr().err
     assert "error: grid study at N = 256, 512, 1024 needs about" in err
-    assert "over the 4,096 MiB budget (50% of MemAvailable)" in err
+    assert "over the 2,048 MiB budget (50% of MemAvailable)" in err
 
 
 @pytest.mark.parametrize("argv,command,two_s", [

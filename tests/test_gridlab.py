@@ -249,8 +249,8 @@ def test_field_cache_lives_and_dies_with_the_mesh():
     # the mesh caches no field: each is evaluated on the rows asked for,
     # bit-equal to those rows of the whole field, which is bit-equal to
     # the formula on broadcast coordinates.  What the mesh does cache, a
-    # standard state's factors and a state sampled for a caller, is freed
-    # with it
+    # state sampled for a caller, is freed with it; a study caches
+    # nothing on it
     g = Grid(L, 17)
     rep = catalog.build("up", 1)
     mesh = _meshes(g)
@@ -278,16 +278,14 @@ def test_field_cache_lives_and_dies_with_the_mesh():
     residual(rep, "[K1,P1] == i*P0", standard_state(rep, g))
     gridlab._residuals(rep, ["[K1,P1] == i*P0"], gridlab._standard(rep, g))
     cached = weakref.ref(mesh)
-    factors = weakref.ref(mesh.gaussians[rep.two_s, rep.blocks])
     state = weakref.ref(mesh.states[rep.two_s, rep.blocks])
-    assert set(vars(mesh)) == {"grid", "mu", "n", "axes", "gaussians",
-                               "states"}
+    assert set(vars(mesh)) == {"grid", "mu", "n", "axes", "states"}
     assert _meshes.cache_info().maxsize == 8
     del mesh
     _meshes.cache_clear()
     gc.collect()
-    assert cached() is None and factors() is None and state() is None
-    assert _meshes(g).gaussians == {} and _meshes(g).states == {}
+    assert cached() is None and state() is None
+    assert _meshes(g).states == {}
 
 
 def test_standard_state_is_built_once_and_read_only():
@@ -306,28 +304,31 @@ def test_standard_state_is_built_once_and_read_only():
 
 
 def test_convergence_studies_sample_each_grid_once(monkeypatch):
-    # each grid's Gaussian factors are sampled once and shared by every
-    # later study on that grid; no study samples a whole state
+    # no study samples a whole state: each grid's standard state is
+    # evaluated row by row as its plan goes, every row once per study
     _meshes.cache_clear()
-    sampled = []
-    real = gridlab._gaussian
+    sampled = defaultdict(list)
+    real = gridlab._Gaussian.rows
 
-    def counted(grid, *args):
-        sampled.append(grid.points)
-        return real(grid, *args)
+    def counted(self, lo, hi, out):
+        sampled[self.grid.points].append((lo, hi))
+        return real(self, lo, hi, out)
 
     def whole(*args):
         raise AssertionError("a study sampled a whole state")
 
-    monkeypatch.setattr(gridlab, "_gaussian", counted)
+    monkeypatch.setattr(gridlab._Gaussian, "rows", counted)
     monkeypatch.setattr(gridlab._Gaussian, "sample", whole)
     rep = catalog.build("up", 1)
     grids = [Grid(L, n) for n in (16, 32, 64)]
-    convergence_study(rep, "[K1,P1] == i*P0", grids)
-    assert sampled == [16, 32, 64]
-    convergence_study(rep, "Theta*K == K*Theta", grids)
-    study(rep, representative_relations(rep), grids, defects={})
-    assert sampled == [16, 32, 64]
+    for run in (lambda: convergence_study(rep, "[K1,P1] == i*P0", grids),
+                lambda: convergence_study(rep, "Theta*K == K*Theta", grids),
+                lambda: study(rep, representative_relations(rep), grids,
+                              defects={})):
+        sampled.clear()
+        run()
+        assert sorted(sampled) == [16, 32, 64]
+        assert all(_every_row_once(r, n) for n, r in sampled.items())
 
 
 def _arrays(obj, seen):
@@ -350,13 +351,14 @@ def _arrays(obj, seen):
 
 
 def _live_meshes() -> list[int]:
-    """The sizes of the live meshes, each checked to hold the standard
-    state's factors and no array of N^3 elements or more."""
+    """The sizes of the live meshes, each checked to hold no state and
+    no array of N^3 elements or more."""
     gc.collect()
     sizes = []
     for mesh in [o for o in gc.get_objects() if isinstance(o, gridlab._Mesh)]:
-        assert mesh.gaussians and not mesh.states
-        assert max(a.size for a in _arrays(mesh, set())) < mesh.n**3
+        assert not mesh.states
+        assert max((a.size for a in _arrays(mesh, set())),
+                   default=0) < mesh.n**3
         sizes.append(mesh.n)
     return sorted(sizes)
 
@@ -380,22 +382,39 @@ def test_cached_meshes_hold_no_grid_sized_array(label, two_s, capsys):
     assert _live_meshes() == [16, 32, 64]
 
 
+def test_standard_state_factors_make_no_grid_sized_array():
+    # a study's state is its Gaussian factors, three exponentials of N
+    # points and the spinor: a cold _standard at N = 128 traces well
+    # under 1 MiB (32.3 MiB when it normalized the state on every row)
+    _meshes.cache_clear()
+    rep = catalog.build("up", 1)
+    tracemalloc.start()
+    try:
+        gauss = gridlab._standard(rep, Grid(L, 128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(f) for f in gauss.factors] == [128] * 3
+    assert peak < 2**20
+
+
 def test_working_set_guard_refuses_oversized_grids():
     rep = catalog.build("up", 1)
     default = [Grid(L, n) for n in (32, 64, 128)]
     big = [Grid(L, n) for n in (32, 64, 1024)]
     need = working_set_bytes(rep, default)
-    # no grid keeps a state or a field; the streamed study's arrays peak
-    # at about 48 MiB at N = 128, its windows most of them.  At N = 1024
-    # the bump and 1/p0 weight of the normalization, 8 GiB each, set it
+    # no grid keeps a state or a field, and no study makes an array of
+    # the grid's size; the streamed study's arrays peak at about 48 MiB
+    # at N = 128, its windows most of them, and at about 3.9 GiB at
+    # N = 1024
     assert 50 * 2**20 < need < 75 * 2**20
-    assert working_set_bytes(rep, big) == 16 * 2**30
+    assert working_set_bytes(rep, big) == 4_211_081_216
     assert gridlab.memory_budget() is None or gridlab.memory_budget() > 0
-    budget = 4 * 2**30
+    budget = 2 * 2**30
     check_working_set(rep, default, budget)
     check_working_set(rep, big, None)
     with pytest.raises(ValueError, match=r"N = 32, 64, 1024 needs about "
-                       r"[\d,]+ MiB of arrays, over the 4,096 MiB budget"):
+                       r"[\d,]+ MiB of arrays, over the 2,048 MiB budget"):
         check_working_set(rep, big, budget)
 
 
