@@ -24,9 +24,14 @@ the stencil step and the reflection sign, is folded into its real field
 F, once per grid for a field that broadcasts along an axis (a
 contiguous (1, N, N) plane when it is constant along axis 0) and once
 per range of rows for a full-size one, for each distinct (field, s),
-shared by every kernel that reads it.  Each element sees the same
-operations in the same order as in one whole-array pass per term with
-that formula, so results are bit-identical to it; the formula it
+shared by every kernel that reads it.  A term that adds -s times a
+field onto its output is subtracted with the pair of s instead, and a
+pair whose s is real is stored float64, so a range's bank of slabs is
+made once, whole, from one evaluation of each field, at about half the
+bytes.  Each element sees the same operations in the same order as in
+one whole-array pass per term with that formula, so results are
+bit-identical to it (rounding is symmetric in sign, x - y is x + (-y),
+and a complex product casts a real operand to r + 0j); the formula it
 replaced, conj^k(x * F) * s, rounds differently, by at most 7.2e-16 of
 the largest modulus on the operators tested.  ``apply`` runs the row
 kernel over all rows, slab by slab, from the plan and buffers a streamed
@@ -65,9 +70,10 @@ partials are not finite (``_Norm``).
 ``grid --rep up --two-s 1`` at N = 32, 64, 128 computes its 74 distinct
 words once on each grid (222 words, against 251 applies when at most
 three states could stay and 356 when every relation ran alone) in a
-median 3.36 s of ``perfbench`` ``run_s`` on a 2-core Xeon VM (3.65 s
+median 3.2 s of ``perfbench`` ``run_s`` on a 2-core Xeon VM (3.65 s
 when the row kernel scanned every word it computed), with a peak RSS of
-81 MiB.
+72 MiB (81 MiB when a bank held both signs of a pair, complex slabs for
+real ones and its basis fields).
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -82,7 +88,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -357,12 +363,22 @@ def _slab_rows(points: int) -> int:
 
 
 class _Plan(NamedTuple):
-    """The row kernel of one operator on one grid (``_plan``)."""
+    """The row kernel of one operator on one grid (``_plan``), with the
+    depth of its difference chains, which size the buffers
+    (``_Buffers``)."""
 
     sources: list  # ((src block, spin column), axes, u, terms)
     unreached: list  # (block, spin column) of each output no term writes
     used: list  # the table index of each pair the terms read
     halo: int  # the most axis-0 derivatives of any term
+    chain: int  # the most derivative axes of any term
+
+
+def _canonical(s: complex) -> bool:
+    """Whether s, not -s, is the scale a pair of a folded sign is stored
+    with: a positive real part, or a zero real part and a positive
+    imaginary part."""
+    return s.real > 0 or s.real == 0 and s.imag > 0
 
 
 def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict) -> _Plan:
@@ -376,22 +392,28 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict) -> _Plan:
     reflected if u, and each coefficient term s * F of M[m][n] adds
     conj^k(x) * (F * s) to output component m, where s carries the step
     1/(2h)^|alpha| and the reflection sign.  Each source's terms are
-    (dst block, dst component, p, scalar, k, first): p indexes ``used``
-    (None for a term with no field), and first marks the contribution
-    that writes its output instead of adding to it.  Contributions
-    sharing a source join one entry unless that would move them ahead of
-    an earlier contribution to the same output, so every output sums its
-    contributions in the order of the operator's terms.
+    (dst block, dst component, p, scalar, k, acc): p indexes ``used``
+    (None for a term with no field), and acc is None for the
+    contribution that writes its output, else how the term is summed
+    onto it, ``np.add`` or ``np.subtract``.  A later contribution whose
+    s is not canonical (``_canonical``) reads the pair (F, -s) and is
+    subtracted, the same bits as adding F * s (rounding is symmetric in
+    sign, and x - y is x + (-y)), so the table holds one pair for both
+    signs; the first keeps its own s, as negating it after the write
+    would cost a pass.  Contributions sharing a source join one entry
+    unless that would move them ahead of an earlier contribution to the
+    same output, so every output sums its contributions in the order of
+    the operator's terms.
     """
     sources, by_source, last, written = [], {}, {}, set()
-    used, local, halo = [], {}, 0
+    used, local, halo, chain = [], {}, 0, 0
     full = (mesh.n,) * 3
     for br, row in enumerate(op.entries):
         for bc, sop in enumerate(row):
             for (alpha, u, k), mat in sop.terms.items():
                 axes = tuple(a for a in range(3) for _ in range(alpha[a]))
                 step = ((-1 if u else 1) / (2 * spacing)) ** len(axes)
-                halo = max(halo, alpha[0])
+                halo, chain = max(halo, alpha[0]), max(chain, len(axes))
                 for n in range(op.dim):
                     source = ((bc, n), axes, u)
                     for m in range(op.dim):
@@ -404,21 +426,23 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict) -> _Plan:
                             sources.append((*source, []))
                         for key, s in mesh.terms(mat[m][n]):
                             s *= step
+                            acc = np.add if dst in written else None
                             p = None
                             if key is not None:
+                                if acc and not _canonical(s):
+                                    s, acc = -s, np.subtract
                                 j, _full = pairs.setdefault(
                                     (key, s),
                                     (len(pairs), mesh.shape(key) == full))
                                 p = local.setdefault(j, len(used))
                                 if p == len(used):
                                     used.append(j)
-                            sources[i][-1].append(
-                                (br, m, p, s, k, dst not in written))
+                            sources[i][-1].append((br, m, p, s, k, acc))
                             written.add(dst)
                         last[dst] = i
     unreached = [(br, m) for br in range(op.blocks) for m in range(op.dim)
                  if (br, m) not in written]
-    return _Plan(sources, unreached, used, halo)
+    return _Plan(sources, unreached, used, halo, chain)
 
 
 class _Rows:
@@ -507,20 +531,30 @@ def _diff_chunks(src: _Rows, comp: tuple, i0: int, i1: int,
         out, i0 = out[j - i0:], j
 
 
+def _stored(s: complex) -> complex | float:
+    """The scale a pair's slab is made with: s.real when s is real, so
+    the slab is float64 and half the size.  A complex product casts a
+    real operand to r + 0j, so the terms it feeds keep their bits."""
+    return s.real if s.imag == 0 else s
+
+
 class _Bank:
-    """The full-size field slabs of one range of rows: the basis fields
-    by key and the scaled pairs by table index, each made on first use."""
+    """The field slabs of one range of rows, made whole the first time
+    the range is asked for: F * s of each full-size pair by table index,
+    and, if ``weighted``, the 1/p0 weight the norms read.  ``keys`` maps
+    each basis field key to its pairs, (index, scale); each field is
+    evaluated once, scaled into every pair of its key and dropped."""
 
-    __slots__ = ("span", "bases", "scaled")
+    __slots__ = ("span", "slabs", "weight")
 
-    def __init__(self, span: tuple[int, int] | None, pairs: int):
-        self.span, self.bases, self.scaled = span, {}, [None] * pairs
-
-    def base(self, mesh: _Mesh, key: tuple) -> np.ndarray:
-        """The basis field of key on the range's rows."""
-        if key not in self.bases:
-            self.bases[key] = mesh.field(key, *self.span)
-        return self.bases[key]
+    def __init__(self, mesh: _Mesh, span: tuple[int, int], keys: dict,
+                 weighted: bool):
+        self.span, self.slabs = span, {}
+        for key, scales in keys.items():
+            f = mesh.field(key, *span)
+            for j, s in scales:
+                self.slabs[j] = np.multiply(f, s)
+        self.weight = mesh.field(_INV_P0, *span) if weighted else None
 
 
 class _Buffers:
@@ -528,55 +562,62 @@ class _Buffers:
     ranges of at most ``rows`` rows of ``mesh``'s grid.
 
     ``pairs`` is the table of (field key, s) pairs the kernels' plans
-    share (``_plan``).  Each pair whose field broadcasts along an axis is
-    scaled first, once for every kernel (a contiguous (1, N, N) plane
-    when it is constant along axis 0); then come scratch, two difference
-    buffers with a ``halo`` of rows on either side, and the field slabs
-    of the last ``ranges`` ranges run (``_Bank``).
+    share (``_plan``), each scaled once and stored float64 where s is
+    real (``_stored``).  Each pair whose field broadcasts along an axis
+    is scaled first, for every kernel (a contiguous (1, N, N) plane when
+    it is constant along axis 0); then come scratch, the difference
+    buffers with a ``halo`` of rows on either side, one for a chain of
+    one derivative and two for a longer one, and the field slabs of the
+    last ``ranges`` ranges run (``_Bank``), with the 1/p0 weight if
+    ``weighted``: a streamed plan takes norms, ``apply`` none.
     """
 
-    def __init__(self, mesh: _Mesh, rows: int, halo: int, pairs: dict,
-                 ranges: int):
+    def __init__(self, mesh: _Mesh, rows: int, plans, pairs: dict,
+                 ranges: int, weighted: bool):
         n = mesh.n
-        self.mesh, self.pairs, self.planes = mesh, list(pairs), {}
+        self.mesh, self.ranges, self.weighted = mesh, ranges, weighted
+        self.planes, self.keys = {}, {}
         for (key, s), (j, full) in pairs.items():
-            if not full:
-                f = np.multiply(mesh.field(key), s)
-                self.planes[j] = (
-                    np.ascontiguousarray(np.broadcast_to(f, (1, n, n)))
-                    if len(f) == 1 else f)
+            if full:
+                self.keys.setdefault(key, []).append((j, _stored(s)))
+                continue
+            f = np.multiply(mesh.field(key), _stored(s))
+            self.planes[j] = (
+                np.ascontiguousarray(np.broadcast_to(f, (1, n, n)))
+                if len(f) == 1 else f)
+        plans = list(plans)
+        halo = max((p.halo for p in plans), default=0)
+        chain = max((p.chain for p in plans), default=0)
         self.scratch = np.empty((rows, n, n), dtype=complex)
         self.deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex)
-                      for _ in range(2)]
-        self.banks = [_Bank(None, len(pairs)) for _ in range(ranges)]
+                      for _ in range(min(chain, 2))]
+        self.banks: list[_Bank] = []
 
     def _bank(self, lo: int, hi: int) -> _Bank:
         """The slabs of rows lo:hi, in place of the oldest range's."""
         for bank in self.banks:
             if bank.span == (lo, hi):
                 return bank
-        self.banks.pop(0)
-        self.banks.append(_Bank((lo, hi), len(self.pairs)))
+        if len(self.banks) == self.ranges:
+            self.banks.pop(0)
+        self.banks.append(_Bank(self.mesh, (lo, hi), self.keys,
+                                self.weighted))
         return self.banks[-1]
 
-    def base(self, key: tuple, lo: int, hi: int) -> np.ndarray:
-        """The basis field of key on rows lo:hi."""
-        return self._bank(lo, hi).base(self.mesh, key)
+    def weight(self, lo: int, hi: int) -> np.ndarray:
+        """The 1/p0 weight on rows lo:hi."""
+        return self._bank(lo, hi).weight
 
     def fields(self, used: list, lo: int, hi: int) -> list[np.ndarray]:
         """F * s on rows lo:hi of each pair of ``used`` (table indices): a
-        broadcast pair's plane, or a full-size pair's slab, made on first
-        use in the range's bank."""
+        broadcast pair's plane, or a full-size pair's slab from the
+        range's bank."""
         bank = self._bank(lo, hi)
         out = []
         for j in used:
             f = self.planes.get(j)
             if f is None:
-                f = bank.scaled[j]
-                if f is None:
-                    key, s = self.pairs[j]
-                    f = np.multiply(bank.base(self.mesh, key), s)
-                    bank.scaled[j] = f
+                f = bank.slabs[j]
             elif len(f) > 1:
                 f = f[lo:hi]
             out.append(f)
@@ -611,14 +652,16 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
     each source component differenced (``_diff_rows``), viewed reflected
     by reading the mirrored rows, and for each term conjugated if
     antilinear and multiplied by the term's scaled field F * s
-    (``_Buffers.fields``).  A term without a field is multiplied by its
-    scalar, or copied when that is 1.  The first contribution to an
-    output component is written straight into it, later ones go through
-    one scratch slab; components no term reaches are zeroed.  The
-    rows are not checked finite here: a caller that keeps them scans
-    them (``_check_finite``, or ``GridState`` for ``apply``), and rows
-    written or added into a component are checked through its norm
-    (``_Norm``).
+    (``_Buffers.fields``: a float64 slab where s is real, which a
+    complex product reads as F * s + 0j).  A term without a field is
+    multiplied by its scalar, or copied when that is 1.  The first
+    contribution to an output component is written straight into it,
+    later ones go through one scratch slab and are added onto it or, for
+    a pair whose sign ``_plan`` folded, subtracted; components no term
+    reaches are zeroed.  The rows are not checked finite here: a caller
+    that keeps them scans them (``_check_finite``, or ``GridState`` for
+    ``apply``), and rows written or added into a component are checked
+    through its norm (``_Norm``).
     """
     n, rows = bufs.mesh.n, hi - lo
     for br, m in plan.unreached:
@@ -630,14 +673,14 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
              else src.take(a, b)[comp])
         if u:
             x = x[::-1, ::-1, ::-1]
-        for br, m, p, s, k, first in terms:
+        for br, m, p, s, k, acc in terms:
             dst = out[br, m]
-            into = dst if first else bufs.scratch[:rows]
+            into = bufs.scratch[:rows] if acc else dst
             term = np.conjugate(x, out=into) if k else x
             if p is not None or s != 1:
                 term = np.multiply(term, s if p is None else gs[p], out=into)
-            if not first:
-                dst += term
+            if acc:
+                acc(dst, term, out=dst)
             elif term is not dst:
                 np.copyto(dst, term)
 
@@ -651,7 +694,8 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     its buffers are made as a streamed plan makes them (``_stream``).
     F * s is computed once per apply for a field that broadcasts along
     an axis and once per slab for a full-size one, for each distinct
-    (field, s), the full-size field itself evaluated on the slab's rows.
+    (field, s), each full-size field evaluated once on the slab's rows
+    (``_Bank``).
     The result is scanned for non-finite entries once, as every
     ``GridState`` is, a slab of rows at a time.
     """
@@ -662,7 +706,7 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     pairs: dict = {}
     plan = _plan(op, mesh, g.spacing, pairs)
     rows = min(_slab_rows(n), n)
-    bufs = _Buffers(mesh, rows, plan.halo, pairs, 2)
+    bufs = _Buffers(mesh, rows, [plan], pairs, 2, False)
     out = _empty_values(op.blocks, n, op.dim)
     comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
     src = _Rows.whole(state.values)
@@ -693,18 +737,19 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
       + 1 levels of its rows, a level being a slab and its mirror (at
       most N rows in all);
     - the rows of one component sum;
-    - the kernels' shared slabs (scratch, two difference buffers with
-      the stencil's halo, the slab a term is added from and one gathered
-      slab), and the temporaries of evaluating a field or the state on
-      a slab;
+    - the kernels' shared slabs (scratch, a difference buffer with the
+      stencil's halo, two where a term differences twice, the slab a
+      term is added from and one gathered slab), and the temporaries of
+      evaluating the state on a slab or one basis field with its p0;
     - the field slabs of 2 (lead + 1) ranges: each full-size pair of the
-      table scaled, and each full-size basis field and the 1/p0 weight,
-      real;
-    - each broadcast pair of the table scaled once, at most N^2 points.
+      table scaled, real where its s is, and the 1/p0 weight;
+    - each broadcast pair of the table scaled once, at most N^2 points,
+      real where its s is.
     Against the peak RSS of ``grid`` at N = 32, 64, 128 less that of a
-    process that only imports numpy and poincarelab (32 MiB), 48, 82
-    and 67 MiB for up 2s=1, sym3 2s=1 and quad:+1 on a 2-core Xeon VM,
-    it reads 31%, 20% and 14% high.
+    process that only imports numpy and poincarelab (28.7 MiB), 42.0,
+    74.6 and 69.8 MiB for up 2s=1, sym3 2s=1 and quad:+1 on a 2-core
+    Xeon VM, it reads 7%, 4% and 2% high, and 14%, 10% and 7% above
+    their cold studies' traced peaks (39.5, 70.6 and 66.2 MiB).
     """
     _rels, comps, ops = _relations(rep, representative_relations(rep))
     spins = rep.blocks * (rep.two_s + 1)
@@ -714,15 +759,19 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
         lay = _Layout(ops, comps, dict.fromkeys(_ISOMETRY), g, _Mesh(g))
         rows = lay.rows
         span = min(2 * rows, n)
-        full = {key for key, (_j, is_full) in lay.pairs.items() if is_full}
-        bases = 1 + len({key for key, _s in full})  # and the 1/p0 weight
+        plans = lay.plans.values()
+        halo = max((p.halo for p in plans), default=0)
+        chain = min(max((p.chain for p in plans), default=0), 2)
+        pairs = [0, 0]  # half planes of N^2 points: broadcast, full rows
+        for (_key, s), (_j, is_full) in lay.pairs.items():
+            pairs[is_full] += 2 - (s.imag == 0)  # 1 real, 2 complex
+        flat, full = pairs
         window = sum(min((w.lead + max(w.keep, 0) + 1) * 2 * rows, n)
                      for w in lay.stored)
-        banks = 2 * (lay.lead + 1) * span * (2 * len(full) + bases)
-        planes = (spins * (window + 3 * span) + 5 * span
-                  + 4 * lay.halo + banks // 2
-                  + len(lay.pairs) - len(full))
-        peak = max(peak, planes * n * n * 16)
+        halves = (2 * spins * (window + 3 * span)
+                  + 2 * (2 + chain) * span + 4 * chain * halo
+                  + 2 * (lay.lead + 1) * span * (full + 1) + flat)
+        peak = max(peak, halves * n * n * 8)
     return peak
 
 
@@ -840,9 +889,8 @@ class _Layout:
 
     ``ops`` are the operators the words name, with their row kernels
     (``_plan``) on the grid by name (``plans``), ``pairs`` the table of
-    distinct (field key, s) pairs those plans share, ``halo`` the
-    deepest axis-0 stencil of any of them and ``rows`` the rows of a
-    slab.  The word graph:
+    distinct (field key, s) pairs those plans share and ``rows`` the
+    rows of a slab.  The word graph:
     ``order`` holds the distinct nonempty words shortest first, with
     their readers and their ``lead`` and ``keep`` in levels (see
     ``_stream``); ``direct`` the words read once, as a term, which go
@@ -861,7 +909,6 @@ class _Layout:
         self.pairs: dict[tuple, tuple[int, bool]] = {}
         self.plans = {name: _plan(op, mesh, grid.spacing, self.pairs)
                       for name, op in self.ops.items()}
-        self.halo = max((p.halo for p in self.plans.values()), default=0)
         self.rows = rows = _slab_rows(grid.points)
         self.root = _Word(())
         words = {(): self.root}
@@ -912,22 +959,26 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     then the components' rows in their terms' order with the same
     elementwise operations as summing whole applied states.  The kernels
     share one ``_Buffers``, whose field slabs span the levels of a step,
-    so each range's fields and scaled fields are made once for every
-    kernel that reads them.  A stored word's rows, the state's included,
-    are scanned for non-finite entries as they are made; a word that
-    goes straight into its component is checked through that
-    component's norm.  Each range of a component gives its norm
+    so each range's bank is made once, whole, for every kernel that
+    reads it, and the norms read its 1/p0 weight.  A stored word's rows,
+    the state's included, are scanned for non-finite entries as they
+    are made; a word that goes straight into its component is checked
+    through that component's norm.  Each range of a component gives its norm
     partials as soon as it is made (``_Norm``), and a word whose norm is
     wanted gives them at its level's step, from its window: the same
     bits as when its rows are made, at a lower and steadier peak RSS of
-    ``grid`` (81 MiB against 81-86 MiB at N = 128 for up 2s=1).  So no
-    norm keeps rows, and each norm is bit-identical to that of the whole
-    applied state taken over the same ranges.
+    ``grid`` (81 MiB against 81-86 MiB at N = 128 for up 2s=1, before
+    the banks shrank).  So no norm keeps rows, and each norm is
+    bit-identical to that of the whole applied state taken over the same
+    ranges.
     ``normed`` maps words to None; each is computed, whether or not a
     component uses it, and gets the norm of its applied state, () that
-    of the state itself.
+    of the state itself.  A grid whose spacing cubed is 0 is refused
+    before any row is made, since every norm on it would be 0.
     """
     g = state.grid
+    if g.spacing**3 == 0:  # every norm would be 0
+        raise ValueError(_ZERO_NORM)
     n, mesh = g.points, _meshes(g)
     shape = (state.blocks, state.spin.dim)
     lay = _Layout(ops, components, normed, g, mesh)
@@ -936,10 +987,11 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     rows, direct, stored, plans = lay.rows, lay.direct, lay.stored, lay.plans
     levels = _level_ranges(n, rows)
     span = min(2 * rows, n)
-    bufs = _Buffers(mesh, span, lay.halo, lay.pairs, 2 * (lay.lead + 1))
+    bufs = _Buffers(mesh, span, lay.plans.values(), lay.pairs,
+                    2 * (lay.lead + 1), True)
     slab = np.empty((*shape, span, n, n), dtype=complex)  # a term to add
     source = {w.word: w.rows for w in stored}
-    weight = partial(bufs.base, _INV_P0)
+    weight = bufs.weight
     measured = [w for w in stored if w.word in normed]
     for word in measured:
         word.norm = _Norm(n, weight)
@@ -1013,6 +1065,10 @@ def _relations(rep: RepSpec, relation_ids) -> tuple[list, list, dict]:
     return rels, comps, operators(rep, word_names(rels))
 
 
+_ZERO_NORM = ("state norm is 0: the spacing cubed or the state's squares "
+              "underflow")
+
+
 def _state_norm(normed: dict) -> float:
     """The state's own norm a plan measured (key ()), refused when it is
     not finite or 0: a finite state whose squares overflow would
@@ -1023,8 +1079,7 @@ def _state_norm(normed: dict) -> float:
         raise ValueError(f"state norm is {base}: its entries are too large "
                          "to square")
     if base == 0:
-        raise ValueError("state norm is 0: the spacing cubed or the state's "
-                         "squares underflow")
+        raise ValueError(_ZERO_NORM)
     return base
 
 

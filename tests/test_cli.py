@@ -64,9 +64,18 @@ def test_grid_checks_the_refinement_before_the_guard(monkeypatch, capsys):
     # its spacing cubed underflows, so the state's norm is 0
     ("--extent", "1e-150", "state norm is 0: the spacing cubed"),
 ])
-def test_grid_refuses_an_extreme_extent_or_mu(capsys, flag, value, what):
+def test_grid_refuses_an_extreme_extent_or_mu(monkeypatch, capsys, flag,
+                                              value, what):
     # an invalid invocation (exit 2, one error line), not a traceback,
-    # and no floating-point warning on the way
+    # and no floating-point warning on the way; refused before the study
+    # makes a row of the state or of a word
+    from poincarelab import gridlab
+
+    def forbidden(*args):
+        raise AssertionError("made a row")
+
+    monkeypatch.setattr(gridlab, "_apply_rows", forbidden)
+    monkeypatch.setattr(gridlab._Gaussian, "rows", forbidden)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["grid", "--rep", "up", "--n", "8,16,32", flag,
@@ -301,7 +310,7 @@ def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
     def forbidden(*args):
         raise AssertionError("allocated a state")
 
-    # the plan at N = 1024 needs about 3.9 GiB, so a budget under that
+    # the plan at N = 1024 needs about 2.8 GiB, so a budget under that
     monkeypatch.setattr(gridlab, "memory_budget", lambda: 2 * 2**30)
     monkeypatch.setattr(gridlab, "standard_state", forbidden)
     # nor does it build its state's factors

@@ -132,7 +132,7 @@ def row_kernel(op, state, src=None, c=None, out=None):
     ranges = [r for level in gridlab._level_ranges(n, gridlab._slab_rows(n))
               for r in level]
     rows = max(hi - lo for lo, hi in ranges)
-    bufs = gridlab._Buffers(mesh, rows, plan.halo, pairs, 2)
+    bufs = gridlab._Buffers(mesh, rows, [plan], pairs, 2, False)
     if src is None:
         src = gridlab._Rows.whole(state.values)
     if out is None:  # stored spin-major, as apply's outputs are

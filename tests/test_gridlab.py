@@ -404,11 +404,12 @@ def test_working_set_guard_refuses_oversized_grids():
     big = [Grid(L, n) for n in (32, 64, 1024)]
     need = working_set_bytes(rep, default)
     # no grid keeps a state or a field, and no study makes an array of
-    # the grid's size; the streamed study's arrays peak at about 48 MiB
-    # at N = 128, its windows most of them, and at about 3.9 GiB at
-    # N = 1024
-    assert 50 * 2**20 < need < 75 * 2**20
-    assert working_set_bytes(rep, big) == 4_211_081_216
+    # the grid's size; the streamed study's arrays peak at about 39.5 MiB
+    # at N = 128, its windows most of them, and at about 2.8 GiB at
+    # N = 1024 (3.9 GiB when each range's bank held both signs of a
+    # pair, complex slabs for real pairs and its basis fields)
+    assert 40 * 2**20 < need < 60 * 2**20
+    assert working_set_bytes(rep, big) == 3_011_510_272
     assert gridlab.memory_budget() is None or gridlab.memory_budget() > 0
     budget = 2 * 2**30
     check_working_set(rep, default, budget)
@@ -675,7 +676,26 @@ def test_streamed_plan_norms_keep_no_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    # 35.3 MiB; 40.4 MiB with the banks of two signs and complex slabs
+    # for real pairs
+    assert peak < 36 * 2**20
+
+
+def test_streamed_plan_cold_peak_at_the_default_grids():
+    # a cold study of up 2s=1 on the default grids traces 39.5 MiB: each
+    # range's bank holds one slab per field and canonical scale, float64
+    # where the scale is real, and no basis field (47.2 MiB before)
+    _meshes.cache_clear()
+    rep = catalog.build("up", 1)
+    grids = [Grid(L, n) for n in (32, 64, 128)]
+    tracemalloc.start()
+    try:
+        study(rep, representative_relations(rep), grids, defects={})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert peak <= working_set_bytes(rep, grids)
 
 
 @pytest.mark.parametrize("points", [17, 33])
@@ -1017,10 +1037,95 @@ def test_working_set_reads_the_plans_layout(grids, monkeypatch):
                                        gridlab._standard(rep, g),
                                        dict.fromkeys(gridlab._ISOMETRY))
             assert [summary(layout) for layout in made] == guard, label
-    # up at two_s = 1 has 11 full-size and 9 broadcast pairs on each grid
+    # up at two_s = 1 has 7 full-size and 9 broadcast pairs on each grid
+    # (11 full-size when a pair's two signs were two pairs), of which 4
+    # and 3 are real
     made.clear()
     working_set_bytes(catalog.build("up", 1), grids)
-    assert {summary(layout)[2:] for layout in made} == {(11, 9)}
+    assert {summary(layout)[2:] for layout in made} == {(7, 9)}
+    assert {tuple(sum(s.imag == 0 for (_key, s), (_j, f) in
+                      layout.pairs.items() if f == is_full)
+                  for is_full in (True, False)) for layout in made} == {
+        (4, 3)}
+
+
+def test_bank_holds_each_slab_once_at_its_dtype():
+    # one range of the layout of up 2s=1's study: its bank, made whole
+    # when the range is first asked for, holds one slab per full-size
+    # (field key, canonical s), a later contribution of -s being
+    # subtracted, float64 exactly where s is real, each slab bit-equal
+    # to F * s; of the basis fields it keeps only the 1/p0 weight
+    rep = catalog.build("up", 1)
+    g = Grid(L, 32)
+    mesh = _meshes(g)
+    _rels, comps, ops = gridlab._relations(rep, representative_relations(rep))
+    lay = gridlab._Layout(ops, comps, dict.fromkeys(gridlab._ISOMETRY), g,
+                          mesh)
+    bufs = gridlab._Buffers(mesh, lay.rows, lay.plans.values(), lay.pairs,
+                            2 * (lay.lead + 1), True)
+    lo, hi = 0, lay.rows
+    bank = bufs._bank(lo, hi)
+    assert bufs._bank(lo, hi) is bank and bufs.banks == [bank]
+    full = {j: (key, s) for (key, s), (j, f) in lay.pairs.items() if f}
+    assert len(full) == 7 and sorted(bank.slabs) == sorted(full)
+    assert all(gridlab._canonical(s) and (key, -s) not in lay.pairs
+               for key, s in full.values())
+    assert any(t[-1] is np.subtract for plan in lay.plans.values()
+               for *_src, terms in plan.sources for t in terms)
+
+    def bits(values):
+        return np.ascontiguousarray(values).view(np.uint64)
+
+    for j, (key, s) in full.items():
+        want = np.multiply(mesh.field(key, lo, hi), s)
+        slab = bank.slabs[j]
+        if s.imag == 0:
+            assert slab.dtype == np.float64
+            want = want.real
+        else:
+            assert slab.dtype == np.complex128
+        assert np.array_equal(bits(slab), bits(want))
+    for (_key, s), (j, f) in lay.pairs.items():
+        if not f:
+            assert bufs.planes[j].dtype == (
+                np.float64 if s.imag == 0 else np.complex128)
+    assert gridlab._Bank.__slots__ == ("span", "slabs", "weight")
+    assert np.array_equal(bits(bank.weight),
+                          bits(mesh.field(gridlab._INV_P0, lo, hi)))
+    # one difference buffer where no term differences twice, two for a
+    # product of two generators' stencils; apply's buffers take no norm,
+    # so their banks make no weight
+    assert {plan.chain for plan in lay.plans.values()} == {0, 1}
+    assert len(bufs.deriv) == 1
+    for op in (rep.k[0] * rep.j[2], rep.k[0] * rep.k[0]):
+        pairs = {}
+        plan = gridlab._plan(op, mesh, g.spacing, pairs)
+        assert plan.chain == 2
+        applied = gridlab._Buffers(mesh, lay.rows, [plan], pairs, 2, False)
+        assert len(applied.deriv) == 2
+        assert applied._bank(lo, hi).weight is None
+
+
+def test_plan_refuses_a_zero_norm_before_any_row(monkeypatch):
+    # the spacing cubed underflows to 0 at this extent, so every norm is
+    # 0: a caller's state is refused before the plan makes a row, in
+    # residual and isometry_defect alike
+    rep = catalog.build("up", 1)
+    g = Grid(1e-150, 16)
+    assert g.spacing**3 == 0
+    st = GridState(np.ones((1, 16, 16, 16, 2), dtype=complex), g,
+                   SpinWeight(1), 1)
+
+    def forbidden(*args):
+        raise AssertionError("made a row")
+
+    monkeypatch.setattr(gridlab, "_apply_rows", forbidden)
+    monkeypatch.setattr(GridState, "rows", forbidden)
+    for run in (lambda: residual(rep, "Theta*K == K*Theta", st),
+                lambda: isometry_defect(rep, st)):
+        with pytest.raises(ValueError,
+                           match="state norm is 0: the spacing cubed"):
+            run()
 
 
 def test_finite_scan_once_per_stored_row(monkeypatch):
