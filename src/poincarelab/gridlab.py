@@ -9,22 +9,22 @@ evaluate their exact coefficients at a numeric mu carried by the grid.
 
 A coefficient num / (p0^a (mu+p0)^b) is expanded into its terms, each an
 exact scalar (times the powers of mu) times a real basis field
-p^m / (p0^a (mu+p0)^b).  A grid's cached mesh (the last 8 grids are
-kept) holds only the axes p1, p2, p3, N points each: a field of the
-grid's size, p0 and the 1/p0 weight among them, is evaluated on a range
-of axis-0 rows when a kernel or a norm reads it, bit-equal to those rows
-of the whole field.  States store each spin component as one contiguous
-block (the array keeps its (blocks, N, N, N, 2s+1) shape), so stencils,
-field products and norms run over contiguous memory.  The row kernel
-(``_apply_rows``) computes a few axis-0 rows of an applied operator at
-a time, running every term of the operator on those rows while they are
-in cache.  Each term is one
-product conj^k(x) * (F * s): the term's exact scalar s, which carries
-the stencil step and the reflection sign, is folded into its real field
-F, once per grid for a field that broadcasts along an axis (a
-contiguous (1, N, N) plane when it is constant along axis 0) and once
-per range of rows for a full-size one, for each distinct (field, s),
-shared by every kernel that reads it.  A term that adds -s times a
+p^m / (p0^a (mu+p0)^b).  A grid's mesh holds only the axes p1, p2, p3,
+N points each, and lives as long as the call that makes it (a streamed
+plan, ``apply`` or ``inner``): a field of the grid's size, p0 and the
+1/p0 weight among them, is evaluated on a range of axis-0 rows when a
+kernel or a norm reads it, bit-equal to those rows of the whole field.
+States store each spin component as one contiguous block (the array
+keeps its (blocks, N, N, N, 2s+1) shape), so stencils, field products
+and norms run over contiguous memory.  The row kernel (``_apply_rows``)
+computes a few axis-0 rows of an applied operator at a time, running
+every term of the operator on those rows while they are in cache.  Each
+term is one product conj^k(x) * (F * s): the term's exact scalar s,
+which carries the stencil step and the reflection sign, is folded into
+its real field F, once per grid for a field that broadcasts along an
+axis (a contiguous (1, N, N) plane when it is constant along axis 0)
+and once per range of rows for a full-size one, for each distinct
+(field, s), shared by every kernel that reads it.  A term that adds -s times a
 field onto its output is subtracted with the pair of s instead, and a
 pair whose s is real is stored float64, so a range's bank of slabs is
 made once, whole, from one evaluation of each field, at about half the
@@ -68,12 +68,8 @@ the state included, as the plan computes them; a word read once, as a
 term, only through its component's norm, which scans a piece whose
 partials are not finite (``_Norm``).
 ``grid --rep up --two-s 1`` at N = 32, 64, 128 computes its 74 distinct
-words once on each grid (222 words, against 251 applies when at most
-three states could stay and 356 when every relation ran alone) in a
-median 3.2 s of ``perfbench`` ``run_s`` on a 2-core Xeon VM (3.65 s
-when the row kernel scanned every word it computed), with a peak RSS of
-72 MiB (81 MiB when a bank held both signs of a pair, complex slabs for
-real ones and its basis fields).
+words once on each grid, 222 words, in a median 3.2 s of ``perfbench``
+``run_s`` on a 2-core Xeon VM, with a peak RSS of 72 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -88,7 +84,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -128,6 +124,10 @@ class Grid:
             raise ValueError("grid extent must be positive, its cube finite")
         if not (self.mu > 0 and math.isfinite(self.mu * self.mu)):
             raise ValueError("mu must be positive, its square finite")
+        if self.mu * self.mu == 0 and self.points % 2:
+            raise ValueError("mu squared underflows to 0, so p0 is 0 at "
+                             "p = 0, which an odd number of points puts "
+                             "on the grid")
 
     @property
     def spacing(self) -> float:
@@ -149,14 +149,11 @@ class _Mesh:
     working-set guard's) holds no array.  ``field`` evaluates the real
     basis field p^m / (p0^a (mu+p0)^b) of a key (m, a, b), with m the
     exponents of (p1, p2, p3, p0), on a range of axis-0 rows when asked,
-    p0 and the 1/p0 weight included.  ``states`` maps (two_s, blocks) to
-    the grid's standard state once ``standard_state`` has sampled it for
-    a caller, the only array of the grid's size a mesh keeps.
+    p0 and the 1/p0 weight included, and keeps none of them.
     """
 
     def __init__(self, grid: Grid):
         self.grid, self.mu, self.n = grid, grid.mu, grid.points
-        self.states: dict[tuple[int, int], GridState] = {}
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
@@ -211,11 +208,6 @@ class _Mesh:
                 for m, s in c.num.terms.items()]
 
 
-@lru_cache(maxsize=8)
-def _meshes(grid: Grid) -> _Mesh:
-    return _Mesh(grid)
-
-
 def _empty_values(blocks: int, points: int, dim: int) -> np.ndarray:
     """Uninitialized (blocks, N, N, N, dim) complex array stored spin-major."""
     raw = np.empty((blocks, dim, points, points, points), dtype=complex)
@@ -261,7 +253,7 @@ def inner(a: GridState, b: GridState) -> complex:
     """Inner product with the 1/p0 weight."""
     if a.grid != b.grid or a.values.shape != b.values.shape:
         raise ValueError("mismatched states")
-    w = _meshes(a.grid).field(_INV_P0)
+    w = _Mesh(a.grid).field(_INV_P0)
     total = sum(
         np.einsum("xyz,xyz,xyz->", np.conj(x), y, w)
         for x, y in zip(_components(a.values), _components(b.values))
@@ -540,21 +532,20 @@ def _stored(s: complex) -> complex | float:
 
 class _Bank:
     """The field slabs of one range of rows, made whole the first time
-    the range is asked for: F * s of each full-size pair by table index,
-    and, if ``weighted``, the 1/p0 weight the norms read.  ``keys`` maps
-    each basis field key to its pairs, (index, scale); each field is
-    evaluated once, scaled into every pair of its key and dropped."""
+    the range is asked for: F * s of each full-size pair by table index.
+    ``keys`` maps each basis field key to its pairs, (index, scale); each
+    field is evaluated once, scaled into every pair of its key and
+    dropped.  ``weight`` is the range's 1/p0 weight once a norm has asked
+    for it (``_Buffers.weight``), else None."""
 
     __slots__ = ("span", "slabs", "weight")
 
-    def __init__(self, mesh: _Mesh, span: tuple[int, int], keys: dict,
-                 weighted: bool):
-        self.span, self.slabs = span, {}
+    def __init__(self, mesh: _Mesh, span: tuple[int, int], keys: dict):
+        self.span, self.slabs, self.weight = span, {}, None
         for key, scales in keys.items():
             f = mesh.field(key, *span)
             for j, s in scales:
                 self.slabs[j] = np.multiply(f, s)
-        self.weight = mesh.field(_INV_P0, *span) if weighted else None
 
 
 class _Buffers:
@@ -568,14 +559,14 @@ class _Buffers:
     it is constant along axis 0); then come scratch, the difference
     buffers with a ``halo`` of rows on either side, one for a chain of
     one derivative and two for a longer one, and the field slabs of the
-    last ``ranges`` ranges run (``_Bank``), with the 1/p0 weight if
-    ``weighted``: a streamed plan takes norms, ``apply`` none.
+    last ``ranges`` ranges run (``_Bank``), each with its 1/p0 weight
+    once a norm has read it: a streamed plan takes norms, ``apply`` none.
     """
 
     def __init__(self, mesh: _Mesh, rows: int, plans, pairs: dict,
-                 ranges: int, weighted: bool):
+                 ranges: int):
         n = mesh.n
-        self.mesh, self.ranges, self.weighted = mesh, ranges, weighted
+        self.mesh, self.ranges = mesh, ranges
         self.planes, self.keys = {}, {}
         for (key, s), (j, full) in pairs.items():
             if full:
@@ -600,13 +591,16 @@ class _Buffers:
                 return bank
         if len(self.banks) == self.ranges:
             self.banks.pop(0)
-        self.banks.append(_Bank(self.mesh, (lo, hi), self.keys,
-                                self.weighted))
+        self.banks.append(_Bank(self.mesh, (lo, hi), self.keys))
         return self.banks[-1]
 
     def weight(self, lo: int, hi: int) -> np.ndarray:
-        """The 1/p0 weight on rows lo:hi."""
-        return self._bank(lo, hi).weight
+        """The 1/p0 weight on rows lo:hi, made on the range's bank the
+        first time it is asked for."""
+        bank = self._bank(lo, hi)
+        if bank.weight is None:
+            bank.weight = self.mesh.field(_INV_P0, lo, hi)
+        return bank.weight
 
     def fields(self, used: list, lo: int, hi: int) -> list[np.ndarray]:
         """F * s on rows lo:hi of each pair of ``used`` (table indices): a
@@ -702,11 +696,11 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     if op.dim != state.spin.dim or op.blocks != state.blocks:
         raise ValueError("operator shape does not match the state")
     g = state.grid
-    n, mesh = g.points, _meshes(g)
+    n, mesh = g.points, _Mesh(g)
     pairs: dict = {}
     plan = _plan(op, mesh, g.spacing, pairs)
     rows = min(_slab_rows(n), n)
-    bufs = _Buffers(mesh, rows, [plan], pairs, 2, False)
+    bufs = _Buffers(mesh, rows, [plan], pairs, 2)
     out = _empty_values(op.blocks, n, op.dim)
     comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
     src = _Rows.whole(state.values)
@@ -725,14 +719,13 @@ MEMORY_SHARE = 0.5
 def working_set_bytes(rep: RepSpec, grids) -> int:
     """Estimated bytes of arrays a grid study of ``rep`` over ``grids`` holds.
 
-    A cached mesh keeps only coordinates, N points each, so only the
-    grid being studied counts, and of it only its streamed plan
-    (``_stream``): the standard state is its Gaussian factors, N points
-    each.  The plan's arrays are read from its own layout (``_Layout``)
-    on each grid, of the representative relations and the isometry
-    words, laid out on an uncached mesh that makes no axis, so the guard
-    itself allocates nothing of the grid's size; none of the plan's
-    arrays is state-sized:
+    No mesh outlives the plan that makes it, so only the grid being
+    studied counts, and of it only its streamed plan (``_stream``): the
+    standard state is its Gaussian factors, N points each.  The plan's
+    arrays are read from its own layout (``_Layout``) on each grid, of
+    the representative relations and the isometry words, laid out on a
+    mesh that makes no axis, so the guard itself allocates nothing of
+    the grid's size; none of the plan's arrays is state-sized:
     - each stored word's window, the state's own included, lead + keep
       + 1 levels of its rows, a level being a slab and its mirror (at
       most N rows in all);
@@ -958,19 +951,18 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     computes the words shortest first, each from the rows of its suffix,
     then the components' rows in their terms' order with the same
     elementwise operations as summing whole applied states.  The kernels
-    share one ``_Buffers``, whose field slabs span the levels of a step,
-    so each range's bank is made once, whole, for every kernel that
-    reads it, and the norms read its 1/p0 weight.  A stored word's rows,
-    the state's included, are scanned for non-finite entries as they
-    are made; a word that goes straight into its component is checked
-    through that component's norm.  Each range of a component gives its norm
-    partials as soon as it is made (``_Norm``), and a word whose norm is
-    wanted gives them at its level's step, from its window: the same
-    bits as when its rows are made, at a lower and steadier peak RSS of
-    ``grid`` (81 MiB against 81-86 MiB at N = 128 for up 2s=1, before
-    the banks shrank).  So no norm keeps rows, and each norm is
-    bit-identical to that of the whole applied state taken over the same
-    ranges.
+    share one ``_Buffers`` on the plan's own mesh, the one its
+    ``_Layout`` reads, whose field slabs span the levels of a step, so
+    each range's bank is made once, whole, for every kernel that reads
+    it, and the norms make and read its 1/p0 weight.  A stored word's
+    rows, the state's included, are scanned for non-finite entries as
+    they are made; a word that goes straight into its component is
+    checked through that component's norm.  Each range of a component
+    gives its norm partials as soon as it is made (``_Norm``), and a
+    word whose norm is wanted gives them at its level's step, from its
+    window: the same bits as when its rows are made.  So no norm keeps
+    rows, and each norm is bit-identical to that of the whole applied
+    state taken over the same ranges.
     ``normed`` maps words to None; each is computed, whether or not a
     component uses it, and gets the norm of its applied state, () that
     of the state itself.  A grid whose spacing cubed is 0 is refused
@@ -979,7 +971,7 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     g = state.grid
     if g.spacing**3 == 0:  # every norm would be 0
         raise ValueError(_ZERO_NORM)
-    n, mesh = g.points, _meshes(g)
+    n, mesh = g.points, _Mesh(g)
     shape = (state.blocks, state.spin.dim)
     lay = _Layout(ops, components, normed, g, mesh)
     if any((op.blocks, op.dim) != shape for op in lay.ops.values()):
@@ -988,7 +980,7 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     levels = _level_ranges(n, rows)
     span = min(2 * rows, n)
     bufs = _Buffers(mesh, span, lay.plans.values(), lay.pairs,
-                    2 * (lay.lead + 1), True)
+                    2 * (lay.lead + 1))
     slab = np.empty((*shape, span, n, n), dtype=complex)  # a term to add
     source = {w.word: w.rows for w in stored}
     weight = bufs.weight
@@ -1090,14 +1082,24 @@ def _residuals(rep: RepSpec, relation_ids, state,
     ``state`` is a row source (see ``_stream``), read row by row.  The
     plan also takes the state's own norm (``_state_norm``).  ``normed``
     (see ``_stream``) gets the norms of the wanted words the plan
-    computes, and of ()."""
+    computes, and of ().  After the state's norm, a component norm that
+    is not finite, its finite values' squares overflowing, is refused
+    too."""
     rels, comps, ops = _relations(rep, relation_ids)
     normed = {} if normed is None else normed
     normed[()] = None
     norms = iter(_stream(ops, state, comps, normed))
     base = _state_norm(normed)
-    return [max(next(norms) / base for _comp in rel.components)
-            for rel in rels]
+    out = []
+    for rel in rels:
+        worst = max(next(norms) for _comp in rel.components)
+        if not math.isfinite(worst):
+            raise ValueError(
+                f"relation {rel.name} at N = {state.grid.points}: a "
+                f"component norm is {worst}: its values are too large to "
+                "square")
+        out.append(worst / base)
+    return out
 
 
 def residual(rep: RepSpec, relation_id: str, state: GridState) -> float:
@@ -1137,18 +1139,11 @@ def standard_state(rep: RepSpec, grid: Grid) -> GridState:
     """The grid's standard state (``_standard``) on every row, not
     normalized: residuals and isometry defects are relative to its norm.
 
-    Sampled once per (grid, two_s, blocks) and kept read-only on the
-    grid's cached mesh, so it is freed with the mesh.  ``study`` never
-    samples it whole: its plan evaluates the same rows, bit for bit, as
-    it goes.
+    Sampled on each call into a new state the caller owns.  ``study``
+    never samples it whole: its plan evaluates the same rows, bit for
+    bit, as it goes.
     """
-    states = _meshes(grid).states
-    key = (rep.two_s, rep.blocks)
-    if key not in states:
-        state = _standard(rep, grid).sample()
-        state.values.flags.writeable = False
-        states[key] = state
-    return states[key]
+    return _standard(rep, grid).sample()
 
 
 @dataclass(frozen=True)

@@ -253,7 +253,7 @@ def norm(state):
     g = state.grid
     n = g.points
     total = gridlab._Norm(
-        n, partial(gridlab._meshes(g).field, gridlab._INV_P0))
+        n, partial(gridlab._Mesh(g).field, gridlab._INV_P0))
     values = np.moveaxis(state.values, -1, 1)
     for ranges in gridlab._level_ranges(n, gridlab._slab_rows(n)):
         for lo, hi in ranges:

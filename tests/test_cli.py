@@ -66,9 +66,34 @@ def test_grid_checks_the_refinement_before_the_guard(monkeypatch, capsys):
 ])
 def test_grid_refuses_an_extreme_extent_or_mu(monkeypatch, capsys, flag,
                                               value, what):
-    # an invalid invocation (exit 2, one error line), not a traceback,
-    # and no floating-point warning on the way; refused before the study
-    # makes a row of the state or of a word
+    # refused before the study makes a row of the state or of a word
+    _forbid_rows(monkeypatch)
+    _refused(["grid", "--rep", "up", "--n", "8,16,32", flag, value], what,
+             capsys)
+
+
+def test_grid_refuses_an_extreme_mu_where_p0_is_zero(monkeypatch, capsys):
+    # mu squared underflows to 0 and an odd N puts p = 0 on the grid, so
+    # 1/p0 would divide by 0: refused with its cause when the grid is
+    # made, before any row (even N, or mu = 1e-160, runs)
+    _forbid_rows(monkeypatch)
+    _refused(["grid", "--rep", "up", "--n", "9,17,33", "--mu", "1e-200"],
+             "mu squared underflows to 0, so p0 is 0", capsys)
+
+
+@pytest.mark.parametrize("label", ["up", "sym3"])
+def test_grid_refuses_an_extreme_component_norm(label, capsys):
+    # at --extent 1e100 the entries are finite but P1 P2 psi is about
+    # 1e200 psi, so the squares of a component overflow: refused, naming
+    # the relation, the grid and the cause, not a row of inf residuals
+    _refused(["grid", "--rep", label, "--two-s", "1", "--n", "12,24,48",
+              "--extent", "1e100"],
+             "relation [P1,P2] == 0 at N = 12: a component norm is inf: "
+             "its values are too large to square", capsys)
+
+
+def _forbid_rows(monkeypatch):
+    """Make any row of a word or of the standard state an error."""
     from poincarelab import gridlab
 
     def forbidden(*args):
@@ -76,10 +101,15 @@ def test_grid_refuses_an_extreme_extent_or_mu(monkeypatch, capsys, flag,
 
     monkeypatch.setattr(gridlab, "_apply_rows", forbidden)
     monkeypatch.setattr(gridlab._Gaussian, "rows", forbidden)
+
+
+def _refused(argv, what, capsys):
+    """argv is an invalid invocation (exit 2, one error line naming
+    ``what``), not a traceback, with no floating-point warning on the
+    way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["grid", "--rep", "up", "--n", "8,16,32", flag,
-                     value]) == 2
+        assert main(argv) == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and what in errors[0], err

@@ -20,7 +20,7 @@ from oracle_helpers import expand
 from poincarelab import catalog, gridlab
 from poincarelab.exactnum import ONE
 from poincarelab.gridlab import (
-    Grid, GridState, _meshes, apply, sample_gaussian, standard_state,
+    Grid, GridState, _Mesh, apply, sample_gaussian, standard_state,
 )
 from poincarelab.symop import BlockOp, ScalarOp
 
@@ -78,7 +78,7 @@ def whole_array_apply(op, state, term_into=_scaled_term):
     chain into two full-size buffers, reflect, the term's product by
     ``term_into`` and add through a full-size scratch buffer."""
     g = state.grid
-    mesh = _meshes(g)
+    mesh = _Mesh(g)
     raw = np.zeros((op.blocks, op.dim) + (g.points,) * 3, dtype=complex)
     out = np.moveaxis(raw, 1, -1)
     shape = (g.points,) * 3
@@ -126,13 +126,13 @@ def row_kernel(op, state, src=None, c=None, out=None):
     from ``src`` (default: the whole state).  Written into a NaN-filled
     array, or with c given, c times the rows added onto ``out``."""
     g = state.grid
-    n, mesh = g.points, _meshes(g)
+    n, mesh = g.points, _Mesh(g)
     pairs = {}
     plan = gridlab._plan(op, mesh, g.spacing, pairs)
     ranges = [r for level in gridlab._level_ranges(n, gridlab._slab_rows(n))
               for r in level]
     rows = max(hi - lo for lo, hi in ranges)
-    bufs = gridlab._Buffers(mesh, rows, [plan], pairs, 2, False)
+    bufs = gridlab._Buffers(mesh, rows, [plan], pairs, 2)
     if src is None:
         src = gridlab._Rows.whole(state.values)
     if out is None:  # stored spin-major, as apply's outputs are
@@ -183,7 +183,7 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
     shared = set()
     for op in ops.values():
         pairs = {}
-        plan = gridlab._plan(op, _meshes(st.grid), st.grid.spacing, pairs)
+        plan = gridlab._plan(op, _Mesh(st.grid), st.grid.spacing, pairs)
         full = dict(pairs.values())  # table index -> full size
         uses = Counter(t[2] for *_src, terms in plan.sources for t in terms
                        if t[2] is not None)

@@ -9,7 +9,6 @@ import json
 import math
 import tracemalloc
 import warnings
-import weakref
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -26,7 +25,6 @@ from poincarelab.gridlab import (
     EXACT_TOL,
     Grid,
     GridState,
-    _meshes,
     apply,
     check_working_set,
     convergence_study,
@@ -56,6 +54,12 @@ def test_grid_validation():
         Grid(math.inf, 32)
     with pytest.raises(ValueError):
         Grid(L, 32, mu=0.0)
+    # mu squared underflows: p0 = 0 at the p = 0 of an odd N, not of an
+    # even one, and a subnormal mu squared keeps p0 positive
+    with pytest.raises(ValueError, match="p0 is 0 at p = 0"):
+        Grid(L, 33, mu=1e-200)
+    Grid(L, 32, mu=1e-200)
+    Grid(L, 33, mu=1e-160)
     g = Grid(L, 33)
     assert g.spacing == pytest.approx(2 * L / 32)
     assert g.axis()[0] == -L and g.axis()[-1] == L
@@ -245,15 +249,12 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
-def test_field_cache_lives_and_dies_with_the_mesh():
-    # the mesh caches no field: each is evaluated on the rows asked for,
-    # bit-equal to those rows of the whole field, which is bit-equal to
-    # the formula on broadcast coordinates.  What the mesh does cache, a
-    # state sampled for a caller, is freed with it; a study caches
-    # nothing on it
+def test_mesh_fields_are_bit_equal_on_any_rows():
+    # each field is evaluated on the rows asked for, bit-equal to those
+    # rows of the whole field, which is bit-equal to the formula on
+    # broadcast coordinates; the mesh keeps none of them, only its axes
     g = Grid(L, 17)
-    rep = catalog.build("up", 1)
-    mesh = _meshes(g)
+    mesh = gridlab._Mesh(g)
     p1, p2, p3 = np.meshgrid(g.axis(), g.axis(), g.axis(), indexing="ij",
                              sparse=True)
     p0 = np.sqrt(g.mu**2 + p1**2 + p2**2 + p3**2)
@@ -275,38 +276,29 @@ def test_field_cache_lives_and_dies_with_the_mesh():
             rows = want[lo:hi] if len(want) > 1 else want
             assert np.array_equal(_bits(mesh.field(key, lo, hi)),
                                   _bits(rows)), (key, lo, hi)
-    residual(rep, "[K1,P1] == i*P0", standard_state(rep, g))
-    gridlab._residuals(rep, ["[K1,P1] == i*P0"], gridlab._standard(rep, g))
-    cached = weakref.ref(mesh)
-    state = weakref.ref(mesh.states[rep.two_s, rep.blocks])
-    assert set(vars(mesh)) == {"grid", "mu", "n", "axes", "states"}
-    assert _meshes.cache_info().maxsize == 8
-    del mesh
-    _meshes.cache_clear()
-    gc.collect()
-    assert cached() is None and state() is None
-    assert _meshes(g).states == {}
+    assert set(vars(mesh)) == {"grid", "mu", "n", "axes"}
 
 
-def test_standard_state_is_built_once_and_read_only():
+def test_residual_leaves_a_writable_state_unchanged():
+    # standard_state samples a new state the caller owns, writable; the
+    # plan reads its rows and writes none of them
     g = Grid(L, 16)
     rep = catalog.build("up", 1)
     st = standard_state(rep, g)
-    assert standard_state(catalog.build("up", 1), g) is st
-    assert standard_state(catalog.build("up", 0), g) is not st
-    assert not st.values.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        st.values[0, 3, 4, 5, 1] = 0
+    again = standard_state(rep, g)
+    assert again is not st and again.values is not st.values
+    assert again.values.tobytes() == st.values.tobytes()
+    assert st.values.flags.writeable
     before = st.values.tobytes()
     for rid in relation_ids(rep):
         residual(rep, rid, st)
+    isometry_defect(rep, st)
     assert st.values.tobytes() == before
 
 
 def test_convergence_studies_sample_each_grid_once(monkeypatch):
     # no study samples a whole state: each grid's standard state is
     # evaluated row by row as its plan goes, every row once per study
-    _meshes.cache_clear()
     sampled = defaultdict(list)
     real = gridlab._Gaussian.rows
 
@@ -351,12 +343,11 @@ def _arrays(obj, seen):
 
 
 def _live_meshes() -> list[int]:
-    """The sizes of the live meshes, each checked to hold no state and
-    no array of N^3 elements or more."""
+    """The sizes of the live meshes, each checked to hold no array of
+    N^3 elements or more."""
     gc.collect()
     sizes = []
     for mesh in [o for o in gc.get_objects() if isinstance(o, gridlab._Mesh)]:
-        assert not mesh.states
         assert max((a.size for a in _arrays(mesh, set())),
                    default=0) < mesh.n**3
         sizes.append(mesh.n)
@@ -364,29 +355,26 @@ def _live_meshes() -> list[int]:
 
 
 @pytest.mark.parametrize("label,two_s", [("up", 1), ("sym3", 1)])
-def test_cached_meshes_hold_no_grid_sized_array(label, two_s, capsys):
-    # a study and the grid subcommand evaluate fields, the 1/p0 weight
-    # and the standard state row by row: no mesh they leave cached holds
-    # an array of N^3 elements or more
+def test_study_and_grid_leave_no_mesh_alive(label, two_s, capsys):
+    # each plan makes its own mesh and drops it, with the fields, weights
+    # and slabs made on it, when it returns: no mesh outlives a study or
+    # the grid subcommand
     rep = catalog.build(label, two_s)
-    _meshes.cache_clear()
     assert _live_meshes() == []
     study(rep, representative_relations(rep),
           [Grid(L, n) for n in (17, 33, 65)], defects={})
-    assert _live_meshes() == [17, 33, 65]
-    _meshes.cache_clear()
+    assert _live_meshes() == []
     # exit 1 is a failed row: N = 16 is too coarse for some slope bands
     assert main(["grid", "--rep", label, "--two-s", str(two_s),
                  "--n", "16,32,64", "--json"]) in (0, 1)
     assert json.loads(capsys.readouterr().out)["checks"]
-    assert _live_meshes() == [16, 32, 64]
+    assert _live_meshes() == []
 
 
 def test_standard_state_factors_make_no_grid_sized_array():
     # a study's state is its Gaussian factors, three exponentials of N
     # points and the spinor: a cold _standard at N = 128 traces well
     # under 1 MiB (32.3 MiB when it normalized the state on every row)
-    _meshes.cache_clear()
     rep = catalog.build("up", 1)
     tracemalloc.start()
     try:
@@ -629,7 +617,6 @@ def test_streamed_plan_computes_each_word_once(label, two_s, monkeypatch):
     # odd N: each middle row is its own mirror; at N = 65 a slab is 3
     # rows, so each far-half range of a level is cut in two at a slab
     # boundary before its norm partials are taken
-    _meshes.cache_clear()
     rep = catalog.build(label, two_s)
     rids = representative_relations(rep)
     grids = [Grid(L, n) for n in (17, 33, 65)]
@@ -665,7 +652,6 @@ def test_streamed_plan_norms_keep_no_rows():
     # none of them: at N = 48 the 7-row slabs do not tile the levels, and
     # a cold study peaked at 55.0 MiB (tracemalloc) when every
     # component's norm held a level of its rows until its slabs were whole
-    _meshes.cache_clear()
     rep = catalog.build("up", 1)
     rids = representative_relations(rep)
     grids = [Grid(L, n) for n in (24, 48, 96)]
@@ -685,7 +671,6 @@ def test_streamed_plan_cold_peak_at_the_default_grids():
     # a cold study of up 2s=1 on the default grids traces 39.5 MiB: each
     # range's bank holds one slab per field and canonical scale, float64
     # where the scale is real, and no basis field (47.2 MiB before)
-    _meshes.cache_clear()
     rep = catalog.build("up", 1)
     grids = [Grid(L, n) for n in (32, 64, 128)]
     tracemalloc.start()
@@ -736,7 +721,7 @@ def test_streamed_plan_reads_ahead_along_chained_halos(monkeypatch):
              ((ONE, ("Theta", "K1", "J2", "P1")), (ONE, ("K1", "Theta", "P1")),
               (-ONE, ("W2", "W2")))]
     ops = catalog.operators(rep, {"W0"})
-    layout = gridlab._Layout(ops, comps, {}, st.grid, _meshes(st.grid))
+    layout = gridlab._Layout(ops, comps, {}, st.grid, gridlab._Mesh(st.grid))
     order, direct = layout.order, layout.direct
     lead = {w.word: w.lead for w in order}
     assert lead[("P1",)] == 2 and lead[("W2",)] == 0
@@ -939,7 +924,7 @@ def test_finite_scan_of_words_near_overflow(monkeypatch):
         # (peak 1.5e308) is finite: only the component's norm sees it
         comps = [((ONE, ("K1",)),)]
         assert gridlab._Layout({"K1": rep.k[0]}, comps, {()}, g,
-                               _meshes(g)).direct == {("K1",)}
+                               gridlab._Mesh(g)).direct == {("K1",)}
         with pytest.raises(ValueError, match="non-finite entries"):
             gridlab._stream({"K1": rep.k[0]}, big, comps, {(): None})
         with pytest.raises(ValueError, match="non-finite entries"):
@@ -1057,12 +1042,12 @@ def test_bank_holds_each_slab_once_at_its_dtype():
     # to F * s; of the basis fields it keeps only the 1/p0 weight
     rep = catalog.build("up", 1)
     g = Grid(L, 32)
-    mesh = _meshes(g)
+    mesh = gridlab._Mesh(g)
     _rels, comps, ops = gridlab._relations(rep, representative_relations(rep))
     lay = gridlab._Layout(ops, comps, dict.fromkeys(gridlab._ISOMETRY), g,
                           mesh)
     bufs = gridlab._Buffers(mesh, lay.rows, lay.plans.values(), lay.pairs,
-                            2 * (lay.lead + 1), True)
+                            2 * (lay.lead + 1))
     lo, hi = 0, lay.rows
     bank = bufs._bank(lo, hi)
     assert bufs._bank(lo, hi) is bank and bufs.banks == [bank]
@@ -1090,7 +1075,7 @@ def test_bank_holds_each_slab_once_at_its_dtype():
             assert bufs.planes[j].dtype == (
                 np.float64 if s.imag == 0 else np.complex128)
     assert gridlab._Bank.__slots__ == ("span", "slabs", "weight")
-    assert np.array_equal(bits(bank.weight),
+    assert np.array_equal(bits(bufs.weight(lo, hi)),
                           bits(mesh.field(gridlab._INV_P0, lo, hi)))
     # one difference buffer where no term differences twice, two for a
     # product of two generators' stencils; apply's buffers take no norm,
@@ -1101,9 +1086,46 @@ def test_bank_holds_each_slab_once_at_its_dtype():
         pairs = {}
         plan = gridlab._plan(op, mesh, g.spacing, pairs)
         assert plan.chain == 2
-        applied = gridlab._Buffers(mesh, lay.rows, [plan], pairs, 2, False)
+        applied = gridlab._Buffers(mesh, lay.rows, [plan], pairs, 2)
         assert len(applied.deriv) == 2
         assert applied._bank(lo, hi).weight is None
+
+
+def test_weight_is_made_once_per_normed_range(monkeypatch):
+    # the 1/p0 weight is evaluated only for a norm: apply makes none, a
+    # bank the kernels made holds none until a norm asks for the range's
+    # weight, and a streamed plan makes it once on each range it norms
+    rep = catalog.build("up", 1)
+    g = Grid(L, 33)
+    st = standard_state(rep, g)
+    made = Counter()
+    real = gridlab._Mesh.field
+
+    def counted(mesh, key, lo=0, hi=None):
+        if key == gridlab._INV_P0:
+            made[lo, hi] += 1
+        return real(mesh, key, lo, hi)
+
+    monkeypatch.setattr(gridlab._Mesh, "field", counted)
+    for op in (rep.k[0], rep.theta, rep.k[0] * rep.j[2]):
+        apply(op, st)
+    assert not made
+    mesh, pairs = gridlab._Mesh(g), {}
+    plan = gridlab._plan(rep.k[0], mesh, g.spacing, pairs)
+    bufs = gridlab._Buffers(mesh, 15, [plan], pairs, 2)
+    bufs.fields(plan.used, 0, 15)
+    assert bufs.banks[0].weight is None and not made
+    weight = bufs.weight(0, 15)
+    assert bufs.weight(0, 15) is weight is bufs.banks[0].weight
+    assert made == {(0, 15): 1}
+    ranges = [r for level in gridlab._level_ranges(33, gridlab._slab_rows(33))
+              for r in level]
+    assert len(ranges) == 3
+    for run in (lambda: residual(rep, "Theta*K == K*Theta", st),
+                lambda: isometry_defect(rep, st)):
+        made.clear()
+        run()
+        assert made == Counter(ranges)
 
 
 def test_plan_refuses_a_zero_norm_before_any_row(monkeypatch):
@@ -1175,5 +1197,5 @@ def test_finite_scan_once_per_stored_row(monkeypatch):
     _rels, comps, ops = gridlab._relations(rep, rids)
     for g in grids:
         normed = {(), ("Theta",), ("Pi",)} if g is grids[-1] else {()}
-        want = gridlab._Layout(ops, comps, normed, g, _meshes(g)).direct
+        want = gridlab._Layout(ops, comps, normed, g, gridlab._Mesh(g)).direct
         assert want and {w for n, w in direct if n == g.points} == want
