@@ -86,7 +86,7 @@ def rotation_op(axis: int, two_s: int) -> ScalarOp:
     alpha_a = tuple(1 if i == a - 1 else 0 for i in range(3))
     minus_i_pa = Coefficient(Poly.sym(f"p{a}").scale(-I))
     plus_i_pb = Coefficient(Poly.sym(f"p{b}").scale(I))
-    spin_mat = spin_matrices(two_s).as_tuple()[axis - 1]
+    spin_mat = spin_matrices(two_s)[axis - 1]
     return (ScalarOp.term(minus_i_pa, (alpha_b, 0, 0), dim)
             + ScalarOp.term(plus_i_pb, (alpha_a, 0, 0), dim)
             + ScalarOp.from_matrix(mat_map(Coefficient.const, spin_mat)))
@@ -97,7 +97,7 @@ def boost_op(axis: int, two_s: int) -> ScalarOp:
     """i p0 d_axis - (S x p)_axis / (mu + p0) on one scalar block."""
     dim = two_s + 1
     a, b = _CYCLIC[axis]
-    spins = spin_matrices(two_s).as_tuple()
+    spins = spin_matrices(two_s)
     s_a, s_b = spins[a - 1], spins[b - 1]
     alpha = tuple(1 if i == axis - 1 else 0 for i in range(3))
     i_p0 = Coefficient(Poly.sym("p0").scale(I))
@@ -381,7 +381,7 @@ _SPECTRA = {frozenset({1}): "up", frozenset({-1}): "down",
 
 
 def _discrete_op(pattern, spin: str, upsilon: int, kappa: int, two_s: int) -> BlockOp:
-    mat = tau_matrix(two_s).mat if spin == "tau" else identity_matrix(two_s + 1)
+    mat = tau_matrix(two_s) if spin == "tau" else identity_matrix(two_s + 1)
     inner = ScalarOp(two_s + 1,
                      {((0, 0, 0), upsilon, kappa): mat_map(Coefficient.const, mat)})
     return BlockOp(mat_map(inner.scale, pattern))
@@ -480,10 +480,6 @@ def catalog_labels(two_s: int = 0) -> list[str]:
     return [e.label for e in CATALOG if two_s == 0 or not e.spin0_only]
 
 
-def enumerate_catalog(two_s: int = 0) -> list[RepSpec]:
-    return [build(label, two_s) for label in catalog_labels(two_s)]
-
-
 # -- the exact evaluator ------------------------------------------------------------
 
 
@@ -510,9 +506,9 @@ _MU_SQUARED = Coefficient(Poly({(2, 0, 0, 0, 0): ONE}))
 
 def operators(rep: RepSpec, names, q=None) -> dict[str, BlockOp]:
     """The operator of each name: the generators, Theta and Pi, plus
-    Q1..Q3 from a position triple ``q``, plus mu^2, W0..W3 and the formal
-    adjoint "adjoint(X)" of any other operator X when ``names`` asks for
-    them.
+    Q1..Q3 from a position triple ``q`` (any three BlockOps), plus mu^2,
+    W0..W3 and the formal adjoint "adjoint(X)" of any other operator X
+    when ``names`` asks for them.
 
     Built from the fields on every call and never stored, so a spec
     altered with dataclasses.replace is evaluated as altered: the verdict
@@ -524,7 +520,7 @@ def operators(rep: RepSpec, names, q=None) -> dict[str, BlockOp]:
     ops = rep.generators()
     ops.update(Theta=rep.theta, Pi=rep.pi)
     if q is not None:
-        ops.update(zip(_Q, q.as_tuple()))
+        ops.update(zip(_Q, q))
     if "mu^2" in names:
         ops["mu^2"] = BlockOp.identity(rep.blocks, rep.dim).scale(_MU_SQUARED)
     if "W0" in names:

@@ -140,9 +140,6 @@ class Scalar:
     def __sub__(self, other):
         return self._combine(other, sub)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         out: dict[int, tuple] = {}
@@ -193,9 +190,6 @@ class Scalar:
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     # -- structure ---------------------------------------------------------
 
     def conjugate(self) -> "Scalar":
@@ -203,9 +197,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_real(self) -> bool:
-        return all(im == 0 for _, im in self.terms.values())
 
     def real_imag(self) -> tuple["Scalar", "Scalar"]:
         """Split as re + i*im with re, im having real coefficients only."""

@@ -1,11 +1,16 @@
 """Momentum-grid numerical cross-checks of the symbolic algebra.
 
 Wavefunctions are sampled on a uniform cube [-L, L]^3 that is symmetric
-about the origin, so the reflection Y is an exact index reversal and
-conjugation is exact; derivatives use second-order central differences
-with the boundary planes zeroed (test states must vanish at the boundary
-to 1e-12 of peak, so those rows never matter).  Multiplication operators
-evaluate their exact coefficients at a numeric mu carried by the grid.
+about the origin, so the reflection Y is an index reversal and
+conjugation is exact.  The reversal reads psi at -p only to an ulp of
+the coordinates: np.linspace(-L, L, N) is antisymmetric to rounding, not
+exactly (at L = 4, 286 of the N in 8..299 differ from their reversed
+negation somewhere, and the middle point of an odd N is -4.4e-16, not 0,
+at N = 99, 197, 207 and 215).  Derivatives use second-order central
+differences with the boundary planes zeroed (test states must vanish at
+the boundary to 1e-12 of peak, so those rows never matter).
+Multiplication operators evaluate their exact coefficients at a numeric
+mu carried by the grid.
 
 A coefficient num / (p0^a (mu+p0)^b) is expanded into its terms, each an
 exact scalar (times the powers of mu) times a real basis field
@@ -124,6 +129,9 @@ class Grid:
             raise ValueError("grid extent must be positive, its cube finite")
         if not (self.mu > 0 and math.isfinite(self.mu * self.mu)):
             raise ValueError("mu must be positive, its square finite")
+        # conservative: the middle point of an odd N can be an ulp off 0
+        # (see the module docstring), where p0 is tiny rather than 0, but
+        # every odd N is refused
         if self.mu * self.mu == 0 and self.points % 2:
             raise ValueError("mu squared underflows to 0, so p0 is 0 at "
                              "p = 0, which an odd number of points puts "
@@ -459,17 +467,15 @@ class _Rows:
         raise AssertionError(f"row {i} of {self.word} is not computed")
 
     def take(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of every component: a view inside one chunk, else a
-        copy."""
+        """Rows lo:hi of every component, a view inside the one chunk
+        that holds them.  A streamed plan's chunks are its level ranges
+        and it asks for a range or its mirror, so rows that span two
+        chunks are a broken invariant."""
         c0, c1, values = self.find(lo)
-        if hi <= c1:
-            return values[:, :, lo - c0:hi - c0]
-        parts = []
-        while lo < hi:
-            c0, c1, values = self.find(lo)
-            parts.append(values[:, :, lo - c0:min(hi, c1) - c0])
-            lo = min(hi, c1)
-        return np.concatenate(parts, axis=2)
+        if hi > c1:
+            raise AssertionError(
+                f"rows {lo}:{hi} of {self.word} span two chunks")
+        return values[:, :, lo - c0:hi - c0]
 
 
 def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
@@ -793,11 +799,6 @@ def check_working_set(rep: RepSpec, grids, budget: int | None) -> None:
 
 
 # -- relation residuals ---------------------------------------------------------
-
-
-def relation_ids(rep: RepSpec) -> list[str]:
-    """Every relation of the rep: Lie, discrete and both Casimirs."""
-    return [r.name for r in relations(rep)]
 
 
 def _level_ranges(n: int, rows: int) -> list[list[tuple[int, int]]]:
@@ -1166,17 +1167,6 @@ class NumericReport:
             return (f"no slope: zero residual at N = {zeros}, "
                     f"nonzero elsewhere (residuals {res})")
         return f"slope {self.slope:.3f} (residuals {res})"
-
-    def as_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "sizes": list(self.sizes),
-            "spacings": list(self.spacings),
-            "residuals": list(self.residuals),
-            "slope": self.slope,
-            "exact": self.exact,
-            "ok": self.ok,
-        }
 
 
 def refining(grids) -> list[Grid]:

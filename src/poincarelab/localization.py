@@ -13,7 +13,6 @@ Q1..Q3 and the rep's operators, evaluated by ``catalog.verify_relations``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,20 +33,6 @@ _DISCRETE_ROWS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class PositionTriple:
-    q1: BlockOp
-    q2: BlockOp
-    q3: BlockOp
-
-    def as_tuple(self) -> tuple[BlockOp, BlockOp, BlockOp]:
-        return (self.q1, self.q2, self.q3)
-
-    @property
-    def blocks(self) -> int:
-        return self.q1.blocks
-
-
 @lru_cache(maxsize=None)
 def position_component(axis: int, dim: int) -> ScalarOp:
     """F_axis = i d_axis - (i/2) p_axis / p0^2 on one scalar block."""
@@ -58,26 +43,26 @@ def position_component(axis: int, dim: int) -> ScalarOp:
     return ScalarOp.deriv_op(axis, dim).scale(I) + counter
 
 
-def newton_wigner(spin: SpinWeight, blocks: int) -> PositionTriple:
+def newton_wigner(spin: SpinWeight,
+                  blocks: int) -> tuple[BlockOp, BlockOp, BlockOp]:
+    """(Q1, Q2, Q3), each diag(F_j, ...) over the blocks."""
     if blocks not in (1, 2):
         raise ValueError("unsupported block count")
     dim = spin.dim
-    ops = [
-        BlockOp.diag([position_component(axis, dim)] * blocks)
-        for axis in (1, 2, 3)
-    ]
-    return PositionTriple(*ops)
+    return tuple(BlockOp.diag([position_component(axis, dim)] * blocks)
+                 for axis in (1, 2, 3))
 
 
-def verify_position_axioms(rep: RepSpec, q: PositionTriple) -> RelationReport:
+def verify_position_axioms(rep: RepSpec, q) -> RelationReport:
     """Localization axioms: commutativity, Euclidean covariance,
-    self-adjointness, and Theta/Pi compatibility.
+    self-adjointness, and Theta/Pi compatibility, of the triple ``q``
+    (Q1, Q2, Q3), any sequence of three BlockOps.
 
     The rows are ``catalog.POSITION_RELATIONS``.  The Theta/Pi checks are
     asserted only for RESOLVED_LABELS; for any other representation the
     computed outcome is recorded.
     """
-    if q.blocks != rep.blocks:
+    if q[0].blocks != rep.blocks:
         raise ValueError("position triple does not match the block count")
     recorded = () if rep.label in RESOLVED_LABELS else _DISCRETE_ROWS
     return verify_relations(rep, POSITION_RELATIONS, q, recorded)

@@ -21,13 +21,11 @@ from .exactnum import (
     commutant_rows,
     diagonal,
     mat_add,
-    mat_mul,
     mat_scale,
     mat_sub,
     mat_transpose,
     nullspace,
     rat,
-    zero_matrix,
 )
 
 
@@ -55,26 +53,9 @@ class SpinWeight:
         return [Fraction(self.two_s - 2 * k, 2) for k in range(self.dim)]
 
 
-@dataclass(frozen=True)
-class SpinTriple:
-    weight: SpinWeight
-    s1: Matrix
-    s2: Matrix
-    s3: Matrix
-
-    def as_tuple(self) -> tuple[Matrix, Matrix, Matrix]:
-        return (self.s1, self.s2, self.s3)
-
-
-@dataclass(frozen=True)
-class TauMatrix:
-    weight: SpinWeight
-    mat: Matrix
-
-
 @lru_cache(maxsize=None)
-def spin_matrices(two_s: int) -> SpinTriple:
-    """The exact spin triple for 2s = two_s."""
+def spin_matrices(two_s: int) -> tuple[Matrix, Matrix, Matrix]:
+    """The exact spin triple (S1, S2, S3) for 2s = two_s."""
     w = SpinWeight(two_s)
     dim = w.dim
     ms = w.m_values()
@@ -90,11 +71,11 @@ def spin_matrices(two_s: int) -> SpinTriple:
     s1 = mat_scale(rat(1, 2), mat_add(splus, sminus))
     s2 = mat_scale(half_i, mat_sub(splus, sminus))
     s3 = diagonal([Scalar.from_rational(m) for m in ms])
-    return SpinTriple(w, s1, s2, s3)
+    return s1, s2, s3
 
 
 @lru_cache(maxsize=None)
-def tau_matrix(two_s: int) -> TauMatrix:
+def tau_matrix(two_s: int) -> Matrix:
     """Antidiagonal conjugation matrix with entries (-1)^(s-m).
 
     tau is real unitary, tau * conj(Sj) * tau^-1 = -Sj, and
@@ -106,7 +87,7 @@ def tau_matrix(two_s: int) -> TauMatrix:
     for r in range(dim):
         # row index r carries m = s - r, so (-1)^(s-m) = (-1)^r
         rows[r][dim - 1 - r] = ONE if r % 2 == 0 else -ONE
-    return TauMatrix(w, tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 @lru_cache(maxsize=None)
@@ -123,15 +104,6 @@ def spin_commutant_dimension(two_s: int) -> int:
     solver relies on.
     """
     dim = two_s + 1
-    constraints = tuple((s, False) for s in spin_matrices(two_s).as_tuple())
+    constraints = tuple((s, False) for s in spin_matrices(two_s))
     return len(nullspace(commutant_rows(constraints, dim), dim * dim))
-
-
-def spin_squared(two_s: int) -> Matrix:
-    """S1^2 + S2^2 + S3^2, exactly s(s+1) times the identity."""
-    t = spin_matrices(two_s)
-    acc = zero_matrix(t.weight.dim)
-    for s in t.as_tuple():
-        acc = mat_add(acc, mat_mul(s, s))
-    return acc
 

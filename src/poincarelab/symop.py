@@ -24,7 +24,7 @@ forms are irreducible), so the minimal representation is unique and
 dictionary equality is sound.
 
 Coefficients are hash-consed.  Every constructor (Coefficient(...),
-negation, scale, conjugate, reflect) ends in _interned, which looks the
+negation, conjugate, reflect) ends in _interned, which looks the
 normal form (num, a, b) up in a weak-value table and hands back the one
 live object of that value, so equal coefficients are one object however
 they were built (A*B and B*A give the same entries).  Normal form being
@@ -393,10 +393,6 @@ class Coefficient:
     def sym(cls, name: str) -> "Coefficient":
         return cls(Poly.sym(name))
 
-    @classmethod
-    def zero(cls) -> "Coefficient":
-        return cls(Poly())
-
     # -- arithmetic ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -437,12 +433,6 @@ class Coefficient:
     def _product(self, other: "Coefficient") -> "Coefficient":
         return Coefficient(self.num * other.num, self.a + other.a,
                            self.b + other.b)
-
-    def scale(self, c) -> "Coefficient":
-        c = Scalar._coerce(c)
-        if not c:
-            return _C_ZERO
-        return _interned(self.num.scale(c), self.a, self.b)
 
     def conjugate(self) -> "Coefficient":
         return _interned(self.num.conjugate(), self.a, self.b)
@@ -624,10 +614,6 @@ class ScalarOp:
     @classmethod
     def reflection(cls, dim: int) -> "ScalarOp":
         return cls.term(_C_ONE, ((0, 0, 0), 1, 0), dim)
-
-    @classmethod
-    def conjugation(cls, dim: int) -> "ScalarOp":
-        return cls.term(_C_ONE, ((0, 0, 0), 0, 1), dim)
 
     # -- predicates ------------------------------------------------------
 
@@ -915,10 +901,6 @@ class BlockOp:
         ops = tuple(ops)
         return cls(diagonal(ops, ScalarOp.zero(ops[0].dim)))
 
-    @classmethod
-    def single(cls, op: ScalarOp) -> "BlockOp":
-        return cls([[op]])
-
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "BlockOp") -> "BlockOp":
@@ -943,11 +925,6 @@ class BlockOp:
         if self.kappa_parity() not in (None, 0):
             raise ValueError("formal adjoint is defined for linear operators")
         return BlockOp(mat_dagger(self.entries))
-
-    def commutator(self, other: "BlockOp") -> "BlockOp":
-        if self.kappa_parity() not in (None, 0) or other.kappa_parity() not in (None, 0):
-            raise ValueError("commutator requires linear operators")
-        return self * other - other * self
 
     # -- structure ---------------------------------------------------------
 
@@ -1122,9 +1099,6 @@ class RelationSum:
             if num:
                 yield pos, (a, b), num
 
-    def is_zero(self) -> bool:
-        return next(self._numerators(), None) is None
-
     def block_op(self) -> BlockOp:
         """The sum in normal form."""
         dim = self.dim
@@ -1188,10 +1162,3 @@ def cache_info() -> dict:
     info = {name: memo.cache_info() for name, memo in _MEMOS.items()}
     info["interned_coefficients"] = len(_INTERNED)
     return info
-
-
-# -- public functional API --------------------------------------------------
-
-
-def commutator(a: BlockOp, b: BlockOp) -> BlockOp:
-    return a.commutator(b)

@@ -23,10 +23,10 @@ import sympy as sp
 from poincarelab.catalog import _truncate
 from poincarelab.commutant import CommutantProblem
 from poincarelab.exactnum import (
-    I, ONE, Matrix, Scalar, identity_matrix, mat_dagger, mat_eq, mat_map, mat_mul,
-    mat_scale, mat_sub, mat_transpose,
+    I, ONE, Matrix, Scalar, identity_matrix, mat_add, mat_dagger, mat_eq,
+    mat_map, mat_mul, mat_scale, mat_sub, mat_transpose,
 )
-from poincarelab.spin_algebra import spin_matrices, spin_squared
+from poincarelab.spin_algebra import SpinWeight, spin_matrices
 from poincarelab.symop import BlockOp, Coefficient, Poly, ScalarOp
 
 MU = sp.Symbol("mu", positive=True)
@@ -159,13 +159,14 @@ def dense_commutant_dimension(rep) -> int:
 
 def check_spin_invariants(two_s: int) -> None:
     """Raise if the exact spin identities fail (used as a self test)."""
-    t = spin_matrices(two_s)
-    s1, s2, s3 = t.as_tuple()
+    s1, s2, s3 = spin_matrices(two_s)
     for a, b, c in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2)):
         if not mat_eq(mat_sub(mat_mul(a, b), mat_mul(b, a)), mat_scale(I, c)):
             raise AssertionError("spin commutation relation failed")
-    expected = identity_matrix(t.weight.dim, Scalar.from_rational(t.weight.casimir))
-    if not mat_eq(spin_squared(two_s), expected):
+    w = SpinWeight(two_s)
+    expected = identity_matrix(w.dim, Scalar.from_rational(w.casimir))
+    squared = mat_add(mat_add(mat_mul(s1, s1), mat_mul(s2, s2)), mat_mul(s3, s3))
+    if not mat_eq(squared, expected):
         raise AssertionError("spin Casimir failed")
 
 

@@ -251,7 +251,7 @@ def test_criterion_8_negative_controls(capsys):
     # control 1: drop the spin coupling of the first boost, keeping only
     # the i*p0*d1 transport term; the boost-boost closure must break
     i_p0 = Coefficient(Poly.sym("p0").scale(I))
-    bad_k1 = BlockOp.single(_times_coeff(i_p0, ScalarOp.deriv_op(1, dim), dim))
+    bad_k1 = BlockOp([[_times_coeff(i_p0, ScalarOp.deriv_op(1, dim), dim)]])
     broken = dataclasses.replace(rep, k=(bad_k1, rep.k[1], rep.k[2]))
     names = {c.name for c in catalog.verify_lie_relations(broken).failures}
     if "[K1,K2] == -i*J3" not in names:
@@ -259,12 +259,12 @@ def test_criterion_8_negative_controls(capsys):
 
     # control 2: strip the spin matrix from the third rotation; the spin
     # invariant must leave its closed-form value
-    orbital_j3 = BlockOp.single(
+    orbital_j3 = BlockOp([[
         _times_coeff(Coefficient(Poly.sym("p1").scale(-I)),
                      ScalarOp.deriv_op(2, dim), dim)
         + _times_coeff(Coefficient(Poly.sym("p2").scale(I)),
                        ScalarOp.deriv_op(1, dim), dim)
-    )
+    ]])
     broken = dataclasses.replace(rep, j=(rep.j[0], rep.j[1], orbital_j3))
     cas = catalog.verify_casimirs(broken)
     if not any(c.name.startswith("W.W") for c in cas.failures):

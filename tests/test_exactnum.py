@@ -125,14 +125,15 @@ def test_real_imag_split():
     for _ in range(20):
         s = _rand_scalar(True)
         re, im = s.real_imag()
-        assert re.is_real() and im.is_real()
+        assert re.conjugate() == re and im.conjugate() == im
         assert re + I * im == s
 
 
 def test_rationality_predicates():
-    assert rat(2, 3).is_real()
-    assert not (rat(1) + I).is_real()
-    assert Scalar.sqrt_int(2).is_real()
+    # real: a zero imaginary part
+    assert rat(2, 3).real_imag()[1] == ZERO
+    assert (rat(1) + I).real_imag()[1] == ONE
+    assert Scalar.sqrt_int(2).real_imag()[1] == ZERO
 
 
 def _rand_matrix(n):

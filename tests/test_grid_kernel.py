@@ -111,13 +111,19 @@ def whole_array_apply(op, state, term_into=_scaled_term):
     return out
 
 
-def _chunked(values, rows):
-    """Every row of a state as chunks of ``rows`` rows, copied out."""
+def _ranges(n):
+    """The row ranges of a streamed study's levels, slab and mirror,
+    outside in."""
+    return [r for level in gridlab._level_ranges(n, gridlab._slab_rows(n))
+            for r in level]
+
+
+def _chunked(values):
+    """Every row of a state as chunks along ``_ranges``, copied out: the
+    chunks a streamed plan keeps of a word."""
     comps = np.moveaxis(values, -1, 1)
-    n = comps.shape[2]
-    return gridlab._Rows((), [(a, min(a + rows, n),
-                               comps[:, :, a:a + rows].copy())
-                              for a in range(0, n, rows)])
+    return gridlab._Rows((), [(lo, hi, comps[:, :, lo:hi].copy())
+                              for lo, hi in _ranges(comps.shape[2])])
 
 
 def row_kernel(op, state, src=None, c=None, out=None):
@@ -129,8 +135,7 @@ def row_kernel(op, state, src=None, c=None, out=None):
     n, mesh = g.points, _Mesh(g)
     pairs = {}
     plan = gridlab._plan(op, mesh, g.spacing, pairs)
-    ranges = [r for level in gridlab._level_ranges(n, gridlab._slab_rows(n))
-              for r in level]
+    ranges = _ranges(n)
     rows = max(hi - lo for lo, hi in ranges)
     bufs = gridlab._Buffers(mesh, rows, [plan], pairs, 2)
     if src is None:
@@ -200,8 +205,9 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
             # every element written or zeroed
             got = row_kernel(op, state)
             assert np.array_equal(_bits(got), _bits(want)), name
-        # the source held in 3-row chunks: a stencil reads across them
-        got = row_kernel(op, st, _chunked(st.values, 3))
+        # the source held in chunks of the level ranges: an axis-0
+        # stencil reads across them
+        got = row_kernel(op, st, _chunked(st.values))
         assert np.array_equal(_bits(got), _bits(want)), name
         old = whole_array_apply(op, st, _unscaled_term)
         assert np.abs(want - old).max() <= FORMULA_TOL * np.abs(old).max()
@@ -271,6 +277,20 @@ def test_apply_rejects_a_mismatched_operator():
     for op in (catalog.build("up", 0).k[0], catalog.build("quad:+1", 0).k[0]):
         with pytest.raises(ValueError, match="does not match the state"):
             apply(op, st)
+
+
+def test_rows_spanning_two_chunks_are_refused(monkeypatch):
+    # a streamed plan asks for a level range or its mirror, each held in
+    # one chunk, so take hands out a view; rows across two chunks are a
+    # broken invariant, not a copy to make
+    monkeypatch.setattr(gridlab, "SLAB_BYTES", 3 * 17 * 17 * 16)
+    st = standard_state(catalog.build("up", 0), Grid(L, 17))
+    src = _chunked(st.values)
+    lo, hi, values = src.find(0)
+    assert (lo, hi) == (0, 3)
+    assert np.shares_memory(src.take(0, 3), values)
+    with pytest.raises(AssertionError, match="span two chunks"):
+        src.take(0, 4)
 
 
 def test_slab_rows_follow_the_byte_target():

@@ -30,7 +30,6 @@ from poincarelab.gridlab import (
     convergence_study,
     inner,
     isometry_defect,
-    relation_ids,
     representative_relations,
     residual,
     sample_gaussian,
@@ -136,9 +135,7 @@ def test_apply_multiplication_matches_mesh():
 
     g = Grid(L, 24)
     st = sample_gaussian(g, (0.2, 0.1, -0.3), WIDTH, [[1.0, 2.0]])
-    op = BlockOp.single(
-        ScalarOp.from_coefficient(Coefficient(Poly.sym("p1")), 2)
-    )
+    op = BlockOp([[ScalarOp.from_coefficient(Coefficient(Poly.sym("p1")), 2)]])
     got = apply(op, st)
     ax = g.axis()
     expected = st.values * ax[None, :, None, None, None]
@@ -146,13 +143,16 @@ def test_apply_multiplication_matches_mesh():
 
 
 def test_apply_reflection_and_conjugation_match_numpy():
+    from poincarelab.symop import Coefficient
+
     g = Grid(L, 24)
     st = sample_gaussian(g, (0.2, 0.1, -0.3), WIDTH, [[1.0 + 0.5j, -2.0]])
-    refl = apply(BlockOp.single(ScalarOp.reflection(2)), st)
+    refl = apply(BlockOp([[ScalarOp.reflection(2)]]), st)
     assert np.array_equal(refl.values, st.values[:, ::-1, ::-1, ::-1, :])
-    conj = apply(BlockOp.single(ScalarOp.conjugation(2)), st)
+    conjugation = ScalarOp.term(Coefficient.const(1), ((0, 0, 0), 0, 1), 2)
+    conj = apply(BlockOp([[conjugation]]), st)
     assert np.array_equal(conj.values, np.conj(st.values))
-    twice = apply(BlockOp.single(ScalarOp.reflection(2)), refl)
+    twice = apply(BlockOp([[ScalarOp.reflection(2)]]), refl)
     assert np.array_equal(twice.values, st.values)
 
 
@@ -290,8 +290,8 @@ def test_residual_leaves_a_writable_state_unchanged():
     assert again.values.tobytes() == st.values.tobytes()
     assert st.values.flags.writeable
     before = st.values.tobytes()
-    for rid in relation_ids(rep):
-        residual(rep, rid, st)
+    for rel in catalog.relations(rep):
+        residual(rep, rel.name, st)
     isometry_defect(rep, st)
     assert st.values.tobytes() == before
 
@@ -458,7 +458,7 @@ def test_finite_scan_of_a_grid_state_makes_no_state_sized_mask():
 def test_derivative_adjoint_defect_is_second_order(pair):
     # adjoint(d1) = -d1 + p1/p0^2 holds exactly in the algebra; on the
     # grid the defect comes from the nonconstant measure and is O(h^2)
-    d1 = BlockOp.single(ScalarOp.deriv_op(1, 1))
+    d1 = BlockOp([[ScalarOp.deriv_op(1, 1)]])
     adj = d1.adjoint()
     defects = []
     for n in pair:
@@ -532,7 +532,7 @@ def test_residual_rejects_unknown_relation(monkeypatch):
 
 def test_relation_ids_cover_lie_and_discrete():
     rep = catalog.build("sym3", 1)
-    ids = relation_ids(rep)
+    ids = [r.name for r in catalog.relations(rep)]
     assert "[K1,K2] == -i*J3" in ids
     assert "Theta^2 == 1" in ids
     assert len([i for i in ids if i.startswith("[")]) == 45
@@ -540,8 +540,8 @@ def test_relation_ids_cover_lie_and_discrete():
 
 def test_relation_ids_list_the_whole_table():
     rep = catalog.build("up", 1)
-    ids = relation_ids(rep)
-    assert ids == [r.name for r in catalog.relations(rep)]
+    ids = [r.name for r in catalog.relations(rep)]
+    assert ids[:45] == [r.name for r in catalog.LIE_RELATIONS]
     assert ids[-2:] == ["P0^2 - P.P == mu^2", "W.W == -3/4*mu^2"]
 
 
@@ -750,7 +750,8 @@ def test_exact_relations_hit_rounding_level():
     # at two_s = 1 the antiunitary square flips sign, so take the name
     # from the catalog instead of hardcoding it
     rep = catalog.build("up", 1)
-    theta_sq = next(i for i in relation_ids(rep) if i.startswith("Theta^2"))
+    theta_sq = next(r.name for r in catalog.relations(rep)
+                    if r.name.startswith("Theta^2"))
     assert theta_sq == "Theta^2 == -1"
     grids = [Grid(L, n) for n in (16, 32, 64)]
     for rid in ("[P1,P2] == 0", "[P1,P0] == 0", theta_sq,
@@ -788,18 +789,17 @@ def test_mixed_zero_residuals_fail_without_a_slope(monkeypatch, table,
     assert not r.exact and not r.ok and r.slope is None
     assert r.detail().startswith(
         f"no slope: zero residual at N = {zero_sizes},")
-    assert r.as_dict()["slope"] is None
 
 
-def test_report_as_dict_shape():
+def test_report_fields():
     rep = catalog.build("down", 0)
     grids = [Grid(L, n) for n in (16, 32, 64)]
     r = convergence_study(rep, "[P1,P2] == 0", grids)
-    d = r.as_dict()
-    assert set(d) == {"relation", "sizes", "spacings", "residuals",
-                      "slope", "exact", "ok"}
-    assert d["sizes"] == [16, 32, 64]
-    assert d["exact"] is True
+    assert r.relation == "[P1,P2] == 0"
+    assert r.sizes == (16, 32, 64)
+    assert r.spacings == tuple(g.spacing for g in grids)
+    assert len(r.residuals) == 3
+    assert r.exact is True and r.ok is True and r.slope is None
 
 
 def test_representative_relations_cover_every_family():

@@ -40,8 +40,8 @@ def test_position_is_self_adjoint_and_bare_derivative_is_not():
 
 def test_newton_wigner_blocks():
     q = newton_wigner(SpinWeight(1), 2)
-    assert q.blocks == 2
-    assert q.q1.blocks == 2
+    assert len(q) == 3
+    assert all(op.blocks == 2 for op in q)
     with pytest.raises(ValueError):
         newton_wigner(SpinWeight(0), 4)
 

@@ -50,7 +50,7 @@ coefficients = st.builds(
     st.integers(0, 1),
 )
 
-_C_ZERO = Coefficient.zero()
+_C_ZERO = Coefficient(Poly())
 _C_ONE = Coefficient.const(1)
 
 # (entry strategy, the ring's zero, the ring's one)

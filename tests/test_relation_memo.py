@@ -32,16 +32,16 @@ def _criterion_8_controls():
     rep = build("up", 1)
     dim = rep.dim
     i_p0 = Coefficient(Poly.sym("p0").scale(I))
-    bad_k1 = BlockOp.single(_times_coeff(i_p0, ScalarOp.deriv_op(1, dim), dim))
-    orbital_j3 = BlockOp.single(
+    bad_k1 = BlockOp([[_times_coeff(i_p0, ScalarOp.deriv_op(1, dim), dim)]])
+    orbital_j3 = BlockOp([[
         _times_coeff(Coefficient(Poly.sym("p1").scale(-I)),
                      ScalarOp.deriv_op(2, dim), dim)
         + _times_coeff(Coefficient(Poly.sym("p2").scale(I)),
-                       ScalarOp.deriv_op(1, dim), dim))
+                       ScalarOp.deriv_op(1, dim), dim)]])
     no_spin_j = dataclasses.replace(rep, j=(rep.j[0], rep.j[1], orbital_j3))
     # bare i*d_j, without the measure counterterm, is not self-adjoint
-    bare = localization.PositionTriple(*(
-        BlockOp.single(ScalarOp.deriv_op(a, 1).scale(I)) for a in (1, 2, 3)))
+    bare = tuple(BlockOp([[ScalarOp.deriv_op(a, 1).scale(I)]])
+                 for a in (1, 2, 3))
     return [
         catalog.verify_lie_relations(
             dataclasses.replace(rep, k=(bad_k1, rep.k[1], rep.k[2]))),
@@ -133,7 +133,7 @@ def test_equal_values_share_one_result():
 @pytest.mark.parametrize("two_s", [0, 1, 2])
 def test_pauli_lubanski_matches_the_chained_sums(two_s):
     clear_multiplication_cache()
-    for rep in catalog.enumerate_catalog(two_s):
+    for rep in (build(label, two_s) for label in catalog.catalog_labels(two_s)):
         w = pauli_lubanski(rep)
         assert w == chained_pauli_lubanski(rep), rep.label
         if two_s == 0:

@@ -88,11 +88,11 @@ def _accumulate(component, ops) -> RelationSum:
 def test_relation_sum_matches_pairwise_oracle(case):
     ops, drawn = case
     for component, known in drawn:
-        acc, oracle = _accumulate(component, ops), pairwise_sum(component, ops)
-        assert acc.is_zero() == oracle.is_zero()
+        total = _accumulate(component, ops).block_op()
+        oracle = pairwise_sum(component, ops)
+        assert total.is_zero() == oracle.is_zero()
         if known is not None:
-            assert acc.is_zero() == known
-        total = acc.block_op()
+            assert total.is_zero() == known
         assert total == oracle
         assert repr(total) == repr(oracle)
     rel = Relation("drawn", "test", tuple(c for c, _known in drawn))
@@ -100,7 +100,7 @@ def test_relation_sum_matches_pairwise_oracle(case):
 
 
 def _single(c: Coefficient, dim: int = 1) -> BlockOp:
-    return BlockOp.single(ScalarOp.from_coefficient(c, dim))
+    return BlockOp([[ScalarOp.from_coefficient(c, dim)]])
 
 
 MU, P0 = Poly.sym("mu"), Poly.sym("p0")
@@ -125,11 +125,11 @@ LIFTED = ((ONE, ("A",)), (ONE, ("B",)), (-ONE, ("C",)))
 def test_lifted_denominators_cancel():
     # each numerator is lifted onto p0*(mu+p0) before the sum reads zero
     ops = _lifted_ops()
-    assert _accumulate(LIFTED, ops).is_zero()
+    assert _accumulate(LIFTED, ops).block_op().is_zero()
     assert _violation(Relation("lifted", "test", (LIFTED,)), ops) == ""
     # in another order, and twice over with the words in other words
     swapped = _lifted_ops(A=ops["B"], B=ops["A"])
-    assert _accumulate(LIFTED[::-1] + LIFTED, swapped).is_zero()
+    assert _accumulate(LIFTED[::-1] + LIFTED, swapped).block_op().is_zero()
 
 
 @pytest.mark.parametrize("perturb", [
@@ -147,9 +147,9 @@ def test_lifted_denominators_cancel():
 def test_lifted_denominators_perturbed(perturb):
     ops, comp = perturb(_lifted_ops(), LIFTED)
     rel = Relation("lifted", "test", (comp,))
-    acc = _accumulate(comp, ops)
-    assert not acc.is_zero()
-    assert acc.block_op() == pairwise_sum(comp, ops)
+    total = _accumulate(comp, ops).block_op()
+    assert not total.is_zero()
+    assert total == pairwise_sum(comp, ops)
     text = _violation(rel, ops)
     assert text.startswith("component 1: residual ")
     assert text == pairwise_violation(rel, ops)
@@ -162,10 +162,11 @@ def test_distinct_radicands_do_not_cancel():
     ops = {"P0": _single(Coefficient(P0), 2),
            "S": _single(Coefficient(Poly.const(root2), 0, 1), 2),
            "X": _single(Coefficient(Poly.const(1), 0, 1), 2)}
-    assert not _accumulate(((ONE, ("S",)), (-ONE, ("X",))), ops).is_zero()
+    assert not _accumulate(((ONE, ("S",)), (-ONE, ("X",))),
+                           ops).block_op().is_zero()
     two = Scalar.from_rational(2)
     comp = ((ONE, ("S", "S")), (-two, ("X", "X")))
-    assert _accumulate(comp, ops).is_zero()
+    assert _accumulate(comp, ops).block_op().is_zero()
     for bad in (((ONE, ("S",)), (-ONE, ("X",))),
                 ((ONE, ("S", "X")), (-ONE, ("X", "X")))):
         rel = Relation("surd", "test", (bad,))
@@ -174,7 +175,7 @@ def test_distinct_radicands_do_not_cancel():
 
 def test_empty_component_holds():
     ops = _lifted_ops()
-    assert RelationSum(1, 1).is_zero()
+    assert RelationSum(1, 1).block_op().is_zero()
     assert RelationSum(2, 3).block_op() == BlockOp.zero(2, 3)
     assert _violation(Relation("empty", "test", ((),)), ops) == ""
     assert _violation(Relation("empty", "test", ((), LIFTED[:1])), ops) \

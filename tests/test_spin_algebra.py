@@ -14,6 +14,7 @@ from poincarelab.exactnum import (
     commutant_rows,
     hermitian_matrix,
     identity_matrix,
+    mat_add,
     mat_conj,
     mat_dagger,
     mat_eq,
@@ -27,7 +28,6 @@ from poincarelab.spin_algebra import (
     SpinWeight,
     spin_commutant_dimension,
     spin_matrices,
-    spin_squared,
     tau_matrix,
 )
 
@@ -46,17 +46,17 @@ def test_weight_basics():
 
 
 def test_half_spin_is_pauli_over_two():
-    t = spin_matrices(1)
-    np.testing.assert_allclose(_to_numpy(t.s1), [[0, 0.5], [0.5, 0]])
-    np.testing.assert_allclose(_to_numpy(t.s2), [[0, -0.5j], [0.5j, 0]])
-    np.testing.assert_allclose(_to_numpy(t.s3), [[0.5, 0], [0, -0.5]])
+    s1, s2, s3 = spin_matrices(1)
+    np.testing.assert_allclose(_to_numpy(s1), [[0, 0.5], [0.5, 0]])
+    np.testing.assert_allclose(_to_numpy(s2), [[0, -0.5j], [0.5j, 0]])
+    np.testing.assert_allclose(_to_numpy(s3), [[0.5, 0], [0, -0.5]])
 
 
 def test_spin_one_matrices():
-    t = spin_matrices(2)
+    s1, _s2, s3 = spin_matrices(2)
     r = 1 / np.sqrt(2)
-    np.testing.assert_allclose(_to_numpy(t.s1), [[0, r, 0], [r, 0, r], [0, r, 0]])
-    np.testing.assert_allclose(_to_numpy(t.s3), np.diag([1, 0, -1]))
+    np.testing.assert_allclose(_to_numpy(s1), [[0, r, 0], [r, 0, r], [0, r, 0]])
+    np.testing.assert_allclose(_to_numpy(s3), np.diag([1, 0, -1]))
 
 
 @pytest.mark.parametrize("two_s", range(5))
@@ -64,24 +64,25 @@ def test_commutation_and_casimir(two_s):
     check_spin_invariants(two_s)
     dim = two_s + 1
     expected = mat_scale(rat(two_s * (two_s + 2), 4), identity_matrix(dim))
-    assert mat_eq(spin_squared(two_s), expected)
+    s1, s2, s3 = spin_matrices(two_s)
+    squared = mat_add(mat_add(mat_mul(s1, s1), mat_mul(s2, s2)), mat_mul(s3, s3))
+    assert mat_eq(squared, expected)
 
 
 @pytest.mark.parametrize("two_s", range(5))
 def test_spin_matrices_hermitian(two_s):
-    t = spin_matrices(two_s)
-    for s in t.as_tuple():
+    for s in spin_matrices(two_s):
         assert mat_eq(mat_dagger(s), s)
 
 
 @pytest.mark.parametrize("two_s", range(5))
 def test_tau_flips_conjugated_spin(two_s):
-    tau = tau_matrix(two_s).mat
+    tau = tau_matrix(two_s)
     dim = two_s + 1
     # tau is real and unitary
     assert mat_eq(mat_conj(tau), tau)
     assert mat_eq(mat_mul(tau, mat_dagger(tau)), identity_matrix(dim))
-    for s in spin_matrices(two_s).as_tuple():
+    for s in spin_matrices(two_s):
         lhs = mat_mul(mat_mul(tau, mat_conj(s)), mat_dagger(tau))
         assert mat_eq(lhs, mat_scale(rat(-1), s))
     # tau * conj(tau) = (-1)^(2s)
@@ -112,7 +113,7 @@ def test_shared_commutant_builder_on_spin_matrices(two_s):
     # the block solver's rows, run on the spin matrices: the triple and
     # S1 with S3 leave the multiples of the identity, while S3 alone
     # leaves every diagonal matrix
-    s1, s2, s3 = spin_matrices(two_s).as_tuple()
+    s1, s2, s3 = spin_matrices(two_s)
     dim = two_s + 1
     assert _commutant_dimension((s1, s2, s3), dim) == 1
     assert _commutant_dimension((s3,), dim) == dim
@@ -127,10 +128,10 @@ def test_shared_commutant_builder_on_spin_matrices(two_s):
 
 def test_ladder_entries_match_formula():
     # S+ entry (k, k+1) is sqrt((s-m)(s+m+1)) for the source state m
-    t = spin_matrices(3)
-    splus = _to_numpy(t.s1) + 1j * _to_numpy(t.s2)
+    s1, s2, _s3 = spin_matrices(3)
+    splus = _to_numpy(s1) + 1j * _to_numpy(s2)
     s = 1.5
-    ms = [float(m) for m in t.weight.m_values()]
+    ms = [float(m) for m in SpinWeight(3).m_values()]
     for k in range(3):
         m = ms[k + 1]
         assert splus[k, k + 1] == pytest.approx(np.sqrt((s - m) * (s + m + 1)))
