@@ -11,9 +11,11 @@ rotation generators -i(p x grad) + S and the boosts
 i p0 d_j - (S x p)_j / (mu + p0).  Multi-block entries glue sign-flipped
 copies of that block and choose Theta and Pi block patterns; the catalog
 is one table (``CATALOG``) of labels, signs, Theta and Pi specs, spin
-restriction and CLI group.  A spec is its operators; kinds, signs,
-squares, omega, spin and block count are read from them, and so are the
-block patterns the commutant solver uses (``BlockOp.factor``).
+restriction and CLI group.  ``signed_generators`` builds the ten
+generators of a sign vector, for the table and for the commutant
+solver's premise.  A spec is its operators; kinds, signs, squares,
+omega, spin and block count are read from them, and every operator
+shares P0's block count and spin dimension.
 
 Every relation the laboratory checks is written once here, as data: a
 ``Relation`` is a name, a family and components, each an operator
@@ -114,15 +116,23 @@ def boost_op(axis: int, two_s: int) -> ScalarOp:
     return deriv_part + ScalarOp.from_matrix(tuple(rows))
 
 
-def standard_generators(two_s: int) -> dict[str, ScalarOp]:
-    """The scalar-block generators P0..K3 on one block of spin two_s/2,
-    by name: energy, momenta, rotations and boosts."""
+def signed_generators(two_s: int, signs) -> dict[str, BlockOp]:
+    """The ten generators P0..K3 by name on len(signs) blocks of spin
+    two_s/2: P0 and K carry the sign signs[r] on block r, P and J are the
+    same on every block."""
     dim = two_s + 1
+
+    def signed(op: ScalarOp) -> BlockOp:
+        return BlockOp.diag([op if s > 0 else -op for s in signs])
+
+    def same(op: ScalarOp) -> BlockOp:
+        return BlockOp.diag([op] * len(signs))
+
     return dict(zip(GENERATORS, (
-        energy_op(dim),
-        *(momentum_op(a, dim) for a in (1, 2, 3)),
-        *(rotation_op(a, two_s) for a in (1, 2, 3)),
-        *(boost_op(a, two_s) for a in (1, 2, 3)),
+        signed(energy_op(dim)),
+        *(same(momentum_op(a, dim)) for a in (1, 2, 3)),
+        *(same(rotation_op(a, two_s)) for a in (1, 2, 3)),
+        *(signed(boost_op(a, two_s)) for a in (1, 2, 3)),
     )))
 
 
@@ -312,6 +322,17 @@ class RepSpec:
     theta: BlockOp
     pi: BlockOp
 
+    def __post_init__(self):
+        """ValueError naming the first operator field whose block count or
+        spin dimension is not P0's; dataclasses.replace runs it too."""
+        shape = (self.p0.blocks, self.p0.dim)
+        for name in ("p", "j", "k", "theta", "pi"):
+            ops = getattr(self, name)
+            for op in ops if isinstance(ops, tuple) else (ops,):
+                if (op.blocks, op.dim) != shape:
+                    raise ValueError(f"{name}'s (blocks, dim) {(op.blocks, op.dim)}"
+                                     f" is not P0's {shape}")
+
     @property
     def blocks(self) -> int:
         return self.p0.blocks
@@ -351,7 +372,8 @@ class RepSpec:
         p0 = energy_op(self.dim)
         signs = tuple(1 if self.p0.entries[r][r] == p0 else -1
                       for r in range(self.blocks))
-        return signs if self.p0 == _signed_diag(p0, signs) else ()
+        standard = BlockOp.diag([p0 if s > 0 else -p0 for s in signs])
+        return signs if self.p0 == standard else ()
 
     @property
     def spectrum(self) -> str:
@@ -370,10 +392,6 @@ def _pattern(rows) -> tuple[tuple[Scalar, ...], ...]:
 
 def _square(op: BlockOp) -> Scalar | None:
     return (op * op).ratio(BlockOp.identity(op.blocks, op.dim))
-
-
-def _signed_diag(op: ScalarOp, signs) -> BlockOp:
-    return BlockOp.diag([op if s > 0 else -op for s in signs])
 
 
 _SPECTRA = {frozenset({1}): "up", frozenset({-1}): "down",
@@ -447,14 +465,13 @@ def _assemble(entry: Entry, two_s: int) -> RepSpec:
     One spec per (entry, two_s) in a process, so its squares and omega
     are computed once; its operators are never changed after it is built
     (dataclasses.replace makes a new spec)."""
-    gen = standard_generators(two_s)
-    signs = entry.signs
+    gen = signed_generators(two_s, entry.signs)
     return RepSpec(
         label=entry.label,
-        p0=_signed_diag(gen["P0"], signs),
-        p=tuple(BlockOp.diag([gen[f"P{a}"]] * len(signs)) for a in (1, 2, 3)),
-        j=tuple(BlockOp.diag([gen[f"J{a}"]] * len(signs)) for a in (1, 2, 3)),
-        k=tuple(_signed_diag(gen[f"K{a}"], signs) for a in (1, 2, 3)),
+        p0=gen["P0"],
+        p=tuple(gen[f"P{a}"] for a in (1, 2, 3)),
+        j=tuple(gen[f"J{a}"] for a in (1, 2, 3)),
+        k=tuple(gen[f"K{a}"] for a in (1, 2, 3)),
         theta=_discrete_op(_pattern(entry.theta[0]), *entry.theta[1:], two_s),
         pi=_discrete_op(_pattern(entry.pi[0]), *entry.pi[1:], two_s),
     )
@@ -512,7 +529,7 @@ def operators(rep: RepSpec, names, q=None) -> dict[str, BlockOp]:
 
     Built from the fields on every call and never stored, so a spec
     altered with dataclasses.replace is evaluated as altered: the verdict
-    and factor memos key on these operators' values, never on the spec.
+    memo keys on these operators' values, never on the spec.
     W0..W3 are sums over the generators formed by the verdict memo
     (``pauli_lubanski``), so they too are looked up by the values of the
     fields, and an entry with equal generators gets the same objects.

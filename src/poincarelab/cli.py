@@ -21,7 +21,7 @@ from pathlib import Path
 from . import catalog, commutant, gridlab
 from .report import PASS, RECORDED, RelationReport
 
-_KINDS = ("antiunitary", "unitary")
+_KINDS = (catalog.ANTIUNITARY, catalog.UNITARY)
 _SPECTRUM_PHRASE = {
     frozenset({"up", "down"}): "up or down spectrum only",
     frozenset({"symmetric"}): "symmetric spectrum",
@@ -79,35 +79,27 @@ def cmd_commutant(args) -> RelationReport:
     check_spin_cost("commutant", args.two_s, gridlab.memory_budget())
     rep = catalog.build(args.rep, args.two_s)
     report = RelationReport(rep.label, rep.two_s)
-    problem = commutant.reduce_to_constant_blocks(rep)
-    if problem.premise:
-        detail = f"{commutant.UNDETERMINED}: {problem.premise}"
-        report.add("commutant-dimension", "linear-solve", False, detail)
-        print(f"{rep.label}: {detail}", file=sys.stderr)
-        return report
-    result = commutant.commutant_basis(problem)
-    report.add(
-        "identity-in-commutant",
-        "linear-solve",
-        commutant.contains(result, commutant.identity_matrix(rep.blocks)),
-        "identity block matrix solves the constraint system",
-    )
-    # commutant_basis has rechecked every basis matrix with check_solution
-    # and raises (exit 3) if one fails, so reaching here means they passed
-    report.add(
-        "basis-satisfies-constraints",
-        "linear-solve",
-        True,
-        f"{result.dimension} basis matrices recheck against every constraint",
-    )
-    word = "irreducible" if result.dimension == 1 else "reducible"
-    report.add(
-        "commutant-dimension",
-        "linear-solve",
-        result.dimension >= 1,
-        f"{word}, dim {result.dimension}",
-    )
-    print(f"{rep.label}: {word}, dim {result.dimension}", file=sys.stderr)
+    verdict = commutant.irreducibility_verdict(rep)
+    detail = f"{verdict}: {verdict.premise}" if verdict.premise else str(verdict)
+    if not verdict.premise:
+        report.add(
+            "identity-in-commutant",
+            "linear-solve",
+            commutant.contains(verdict.basis, commutant.identity_matrix(rep.blocks)),
+            "identity block matrix solves the constraint system",
+        )
+        # commutant_basis has rechecked every basis matrix with
+        # check_solution and raises (exit 3) if one fails, so reaching
+        # here means they passed
+        report.add(
+            "basis-satisfies-constraints",
+            "linear-solve",
+            True,
+            f"{verdict.dimension} basis matrices recheck against every constraint",
+        )
+    # dimension 0, a failed row, when the premise fails
+    report.add("commutant-dimension", "linear-solve", verdict.dimension >= 1, detail)
+    print(f"{rep.label}: {detail}", file=sys.stderr)
     return report
 
 
@@ -171,9 +163,7 @@ def cmd_catalog(args) -> RelationReport:
             and r.spectrum == head.spectrum
             for r in reps
         )
-        ok = ok and head.spectrum in catalog.allowed_spectra(
-            head.theta_kind, head.pi_kind
-        )
+        ok = ok and catalog.verify_spectrum(head).all_passed()
         cols = [
             f"theta {head.theta_kind} (theta^2 = {_sign_word(head.theta_square)})",
             f"pi {head.pi_kind} (pi^2 = {_sign_word(head.pi_square)})",

@@ -10,11 +10,13 @@ The solver works on the finite problem left after two reductions:
      spin triple; an entry between blocks with opposite signs of p0
      vanishes, which (ii) recovers).  This is a theorem about the
      standard generators, so its premise is checked on the operators:
-     P1..P3 and J1..J3 must be the identity (x) their standard
-     scalar-block generator, and P0 and K1..K3 one shared diag(+-1)
-     (x) theirs.  Where that fails, the problem carries the reason and
-     the verdict is undetermined.
-(ii) Every operator is P (x) g: a B x B matrix P of exact scalars
+     P0 must be diag(+-1) times the standard P0, and every generator
+     must equal the one catalog.signed_generators builds for those
+     signs.  The operators' spin part is then the textbook triple, so
+     the Schur check on that triple is a check of the operators' own.
+     Where the premise fails, the problem carries the reason and the
+     verdict is undetermined.
+(ii) Theta and Pi are each P (x) g: a B x B matrix P of exact scalars
      times one scalar-block operator g, found and checked exactly by
      BlockOp.factor.  For Z = A (x) 1, Z*M = (A*P) (x) g and
      M*Z = (P*conj^k(A)) (x) g with k = 1 when g is antilinear, because
@@ -23,20 +25,19 @@ The solver works on the finite problem left after two reductions:
      factor is an internal error.
 
 What remains is a B x B complex matrix A, self-adjoint, with
-A*P == P*conj^k(A) for each of the twelve operators (the ten
-generators, Theta and Pi).  P0 and K give P = diag(+-1), so an entry
-between blocks of opposite energy signs vanishes; P and J give the
-identity and no condition; Theta and Pi couple the blocks.  The
-constraints are real-linear, so exactnum.commutant_rows writes them as
-sparse rows in the B*B real unknowns of A, solved exactly over the
-scalar field.
+A*P == P*conj^k(A) for each constraint.  The generators give two,
+written directly: P0 and K give diag(+-1), so an entry between blocks
+of opposite energy signs vanishes; P and J give the identity and no
+condition.  Theta and Pi couple the blocks.  The constraints are
+real-linear, so exactnum.commutant_rows writes them as sparse rows in
+the B*B real unknowns of A, solved exactly over the scalar field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import RepSpec, operators, standard_generators
+from .catalog import ANTIUNITARY, RepSpec, signed_generators
 from .exactnum import (
     ONE, Matrix, Scalar, commutant_rows, diagonal, hermitian_matrix,
     hermitian_vector, identity_matrix, mat_conj, mat_eq, mat_mul, nullspace,
@@ -61,22 +62,24 @@ class CommutantProblem:
 
 
 @dataclass(frozen=True)
-class CommutantBasis:
-    dimension: int
-    basis: tuple[Matrix, ...]
-    problem: CommutantProblem
-
-
-@dataclass(frozen=True)
 class Verdict:
-    """dimension is 0 and premise the reason when stage (i)'s premise
-    fails, and the verdict is then undetermined."""
+    """A problem and its solved basis, () when stage (i)'s premise fails
+    and the verdict is undetermined."""
 
-    label: str
-    two_s: int
-    irreducible: bool
-    dimension: int
-    premise: str = ""
+    problem: CommutantProblem
+    basis: tuple[Matrix, ...]
+
+    @property
+    def premise(self) -> str:
+        return self.problem.premise
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
+
+    @property
+    def irreducible(self) -> bool:
+        return self.dimension == 1
 
     def __str__(self) -> str:
         if self.premise:
@@ -85,49 +88,42 @@ class Verdict:
         return f"{kind}, dim {self.dimension}"
 
 
-def _premise(patterns: dict, blocks: int) -> str:
-    """Why the generators' patterns break stage (i)'s premise, or ""."""
-    for name, pat in patterns.items():
-        if pat is None:
-            return f"{name} is not a scalar block matrix times the standard {name}"
-    signs = patterns["P0"]
-    diag = [signs[r][r] for r in range(blocks)]
-    if any(x not in (ONE, -ONE) for x in diag) or signs != diagonal(diag):
+def _premise(rep: RepSpec, signs: tuple[int, ...]) -> str:
+    """Why the generators break stage (i)'s premise, or "": signs are
+    rep's energy signs."""
+    if not signs:
         return "P0 is not diag(+-1) times the standard P0"
-    ident = identity_matrix(blocks)
-    for name, pat in patterns.items():
-        want, what = (signs, "P0's") if name[0] == "K" else (ident, "the identity")
-        if name != "P0" and pat != want:
-            return f"{name}'s block pattern is not {what}"
+    standard = signed_generators(rep.two_s, signs)
+    for name, gen in rep.generators().items():
+        if gen != standard[name]:
+            return f"{name} is not the standard {name} with P0's signs"
     return ""
 
 
 def reduce_to_constant_blocks(rep: RepSpec) -> CommutantProblem:
     """Stage (i)+(ii): validate the Schur step and stage (i)'s premise,
-    factor every operator."""
+    factor Theta and Pi."""
     if spin_commutant_dimension(rep.two_s) != 1:
         raise AssertionError(
             "spin-level commutant is not trivial; constant-block reduction invalid"
         )
-    ops = operators(rep, ())
-    patterns = {}
-    # the scalar-block generator each of P0..K3 must carry for stage (i)
-    for name, g in standard_generators(rep.two_s).items():
-        factored = ops[name].factor(g)
-        patterns[name] = None if factored is None else factored[0]
-    premise = _premise(patterns, rep.blocks)
+    signs = rep.energy_signs
+    premise = _premise(rep, signs)
     if premise:
         return CommutantProblem(rep.blocks, (), premise)
     # an ordered set: equal constraints give equal rows, so each is
-    # solved once; the generators, linear, give the identity and P0's signs
-    constraints = dict.fromkeys((pat, False) for pat in patterns.values())
-    for name in ("Theta", "Pi"):
-        factored = ops[name].factor()
+    # solved once; the generators, linear, give P0's signs and the identity
+    constraints = dict.fromkeys((
+        (diagonal([ONE if s > 0 else -ONE for s in signs]), False),
+        (identity_matrix(rep.blocks), False)))
+    for name, op, kind in (("Theta", rep.theta, rep.theta_kind),
+                           ("Pi", rep.pi, rep.pi_kind)):
+        factored = op.factor()
         if factored is None:
             raise AssertionError(
                 f"{name} is not a scalar block matrix times one operator"
             )
-        constraints[(factored[0], ops[name].kappa_parity() == 1)] = None
+        constraints[(factored[0], kind == ANTIUNITARY)] = None
     return CommutantProblem(rep.blocks, tuple(constraints))
 
 
@@ -152,7 +148,7 @@ def check_solution(prob: CommutantProblem, mat: Matrix) -> bool:
     )
 
 
-def commutant_basis(prob: CommutantProblem) -> CommutantBasis:
+def commutant_basis(prob: CommutantProblem) -> tuple[Matrix, ...]:
     """Exact basis of the self-adjoint commutant; identity always first.
     ValueError for a problem whose stage (i) premise fails."""
     if prob.premise:
@@ -163,22 +159,20 @@ def commutant_basis(prob: CommutantProblem) -> CommutantBasis:
         [hermitian_vector(identity_matrix(n))] + solutions)
     if len(ordered) != len(solutions):
         raise AssertionError("identity is not in the solved commutant")
-    mats = tuple(hermitian_matrix(v, n) for v in ordered)
-    if not all(check_solution(prob, m) for m in mats):
+    basis = tuple(hermitian_matrix(v, n) for v in ordered)
+    if not all(check_solution(prob, m) for m in basis):
         raise AssertionError("solver output fails a constraint")
-    return CommutantBasis(dimension=len(mats), basis=mats, problem=prob)
+    return basis
 
 
-def contains(result: CommutantBasis, mat: Matrix) -> bool:
-    """Whether a self-adjoint matrix lies in the solved commutant."""
-    basis = [hermitian_vector(m) for m in result.basis]
-    return len(_independent_subset(basis + [hermitian_vector(mat)])) == len(basis)
+def contains(basis: tuple[Matrix, ...], mat: Matrix) -> bool:
+    """Whether a self-adjoint matrix lies in the span of a solved basis."""
+    vectors = [hermitian_vector(m) for m in basis]
+    return len(_independent_subset(vectors + [hermitian_vector(mat)])) == len(vectors)
 
 
 def irreducibility_verdict(rep: RepSpec) -> Verdict:
+    """The one driver of the solver: reduce, then solve unless the
+    premise fails."""
     prob = reduce_to_constant_blocks(rep)
-    if prob.premise:
-        return Verdict(rep.label, rep.two_s, False, 0, prob.premise)
-    res = commutant_basis(prob)
-    return Verdict(rep.label, rep.two_s, res.dimension == 1, res.dimension)
-
+    return Verdict(prob, () if prob.premise else commutant_basis(prob))

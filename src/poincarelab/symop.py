@@ -36,7 +36,7 @@ constructor, so they come back as the same object.  The table is weak, so a valu
 leaves it; cache_info reports its size.  Poly and Scalar stay compared
 structurally: they are built far more often than they are compared.
 
-Seven memos reuse work, each a functools.lru_cache bounded at
+Six memos reuse work, each a functools.lru_cache bounded at
 _MEMO_SIZE entries:
 
 - Coefficient._product, keyed by the two coefficients;
@@ -48,8 +48,7 @@ _MEMO_SIZE entries:
 - relation_residual (the relation verdict memo), by the block shape and
   one relation component, or one operator defined as a sum of words
   (the Pauli-Lubanski vector), as (weight, word) pairs, each word the
-  tuple of BlockOps it names;
-- BlockOp.factor, by the operator and the given g, if any.
+  tuple of BlockOps it names.
 
 The first five are reached only for nonzero operands.  The coefficient
 memos are keyed by identity, which is value for hash-consed
@@ -58,13 +57,13 @@ __hash__ of ScalarOp and BlockOp over their coefficient matrices (a
 BlockOp computes its hash once), so equal operands held in different
 objects share one result: the generators of two catalog entries with
 equal signs are distinct objects of equal value, and their relation
-rows and factorizations are computed once.  That is sound
-because each operation, a relation component's sum and a factorization
-too, is a deterministic function of its operands' values, and no Poly,
-Coefficient, ScalarOp or BlockOp is changed after it is built, so a
-memoized result can be handed out again.  A spec altered with
+rows are computed once.  That is sound because each operation, a
+relation component's sum too, is a deterministic function of its
+operands' values, and no Poly, Coefficient, ScalarOp or BlockOp is
+changed after it is built, so a memoized result can be handed out
+again.  A spec altered with
 dataclasses.replace has operators of other values, so its rows are
-keys of their own.  clear_multiplication_cache empties all seven and
+keys of their own.  clear_multiplication_cache empties all six and
 cache_info reports their hits, misses and sizes.
 
 The operator product memo is sign-canonical.  ScalarOp.__mul__ writes
@@ -468,9 +467,8 @@ class Coefficient:
                 b_terms[key] = b_terms.get(key, ZERO) + c
         a_poly, b_poly = Poly(a_terms), Poly(b_terms)
         pj = Poly({_P_MONO[j]: ONE})
-        mu_p0 = Poly.sym("mu") + Poly.sym("p0")
-        t1 = (a_poly.mul_p0() + b_poly).mul_p0() * mu_p0
-        t2 = (self.num * pj * mu_p0).scale(Scalar.from_rational(-self.a))
+        t1 = (a_poly.mul_p0() + b_poly).mul_p0() * _MU_P0
+        t2 = (self.num * pj * _MU_P0).scale(Scalar.from_rational(-self.a))
         t3 = (self.num * pj).mul_p0().scale(Scalar.from_rational(-self.b))
         return Coefficient(t1 + t2 + t3, self.a + 2, self.b + 1)
 
@@ -958,16 +956,13 @@ class BlockOp:
                 return s if s is not None and self == other.scale(s) else None
         return None
 
-    @lru_cache(maxsize=_MEMO_SIZE)
-    def factor(self, g: ScalarOp | None = None) -> tuple[Matrix, ScalarOp] | None:
+    def factor(self) -> tuple[Matrix, ScalarOp] | None:
         """(P, g) with self == P (x) g, or None if no such pair exists.
 
-        g is the given operator, else the first nonzero entry, and P the
-        matrix of exact scalars with entry (r, c) == P[r][c] * g, each
-        found by ScalarOp.ratio.  Memoized by value, keyed by (self, g).
+        g is the first nonzero entry and P the matrix of exact scalars
+        with entry (r, c) == P[r][c] * g, each found by ScalarOp.ratio.
         """
-        if g is None:
-            g = next((op for row in self.entries for op in row if op.terms), None)
+        g = next((op for row in self.entries for op in row if op.terms), None)
         if g is None:
             return None
         pattern = mat_map(lambda op: op.ratio(g), self.entries)
@@ -1143,14 +1138,12 @@ _MEMOS = {
     "operator_adjoint": ScalarOp._adjoint,
     "denominator_lift": _lift,
     "relation_verdict": relation_residual,
-    "block_factor": BlockOp.factor,
 }
 
 
 def clear_multiplication_cache() -> None:
     """Empty every memo: the coefficient product and derivative, operator
-    product and adjoint, denominator lift, relation verdict and block
-    factor memos."""
+    product and adjoint, denominator lift and relation verdict memos."""
     for memo in _MEMOS.values():
         memo.cache_clear()
 

@@ -109,9 +109,7 @@ def test_criterion_4_irreducibility_verdicts(capsys):
         if not (v.irreducible and v.dimension == 1):
             failures.append((label, str(v)))
 
-    rep = catalog.build("quad:+1", 0)
-    prob = commutant.reduce_to_constant_blocks(rep)
-    res = commutant.commutant_basis(prob)
+    res = commutant.irreducibility_verdict(catalog.build("quad:+1", 0))
     if res.dimension <= 1:
         failures.append(("quad:+1", "not reducible"))
     # the two-parameter family a*Id + b*(block swap) must solve the system
@@ -125,7 +123,7 @@ def test_criterion_4_irreducibility_verdicts(capsys):
             )
             for r in range(4)
         )
-        if not commutant.contains(res, fam):
+        if not commutant.contains(res.basis, fam):
             failures.append(("quad:+1", f"family member a={a} b={b} missing"))
 
     rep = catalog.build("newup:identity", 0)

@@ -300,6 +300,27 @@ def test_spec_fields_are_its_operators():
             dataclasses.replace(rep, **{field: value})
 
 
+def test_operators_of_other_shapes_than_p0_are_refused():
+    # a Theta or Pi of another block count or spin would read as a
+    # verdict in the commutant solver and fail mid-suite elsewhere
+    for label, two_s, field, source in (
+            ("sym1", 0, "theta", build("up", 0).theta),
+            ("up", 1, "theta", build("up", 0).theta),
+            ("sym1", 0, "pi", build("quad:+1", 0).pi)):
+        rep = build(label, two_s)
+        with pytest.raises(ValueError, match=f"^{field}'s \\(blocks, dim\\)"):
+            dataclasses.replace(rep, **{field: source})
+    rep = build("sym1", 1)
+    # the first field that differs is named
+    with pytest.raises(ValueError, match=r"^j's \(blocks, dim\) \(1, 2\) "
+                                         r"is not P0's \(2, 2\)$"):
+        dataclasses.replace(rep, j=build("up", 1).j, pi=build("up", 0).pi)
+    # the spec's own constructor checks too
+    with pytest.raises(ValueError, match="^k's"):
+        catalog.RepSpec("x", rep.p0, rep.p, rep.j, build("up", 0).k,
+                        rep.theta, rep.pi)
+
+
 @pytest.mark.parametrize("label", [r[0] for r in INVARIANTS_S0])
 def test_discrete_relations_pass_spin0(label):
     report = verify_discrete_relations(build(label, 0))

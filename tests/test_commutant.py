@@ -16,7 +16,7 @@ from oracle_helpers import (
     dense_commutant_dimension,
 )
 
-from poincarelab import catalog, cli
+from poincarelab import catalog, cli, commutant
 from poincarelab.commutant import (
     check_solution,
     commutant_basis,
@@ -76,8 +76,7 @@ def test_basis_commutes_with_everything_in_engine(label):
     # lift each solved matrix to an operator and recheck against the
     # actual generators and discrete operators, not the reduced system
     rep = catalog.build(label, 0)
-    res = commutant_basis(reduce_to_constant_blocks(rep))
-    for mat in res.basis:
+    for mat in commutant_basis(reduce_to_constant_blocks(rep)):
         z = as_block_operator(mat, rep.two_s)
         for gen in rep.generators().values():
             assert (z * gen - gen * z).is_zero()
@@ -88,13 +87,14 @@ def test_basis_commutes_with_everything_in_engine(label):
 def test_identity_is_first_and_dimension_consistent():
     for label in ("sym2", "newdown:identity", "quad:+1"):
         rep = catalog.build(label, 0)
-        res = commutant_basis(reduce_to_constant_blocks(rep))
-        assert res.dimension == len(res.basis)
+        v = irreducibility_verdict(rep)
+        assert v.dimension == len(v.basis)
+        assert v.basis == commutant_basis(v.problem)
         ident = tuple(
             tuple(ONE if r == c else ZERO for c in range(rep.blocks))
             for r in range(rep.blocks)
         )
-        assert res.basis[0] == ident
+        assert v.basis[0] == ident
 
 
 def _sym_x(blocks, r, c):
@@ -108,9 +108,8 @@ def _sym_x(blocks, r, c):
 
 
 def test_quad_plus_family_containment():
-    rep = catalog.build("quad:+1", 0)
-    res = commutant_basis(reduce_to_constant_blocks(rep))
-    assert res.dimension > 1
+    v = irreducibility_verdict(catalog.build("quad:+1", 0))
+    assert v.dimension > 1
     # a*Id + b*(E13+E31+E24+E42) with a, b rational
     for a, b in ((rat(1), rat(1)), (rat(2), rat(-3)), (rat(0), rat(5, 7))):
         fam = tuple(
@@ -120,13 +119,12 @@ def test_quad_plus_family_containment():
             )
             for r in range(4)
         )
-        assert contains(res, fam)
-        assert check_solution(res.problem, fam)
+        assert contains(v.basis, fam)
+        assert check_solution(v.problem, fam)
 
 
 def test_quad_minus_rejects_the_same_family():
-    rep = catalog.build("quad:-1", 0)
-    res = commutant_basis(reduce_to_constant_blocks(rep))
+    v = irreducibility_verdict(catalog.build("quad:-1", 0))
     swap = tuple(
         tuple(
             ONE if (r, c) in ((0, 2), (2, 0), (1, 3), (3, 1)) else ZERO
@@ -134,8 +132,8 @@ def test_quad_minus_rejects_the_same_family():
         )
         for r in range(4)
     )
-    assert not contains(res, swap)
-    assert not check_solution(res.problem, swap)
+    assert not contains(v.basis, swap)
+    assert not check_solution(v.problem, swap)
 
 
 def test_check_solution_negative():
@@ -153,7 +151,7 @@ def test_conjugation_invariance_rotation():
         (rat(-4, 5), rat(3, 5)),
     )
     rotated = conjugate_problem(prob, u)
-    assert commutant_basis(rotated).dimension == commutant_basis(prob).dimension
+    assert len(commutant_basis(rotated)) == len(commutant_basis(prob))
 
 
 def test_conjugation_invariance_phase():
@@ -170,7 +168,7 @@ def test_conjugation_invariance_phase():
             for r in range(rep.blocks)
         )
         rotated = conjugate_problem(prob, u)
-        assert commutant_basis(rotated).dimension == commutant_basis(prob).dimension
+        assert len(commutant_basis(rotated)) == len(commutant_basis(prob))
 
 
 def test_conjugation_rejects_sign_mixing_and_nonunitary():
@@ -182,7 +180,7 @@ def test_conjugation_rejects_sign_mixing_and_nonunitary():
         (rat(3, 5), rat(4, 5)),
         (rat(-4, 5), rat(3, 5)),
     )
-    assert commutant_basis(conjugate_problem(prob, u)).dimension == 1
+    assert len(commutant_basis(conjugate_problem(prob, u))) == 1
     not_unitary = ((rat(2), ZERO), (ZERO, ONE))
     with pytest.raises(ValueError):
         conjugate_problem(prob, not_unitary)
@@ -227,30 +225,69 @@ def test_boosts_replaced_by_momenta_fail_the_stage_i_premise():
     prob = reduce_to_constant_blocks(rep)
     assert prob.constraints == () and "K1" in prob.premise
     v = irreducibility_verdict(rep)
-    assert (v.irreducible, v.dimension) == (False, 0)
+    assert (v.irreducible, v.dimension, v.basis) == (False, 0, ())
+    assert v.problem == prob
     assert str(v) == "undetermined: stage (i) premise fails"
     with pytest.raises(ValueError, match="stage \\(i\\) premise fails"):
         commutant_basis(prob)
 
 
+def _flip_last_block(op):
+    # the operator with its last diagonal block negated
+    entries = [list(row) for row in op.entries]
+    entries[-1][-1] = -entries[-1][-1]
+    return BlockOp(entries)
+
+
 @pytest.mark.parametrize("change,premise", [
     # P0 with a momentum's factor, and with a sign pattern K does not share
     (lambda rep: {"p0": rep.p[0]},
-     "P0 is not a scalar block matrix times the standard P0"),
+     "P0 is not diag(+-1) times the standard P0"),
     (lambda rep: {"p0": BlockOp.diag([catalog.energy_op(1)] * 2)},
-     "K1's block pattern is not P0's"),
-    # J1 carrying a sign between the blocks
-    (lambda rep: {"j": (BlockOp.diag([catalog.rotation_op(1, 0),
-                                      catalog.rotation_op(1, 0).scale(-1)]),
-                        *rep.j[1:])},
-     "J1's block pattern is not the identity"),
-])
+     "K1 is not the standard K1 with P0's signs"),
+    # J1 carrying a sign between the blocks, K1 the same sign on both
+    (lambda rep: {"j": (_flip_last_block(rep.j[0]), *rep.j[1:])},
+     "J1 is not the standard J1 with P0's signs"),
+    (lambda rep: {"k": (_flip_last_block(rep.k[0]), *rep.k[1:])},
+     "K1 is not the standard K1 with P0's signs"),
+], ids=["p0-momentum", "p0-unsigned", "j1-flipped", "k1-flipped"])
 def test_nonstandard_generators_fail_the_stage_i_premise(change, premise):
     rep = catalog.build("sym1", 0)  # energy signs (+, -)
     v = irreducibility_verdict(replace(rep, **change(rep)))
     assert str(v) == "undetermined: stage (i) premise fails"
     assert v.premise == premise
     assert irreducibility_verdict(rep).premise == ""
+
+
+def test_generators_rebuilt_as_new_equal_objects_pass_the_premise():
+    # the premise compares generators by value, not by identity
+    rep = catalog.build("newup:symplectic", 1)
+
+    def rebuilt(op):
+        return BlockOp([[ScalarOp(e.dim, dict(e.terms)) for e in row]
+                        for row in op.entries])
+
+    copy = replace(rep, p0=rebuilt(rep.p0),
+                   j=tuple(rebuilt(op) for op in rep.j),
+                   k=tuple(rebuilt(op) for op in rep.k))
+    assert copy.p0 is not rep.p0 and copy.p0 == rep.p0
+    v, want = irreducibility_verdict(copy), irreducibility_verdict(rep)
+    assert v.premise == ""
+    assert (str(v), v.basis) == (str(want), want.basis)
+
+
+def test_commutant_command_calls_the_one_driver_once(monkeypatch, capsys):
+    calls = []
+    real = commutant.irreducibility_verdict
+
+    def counted(rep):
+        calls.append(rep.label)
+        return real(rep)
+
+    monkeypatch.setattr(commutant, "irreducibility_verdict", counted)
+    assert cli.main(["commutant", "--rep", "quad:+1", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == ["quad:+1"]
 
 
 def test_failed_premise_is_a_failed_check_not_an_internal_error(

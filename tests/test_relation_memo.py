@@ -1,8 +1,7 @@
-"""The relation verdict and block factor memos (symop.relation_residual,
-BlockOp.factor) are keyed by value: a warm memo gives every verdict a
-cold one gives, entries with equal operators share their rows and
-factorizations, and equal operators held in distinct objects get the
-identical result.  The Pauli-Lubanski vector is formed by the same memo:
+"""The relation verdict memo (symop.relation_residual) is keyed by value:
+a warm memo gives every verdict a cold one gives, entries with equal
+operators share their rows, and equal operators held in distinct
+objects get the identical result.  The Pauli-Lubanski vector is formed by the same memo:
 W must equal the chained BlockOp sums of oracle_helpers, W0 must be the
 zero operator at spin 0, an altered spec must get a W of its own, and an
 entry with equal generators must form no new sum.
@@ -13,7 +12,7 @@ import dataclasses
 import pytest
 
 from oracle_helpers import chained_pauli_lubanski
-from poincarelab import catalog, commutant, localization
+from poincarelab import catalog, localization
 from poincarelab.catalog import boost_op, build, momentum_op, pauli_lubanski
 from poincarelab.exactnum import I, ONE, Scalar, ZERO
 from poincarelab.symop import (
@@ -99,16 +98,6 @@ def test_entries_with_equal_operators_share_verdicts():
     assert (after.hits - before.hits, after.misses) == (45, before.misses)
 
 
-def test_entries_with_equal_operators_share_factorizations():
-    # the ten generators and Theta (the same swap) are shared; Pi differs
-    clear_multiplication_cache()
-    commutant.reduce_to_constant_blocks(build("sym1", 1))
-    before = cache_info()["block_factor"]
-    commutant.reduce_to_constant_blocks(build("sym2", 1))
-    after = cache_info()["block_factor"]
-    assert (after.hits - before.hits, after.misses - before.misses) == (11, 1)
-
-
 def test_equal_values_share_one_result():
     g = boost_op(1, 1)
 
@@ -117,11 +106,8 @@ def test_equal_values_share_one_result():
 
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b)
-    assert a.factor() is b.factor()
-    g_copy = ScalarOp(g.dim, dict(g.terms))
-    assert g_copy is not g
-    assert a.factor(g) is b.factor(g_copy)
-    pattern, lead = a.factor(g)
+    assert a.factor() == b.factor()
+    pattern, lead = a.factor()
     assert lead == g and pattern == ((ONE, ZERO), (ZERO, -ONE))
     # and one residual: a + a is not zero, and a - b is
     residual = relation_residual(2, 2, ((ONE, (a,)), (ONE, (a,))))

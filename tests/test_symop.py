@@ -252,15 +252,13 @@ def test_multiplication_cache_is_transparent(capsys):
     # every memo is bounded, and stays within its bound on a real run
     clear_multiplication_cache()
     assert main(["verify", "--rep", "up", "--two-s", "8", "--json"]) == 0
-    # commutant factors every operator (the block factor memo)
     assert main(["commutant", "--rep", "up", "--two-s", "2", "--json"]) == 0
     capsys.readouterr()
     info = cache_info()
     interned = info.pop("interned_coefficients")
     assert set(info) == {"coefficient_product", "coefficient_deriv",
                          "operator_product", "operator_adjoint",
-                         "denominator_lift", "relation_verdict",
-                         "block_factor"}
+                         "denominator_lift", "relation_verdict"}
     for name, memo in info.items():
         assert memo.maxsize == _MEMO_SIZE, name
         assert 0 < memo.currsize <= memo.maxsize, name
