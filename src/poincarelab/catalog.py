@@ -323,12 +323,19 @@ class RepSpec:
     pi: BlockOp
 
     def __post_init__(self):
-        """ValueError naming the first operator field whose block count or
-        spin dimension is not P0's; dataclasses.replace runs it too."""
+        """ValueError naming the first operator field that is not a BlockOp
+        (p, j and k: a tuple of three) or whose block count or spin
+        dimension is not P0's; dataclasses.replace runs it too."""
         shape = (self.p0.blocks, self.p0.dim)
         for name in ("p", "j", "k", "theta", "pi"):
             ops = getattr(self, name)
-            for op in ops if isinstance(ops, tuple) else (ops,):
+            if name in ("theta", "pi"):
+                ops = (ops,)
+            elif not (isinstance(ops, tuple) and len(ops) == 3):
+                raise ValueError(f"{name} is not a tuple of three operators")
+            for op in ops:
+                if not isinstance(op, BlockOp):
+                    raise ValueError(f"{name} holds {type(op).__name__}, not BlockOp")
                 if (op.blocks, op.dim) != shape:
                     raise ValueError(f"{name}'s (blocks, dim) {(op.blocks, op.dim)}"
                                      f" is not P0's {shape}")

@@ -2,11 +2,13 @@
 
 Subcommands run the symbolic suites, the commutant solver, the spectrum
 classification table, and the numerical grid studies, and render one
-report as text or JSON.  Exit code 0 means every check passed (recorded
-rows do not fail a run), 1 means at least one check failed, 2 means the
-invocation itself was invalid (an ``--out`` file that cannot be written
-included), 3 means an internal invariant broke (an AssertionError in the
-laboratory itself, not a failed check).
+report as text or JSON.  ``main`` alone decides how a command ends.
+Exit code 0 means every check passed (recorded rows do not fail a run),
+1 means at least one check failed, 2 means the invocation itself was
+invalid (a ValueError: among them a run whose estimated memory is over
+the budget, refused by ``refuse_over_budget`` before it is built, and
+an ``--out`` file that cannot be written), 3 means any other exception
+inside the laboratory, printed as ``internal error: <Type>: <message>``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,32 @@ _SPECTRUM_PHRASE = {
 }
 
 
-def _phrase(kinds: set[str]) -> str:
-    return _SPECTRUM_PHRASE[frozenset(kinds)]
+# Share of MemAvailable a command may plan to fill.
+MEMORY_SHARE = 0.5
+
+
+def memory_budget() -> int | None:
+    """MEMORY_SHARE of MemAvailable in bytes; None without /proc/meminfo."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(int(line.split()[1]) * 1024 * MEMORY_SHARE)
+    except OSError:
+        pass
+    return None
+
+
+def refuse_over_budget(what: str, need: int) -> None:
+    """Refuse (ValueError, exit 2) a run estimated at ``need`` bytes over
+    the memory budget; no MemAvailable, no refusal."""
+    budget = memory_budget()
+    if budget is not None and need > budget:
+        raise ValueError(
+            f"{what} needs about {need / 2**20:,.0f} MiB, "
+            f"over the {budget / 2**20:,.0f} MiB budget "
+            f"({MEMORY_SHARE:.0%} of MemAvailable)"
+        )
 
 
 # Peak RSS of a whole verify or commutant run at spin dimension dim, fitted
@@ -41,42 +67,36 @@ def _phrase(kinds: set[str]) -> str:
 # 32, 44.2-44.7 at 48 and 55.3-56.1 at 64 (86.6-87.8 MiB at 96, where it
 # runs in 1.9 s).  verify grows slowly too (131 MiB at 64).  grid's line
 # is the peak of building its spec (catalog.build), before the study the
-# working-set guard estimates: fitted to the peaks of a child process that
+# working-set estimate covers: fitted to the peaks of a child process that
 # imports poincarelab and builds up or sym6 at two_s 16, 64, 128, 192, 256
 # and 320, within 4 MiB at every point (28.7-28.8 MiB at 16, 84.0-91.3 at
 # 320, where the build takes 3.8-4.0 s), and within 8 MiB of 136.9-151.0
-# at 448.
+# at 448.  catalog solves each entry's commutant, so its line is
+# commutant's.  One row per subcommand with --two-s:
+# (MiB, MiB per dim, KiB per dim^2).
+_SPIN_PEAK = {
+    "verify": (24.5, 1.36, 4.5),
+    "commutant": (29.5, 0, 6.4),
+    "grid": (28.5, 0, 0.59),
+}
+_SPIN_PEAK["catalog"] = _SPIN_PEAK["commutant"]
+
+
 def spin_peak_bytes(command: str, two_s: int) -> int:
-    """Estimated peak bytes of `verify` or of `commutant` at this spin, or
-    of building the spec `grid` studies."""
+    """Estimated peak bytes of ``command`` at this spin (for grid, of
+    building the spec it studies)."""
+    mib, per_dim, kib_per_dim2 = _SPIN_PEAK[command]
     dim = two_s + 1
-    if command == "verify":
-        return int((24.5 + 1.36 * dim) * 2**20 + 4.5 * 2**10 * dim**2)
-    if command == "grid":
-        return int(28.5 * 2**20 + 0.59 * 2**10 * dim**2)
-    return int(29.5 * 2**20 + 6.4 * 2**10 * dim**2)
-
-
-def check_spin_cost(command: str, two_s: int, budget: int | None) -> None:
-    """Refuse, before building anything, a spin that would not fit."""
-    need = spin_peak_bytes(command, two_s)
-    if budget is not None and need > budget:
-        raise ValueError(
-            f"{command} at two_s = {two_s} needs about {need / 2**20:,.0f} MiB, "
-            f"over the {budget / 2**20:,.0f} MiB budget "
-            f"({gridlab.MEMORY_SHARE:.0%} of MemAvailable)"
-        )
+    return int((mib + per_dim * dim) * 2**20 + kib_per_dim2 * 2**10 * dim**2)
 
 
 def cmd_verify(args) -> RelationReport:
-    check_spin_cost("verify", args.two_s, gridlab.memory_budget())
     rep = catalog.build(args.rep, args.two_s)
     print(f"verifying {rep.label} at two_s={rep.two_s}", file=sys.stderr)
     return catalog.full_verification(rep)
 
 
 def cmd_commutant(args) -> RelationReport:
-    check_spin_cost("commutant", args.two_s, gridlab.memory_budget())
     rep = catalog.build(args.rep, args.two_s)
     report = RelationReport(rep.label, rep.two_s)
     verdict = commutant.irreducibility_verdict(rep)
@@ -113,23 +133,21 @@ def cmd_classify(args) -> RelationReport:
             f"spectrum(theta={theta_kind}, pi={pi_kind})",
             "symbolic",
             True,
-            _phrase(kinds),
+            _SPECTRUM_PHRASE[frozenset(kinds)],
         )
     return report
 
 
 def cmd_grid(args) -> RelationReport:
-    budget = gridlab.memory_budget()
-    check_spin_cost("grid", args.two_s, budget)
     rep = catalog.build(args.rep, args.two_s)
-    sizes = args.n
-    grids = [gridlab.Grid(args.extent, n, args.mu) for n in sizes]
+    grids = [gridlab.Grid(args.extent, n, args.mu) for n in args.n]
     gridlab.refining(grids)
-    gridlab.check_working_set(rep, grids, budget)
+    refuse_over_budget(f"grid study at N = {', '.join(map(str, args.n))}",
+                       gridlab.working_set_bytes(rep, grids))
     report = RelationReport(rep.label, rep.two_s)
     relations = gridlab.representative_relations(rep)
     print(
-        f"running {len(relations)} convergence studies on N={sizes}",
+        f"running {len(relations)} convergence studies on N={args.n}",
         file=sys.stderr,
     )
     defects = {}
@@ -150,7 +168,6 @@ def _sign_word(value) -> str:
 
 
 def cmd_catalog(args) -> RelationReport:
-    check_spin_cost("commutant", args.two_s, gridlab.memory_budget())
     report = RelationReport("catalog", args.two_s)
     labels = catalog.catalog_labels(args.two_s)
     entries = [e for e in catalog.CATALOG if e.label in labels]
@@ -216,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rep_required=True):
-        p.add_argument("--rep", required=rep_required, help="representation label")
+    def common(p):
+        p.add_argument("--rep", required=True, help="representation label")
         p.add_argument("--two-s", type=int, default=0, dest="two_s",
                        help="twice the spin (default 0)")
         p.add_argument("--json", action="store_true", help="emit JSON")
@@ -259,18 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "two_s" in args:  # no row for the subcommand: a KeyError, exit 3
+            refuse_over_budget(f"{args.command} at two_s = {args.two_s}",
+                               spin_peak_bytes(args.command, args.two_s))
         report = args.func(args)
+        text = (json.dumps(report.as_dict(), indent=2) if args.json
+                else render_text(report))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    text = (
-        json.dumps(report.as_dict(), indent=2)
-        if args.json
-        else render_text(report)
-    )
     print(text)
     if args.out:
         try:

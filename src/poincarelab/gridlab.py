@@ -56,7 +56,8 @@ Gaussian factors, evaluated as the plan goes, or a caller's
 ``GridState``, its rows copied out.  The standard state is not
 normalized: every residual is relative to the state's own norm, which
 the plan takes.  So a study makes no array of the grid's size.  The
-working-set guard (``working_set_bytes``) reads the plan's own layout
+working-set estimate (``working_set_bytes``, which the ``grid`` command
+holds against its memory budget) reads the plan's own layout
 (``_Layout``) on each grid, on a mesh that makes no axis, and only
 turns it into bytes.
 Each range of a component's rows takes its norm partials as soon as it
@@ -154,7 +155,7 @@ class _Mesh:
 
     p1, p2, p3 are broadcastable axes of shapes (N,1,1), (1,N,1),
     (1,1,N), made on first use, so a mesh that only lays out a plan (the
-    working-set guard's) holds no array.  ``field`` evaluates the real
+    working-set estimate's) holds no array.  ``field`` evaluates the real
     basis field p^m / (p0^a (mu+p0)^b) of a key (m, a, b), with m the
     exponents of (p1, p2, p3, p0), on a range of axis-0 rows when asked,
     p0 and the 1/p0 weight included, and keeps none of them.
@@ -716,10 +717,7 @@ def apply(op: BlockOp, state: GridState) -> GridState:
     return GridState(out, g, state.spin, state.blocks)
 
 
-# -- working-set guard ----------------------------------------------------------
-
-# Share of MemAvailable a grid study may plan to fill.
-MEMORY_SHARE = 0.5
+# -- working-set estimate -------------------------------------------------------
 
 
 def working_set_bytes(rep: RepSpec, grids) -> int:
@@ -730,7 +728,7 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     standard state is its Gaussian factors, N points each.  The plan's
     arrays are read from its own layout (``_Layout``) on each grid, of
     the representative relations and the isometry words, laid out on a
-    mesh that makes no axis, so the guard itself allocates nothing of
+    mesh that makes no axis, so the estimate itself allocates nothing of
     the grid's size; none of the plan's arrays is state-sized:
     - each stored word's window, the state's own included, lead + keep
       + 1 levels of its rows, a level being a slab and its mirror (at
@@ -772,30 +770,6 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
                   + 2 * (lay.lead + 1) * span * (full + 1) + flat)
         peak = max(peak, halves * n * n * 8)
     return peak
-
-
-def memory_budget() -> int | None:
-    """MEMORY_SHARE of MemAvailable in bytes; None without /proc/meminfo."""
-    try:
-        with open("/proc/meminfo") as f:
-            for line in f:
-                if line.startswith("MemAvailable:"):
-                    return int(int(line.split()[1]) * 1024 * MEMORY_SHARE)
-    except OSError:
-        pass
-    return None
-
-
-def check_working_set(rep: RepSpec, grids, budget: int | None) -> None:
-    """Refuse, before allocating anything, a study that would not fit."""
-    need = working_set_bytes(rep, grids)
-    if budget is not None and need > budget:
-        sizes = ", ".join(str(g.points) for g in grids)
-        raise ValueError(
-            f"grid study at N = {sizes} needs about {need / 2**20:,.0f} MiB "
-            f"of arrays, over the {budget / 2**20:,.0f} MiB budget "
-            f"({MEMORY_SHARE:.0%} of MemAvailable)"
-        )
 
 
 # -- relation residuals ---------------------------------------------------------

@@ -321,6 +321,24 @@ def test_operators_of_other_shapes_than_p0_are_refused():
                         rep.theta, rep.pi)
 
 
+def test_generator_fields_that_are_not_three_operators_are_refused():
+    # a p, j or k of another length zipped the ten generator names onto
+    # the wrong operators: p[:2] gave nine, the premise named J1 "P3" and
+    # full_verification raised KeyError: 'K3'; an extra J1 went in as K1
+    rep = build("up", 0)
+    for field, value in (("p", rep.p[:2]), ("j", rep.j + (rep.j[0],)),
+                         ("k", list(rep.k)), ("k", ())):
+        with pytest.raises(ValueError,
+                           match=f"^{field} is not a tuple of three operators$"):
+            dataclasses.replace(rep, **{field: value})
+    for field, value, kind in (("p", (rep.p[0], rep.p[1], None), "NoneType"),
+                               ("theta", rep.theta.entries, "tuple"),
+                               ("pi", 1, "int")):
+        with pytest.raises(ValueError,
+                           match=f"^{field} holds {kind}, not BlockOp$"):
+            dataclasses.replace(rep, **{field: value})
+
+
 @pytest.mark.parametrize("label", [r[0] for r in INVARIANTS_S0])
 def test_discrete_relations_pass_spin0(label):
     report = verify_discrete_relations(build(label, 0))

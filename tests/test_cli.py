@@ -2,6 +2,7 @@
 and the frozen details of the commutant, classify, and catalog views.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -42,13 +43,13 @@ def test_grid_needs_three_sizes(capsys):
 
 def test_grid_checks_the_refinement_before_the_guard(monkeypatch, capsys):
     # a sequence that is not a nested refinement is refused before the
-    # working-set guard runs or a study is announced
+    # working-set estimate runs or a study is announced
     from poincarelab import gridlab
 
     def forbidden(*args):
-        raise AssertionError("ran the working-set guard")
+        raise AssertionError("ran the working-set estimate")
 
-    monkeypatch.setattr(gridlab, "check_working_set", forbidden)
+    monkeypatch.setattr(gridlab, "working_set_bytes", forbidden)
     for sizes in ("32,64,128,128", "32,64"):
         assert main(["grid", "--rep", "up", "--two-s", "1",
                      "--n", sizes]) == 2
@@ -279,24 +280,35 @@ def test_grid_passes_on_resolved_sequence(capsys):
     assert " 0 fail" in out
 
 
-@pytest.mark.parametrize("module,attr,argv,message", [
+@pytest.mark.parametrize("module,attr,argv,message,error", [
     ("catalog", "build", ["verify", "--rep", "up"],
-     "up: discrete squares are not constant"),
+     "up: discrete squares are not constant", AssertionError),
     ("commutant", "commutant_basis", ["commutant", "--rep", "up"],
-     "identity is not in the solved commutant"),
+     "identity is not in the solved commutant", AssertionError),
+    # one fault that is not a ValueError in each layer
+    ("symop", "BlockOp.kappa_parity", ["verify", "--rep", "up"],
+     "unsupported operand", TypeError),
+    ("catalog", "full_verification", ["verify", "--rep", "up"], "K3",
+     KeyError),
+    ("commutant", "irreducibility_verdict", ["commutant", "--rep", "up"],
+     "list index out of range", IndexError),
+    ("gridlab", "study", ["grid", "--rep", "up", "--n", "16,32,64"],
+     "study failed", RuntimeError),
 ])
 def test_broken_internal_invariant_exits_3(monkeypatch, capsys, module, attr,
-                                           argv, message):
-    import importlib
-
+                                           argv, message, error):
+    # any exception but a ValueError is an internal failure, told with its
+    # type in one line: never exit 1 (a failed check) or a traceback
     def broken(*args, **kwargs):
-        raise AssertionError(message)
+        raise error(message)
 
-    monkeypatch.setattr(importlib.import_module(f"poincarelab.{module}"),
-                        attr, broken)
+    monkeypatch.setattr(f"poincarelab.{module}.{attr}", broken)
     assert main(argv) == 3
     captured = capsys.readouterr()
-    assert f"internal error: {message}" in captured.err
+    lines = [line for line in captured.err.splitlines()
+             if line.startswith("internal error:")]
+    assert lines == [f"internal error: {error.__name__}: {error(message)}"]
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 
@@ -307,7 +319,8 @@ def test_failed_solution_recheck_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(commutant, "check_solution", lambda prob, mat: False)
     assert main(["commutant", "--rep", "up"]) == 3
     captured = capsys.readouterr()
-    assert "internal error: solver output fails a constraint" in captured.err
+    assert ("internal error: AssertionError: solver output fails a constraint"
+            in captured.err)
     assert captured.out == ""
 
 
@@ -341,7 +354,7 @@ def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
         raise AssertionError("allocated a state")
 
     # the plan at N = 1024 needs about 2.8 GiB, so a budget under that
-    monkeypatch.setattr(gridlab, "memory_budget", lambda: 2 * 2**30)
+    monkeypatch.setattr(cli, "memory_budget", lambda: 2 * 2**30)
     monkeypatch.setattr(gridlab, "standard_state", forbidden)
     # nor does it build its state's factors
     monkeypatch.setattr(gridlab, "_gaussian", forbidden)
@@ -349,23 +362,23 @@ def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
                  "--n", "256,512,1024"]) == 2
     err = capsys.readouterr().err
     assert "error: grid study at N = 256, 512, 1024 needs about" in err
-    assert "over the 2,048 MiB budget (50% of MemAvailable)" in err
+    assert " MiB, over the 2,048 MiB budget (50% of MemAvailable)" in err
 
 
 @pytest.mark.parametrize("argv,command,two_s", [
     (["commutant", "--rep", "up", "--two-s", "1000"], "commutant", 1000),
-    (["catalog", "--two-s", "1000"], "commutant", 1000),
+    (["catalog", "--two-s", "1000"], "catalog", 1000),
     (["verify", "--rep", "sym6", "--two-s", "4000"], "verify", 4000),
     (["grid", "--rep", "up", "--two-s", "4000"], "grid", 4000),
 ])
 def test_high_spin_is_refused_before_building(monkeypatch, capsys, argv,
                                               command, two_s):
-    from poincarelab import catalog, cli, gridlab
+    from poincarelab import catalog
 
     def forbidden(*args):
         raise AssertionError("built a representation")
 
-    monkeypatch.setattr(gridlab, "memory_budget", lambda: 4 * 2**30)
+    monkeypatch.setattr(cli, "memory_budget", lambda: 4 * 2**30)
     monkeypatch.setattr(catalog, "build", forbidden)
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -374,19 +387,47 @@ def test_high_spin_is_refused_before_building(monkeypatch, capsys, argv,
     assert "over the 4,096 MiB budget (50% of MemAvailable)" in err
 
 
-def test_spin_guard_admits_the_measured_spins():
-    from poincarelab.cli import check_spin_cost, spin_peak_bytes
+def test_spin_guard_admits_the_measured_spins(monkeypatch):
+    from poincarelab.cli import refuse_over_budget, spin_peak_bytes
 
     # the fit reproduces the peaks it was fitted to within a few MiB
     assert abs(spin_peak_bytes("commutant", 64) / 2**20 - 56) < 5
     assert abs(spin_peak_bytes("verify", 64) / 2**20 - 131) < 5
     # building the spec grid studies: 84.0-91.3 MiB at 320
     assert abs(spin_peak_bytes("grid", 320) / 2**20 - 88) < 5
-    for command in ("verify", "commutant", "grid"):
-        check_spin_cost(command, 64, 4 * 2**30)
-        check_spin_cost(command, 10**6, None)  # no MemAvailable, no guard
-    with pytest.raises(ValueError, match="commutant at two_s = 500"):
-        check_spin_cost("commutant", 500, 2**30)
+    assert cli.memory_budget() is None or cli.memory_budget() > 0
+    monkeypatch.setattr(cli, "memory_budget", lambda: 4 * 2**30)
+    for command in ("verify", "commutant", "grid", "catalog"):
+        refuse_over_budget(command, spin_peak_bytes(command, 64))
+    monkeypatch.setattr(cli, "memory_budget", lambda: 2**30)
+    with pytest.raises(ValueError, match="^commutant at two_s = 500 needs"):
+        refuse_over_budget("commutant at two_s = 500",
+                           spin_peak_bytes("commutant", 500))
+    monkeypatch.setattr(cli, "memory_budget", lambda: None)
+    # no MemAvailable, no refusal
+    refuse_over_budget("commutant", spin_peak_bytes("commutant", 10**6))
+
+
+def test_spin_table_has_a_row_for_every_two_s_subcommand(monkeypatch,
+                                                         capsys):
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    with_spin = {name for name, p in sub.choices.items()
+                 if any(a.dest == "two_s" for a in p._actions)}
+    assert with_spin == {"verify", "commutant", "grid", "catalog"}
+    for name in with_spin:
+        assert cli.spin_peak_bytes(name, 0) > 0
+    # catalog solves each entry's commutant, so it reads commutant's line
+    assert cli.spin_peak_bytes("catalog", 300) == cli.spin_peak_bytes(
+        "commutant", 300)
+    # a subcommand with --two-s and no row is an internal error, not a
+    # silent pass
+    monkeypatch.delitem(cli._SPIN_PEAK, "catalog")
+    assert main(["catalog"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: KeyError: 'catalog'\n"
+    assert captured.out == ""
 
 
 def test_one_parser_serves_every_call(capsys):

@@ -26,7 +26,6 @@ from poincarelab.gridlab import (
     Grid,
     GridState,
     apply,
-    check_working_set,
     convergence_study,
     inner,
     isometry_defect,
@@ -386,7 +385,7 @@ def test_standard_state_factors_make_no_grid_sized_array():
     assert peak < 2**20
 
 
-def test_working_set_guard_refuses_oversized_grids():
+def test_working_set_bytes_of_default_and_oversized_grids():
     rep = catalog.build("up", 1)
     default = [Grid(L, n) for n in (32, 64, 128)]
     big = [Grid(L, n) for n in (32, 64, 1024)]
@@ -395,32 +394,26 @@ def test_working_set_guard_refuses_oversized_grids():
     # the grid's size; the streamed study's arrays peak at about 39.5 MiB
     # at N = 128, its windows most of them, and at about 2.8 GiB at
     # N = 1024 (3.9 GiB when each range's bank held both signs of a
-    # pair, complex slabs for real pairs and its basis fields)
+    # pair, complex slabs for real pairs and its basis fields), which the
+    # grid command refuses under a 2 GiB budget (test_cli.py)
     assert 40 * 2**20 < need < 60 * 2**20
     assert working_set_bytes(rep, big) == 3_011_510_272
-    assert gridlab.memory_budget() is None or gridlab.memory_budget() > 0
-    budget = 2 * 2**30
-    check_working_set(rep, default, budget)
-    check_working_set(rep, big, None)
-    with pytest.raises(ValueError, match=r"N = 32, 64, 1024 needs about "
-                       r"[\d,]+ MiB of arrays, over the 2,048 MiB budget"):
-        check_working_set(rep, big, budget)
 
 
 def test_working_set_guard_allocates_nothing_of_the_grids_size():
-    # the guard lays the plan out on a mesh that makes no axis, so it
-    # refuses N = 10^6 (an axis of 8 MB, an N^3 grid of 10^18 points)
-    # having traced about 0.1 MiB of allocations; four arrays of N points
-    # (30.6 MiB) when the mesh made its axes up front
+    # the estimate lays the plan out on a mesh that makes no axis, so at
+    # N = 10^6 (an axis of 8 MB, an N^3 grid of 10^18 points) it traces
+    # about 0.1 MiB of allocations; four arrays of N points (30.6 MiB)
+    # when the mesh made its axes up front
     rep = catalog.build("up", 1)
     grids = [Grid(L, n) for n in (32, 64, 10**6)]
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="N = 32, 64, 1000000 needs"):
-            check_working_set(rep, grids, 4 * 2**30)
+        need = working_set_bytes(rep, grids)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert need > 4 * 2**30
     assert peak < 2**20
 
 
