@@ -27,9 +27,9 @@ every term of the operator on those rows while they are in cache.  Each
 term is one product conj^k(x) * (F * s): the term's exact scalar s,
 which carries the stencil step and the reflection sign, is folded into
 its real field F, once per grid for a field that broadcasts along an
-axis (a contiguous (1, N, N) plane when it is constant along axis 0)
-and once per range of rows for a full-size one, for each distinct
-(field, s), shared by every kernel that reads it.  A term that adds -s times a
+axis (kept in its own shape: a plane of N points along one axis) and
+once per range of rows for a full-size one, for each distinct (field,
+s), shared by every kernel that reads it.  A term that adds -s times a
 field onto its output is subtracted with the pair of s instead, and a
 pair whose s is real is stored float64, so a range's bank of slabs is
 made once, whole, from one evaluation of each field, at about half the
@@ -47,10 +47,15 @@ entries once, as every ``GridState`` is, a slab of rows at a time.
 plan (``_stream``): the grid's rows are walked from both faces in, a
 slab together with its mirror, and each distinct word of the studied
 relations is computed once per grid, on rows only, from the rows of its
-suffix.  A word read again keeps a window of its rows as deep as its
-readers' axis-0 stencils reach, summed along each chain of readers; a
-word used once, as a term, is written or added straight into its
-component's rows.  The state is the plan's word (), a row source whose
+suffix.  A constant monomial operator (``_monomial``: Theta and Pi on
+every catalog entry) is a way of reading rows, not a stored word: the
+kernel of K1 Theta psi reads the state's rows mirrored and conjugated,
+its spin components permuted and its signs folded into the kernel's own
+(``_plan``), so Theta psi is never made for a reader.  A word read again
+keeps a window of its rows as deep as its readers' axis-0 stencils
+reach, summed along each chain of readers; a word used once, as a term,
+or begun by a constant monomial operator is written or added straight
+into its component's rows.  The state is the plan's word (), a row source whose
 rows are kept in a window like any other word's: the standard state's
 Gaussian factors, evaluated as the plan goes, or a caller's
 ``GridState``, its rows copied out.  The standard state is not
@@ -64,18 +69,20 @@ Each range of a component's rows takes its norm partials as soon as it
 is made, cut at slab boundaries and summed at the end in
 piece-then-component order, so residuals are bit-identical to
 evaluating each relation alone with whole applied states normed over
-the same ranges.  The plan takes the state's own norm too, and for
-the isometry rows (``isometry_defect``, and a study's finest grid) the
-norms of Theta psi and Pi psi; a state whose own norm is not finite
+the same ranges.  The plan's only outputs are component norms: the
+state's own norm, and for the isometry rows (``isometry_defect``, and a
+study's finest grid) the norms of Theta psi and Pi psi, are those of
+components of one term; a state whose own norm is not finite
 (entries above about 1e154, whose squares overflow) or 0 (the spacing
 cubed or the squares underflow) is refused.  Rows
 are scanned for non-finite entries once: a word that keeps its rows,
-the state included, as the plan computes them; a word read once, as a
-term, only through its component's norm, which scans a piece whose
-partials are not finite (``_Norm``).
-``grid --rep up --two-s 1`` at N = 32, 64, 128 computes its 74 distinct
-words once on each grid, 222 words, in a median 3.2 s of ``perfbench``
-``run_s`` on a 2-core Xeon VM, with a peak RSS of 72 MiB.
+the state included, as the plan computes them; a word that goes
+straight into its component, only through that component's norm, which
+scans a piece whose partials are not finite (``_Norm``).
+``grid --rep up --two-s 1`` at N = 32, 64, 128 computes 72 words on
+each grid (74 on the finest, with Theta psi and Pi psi for its isometry
+rows), 218 words, in a median 3.1 s of ``perfbench`` ``run_s`` on a
+2-core Xeon VM, with a peak RSS of 64 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -100,7 +107,7 @@ from .catalog import (
     LIE_RELATIONS, RepSpec, discrete_relations, operators, relations,
     word_names,
 )
-from .exactnum import ONE
+from .exactnum import I, ONE
 from .spin_algebra import SpinWeight
 from .symop import BlockOp, Coefficient
 
@@ -329,18 +336,32 @@ def sample_gaussian(grid: Grid, center, width: float, spinor) -> GridState:
 
     The tail at the nearest boundary face must be below 1e-12 of the
     peak so central differences never touch meaningful boundary data.
-    The sampled state is divided, in place, by the norm a plan of no
-    components takes (``_stream``, ``_state_norm``), then scanned again.
+    The sampled state is divided, in place, by the norm a plan of the
+    state as its one component takes (``_stream``, ``_state_norm``),
+    then scanned again.
     """
     state = _gaussian(grid, center, width, spinor).sample()
-    normed = {(): None}
-    _stream({}, state, [], normed)
-    np.divide(state.values, _state_norm(normed), out=state.values)
+    (base,) = _stream({}, state, _ISOMETRY[:1])
+    np.divide(state.values, _state_norm(base), out=state.values)
     return GridState(state.values, grid, state.spin, state.blocks)
 
 
-def _central_diff(arr: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """Undivided central difference f[i+1] - f[i-1] along ``axis``, into out.
+def _subtract(a: np.ndarray, b: np.ndarray, out: np.ndarray, flip: bool,
+              conj: bool) -> None:
+    """out = a - b, or b - a with ``flip``, conjugated in place with
+    ``conj``: negating or conjugating the difference exactly, but for the
+    sign of a zero."""
+    if flip:
+        a, b = b, a
+    np.subtract(a, b, out=out)
+    if conj:
+        np.conjugate(out, out=out)
+
+
+def _central_diff(arr: np.ndarray, axis: int, out: np.ndarray,
+                  flip: bool = False, conj: bool = False) -> np.ndarray:
+    """Undivided central difference f[i+1] - f[i-1] along ``axis``, into out,
+    negated with ``flip`` and conjugated with ``conj`` (``_subtract``).
 
     Runs as one flat subtraction at the axis stride: the entries where
     that wraps across a row are exactly the two boundary planes, which
@@ -350,7 +371,8 @@ def _central_diff(arr: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     stride = arr.strides[axis] // arr.itemsize
     flat, dst = arr.reshape(-1), out.reshape(-1)
-    np.subtract(flat[2 * stride:], flat[:-2 * stride], out=dst[stride:-stride])
+    _subtract(flat[2 * stride:], flat[:-2 * stride], dst[stride:-stride],
+              flip, conj)
     edge = [slice(None)] * arr.ndim
     for plane in (0, -1):
         edge[axis] = plane
@@ -368,11 +390,11 @@ class _Plan(NamedTuple):
     depth of its difference chains, which size the buffers
     (``_Buffers``)."""
 
-    sources: list  # ((src block, spin column), axes, u, terms)
+    sources: list  # ((src block, spin column), axes, u, k, flip, terms)
     unreached: list  # (block, spin column) of each output no term writes
     used: list  # the table index of each pair the terms read
     halo: int  # the most axis-0 derivatives of any term
-    chain: int  # the most derivative axes of any term
+    chain: int  # the most derivative axes of any term, see ``_plan``
 
 
 def _canonical(s: complex) -> bool:
@@ -382,7 +404,55 @@ def _canonical(s: complex) -> bool:
     return s.real > 0 or s.real == 0 and s.imag > 0
 
 
-def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict) -> _Plan:
+# The coefficients a foldable operator's entries may have: the unit
+# phases, each coefficient one interned object.
+_PHASES = {Coefficient.const(u): complex(u.to_complex())
+           for u in (ONE, -ONE, I, -I)}
+
+
+def _monomial(op: BlockOp) -> dict | None:
+    """A constant monomial operator as a way of reading rows, or None for
+    any other operator.
+
+    Such an operator has no derivative and no field, and one constant
+    of modulus 1 (+-1 or +-i) in each row and column: output component
+    (block, spin column) c is phase * C^k Y^u of one source component.
+    The fold maps each c to (source component, u, k, phase).
+    """
+    fold = {}
+    for br, row in enumerate(op.entries):
+        for bc, sop in enumerate(row):
+            for (alpha, u, k), mat in sop.terms.items():
+                for m, line in enumerate(mat):
+                    for n, c in enumerate(line):
+                        if c.is_zero():
+                            continue
+                        phase = _PHASES.get(c)
+                        if any(alpha) or phase is None or (br, m) in fold:
+                            return None
+                        fold[br, m] = ((bc, n), u, k, phase)
+    if (len(fold) != op.blocks * op.dim
+            or len({src for src, *_rest in fold.values()}) != len(fold)):
+        return None
+    return fold
+
+
+def _through(folds) -> dict | None:
+    """The fold of a product of foldable operators, outermost first, or
+    None for no operator: phases multiply, reflections and conjugations
+    compose, each conjugation acting on the phases it passes."""
+    out = None
+    for inner in folds:
+        out = inner if out is None else {
+            c: (src2, u ^ u2, k ^ k2, phase * (phase2.conjugate() if k
+                                               else phase2))
+            for c, (src, u, k, phase) in out.items()
+            for src2, u2, k2, phase2 in [inner[src]]}
+    return out
+
+
+def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict,
+          fold: dict | None = None) -> _Plan:
     """The operator's row kernel, its (field key, s) pairs entered into
     ``pairs``, the table every plan of a layout shares: (key, s) ->
     (index, whether the field is full size), in order of first use.
@@ -390,25 +460,45 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict) -> _Plan:
     A term M d^alpha Y^u C^k acts column by column of M: source component
     n is differenced along ``axes`` on the unreflected grid (the stencil
     commutes with C, and with Y up to the sign (-1)^|alpha|), viewed
-    reflected if u, and each coefficient term s * F of M[m][n] adds
-    conj^k(x) * (F * s) to output component m, where s carries the step
-    1/(2h)^|alpha| and the reflection sign.  Each source's terms are
-    (dst block, dst component, p, scalar, k, acc): p indexes ``used``
-    (None for a term with no field), and acc is None for the
-    contribution that writes its output, else how the term is summed
-    onto it, ``np.add`` or ``np.subtract``.  A later contribution whose
-    s is not canonical (``_canonical``) reads the pair (F, -s) and is
-    subtracted, the same bits as adding F * s (rounding is symmetric in
-    sign, and x - y is x + (-y)), so the table holds one pair for both
+    reflected if u, conjugated if k, and each coefficient term s * F of
+    M[m][n] adds x * (F * s) to output component m, where s carries the
+    step 1/(2h)^|alpha| and the reflection sign.  Each source is
+    (component, axes, u, k, terms), its terms (dst block, dst component,
+    p, scalar, acc): p indexes ``used`` (None for a term with no field),
+    and acc is None for the contribution that writes its output (or
+    ``np.negative``, which writes its negation), else how the term is
+    summed onto it, ``np.add`` or ``np.subtract``.  A later contribution
+    whose s is not canonical (``_canonical``) reads the pair (F, -s) and
+    is subtracted, the same bits as adding F * s (rounding is symmetric
+    in sign, and x - y is x + (-y)), so the table holds one pair for both
     signs; the first keeps its own s, as negating it after the write
     would cost a pass.  Contributions sharing a source join one entry
     unless that would move them ahead of an earlier contribution to the
     same output, so every output sums its contributions in the order of
     the operator's terms.
+
+    ``fold`` (``_monomial``, ``_through``) makes the kernel read its
+    source through a constant monomial operator, whose applied state is
+    then never made: component c is read as the fold's source component,
+    reflected and conjugated as the fold says on top of the term's own u
+    and k.  The fold's phase, times (-1)^|alpha| where the fold reflects
+    (differences commute with the reversal up to that sign), is taken
+    out as a factor i, which multiplies s, and a sign: a source with
+    derivatives takes its first difference the other way round
+    (``flip``), and for one without, the sign swaps ``np.add`` and
+    ``np.subtract`` or makes a first contribution ``np.negative``.  With
+    phases of +-1 (Theta and Pi on every catalog entry) the table gets no
+    pair a kernel reading the applied state would not read, and a sign
+    keeps its bits: numpy's complex product gives
+    (-x) * G and -(x * G) alike, not always x * (-G), and differences,
+    conjugation and reversal are exact.  ``chain`` is at least 1 where a
+    source without derivatives is conjugated once for several terms:
+    into a difference buffer.
     """
     sources, by_source, last, written = [], {}, {}, set()
     used, local, halo, chain = [], {}, 0, 0
     full = (mesh.n,) * 3
+    negated = {None: np.negative, np.add: np.subtract, np.subtract: np.add}
     for br, row in enumerate(op.entries):
         for bc, sop in enumerate(row):
             for (alpha, u, k), mat in sop.terms.items():
@@ -416,7 +506,19 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict) -> _Plan:
                 step = ((-1 if u else 1) / (2 * spacing)) ** len(axes)
                 halo, chain = max(halo, alpha[0]), max(chain, len(axes))
                 for n in range(op.dim):
-                    source = ((bc, n), axes, u)
+                    comp, reads, sign, turn = (bc, n), (u, k), 1, 1
+                    if fold is not None:
+                        comp, uf, kf, phase = fold[bc, n]
+                        reads = (u ^ uf, k ^ kf)
+                        phase = phase.conjugate() if k else phase
+                        if uf and len(axes) % 2:
+                            phase = -phase
+                        turn = 1j if phase.imag else 1
+                        sign = (phase / turn).real
+                    flip = sign < 0 and bool(axes)
+                    if flip:  # the first difference is taken reversed
+                        sign = 1
+                    source = (comp, axes, *reads, flip)
                     for m in range(op.dim):
                         if mat[m][n].is_zero():
                             continue
@@ -426,7 +528,7 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict) -> _Plan:
                             i = by_source[source] = len(sources)
                             sources.append((*source, []))
                         for key, s in mesh.terms(mat[m][n]):
-                            s *= step
+                            s *= step * turn
                             acc = np.add if dst in written else None
                             p = None
                             if key is not None:
@@ -438,9 +540,14 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict) -> _Plan:
                                 p = local.setdefault(j, len(used))
                                 if p == len(used):
                                     used.append(j)
-                            sources[i][-1].append((br, m, p, s, k, acc))
+                            if sign < 0:
+                                acc = negated[acc]
+                            sources[i][-1].append((br, m, p, s, acc))
                             written.add(dst)
                         last[dst] = i
+    if any(k and not axes and len(terms) > 1
+           for _c, axes, _u, k, _f, terms in sources):
+        chain = max(chain, 1)
     unreached = [(br, m) for br in range(op.blocks) for m in range(op.dim)
                  if (br, m) not in written]
     return _Plan(sources, unreached, used, halo, chain)
@@ -480,9 +587,10 @@ class _Rows:
 
 
 def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
-               bufs, n: int) -> np.ndarray:
+               bufs, n: int, flip: bool, conj: bool) -> np.ndarray:
     """Rows lo:hi of the central-difference chain of component ``comp``
-    (block, spin column) of src.
+    (block, spin column) of src, negated with ``flip`` and conjugated
+    with ``conj``, both in its first difference (``_subtract``).
 
     ``axes`` is sorted, so the axis-0 differences come first.  Each reads
     one row beyond its output on either side and zeroes the boundary
@@ -498,14 +606,16 @@ def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
     for i, axis in enumerate(axes):
         out = bufs[i % 2]
         if axis:
-            cur = _central_diff(cur, axis, out[:len(cur)])
+            cur = _central_diff(cur, axis, out[:len(cur)], flip and i == 0,
+                                conj and i == 0)
             continue
         h -= 1
         w0, w1 = max(lo - h, 0), min(hi + h, n)
         out = out[:w1 - w0]
         i0, i1 = max(w0, 1), min(w1, n - 1)
         if i == 0:
-            _diff_chunks(src, comp, i0, i1, out[i0 - w0:i1 - w0])
+            _diff_chunks(src, comp, i0, i1, out[i0 - w0:i1 - w0], flip,
+                         conj)
         else:
             np.subtract(cur[i0 + 1 - r0:i1 + 1 - r0],
                         cur[i0 - 1 - r0:i1 - 1 - r0],
@@ -517,16 +627,18 @@ def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
 
 
 def _diff_chunks(src: _Rows, comp: tuple, i0: int, i1: int,
-                 out: np.ndarray) -> None:
+                 out: np.ndarray, flip: bool, conj: bool) -> None:
     """out[i - i0] = x[i+1] - x[i-1] for rows i0:i1 of component x =
-    ``comp`` of src, one subtraction per stretch of rows whose two
+    ``comp`` of src, negated with ``flip`` and conjugated with ``conj``
+    (``_subtract``), one subtraction per stretch of rows whose two
     operands each lie in one chunk."""
     while i0 < i1:
         a0, a1, above = src.find(i0 + 1)
         b0, b1, below = src.find(i0 - 1)
         j = min(i1, a1 - 1, b1 + 1)
-        np.subtract(above[comp][i0 + 1 - a0:j + 1 - a0],
-                    below[comp][i0 - 1 - b0:j - 1 - b0], out=out[:j - i0])
+        _subtract(above[comp][i0 + 1 - a0:j + 1 - a0],
+                  below[comp][i0 - 1 - b0:j - 1 - b0], out[:j - i0], flip,
+                  conj)
         out, i0 = out[j - i0:], j
 
 
@@ -562,12 +674,13 @@ class _Buffers:
     ``pairs`` is the table of (field key, s) pairs the kernels' plans
     share (``_plan``), each scaled once and stored float64 where s is
     real (``_stored``).  Each pair whose field broadcasts along an axis
-    is scaled first, for every kernel (a contiguous (1, N, N) plane when
-    it is constant along axis 0); then come scratch, the difference
-    buffers with a ``halo`` of rows on either side, one for a chain of
-    one derivative and two for a longer one, and the field slabs of the
-    last ``ranges`` ranges run (``_Bank``), each with its 1/p0 weight
-    once a norm has read it: a streamed plan takes norms, ``apply`` none.
+    is scaled first, for every kernel, in the field's own shape: a plane
+    of shape (N, 1, 1), (1, N, 1) or (1, 1, N) has N points; then come
+    scratch, the difference buffers with a ``halo`` of rows on either
+    side, one for a chain of one derivative and two for a longer one,
+    and the field slabs of the last ``ranges`` ranges run (``_Bank``),
+    each with its 1/p0 weight once a norm has read it: a streamed plan
+    takes norms, ``apply`` none.
     """
 
     def __init__(self, mesh: _Mesh, rows: int, plans, pairs: dict,
@@ -578,11 +691,8 @@ class _Buffers:
         for (key, s), (j, full) in pairs.items():
             if full:
                 self.keys.setdefault(key, []).append((j, _stored(s)))
-                continue
-            f = np.multiply(mesh.field(key), _stored(s))
-            self.planes[j] = (
-                np.ascontiguousarray(np.broadcast_to(f, (1, n, n)))
-                if len(f) == 1 else f)
+            else:
+                self.planes[j] = np.multiply(mesh.field(key), _stored(s))
         plans = list(plans)
         halo = max((p.halo for p in plans), default=0)
         chain = max((p.chain for p in plans), default=0)
@@ -650,38 +760,47 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
     shape (blocks, 2s+1, hi - lo, N, N).
 
     Every term of the plan runs on these rows while they are in cache:
-    each source component differenced (``_diff_rows``), viewed reflected
-    by reading the mirrored rows, and for each term conjugated if
-    antilinear and multiplied by the term's scaled field F * s
-    (``_Buffers.fields``: a float64 slab where s is real, which a
-    complex product reads as F * s + 0j).  A term without a field is
-    multiplied by its scalar, or copied when that is 1.  The first
-    contribution to an output component is written straight into it,
-    later ones go through one scratch slab and are added onto it or, for
-    a pair whose sign ``_plan`` folded, subtracted; components no term
-    reaches are zeroed.  The rows are not checked finite here: a caller
-    that keeps them scans them (``_check_finite``, or ``GridState`` for
-    ``apply``), and rows written or added into a component are checked
-    through its norm (``_Norm``).
+    each source component differenced (``_diff_rows``, negated where
+    ``_plan`` folded a sign into it), viewed reflected by reading the
+    mirrored rows, conjugated once if antilinear (in its first
+    difference, or for a source without derivatives into the first
+    difference buffer, or with its one term as that is made), and for
+    each term multiplied by the term's scaled field F * s
+    (``_Buffers.fields``: a float64 slab where s is real, which a complex
+    product reads as F * s + 0j).  A term without a field is multiplied
+    by its scalar, or copied when that is 1.  The first contribution to
+    an output component is written straight into it (negated where
+    ``_plan`` folded a sign into it), later ones go through one scratch
+    slab and are added onto it or, for a pair whose sign ``_plan``
+    folded, subtracted; components no term reaches are zeroed.  The rows
+    are not checked finite here: a caller that keeps them scans them
+    (``_check_finite``, or ``GridState`` for ``apply``), and rows written
+    or added into a component are checked through its norm (``_Norm``).
     """
     n, rows = bufs.mesh.n, hi - lo
     for br, m in plan.unreached:
         out[br, m] = 0
     gs = bufs.fields(plan.used, lo, hi)
-    for comp, axes, u, terms in plan.sources:
+    for comp, axes, u, k, flip, terms in plan.sources:
         a, b = (n - hi, n - lo) if u else (lo, hi)
-        x = (_diff_rows(src, comp, axes, a, b, bufs.deriv, n) if axes
-             else src.take(a, b)[comp])
+        x = (_diff_rows(src, comp, axes, a, b, bufs.deriv, n, flip, k)
+             if axes else src.take(a, b)[comp])
         if u:
             x = x[::-1, ::-1, ::-1]
-        for br, m, p, s, k, acc in terms:
+        conj_term = k and not axes and len(terms) == 1
+        if k and not axes and not conj_term:
+            x = np.conjugate(x, out=bufs.deriv[0][:rows])
+        for br, m, p, s, acc in terms:
             dst = out[br, m]
-            into = bufs.scratch[:rows] if acc else dst
-            term = np.conjugate(x, out=into) if k else x
+            adds = acc is np.add or acc is np.subtract
+            into = bufs.scratch[:rows] if adds else dst
+            term = np.conjugate(x, out=into) if conj_term else x
             if p is not None or s != 1:
                 term = np.multiply(term, s if p is None else gs[p], out=into)
-            if acc:
+            if adds:
                 acc(dst, term, out=dst)
+            elif acc:  # np.negative: a first contribution with a folded sign
+                acc(term, out=dst)
             elif term is not dst:
                 np.copyto(dst, term)
 
@@ -727,7 +846,7 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     studied counts, and of it only its streamed plan (``_stream``): the
     standard state is its Gaussian factors, N points each.  The plan's
     arrays are read from its own layout (``_Layout``) on each grid, of
-    the representative relations and the isometry words, laid out on a
+    the representative relations and the isometry rows, laid out on a
     mesh that makes no axis, so the estimate itself allocates nothing of
     the grid's size; none of the plan's arrays is state-sized:
     - each stored word's window, the state's own included, lead + keep
@@ -740,35 +859,40 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
       evaluating the state on a slab or one basis field with its p0;
     - the field slabs of 2 (lead + 1) ranges: each full-size pair of the
       table scaled, real where its s is, and the 1/p0 weight;
-    - each broadcast pair of the table scaled once, at most N^2 points,
-      real where its s is.
+    - each broadcast pair of the table scaled once, in its field's own
+      shape (N points along one axis, N^2 along two), real where its s
+      is.
     Against the peak RSS of ``grid`` at N = 32, 64, 128 less that of a
-    process that only imports numpy and poincarelab (28.7 MiB), 42.0,
-    74.6 and 69.8 MiB for up 2s=1, sym3 2s=1 and quad:+1 on a 2-core
-    Xeon VM, it reads 7%, 4% and 2% high, and 14%, 10% and 7% above
-    their cold studies' traced peaks (39.5, 70.6 and 66.2 MiB).
+    process that only imports numpy and poincarelab (28.3 MiB), 35.4,
+    60.6 and 57.2 MiB for up 2s=1, sym3 2s=1 and quad:+1 on a 2-core
+    Xeon VM, it reads 5% and 6% high and even, and 16%, 12% and 8%
+    above their cold studies' traced peaks (32.0, 57.1 and 52.7 MiB).
     """
     _rels, comps, ops = _relations(rep, representative_relations(rep))
     spins = rep.blocks * (rep.two_s + 1)
     peak = 0
     for g in grids:
         n = g.points
-        lay = _Layout(ops, comps, dict.fromkeys(_ISOMETRY), g, _Mesh(g))
+        mesh = _Mesh(g)
+        lay = _Layout(ops, comps + list(_ISOMETRY), g, mesh)
         rows = lay.rows
         span = min(2 * rows, n)
         plans = lay.plans.values()
         halo = max((p.halo for p in plans), default=0)
         chain = min(max((p.chain for p in plans), default=0), 2)
-        pairs = [0, 0]  # half planes of N^2 points: broadcast, full rows
-        for (_key, s), (_j, is_full) in lay.pairs.items():
-            pairs[is_full] += 2 - (s.imag == 0)  # 1 real, 2 complex
-        flat, full = pairs
+        full = flat = 0  # halves: planes of N^2 points, broadcast points
+        for (key, s), (_j, is_full) in lay.pairs.items():
+            halves = 2 - (s.imag == 0)  # 1 real, 2 complex
+            if is_full:
+                full += halves
+            else:
+                flat += halves * math.prod(mesh.shape(key))
         window = sum(min((w.lead + max(w.keep, 0) + 1) * 2 * rows, n)
                      for w in lay.stored)
         halves = (2 * spins * (window + 3 * span)
                   + 2 * (2 + chain) * span + 4 * chain * halo
-                  + 2 * (lay.lead + 1) * span * (full + 1) + flat)
-        peak = max(peak, halves * n * n * 8)
+                  + 2 * (lay.lead + 1) * span * (full + 1))
+        peak = max(peak, (halves * n * n + flat) * 8)
     return peak
 
 
@@ -839,72 +963,85 @@ class _Norm:
 
 
 class _Word:
-    """One distinct word of a streamed study and what reads it."""
+    """One distinct word of a streamed study and what reads it.  Its
+    kernel runs ``head``, the outermost operator and the foldable ones
+    after it, which it reads through (``_monomial``), on the rows of the
+    word ``src`` that follows them."""
 
-    def __init__(self, word: tuple):
-        self.word = word
-        self.users: list[_Word] = []  # words one operator longer
+    def __init__(self, word: tuple, head: tuple = ()):
+        self.word, self.head, self.src = word, head, word[len(head):]
+        self.users: list[_Word] = []  # the words whose src it is
         self.terms = 0  # uses as a term of a component
         self.lead = self.keep = 0
         self.rows = _Rows(word)
-        self.norm: _Norm | None = None
 
 
 class _Layout:
-    """What a streamed plan (``_stream``) of ``components`` and the
-    ``normed`` words runs on one grid, decided before any row is made;
-    ``working_set_bytes`` turns the same layout into bytes.
+    """What a streamed plan (``_stream``) of ``components`` runs on one
+    grid, decided before any row is made; ``working_set_bytes`` turns
+    the same layout into bytes.
 
-    ``ops`` are the operators the words name, with their row kernels
-    (``_plan``) on the grid by name (``plans``), ``pairs`` the table of
-    distinct (field key, s) pairs those plans share and ``rows`` the
-    rows of a slab.  The word graph:
-    ``order`` holds the distinct nonempty words shortest first, with
-    their readers and their ``lead`` and ``keep`` in levels (see
-    ``_stream``); ``direct`` the words read once, as a term, which go
-    straight into their component; ``stored`` the others after ``root``,
-    the state's word (), whose readers, lead and keep come the same way;
-    and ``lead`` the most levels a stored word runs ahead.  A word of
-    ``normed``, whose norm is wanted, is stored even if no component
-    uses it.
+    ``ops`` are the operators the words name.  A word's kernel runs its
+    outermost operator through every foldable one after it
+    (``_monomial``, ``_through``), so a word whose outermost operator is
+    foldable is never read by another word: K1 Theta psi reads the
+    state's rows through Theta.  ``plans`` holds the row kernels
+    (``_plan``) on the grid by head (the operators a kernel runs, see
+    ``_Word``), ``pairs`` the table of distinct (field key, s) pairs
+    those plans share and ``rows`` the rows of a slab.  The word graph:
+    ``words`` maps each word to its ``_Word``, the terms and the words
+    their kernels read; ``order`` holds the nonempty ones shortest
+    first, with their readers and their ``lead`` and ``keep`` in levels
+    (see ``_stream``); ``direct`` the words that go straight into their
+    component, each time a term uses them: those read once, as a term,
+    and those whose outermost operator is foldable; ``stored`` the
+    others after ``root``, the state's word (), whose readers, lead and
+    keep come the same way; and ``lead`` the most levels a stored word
+    runs ahead.
     """
 
-    def __init__(self, ops: dict, components, normed, grid: Grid,
-                 mesh: _Mesh):
+    def __init__(self, ops: dict, components, grid: Grid, mesh: _Mesh):
         terms = [word for comp in components for _c, word in comp]
-        self.ops = {name: ops[name] for name in dict.fromkeys(
-            chain.from_iterable(chain(terms, normed)))}
+        self.ops = {name: ops[name]
+                    for name in dict.fromkeys(chain.from_iterable(terms))}
+        folds = {name: _monomial(op) for name, op in self.ops.items()}
         self.pairs: dict[tuple, tuple[int, bool]] = {}
-        self.plans = {name: _plan(op, mesh, grid.spacing, self.pairs)
-                      for name, op in self.ops.items()}
+        self.plans: dict[tuple, _Plan] = {}
         self.rows = rows = _slab_rows(grid.points)
         self.root = _Word(())
-        words = {(): self.root}
-        for word in chain(terms, normed):
-            for i in range(len(word)):
-                if word[i:] not in words:
-                    words[word[i:]] = _Word(word[i:])
+        self.words = words = {(): self.root}
+        for word in terms:
+            while word not in words:
+                j = 1
+                while j < len(word) and folds[word[j]] is not None:
+                    j += 1
+                head = word[:j]
+                words[word] = _Word(word, head)
+                if head not in self.plans:
+                    self.plans[head] = _plan(
+                        self.ops[head[0]], mesh, grid.spacing, self.pairs,
+                        _through([folds[name] for name in head[1:]]))
+                word = word[j:]
         for word in terms:
             words[word].terms += 1
         order = sorted(words.values(), key=lambda w: len(w.word))
         for w in reversed(order):  # readers before what they read
             if w.word:
-                words[w.word[1:]].users.append(w)
-            need = [-(-self.plans[u.word[0]].halo // rows)
-                    for u in w.users]
-            w.lead = max([0] * (bool(w.terms) or w.word in normed)
-                         + [u.lead + d for u, d in zip(w.users, need)])
-            w.keep = max([0] * bool(w.terms) + [1] * (w.word in normed)
-                         + [d - u.lead for u, d in zip(w.users, need)])
+                words[w.src].users.append(w)
+            need = [-(-self.plans[u.head].halo // rows) for u in w.users]
+            w.lead = max([0] + [u.lead + d for u, d in zip(w.users, need)])
+            w.keep = max([0] * bool(w.terms)
+                         + [d - u.lead for u, d in zip(w.users, need)],
+                         default=0)
         self.order = order[1:]
-        self.direct = {w.word for w in self.order if w.terms == 1
-                       and not w.users and w.word not in normed}
+        self.direct = {w.word for w in self.order if not w.users and (
+            w.terms == 1 or folds[w.word[0]] is not None)}
         stored = [w for w in self.order if w.word not in self.direct]
         self.lead = max((w.lead for w in stored), default=0)
         self.stored = [self.root, *stored]
 
 
-def _stream(ops: dict, state, components, normed: dict) -> list[float]:
+def _stream(ops: dict, state, components) -> list[float]:
     """The norm of each component (a sum of terms) on one state, every
     word computed once, row by row.
 
@@ -912,58 +1049,53 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
     ``rows(lo, hi, out)``, which writes its rows lo:hi into ``out`` (a
     ``_Gaussian`` or a ``GridState``).  It is the word (), whose rows
     are taken as the plan goes and kept in a window like any stored
-    word's.  The plan's operators, field pairs and words are its
-    ``_Layout``.  The grid's levels (``_level_ranges``) are walked from the
-    faces in: a slab of rows together with its mirror, so a reflected
-    read lands on rows that the same step computes.  A word with one
-    use, as a term, has its rows written straight into its component's
-    rows, or, after the first term, into one add slab that is then added
-    onto them; every other word keeps a window of its rows.  A
-    word read by an operator whose stencil reaches d levels is computed
-    d levels ahead of its reader (its ``lead``, summed along each chain
-    of readers) and kept for d levels after (``keep``), so a level of a
-    word is dropped once its last reader has run over it.  Each step
-    computes the words shortest first, each from the rows of its suffix,
-    then the components' rows in their terms' order with the same
-    elementwise operations as summing whole applied states.  The kernels
-    share one ``_Buffers`` on the plan's own mesh, the one its
-    ``_Layout`` reads, whose field slabs span the levels of a step, so
-    each range's bank is made once, whole, for every kernel that reads
-    it, and the norms make and read its 1/p0 weight.  A stored word's
-    rows, the state's included, are scanned for non-finite entries as
-    they are made; a word that goes straight into its component is
-    checked through that component's norm.  Each range of a component
-    gives its norm partials as soon as it is made (``_Norm``), and a
-    word whose norm is wanted gives them at its level's step, from its
-    window: the same bits as when its rows are made.  So no norm keeps
-    rows, and each norm is bit-identical to that of the whole applied
-    state taken over the same ranges.
-    ``normed`` maps words to None; each is computed, whether or not a
-    component uses it, and gets the norm of its applied state, () that
-    of the state itself.  A grid whose spacing cubed is 0 is refused
-    before any row is made, since every norm on it would be 0.
+    word's; the norm of a state, the plan's own included, is the norm of
+    a component of one term.  The plan's operators, field pairs and
+    words are its ``_Layout``.  The grid's levels (``_level_ranges``)
+    are walked from the faces in: a slab of rows together with its
+    mirror, so a reflected read lands on rows that the same step
+    computes.  A direct word (used once, as a term, or whose outermost
+    operator is foldable) has its rows written straight into its
+    component's rows, or, after the first term, into one add slab that
+    is then added onto them; every other word keeps a window of its
+    rows.  A word read by an operator whose stencil reaches d levels is
+    computed d levels ahead of its reader (its ``lead``, summed along
+    each chain of readers) and kept for d levels after (``keep``), so a
+    level of a word is dropped once its last reader has run over it.
+    Each step computes the words shortest first, each from the rows of
+    its ``src`` (read through the foldable operators of its head), then
+    the components' rows in their terms' order with the same elementwise
+    operations as summing whole applied states; a component that is one
+    stored word, with coefficient 1, is normed from that word's window.
+    The kernels share one ``_Buffers`` on the plan's own mesh, the one
+    its ``_Layout`` reads, whose field slabs span the levels of a step,
+    so each range's bank is made once, whole, for every kernel that
+    reads it, and the norms make and read its 1/p0 weight.  A stored
+    word's rows, the state's included, are scanned for non-finite
+    entries as they are made; a direct word is checked through its
+    component's norm.  Each range of a component gives its norm partials
+    as soon as it is made (``_Norm``), so no norm keeps rows, and each
+    norm is bit-identical to that of the whole applied state taken over
+    the same ranges.  A grid whose spacing cubed is 0 is refused before
+    any row is made, since every norm on it would be 0.
     """
     g = state.grid
     if g.spacing**3 == 0:  # every norm would be 0
         raise ValueError(_ZERO_NORM)
     n, mesh = g.points, _Mesh(g)
     shape = (state.blocks, state.spin.dim)
-    lay = _Layout(ops, components, normed, g, mesh)
+    lay = _Layout(ops, components, g, mesh)
     if any((op.blocks, op.dim) != shape for op in lay.ops.values()):
         raise ValueError("operator shape does not match the state")
     rows, direct, stored, plans = lay.rows, lay.direct, lay.stored, lay.plans
     levels = _level_ranges(n, rows)
     span = min(2 * rows, n)
-    bufs = _Buffers(mesh, span, lay.plans.values(), lay.pairs,
+    bufs = _Buffers(mesh, span, plans.values(), lay.pairs,
                     2 * (lay.lead + 1))
     slab = np.empty((*shape, span, n, n), dtype=complex)  # a term to add
     source = {w.word: w.rows for w in stored}
-    weight = bufs.weight
-    measured = [w for w in stored if w.word in normed]
-    for word in measured:
-        word.norm = _Norm(n, weight)
-    norms = [_Norm(n, weight) for _ in components]
-    sums = [[(i, coeff, coeff.to_complex(), word)
+    norms = [_Norm(n, bufs.weight) for _ in components]
+    sums = [[(i, coeff, coeff.to_complex(), lay.words[word])
              for i, (coeff, word) in enumerate(comp)] for comp in components]
     last = len(levels) - 1
     for t, ranges in enumerate(levels):
@@ -976,42 +1108,42 @@ def _stream(ops: dict, state, components, normed: dict) -> list[float]:
                     if word is lay.root:
                         state.rows(lo, hi, out)
                     else:
-                        _apply_rows(plans[word.word[0]], bufs,
-                                    source[word.word[1:]], lo, hi, out)
+                        _apply_rows(plans[word.head], bufs, source[word.src],
+                                    lo, hi, out)
                     _check_finite(out)
                     word.rows.chunks.append((lo, hi, out))
         for terms, norm_ in zip(sums, norms):
+            (_i, coeff, _c, word), *more = terms
+            if not more and coeff == ONE and word.word not in direct:
+                for lo, hi in ranges:
+                    norm_.add(lo, hi, word.rows.take(lo, hi))
+                continue
             for lo, hi in ranges:
                 acc = np.empty((*shape, hi - lo, n, n), dtype=complex)
                 add = slab[:, :, :hi - lo]
                 for i, coeff, c, word in terms:
-                    if word in direct:
-                        _apply_rows(plans[word[0]], bufs, source[word[1:]],
+                    if word.word in direct:
+                        _apply_rows(plans[word.head], bufs, source[word.src],
                                     lo, hi, add if i else acc)
                         if i:
                             _add_rows(acc, add, c, add)
                     elif i == 0:
-                        np.copyto(acc, source[word].take(lo, hi))
+                        np.copyto(acc, word.rows.take(lo, hi))
                     else:
-                        _add_rows(acc, source[word].take(lo, hi), c, add)
+                        _add_rows(acc, word.rows.take(lo, hi), c, add)
                     if i == 0 and coeff != ONE:
                         acc *= c
                 norm_.add(lo, hi, acc)
-        for word in measured:
-            for lo, hi in ranges:
-                word.norm.add(lo, hi, word.rows.take(lo, hi))
         for word in stored:
             word.rows.chunks = [
                 chunk for chunk in word.rows.chunks
                 if min(chunk[0], n - chunk[1]) // rows + word.keep > t]
-    for word in measured:
-        normed[word.word] = word.norm.value(g.spacing)
     return [norm_.value(g.spacing) for norm_ in norms]
 
 
-# The words whose norms give the isometry rows: the state, Theta psi
-# and Pi psi.
-_ISOMETRY = ((), ("Theta",), ("Pi",))
+# The components whose norms give the isometry rows, one term each: the
+# state, Theta psi and Pi psi.
+_ISOMETRY = tuple(((ONE, word),) for word in ((), ("Theta",), ("Pi",)))
 
 
 def _relations(rep: RepSpec, relation_ids) -> tuple[list, list, dict]:
@@ -1036,12 +1168,11 @@ _ZERO_NORM = ("state norm is 0: the spacing cubed or the state's squares "
               "underflow")
 
 
-def _state_norm(normed: dict) -> float:
-    """The state's own norm a plan measured (key ()), refused when it is
-    not finite or 0: a finite state whose squares overflow would
-    otherwise give every finite component norm a residual of 0, and a
-    norm of 0 every component a residual of inf or nan."""
-    base = normed[()]
+def _state_norm(base: float) -> float:
+    """The state's own norm a plan took, refused when it is not finite
+    or 0: a finite state whose squares overflow would otherwise give
+    every finite component norm a residual of 0, and a norm of 0 every
+    component a residual of inf or nan."""
     if not math.isfinite(base):
         raise ValueError(f"state norm is {base}: its entries are too large "
                          "to square")
@@ -1051,20 +1182,22 @@ def _state_norm(normed: dict) -> float:
 
 
 def _residuals(rep: RepSpec, relation_ids, state,
-               normed: dict | None = None) -> list[float]:
+               defects: dict | None = None) -> list[float]:
     """Residual of each relation on one state, from one streamed plan
     (``_stream``): a word shared by several relations is computed once.
     ``state`` is a row source (see ``_stream``), read row by row.  The
-    plan also takes the state's own norm (``_state_norm``).  ``normed``
-    (see ``_stream``) gets the norms of the wanted words the plan
-    computes, and of ().  After the state's norm, a component norm that
-    is not finite, its finite values' squares overflowing, is refused
-    too."""
+    plan also takes the state's own norm (``_state_norm``) and, if
+    ``defects`` is a dict, the norms of Theta psi and Pi psi, from which
+    it receives the isometry defects (``_isometry``).  After the state's
+    norm, a component norm that is not finite, its finite values'
+    squares overflowing, is refused too."""
     rels, comps, ops = _relations(rep, relation_ids)
-    normed = {} if normed is None else normed
-    normed[()] = None
-    norms = iter(_stream(ops, state, comps, normed))
-    base = _state_norm(normed)
+    own = _ISOMETRY if defects is not None else _ISOMETRY[:1]
+    norms = _stream(ops, state, comps + list(own))
+    base = _state_norm(norms[len(comps)])
+    if defects is not None:
+        defects.update(_isometry(norms[len(comps):]))
+    norms = iter(norms)
     out = []
     for rel in rels:
         worst = max(next(norms) for _comp in rel.components)
@@ -1196,16 +1329,13 @@ def study(rep: RepSpec, relation_ids, grids, *,
     log of a zero residual) and fail the study.
 
     ``defects``, if a dict, receives ``isometry_defect`` of the finest
-    grid's standard state, from the norms that grid's plan takes: it
-    computes Theta psi and Pi psi whether or not a relation applies them.
+    grid's standard state, from the norms that grid's plan takes of
+    Theta psi and Pi psi, components of one term.
     """
     grids = refining(grids)
-    normed = {} if defects is None else dict.fromkeys(_ISOMETRY)
     per_grid = [_residuals(rep, relation_ids, _standard(rep, g),
-                           normed if g is grids[-1] else None)
+                           defects if g is grids[-1] else None)
                 for g in grids]
-    if defects is not None:
-        defects.update(_isometry(normed))
     return [_fit(rid, grids, [res[i] for res in per_grid])
             for i, rid in enumerate(relation_ids)]
 
@@ -1229,16 +1359,16 @@ def representative_relations(rep: RepSpec) -> list[str]:
 
 def isometry_defect(rep: RepSpec, state: GridState) -> dict[str, float]:
     """Relative norm change under Theta and Pi (0 for exact isometries),
-    from the norms one streamed plan (``_stream``) of no components takes."""
-    normed = dict.fromkeys(_ISOMETRY)
-    _stream({"Theta": rep.theta, "Pi": rep.pi}, state, [], normed)
-    return _isometry(normed)
+    from the norms one streamed plan (``_stream``) takes of the state,
+    Theta psi and Pi psi."""
+    return _isometry(_stream({"Theta": rep.theta, "Pi": rep.pi}, state,
+                             _ISOMETRY))
 
 
-def _isometry(normed: dict) -> dict[str, float]:
-    """The isometry defects from the norms a plan measured: of the state
-    (key (), ``_state_norm``), of Theta psi and of Pi psi."""
-    base = _state_norm(normed)
-    return {name: abs(normed[(name,)] - base) / base
-            for name in ("Theta", "Pi")}
-
+def _isometry(norms) -> dict[str, float]:
+    """The isometry defects from the norms of the ``_ISOMETRY``
+    components: of the state (``_state_norm``), of Theta psi and of
+    Pi psi."""
+    base, theta, pi = norms
+    base = _state_norm(base)
+    return {"Theta": abs(theta - base) / base, "Pi": abs(pi - base) / base}

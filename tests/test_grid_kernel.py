@@ -18,7 +18,7 @@ import pytest
 from oracle_helpers import expand
 
 from poincarelab import catalog, gridlab
-from poincarelab.exactnum import ONE
+from poincarelab.exactnum import I, ONE
 from poincarelab.gridlab import (
     Grid, GridState, _Mesh, apply, sample_gaussian, standard_state,
 )
@@ -213,6 +213,47 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
         assert np.abs(want - old).max() <= FORMULA_TOL * np.abs(old).max()
 
 
+@pytest.mark.parametrize("label,two_s", [("up", 1), ("quad:-1", 0),
+                                         ("sym3", 1)])
+def test_folded_read_equals_reading_the_applied_state(label, two_s):
+    # a generator's kernel reading the state through Theta, Pi or both
+    # (mirrored, conjugated, spin components permuted, signs folded into
+    # its own) gives the values of its kernel reading the applied state:
+    # equal to the last bit but for the sign of a zero, which no norm
+    # sees, with no pair the plain kernel does not read.  quad:-1's Pi
+    # has -1 phases, and odd N puts a stencil's zero rows mid-grid.  A
+    # phase of i multiplies the scales, so it may add pairs and round
+    # differently; no catalog operator has one
+    rep = catalog.build(label, two_s)
+    g = Grid(L, 17)
+    mesh = _Mesh(g)
+    st = standard_state(rep, g)
+    src = gridlab._Rows.whole(st.values)
+    for chain in ((rep.theta,), (rep.pi,), (rep.theta, rep.pi),
+                  (rep.theta.scale(I),)):
+        fold = gridlab._through([gridlab._monomial(op) for op in chain])
+        applied = st
+        for op in reversed(chain):
+            applied = apply(op, applied)
+        for name, op in rep.generators().items():
+            pairs = {}
+            plain = gridlab._plan(op, mesh, g.spacing, pairs)
+            table = dict(pairs)
+            folded = gridlab._plan(op, mesh, g.spacing, pairs, fold)
+            bufs = gridlab._Buffers(mesh, 17, [plain, folded], pairs, 2)
+            want = np.full((rep.blocks, rep.dim, 17, 17, 17), np.nan,
+                           dtype=complex)
+            got = want.copy()
+            gridlab._apply_rows(plain, bufs, gridlab._Rows.whole(
+                applied.values), 0, 17, want)
+            gridlab._apply_rows(folded, bufs, src, 0, 17, got)
+            if chain[0] is rep.theta or chain[0] is rep.pi:
+                assert np.array_equal(got, want), name
+                assert pairs == table, name
+            else:
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_slab_kernel_keeps_each_outputs_term_order():
     # both block rows difference source block 0 along all three axes, in
     # opposite orders, so the rows agree only up to rounding; sharing one
@@ -330,5 +371,4 @@ def test_apply_rejects_a_non_finite_field(monkeypatch):
     comps = [((ONE, ("P1",)), (ONE, ("K1",)))]
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="non-finite"):
-        gridlab._stream(catalog.operators(rep, {"K1", "P1"}), st, comps,
-                        {(): None})
+        gridlab._stream(catalog.operators(rep, {"K1", "P1"}), st, comps)

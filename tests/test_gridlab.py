@@ -391,13 +391,15 @@ def test_working_set_bytes_of_default_and_oversized_grids():
     big = [Grid(L, n) for n in (32, 64, 1024)]
     need = working_set_bytes(rep, default)
     # no grid keeps a state or a field, and no study makes an array of
-    # the grid's size; the streamed study's arrays peak at about 39.5 MiB
-    # at N = 128, its windows most of them, and at about 2.8 GiB at
-    # N = 1024 (3.9 GiB when each range's bank held both signs of a
-    # pair, complex slabs for real pairs and its basis fields), which the
-    # grid command refuses under a 2 GiB budget (test_cli.py)
-    assert 40 * 2**20 < need < 60 * 2**20
-    assert working_set_bytes(rep, big) == 3_011_510_272
+    # the grid's size; the streamed study's arrays peak at about 32.0 MiB
+    # at N = 128, its windows most of them, and at about 2.3 GiB at
+    # N = 1024 (2.8 GiB when Theta psi and Pi psi were stored words and
+    # a broadcast plane was a contiguous (1, N, N) copy, 3.9 GiB when
+    # each range's bank held both signs of a pair, complex slabs for real
+    # pairs and its basis fields), which the grid command refuses under a
+    # 2 GiB budget (test_cli.py)
+    assert 33 * 2**20 < need < 60 * 2**20
+    assert working_set_bytes(rep, big) == 2_483_150_848
 
 
 def test_working_set_guard_allocates_nothing_of_the_grids_size():
@@ -546,16 +548,17 @@ def test_mass_casimir_is_exact_on_the_grid(label, two_s):
 
 
 def _plan_names(monkeypatch) -> dict:
-    """Map the id of each plan a layout makes to the operator name the
-    layout gives it (``_Layout.plans``); the plans are kept alive, so no
-    id is reused."""
+    """Map the id of each plan a layout makes to the head the layout
+    gives it (``_Layout.plans``): the operators its kernel runs, the
+    outermost and those it reads through.  The plans are kept alive, so
+    no id is reused."""
     names, kept = {}, []
 
     class Named(gridlab._Layout):
         def __init__(self, *args):
             super().__init__(*args)
             kept.append(self.plans)
-            names.update((id(plan), name) for name, plan in self.plans.items())
+            names.update((id(plan), head) for head, plan in self.plans.items())
 
     monkeypatch.setattr(gridlab, "_Layout", Named)
     return names
@@ -563,12 +566,14 @@ def _plan_names(monkeypatch) -> dict:
 
 def _record_words(monkeypatch):
     """Record the rows of each word the row kernel computes, by grid
-    size and word; an apply outside a plan records its word as (None,)."""
+    size and word (the kernel's head and the word it reads); an apply
+    outside a plan records its word as (None,)."""
     seen = defaultdict(list)
     real, names = gridlab._apply_rows, _plan_names(monkeypatch)
 
     def counted(plan, bufs, src, lo, hi, out):
-        seen[bufs.mesh.n, (names.get(id(plan)),) + src.word].append((lo, hi))
+        seen[bufs.mesh.n, names.get(id(plan), (None,)) + src.word].append(
+            (lo, hi))
         return real(plan, bufs, src, lo, hi, out)
 
     monkeypatch.setattr(gridlab, "_apply_rows", counted)
@@ -580,17 +585,27 @@ def _every_row_once(ranges, n) -> bool:
         range(n))
 
 
+# The operators a kernel reads through on every catalog entry
+# (test_streamed_plan_stores_no_folded_word): no word they begin is
+# computed for a reader, only as a term.
+_FOLDED = {"Theta", "Pi"}
+
+
 def _words(rep, rids):
-    """Every distinct nonempty suffix of the words of the relations."""
-    return {w[i:] for rel in catalog.relations(rep) if rel.name in rids
-            for comp in rel.components for _c, w in comp
-            for i in range(len(w))}
+    """The words a plan of the relations computes: every nonempty term,
+    and every suffix of one that a kernel reads, those not begun by Theta
+    or Pi."""
+    terms = {w for rel in catalog.relations(rep) if rel.name in rids
+             for comp in rel.components for _c, w in comp if w}
+    return terms | {w[i:] for w in terms for i in range(1, len(w))
+                    if w[i] not in _FOLDED}
 
 
 def test_residual_applies_shared_suffixes_once(monkeypatch):
-    # Theta*K == K*Theta: Theta psi once, then K_a psi, Theta K_a psi and
-    # K_a Theta psi for each of the three components, each on every row
-    # once; bit for bit the whole-state evaluation
+    # Theta*K == K*Theta: K_a psi, Theta K_a psi and K_a Theta psi for
+    # each of the three components, each on every row once, K_a Theta psi
+    # read from the state's rows through Theta, so Theta psi is never
+    # made; bit for bit the whole-state evaluation
     rep = catalog.build("up", 1)
     st = standard_state(rep, Grid(L, 16))
     rid = "Theta*K == K*Theta"
@@ -598,8 +613,9 @@ def test_residual_applies_shared_suffixes_once(monkeypatch):
     seen = _record_words(monkeypatch)
     got = residual(rep, rid, st)
     assert set(w for _n, w in seen) == _words(rep, [rid])
-    assert len(seen) == 10
-    assert sum(w[0] == "Theta" for _n, w in seen) == 4
+    assert len(seen) == 9
+    assert sum(w[0] == "Theta" for _n, w in seen) == 3
+    assert (16, ("Theta",)) not in seen
     assert all(_every_row_once(r, 16) for r in seen.values())
     assert got.hex() == want.hex()
 
@@ -625,19 +641,54 @@ def test_streamed_plan_computes_each_word_once(label, two_s, monkeypatch):
     # cold caches
     assert peak <= working_set_bytes(rep, grids)
     # every distinct word computed once per grid, on every row once; the
-    # isometry rows read Theta psi and Pi psi from the plan
+    # finest grid's isometry rows make Theta psi and Pi psi, each a
+    # component of one term
     words = _words(rep, rids)
     for g in grids:
-        assert {w for n, w in seen if n == g.points} == words
+        want = words | {("Theta",), ("Pi",)} if g is grids[-1] else words
+        assert {w for n, w in seen if n == g.points} == want
         assert all(_every_row_once(seen[g.points, w], g.points)
-                   for w in words)
-    assert len(seen) == 3 * len(words)
+                   for w in want)
+    assert len(seen) == 3 * len(words) + len({("Theta",), ("Pi",)} - words)
     # bit for bit: each relation alone and the whole-state oracle
     for i, g in enumerate(grids[:2]):
         st = standard_state(rep, g)
         want = [r.residuals[i] for r in got]
         assert [residual(rep, rid, st) for rid in rids] == want
         assert whole_state_residuals(rep, rids, st) == want
+
+
+def test_streamed_plan_stores_no_folded_word(monkeypatch):
+    # on every catalog entry at two_s <= 1, Theta and Pi are the operators
+    # a kernel reads through (constant monomials: a reflection, a
+    # conjugation, a spin permutation and signs) and no generator is, so
+    # no word a study's plan stores begins with Theta or Pi; the isometry
+    # rows, whose Theta psi and Pi psi go straight into their norms,
+    # equal isometry_defect's bit for bit
+    grids = [Grid(L, n) for n in (17, 33, 65)]
+    made = []
+
+    class Recorded(gridlab._Layout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(gridlab, "_Layout", Recorded)
+    for two_s in (0, 1):
+        for label in catalog.catalog_labels(two_s):
+            rep = catalog.build(label, two_s)
+            ops = catalog.operators(rep, ())
+            assert {name for name, op in ops.items()
+                    if gridlab._monomial(op) is not None} == _FOLDED, label
+            made.clear()
+            defects = {}
+            study(rep, representative_relations(rep), grids, defects=defects)
+            assert len(made) == len(grids)
+            assert not {w.word[0] for lay in made
+                        for w in lay.stored[1:]} & _FOLDED, label
+            want = isometry_defect(rep, standard_state(rep, grids[-1]))
+            assert {k: v.hex() for k, v in defects.items()} == {
+                k: v.hex() for k, v in want.items()}, label
 
 
 def test_streamed_plan_norms_keep_no_rows():
@@ -661,9 +712,11 @@ def test_streamed_plan_norms_keep_no_rows():
 
 
 def test_streamed_plan_cold_peak_at_the_default_grids():
-    # a cold study of up 2s=1 on the default grids traces 39.5 MiB: each
+    # a cold study of up 2s=1 on the default grids traces 32.0 MiB: Theta
+    # and Pi are read through, so no window holds Theta psi or Pi psi,
+    # and a broadcast plane keeps its own shape (39.5 MiB before); each
     # range's bank holds one slab per field and canonical scale, float64
-    # where the scale is real, and no basis field (47.2 MiB before)
+    # where the scale is real, and no basis field (47.2 MiB before that)
     rep = catalog.build("up", 1)
     grids = [Grid(L, n) for n in (32, 64, 128)]
     tracemalloc.start()
@@ -672,7 +725,7 @@ def test_streamed_plan_cold_peak_at_the_default_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert peak < 33 * 2**20
     assert peak <= working_set_bytes(rep, grids)
 
 
@@ -702,7 +755,8 @@ def test_streamed_plan_on_a_non_standard_state(points):
 def test_streamed_plan_reads_ahead_along_chained_halos(monkeypatch):
     # K1 J2 P1 psi chains two stencils one row deep along axis 0, so
     # J2 P1 psi runs one level ahead of its reader and P1 psi two; Theta
-    # reads a word mirrored, K1 reads Theta P1 psi through its stencil.
+    # reads a word mirrored, K1 reads P1 psi through Theta and its own
+    # stencil, so Theta P1 psi is never made.
     # The W_a are multiplications on the grid (their orbital parts
     # cancel), so W.W reads no halo.  At N = 65 (3-row slabs, 11 levels)
     # the plan matches the whole-state evaluation bit for bit
@@ -714,17 +768,19 @@ def test_streamed_plan_reads_ahead_along_chained_halos(monkeypatch):
              ((ONE, ("Theta", "K1", "J2", "P1")), (ONE, ("K1", "Theta", "P1")),
               (-ONE, ("W2", "W2")))]
     ops = catalog.operators(rep, {"W0"})
-    layout = gridlab._Layout(ops, comps, {}, st.grid, gridlab._Mesh(st.grid))
+    layout = gridlab._Layout(ops, comps, st.grid, gridlab._Mesh(st.grid))
     order, direct = layout.order, layout.direct
     lead = {w.word: w.lead for w in order}
     assert lead[("P1",)] == 2 and lead[("W2",)] == 0
     assert lead[("J2", "P1")] == lead[("K1", "P1")] == 1
-    assert lead[("Theta", "P1")] == 1
+    assert ("Theta", "P1") not in layout.words
+    folded = layout.words["K1", "Theta", "P1"]
+    assert (folded.head, folded.src) == (("K1", "Theta"), ("P1",))
     assert direct == {("J2", "K1", "P1"), ("Theta", "K1", "J2", "P1"),
                       ("K1", "Theta", "P1"), ("W2", "W2")}
     seen = _record_words(monkeypatch)
-    got = gridlab._stream(ops, st, comps, {})
-    assert len(seen) == len(order) == 10
+    got = gridlab._stream(ops, st, comps)
+    assert len(seen) == len(order) == 9
     assert all(_every_row_once(r, 65) for r in seen.values())
     assert got == whole_state_norms(ops, st, comps)
 
@@ -916,10 +972,10 @@ def test_finite_scan_of_words_near_overflow(monkeypatch):
         # K1 psi read once, as a term, is a direct word, and the state
         # (peak 1.5e308) is finite: only the component's norm sees it
         comps = [((ONE, ("K1",)),)]
-        assert gridlab._Layout({"K1": rep.k[0]}, comps, {()}, g,
+        assert gridlab._Layout({"K1": rep.k[0]}, comps, g,
                                gridlab._Mesh(g)).direct == {("K1",)}
         with pytest.raises(ValueError, match="non-finite entries"):
-            gridlab._stream({"K1": rep.k[0]}, big, comps, {(): None})
+            gridlab._stream({"K1": rep.k[0]}, big, comps)
         with pytest.raises(ValueError, match="non-finite entries"):
             apply(rep.k[0], big)
         huge = _scaled(st, 1e300)
@@ -1012,8 +1068,7 @@ def test_working_set_reads_the_plans_layout(grids, monkeypatch):
             for g in grids:
                 with pytest.raises(Planned):
                     gridlab._residuals(rep, representative_relations(rep),
-                                       gridlab._standard(rep, g),
-                                       dict.fromkeys(gridlab._ISOMETRY))
+                                       gridlab._standard(rep, g), {})
             assert [summary(layout) for layout in made] == guard, label
     # up at two_s = 1 has 7 full-size and 9 broadcast pairs on each grid
     # (11 full-size when a pair's two signs were two pairs), of which 4
@@ -1037,8 +1092,7 @@ def test_bank_holds_each_slab_once_at_its_dtype():
     g = Grid(L, 32)
     mesh = gridlab._Mesh(g)
     _rels, comps, ops = gridlab._relations(rep, representative_relations(rep))
-    lay = gridlab._Layout(ops, comps, dict.fromkeys(gridlab._ISOMETRY), g,
-                          mesh)
+    lay = gridlab._Layout(ops, comps + list(gridlab._ISOMETRY), g, mesh)
     bufs = gridlab._Buffers(mesh, lay.rows, lay.plans.values(), lay.pairs,
                             2 * (lay.lead + 1))
     lo, hi = 0, lay.rows
@@ -1160,8 +1214,7 @@ def test_finite_scan_once_per_stored_row(monkeypatch):
         real_check(values)
 
     def counted(plan, bufs, src, lo, hi, out):
-        calls.append((bufs.mesh.n, (names[id(plan)],) + src.word, lo, hi,
-                      out))
+        calls.append((bufs.mesh.n, names[id(plan)] + src.word, lo, hi, out))
         before = len(scanned)
         real_rows(plan, bufs, src, lo, hi, out)
         assert len(scanned) == before
@@ -1189,6 +1242,7 @@ def test_finite_scan_once_per_stored_row(monkeypatch):
         g.points: g.points for g in grids}
     _rels, comps, ops = gridlab._relations(rep, rids)
     for g in grids:
-        normed = {(), ("Theta",), ("Pi",)} if g is grids[-1] else {()}
-        want = gridlab._Layout(ops, comps, normed, g, gridlab._Mesh(g)).direct
+        own = gridlab._ISOMETRY if g is grids[-1] else gridlab._ISOMETRY[:1]
+        want = gridlab._Layout(ops, comps + list(own), g,
+                               gridlab._Mesh(g)).direct
         assert want and {w for n, w in direct if n == g.points} == want
