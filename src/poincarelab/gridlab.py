@@ -38,20 +38,22 @@ one whole-array pass per term with that formula, so results are
 bit-identical to it (rounding is symmetric in sign, x - y is x + (-y),
 and a complex product casts a real operand to r + 0j); the formula it
 replaced, conj^k(x * F) * s, rounds differently, by at most 7.2e-16 of
-the largest modulus on the operators tested.  ``apply`` runs the row
-kernel over all rows, slab by slab, from the plan and buffers a streamed
-plan makes for one operator; its result is scanned for non-finite
-entries once, as every ``GridState`` is, a slab of rows at a time.
+the largest modulus on the operators tested.  ``apply`` lays out its
+operator as the one word of a plan (``_Layout``) and walks the grid's
+levels with that layout's kernel and buffers; its result is scanned for
+non-finite entries once, as every ``GridState`` is, a slab of rows at a
+time.
 
 ``study`` runs every relation of a study on each grid from one streamed
 plan (``_stream``): the grid's rows are walked from both faces in, a
 slab together with its mirror, and each distinct word of the studied
 relations is computed once per grid, on rows only, from the rows of its
-suffix.  A constant monomial operator (``_monomial``: Theta and Pi on
-every catalog entry) is a way of reading rows, not a stored word: the
-kernel of K1 Theta psi reads the state's rows mirrored and conjugated,
-its spin components permuted and its signs folded into the kernel's own
-(``_plan``), so Theta psi is never made for a reader.  A word read again
+suffix.  A constant monomial operator with signs +-1 (``_monomial``:
+Theta and Pi on every catalog entry) is a way of reading rows, not a
+stored word: the kernel of K1 Theta psi reads the state's rows mirrored
+and conjugated, its spin components permuted and its signs folded into
+the kernel's own (``_plan``), K1 Pi Theta psi through the exact product
+Pi Theta, so no such word is made for a reader.  A word read again
 keeps a window of its rows as deep as its readers' axis-0 stencils
 reach, summed along each chain of readers; a word used once, as a term,
 or begun by a constant monomial operator is written or added straight
@@ -97,8 +99,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -107,7 +110,7 @@ from .catalog import (
     LIE_RELATIONS, RepSpec, discrete_relations, operators, relations,
     word_names,
 )
-from .exactnum import I, ONE
+from .exactnum import ONE
 from .spin_algebra import SpinWeight
 from .symop import BlockOp, Coefficient
 
@@ -232,22 +235,27 @@ def _empty_values(blocks: int, points: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridState:
-    values: np.ndarray  # (blocks, N, N, N, 2s+1) complex
+    values: np.ndarray  # (blocks, N, N, N, 2s+1) complex, read by blocks, spin
     grid: Grid
-    spin: SpinWeight
-    blocks: int
 
     def __post_init__(self):
         n = self.grid.points
-        expected = (self.blocks, n, n, n, self.spin.dim)
-        if self.values.shape != expected:
-            raise ValueError(
-                f"state shape {self.values.shape} does not match {expected}"
-            )
+        shape = self.values.shape
+        if len(shape) != 5 or shape[1:4] != (n, n, n) or 0 in shape:
+            raise ValueError(f"state shape {shape} does not match "
+                             f"(blocks, {n}, {n}, {n}, 2s+1)")
         rows = _slab_rows(n)  # a slab at a time: no mask of the state's size
         for lo in range(0, n, rows):
             if not np.isfinite(self.values[:, lo:lo + rows]).all():
                 raise ValueError("state contains non-finite entries")
+
+    @property
+    def blocks(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def spin(self) -> SpinWeight:
+        return SpinWeight(self.values.shape[-1] - 1)
 
     def rows(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Rows lo:hi into ``out``, as ``_Gaussian.rows`` gives them."""
@@ -284,25 +292,31 @@ class _Gaussian:
     (g1[i] g2[j]) g3[k] spinor[b, m], ``factors`` being (g1, g2, g3)."""
 
     grid: Grid
-    spin: SpinWeight
-    blocks: int
     factors: tuple
-    spinor: np.ndarray  # (blocks, 2s+1) complex
+    spinor: np.ndarray  # (blocks, 2s+1) complex, read by blocks and spin
+
+    @property
+    def blocks(self) -> int:
+        return self.spinor.shape[0]
+
+    @property
+    def spin(self) -> SpinWeight:
+        return SpinWeight(self.spinor.shape[1] - 1)
 
     def rows(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Rows lo:hi into ``out`` of shape (blocks, 2s+1, hi - lo, N, N):
         bit-equal to those rows of ``sample``."""
         g1, g2, g3 = self.factors
         bump = g1[lo:hi, None, None] * g2[None, :, None] * g3[None, None, :]
-        for b in range(self.blocks):
-            for m in range(self.spin.dim):
-                np.multiply(bump, self.spinor[b, m], out=out[b, m])
+        for b, row in enumerate(self.spinor):
+            for m, c in enumerate(row):
+                np.multiply(bump, c, out=out[b, m])
 
     def sample(self) -> GridState:
         """The state on every row."""
         values = _empty_values(self.blocks, self.grid.points, self.spin.dim)
         self.rows(0, self.grid.points, np.moveaxis(values, -1, 1))
-        return GridState(values, self.grid, self.spin, self.blocks)
+        return GridState(values, self.grid)
 
 
 def _gaussian(grid: Grid, center, width: float, spinor) -> _Gaussian:
@@ -325,10 +339,9 @@ def _gaussian(grid: Grid, center, width: float, spinor) -> _Gaussian:
             f"boundary tail {tail:.2e} exceeds 1e-12 of peak; "
             "shrink width or recenter"
         )
-    blocks, dim = spinor.shape
     ax = grid.axis()
     factors = tuple(np.exp(-((ax - c) ** 2) / (2 * width**2)) for c in center)
-    return _Gaussian(grid, SpinWeight(dim - 1), blocks, factors, spinor)
+    return _Gaussian(grid, factors, spinor)
 
 
 def sample_gaussian(grid: Grid, center, width: float, spinor) -> GridState:
@@ -343,7 +356,7 @@ def sample_gaussian(grid: Grid, center, width: float, spinor) -> GridState:
     state = _gaussian(grid, center, width, spinor).sample()
     (base,) = _stream({}, state, _ISOMETRY[:1])
     np.divide(state.values, _state_norm(base), out=state.values)
-    return GridState(state.values, grid, state.spin, state.blocks)
+    return GridState(state.values, grid)
 
 
 def _subtract(a: np.ndarray, b: np.ndarray, out: np.ndarray, flip: bool,
@@ -387,8 +400,8 @@ def _slab_rows(points: int) -> int:
 
 class _Plan(NamedTuple):
     """The row kernel of one operator on one grid (``_plan``), with the
-    depth of its difference chains, which size the buffers
-    (``_Buffers``)."""
+    depth of its difference chains, from which its layout (``_Layout``)
+    sizes the buffers."""
 
     sources: list  # ((src block, spin column), axes, u, k, flip, terms)
     unreached: list  # (block, spin column) of each output no term writes
@@ -404,10 +417,9 @@ def _canonical(s: complex) -> bool:
     return s.real > 0 or s.real == 0 and s.imag > 0
 
 
-# The coefficients a foldable operator's entries may have: the unit
-# phases, each coefficient one interned object.
-_PHASES = {Coefficient.const(u): complex(u.to_complex())
-           for u in (ONE, -ONE, I, -I)}
+# The coefficients a foldable operator's entries may have, +1 and -1,
+# each one interned object, with their signs.
+_PHASES = {Coefficient.const(ONE): 1, Coefficient.const(-ONE): -1}
 
 
 def _monomial(op: BlockOp) -> dict | None:
@@ -415,9 +427,9 @@ def _monomial(op: BlockOp) -> dict | None:
     any other operator.
 
     Such an operator has no derivative and no field, and one constant
-    of modulus 1 (+-1 or +-i) in each row and column: output component
-    (block, spin column) c is phase * C^k Y^u of one source component.
-    The fold maps each c to (source component, u, k, phase).
+    +-1 (not +-i) in each row and column: output component (block, spin
+    column) c is sign * C^k Y^u of one source component.  The fold maps
+    each c to (source component, u, k, sign).
     """
     fold = {}
     for br, row in enumerate(op.entries):
@@ -427,28 +439,14 @@ def _monomial(op: BlockOp) -> dict | None:
                     for n, c in enumerate(line):
                         if c.is_zero():
                             continue
-                        phase = _PHASES.get(c)
-                        if any(alpha) or phase is None or (br, m) in fold:
+                        sign = _PHASES.get(c)
+                        if any(alpha) or sign is None or (br, m) in fold:
                             return None
-                        fold[br, m] = ((bc, n), u, k, phase)
+                        fold[br, m] = ((bc, n), u, k, sign)
     if (len(fold) != op.blocks * op.dim
             or len({src for src, *_rest in fold.values()}) != len(fold)):
         return None
     return fold
-
-
-def _through(folds) -> dict | None:
-    """The fold of a product of foldable operators, outermost first, or
-    None for no operator: phases multiply, reflections and conjugations
-    compose, each conjugation acting on the phases it passes."""
-    out = None
-    for inner in folds:
-        out = inner if out is None else {
-            c: (src2, u ^ u2, k ^ k2, phase * (phase2.conjugate() if k
-                                               else phase2))
-            for c, (src, u, k, phase) in out.items()
-            for src2, u2, k2, phase2 in [inner[src]]}
-    return out
 
 
 def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict,
@@ -477,23 +475,22 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict,
     same output, so every output sums its contributions in the order of
     the operator's terms.
 
-    ``fold`` (``_monomial``, ``_through``) makes the kernel read its
-    source through a constant monomial operator, whose applied state is
-    then never made: component c is read as the fold's source component,
+    ``fold`` (``_monomial`` of the exact product of the operators read
+    through, which ``_Layout`` forms) makes the kernel read its source
+    through a constant monomial operator, whose applied state is then
+    never made: component c is read as the fold's source component,
     reflected and conjugated as the fold says on top of the term's own u
-    and k.  The fold's phase, times (-1)^|alpha| where the fold reflects
-    (differences commute with the reversal up to that sign), is taken
-    out as a factor i, which multiplies s, and a sign: a source with
-    derivatives takes its first difference the other way round
-    (``flip``), and for one without, the sign swaps ``np.add`` and
-    ``np.subtract`` or makes a first contribution ``np.negative``.  With
-    phases of +-1 (Theta and Pi on every catalog entry) the table gets no
-    pair a kernel reading the applied state would not read, and a sign
-    keeps its bits: numpy's complex product gives
-    (-x) * G and -(x * G) alike, not always x * (-G), and differences,
-    conjugation and reversal are exact.  ``chain`` is at least 1 where a
-    source without derivatives is conjugated once for several terms:
-    into a difference buffer.
+    and k.  The fold's sign, times (-1)^|alpha| where the fold reflects
+    (differences commute with the reversal up to that sign), goes into
+    the kernel: a source with derivatives takes its first difference the
+    other way round (``flip``), and for one without, the sign swaps
+    ``np.add`` and ``np.subtract`` or makes a first contribution
+    ``np.negative``.  So the table gets no pair a kernel reading the
+    applied state would not read, and a sign keeps its bits: numpy's
+    complex product gives (-x) * G and -(x * G) alike, not always
+    x * (-G), and differences, conjugation and reversal are exact.
+    ``chain`` is at least 1 where a source without derivatives is
+    conjugated once for several terms: into a difference buffer.
     """
     sources, by_source, last, written = [], {}, {}, set()
     used, local, halo, chain = [], {}, 0, 0
@@ -506,15 +503,12 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict,
                 step = ((-1 if u else 1) / (2 * spacing)) ** len(axes)
                 halo, chain = max(halo, alpha[0]), max(chain, len(axes))
                 for n in range(op.dim):
-                    comp, reads, sign, turn = (bc, n), (u, k), 1, 1
+                    comp, reads, sign = (bc, n), (u, k), 1
                     if fold is not None:
-                        comp, uf, kf, phase = fold[bc, n]
+                        comp, uf, kf, sign = fold[bc, n]
                         reads = (u ^ uf, k ^ kf)
-                        phase = phase.conjugate() if k else phase
                         if uf and len(axes) % 2:
-                            phase = -phase
-                        turn = 1j if phase.imag else 1
-                        sign = (phase / turn).real
+                            sign = -sign
                     flip = sign < 0 and bool(axes)
                     if flip:  # the first difference is taken reversed
                         sign = 1
@@ -528,7 +522,7 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict,
                             i = by_source[source] = len(sources)
                             sources.append((*source, []))
                         for key, s in mesh.terms(mat[m][n]):
-                            s *= step * turn
+                            s *= step
                             acc = np.add if dst in written else None
                             p = None
                             if key is not None:
@@ -668,37 +662,33 @@ class _Bank:
 
 
 class _Buffers:
-    """Slab buffers that row kernels run one after another share, for
-    ranges of at most ``rows`` rows of ``mesh``'s grid.
+    """Slab buffers that the row kernels of one layout (``_Layout``) share
+    on ``mesh``, its grid's, for ranges of at most the layout's ``span``
+    rows; every size is the layout's.
 
-    ``pairs`` is the table of (field key, s) pairs the kernels' plans
-    share (``_plan``), each scaled once and stored float64 where s is
-    real (``_stored``).  Each pair whose field broadcasts along an axis
-    is scaled first, for every kernel, in the field's own shape: a plane
-    of shape (N, 1, 1), (1, N, 1) or (1, 1, N) has N points; then come
-    scratch, the difference buffers with a ``halo`` of rows on either
-    side, one for a chain of one derivative and two for a longer one,
-    and the field slabs of the last ``ranges`` ranges run (``_Bank``),
-    each with its 1/p0 weight once a norm has read it: a streamed plan
-    takes norms, ``apply`` none.
+    The layout's ``pairs`` are the table of (field key, s) pairs its
+    plans share (``_plan``), each scaled once and stored float64 where s
+    is real (``_stored``).  Each pair whose field broadcasts along an
+    axis is scaled first, for every kernel, in the field's own shape: a
+    plane of shape (N, 1, 1), (1, N, 1) or (1, 1, N) has N points; then
+    come scratch, the layout's ``chain`` difference buffers with its
+    ``halo`` of rows on either side, and the field slabs of the last
+    ``banks`` ranges run (``_Bank``), each with its 1/p0 weight once a
+    norm has read it: a streamed plan takes norms, ``apply`` none.
     """
 
-    def __init__(self, mesh: _Mesh, rows: int, plans, pairs: dict,
-                 ranges: int):
-        n = mesh.n
-        self.mesh, self.ranges = mesh, ranges
+    def __init__(self, mesh: _Mesh, lay: _Layout):
+        n, span = mesh.n, lay.span
+        self.mesh, self.ranges = mesh, lay.banks
         self.planes, self.keys = {}, {}
-        for (key, s), (j, full) in pairs.items():
+        for (key, s), (j, full) in lay.pairs.items():
             if full:
                 self.keys.setdefault(key, []).append((j, _stored(s)))
             else:
                 self.planes[j] = np.multiply(mesh.field(key), _stored(s))
-        plans = list(plans)
-        halo = max((p.halo for p in plans), default=0)
-        chain = max((p.chain for p in plans), default=0)
-        self.scratch = np.empty((rows, n, n), dtype=complex)
-        self.deriv = [np.empty((rows + 2 * halo, n, n), dtype=complex)
-                      for _ in range(min(chain, 2))]
+        self.scratch = np.empty((span, n, n), dtype=complex)
+        self.deriv = [np.empty((span + 2 * lay.halo, n, n), dtype=complex)
+                      for _ in range(lay.chain)]
         self.banks: list[_Bank] = []
 
     def _bank(self, lo: int, hi: int) -> _Bank:
@@ -806,34 +796,30 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
 
 
 def apply(op: BlockOp, state: GridState) -> GridState:
-    """Apply an exact operator numerically, slab by slab.
+    """Apply an exact operator numerically, a level of rows at a time.
 
-    The output is built a few axis-0 rows at a time (``_slab_rows``) by
-    the row kernel (``_apply_rows``), which runs the operator's whole
-    plan (``_plan``) on those rows while they are in cache; the plan and
-    its buffers are made as a streamed plan makes them (``_stream``).
-    F * s is computed once per apply for a field that broadcasts along
-    an axis and once per slab for a full-size one, for each distinct
-    (field, s), each full-size field evaluated once on the slab's rows
-    (``_Bank``).
-    The result is scanned for non-finite entries once, as every
-    ``GridState`` is, a slab of rows at a time.
+    The operator is the one word of a layout (``_Layout``), whose kernel
+    (``_apply_rows``) runs on each range of the grid's levels (a slab of
+    axis-0 rows and its mirror, ``_level_ranges``) while those rows are
+    in cache, in the buffers the layout sizes (``_Buffers``): F * s of a
+    field that broadcasts along an axis is made once per apply, of a
+    full-size one once per range (``_Bank``).  The result is scanned for
+    non-finite entries once, as every ``GridState`` is, a slab at a time.
     """
     if op.dim != state.spin.dim or op.blocks != state.blocks:
         raise ValueError("operator shape does not match the state")
     g = state.grid
     n, mesh = g.points, _Mesh(g)
-    pairs: dict = {}
-    plan = _plan(op, mesh, g.spacing, pairs)
-    rows = min(_slab_rows(n), n)
-    bufs = _Buffers(mesh, rows, [plan], pairs, 2)
+    lay = _Layout({"op": op}, [((ONE, ("op",)),)], g, mesh)
+    (plan,) = lay.plans.values()
+    bufs = _Buffers(mesh, lay)
     out = _empty_values(op.blocks, n, op.dim)
     comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
     src = _Rows.whole(state.values)
-    for a in range(0, n, rows):
-        _apply_rows(plan, bufs, src, a, min(a + rows, n),
-                    comps[:, :, a:a + rows])
-    return GridState(out, g, state.spin, state.blocks)
+    for level in _level_ranges(n, lay.rows):
+        for lo, hi in level:
+            _apply_rows(plan, bufs, src, lo, hi, comps[:, :, lo:hi])
+    return GridState(out, g)
 
 
 # -- working-set estimate -------------------------------------------------------
@@ -875,11 +861,7 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
         n = g.points
         mesh = _Mesh(g)
         lay = _Layout(ops, comps + list(_ISOMETRY), g, mesh)
-        rows = lay.rows
-        span = min(2 * rows, n)
-        plans = lay.plans.values()
-        halo = max((p.halo for p in plans), default=0)
-        chain = min(max((p.chain for p in plans), default=0), 2)
+        span, chain = lay.span, lay.chain
         full = flat = 0  # halves: planes of N^2 points, broadcast points
         for (key, s), (_j, is_full) in lay.pairs.items():
             halves = 2 - (s.imag == 0)  # 1 real, 2 complex
@@ -887,11 +869,11 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
                 full += halves
             else:
                 flat += halves * math.prod(mesh.shape(key))
-        window = sum(min((w.lead + max(w.keep, 0) + 1) * 2 * rows, n)
+        window = sum(min((w.lead + max(w.keep, 0) + 1) * span, n)
                      for w in lay.stored)
         halves = (2 * spins * (window + 3 * span)
-                  + 2 * (2 + chain) * span + 4 * chain * halo
-                  + 2 * (lay.lead + 1) * span * (full + 1))
+                  + 2 * (2 + chain) * span + 4 * chain * lay.halo
+                  + lay.banks * span * (full + 1))
         peak = max(peak, (halves * n * n + flat) * 8)
     return peak
 
@@ -977,15 +959,15 @@ class _Word:
 
 
 class _Layout:
-    """What a streamed plan (``_stream``) of ``components`` runs on one
-    grid, decided before any row is made; ``working_set_bytes`` turns
-    the same layout into bytes.
+    """What a streamed plan (``_stream``) of ``components``, or ``apply``
+    of one word, runs on one grid, decided before any row is made;
+    ``working_set_bytes`` turns the same layout into bytes.
 
     ``ops`` are the operators the words name.  A word's kernel runs its
-    outermost operator through every foldable one after it
-    (``_monomial``, ``_through``), so a word whose outermost operator is
-    foldable is never read by another word: K1 Theta psi reads the
-    state's rows through Theta.  ``plans`` holds the row kernels
+    outermost operator through every foldable one after it, as the fold
+    (``_monomial``) of their exact product, so a word whose outermost
+    operator is foldable is never read by another word: K1 Pi Theta psi
+    reads the state's rows through Pi Theta.  ``plans`` holds the row kernels
     (``_plan``) on the grid by head (the operators a kernel runs, see
     ``_Word``), ``pairs`` the table of distinct (field key, s) pairs
     those plans share and ``rows`` the rows of a slab.  The word graph:
@@ -997,7 +979,10 @@ class _Layout:
     and those whose outermost operator is foldable; ``stored`` the
     others after ``root``, the state's word (), whose readers, lead and
     keep come the same way; and ``lead`` the most levels a stored word
-    runs ahead.
+    runs ahead.  The sizes of the buffers (``_Buffers``, and so
+    ``working_set_bytes``) are read from here alone: ``span`` rows of a
+    level, ``halo`` and ``chain`` (at most 2) difference buffers, and
+    ``banks`` = 2 (lead + 1) ranges of field slabs.
     """
 
     def __init__(self, ops: dict, components, grid: Grid, mesh: _Mesh):
@@ -1018,9 +1003,10 @@ class _Layout:
                 head = word[:j]
                 words[word] = _Word(word, head)
                 if head not in self.plans:
+                    outer, *through = (self.ops[name] for name in head)
                     self.plans[head] = _plan(
-                        self.ops[head[0]], mesh, grid.spacing, self.pairs,
-                        _through([folds[name] for name in head[1:]]))
+                        outer, mesh, grid.spacing, self.pairs,
+                        _monomial(reduce(mul, through)) if through else None)
                 word = word[j:]
         for word in terms:
             words[word].terms += 1
@@ -1039,6 +1025,11 @@ class _Layout:
         stored = [w for w in self.order if w.word not in self.direct]
         self.lead = max((w.lead for w in stored), default=0)
         self.stored = [self.root, *stored]
+        plans = self.plans.values()
+        self.span = min(2 * rows, grid.points)
+        self.halo = max((p.halo for p in plans), default=0)
+        self.chain = min(max((p.chain for p in plans), default=0), 2)
+        self.banks = 2 * (self.lead + 1)
 
 
 def _stream(ops: dict, state, components) -> list[float]:
@@ -1089,10 +1080,8 @@ def _stream(ops: dict, state, components) -> list[float]:
         raise ValueError("operator shape does not match the state")
     rows, direct, stored, plans = lay.rows, lay.direct, lay.stored, lay.plans
     levels = _level_ranges(n, rows)
-    span = min(2 * rows, n)
-    bufs = _Buffers(mesh, span, plans.values(), lay.pairs,
-                    2 * (lay.lead + 1))
-    slab = np.empty((*shape, span, n, n), dtype=complex)  # a term to add
+    bufs = _Buffers(mesh, lay)
+    slab = np.empty((*shape, lay.span, n, n), dtype=complex)  # a term to add
     source = {w.word: w.rows for w in stored}
     norms = [_Norm(n, bufs.weight) for _ in components]
     sums = [[(i, coeff, coeff.to_complex(), lay.words[word])

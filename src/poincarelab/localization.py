@@ -60,10 +60,17 @@ def verify_position_axioms(rep: RepSpec, q) -> RelationReport:
 
     The rows are ``catalog.POSITION_RELATIONS``.  The Theta/Pi checks are
     asserted only for RESOLVED_LABELS; for any other representation the
-    computed outcome is recorded.
+    computed outcome is recorded.  ``q`` must be exactly three BlockOps
+    of the spec's (blocks, dim), as ``RepSpec``'s own operators must.
     """
-    if q[0].blocks != rep.blocks:
-        raise ValueError("position triple does not match the block count")
+    q, shape = tuple(q), (rep.blocks, rep.dim)
+    if len(q) != 3:
+        raise ValueError(f"position triple has {len(q)} operators, not 3")
+    for name, op in zip(("Q1", "Q2", "Q3"), q):
+        got = (op.blocks, op.dim) if isinstance(op, BlockOp) else type(op)
+        if got != shape:
+            raise ValueError(f"{name} is {got}, not a BlockOp of the "
+                             f"spec's (blocks, dim) {shape}")
     recorded = () if rep.label in RESOLVED_LABELS else _DISCRETE_ROWS
     return verify_relations(rep, POSITION_RELATIONS, q, recorded)
 

@@ -301,8 +301,7 @@ def whole_state_norms(ops, state, components, normed=None):
                 acc -= values
             else:
                 acc += values * coeff.to_complex()
-        out.append(norm(gridlab.GridState(
-            acc, state.grid, state.spin, state.blocks)))
+        out.append(norm(gridlab.GridState(acc, state.grid)))
         for word in normed or ():
             if word in applied:
                 normed[word] = norm(applied[word])

@@ -12,6 +12,8 @@ tolerance.
 """
 
 from collections import Counter
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
@@ -126,6 +128,20 @@ def _chunked(values):
                               for lo, hi in _ranges(comps.shape[2])])
 
 
+def _layout(mesh, ops, *words):
+    """The layout of a plan whose components are ``words``, one term
+    each: its plans, the pairs they share and the sizes of its buffers."""
+    return gridlab._Layout(ops, [((ONE, word),) for word in words],
+                           mesh.grid, mesh)
+
+
+def _one_word(op, mesh):
+    """The layout apply makes of op, and its one plan."""
+    lay = _layout(mesh, {"op": op}, ("op",))
+    (plan,) = lay.plans.values()
+    return lay, plan
+
+
 def row_kernel(op, state, src=None, c=None, out=None):
     """op applied to state by gridlab's row kernel, range by range over
     the levels of a streamed study (slab and mirror, outside in), read
@@ -133,11 +149,11 @@ def row_kernel(op, state, src=None, c=None, out=None):
     array, or with c given, c times the rows added onto ``out``."""
     g = state.grid
     n, mesh = g.points, _Mesh(g)
-    pairs = {}
-    plan = gridlab._plan(op, mesh, g.spacing, pairs)
+    lay, plan = _one_word(op, mesh)
     ranges = _ranges(n)
     rows = max(hi - lo for lo, hi in ranges)
-    bufs = gridlab._Buffers(mesh, rows, [plan], pairs, 2)
+    assert rows <= lay.span
+    bufs = gridlab._Buffers(mesh, lay)
     if src is None:
         src = gridlab._Rows.whole(state.values)
     if out is None:  # stored spin-major, as apply's outputs are
@@ -177,8 +193,7 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
     monkeypatch.setattr(gridlab, "SLAB_BYTES", slab_bytes)
     rep = catalog.build(label, two_s)
     st = standard_state(rep, Grid(L, points))
-    spin_last = GridState(np.ascontiguousarray(st.values), st.grid, st.spin,
-                          st.blocks)
+    spin_last = GridState(np.ascontiguousarray(st.values), st.grid)
     ops = _operators(rep)
     assert any(sum(alpha) == 2 for op in ops.values() for row in op.entries
                for sop in row for (alpha, _u, _k) in sop.terms)
@@ -187,9 +202,8 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
     # apply (the J's)
     shared = set()
     for op in ops.values():
-        pairs = {}
-        plan = gridlab._plan(op, _Mesh(st.grid), st.grid.spacing, pairs)
-        full = dict(pairs.values())  # table index -> full size
+        lay, plan = _one_word(op, _Mesh(st.grid))
+        full = dict(lay.pairs.values())  # table index -> full size
         uses = Counter(t[2] for *_src, terms in plan.sources for t in terms
                        if t[2] is not None)
         shared |= {full[plan.used[p]] for p, n in uses.items() if n > 1}
@@ -216,42 +230,44 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
 @pytest.mark.parametrize("label,two_s", [("up", 1), ("quad:-1", 0),
                                          ("sym3", 1)])
 def test_folded_read_equals_reading_the_applied_state(label, two_s):
-    # a generator's kernel reading the state through Theta, Pi or both
-    # (mirrored, conjugated, spin components permuted, signs folded into
-    # its own) gives the values of its kernel reading the applied state:
-    # equal to the last bit but for the sign of a zero, which no norm
-    # sees, with no pair the plain kernel does not read.  quad:-1's Pi
-    # has -1 phases, and odd N puts a stencil's zero rows mid-grid.  A
-    # phase of i multiplies the scales, so it may add pairs and round
-    # differently; no catalog operator has one
+    # a generator's kernel reading the state through Theta, Pi or a
+    # product of both (mirrored, conjugated, spin components permuted,
+    # signs folded into its own) gives the values of its kernel reading
+    # the applied state: equal to the last bit but for the sign of a
+    # zero, which no norm sees, with no pair the plain kernel does not
+    # read.  The layout's kernel is the one whose fold is _monomial of
+    # the exact product of the operators read through.  quad:-1's Pi has
+    # -1 phases, and odd N puts a stencil's zero rows mid-grid.  A phase
+    # of i does not fold: such an operator is stored as a word
     rep = catalog.build(label, two_s)
     g = Grid(L, 17)
     mesh = _Mesh(g)
     st = standard_state(rep, g)
     src = gridlab._Rows.whole(st.values)
-    for chain in ((rep.theta,), (rep.pi,), (rep.theta, rep.pi),
-                  (rep.theta.scale(I),)):
-        fold = gridlab._through([gridlab._monomial(op) for op in chain])
+    ops = dict(rep.generators(), Theta=rep.theta, Pi=rep.pi)
+    assert gridlab._monomial(rep.theta.scale(I)) is None
+    for chain in (("Theta",), ("Pi",), ("Theta", "Pi"), ("Pi", "Theta")):
+        fold = gridlab._monomial(reduce(mul, (ops[c] for c in chain)))
+        assert fold is not None
         applied = st
-        for op in reversed(chain):
-            applied = apply(op, applied)
+        for c in reversed(chain):
+            applied = apply(ops[c], applied)
         for name, op in rep.generators().items():
-            pairs = {}
-            plain = gridlab._plan(op, mesh, g.spacing, pairs)
-            table = dict(pairs)
-            folded = gridlab._plan(op, mesh, g.spacing, pairs, fold)
-            bufs = gridlab._Buffers(mesh, 17, [plain, folded], pairs, 2)
+            plain = _layout(mesh, ops, (name,))
+            lay = _layout(mesh, ops, (name,), (name, *chain))
+            assert lay.pairs == plain.pairs, name
+            pairs = dict(lay.pairs)
+            folded = lay.plans[(name, *chain)]
+            assert gridlab._plan(op, mesh, g.spacing, pairs, fold) == folded
+            assert pairs == lay.pairs, name
+            bufs = gridlab._Buffers(mesh, lay)
             want = np.full((rep.blocks, rep.dim, 17, 17, 17), np.nan,
                            dtype=complex)
             got = want.copy()
-            gridlab._apply_rows(plain, bufs, gridlab._Rows.whole(
+            gridlab._apply_rows(lay.plans[(name,)], bufs, gridlab._Rows.whole(
                 applied.values), 0, 17, want)
             gridlab._apply_rows(folded, bufs, src, 0, 17, got)
-            if chain[0] is rep.theta or chain[0] is rep.pi:
-                assert np.array_equal(got, want), name
-                assert pairs == table, name
-            else:
-                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+            assert np.array_equal(got, want), name
 
 
 def test_slab_kernel_keeps_each_outputs_term_order():

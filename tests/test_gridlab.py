@@ -20,7 +20,7 @@ from oracle_helpers import (
 
 from poincarelab import catalog, gridlab
 from poincarelab.cli import main
-from poincarelab.exactnum import ONE
+from poincarelab.exactnum import I, ONE
 from poincarelab.gridlab import (
     EXACT_TOL,
     Grid,
@@ -195,8 +195,7 @@ def test_apply_matches_coefficient_reference(label, two_s):
     # given with the spin axis innermost in memory, as a caller might
     rep = catalog.build(label, two_s)
     st = standard_state(rep, Grid(L, 16))
-    spin_last = GridState(np.ascontiguousarray(st.values), st.grid, st.spin,
-                          st.blocks)
+    spin_last = GridState(np.ascontiguousarray(st.values), st.grid)
     ops = dict(rep.generators(), Theta=rep.theta, Pi=rep.pi,
                K1Theta=rep.k[0] * rep.theta, J2Pi=rep.j[1] * rep.pi)
     for name, op in ops.items():
@@ -229,14 +228,13 @@ def test_apply_is_linear_or_antilinear(entry, name, seed, a, b):
     conj = {k for row in op.entries for sop in row
             for (_al, _u, k) in sop.terms}
     assert conj in ({0}, {1})
-    g, spin = Grid(L, 9), SpinWeight(rep.two_s)
+    g = Grid(L, 9)
     rng = np.random.default_rng(seed)
     shape = (rep.blocks, 9, 9, 9, rep.dim)
     x, y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             for _ in range(2))
-    ax, ay = (apply(op, GridState(v, g, spin, rep.blocks)).values
-              for v in (x, y))
-    got = apply(op, GridState(a * x + b * y, g, spin, rep.blocks)).values
+    ax, ay = (apply(op, GridState(v, g)).values for v in (x, y))
+    got = apply(op, GridState(a * x + b * y, g)).values
     if conj == {1}:
         a, b = np.conj(a), np.conj(b)
     want = a * ax + b * ay
@@ -420,14 +418,23 @@ def test_working_set_guard_allocates_nothing_of_the_grids_size():
 
 
 def test_grid_state_validates_every_construction():
+    # a state is its array: the block count and spin are read from its
+    # shape, which must be (blocks, N, N, N, 2s+1) on the grid's N, with
+    # a component at least
     g = Grid(L, 16)
     st = standard_state(catalog.build("up", 1), g)
+    assert (st.blocks, st.spin) == (1, SpinWeight(1))
+    assert GridState(st.values[..., :1], g).spin == SpinWeight(0)
+    for values in (st.values[0], st.values[..., None], st.values[:, 1:],
+                   st.values[..., :0]):
+        with pytest.raises(ValueError, match="does not match"):
+            GridState(values, g)
     with pytest.raises(ValueError, match="does not match"):
-        GridState(st.values[..., :1], g, st.spin, st.blocks)
+        GridState(st.values, Grid(L, 17))
     bad = st.values.copy()
     bad[0, 3, 4, 5, 1] = complex(0.0, math.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        GridState(bad, g, st.spin, st.blocks)
+        GridState(bad, g)
 
 
 def test_finite_scan_of_a_grid_state_makes_no_state_sized_mask():
@@ -439,14 +446,14 @@ def test_finite_scan_of_a_grid_state_makes_no_state_sized_mask():
     values = np.moveaxis(np.zeros((1, 2, n, n, n), dtype=complex), 1, -1)
     tracemalloc.start()
     try:
-        GridState(values, Grid(L, n), SpinWeight(1), 1)
+        GridState(values, Grid(L, n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     values[0, n - 1, 5, 6, 1] = complex(math.inf, 0.0)
     with pytest.raises(ValueError, match="non-finite"):
-        GridState(values, Grid(L, n), SpinWeight(1), 1)
+        GridState(values, Grid(L, n))
 
 
 @pytest.mark.parametrize("pair", [(24, 48), (48, 96)])
@@ -691,6 +698,56 @@ def test_streamed_plan_stores_no_folded_word(monkeypatch):
                 k: v.hex() for k, v in want.items()}, label
 
 
+def test_plan_folds_theta_pi_and_their_products_with_signs():
+    # every head a study reads through folds: Theta, Pi and each of their
+    # pairwise products are constant monomials with phases +-1 on every
+    # catalog entry at two_s 0-4 (14 entries at 0, 12 at 1-4)
+    seen = 0
+    for two_s in range(5):
+        for label in catalog.catalog_labels(two_s):
+            rep = catalog.build(label, two_s)
+            ops = (rep.theta, rep.pi)
+            for op in (*ops, *(a * b for a in ops for b in ops)):
+                fold = gridlab._monomial(op)
+                assert fold is not None, (label, two_s)
+                assert {sign for *_src, sign in fold.values()} <= {1, -1}
+            seen += 1
+    assert seen == 14 + 4 * 12
+
+
+@pytest.mark.parametrize("label", ["up", "sym3"])
+def test_plan_stores_an_operator_with_phase_i_as_a_word(label, monkeypatch):
+    # a fold carries signs only: i*Theta has phases +-i, so it is not
+    # read through but stored as a word, read by the kernels that follow
+    # it, and the study reads as the catalog spec's: the same statuses,
+    # exact flags and isometry defects (Pi*Theta's constant may change
+    # sign, so the rows are compared in order, not by name)
+    rep = catalog.build(label, 1)
+    spec = dataclasses.replace(rep, theta=rep.theta.scale(I))
+    assert gridlab._monomial(spec.theta) is None
+    grids = [Grid(L, n) for n in (16, 32, 64)]
+    made = []
+
+    class Recorded(gridlab._Layout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(gridlab, "_Layout", Recorded)
+    rows, defects, stored = [], [], []
+    for r in (rep, spec):
+        made.clear()
+        defects.append({})
+        reports = study(r, representative_relations(r), grids,
+                        defects=defects[-1])
+        rows.append([(x.ok, x.exact) for x in reports])
+        stored.append({w.word for lay in made for w in lay.stored[1:]})
+    assert ("Theta",) in stored[1]
+    assert not any(word[0] == "Theta" for word in stored[0])
+    assert rows[0] == rows[1]
+    assert defects[0] == defects[1]
+
+
 def test_streamed_plan_norms_keep_no_rows():
     # a norm takes its partials as each range of rows is made and keeps
     # none of them: at N = 48 the 7-row slabs do not tile the levels, and
@@ -738,8 +795,7 @@ def test_streamed_plan_on_a_non_standard_state(points):
     g = Grid(L, points)
     st = sample_gaussian(g, (0.3, -0.2, 0.25), L / 10,
                          [[0.5 - 1.0j, 0.25 + 0.1j]])
-    spin_last = GridState(np.ascontiguousarray(st.values), g, st.spin,
-                          st.blocks)
+    spin_last = GridState(np.ascontiguousarray(st.values), g)
     assert spin_last.values.strides[-1] == 16
     rids = representative_relations(rep) + ["W.W == -3/4*mu^2"]
     want = whole_state_residuals(rep, rids, st)
@@ -950,8 +1006,7 @@ def test_isometry_rows_tell_theta_from_pi(monkeypatch, capsys):
 def _scaled(state, peak):
     """state times the real factor that makes its largest modulus peak."""
     factor = peak / np.abs(state.values).max()
-    return GridState(state.values * factor, state.grid, state.spin,
-                     state.blocks)
+    return GridState(state.values * factor, state.grid)
 
 
 def test_finite_scan_of_words_near_overflow(monkeypatch):
@@ -1093,8 +1148,9 @@ def test_bank_holds_each_slab_once_at_its_dtype():
     mesh = gridlab._Mesh(g)
     _rels, comps, ops = gridlab._relations(rep, representative_relations(rep))
     lay = gridlab._Layout(ops, comps + list(gridlab._ISOMETRY), g, mesh)
-    bufs = gridlab._Buffers(mesh, lay.rows, lay.plans.values(), lay.pairs,
-                            2 * (lay.lead + 1))
+    bufs = gridlab._Buffers(mesh, lay)
+    assert (lay.span, lay.banks) == (2 * lay.rows, 2 * (lay.lead + 1))
+    assert bufs.scratch.shape == (lay.span, 32, 32)
     lo, hi = 0, lay.rows
     bank = bufs._bank(lo, hi)
     assert bufs._bank(lo, hi) is bank and bufs.banks == [bank]
@@ -1130,10 +1186,10 @@ def test_bank_holds_each_slab_once_at_its_dtype():
     assert {plan.chain for plan in lay.plans.values()} == {0, 1}
     assert len(bufs.deriv) == 1
     for op in (rep.k[0] * rep.j[2], rep.k[0] * rep.k[0]):
-        pairs = {}
-        plan = gridlab._plan(op, mesh, g.spacing, pairs)
-        assert plan.chain == 2
-        applied = gridlab._Buffers(mesh, lay.rows, [plan], pairs, 2)
+        one = gridlab._Layout({"op": op}, [((ONE, ("op",)),)], g, mesh)
+        (plan,) = one.plans.values()
+        assert plan.chain == 2 and (one.chain, one.banks) == (2, 2)
+        applied = gridlab._Buffers(mesh, one)
         assert len(applied.deriv) == 2
         assert applied._bank(lo, hi).weight is None
 
@@ -1157,9 +1213,10 @@ def test_weight_is_made_once_per_normed_range(monkeypatch):
     for op in (rep.k[0], rep.theta, rep.k[0] * rep.j[2]):
         apply(op, st)
     assert not made
-    mesh, pairs = gridlab._Mesh(g), {}
-    plan = gridlab._plan(rep.k[0], mesh, g.spacing, pairs)
-    bufs = gridlab._Buffers(mesh, 15, [plan], pairs, 2)
+    mesh = gridlab._Mesh(g)
+    lay = gridlab._Layout({"K1": rep.k[0]}, [((ONE, ("K1",)),)], g, mesh)
+    plan = lay.plans[("K1",)]
+    bufs = gridlab._Buffers(mesh, lay)
     bufs.fields(plan.used, 0, 15)
     assert bufs.banks[0].weight is None and not made
     weight = bufs.weight(0, 15)
@@ -1182,8 +1239,7 @@ def test_plan_refuses_a_zero_norm_before_any_row(monkeypatch):
     rep = catalog.build("up", 1)
     g = Grid(1e-150, 16)
     assert g.spacing**3 == 0
-    st = GridState(np.ones((1, 16, 16, 16, 2), dtype=complex), g,
-                   SpinWeight(1), 1)
+    st = GridState(np.ones((1, 16, 16, 16, 2), dtype=complex), g)
 
     def forbidden(*args):
         raise AssertionError("made a row")

@@ -78,8 +78,36 @@ def test_axiom_suite_unresolved_records(label):
 def test_mismatched_blocks_rejected():
     rep = catalog.build("sym1", 0)
     q = newton_wigner(SpinWeight(0), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Q1 is \(1, 1\), not a BlockOp "
+                                         r"of the spec's \(blocks, dim\) "
+                                         r"\(2, 1\)$"):
         verify_position_axioms(rep, q)
+
+
+def test_position_triple_is_exactly_three_operators_of_the_specs_shape():
+    # the triple is refused as RepSpec refuses its own operators: too few
+    # (which failed as KeyError 'Q3'), too many (which passed silently),
+    # a non-operator, or a third operator of another block count or spin
+    # dimension (which failed deep in the relation sums)
+    rep = catalog.build("up", 1)
+    q1, q2, q3 = newton_wigner(SpinWeight(1), 1)
+    other = newton_wigner(SpinWeight(1), 2)[2]
+    spin0 = newton_wigner(SpinWeight(0), 1)[1]
+    cases = [
+        ((q1, q2), r"^position triple has 2 operators, not 3$"),
+        ([q1, q2, q3, rep.p0], r"^position triple has 4 operators, not 3$"),
+        ((q1, q2, "Q3"), r"^Q3 is <class 'str'>, not a BlockOp of the "
+                         r"spec's \(blocks, dim\) \(1, 2\)$"),
+        ((q1, q2, other), r"^Q3 is \(2, 2\), not a BlockOp of the spec's "
+                          r"\(blocks, dim\) \(1, 2\)$"),
+        ((q1, spin0, q3), r"^Q2 is \(1, 1\), not a BlockOp of the spec's "
+                          r"\(blocks, dim\) \(1, 2\)$"),
+    ]
+    for q, message in cases:
+        with pytest.raises(ValueError, match=message):
+            verify_position_axioms(rep, q)
+    # a list of the right three is a sequence like any other
+    assert verify_position_axioms(rep, [q1, q2, q3]).all_passed()
 
 
 def test_quad_has_no_canonical_triple():
