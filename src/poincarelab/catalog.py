@@ -643,16 +643,17 @@ def verify_casimirs(rep: RepSpec) -> RelationReport:
 
 
 def allowed_spectra(theta_kind: str, pi_kind: str) -> set[str]:
-    """Energy-sign patterns an irreducible entry can have, by operator kind.
+    """Energy-sign patterns an irreducible entry can have, by operator kind,
+    read from the P0 column of ``DISCRETE_SIGNS``.
 
-    A unitary Theta or an antiunitary Pi anticommutes with P0 and so maps
-    the positive-energy subspace onto the negative one; either forces a
-    sign-symmetric spectrum.  When instead Theta is antiunitary and Pi is
-    unitary, both commute with P0, every generator preserves the energy
-    sign, and a sign-symmetric space would split; irreducibility then
-    forces a one-sided spectrum.
+    An operator of a kind that anticommutes with P0 maps the
+    positive-energy subspace onto the negative one and so forces a
+    sign-symmetric spectrum.  When both Theta and Pi commute with P0,
+    every generator preserves the energy sign, and a sign-symmetric space
+    would split; irreducibility then forces a one-sided spectrum.
     """
-    if theta_kind == UNITARY or pi_kind == ANTIUNITARY:
+    if -1 in (DISCRETE_SIGNS[("theta", theta_kind)]["P0"],
+              DISCRETE_SIGNS[("pi", pi_kind)]["P0"]):
         return {"symmetric"}
     return {"up", "down"}
 

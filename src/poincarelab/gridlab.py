@@ -24,25 +24,25 @@ keeps its (blocks, N, N, N, 2s+1) shape), so stencils, field products
 and norms run over contiguous memory.  The row kernel (``_apply_rows``)
 computes a few axis-0 rows of an applied operator at a time, running
 every term of the operator on those rows while they are in cache.  Each
-term is one product conj^k(x) * (F * s): the term's exact scalar s,
-which carries the stencil step and the reflection sign, is folded into
-its real field F, once per grid for a field that broadcasts along an
-axis (kept in its own shape: a plane of N points along one axis) and
-once per range of rows for a full-size one, for each distinct (field,
-s), shared by every kernel that reads it.  A term that adds -s times a
-field onto its output is subtracted with the pair of s instead, and a
-pair whose s is real is stored float64, so a range's bank of slabs is
-made once, whole, from one evaluation of each field, at about half the
-bytes.  Each element sees the same operations in the same order as in
-one whole-array pass per term with that formula, so results are
-bit-identical to it (rounding is symmetric in sign, x - y is x + (-y),
-and a complex product casts a real operand to r + 0j); the formula it
-replaced, conj^k(x * F) * s, rounds differently, by at most 7.2e-16 of
-the largest modulus on the operators tested.  ``apply`` lays out its
-operator as the one word of a plan (``_Layout``) and walks the grid's
-levels with that layout's kernel and buffers; its result is scanned for
-non-finite entries once, as every ``GridState`` is, a slab of rows at a
-time.
+term is one product conj^k(x) * (F * s), its source x conjugated once,
+right after its differences: the term's exact scalar s, which carries
+the stencil step and the reflection sign, is folded into its real field
+F, once per grid for a field that broadcasts along an axis (kept in its
+own shape: a plane of N points along one axis) and once per range of
+rows for a full-size one, for each distinct (field, s), shared by every
+kernel that reads it.  A term that adds -s times a field onto its output
+is subtracted with the pair of s instead, and a pair whose s is real is
+stored float64, so a range's bank of slabs is made once, whole, from one
+evaluation of each field, at about half the bytes.  Each element sees
+the same operations in the same order as in one whole-array pass per
+term with that formula, so results are bit-identical to it (rounding is
+symmetric in sign, x - y is x + (-y), and a complex product casts a
+real operand to r + 0j); the formula it replaced, conj^k(x * F) * s,
+rounds differently, by at most 7.2e-16 of the largest modulus on the
+operators tested.  ``apply`` lays out its operator as the one word of a
+plan (``_Layout``) and walks the grid's levels with that layout's kernel
+and buffers; its result is scanned for non-finite entries once, as
+every ``GridState`` is, a slab of rows at a time.
 
 ``study`` runs every relation of a study on each grid from one streamed
 plan (``_stream``): the grid's rows are walked from both faces in, a
@@ -53,34 +53,34 @@ Theta and Pi on every catalog entry) is a way of reading rows, not a
 stored word: the kernel of K1 Theta psi reads the state's rows mirrored
 and conjugated, its spin components permuted and its signs folded into
 the kernel's own (``_plan``), K1 Pi Theta psi through the exact product
-Pi Theta, so no such word is made for a reader.  A word read again
-keeps a window of its rows as deep as its readers' axis-0 stencils
-reach, summed along each chain of readers; a word used once, as a term,
-or begun by a constant monomial operator is written or added straight
-into its component's rows.  The state is the plan's word (), a row source whose
-rows are kept in a window like any other word's: the standard state's
-Gaussian factors, evaluated as the plan goes, or a caller's
-``GridState``, its rows copied out.  The standard state is not
-normalized: every residual is relative to the state's own norm, which
-the plan takes.  So a study makes no array of the grid's size.  The
-working-set estimate (``working_set_bytes``, which the ``grid`` command
-holds against its memory budget) reads the plan's own layout
-(``_Layout``) on each grid, on a mesh that makes no axis, and only
-turns it into bytes.
-Each range of a component's rows takes its norm partials as soon as it
-is made, cut at slab boundaries and summed at the end in
+Pi Theta, so no such word is made for a reader.  A word that no word
+reads and one term uses is written or added straight into its
+component's rows; any other keeps a window of its rows as deep as its
+readers' axis-0 stencils reach, summed along each chain of readers.
+The state is the plan's word (), a row source whose rows are kept in a
+window like any other word's: the standard state's Gaussian factors,
+evaluated as the plan goes, or a caller's ``GridState``, its rows
+copied out.  The standard state is not normalized: every residual is
+relative to the state's own norm, which the plan takes.  So a study
+makes no array of the grid's size.  The working-set estimate
+(``working_set_bytes``, which the ``grid`` command holds against its
+memory budget) reads the plan's own layout (``_Layout``) on each grid,
+on a mesh that makes no axis, and only turns it into bytes.
+Every component, the state's own norm included, is summed by one loop,
+and each range of its rows takes its norm partials as soon as it is
+made, cut at slab boundaries and summed at the end in
 piece-then-component order, so residuals are bit-identical to
 evaluating each relation alone with whole applied states normed over
 the same ranges.  The plan's only outputs are component norms: the
 state's own norm, and for the isometry rows (``isometry_defect``, and a
 study's finest grid) the norms of Theta psi and Pi psi, are those of
-components of one term; a state whose own norm is not finite
-(entries above about 1e154, whose squares overflow) or 0 (the spacing
-cubed or the squares underflow) is refused.  Rows
-are scanned for non-finite entries once: a word that keeps its rows,
-the state included, as the plan computes them; a word that goes
-straight into its component, only through that component's norm, which
-scans a piece whose partials are not finite (``_Norm``).
+components of one term; a state whose own norm is not finite (entries
+above about 1e154, whose squares overflow) or 0 (the spacing cubed or
+the squares underflow) is refused.  Rows are scanned for non-finite
+entries once: a word that keeps its rows, the state included, as the
+plan computes them; a word that goes straight into its component, only
+through that component's norm, which scans a piece whose partials are
+not finite (``_Norm``).
 ``grid --rep up --two-s 1`` at N = 32, 64, 128 computes 72 words on
 each grid (74 on the finest, with Theta psi and Pi psi for its isometry
 rows), 218 words, in a median 3.1 s of ``perfbench`` ``run_s`` on a
@@ -359,22 +359,19 @@ def sample_gaussian(grid: Grid, center, width: float, spinor) -> GridState:
     return GridState(state.values, grid)
 
 
-def _subtract(a: np.ndarray, b: np.ndarray, out: np.ndarray, flip: bool,
-              conj: bool) -> None:
-    """out = a - b, or b - a with ``flip``, conjugated in place with
-    ``conj``: negating or conjugating the difference exactly, but for the
-    sign of a zero."""
+def _subtract(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+              flip: bool) -> None:
+    """out = a - b, or b - a with ``flip``: negating the difference
+    exactly, but for the sign of a zero."""
     if flip:
         a, b = b, a
     np.subtract(a, b, out=out)
-    if conj:
-        np.conjugate(out, out=out)
 
 
 def _central_diff(arr: np.ndarray, axis: int, out: np.ndarray,
-                  flip: bool = False, conj: bool = False) -> np.ndarray:
+                  flip: bool = False) -> np.ndarray:
     """Undivided central difference f[i+1] - f[i-1] along ``axis``, into out,
-    negated with ``flip`` and conjugated with ``conj`` (``_subtract``).
+    negated with ``flip`` (``_subtract``).
 
     Runs as one flat subtraction at the axis stride: the entries where
     that wraps across a row are exactly the two boundary planes, which
@@ -385,7 +382,7 @@ def _central_diff(arr: np.ndarray, axis: int, out: np.ndarray,
     stride = arr.strides[axis] // arr.itemsize
     flat, dst = arr.reshape(-1), out.reshape(-1)
     _subtract(flat[2 * stride:], flat[:-2 * stride], dst[stride:-stride],
-              flip, conj)
+              flip)
     edge = [slice(None)] * arr.ndim
     for plane in (0, -1):
         edge[axis] = plane
@@ -490,7 +487,7 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict,
     complex product gives (-x) * G and -(x * G) alike, not always
     x * (-G), and differences, conjugation and reversal are exact.
     ``chain`` is at least 1 where a source without derivatives is
-    conjugated once for several terms: into a difference buffer.
+    conjugated: into a difference buffer.
     """
     sources, by_source, last, written = [], {}, {}, set()
     used, local, halo, chain = [], {}, 0, 0
@@ -539,8 +536,7 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict,
                             sources[i][-1].append((br, m, p, s, acc))
                             written.add(dst)
                         last[dst] = i
-    if any(k and not axes and len(terms) > 1
-           for _c, axes, _u, k, _f, terms in sources):
+    if any(k and not axes for _c, axes, _u, k, _f, _t in sources):
         chain = max(chain, 1)
     unreached = [(br, m) for br in range(op.blocks) for m in range(op.dim)
                  if (br, m) not in written]
@@ -581,10 +577,10 @@ class _Rows:
 
 
 def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
-               bufs, n: int, flip: bool, conj: bool) -> np.ndarray:
+               bufs, n: int, flip: bool) -> np.ndarray:
     """Rows lo:hi of the central-difference chain of component ``comp``
-    (block, spin column) of src, negated with ``flip`` and conjugated
-    with ``conj``, both in its first difference (``_subtract``).
+    (block, spin column) of src, negated with ``flip`` in its first
+    difference (``_subtract``).
 
     ``axes`` is sorted, so the axis-0 differences come first.  Each reads
     one row beyond its output on either side and zeroes the boundary
@@ -600,16 +596,14 @@ def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
     for i, axis in enumerate(axes):
         out = bufs[i % 2]
         if axis:
-            cur = _central_diff(cur, axis, out[:len(cur)], flip and i == 0,
-                                conj and i == 0)
+            cur = _central_diff(cur, axis, out[:len(cur)], flip and i == 0)
             continue
         h -= 1
         w0, w1 = max(lo - h, 0), min(hi + h, n)
         out = out[:w1 - w0]
         i0, i1 = max(w0, 1), min(w1, n - 1)
         if i == 0:
-            _diff_chunks(src, comp, i0, i1, out[i0 - w0:i1 - w0], flip,
-                         conj)
+            _diff_chunks(src, comp, i0, i1, out[i0 - w0:i1 - w0], flip)
         else:
             np.subtract(cur[i0 + 1 - r0:i1 + 1 - r0],
                         cur[i0 - 1 - r0:i1 - 1 - r0],
@@ -621,18 +615,17 @@ def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
 
 
 def _diff_chunks(src: _Rows, comp: tuple, i0: int, i1: int,
-                 out: np.ndarray, flip: bool, conj: bool) -> None:
+                 out: np.ndarray, flip: bool) -> None:
     """out[i - i0] = x[i+1] - x[i-1] for rows i0:i1 of component x =
-    ``comp`` of src, negated with ``flip`` and conjugated with ``conj``
-    (``_subtract``), one subtraction per stretch of rows whose two
-    operands each lie in one chunk."""
+    ``comp`` of src, negated with ``flip`` (``_subtract``), one
+    subtraction per stretch of rows whose two operands each lie in one
+    chunk."""
     while i0 < i1:
         a0, a1, above = src.find(i0 + 1)
         b0, b1, below = src.find(i0 - 1)
         j = min(i1, a1 - 1, b1 + 1)
         _subtract(above[comp][i0 + 1 - a0:j + 1 - a0],
-                  below[comp][i0 - 1 - b0:j - 1 - b0], out[:j - i0], flip,
-                  conj)
+                  below[comp][i0 - 1 - b0:j - 1 - b0], out[:j - i0], flip)
         out, i0 = out[j - i0:], j
 
 
@@ -751,21 +744,22 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
 
     Every term of the plan runs on these rows while they are in cache:
     each source component differenced (``_diff_rows``, negated where
-    ``_plan`` folded a sign into it), viewed reflected by reading the
-    mirrored rows, conjugated once if antilinear (in its first
-    difference, or for a source without derivatives into the first
-    difference buffer, or with its one term as that is made), and for
-    each term multiplied by the term's scaled field F * s
-    (``_Buffers.fields``: a float64 slab where s is real, which a complex
-    product reads as F * s + 0j).  A term without a field is multiplied
-    by its scalar, or copied when that is 1.  The first contribution to
-    an output component is written straight into it (negated where
-    ``_plan`` folded a sign into it), later ones go through one scratch
-    slab and are added onto it or, for a pair whose sign ``_plan``
-    folded, subtracted; components no term reaches are zeroed.  The rows
-    are not checked finite here: a caller that keeps them scans them
-    (``_check_finite``, or ``GridState`` for ``apply``), and rows written
-    or added into a component are checked through its norm (``_Norm``).
+    ``_plan`` folded a sign into it), conjugated once if antilinear,
+    right after its differences (in place, or for a source without
+    derivatives into the first difference buffer; a difference commutes
+    with conjugation exactly, but for the sign of a zero), viewed
+    reflected by reading the mirrored rows, and for each term multiplied
+    by the term's scaled field F * s (``_Buffers.fields``: a float64 slab
+    where s is real, which a complex product reads as F * s + 0j).  A
+    term without a field is multiplied by its scalar, or copied when that
+    is 1.  The first contribution to an output component is written
+    straight into it (negated where ``_plan`` folded a sign into it),
+    later ones go through one scratch slab and are added onto it or, for
+    a pair whose sign ``_plan`` folded, subtracted; components no term
+    reaches are zeroed.  The rows are not checked finite here: a caller
+    that keeps them scans them (``_check_finite``, or ``GridState`` for
+    ``apply``), and rows written or added into a component are checked
+    through its norm (``_Norm``).
     """
     n, rows = bufs.mesh.n, hi - lo
     for br, m in plan.unreached:
@@ -773,20 +767,19 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
     gs = bufs.fields(plan.used, lo, hi)
     for comp, axes, u, k, flip, terms in plan.sources:
         a, b = (n - hi, n - lo) if u else (lo, hi)
-        x = (_diff_rows(src, comp, axes, a, b, bufs.deriv, n, flip, k)
+        x = (_diff_rows(src, comp, axes, a, b, bufs.deriv, n, flip)
              if axes else src.take(a, b)[comp])
+        if k:
+            x = np.conjugate(x, out=x if axes else bufs.deriv[0][:rows])
         if u:
             x = x[::-1, ::-1, ::-1]
-        conj_term = k and not axes and len(terms) == 1
-        if k and not axes and not conj_term:
-            x = np.conjugate(x, out=bufs.deriv[0][:rows])
         for br, m, p, s, acc in terms:
             dst = out[br, m]
             adds = acc is np.add or acc is np.subtract
             into = bufs.scratch[:rows] if adds else dst
-            term = np.conjugate(x, out=into) if conj_term else x
+            term = x
             if p is not None or s != 1:
-                term = np.multiply(term, s if p is None else gs[p], out=into)
+                term = np.multiply(x, s if p is None else gs[p], out=into)
             if adds:
                 acc(dst, term, out=dst)
             elif acc:  # np.negative: a first contribution with a folded sign
@@ -912,9 +905,9 @@ class _Norm:
     scale and a field product never make inf or nan finite, so a
     non-finite entry leaves the piece's partial inf or nan (its weight
     1/p0 is positive).  A finite piece whose squares overflow passes, its
-    partial inf; so does a piece of a stored word, already scanned.  A
-    component whose finite terms overflow as they are summed is refused
-    in the same way.
+    partial inf; so does a piece copied from a stored word, already
+    scanned.  A component whose finite terms overflow as they are summed
+    is refused in the same way.
     """
 
     def __init__(self, n: int, weight):
@@ -975,10 +968,9 @@ class _Layout:
     their kernels read; ``order`` holds the nonempty ones shortest
     first, with their readers and their ``lead`` and ``keep`` in levels
     (see ``_stream``); ``direct`` the words that go straight into their
-    component, each time a term uses them: those read once, as a term,
-    and those whose outermost operator is foldable; ``stored`` the
-    others after ``root``, the state's word (), whose readers, lead and
-    keep come the same way; and ``lead`` the most levels a stored word
+    component: those that no word reads and one term uses; ``stored``
+    the others after ``root``, the state's word (), whose readers, lead
+    and keep come the same way; and ``lead`` the most levels a stored word
     runs ahead.  The sizes of the buffers (``_Buffers``, and so
     ``working_set_bytes``) are read from here alone: ``span`` rows of a
     level, ``halo`` and ``chain`` (at most 2) difference buffers, and
@@ -1020,8 +1012,8 @@ class _Layout:
                          + [d - u.lead for u, d in zip(w.users, need)],
                          default=0)
         self.order = order[1:]
-        self.direct = {w.word for w in self.order if not w.users and (
-            w.terms == 1 or folds[w.word[0]] is not None)}
+        self.direct = {w.word for w in self.order
+                       if not w.users and w.terms == 1}
         stored = [w for w in self.order if w.word not in self.direct]
         self.lead = max((w.lead for w in stored), default=0)
         self.stored = [self.root, *stored]
@@ -1045,30 +1037,28 @@ def _stream(ops: dict, state, components) -> list[float]:
     words are its ``_Layout``.  The grid's levels (``_level_ranges``)
     are walked from the faces in: a slab of rows together with its
     mirror, so a reflected read lands on rows that the same step
-    computes.  A direct word (used once, as a term, or whose outermost
-    operator is foldable) has its rows written straight into its
-    component's rows, or, after the first term, into one add slab that
-    is then added onto them; every other word keeps a window of its
-    rows.  A word read by an operator whose stencil reaches d levels is
-    computed d levels ahead of its reader (its ``lead``, summed along
-    each chain of readers) and kept for d levels after (``keep``), so a
-    level of a word is dropped once its last reader has run over it.
-    Each step computes the words shortest first, each from the rows of
-    its ``src`` (read through the foldable operators of its head), then
-    the components' rows in their terms' order with the same elementwise
-    operations as summing whole applied states; a component that is one
-    stored word, with coefficient 1, is normed from that word's window.
-    The kernels share one ``_Buffers`` on the plan's own mesh, the one
-    its ``_Layout`` reads, whose field slabs span the levels of a step,
-    so each range's bank is made once, whole, for every kernel that
-    reads it, and the norms make and read its 1/p0 weight.  A stored
-    word's rows, the state's included, are scanned for non-finite
-    entries as they are made; a direct word is checked through its
-    component's norm.  Each range of a component gives its norm partials
-    as soon as it is made (``_Norm``), so no norm keeps rows, and each
-    norm is bit-identical to that of the whole applied state taken over
-    the same ranges.  A grid whose spacing cubed is 0 is refused before
-    any row is made, since every norm on it would be 0.
+    computes.  A direct word (read by no word, used by one term) has
+    its rows written straight into its component's rows, or, after the
+    first term, into one add slab that is then added onto them; every
+    other word keeps a window of its rows.  A word read by an operator
+    whose stencil reaches d levels is computed d levels ahead of its
+    reader (its ``lead``, summed along each chain of readers) and kept
+    for d levels after (``keep``), so a level of a word is dropped once
+    its last reader has run over it.  Each step computes the words
+    shortest first, each from the rows of its ``src`` (read through the
+    foldable operators of its head), then every component's rows, by one
+    loop, in their terms' order with the same elementwise operations as
+    summing whole applied states.  The kernels share one ``_Buffers`` on
+    the plan's own mesh, the one its ``_Layout`` reads, whose field slabs
+    span the levels of a step, so each range's bank is made once, whole,
+    for every kernel that reads it, and the norms make and read its 1/p0
+    weight.  A stored word's rows, the state's included, are scanned for
+    non-finite entries as they are made; a direct word is checked through
+    its component's norm.  Each range of a component gives its norm
+    partials as soon as it is made (``_Norm``), so no norm keeps rows,
+    and each norm is bit-identical to that of the whole applied state
+    taken over the same ranges.  A grid whose spacing cubed is 0 is
+    refused before any row is made, since every norm on it would be 0.
     """
     g = state.grid
     if g.spacing**3 == 0:  # every norm would be 0
@@ -1102,11 +1092,6 @@ def _stream(ops: dict, state, components) -> list[float]:
                     _check_finite(out)
                     word.rows.chunks.append((lo, hi, out))
         for terms, norm_ in zip(sums, norms):
-            (_i, coeff, _c, word), *more = terms
-            if not more and coeff == ONE and word.word not in direct:
-                for lo, hi in ranges:
-                    norm_.add(lo, hi, word.rows.take(lo, hi))
-                continue
             for lo, hi in ranges:
                 acc = np.empty((*shape, hi - lo, n, n), dtype=complex)
                 add = slab[:, :, :hi - lo]
@@ -1252,8 +1237,11 @@ class NumericReport:
     slope: float | None
     exact: bool
     ok: bool
+    inadmissible: str = ""  # the table's text for a row failed unevaluated
 
     def detail(self) -> str:
+        if self.inadmissible:
+            return self.inadmissible
         res = ", ".join(f"{r:.3e}" for r in self.residuals)
         if self.exact:
             return f"exact (residuals {res})"
@@ -1280,12 +1268,13 @@ def refining(grids) -> list[Grid]:
     return grids
 
 
-def _fit(relation_id: str, grids, residuals) -> NumericReport:
-    exact = all(r < EXACT_TOL for r in residuals)
+def _fit(relation_id: str, grids, residuals,
+         inadmissible: str = "") -> NumericReport:
+    exact = not inadmissible and all(r < EXACT_TOL for r in residuals)
     if exact:
         slope = None
         ok = True
-    elif any(r < EXACT_TOL for r in residuals):
+    elif inadmissible or any(r < EXACT_TOL for r in residuals):
         slope = None
         ok = False
     else:
@@ -1301,6 +1290,7 @@ def _fit(relation_id: str, grids, residuals) -> NumericReport:
         slope=slope,
         exact=exact,
         ok=ok,
+        inadmissible=inadmissible,
     )
 
 
@@ -1315,18 +1305,24 @@ def study(rep: RepSpec, relation_ids, grids, *,
     Requires at least three grids with spacing roughly halving between
     consecutive entries.  All-tiny residuals are flagged exact instead of
     fitted; tiny residuals on some grids but not all have no slope (the
-    log of a zero residual) and fail the study.
+    log of a zero residual) and fail the study.  A row the relation
+    table finds inadmissible fails unevaluated, as on the exact side: no
+    word of it is computed, and its detail is the table's text.
 
     ``defects``, if a dict, receives ``isometry_defect`` of the finest
     grid's standard state, from the norms that grid's plan takes of
     Theta psi and Pi psi, components of one term.
     """
     grids = refining(grids)
-    per_grid = [_residuals(rep, relation_ids, _standard(rep, g),
+    inadmissible = {rel.name: rel.inadmissible for rel in relations(rep)
+                    if rel.inadmissible}
+    evaluated = [rid for rid in relation_ids if rid not in inadmissible]
+    per_grid = [_residuals(rep, evaluated, _standard(rep, g),
                            defects if g is grids[-1] else None)
                 for g in grids]
-    return [_fit(rid, grids, [res[i] for res in per_grid])
-            for i, rid in enumerate(relation_ids)]
+    got = dict(zip(evaluated, zip(*per_grid)))
+    return [_fit(rid, grids, got.get(rid, ()), inadmissible.get(rid, ""))
+            for rid in relation_ids]
 
 
 def convergence_study(rep: RepSpec, relation_id: str, grids) -> NumericReport:

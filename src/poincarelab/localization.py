@@ -46,8 +46,6 @@ def position_component(axis: int, dim: int) -> ScalarOp:
 def newton_wigner(spin: SpinWeight,
                   blocks: int) -> tuple[BlockOp, BlockOp, BlockOp]:
     """(Q1, Q2, Q3), each diag(F_j, ...) over the blocks."""
-    if blocks not in (1, 2):
-        raise ValueError("unsupported block count")
     dim = spin.dim
     return tuple(BlockOp.diag([position_component(axis, dim)] * blocks)
                  for axis in (1, 2, 3))

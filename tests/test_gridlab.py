@@ -721,7 +721,9 @@ def test_plan_stores_an_operator_with_phase_i_as_a_word(label, monkeypatch):
     # read through but stored as a word, read by the kernels that follow
     # it, and the study reads as the catalog spec's: the same statuses,
     # exact flags and isometry defects (Pi*Theta's constant may change
-    # sign, so the rows are compared in order, not by name)
+    # sign, so the rows are compared in order, not by name), but for
+    # sym3's unitary i*Theta, whose square -1 the relation table does not
+    # admit, so its Theta^2 row fails unevaluated, as on the exact side
     rep = catalog.build(label, 1)
     spec = dataclasses.replace(rep, theta=rep.theta.scale(I))
     assert gridlab._monomial(spec.theta) is None
@@ -744,6 +746,13 @@ def test_plan_stores_an_operator_with_phase_i_as_a_word(label, monkeypatch):
         stored.append({w.word for lay in made for w in lay.stored[1:]})
     assert ("Theta",) in stored[1]
     assert not any(word[0] == "Theta" for word in stored[0])
+    unevaluated = {i: (x.relation, x.detail()) for i, x in enumerate(reports)
+                   if x.inadmissible}
+    assert list(unevaluated.values()) == (
+        [("Theta^2 == -1", "got -1")] if label == "sym3" else [])
+    for i in unevaluated:
+        assert rows[1][i] == (False, False)
+        rows[0][i] = rows[1][i]
     assert rows[0] == rows[1]
     assert defects[0] == defects[1]
 
@@ -841,6 +850,43 @@ def test_streamed_plan_reads_ahead_along_chained_halos(monkeypatch):
     assert got == whole_state_norms(ops, st, comps)
 
 
+def test_plan_computes_a_word_shared_by_two_components_once(monkeypatch):
+    # Theta psi, a term of two components and read by no word, is stored:
+    # its kernel runs once on each row, not once per component, and the
+    # norms are the whole-state ones bit for bit
+    rep = catalog.build("up", 1)
+    st = standard_state(rep, Grid(L, 17))
+    ops = {"Theta": rep.theta}
+    comps = [((ONE, ()),), ((ONE, ("Theta",)),), ((ONE, ("Theta",)),)]
+    seen = _record_words(monkeypatch)
+    got = gridlab._stream(ops, st, comps)
+    assert list(seen) == [(17, ("Theta",))]
+    assert _every_row_once(seen[17, ("Theta",)], 17)
+    assert got == whole_state_norms(ops, st, comps)
+
+
+def test_plan_fails_inadmissible_rows_unevaluated(monkeypatch):
+    # a unitary Theta squaring to -1, and a Theta with no constant square:
+    # the exact side fails these rows unevaluated with the relation
+    # table's text, and so does a study, which computes no word for them
+    sym1 = catalog.build("sym1", 0)
+    minus = dataclasses.replace(sym1, theta=catalog._discrete_op(
+        catalog._pattern(catalog._SYMPL2), "id", 0, 0, 0))
+    no_constant = dataclasses.replace(sym1, theta=BlockOp.diag(
+        [catalog.momentum_op(1, 1), ScalarOp.identity(1)]))
+    grids = [Grid(L, n) for n in (16, 32, 64)]
+    seen = _record_words(monkeypatch)
+    for spec, rids in ((minus, ["Theta^2 == -1"]),
+                       (no_constant, ["Theta^2 == c",
+                                      "Pi*Theta == c*Theta*Pi"])):
+        exact = {c.name: c for c in catalog.full_verification(spec).checks}
+        for rid, got in zip(rids, study(spec, rids, grids), strict=True):
+            assert exact[rid].status == "fail"
+            assert (got.relation, got.ok, got.residuals, got.detail()) == (
+                rid, False, (), exact[rid].detail)
+    assert not seen
+
+
 def test_convergence_study_input_validation():
     rep = catalog.build("up", 0)
     with pytest.raises(ValueError, match="at least three"):
@@ -890,7 +936,8 @@ def test_mixed_zero_residuals_fail_without_a_slope(monkeypatch, table,
     grids = [Grid(L, n) for n in (16, 32, 64)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = convergence_study(None, "[K1,P1] == i*P0", grids)
+        r = convergence_study(catalog.build("up", 1), "[K1,P1] == i*P0",
+                              grids)
     assert not r.exact and not r.ok and r.slope is None
     assert r.detail().startswith(
         f"no slope: zero residual at N = {zero_sizes},")

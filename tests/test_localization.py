@@ -39,11 +39,11 @@ def test_position_is_self_adjoint_and_bare_derivative_is_not():
 
 
 def test_newton_wigner_blocks():
-    q = newton_wigner(SpinWeight(1), 2)
-    assert len(q) == 3
-    assert all(op.blocks == 2 for op in q)
-    with pytest.raises(ValueError):
-        newton_wigner(SpinWeight(0), 4)
+    # diag(F_j, ...) for any block count, quad's four included
+    for blocks in (1, 2, 4):
+        q = newton_wigner(SpinWeight(1), blocks)
+        assert len(q) == 3
+        assert all(op.blocks == blocks for op in q)
 
 
 @pytest.mark.parametrize("label,two_s", [("sym3", 0), ("sym3", 1), ("sym5", 1),
@@ -110,7 +110,17 @@ def test_position_triple_is_exactly_three_operators_of_the_specs_shape():
     assert verify_position_axioms(rep, [q1, q2, q3]).all_passed()
 
 
-def test_quad_has_no_canonical_triple():
-    rep = catalog.build("quad:+1", 0)
-    with pytest.raises(ValueError, match="unsupported block count"):
-        newton_wigner(SpinWeight(0), rep.blocks)
+@pytest.mark.parametrize("label", ["quad:+1", "quad:-1"])
+def test_quad_localizes_with_the_block_diagonal_triple(label):
+    # diag(F_j, F_j, F_j, F_j) over the four blocks passes every
+    # non-discrete row; quad is not resolved, so its Theta and Pi rows are
+    # recorded, and both hold
+    rep = catalog.build(label, 0)
+    assert rep.blocks == 4 and label not in RESOLVED_LABELS
+    rows = {c.name: (c.status, c.detail)
+            for c in localization_report(rep).checks}
+    assert len(rows) == 26
+    assert {name: row for name, row in rows.items() if row[0] != "pass"} == {
+        "Theta*Q == Q*Theta": ("recorded", "holds"),
+        "Pi*Q == -Q*Pi": ("recorded", "holds"),
+    }
