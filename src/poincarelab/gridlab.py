@@ -55,10 +55,17 @@ and conjugated, its spin components permuted and its signs folded into
 the kernel's own (``_plan``), K1 Pi Theta psi through the exact product
 Pi Theta, so no such word is made for a reader.  A word that no word
 reads and one term uses is written or added straight into its
-component's rows; any other keeps a window of its rows as deep as its
-readers' axis-0 stencils reach, summed along each chain of readers.
-The state is the plan's word (), a row source whose rows are kept in a
-window like any other word's: the standard state's Gaussian factors,
+component's rows; any other holds its rows a level at a time, in
+buffers of one pool: each level is made ``lead`` levels ahead of the
+step that sums the components, as deep as its readers' axis-0 stencils
+reach along each chain of readers, just before the first event of the
+step that reads it, and goes back right after its last reader, ``keep``
+levels after the current one.  The components run in one greedy order
+on every step, each next one the component that needs the fewest
+levels not yet made (``_Layout``), so a level lives from its first
+reader to its last rather than for whole steps.  The state is the
+plan's word (), a row source whose rows are held a level at a time like
+any other word's: the standard state's Gaussian factors,
 evaluated as the plan goes, or a caller's ``GridState``, its rows
 copied out.  The standard state is not normalized: every residual is
 relative to the state's own norm, which the plan takes.  So a study
@@ -84,7 +91,9 @@ not finite (``_Norm``).
 ``grid --rep up --two-s 1`` at N = 32, 64, 128 computes 72 words on
 each grid (74 on the finest, with Theta psi and Pi psi for its isometry
 rows), 218 words, in a median 3.1 s of ``perfbench`` ``run_s`` on a
-2-core Xeon VM, with a peak RSS of 64 MiB.
+2-core Xeon VM, with a peak RSS of 56 MiB; a cold study traces a peak
+of 25.4 MiB (64 MiB and 32.0 MiB when each stored word held whole
+levels for whole steps).
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -667,7 +676,11 @@ class _Buffers:
     come scratch, the layout's ``chain`` difference buffers with its
     ``halo`` of rows on either side, and the field slabs of the last
     ``banks`` ranges run (``_Bank``), each with its 1/p0 weight once a
-    norm has read it: a streamed plan takes norms, ``apply`` none.
+    norm has read it: a streamed plan takes norms, ``apply`` none.  A
+    step of a streamed plan reads fields on its own level and the
+    ``lead`` after it only, each level's first at the step that first
+    reaches it, so the oldest range is one no later event reads.  The
+    rows of the plan's words are not here but in its ``_Pool``.
     """
 
     def __init__(self, mesh: _Mesh, lay: _Layout):
@@ -825,13 +838,14 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     studied counts, and of it only its streamed plan (``_stream``): the
     standard state is its Gaussian factors, N points each.  The plan's
     arrays are read from its own layout (``_Layout``) on each grid, of
-    the representative relations and the isometry rows, laid out on a
+    the representative relations the table finds admissible (a study
+    fails the others unevaluated) and the isometry rows, laid out on a
     mesh that makes no axis, so the estimate itself allocates nothing of
     the grid's size; none of the plan's arrays is state-sized:
-    - each stored word's window, the state's own included, lead + keep
-      + 1 levels of its rows, a level being a slab and its mirror (at
-      most N rows in all);
-    - the rows of one component sum;
+    - the most level buffers its schedule holds at once (``live``),
+      each a slab and its mirror of every component, the state's rows
+      among them;
+    - the rows of one component sum, its one accumulator;
     - the kernels' shared slabs (scratch, a difference buffer with the
       stencil's halo, two where a term differences twice, the slab a
       term is added from and one gathered slab), and the temporaries of
@@ -841,13 +855,15 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
     - each broadcast pair of the table scaled once, in its field's own
       shape (N points along one axis, N^2 along two), real where its s
       is.
-    Against the peak RSS of ``grid`` at N = 32, 64, 128 less that of a
-    process that only imports numpy and poincarelab (28.3 MiB), 35.4,
-    60.6 and 57.2 MiB for up 2s=1, sym3 2s=1 and quad:+1 on a 2-core
-    Xeon VM, it reads 5% and 6% high and even, and 16%, 12% and 8%
-    above their cold studies' traced peaks (32.0, 57.1 and 52.7 MiB).
+    On the default grids N = 32, 64, 128 it reads 30.0, 50.0 and 43.0
+    MiB for up 2s=1, sym3 2s=1 and quad:+1, 18%, 15% and 10% above
+    their cold studies' traced peaks (25.4, 43.6 and 39.2 MiB; 32.0,
+    57.1 and 52.7 MiB when each stored word held whole levels for whole
+    steps, against estimates of 37.0, 64.0 and 57.0 MiB).
     """
-    _rels, comps, ops = _relations(rep, representative_relations(rep))
+    bad = _inadmissible(rep)
+    _rels, comps, ops = _relations(
+        rep, [rid for rid in representative_relations(rep) if rid not in bad])
     spins = rep.blocks * (rep.two_s + 1)
     peak = 0
     for g in grids:
@@ -862,9 +878,7 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
                 full += halves
             else:
                 flat += halves * math.prod(mesh.shape(key))
-        window = sum(min((w.lead + max(w.keep, 0) + 1) * span, n)
-                     for w in lay.stored)
-        halves = (2 * spins * (window + 3 * span)
+        halves = (2 * spins * (lay.live + 3) * span
                   + 2 * (2 + chain) * span + 4 * chain * lay.halo
                   + lay.banks * span * (full + 1))
         peak = max(peak, (halves * n * n + flat) * 8)
@@ -941,14 +955,31 @@ class _Word:
     """One distinct word of a streamed study and what reads it.  Its
     kernel runs ``head``, the outermost operator and the foldable ones
     after it, which it reads through (``_monomial``), on the rows of the
-    word ``src`` that follows them."""
+    word ``src`` that follows them.
+
+    A stored word's rows live a level at a time (``_Layout``): its level
+    c is made at step c - ``lead``, by event ``make`` of the step, just
+    before the first event that reads it, and goes back to the pool
+    ``keep`` levels after the current one, at step c + keep, right after
+    event ``drop``, its last reader (keep < 0 where every reader runs
+    ahead of the step's level)."""
 
     def __init__(self, word: tuple, head: tuple = ()):
         self.word, self.head, self.src = word, head, word[len(head):]
         self.users: list[_Word] = []  # the words whose src it is
         self.terms = 0  # uses as a term of a component
-        self.lead = self.keep = 0
-        self.rows = _Rows(word)
+        self.lead = self.keep = self.make = self.drop = 0
+
+
+class _Event(NamedTuple):
+    """One event of each step of a streamed plan (``_Layout.events``):
+    make a level of ``word``, or, where word is None, sum component
+    ``comp`` on the step's level; then give back the levels of the
+    words of ``drops``, whose last reader it is."""
+
+    word: _Word | None
+    comp: int | None
+    drops: list
 
 
 class _Layout:
@@ -960,21 +991,36 @@ class _Layout:
     outermost operator through every foldable one after it, as the fold
     (``_monomial``) of their exact product, so a word whose outermost
     operator is foldable is never read by another word: K1 Pi Theta psi
-    reads the state's rows through Pi Theta.  ``plans`` holds the row kernels
-    (``_plan``) on the grid by head (the operators a kernel runs, see
-    ``_Word``), ``pairs`` the table of distinct (field key, s) pairs
-    those plans share and ``rows`` the rows of a slab.  The word graph:
-    ``words`` maps each word to its ``_Word``, the terms and the words
-    their kernels read; ``order`` holds the nonempty ones shortest
-    first, with their readers and their ``lead`` and ``keep`` in levels
-    (see ``_stream``); ``direct`` the words that go straight into their
-    component: those that no word reads and one term uses; ``stored``
-    the others after ``root``, the state's word (), whose readers, lead
-    and keep come the same way; and ``lead`` the most levels a stored word
-    runs ahead.  The sizes of the buffers (``_Buffers``, and so
-    ``working_set_bytes``) are read from here alone: ``span`` rows of a
-    level, ``halo`` and ``chain`` (at most 2) difference buffers, and
-    ``banks`` = 2 (lead + 1) ranges of field slabs.
+    reads the state's rows through Pi Theta.  ``plans`` holds the row
+    kernels (``_plan``) on the grid by head (the operators a kernel
+    runs, see ``_Word``), ``pairs`` the table of distinct (field key, s)
+    pairs those plans share and ``rows`` the rows of a slab.  The word
+    graph: ``words`` maps each word to its ``_Word``, the terms and the
+    words their kernels read; ``order`` holds the nonempty ones shortest
+    first, with their readers and their ``lead`` in levels; ``direct``
+    the words that go straight into their component: those that no word
+    reads and one term uses; ``stored`` the others after ``root``, the
+    state's word (), whose readers and lead come the same way; and
+    ``lead`` the most levels a stored word runs ahead.
+
+    ``events`` is the schedule every step of the plan runs (``_Event``),
+    the same at each level t: the components in a greedy order, each
+    next one the component whose terms need the fewest stored levels not
+    yet made in the step (ties to the lower index), every such level,
+    level t + lead of its word, made just before the component that
+    first needs it, after the levels its own kernel needs.  A level goes
+    back right after the last event that reads it: a component reads its
+    stored terms at level t and a direct term's src as deep as that
+    kernel's axis-0 stencil reaches (``_reach``), a made level its src
+    likewise around its own.  ``live`` is the most level buffers held at
+    once over that schedule, each word counting its levels from the one
+    it makes to the one it gives back, at most the grid's count of
+    levels: exact where the grid has room for every window, an upper
+    bound on coarser grids.  The sizes of the buffers (``_Buffers``,
+    ``_Pool``, and so ``working_set_bytes``) are read from here alone:
+    ``live`` level buffers of ``span`` rows, ``halo`` and ``chain`` (at
+    most 2) difference buffers, and ``banks`` = 2 (lead + 1) ranges of
+    field slabs.
     """
 
     def __init__(self, ops: dict, components, grid: Grid, mesh: _Mesh):
@@ -1006,11 +1052,7 @@ class _Layout:
         for w in reversed(order):  # readers before what they read
             if w.word:
                 words[w.src].users.append(w)
-            need = [-(-self.plans[u.head].halo // rows) for u in w.users]
-            w.lead = max([0] + [u.lead + d for u, d in zip(w.users, need)])
-            w.keep = max([0] * bool(w.terms)
-                         + [d - u.lead for u, d in zip(w.users, need)],
-                         default=0)
+            w.lead = max([0] + [u.lead + self._reach(u) for u in w.users])
         self.order = order[1:]
         self.direct = {w.word for w in self.order
                        if not w.users and w.terms == 1}
@@ -1022,6 +1064,93 @@ class _Layout:
         self.halo = max((p.halo for p in plans), default=0)
         self.chain = min(max((p.chain for p in plans), default=0), 2)
         self.banks = 2 * (self.lead + 1)
+        self.events = self._schedule(components)
+        # the count of _level_ranges, without making its list
+        levels = -(-((grid.points + 1) // 2) // rows)
+        self.live = max(
+            sum(min(levels, max(0, w.lead + w.keep + 1 - (k < w.make)
+                                - (k > w.drop))) for w in self.stored)
+            for k in range(len(self.events)))
+
+    def _reach(self, w: _Word) -> int:
+        """The levels w's kernel reads on either side of its own: its
+        axis-0 stencil's depth in slabs, rounded up."""
+        return -(-self.plans[w.head].halo // self.rows)
+
+    def _reads(self, w: _Word) -> list[tuple[_Word, int]]:
+        """The levels the kernel of w reads to make w's level at ``lead``
+        from the step's, each as (stored word, level offset); none for
+        the state."""
+        if not w.word:
+            return []
+        d = self._reach(w)
+        return [(self.words[w.src], w.lead + o) for o in range(-d, d + 1)]
+
+    def _fresh(self, reads, out: list) -> list[_Word]:
+        """``out`` extended by the words whose level at their ``lead`` the
+        reads need, each after those its own kernel needs."""
+        for w, o in reads:
+            if o == w.lead and w not in out:
+                self._fresh(self._reads(w), out)
+                out.append(w)
+        return out
+
+    def _schedule(self, components) -> list[_Event]:
+        """The events of every step (see the class docstring), with each
+        stored word's ``keep``, ``make`` and ``drop``."""
+        words = self.words
+        reads = []
+        for comp in components:
+            got = []
+            for _c, word in comp:
+                w = words[word]
+                if word in self.direct:
+                    got += self._reads(w)
+                else:
+                    got.append((w, 0))
+            reads.append(got)
+        # a direct word has lead 0, so its reads sit around the step's level
+        needs = [self._fresh(r, []) for r in reads]
+        made, events, left = set(), [], list(range(len(components)))
+        while left:
+            i = min(left, key=lambda i: sum(w not in made for w in needs[i]))
+            left.remove(i)
+            for w in needs[i]:
+                if w not in made:
+                    made.add(w)
+                    w.make = len(events)
+                    events.append(_Event(w, None, []))
+            events.append(_Event(None, i, []))
+        low = {}  # word -> (lowest level offset read, last event reading it)
+        for k, (w, i, _drops) in enumerate(events):
+            for src, o in (self._reads(w) if w else reads[i]):
+                if o <= low.get(src, (o, k))[0]:
+                    low[src] = (o, k)
+        for w, (o, k) in low.items():
+            w.keep, w.drop = -o, k
+            events[k].drops.append(w)
+        return events
+
+
+class _Pool:
+    """The level buffers of one streamed plan, each (blocks, 2s+1, span,
+    N, N): a stored word's level, its slab and its mirror, in one
+    buffer.  ``take`` hands out a buffer given back before, or a new one
+    when none is free, so ``made`` is the most held at once."""
+
+    __slots__ = ("shape", "free", "made")
+
+    def __init__(self, shape: tuple):
+        self.shape, self.free, self.made = shape, [], 0
+
+    def take(self) -> np.ndarray:
+        if self.free:
+            return self.free.pop()
+        self.made += 1
+        return np.empty(self.shape, dtype=complex)
+
+    def give(self, buf: np.ndarray) -> None:
+        self.free.append(buf)
 
 
 def _stream(ops: dict, state, components) -> list[float]:
@@ -1031,34 +1160,37 @@ def _stream(ops: dict, state, components) -> list[float]:
     ``state`` is a row source: ``grid``, ``blocks``, ``spin`` and
     ``rows(lo, hi, out)``, which writes its rows lo:hi into ``out`` (a
     ``_Gaussian`` or a ``GridState``).  It is the word (), whose rows
-    are taken as the plan goes and kept in a window like any stored
-    word's; the norm of a state, the plan's own included, is the norm of
-    a component of one term.  The plan's operators, field pairs and
-    words are its ``_Layout``.  The grid's levels (``_level_ranges``)
-    are walked from the faces in: a slab of rows together with its
-    mirror, so a reflected read lands on rows that the same step
-    computes.  A direct word (read by no word, used by one term) has
-    its rows written straight into its component's rows, or, after the
-    first term, into one add slab that is then added onto them; every
-    other word keeps a window of its rows.  A word read by an operator
-    whose stencil reaches d levels is computed d levels ahead of its
-    reader (its ``lead``, summed along each chain of readers) and kept
-    for d levels after (``keep``), so a level of a word is dropped once
-    its last reader has run over it.  Each step computes the words
-    shortest first, each from the rows of its ``src`` (read through the
-    foldable operators of its head), then every component's rows, by one
-    loop, in their terms' order with the same elementwise operations as
-    summing whole applied states.  The kernels share one ``_Buffers`` on
-    the plan's own mesh, the one its ``_Layout`` reads, whose field slabs
-    span the levels of a step, so each range's bank is made once, whole,
-    for every kernel that reads it, and the norms make and read its 1/p0
-    weight.  A stored word's rows, the state's included, are scanned for
-    non-finite entries as they are made; a direct word is checked through
-    its component's norm.  Each range of a component gives its norm
-    partials as soon as it is made (``_Norm``), so no norm keeps rows,
-    and each norm is bit-identical to that of the whole applied state
-    taken over the same ranges.  A grid whose spacing cubed is 0 is
-    refused before any row is made, since every norm on it would be 0.
+    are taken as the plan goes and held a level at a time like any
+    stored word's; the norm of a state, the plan's own included, is the
+    norm of a component of one term.  The plan's operators, field pairs,
+    words and schedule are its ``_Layout``.  The grid's levels
+    (``_level_ranges``) are walked from the faces in: a slab of rows
+    together with its mirror, so a reflected read lands on rows of the
+    same level.  Step t runs the layout's ``events``: it sums each
+    component on level t, in the layout's order, and makes level t +
+    lead of each stored word just before the first event that reads it,
+    from the rows of its ``src`` (read through the foldable operators of
+    its head), into a buffer of the plan's one ``_Pool``; a level goes
+    back to the pool right after its last reader, ``keep`` levels on.
+    The steps start ``lead`` levels before the first, where they only
+    make levels, and a level off the grid is neither made nor read.  A
+    direct word (read by no word, used by one term) has its rows written
+    straight into its component's rows, or, after the first term, into
+    one add slab that is then added onto them; each component is summed
+    by one loop into one accumulator, in its terms' order with the same
+    elementwise operations as summing whole applied states.  The kernels
+    share one ``_Buffers`` on the plan's own mesh, the one its
+    ``_Layout`` reads, whose field slabs span the levels of a step, so
+    each range's bank is made once, whole, for every kernel that reads
+    it, and the norms make and read its 1/p0 weight.  A stored word's
+    rows, the state's included, are scanned for non-finite entries as
+    they are made; a direct word is checked through its component's
+    norm.  Each range of a component gives its norm partials as soon as
+    it is made (``_Norm``), so no norm keeps rows, and each norm, in the
+    components' own order, is bit-identical to that of the whole applied
+    state taken over the same ranges.  A grid whose spacing cubed is 0
+    is refused before any row is made, since every norm on it would be
+    0.
     """
     g = state.grid
     if g.spacing**3 == 0:  # every norm would be 0
@@ -1068,50 +1200,60 @@ def _stream(ops: dict, state, components) -> list[float]:
     lay = _Layout(ops, components, g, mesh)
     if any((op.blocks, op.dim) != shape for op in lay.ops.values()):
         raise ValueError("operator shape does not match the state")
-    rows, direct, stored, plans = lay.rows, lay.direct, lay.stored, lay.plans
+    rows, direct, plans = lay.rows, lay.direct, lay.plans
     levels = _level_ranges(n, rows)
+    last = len(levels) - 1
     bufs = _Buffers(mesh, lay)
-    slab = np.empty((*shape, lay.span, n, n), dtype=complex)  # a term to add
-    source = {w.word: w.rows for w in stored}
+    pool = _Pool((*shape, lay.span, n, n))
+    total = np.empty(pool.shape, dtype=complex)  # a component's rows
+    slab = np.empty(pool.shape, dtype=complex)  # a term to add
+    source = {w.word: _Rows(w.word) for w in lay.stored}
+    held = {}  # (word, level) -> its buffer
     norms = [_Norm(n, bufs.weight) for _ in components]
     sums = [[(i, coeff, coeff.to_complex(), lay.words[word])
              for i, (coeff, word) in enumerate(comp)] for comp in components]
-    last = len(levels) - 1
-    for t, ranges in enumerate(levels):
-        for word in stored:
-            todo = (range(min(word.lead, last) + 1) if t == 0
-                    else [t + word.lead] if t + word.lead <= last else [])
-            for c in todo:
-                for lo, hi in levels[c]:
-                    out = np.empty((*shape, hi - lo, n, n), dtype=complex)
-                    if word is lay.root:
-                        state.rows(lo, hi, out)
-                    else:
-                        _apply_rows(plans[word.head], bufs, source[word.src],
-                                    lo, hi, out)
-                    _check_finite(out)
-                    word.rows.chunks.append((lo, hi, out))
-        for terms, norm_ in zip(sums, norms):
-            for lo, hi in ranges:
-                acc = np.empty((*shape, hi - lo, n, n), dtype=complex)
-                add = slab[:, :, :hi - lo]
-                for i, coeff, c, word in terms:
-                    if word.word in direct:
-                        _apply_rows(plans[word.head], bufs, source[word.src],
-                                    lo, hi, add if i else acc)
-                        if i:
-                            _add_rows(acc, add, c, add)
-                    elif i == 0:
-                        np.copyto(acc, word.rows.take(lo, hi))
-                    else:
-                        _add_rows(acc, word.rows.take(lo, hi), c, add)
-                    if i == 0 and coeff != ONE:
-                        acc *= c
-                norm_.add(lo, hi, acc)
-        for word in stored:
-            word.rows.chunks = [
-                chunk for chunk in word.rows.chunks
-                if min(chunk[0], n - chunk[1]) // rows + word.keep > t]
+    for t in range(-lay.root.lead, last + 1):
+        for word, comp, drops in lay.events:
+            if word is not None:
+                at = t + word.lead
+                if 0 <= at <= last:
+                    buf = held[word.word, at] = pool.take()
+                    a = 0
+                    for lo, hi in levels[at]:
+                        out = buf[:, :, a:a + hi - lo]
+                        a += hi - lo
+                        if word is lay.root:
+                            state.rows(lo, hi, out)
+                        else:
+                            _apply_rows(plans[word.head], bufs,
+                                        source[word.src], lo, hi, out)
+                        _check_finite(out)
+                        source[word.word].chunks.append((lo, hi, out))
+            elif t >= 0:
+                for lo, hi in levels[t]:
+                    acc = total[:, :, :hi - lo]
+                    add = slab[:, :, :hi - lo]
+                    for i, coeff, c, w in sums[comp]:
+                        if w.word in direct:
+                            _apply_rows(plans[w.head], bufs, source[w.src],
+                                        lo, hi, add if i else acc)
+                            if i:
+                                _add_rows(acc, add, c, add)
+                        elif i == 0:
+                            np.copyto(acc, source[w.word].take(lo, hi))
+                        else:
+                            _add_rows(acc, source[w.word].take(lo, hi), c,
+                                      add)
+                        if i == 0 and coeff != ONE:
+                            acc *= c
+                    norms[comp].add(lo, hi, acc)
+            for w in drops:
+                at = t - w.keep
+                if 0 <= at <= last:
+                    pool.give(held.pop((w.word, at)))
+                    kept = source[w.word]
+                    kept.chunks = [ch for ch in kept.chunks
+                                   if min(ch[0], n - ch[1]) // rows != at]
     return [norm_.value(g.spacing) for norm_ in norms]
 
 
@@ -1122,20 +1264,28 @@ _ISOMETRY = tuple(((ONE, word),) for word in ((), ("Theta",), ("Pi",)))
 
 def _relations(rep: RepSpec, relation_ids) -> tuple[list, list, dict]:
     """The relations of ``relation_ids`` in that order, each refused
-    when unknown or with nothing to evaluate; their components, in
-    order; and the operators their words name."""
+    when unknown or inadmissible (the exact side fails such a row
+    unevaluated, whether or not it has components); their components,
+    in order; and the operators their words name."""
     table = {r.name: r for r in relations(rep)}
     rels = []
     for rid in relation_ids:
         rel = table.get(rid)
         if rel is None:
             raise ValueError(f"unknown relation id: {rid}")
-        if not rel.components:
-            raise ValueError(f"relation {rid} has nothing to evaluate: "
-                             f"{rel.inadmissible}")
+        if rel.inadmissible:
+            raise ValueError(f"relation {rid} is inadmissible, nothing to "
+                             f"evaluate: {rel.inadmissible}")
         rels.append(rel)
     comps = [comp for rel in rels for comp in rel.components]
     return rels, comps, operators(rep, word_names(rels))
+
+
+def _inadmissible(rep: RepSpec) -> dict[str, str]:
+    """The table's text of each relation it finds inadmissible, by id:
+    rows a study fails unevaluated and no plan lays out."""
+    return {rel.name: rel.inadmissible for rel in relations(rep)
+            if rel.inadmissible}
 
 
 _ZERO_NORM = ("state norm is 0: the spacing cubed or the state's squares "
@@ -1314,8 +1464,7 @@ def study(rep: RepSpec, relation_ids, grids, *,
     Theta psi and Pi psi, components of one term.
     """
     grids = refining(grids)
-    inadmissible = {rel.name: rel.inadmissible for rel in relations(rep)
-                    if rel.inadmissible}
+    inadmissible = _inadmissible(rep)
     evaluated = [rid for rid in relation_ids if rid not in inadmissible]
     per_grid = [_residuals(rep, evaluated, _standard(rep, g),
                            defects if g is grids[-1] else None)

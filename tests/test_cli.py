@@ -353,8 +353,8 @@ def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
     def forbidden(*args):
         raise AssertionError("allocated a state")
 
-    # the plan at N = 1024 needs about 2.8 GiB, so a budget under that
-    monkeypatch.setattr(cli, "memory_budget", lambda: 2 * 2**30)
+    # the plan at N = 1024 needs about 1.9 GiB, so a budget under that
+    monkeypatch.setattr(cli, "memory_budget", lambda: 3 * 2**29)
     monkeypatch.setattr(gridlab, "standard_state", forbidden)
     # nor does it build its state's factors
     monkeypatch.setattr(gridlab, "_gaussian", forbidden)
@@ -362,7 +362,7 @@ def test_grid_refuses_an_oversized_study_before_allocating(monkeypatch,
                  "--n", "256,512,1024"]) == 2
     err = capsys.readouterr().err
     assert "error: grid study at N = 256, 512, 1024 needs about" in err
-    assert " MiB, over the 2,048 MiB budget (50% of MemAvailable)" in err
+    assert " MiB, over the 1,536 MiB budget (50% of MemAvailable)" in err
 
 
 @pytest.mark.parametrize("argv,command,two_s", [

@@ -9,6 +9,7 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -389,15 +390,18 @@ def test_working_set_bytes_of_default_and_oversized_grids():
     big = [Grid(L, n) for n in (32, 64, 1024)]
     need = working_set_bytes(rep, default)
     # no grid keeps a state or a field, and no study makes an array of
-    # the grid's size; the streamed study's arrays peak at about 32.0 MiB
-    # at N = 128, its windows most of them, and at about 2.3 GiB at
-    # N = 1024 (2.8 GiB when Theta psi and Pi psi were stored words and
-    # a broadcast plane was a contiguous (1, N, N) copy, 3.9 GiB when
-    # each range's bank held both signs of a pair, complex slabs for real
-    # pairs and its basis fields), which the grid command refuses under a
-    # 2 GiB budget (test_cli.py)
-    assert 33 * 2**20 < need < 60 * 2**20
-    assert working_set_bytes(rep, big) == 2_483_150_848
+    # the grid's size; the streamed study's arrays trace a cold peak of
+    # 25.4 MiB on the default grids, 14 level buffers at most held at
+    # once on N = 64 and 128 (21 level windows when each stored word held
+    # whole levels for whole steps, a 32.0 MiB peak), and are estimated
+    # at about 1.9 GiB at N = 1024 (2.3 GiB with whole-step windows, 2.8
+    # GiB when Theta psi and Pi psi were stored words and a broadcast
+    # plane was a contiguous (1, N, N) copy, 3.9 GiB when each range's
+    # bank held both signs of a pair, complex slabs for real pairs and its
+    # basis fields), which the grid command refuses under a 1.5 GiB budget
+    # (test_cli.py)
+    assert 25 * 2**20 < need < 60 * 2**20
+    assert working_set_bytes(rep, big) == 2_013_388_800
 
 
 def test_working_set_guard_allocates_nothing_of_the_grids_size():
@@ -772,26 +776,49 @@ def test_streamed_plan_norms_keep_no_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 35.3 MiB; 40.4 MiB with the banks of two signs and complex slabs
-    # for real pairs
-    assert peak < 36 * 2**20
+    # 22.6 MiB; 29.1 MiB when each stored word held whole levels for
+    # whole steps, 35.3 MiB before Theta and Pi were read through, 40.4
+    # MiB with the banks of two signs and complex slabs for real pairs
+    assert peak < 23 * 2**20
 
 
-def test_streamed_plan_cold_peak_at_the_default_grids():
-    # a cold study of up 2s=1 on the default grids traces 32.0 MiB: Theta
-    # and Pi are read through, so no window holds Theta psi or Pi psi,
-    # and a broadcast plane keeps its own shape (39.5 MiB before); each
-    # range's bank holds one slab per field and canonical scale, float64
-    # where the scale is real, and no basis field (47.2 MiB before that)
-    rep = catalog.build("up", 1)
-    grids = [Grid(L, n) for n in (32, 64, 128)]
+def _cold_peak(rep, grids) -> int:
+    """The traced peak of a cold study of rep's representative relations
+    and isometry rows on grids."""
     tracemalloc.start()
     try:
         study(rep, representative_relations(rep), grids, defects={})
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 33 * 2**20
+
+
+def test_streamed_plan_cold_peak_at_the_default_grids():
+    # a cold study of up 2s=1 on the default grids traces 25.4 MiB: each
+    # stored level lives from its first reader in a step to its last, in
+    # buffers of one pool (32.0 MiB when a word held whole levels for
+    # whole steps); Theta and Pi are read through, so no level holds
+    # Theta psi or Pi psi, and a broadcast plane keeps its own shape
+    # (39.5 MiB before); each range's bank holds one slab per field and
+    # canonical scale, float64 where the scale is real, and no basis
+    # field (47.2 MiB before that)
+    rep = catalog.build("up", 1)
+    grids = [Grid(L, n) for n in (32, 64, 128)]
+    peak = _cold_peak(rep, grids)
+    assert peak < 26 * 2**20
+    assert peak <= working_set_bytes(rep, grids)
+
+
+@pytest.mark.parametrize("label,two_s,bound", [
+    ("sym3", 1, 44), ("quad:+1", 0, 40)])
+def test_streamed_plan_cold_peak_of_wider_plans(label, two_s, bound):
+    # sym3 2s=1 traces 43.6 MiB and quad:+1 39.2 MiB on the default grids
+    # (57.1 and 52.7 MiB when each stored word held whole levels for
+    # whole steps)
+    rep = catalog.build(label, two_s)
+    grids = [Grid(L, n) for n in (32, 64, 128)]
+    peak = _cold_peak(rep, grids)
+    assert peak < bound * 2**20
     assert peak <= working_set_bytes(rep, grids)
 
 
@@ -1137,7 +1164,8 @@ def test_state_norm_overflow_is_refused():
 def test_working_set_reads_the_plans_layout(grids, monkeypatch):
     # the guard's layout of each grid (the representative relations and
     # the isometry words) is the one the study's plan runs on that grid
-    # with the isometry rows: equal stored words, lead and pair counts,
+    # with the isometry rows: equal stored words, lead, count of level
+    # buffers held at once and pair counts,
     # for every catalog entry at two_s <= 1
     grids = [Grid(L, n) for n in grids]
     made = []
@@ -1152,8 +1180,8 @@ def test_working_set_reads_the_plans_layout(grids, monkeypatch):
 
     def summary(layout):
         full = sum(is_full for _j, is_full in layout.pairs.values())
-        return ([w.word for w in layout.stored], layout.lead, full,
-                len(layout.pairs) - full)
+        return ([w.word for w in layout.stored], layout.lead, layout.live,
+                full, len(layout.pairs) - full)
 
     def stop(*args):  # the plan is laid out: make no rows
         raise Planned
@@ -1177,7 +1205,7 @@ def test_working_set_reads_the_plans_layout(grids, monkeypatch):
     # and 3 are real
     made.clear()
     working_set_bytes(catalog.build("up", 1), grids)
-    assert {summary(layout)[2:] for layout in made} == {(7, 9)}
+    assert {summary(layout)[3:] for layout in made} == {(7, 9)}
     assert {tuple(sum(s.imag == 0 for (_key, s), (_j, f) in
                       layout.pairs.items() if f == is_full)
                   for is_full in (True, False)) for layout in made} == {
@@ -1349,3 +1377,151 @@ def test_finite_scan_once_per_stored_row(monkeypatch):
         want = gridlab._Layout(ops, comps + list(own), g,
                                gridlab._Mesh(g)).direct
         assert want and {w for n, w in direct if n == g.points} == want
+
+
+def test_residual_refuses_an_inadmissible_row_with_components():
+    # a unitary Theta squaring to -1: its Theta^2 row has components but
+    # is inadmissible, and the exact side fails it with "got -1"; residual
+    # refuses it with the table's text instead of reading 0.0
+    sym1 = catalog.build("sym1", 0)
+    minus = dataclasses.replace(sym1, theta=catalog._discrete_op(
+        catalog._pattern(catalog._SYMPL2), "id", 0, 0, 0))
+    exact = {c.name: c for c in catalog.full_verification(minus).checks}
+    assert exact["Theta^2 == -1"].status == "fail"
+    with pytest.raises(ValueError, match="inadmissible.*got -1"):
+        residual(minus, "Theta^2 == -1",
+                 standard_state(minus, Grid(L, 16)))
+
+
+def _replay(lay, levels: int) -> int:
+    """Run the layout's schedule over a grid of ``levels`` levels without
+    rows, checking that each (word, level) is made once, that every level
+    an event reads is held, and that each goes back right after the last
+    event that reads it; the most levels held at once."""
+    held, made, peak, last_read = set(), set(), 0, {}
+    for t in range(-lay.root.lead, levels):
+        for k, event in enumerate(lay.events):
+            word, _comp, drops = event
+            runs = (0 <= t + word.lead < levels if word is not None
+                    else t >= 0)
+            if word is not None and runs:
+                key = (word.word, t + word.lead)
+                assert key not in made
+                made.add(key)
+                held.add(key)
+                peak = max(peak, len(held))
+            for w, o in _event_reads(lay, event) if runs else ():
+                if 0 <= t + o < levels:
+                    assert (w.word, t + o) in held
+                    last_read[w.word, t + o] = (t, k)
+            for w in drops:
+                key = (w.word, t - w.keep)
+                if 0 <= t - w.keep < levels:
+                    # its last reader, unless that reader makes a level
+                    # off the grid
+                    assert last_read[key] == (t, k) or not runs, key
+                    held.remove(key)
+    assert len(made) == len(lay.stored) * levels
+    return peak
+
+
+def test_plan_schedule_holds_each_level_from_first_reader_to_last(
+        monkeypatch):
+    # on every catalog entry at two_s <= 1: each (word, level) is made
+    # once, every level read is held, a made level's first reader is the
+    # next component to run, each level goes back right after its last
+    # reader, and the plan's pool holds no more buffers than the layout
+    # counts; up 2s=1 holds at most 14 level buffers on the default grids
+    # (21 level windows when each word held whole levels for whole steps)
+    made, pools = [], []
+
+    class Recorded(gridlab._Layout):
+        def __init__(self, ops, components, *args):
+            super().__init__(ops, components, *args)
+            self.components = components
+            made.append(self)
+
+    class Counted(gridlab._Pool):
+        def __init__(self, shape):
+            super().__init__(shape)
+            pools.append(self)
+
+    monkeypatch.setattr(gridlab, "_Layout", Recorded)
+    monkeypatch.setattr(gridlab, "_Pool", Counted)
+    grids = [Grid(L, n) for n in (17, 33, 65)]
+    for two_s in (0, 1):
+        for label in catalog.catalog_labels(two_s):
+            rep = catalog.build(label, two_s)
+            made.clear()
+            pools.clear()
+            study(rep, representative_relations(rep), grids, defects={})
+            assert len(made) == len(pools) == len(grids)
+            for lay, pool, g in zip(made, pools, grids):
+                levels = len(gridlab._level_ranges(g.points, lay.rows))
+                peak = _replay(lay, levels)
+                assert pool.made == peak <= lay.live, (label, g.points)
+                # every made level precedes its first reader with no
+                # component between: the events after a make up to the
+                # next component are makes
+                for k, (word, _c, _d) in enumerate(lay.events):
+                    if word is not None:
+                        rest = lay.events[k:]
+                        nxt = next(j for j, e in enumerate(rest)
+                                   if e.word is None)
+                        assert any(
+                            (word, word.lead) in _event_reads(lay, e)
+                            for e in rest[1:nxt + 1]), (label, word.word)
+    made.clear()
+    rep = catalog.build("up", 1)
+    working_set_bytes(rep, [Grid(L, n) for n in (32, 64, 128)])
+    assert [lay.live for lay in made] == [7, 14, 14]
+
+
+def _event_reads(lay, event) -> list:
+    """The (word, level offset) pairs an event of the layout reads."""
+    words, reach = lay.words, lay._reach
+    word, comp, _drops = event
+    if word is not None:
+        d = reach(word) if word.word else -1
+        return [(words[word.src], word.lead + o) for o in range(-d, d + 1)]
+    got = []
+    for _c, term in lay.components[comp]:
+        w = words[term]
+        if term in lay.direct:
+            d = reach(w)
+            got += [(words[w.src], o) for o in range(-d, d + 1)]
+        else:
+            got.append((w, 0))
+    return got
+
+
+def test_plan_buffers_die_with_the_study_without_the_collector(
+        monkeypatch):
+    # with the collector off, every level buffer of the pool and the one
+    # accumulator of the component sums are freed by reference counting
+    # when the study returns: no reference cycle keeps them into the next
+    # grid
+    refs = []
+    real_take, real_add = gridlab._Pool.take, gridlab._Norm.add
+
+    def take(pool):
+        buf = real_take(pool)
+        refs.append(weakref.ref(buf))
+        return buf
+
+    def add(norm_, lo, hi, values):
+        refs.append(weakref.ref(values.base))
+        return real_add(norm_, lo, hi, values)
+
+    monkeypatch.setattr(gridlab._Pool, "take", take)
+    monkeypatch.setattr(gridlab._Norm, "add", add)
+    rep = catalog.build("up", 1)
+    gc.collect()
+    gc.disable()
+    try:
+        study(rep, representative_relations(rep),
+              [Grid(L, n) for n in (17, 33, 65)], defects={})
+        assert refs
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
