@@ -32,68 +32,54 @@ own shape: a plane of N points along one axis) and once per range of
 rows for a full-size one, for each distinct (field, s), shared by every
 kernel that reads it.  A term that adds -s times a field onto its output
 is subtracted with the pair of s instead, and a pair whose s is real is
-stored float64, so a range's bank of slabs is made once, whole, from one
+stored float64, so a range's slabs are made once, together, from one
 evaluation of each field, at about half the bytes.  Each element sees
 the same operations in the same order as in one whole-array pass per
 term with that formula, so results are bit-identical to it (rounding is
 symmetric in sign, x - y is x + (-y), and a complex product casts a
 real operand to r + 0j); the formula it replaced, conj^k(x * F) * s,
 rounds differently, by at most 7.2e-16 of the largest modulus on the
-operators tested.  ``apply`` lays out its operator as the one word of a
-plan (``_Layout``) and walks the grid's levels with that layout's kernel
-and buffers; its result is scanned for non-finite entries once, as
-every ``GridState`` is, a slab of rows at a time.
+operators tested.
 
-``study`` runs every relation of a study on each grid from one streamed
-plan (``_stream``): the grid's rows are walked from both faces in, a
-slab together with its mirror, and each distinct word of the studied
-relations is computed once per grid, on rows only, from the rows of its
+Every grid computation with rows is a streamed plan (``_stream``): the
+rows are walked a level at a time from both faces in, a slab together
+with its mirror (``_Levels``), and each distinct word of the plan's
+components is computed once per grid, on rows only, from the rows of its
 suffix.  A constant monomial operator with signs +-1 (``_monomial``:
 Theta and Pi on every catalog entry) is a way of reading rows, not a
 stored word: the kernel of K1 Theta psi reads the state's rows mirrored
 and conjugated, its spin components permuted and its signs folded into
 the kernel's own (``_plan``), K1 Pi Theta psi through the exact product
-Pi Theta, so no such word is made for a reader.  A word that no word
-reads and one term uses is written or added straight into its
-component's rows; any other holds its rows a level at a time, in
-buffers of one pool: each level is made ``lead`` levels ahead of the
+Pi Theta.  A word that no word reads and one term uses is written or
+added straight into its component's rows.  Every other word, the state
+(the plan's word ()) included, keeps its rows by level, in buffers of
+one pool, and the field slabs and 1/p0 weights are kept by range, under
+one rule: made just before their first reader, dropped right after
+their last.  A stored word's level is made ``lead`` levels ahead of the
 step that sums the components, as deep as its readers' axis-0 stencils
-reach along each chain of readers, just before the first event of the
-step that reads it, and goes back right after its last reader, ``keep``
-levels after the current one.  The components run in one greedy order
-on every step, each next one the component that needs the fewest
-levels not yet made (``_Layout``), so a level lives from its first
-reader to its last rather than for whole steps.  The state is the
-plan's word (), a row source whose rows are held a level at a time like
-any other word's: the standard state's Gaussian factors,
-evaluated as the plan goes, or a caller's ``GridState``, its rows
-copied out.  The standard state is not normalized: every residual is
-relative to the state's own norm, which the plan takes.  So a study
-makes no array of the grid's size.  The working-set estimate
-(``working_set_bytes``, which the ``grid`` command holds against its
-memory budget) reads the plan's own layout (``_Layout``) on each grid,
-on a mesh that makes no axis, and only turns it into bytes.
-Every component, the state's own norm included, is summed by one loop,
-and each range of its rows takes its norm partials as soon as it is
-made, cut at slab boundaries and summed at the end in
-piece-then-component order, so residuals are bit-identical to
-evaluating each relation alone with whole applied states normed over
-the same ranges.  The plan's only outputs are component norms: the
-state's own norm, and for the isometry rows (``isometry_defect``, and a
-study's finest grid) the norms of Theta psi and Pi psi, are those of
-components of one term; a state whose own norm is not finite (entries
-above about 1e154, whose squares overflow) or 0 (the spacing cubed or
-the squares underflow) is refused.  Rows are scanned for non-finite
-entries once: a word that keeps its rows, the state included, as the
-plan computes them; a word that goes straight into its component, only
-through that component's norm, which scans a piece whose partials are
-not finite (``_Norm``).
-``grid --rep up --two-s 1`` at N = 32, 64, 128 computes 72 words on
-each grid (74 on the finest, with Theta psi and Pi psi for its isometry
-rows), 218 words, in a median 3.1 s of ``perfbench`` ``run_s`` on a
-2-core Xeon VM, with a peak RSS of 56 MiB; a cold study traces a peak
-of 25.4 MiB (64 MiB and 32.0 MiB when each stored word held whole
-levels for whole steps).
+reach, and the components run in one greedy order (``_Layout``), each
+next one the component needing the fewest levels not yet made; a
+range's slabs and weight go when the step that sums their level ends.
+The state is the standard state's Gaussian factors, evaluated as the
+plan goes and not normalized (every residual is relative to the state's
+own norm), or a caller's ``GridState``, its rows copied out.  So a study
+makes no array of the grid's size, and ``apply`` is a plan of one
+component written into its result instead of normed.  The working-set
+estimate (``working_set_bytes``, the ``grid`` command's memory guard)
+turns the plan's own layout into bytes.
+
+Each component, the state's own norm included, is summed by one loop,
+and each range of its rows takes its norm partials as soon as it is made
+(``_Norm``), so residuals are bit-identical to evaluating each relation
+alone with whole applied states normed over the same ranges.  The norms
+of the state and, for the isometry rows, of Theta psi and Pi psi are
+those of components of one term; a state whose own norm is not finite
+(entries above about 1e154) or 0 (the spacing cubed or the squares
+underflow) is refused.  Rows are scanned for non-finite entries once: a
+stored word's as the plan makes them, a direct word's through its
+component's norm.  ``grid --rep up --two-s 1`` at N = 32, 64, 128
+computes 218 words (72 on each grid, 74 on the finest with Theta psi and
+Pi psi for its isometry rows); a cold study traces a peak of 24.0 MiB.
 
 The numeric layer complements the symbolic one: relations whose finite
 difference errors cancel identically come out at rounding level, and
@@ -124,9 +110,9 @@ from .spin_algebra import SpinWeight
 from .symop import BlockOp, Coefficient
 
 EXACT_TOL = 1e-12
-# Bytes of one component slab in apply: a few such slabs (source rows
-# with their halo, difference buffers, field, scratch and output) stay
-# within a core's L2 cache together.
+# Bytes of one component slab of a streamed plan: a few such slabs
+# (source rows with their halo, difference buffers, field, scratch and
+# output) stay within a core's L2 cache together.
 SLAB_BYTES = 256 * 1024
 SLOPE_BAND = (1.7, 2.3)
 _RATIO_BAND = (0.35, 0.65)
@@ -552,58 +538,70 @@ def _plan(op: BlockOp, mesh: _Mesh, spacing: float, pairs: dict,
     return _Plan(sources, unreached, used, halo, chain)
 
 
-class _Rows:
-    """Axis-0 rows of one state: ``chunks`` of (lo, hi, values), values of
-    shape (blocks, 2s+1, hi - lo, N, N) holding rows lo:hi.  ``word`` is
-    the word whose state they are, () for the state itself."""
+class _Levels:
+    """The levels of a streamed plan's N axis-0 rows, ``rows`` a slab,
+    outside in, by arithmetic alone (no list of them is made).  Level c
+    is the slab of rows from a = c*rows with its mirror, or, where the
+    two meet, the one range a:N-a, so the middle row of an odd N is its
+    own mirror; its buffer holds the slab, then the mirror.  A level is
+    closed under the reflection, and a stencil of h rows reads only
+    levels at most ceil(h / rows) away."""
 
-    __slots__ = ("word", "chunks")
+    __slots__ = ("n", "rows", "half", "count")
 
-    def __init__(self, word, chunks=()):
-        self.word, self.chunks = word, list(chunks)
+    def __init__(self, n: int, rows: int):
+        self.n, self.rows, self.half = n, rows, (n + 1) // 2
+        self.count = -(-self.half // rows)
 
-    @classmethod
-    def whole(cls, values: np.ndarray) -> _Rows:
-        """Every row of a (blocks, N, N, N, 2s+1) array, as one chunk."""
-        return cls((), [(0, len(values[0]), np.moveaxis(values, -1, 1))])
+    def ranges(self, c: int) -> tuple:
+        """The row ranges of level c, in the order its buffer holds them."""
+        n, rows, a = self.n, self.rows, c * self.rows
+        if a + rows >= self.half:
+            return ((a, n - a),)
+        return ((a, a + rows), (n - a - rows, n - a))
 
-    def find(self, i: int) -> tuple:
-        for chunk in self.chunks:
-            if chunk[0] <= i < chunk[1]:
-                return chunk
-        raise AssertionError(f"row {i} of {self.word} is not computed")
+    def locate(self, i: int) -> tuple[int, int, int]:
+        """(level, offset in its level's buffer, end of its range) of i."""
+        n, rows = self.n, self.rows
+        c = min(i, n - 1 - i) // rows
+        a = c * rows
+        if a + rows >= self.half:
+            return c, i - a, n - a
+        if i < a + rows:
+            return c, i - a, a + rows
+        return c, i - n + a + 2 * rows, n - a
 
-    def take(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of every component, a view inside the one chunk
-        that holds them.  A streamed plan's chunks are its level ranges
-        and it asks for a range or its mirror, so rows that span two
-        chunks are a broken invariant."""
-        c0, c1, values = self.find(lo)
-        if hi > c1:
-            raise AssertionError(
-                f"rows {lo}:{hi} of {self.word} span two chunks")
-        return values[:, :, lo - c0:hi - c0]
+    def take(self, store: dict, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of every component of a level store ({level:
+        buffer}), a view into their level's buffer.  A plan asks for a
+        level's range or its mirror, so rows that span two ranges are a
+        broken invariant."""
+        c, a, end = self.locate(lo)
+        if hi > end:
+            raise AssertionError(f"rows {lo}:{hi} span two ranges")
+        return store[c][:, :, a:a + hi - lo]
 
 
-def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
-               bufs, n: int, flip: bool) -> np.ndarray:
+def _diff_rows(src: dict, comp: tuple, axes: tuple, lo: int, hi: int,
+               bufs: _Buffers, flip: bool) -> np.ndarray:
     """Rows lo:hi of the central-difference chain of component ``comp``
-    (block, spin column) of src, negated with ``flip`` in its first
-    difference (``_subtract``).
+    (block, spin column) of the level store src, negated with ``flip`` in
+    its first difference (``_subtract``).
 
     ``axes`` is sorted, so the axis-0 differences come first.  Each reads
     one row beyond its output on either side and zeroes the boundary
     rows 0 and N-1, so the chain starts h rows out (h the number of
-    axis-0 differences) and narrows to lo:hi; the first reads src chunk
-    by chunk (``_diff_chunks``).  Axis-1 and axis-2 differences stay
-    within rows.  Differences alternate between the two buffers of
-    ``bufs``.
+    axis-0 differences) and narrows to lo:hi; the first reads src range
+    by range (``_diff_levels``).  Axis-1 and axis-2 differences stay
+    within rows.  Differences alternate between the two difference
+    buffers of ``bufs``.
     """
-    h = axes.count(0)
+    levels = bufs.levels
+    n, h = levels.n, axes.count(0)
     if not h:
-        cur, r0 = src.take(lo, hi)[comp], lo
+        cur, r0 = levels.take(src, lo, hi)[comp], lo
     for i, axis in enumerate(axes):
-        out = bufs[i % 2]
+        out = bufs.deriv[i % 2]
         if axis:
             cur = _central_diff(cur, axis, out[:len(cur)], flip and i == 0)
             continue
@@ -612,7 +610,8 @@ def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
         out = out[:w1 - w0]
         i0, i1 = max(w0, 1), min(w1, n - 1)
         if i == 0:
-            _diff_chunks(src, comp, i0, i1, out[i0 - w0:i1 - w0], flip)
+            _diff_levels(src, levels, comp, i0, i1, out[i0 - w0:i1 - w0],
+                         flip)
         else:
             np.subtract(cur[i0 + 1 - r0:i1 + 1 - r0],
                         cur[i0 - 1 - r0:i1 - 1 - r0],
@@ -623,18 +622,18 @@ def _diff_rows(src: _Rows, comp: tuple, axes: tuple, lo: int, hi: int,
     return cur[lo - r0:hi - r0]
 
 
-def _diff_chunks(src: _Rows, comp: tuple, i0: int, i1: int,
+def _diff_levels(src: dict, levels: _Levels, comp: tuple, i0: int, i1: int,
                  out: np.ndarray, flip: bool) -> None:
     """out[i - i0] = x[i+1] - x[i-1] for rows i0:i1 of component x =
-    ``comp`` of src, negated with ``flip`` (``_subtract``), one
-    subtraction per stretch of rows whose two operands each lie in one
-    chunk."""
+    ``comp`` of the level store src, negated with ``flip``
+    (``_subtract``), one subtraction per stretch of rows whose two
+    operands each lie in one range of a level."""
     while i0 < i1:
-        a0, a1, above = src.find(i0 + 1)
-        b0, b1, below = src.find(i0 - 1)
+        ca, a, a1 = levels.locate(i0 + 1)
+        cb, b, b1 = levels.locate(i0 - 1)
         j = min(i1, a1 - 1, b1 + 1)
-        _subtract(above[comp][i0 + 1 - a0:j + 1 - a0],
-                  below[comp][i0 - 1 - b0:j - 1 - b0], out[:j - i0], flip)
+        _subtract(src[ca][comp][a:a + j - i0], src[cb][comp][b:b + j - i0],
+                  out[:j - i0], flip)
         out, i0 = out[j - i0:], j
 
 
@@ -645,47 +644,26 @@ def _stored(s: complex) -> complex | float:
     return s.real if s.imag == 0 else s
 
 
-class _Bank:
-    """The field slabs of one range of rows, made whole the first time
-    the range is asked for: F * s of each full-size pair by table index.
-    ``keys`` maps each basis field key to its pairs, (index, scale); each
-    field is evaluated once, scaled into every pair of its key and
-    dropped.  ``weight`` is the range's 1/p0 weight once a norm has asked
-    for it (``_Buffers.weight``), else None."""
-
-    __slots__ = ("span", "slabs", "weight")
-
-    def __init__(self, mesh: _Mesh, span: tuple[int, int], keys: dict):
-        self.span, self.slabs, self.weight = span, {}, None
-        for key, scales in keys.items():
-            f = mesh.field(key, *span)
-            for j, s in scales:
-                self.slabs[j] = np.multiply(f, s)
-
-
 class _Buffers:
     """Slab buffers that the row kernels of one layout (``_Layout``) share
-    on ``mesh``, its grid's, for ranges of at most the layout's ``span``
-    rows; every size is the layout's.
+    on ``mesh``, its grid's, for ranges of the layout's ``levels`` (at
+    most ``span`` rows); every size is the layout's.
 
-    The layout's ``pairs`` are the table of (field key, s) pairs its
-    plans share (``_plan``), each scaled once and stored float64 where s
-    is real (``_stored``).  Each pair whose field broadcasts along an
-    axis is scaled first, for every kernel, in the field's own shape: a
-    plane of shape (N, 1, 1), (1, N, 1) or (1, 1, N) has N points; then
-    come scratch, the layout's ``chain`` difference buffers with its
-    ``halo`` of rows on either side, and the field slabs of the last
-    ``banks`` ranges run (``_Bank``), each with its 1/p0 weight once a
-    norm has read it: a streamed plan takes norms, ``apply`` none.  A
-    step of a streamed plan reads fields on its own level and the
-    ``lead`` after it only, each level's first at the step that first
-    reaches it, so the oldest range is one no later event reads.  The
-    rows of the plan's words are not here but in its ``_Pool``.
+    Each (field key, s) pair of the layout's table (``_plan``) is scaled
+    once, float64 where s is real (``_stored``): a pair whose field
+    broadcasts along an axis first, for every kernel, in the field's own
+    shape (a plane of N points along one axis); a full-size pair per
+    range of rows, in ``slabs``, beside the range's 1/p0 weight in
+    ``weights`` (made for a norm only: ``apply`` makes none), each made
+    the first time its range asks for it and dropped by ``drop`` when
+    the step that sums its level ends.  Then come scratch and the
+    layout's ``chain`` difference buffers with its ``halo`` of rows on
+    either side.  The rows of the plan's words are in its ``_Pool``.
     """
 
     def __init__(self, mesh: _Mesh, lay: _Layout):
         n, span = mesh.n, lay.span
-        self.mesh, self.ranges = mesh, lay.banks
+        self.mesh, self.levels = mesh, lay.levels
         self.planes, self.keys = {}, {}
         for (key, s), (j, full) in lay.pairs.items():
             if full:
@@ -695,40 +673,43 @@ class _Buffers:
         self.scratch = np.empty((span, n, n), dtype=complex)
         self.deriv = [np.empty((span + 2 * lay.halo, n, n), dtype=complex)
                       for _ in range(lay.chain)]
-        self.banks: list[_Bank] = []
-
-    def _bank(self, lo: int, hi: int) -> _Bank:
-        """The slabs of rows lo:hi, in place of the oldest range's."""
-        for bank in self.banks:
-            if bank.span == (lo, hi):
-                return bank
-        if len(self.banks) == self.ranges:
-            self.banks.pop(0)
-        self.banks.append(_Bank(self.mesh, (lo, hi), self.keys))
-        return self.banks[-1]
+        self.slabs: dict[tuple, dict] = {}  # (lo, hi) -> {index: F * s}
+        self.weights: dict[tuple, np.ndarray] = {}  # (lo, hi) -> 1/p0
 
     def weight(self, lo: int, hi: int) -> np.ndarray:
-        """The 1/p0 weight on rows lo:hi, made on the range's bank the
-        first time it is asked for."""
-        bank = self._bank(lo, hi)
-        if bank.weight is None:
-            bank.weight = self.mesh.field(_INV_P0, lo, hi)
-        return bank.weight
+        """The 1/p0 weight on rows lo:hi."""
+        w = self.weights.get((lo, hi))
+        if w is None:
+            w = self.weights[lo, hi] = self.mesh.field(_INV_P0, lo, hi)
+        return w
 
     def fields(self, used: list, lo: int, hi: int) -> list[np.ndarray]:
         """F * s on rows lo:hi of each pair of ``used`` (table indices): a
-        broadcast pair's plane, or a full-size pair's slab from the
-        range's bank."""
-        bank = self._bank(lo, hi)
+        broadcast pair's plane, or a full-size pair's slab, the range's
+        slabs made together when first asked for, each field evaluated
+        once and scaled into every pair of its key."""
+        slabs = self.slabs.get((lo, hi))
+        if slabs is None:
+            slabs = self.slabs[lo, hi] = {}
+            for key, scales in self.keys.items():
+                f = self.mesh.field(key, lo, hi)
+                for j, s in scales:
+                    slabs[j] = np.multiply(f, s)
         out = []
         for j in used:
             f = self.planes.get(j)
             if f is None:
-                f = bank.slabs[j]
+                f = slabs[j]
             elif len(f) > 1:
                 f = f[lo:hi]
             out.append(f)
         return out
+
+    def drop(self, level: int) -> None:
+        """Drop the slabs and weights of a level, read by no later step."""
+        for r in self.levels.ranges(level):
+            self.slabs.pop(r, None)
+            self.weights.pop(r, None)
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -750,10 +731,11 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray, c: complex,
         acc += np.multiply(rows, c, out=scratch)
 
 
-def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
+def _apply_rows(plan: _Plan, bufs: _Buffers, src: dict, lo: int,
                 hi: int, out: np.ndarray) -> None:
-    """Rows lo:hi of plan's operator applied to src, into ``out`` of
-    shape (blocks, 2s+1, hi - lo, N, N).
+    """Rows lo:hi of plan's operator applied to the level store src
+    ({level: buffer}, ``_Levels``), into ``out`` of shape (blocks, 2s+1,
+    hi - lo, N, N).
 
     Every term of the plan runs on these rows while they are in cache:
     each source component differenced (``_diff_rows``, negated where
@@ -780,8 +762,8 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
     gs = bufs.fields(plan.used, lo, hi)
     for comp, axes, u, k, flip, terms in plan.sources:
         a, b = (n - hi, n - lo) if u else (lo, hi)
-        x = (_diff_rows(src, comp, axes, a, b, bufs.deriv, n, flip)
-             if axes else src.take(a, b)[comp])
+        x = (_diff_rows(src, comp, axes, a, b, bufs, flip)
+             if axes else bufs.levels.take(src, a, b)[comp])
         if k:
             x = np.conjugate(x, out=x if axes else bufs.deriv[0][:rows])
         if u:
@@ -804,27 +786,19 @@ def _apply_rows(plan: _Plan, bufs: _Buffers, src: _Rows, lo: int,
 def apply(op: BlockOp, state: GridState) -> GridState:
     """Apply an exact operator numerically, a level of rows at a time.
 
-    The operator is the one word of a layout (``_Layout``), whose kernel
+    A streamed plan (``_stream``) of the one component op psi, whose rows
+    are written into the result instead of normed: the operator's kernel
     (``_apply_rows``) runs on each range of the grid's levels (a slab of
-    axis-0 rows and its mirror, ``_level_ranges``) while those rows are
-    in cache, in the buffers the layout sizes (``_Buffers``): F * s of a
-    field that broadcasts along an axis is made once per apply, of a
-    full-size one once per range (``_Bank``).  The result is scanned for
-    non-finite entries once, as every ``GridState`` is, a slab at a time.
+    axis-0 rows and its mirror, ``_Levels``) while those rows are in
+    cache, reading the state's rows as the plan copies them out; F * s
+    of a field that broadcasts along an axis is made once per apply, of
+    a full-size one once per range, and no 1/p0 weight is made.  The
+    result is scanned for non-finite entries once, as every
+    ``GridState`` is, a slab at a time.
     """
-    if op.dim != state.spin.dim or op.blocks != state.blocks:
-        raise ValueError("operator shape does not match the state")
     g = state.grid
-    n, mesh = g.points, _Mesh(g)
-    lay = _Layout({"op": op}, [((ONE, ("op",)),)], g, mesh)
-    (plan,) = lay.plans.values()
-    bufs = _Buffers(mesh, lay)
-    out = _empty_values(op.blocks, n, op.dim)
-    comps = np.moveaxis(out, -1, 1)  # (blocks, 2s+1, N, N, N), contiguous rows
-    src = _Rows.whole(state.values)
-    for level in _level_ranges(n, lay.rows):
-        for lo, hi in level:
-            _apply_rows(plan, bufs, src, lo, hi, comps[:, :, lo:hi])
+    out = _empty_values(op.blocks, g.points, op.dim)
+    _stream({"op": op}, state, [((ONE, ("op",)),)], np.moveaxis(out, -1, 1))
     return GridState(out, g)
 
 
@@ -850,16 +824,15 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
       stencil's halo, two where a term differences twice, the slab a
       term is added from and one gathered slab), and the temporaries of
       evaluating the state on a slab or one basis field with its p0;
-    - the field slabs of 2 (lead + 1) ranges: each full-size pair of the
-      table scaled, real where its s is, and the 1/p0 weight;
+    - the field slabs and 1/p0 weights of the lead + 1 levels a step
+      holds, counted twice (2 (lead + 1) ranges of a level's rows): each
+      full-size pair of the table scaled, real where its s is;
     - each broadcast pair of the table scaled once, in its field's own
       shape (N points along one axis, N^2 along two), real where its s
       is.
     On the default grids N = 32, 64, 128 it reads 30.0, 50.0 and 43.0
-    MiB for up 2s=1, sym3 2s=1 and quad:+1, 18%, 15% and 10% above
-    their cold studies' traced peaks (25.4, 43.6 and 39.2 MiB; 32.0,
-    57.1 and 52.7 MiB when each stored word held whole levels for whole
-    steps, against estimates of 37.0, 64.0 and 57.0 MiB).
+    MiB for up 2s=1, sym3 2s=1 and quad:+1, 25%, 20% and 13% above
+    their cold studies' traced peaks (24.0, 41.7 and 38.1 MiB).
     """
     bad = _inadmissible(rep)
     _rels, comps, ops = _relations(
@@ -880,27 +853,12 @@ def working_set_bytes(rep: RepSpec, grids) -> int:
                 flat += halves * math.prod(mesh.shape(key))
         halves = (2 * spins * (lay.live + 3) * span
                   + 2 * (2 + chain) * span + 4 * chain * lay.halo
-                  + lay.banks * span * (full + 1))
+                  + 2 * (lay.lead + 1) * span * (full + 1))
         peak = max(peak, (halves * n * n + flat) * 8)
     return peak
 
 
 # -- relation residuals ---------------------------------------------------------
-
-
-def _level_ranges(n: int, rows: int) -> list[list[tuple[int, int]]]:
-    """The axis-0 row ranges of each level of a streamed study, outside in.
-
-    Level c holds the rows c*rows to (c+1)*rows - 1 away from the nearer
-    face: slab [a, b) with its mirror [n-b, n-a), or, where the two meet,
-    the one range [a, n-a), so the middle row of an odd N is its own
-    mirror.  A level is closed under the reflection, and a stencil of h
-    rows reads only levels at most ceil(h / rows) away.
-    """
-    half = (n + 1) // 2
-    return [[(a, n - a)] if a + rows >= half
-            else [(a, a + rows), (n - a - rows, n - a)]
-            for a in range(0, half, rows)]
 
 
 class _Norm:
@@ -952,15 +910,13 @@ class _Norm:
 
 
 class _Word:
-    """One distinct word of a streamed study and what reads it.  Its
+    """One distinct word of a streamed plan and what reads it: its
     kernel runs ``head``, the outermost operator and the foldable ones
     after it, which it reads through (``_monomial``), on the rows of the
-    word ``src`` that follows them.
-
-    A stored word's rows live a level at a time (``_Layout``): its level
-    c is made at step c - ``lead``, by event ``make`` of the step, just
-    before the first event that reads it, and goes back to the pool
-    ``keep`` levels after the current one, at step c + keep, right after
+    word ``src`` that follows them.  A stored word keeps its rows in
+    ``levels``, {level: buffer} (``_Levels``): level c is made at step c
+    - ``lead``, by the step's event ``make``, just before the first
+    event that reads it, and popped at step c + ``keep``, right after
     event ``drop``, its last reader (keep < 0 where every reader runs
     ahead of the step's level)."""
 
@@ -969,6 +925,7 @@ class _Word:
         self.users: list[_Word] = []  # the words whose src it is
         self.terms = 0  # uses as a term of a component
         self.lead = self.keep = self.make = self.drop = 0
+        self.levels: dict[int, np.ndarray] = {}
 
 
 class _Event(NamedTuple):
@@ -983,9 +940,9 @@ class _Event(NamedTuple):
 
 
 class _Layout:
-    """What a streamed plan (``_stream``) of ``components``, or ``apply``
-    of one word, runs on one grid, decided before any row is made;
-    ``working_set_bytes`` turns the same layout into bytes.
+    """What a streamed plan (``_stream``) of ``components`` runs on one
+    grid, decided before any row is made; ``working_set_bytes`` turns the
+    same layout into bytes.
 
     ``ops`` are the operators the words name.  A word's kernel runs its
     outermost operator through every foldable one after it, as the fold
@@ -994,14 +951,14 @@ class _Layout:
     reads the state's rows through Pi Theta.  ``plans`` holds the row
     kernels (``_plan``) on the grid by head (the operators a kernel
     runs, see ``_Word``), ``pairs`` the table of distinct (field key, s)
-    pairs those plans share and ``rows`` the rows of a slab.  The word
-    graph: ``words`` maps each word to its ``_Word``, the terms and the
-    words their kernels read; ``order`` holds the nonempty ones shortest
-    first, with their readers and their ``lead`` in levels; ``direct``
-    the words that go straight into their component: those that no word
-    reads and one term uses; ``stored`` the others after ``root``, the
-    state's word (), whose readers and lead come the same way; and
-    ``lead`` the most levels a stored word runs ahead.
+    pairs those plans share and ``levels`` the grid's (``_Levels``).
+    The word graph: ``words`` maps each word to its ``_Word``, the terms
+    and the words their kernels read; ``order`` holds the nonempty ones
+    shortest first, with their readers and their ``lead`` in levels;
+    ``direct`` the words that go straight into their component: those
+    that no word reads and one term uses; ``stored`` the others after
+    ``root``, the state's word (), whose readers and lead come the same
+    way; and ``lead`` the most levels a stored word runs ahead.
 
     ``events`` is the schedule every step of the plan runs (``_Event``),
     the same at each level t: the components in a greedy order, each
@@ -1019,8 +976,8 @@ class _Layout:
     bound on coarser grids.  The sizes of the buffers (``_Buffers``,
     ``_Pool``, and so ``working_set_bytes``) are read from here alone:
     ``live`` level buffers of ``span`` rows, ``halo`` and ``chain`` (at
-    most 2) difference buffers, and ``banks`` = 2 (lead + 1) ranges of
-    field slabs.
+    most 2) difference buffers, and field slabs of the ``lead`` + 1
+    levels a step reads fields on.
     """
 
     def __init__(self, ops: dict, components, grid: Grid, mesh: _Mesh):
@@ -1030,7 +987,7 @@ class _Layout:
         folds = {name: _monomial(op) for name, op in self.ops.items()}
         self.pairs: dict[tuple, tuple[int, bool]] = {}
         self.plans: dict[tuple, _Plan] = {}
-        self.rows = rows = _slab_rows(grid.points)
+        self.levels = _Levels(grid.points, _slab_rows(grid.points))
         self.root = _Word(())
         self.words = words = {(): self.root}
         for word in terms:
@@ -1060,22 +1017,19 @@ class _Layout:
         self.lead = max((w.lead for w in stored), default=0)
         self.stored = [self.root, *stored]
         plans = self.plans.values()
-        self.span = min(2 * rows, grid.points)
+        self.span = min(2 * self.levels.rows, grid.points)
         self.halo = max((p.halo for p in plans), default=0)
         self.chain = min(max((p.chain for p in plans), default=0), 2)
-        self.banks = 2 * (self.lead + 1)
         self.events = self._schedule(components)
-        # the count of _level_ranges, without making its list
-        levels = -(-((grid.points + 1) // 2) // rows)
-        self.live = max(
-            sum(min(levels, max(0, w.lead + w.keep + 1 - (k < w.make)
-                                - (k > w.drop))) for w in self.stored)
-            for k in range(len(self.events)))
+        self.live = max(sum(
+            min(self.levels.count,
+                max(0, w.lead + w.keep + 1 - (k < w.make) - (k > w.drop)))
+            for w in self.stored) for k in range(len(self.events)))
 
     def _reach(self, w: _Word) -> int:
         """The levels w's kernel reads on either side of its own: its
         axis-0 stencil's depth in slabs, rounded up."""
-        return -(-self.plans[w.head].halo // self.rows)
+        return -(-self.plans[w.head].halo // self.levels.rows)
 
     def _reads(self, w: _Word) -> list[tuple[_Word, int]]:
         """The levels the kernel of w reads to make w's level at ``lead``
@@ -1153,107 +1107,101 @@ class _Pool:
         self.free.append(buf)
 
 
-def _stream(ops: dict, state, components) -> list[float]:
+def _stream(ops: dict, state, components,
+            out: np.ndarray | None = None) -> list[float]:
     """The norm of each component (a sum of terms) on one state, every
-    word computed once, row by row.
+    word computed once, row by row; or, with ``out`` (blocks, 2s+1, N, N,
+    N), each component's rows written into it instead, no norm taken
+    (``apply``: one component of one term).
 
     ``state`` is a row source: ``grid``, ``blocks``, ``spin`` and
     ``rows(lo, hi, out)``, which writes its rows lo:hi into ``out`` (a
-    ``_Gaussian`` or a ``GridState``).  It is the word (), whose rows
-    are taken as the plan goes and held a level at a time like any
-    stored word's; the norm of a state, the plan's own included, is the
-    norm of a component of one term.  The plan's operators, field pairs,
-    words and schedule are its ``_Layout``.  The grid's levels
-    (``_level_ranges``) are walked from the faces in: a slab of rows
-    together with its mirror, so a reflected read lands on rows of the
-    same level.  Step t runs the layout's ``events``: it sums each
+    ``_Gaussian`` or a ``GridState``).  It is the word (), held a level
+    at a time like any stored word; the norm of a state, the plan's own
+    included, is the norm of a component of one term.  The plan's
+    operators, field pairs, words, levels and schedule are its
+    ``_Layout``.  Step t runs the layout's ``events``: it sums each
     component on level t, in the layout's order, and makes level t +
     lead of each stored word just before the first event that reads it,
-    from the rows of its ``src`` (read through the foldable operators of
-    its head), into a buffer of the plan's one ``_Pool``; a level goes
-    back to the pool right after its last reader, ``keep`` levels on.
-    The steps start ``lead`` levels before the first, where they only
-    make levels, and a level off the grid is neither made nor read.  A
-    direct word (read by no word, used by one term) has its rows written
-    straight into its component's rows, or, after the first term, into
-    one add slab that is then added onto them; each component is summed
-    by one loop into one accumulator, in its terms' order with the same
-    elementwise operations as summing whole applied states.  The kernels
-    share one ``_Buffers`` on the plan's own mesh, the one its
-    ``_Layout`` reads, whose field slabs span the levels of a step, so
-    each range's bank is made once, whole, for every kernel that reads
-    it, and the norms make and read its 1/p0 weight.  A stored word's
-    rows, the state's included, are scanned for non-finite entries as
-    they are made; a direct word is checked through its component's
-    norm.  Each range of a component gives its norm partials as soon as
-    it is made (``_Norm``), so no norm keeps rows, and each norm, in the
-    components' own order, is bit-identical to that of the whole applied
-    state taken over the same ranges.  A grid whose spacing cubed is 0
-    is refused before any row is made, since every norm on it would be
-    0.
+    from the level store of its ``src`` (read through the foldable
+    operators of its head), into a buffer of the plan's one ``_Pool``
+    kept in the word's ``levels``, which pops it back to the pool right
+    after its last reader, ``keep`` levels on; when the step ends, it
+    drops level t's field slabs and weights, which no later step reads
+    (``_Buffers.drop``).  The steps start ``lead`` levels before the
+    first, where they only make levels; a level off the grid is neither
+    made nor read.  A direct word (read by no word, used by one term) is
+    written straight into its component's rows, or, after the first
+    term, into one add slab then added onto them; each component is
+    summed by one loop into one accumulator, in its terms' order with
+    the same elementwise operations as summing whole applied states.  A
+    stored word's rows, the state's included, are scanned for non-finite
+    entries as they are made; a direct word is checked through its
+    component's norm, or ``apply``'s result as a ``GridState``.  Each
+    range of a component gives its norm partials as soon as it is made
+    (``_Norm``), so each norm, in the components' own order, is
+    bit-identical to that of the whole applied state over the same
+    ranges.  Where norms are taken, a grid whose spacing cubed is 0 is
+    refused before any row is made: every norm on it would be 0.
     """
     g = state.grid
-    if g.spacing**3 == 0:  # every norm would be 0
+    if out is None and g.spacing**3 == 0:  # every norm would be 0
         raise ValueError(_ZERO_NORM)
     n, mesh = g.points, _Mesh(g)
     shape = (state.blocks, state.spin.dim)
     lay = _Layout(ops, components, g, mesh)
     if any((op.blocks, op.dim) != shape for op in lay.ops.values()):
         raise ValueError("operator shape does not match the state")
-    rows, direct, plans = lay.rows, lay.direct, lay.plans
-    levels = _level_ranges(n, rows)
-    last = len(levels) - 1
+    levels, words, plans = lay.levels, lay.words, lay.plans
     bufs = _Buffers(mesh, lay)
     pool = _Pool((*shape, lay.span, n, n))
     total = np.empty(pool.shape, dtype=complex)  # a component's rows
     slab = np.empty(pool.shape, dtype=complex)  # a term to add
-    source = {w.word: _Rows(w.word) for w in lay.stored}
-    held = {}  # (word, level) -> its buffer
-    norms = [_Norm(n, bufs.weight) for _ in components]
-    sums = [[(i, coeff, coeff.to_complex(), lay.words[word])
+    norms = [_Norm(n, bufs.weight) for _ in components if out is None]
+    sums = [[(i, coeff, coeff.to_complex(), words[word])
              for i, (coeff, word) in enumerate(comp)] for comp in components]
-    for t in range(-lay.root.lead, last + 1):
+    for t in range(-lay.root.lead, levels.count):
         for word, comp, drops in lay.events:
             if word is not None:
                 at = t + word.lead
-                if 0 <= at <= last:
-                    buf = held[word.word, at] = pool.take()
+                if 0 <= at < levels.count:
+                    buf = word.levels[at] = pool.take()
                     a = 0
-                    for lo, hi in levels[at]:
-                        out = buf[:, :, a:a + hi - lo]
+                    for lo, hi in levels.ranges(at):
+                        rows = buf[:, :, a:a + hi - lo]
                         a += hi - lo
                         if word is lay.root:
-                            state.rows(lo, hi, out)
+                            state.rows(lo, hi, rows)
                         else:
                             _apply_rows(plans[word.head], bufs,
-                                        source[word.src], lo, hi, out)
-                        _check_finite(out)
-                        source[word.word].chunks.append((lo, hi, out))
+                                        words[word.src].levels, lo, hi, rows)
+                        _check_finite(rows)
             elif t >= 0:
-                for lo, hi in levels[t]:
-                    acc = total[:, :, :hi - lo]
+                for lo, hi in levels.ranges(t):
+                    acc = (total[:, :, :hi - lo] if out is None
+                           else out[:, :, lo:hi])
                     add = slab[:, :, :hi - lo]
                     for i, coeff, c, w in sums[comp]:
-                        if w.word in direct:
-                            _apply_rows(plans[w.head], bufs, source[w.src],
-                                        lo, hi, add if i else acc)
+                        if w.word in lay.direct:
+                            _apply_rows(plans[w.head], bufs,
+                                        words[w.src].levels, lo, hi,
+                                        add if i else acc)
                             if i:
                                 _add_rows(acc, add, c, add)
                         elif i == 0:
-                            np.copyto(acc, source[w.word].take(lo, hi))
+                            np.copyto(acc, levels.take(w.levels, lo, hi))
                         else:
-                            _add_rows(acc, source[w.word].take(lo, hi), c,
+                            _add_rows(acc, levels.take(w.levels, lo, hi), c,
                                       add)
                         if i == 0 and coeff != ONE:
                             acc *= c
-                    norms[comp].add(lo, hi, acc)
+                    if out is None:
+                        norms[comp].add(lo, hi, acc)
             for w in drops:
-                at = t - w.keep
-                if 0 <= at <= last:
-                    pool.give(held.pop((w.word, at)))
-                    kept = source[w.word]
-                    kept.chunks = [ch for ch in kept.chunks
-                                   if min(ch[0], n - ch[1]) // rows != at]
+                if 0 <= t - w.keep < levels.count:
+                    pool.give(w.levels.pop(t - w.keep))
+        if t >= 0:  # no later step reads level t's fields
+            bufs.drop(t)
     return [norm_.value(g.spacing) for norm_ in norms]
 
 
@@ -1404,10 +1352,14 @@ class NumericReport:
 
 
 def refining(grids) -> list[Grid]:
-    """grids coarse to fine, checked to be a nested refinement."""
+    """grids coarse to fine, checked to be a nested refinement: one cube
+    and one mass, the spacing roughly halving."""
     grids = sorted(grids, key=lambda g: -g.spacing)
     if len(grids) < 3:
         raise ValueError("non-nested grid sequence: need at least three grids")
+    if len({(g.extent, g.mu) for g in grids}) > 1:
+        raise ValueError("non-nested grid sequence: the grids differ in "
+                         "extent or mu")
     for a, b in zip(grids, grids[1:]):
         ratio = b.spacing / a.spacing
         if not (_RATIO_BAND[0] <= ratio <= _RATIO_BAND[1]):

@@ -246,7 +246,7 @@ def chained_pauli_lubanski(rep):
 def norm(state):
     """gridlab's weighted norm of a whole state: one ``gridlab._Norm`` fed
     every row, range by range over the levels of a streamed plan
-    (``gridlab._level_ranges``), the sum the plan's norms must equal bit
+    (``gridlab._Levels``), the sum the plan's norms must equal bit
     for bit.  Where the slabs tile the levels this is the slab-by-slab
     sum of the whole state."""
     from poincarelab import gridlab
@@ -256,8 +256,9 @@ def norm(state):
     total = gridlab._Norm(
         n, partial(gridlab._Mesh(g).field, gridlab._INV_P0))
     values = np.moveaxis(state.values, -1, 1)
-    for ranges in gridlab._level_ranges(n, gridlab._slab_rows(n)):
-        for lo, hi in ranges:
+    levels = gridlab._Levels(n, gridlab._slab_rows(n))
+    for c in range(levels.count):
+        for lo, hi in levels.ranges(c):
             total.add(lo, hi, values[:, :, lo:hi])
     return total.value(g.spacing)
 

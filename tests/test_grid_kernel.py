@@ -4,13 +4,15 @@ as one pass over whole components with the kernel's formula,
 conj^k(x) * (F * s), so every element must come out bit-equal: the two
 run the same floating-point operations in the same order.  That holds
 with the scaled fields filled per slab, for rows computed in mirrored
-pairs from a source held in chunks, when the output goes into a
-recycled array, and when the result is added onto a sum.  The formula
-the kernel used before, conj^k(x * F) * s, is kept as a second
-reference; it rounds differently, so it must agree only to a measured
-tolerance.
+pairs from a source held a level at a time (an axis-0 stencil reading
+across levels), when the output goes into a recycled array, and when the
+result is added onto a sum.  The levels themselves are checked against a
+linear search over their ranges.  The formula the kernel used before,
+conj^k(x * F) * s, is kept as a second reference; it rounds differently,
+so it must agree only to a measured tolerance.
 """
 
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from operator import mul
@@ -113,19 +115,27 @@ def whole_array_apply(op, state, term_into=_scaled_term):
     return out
 
 
+def _levels(n, rows=None):
+    """The levels of a streamed plan on n rows, a slab's rows by default."""
+    return gridlab._Levels(n, gridlab._slab_rows(n) if rows is None else rows)
+
+
 def _ranges(n):
-    """The row ranges of a streamed study's levels, slab and mirror,
+    """The row ranges of a streamed plan's levels, slab and mirror,
     outside in."""
-    return [r for level in gridlab._level_ranges(n, gridlab._slab_rows(n))
-            for r in level]
+    levels = _levels(n)
+    return [r for c in range(levels.count) for r in levels.ranges(c)]
 
 
-def _chunked(values):
-    """Every row of a state as chunks along ``_ranges``, copied out: the
-    chunks a streamed plan keeps of a word."""
+def _store(values):
+    """Every row of a state as a level store ({level: buffer}), copied
+    out: each level's ranges in one buffer, as a streamed plan keeps a
+    word."""
     comps = np.moveaxis(values, -1, 1)
-    return gridlab._Rows((), [(lo, hi, comps[:, :, lo:hi].copy())
-                              for lo, hi in _ranges(comps.shape[2])])
+    levels = _levels(comps.shape[2])
+    return {c: np.concatenate([comps[:, :, lo:hi]
+                               for lo, hi in levels.ranges(c)], axis=2)
+            for c in range(levels.count)}
 
 
 def _layout(mesh, ops, *words):
@@ -142,10 +152,10 @@ def _one_word(op, mesh):
     return lay, plan
 
 
-def row_kernel(op, state, src=None, c=None, out=None):
+def row_kernel(op, state, c=None, out=None):
     """op applied to state by gridlab's row kernel, range by range over
     the levels of a streamed study (slab and mirror, outside in), read
-    from ``src`` (default: the whole state).  Written into a NaN-filled
+    from the state's level store (``_store``).  Written into a NaN-filled
     array, or with c given, c times the rows added onto ``out``."""
     g = state.grid
     n, mesh = g.points, _Mesh(g)
@@ -154,8 +164,7 @@ def row_kernel(op, state, src=None, c=None, out=None):
     rows = max(hi - lo for lo, hi in ranges)
     assert rows <= lay.span
     bufs = gridlab._Buffers(mesh, lay)
-    if src is None:
-        src = gridlab._Rows.whole(state.values)
+    src = _store(state.values)
     if out is None:  # stored spin-major, as apply's outputs are
         out = np.moveaxis(np.full((op.blocks, op.dim, n, n, n), np.nan,
                                   dtype=complex), 1, -1)
@@ -215,14 +224,11 @@ def test_slab_kernel_is_bit_equal_to_whole_array(label, two_s, points,
             got = apply(op, state)
             assert np.array_equal(_bits(got.values), _bits(want)), name
             assert got.values.strides == want.strides
-            # rows in mirrored pairs into a recycled (NaN-filled) array:
-            # every element written or zeroed
+            # rows in mirrored pairs into a recycled (NaN-filled) array,
+            # every element written or zeroed, from the source held a
+            # level at a time: an axis-0 stencil reads across levels
             got = row_kernel(op, state)
             assert np.array_equal(_bits(got), _bits(want)), name
-        # the source held in chunks of the level ranges: an axis-0
-        # stencil reads across them
-        got = row_kernel(op, st, _chunked(st.values))
-        assert np.array_equal(_bits(got), _bits(want)), name
         old = whole_array_apply(op, st, _unscaled_term)
         assert np.abs(want - old).max() <= FORMULA_TOL * np.abs(old).max()
 
@@ -243,7 +249,7 @@ def test_folded_read_equals_reading_the_applied_state(label, two_s):
     g = Grid(L, 17)
     mesh = _Mesh(g)
     st = standard_state(rep, g)
-    src = gridlab._Rows.whole(st.values)
+    src = _store(st.values)
     ops = dict(rep.generators(), Theta=rep.theta, Pi=rep.pi)
     assert gridlab._monomial(rep.theta.scale(I)) is None
     for chain in (("Theta",), ("Pi",), ("Theta", "Pi"), ("Pi", "Theta")):
@@ -264,8 +270,8 @@ def test_folded_read_equals_reading_the_applied_state(label, two_s):
             want = np.full((rep.blocks, rep.dim, 17, 17, 17), np.nan,
                            dtype=complex)
             got = want.copy()
-            gridlab._apply_rows(lay.plans[(name,)], bufs, gridlab._Rows.whole(
-                applied.values), 0, 17, want)
+            gridlab._apply_rows(lay.plans[(name,)], bufs,
+                                _store(applied.values), 0, 17, want)
             gridlab._apply_rows(folded, bufs, src, 0, 17, got)
             assert np.array_equal(got, want), name
 
@@ -336,18 +342,69 @@ def test_apply_rejects_a_mismatched_operator():
             apply(op, st)
 
 
-def test_rows_spanning_two_chunks_are_refused(monkeypatch):
-    # a streamed plan asks for a level range or its mirror, each held in
-    # one chunk, so take hands out a view; rows across two chunks are a
-    # broken invariant, not a copy to make
+def test_rows_spanning_two_ranges_are_refused(monkeypatch):
+    # a streamed plan asks for a level's range or its mirror, each held
+    # in its level's buffer, so take hands out a view; rows across two
+    # ranges are a broken invariant, not a copy to make
     monkeypatch.setattr(gridlab, "SLAB_BYTES", 3 * 17 * 17 * 16)
     st = standard_state(catalog.build("up", 0), Grid(L, 17))
-    src = _chunked(st.values)
-    lo, hi, values = src.find(0)
-    assert (lo, hi) == (0, 3)
-    assert np.shares_memory(src.take(0, 3), values)
-    with pytest.raises(AssertionError, match="span two chunks"):
-        src.take(0, 4)
+    src, levels = _store(st.values), _levels(17)
+    assert levels.ranges(0) == ((0, 3), (14, 17))
+    for lo, hi in levels.ranges(0):
+        assert np.shares_memory(levels.take(src, lo, hi), src[0])
+    assert np.array_equal(levels.take(src, 14, 17),
+                          np.moveaxis(st.values, -1, 1)[:, :, 14:17])
+    for lo, hi in ((0, 4), (2, 4), (13, 15)):
+        with pytest.raises(AssertionError, match="span two ranges"):
+            levels.take(src, lo, hi)
+
+
+def test_levels_tile_the_rows_closed_under_reflection():
+    # for N = 8..300 and 1, 2, 3 or a slab's rows a slab: the levels tile
+    # the rows exactly once, each level is closed under i -> N-1-i,
+    # locate gives what a linear search over the ranges gives (the level,
+    # the row's offset in the level's buffer, its ranges one after
+    # another, and its range's end), and neighbouring rows lie on
+    # neighbouring levels
+    for points, rows in ((n, r) for n in range(8, 301)
+                         for r in {1, 2, 3, gridlab._slab_rows(n)}):
+        levels = _levels(points, rows)
+        assert levels.count >= 1
+        seen, want = [], {}
+        for c in range(levels.count):
+            mine, offset = [], 0
+            for lo, hi in levels.ranges(c):
+                assert 0 <= lo < hi <= points
+                for i in range(lo, hi):
+                    want[i] = (c, offset + i - lo, hi)
+                    mine.append(i)
+                offset += hi - lo
+            assert sorted(points - 1 - i for i in mine) == sorted(
+                mine), (points, rows, c)
+            seen += mine
+        assert sorted(seen) == list(range(points)), (points, rows)
+        assert [levels.locate(i) for i in range(points)] == [
+            want[i] for i in range(points)], (points, rows)
+        # a stencil h rows deep reads levels at most ceil(h / rows) away
+        for h in (1, 2, 3):
+            assert all(abs(want[i + h][0] - want[i][0]) <= -(-h // rows)
+                       for i in range(points - h)), (points, rows, h)
+
+
+def test_levels_allocate_nothing_of_the_grids_size():
+    # N = 10^6 rows: the count, a level's ranges and where a row lives are
+    # arithmetic, with no list of the levels made
+    tracemalloc.start()
+    try:
+        levels = gridlab._Levels(10**6, 1)
+        got = (levels.count, levels.ranges(0), levels.ranges(levels.count - 1),
+               levels.locate(10**6 - 1), levels.locate(499_999))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (500_000, ((0, 1), (999_999, 10**6)),
+                   ((499_999, 500_001),), (0, 1, 10**6), (499_999, 0, 500_001))
+    assert peak < 1024
 
 
 def test_slab_rows_follow_the_byte_target():

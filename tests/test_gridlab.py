@@ -391,14 +391,9 @@ def test_working_set_bytes_of_default_and_oversized_grids():
     need = working_set_bytes(rep, default)
     # no grid keeps a state or a field, and no study makes an array of
     # the grid's size; the streamed study's arrays trace a cold peak of
-    # 25.4 MiB on the default grids, 14 level buffers at most held at
-    # once on N = 64 and 128 (21 level windows when each stored word held
-    # whole levels for whole steps, a 32.0 MiB peak), and are estimated
-    # at about 1.9 GiB at N = 1024 (2.3 GiB with whole-step windows, 2.8
-    # GiB when Theta psi and Pi psi were stored words and a broadcast
-    # plane was a contiguous (1, N, N) copy, 3.9 GiB when each range's
-    # bank held both signs of a pair, complex slabs for real pairs and its
-    # basis fields), which the grid command refuses under a 1.5 GiB budget
+    # 24.0 MiB on the default grids, 14 level buffers at most held at
+    # once on N = 64 and 128, and are estimated at about 1.9 GiB at
+    # N = 1024, which the grid command refuses under a 1.5 GiB budget
     # (test_cli.py)
     assert 25 * 2**20 < need < 60 * 2**20
     assert working_set_bytes(rep, big) == 2_013_388_800
@@ -561,8 +556,11 @@ def test_mass_casimir_is_exact_on_the_grid(label, two_s):
 def _plan_names(monkeypatch) -> dict:
     """Map the id of each plan a layout makes to the head the layout
     gives it (``_Layout.plans``): the operators its kernel runs, the
-    outermost and those it reads through.  The plans are kept alive, so
-    no id is reused."""
+    outermost and those it reads through; and the id of each word's
+    level store (``_Word.levels``) to the word.  The plans are kept
+    alive, so no id of one is reused; a store is not (it would keep its
+    last levels), but its id is entered when its layout is made, over
+    any older store's."""
     names, kept = {}, []
 
     class Named(gridlab._Layout):
@@ -570,6 +568,7 @@ def _plan_names(monkeypatch) -> dict:
             super().__init__(*args)
             kept.append(self.plans)
             names.update((id(plan), head) for head, plan in self.plans.items())
+            names.update((id(w.levels), w.word) for w in self.words.values())
 
     monkeypatch.setattr(gridlab, "_Layout", Named)
     return names
@@ -577,14 +576,13 @@ def _plan_names(monkeypatch) -> dict:
 
 def _record_words(monkeypatch):
     """Record the rows of each word the row kernel computes, by grid
-    size and word (the kernel's head and the word it reads); an apply
-    outside a plan records its word as (None,)."""
+    size and word (the kernel's head and the word it reads, named by the
+    layout); an apply records its word as ("op",)."""
     seen = defaultdict(list)
     real, names = gridlab._apply_rows, _plan_names(monkeypatch)
 
     def counted(plan, bufs, src, lo, hi, out):
-        seen[bufs.mesh.n, names.get(id(plan), (None,)) + src.word].append(
-            (lo, hi))
+        seen[bufs.mesh.n, names[id(plan)] + names[id(src)]].append((lo, hi))
         return real(plan, bufs, src, lo, hi, out)
 
     monkeypatch.setattr(gridlab, "_apply_rows", counted)
@@ -776,9 +774,7 @@ def test_streamed_plan_norms_keep_no_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 22.6 MiB; 29.1 MiB when each stored word held whole levels for
-    # whole steps, 35.3 MiB before Theta and Pi were read through, 40.4
-    # MiB with the banks of two signs and complex slabs for real pairs
+    # 22.4 MiB
     assert peak < 23 * 2**20
 
 
@@ -794,27 +790,24 @@ def _cold_peak(rep, grids) -> int:
 
 
 def test_streamed_plan_cold_peak_at_the_default_grids():
-    # a cold study of up 2s=1 on the default grids traces 25.4 MiB: each
+    # a cold study of up 2s=1 on the default grids traces 24.0 MiB: each
     # stored level lives from its first reader in a step to its last, in
-    # buffers of one pool (32.0 MiB when a word held whole levels for
-    # whole steps); Theta and Pi are read through, so no level holds
-    # Theta psi or Pi psi, and a broadcast plane keeps its own shape
-    # (39.5 MiB before); each range's bank holds one slab per field and
-    # canonical scale, float64 where the scale is real, and no basis
-    # field (47.2 MiB before that)
+    # buffers of one pool, and a range's field slabs and weight until the
+    # step that sums their level ends; Theta and Pi are read through, so
+    # no level holds Theta psi or Pi psi, and a broadcast plane keeps its
+    # own shape; a range holds one slab per field and canonical scale,
+    # float64 where the scale is real, and no basis field
     rep = catalog.build("up", 1)
     grids = [Grid(L, n) for n in (32, 64, 128)]
     peak = _cold_peak(rep, grids)
-    assert peak < 26 * 2**20
+    assert peak < 25 * 2**20
     assert peak <= working_set_bytes(rep, grids)
 
 
 @pytest.mark.parametrize("label,two_s,bound", [
     ("sym3", 1, 44), ("quad:+1", 0, 40)])
 def test_streamed_plan_cold_peak_of_wider_plans(label, two_s, bound):
-    # sym3 2s=1 traces 43.6 MiB and quad:+1 39.2 MiB on the default grids
-    # (57.1 and 52.7 MiB when each stored word held whole levels for
-    # whole steps)
+    # sym3 2s=1 traces 41.7 MiB and quad:+1 38.1 MiB on the default grids
     rep = catalog.build(label, two_s)
     grids = [Grid(L, n) for n in (32, 64, 128)]
     peak = _cold_peak(rep, grids)
@@ -922,6 +915,24 @@ def test_convergence_study_input_validation():
         convergence_study(
             rep, "[P1,P2] == 0", [Grid(L, 32), Grid(L, 64), Grid(L, 96)]
         )
+
+
+def test_refinement_refuses_grids_of_another_extent_or_mu(monkeypatch):
+    # the spacings halve, but a refinement keeps one cube and one mass:
+    # these sequences are refused before any word is computed (a study of
+    # the first would otherwise fit "slope 1.857" across three cubes)
+    rep = catalog.build("up", 1)
+    rid = "[J1,K2] == i*K3"
+    seen = _record_words(monkeypatch)
+    for grids in ([Grid(4.0, 16, 1.0), Grid(4.2, 32, 3.0), Grid(4.0, 64, 0.5)],
+                  [Grid(4.0, 16), Grid(4.2, 32), Grid(4.0, 64)],
+                  [Grid(4.0, 16), Grid(4.0, 32, 3.0), Grid(4.0, 64)]):
+        with pytest.raises(ValueError, match="^non-nested grid sequence: the "
+                           "grids differ in extent or mu$"):
+            study(rep, [rid], grids)
+    assert not seen
+    grids = [Grid(4.2, n, 3.0) for n in (64, 16, 32)]
+    assert gridlab.refining(grids) == sorted(grids, key=lambda g: g.points)
 
 
 def test_exact_relations_hit_rounding_level():
@@ -1213,24 +1224,27 @@ def test_working_set_reads_the_plans_layout(grids, monkeypatch):
 
 
 def test_bank_holds_each_slab_once_at_its_dtype():
-    # one range of the layout of up 2s=1's study: its bank, made whole
-    # when the range is first asked for, holds one slab per full-size
-    # (field key, canonical s), a later contribution of -s being
-    # subtracted, float64 exactly where s is real, each slab bit-equal
-    # to F * s; of the basis fields it keeps only the 1/p0 weight
+    # one range of the layout of up 2s=1's study: its bank of field slabs,
+    # made whole when the range is first asked for, holds one slab per
+    # full-size (field key, canonical s), a later contribution of -s
+    # being subtracted, float64 exactly where s is real, each slab
+    # bit-equal to F * s; of the basis fields it keeps only the 1/p0
+    # weight, by range beside the slabs
     rep = catalog.build("up", 1)
     g = Grid(L, 32)
     mesh = gridlab._Mesh(g)
     _rels, comps, ops = gridlab._relations(rep, representative_relations(rep))
     lay = gridlab._Layout(ops, comps + list(gridlab._ISOMETRY), g, mesh)
     bufs = gridlab._Buffers(mesh, lay)
-    assert (lay.span, lay.banks) == (2 * lay.rows, 2 * (lay.lead + 1))
+    assert lay.span == 32 == 2 * lay.levels.rows
     assert bufs.scratch.shape == (lay.span, 32, 32)
-    lo, hi = 0, lay.rows
-    bank = bufs._bank(lo, hi)
-    assert bufs._bank(lo, hi) is bank and bufs.banks == [bank]
+    ((lo, hi),) = lay.levels.ranges(0)  # N = 32 is one level of 32 rows
+    bufs.fields([], lo, hi)
+    bank = bufs.slabs[lo, hi]
+    bufs.fields([], lo, hi)
+    assert bufs.slabs == {(lo, hi): bank} and bufs.slabs[lo, hi] is bank
     full = {j: (key, s) for (key, s), (j, f) in lay.pairs.items() if f}
-    assert len(full) == 7 and sorted(bank.slabs) == sorted(full)
+    assert len(full) == 7 and sorted(bank) == sorted(full)
     assert all(gridlab._canonical(s) and (key, -s) not in lay.pairs
                for key, s in full.values())
     assert any(t[-1] is np.subtract for plan in lay.plans.values()
@@ -1241,7 +1255,7 @@ def test_bank_holds_each_slab_once_at_its_dtype():
 
     for j, (key, s) in full.items():
         want = np.multiply(mesh.field(key, lo, hi), s)
-        slab = bank.slabs[j]
+        slab = bank[j]
         if s.imag == 0:
             assert slab.dtype == np.float64
             want = want.real
@@ -1252,27 +1266,32 @@ def test_bank_holds_each_slab_once_at_its_dtype():
         if not f:
             assert bufs.planes[j].dtype == (
                 np.float64 if s.imag == 0 else np.complex128)
-    assert gridlab._Bank.__slots__ == ("span", "slabs", "weight")
+    assert not bufs.weights
     assert np.array_equal(bits(bufs.weight(lo, hi)),
                           bits(mesh.field(gridlab._INV_P0, lo, hi)))
+    assert list(bufs.weights) == [(lo, hi)]
+    # dropping the level drops both
+    bufs.drop(0)
+    assert not bufs.slabs and not bufs.weights
     # one difference buffer where no term differences twice, two for a
-    # product of two generators' stencils; apply's buffers take no norm,
-    # so their banks make no weight
+    # product of two generators' stencils; apply's plan reads no field
+    # ahead of its level
     assert {plan.chain for plan in lay.plans.values()} == {0, 1}
     assert len(bufs.deriv) == 1
     for op in (rep.k[0] * rep.j[2], rep.k[0] * rep.k[0]):
         one = gridlab._Layout({"op": op}, [((ONE, ("op",)),)], g, mesh)
         (plan,) = one.plans.values()
-        assert plan.chain == 2 and (one.chain, one.banks) == (2, 2)
+        assert plan.chain == 2 and (one.chain, one.lead) == (2, 0)
         applied = gridlab._Buffers(mesh, one)
         assert len(applied.deriv) == 2
-        assert applied._bank(lo, hi).weight is None
 
 
 def test_weight_is_made_once_per_normed_range(monkeypatch):
-    # the 1/p0 weight is evaluated only for a norm: apply makes none, a
-    # bank the kernels made holds none until a norm asks for the range's
-    # weight, and a streamed plan makes it once on each range it norms
+    # the 1/p0 weight is evaluated only for a norm: apply makes none, also
+    # where the spacing cubed underflows (which it still applies on, while
+    # residual there refuses before any row is made), the field slabs a
+    # kernel makes hold none, and a streamed plan makes it once on each
+    # range it norms
     rep = catalog.build("up", 1)
     g = Grid(L, 33)
     st = standard_state(rep, g)
@@ -1285,26 +1304,93 @@ def test_weight_is_made_once_per_normed_range(monkeypatch):
         return real(mesh, key, lo, hi)
 
     monkeypatch.setattr(gridlab._Mesh, "field", counted)
+    tiny = Grid(1e-150, 16)
+    assert tiny.spacing**3 == 0
+    small = standard_state(rep, tiny)
     for op in (rep.k[0], rep.theta, rep.k[0] * rep.j[2]):
         apply(op, st)
+        assert np.abs(apply(op, small).values).max() > 0
     assert not made
     mesh = gridlab._Mesh(g)
     lay = gridlab._Layout({"K1": rep.k[0]}, [((ONE, ("K1",)),)], g, mesh)
     plan = lay.plans[("K1",)]
     bufs = gridlab._Buffers(mesh, lay)
     bufs.fields(plan.used, 0, 15)
-    assert bufs.banks[0].weight is None and not made
+    assert list(bufs.slabs) == [(0, 15)] and not bufs.weights and not made
     weight = bufs.weight(0, 15)
-    assert bufs.weight(0, 15) is weight is bufs.banks[0].weight
+    assert bufs.weight(0, 15) is weight is bufs.weights[0, 15]
     assert made == {(0, 15): 1}
-    ranges = [r for level in gridlab._level_ranges(33, gridlab._slab_rows(33))
-              for r in level]
+    ranges = [r for c in range(lay.levels.count)
+              for r in lay.levels.ranges(c)]
     assert len(ranges) == 3
     for run in (lambda: residual(rep, "Theta*K == K*Theta", st),
                 lambda: isometry_defect(rep, st)):
         made.clear()
         run()
         assert made == Counter(ranges)
+
+    def forbidden(*args):
+        raise AssertionError("made a row")
+
+    monkeypatch.setattr(gridlab, "_apply_rows", forbidden)
+    monkeypatch.setattr(GridState, "rows", forbidden)
+    with pytest.raises(ValueError, match="state norm is 0: the spacing cubed"):
+        residual(rep, "Theta*K == K*Theta", small)
+
+
+@pytest.mark.parametrize("label", ["up", "sym3"])
+def test_field_slabs_live_until_their_level_is_summed(label, monkeypatch):
+    # over a study at N = 17, 33, 65: each full-size field, the 1/p0
+    # weight among them, is evaluated once on each range of the grid's
+    # levels, as the range is first asked for, and the range's slabs and
+    # weight are dropped when the step that sums its level ends; no
+    # kernel or norm asks for a range after its drop
+    rep = catalog.build(label, 1)
+    grids = [Grid(L, n) for n in (17, 33, 65)]
+    evaluated, dropped, made = Counter(), defaultdict(set), []
+    real_field, real_drop = gridlab._Mesh.field, gridlab._Buffers.drop
+    real_fields, real_weight = gridlab._Buffers.fields, gridlab._Buffers.weight
+
+    class Recorded(gridlab._Layout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def field(mesh, key, lo=0, hi=None):
+        if mesh.shape(key) == (mesh.n,) * 3:
+            evaluated[mesh.n, key, lo, hi] += 1
+        return real_field(mesh, key, lo, hi)
+
+    def drop(bufs, level):
+        dropped[bufs.mesh.n].update(bufs.levels.ranges(level))
+        real_drop(bufs, level)
+        assert not set(bufs.slabs) & dropped[bufs.mesh.n]
+        assert not set(bufs.weights) & dropped[bufs.mesh.n]
+
+    def fields(bufs, used, lo, hi):
+        assert (lo, hi) not in dropped[bufs.mesh.n]
+        return real_fields(bufs, used, lo, hi)
+
+    def weight(bufs, lo, hi):
+        assert (lo, hi) not in dropped[bufs.mesh.n]
+        return real_weight(bufs, lo, hi)
+
+    monkeypatch.setattr(gridlab, "_Layout", Recorded)
+    monkeypatch.setattr(gridlab._Mesh, "field", field)
+    monkeypatch.setattr(gridlab._Buffers, "drop", drop)
+    monkeypatch.setattr(gridlab._Buffers, "fields", fields)
+    monkeypatch.setattr(gridlab._Buffers, "weight", weight)
+    study(rep, representative_relations(rep), grids, defects={})
+    assert len(made) == len(grids)
+    for g, lay in zip(grids, made):
+        n, levels = g.points, lay.levels
+        ranges = {r for c in range(levels.count) for r in levels.ranges(c)}
+        keys = {key for (key, _s), (_j, full) in lay.pairs.items() if full}
+        assert len(keys) > 1 and gridlab._INV_P0 not in keys
+        assert {k: v for k, v in evaluated.items() if k[0] == n} == {
+            (n, key, lo, hi): 1 for key in keys | {gridlab._INV_P0}
+            for lo, hi in ranges}
+        assert dropped[n] == ranges
 
 
 def test_plan_refuses_a_zero_norm_before_any_row(monkeypatch):
@@ -1345,7 +1431,8 @@ def test_finite_scan_once_per_stored_row(monkeypatch):
         real_check(values)
 
     def counted(plan, bufs, src, lo, hi, out):
-        calls.append((bufs.mesh.n, names[id(plan)] + src.word, lo, hi, out))
+        calls.append((bufs.mesh.n, names[id(plan)] + names[id(src)], lo, hi,
+                      out))
         before = len(scanned)
         real_rows(plan, bufs, src, lo, hi, out)
         assert len(scanned) == before
@@ -1432,7 +1519,6 @@ def test_plan_schedule_holds_each_level_from_first_reader_to_last(
     # next component to run, each level goes back right after its last
     # reader, and the plan's pool holds no more buffers than the layout
     # counts; up 2s=1 holds at most 14 level buffers on the default grids
-    # (21 level windows when each word held whole levels for whole steps)
     made, pools = [], []
 
     class Recorded(gridlab._Layout):
@@ -1457,8 +1543,7 @@ def test_plan_schedule_holds_each_level_from_first_reader_to_last(
             study(rep, representative_relations(rep), grids, defects={})
             assert len(made) == len(pools) == len(grids)
             for lay, pool, g in zip(made, pools, grids):
-                levels = len(gridlab._level_ranges(g.points, lay.rows))
-                peak = _replay(lay, levels)
+                peak = _replay(lay, lay.levels.count)
                 assert pool.made == peak <= lay.live, (label, g.points)
                 # every made level precedes its first reader with no
                 # component between: the events after a make up to the
